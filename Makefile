@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the pre-merge gate: format
 # (when ocamlformat is installed), build, full test suite, the simlint
-# determinism gate, and a 10k-tick end-to-end smoke that a run report is
-# written and parses.
+# determinism gate, and a 10k-tick end-to-end smoke of the extraction
+# that fails on any failed ◇P property or Lemma check and checks that its
+# run report is written and parses.
 
 .PHONY: all build test fmt lint baseline-update check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke clean
@@ -45,7 +46,7 @@ baseline-update: build
 	dune exec tools/simlint/main.exe -- --root . --baseline-update
 
 smoke: build
-	dune exec bin/dinersim.exe -- extract --horizon 10000 --report /tmp/dinersim-smoke.json
+	dune exec bin/dinersim.exe -- extract --horizon 10000 --lemmas --report /tmp/dinersim-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke.json
 
 # Bounded schedule-fuzzing campaign over the real algorithms (fixed root

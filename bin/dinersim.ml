@@ -284,6 +284,12 @@ let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out r
             bad)
       run.Core.Scenario.onlines
   end;
+  let checks =
+    Obs.Report.of_verdict "strong_completeness" sc
+    :: Obs.Report.of_verdict "eventual_strong_accuracy" esa
+    :: ta_checks
+    @ List.rev !lemma_checks
+  in
   obs_finish obs ~cmd:"extract" ~seed ~horizon
     ~config:
       [
@@ -293,11 +299,8 @@ let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out r
         ("lemmas", Obs.Json.Bool lemmas);
         ("crashes", crashes_config crashes);
       ]
-    ~checks:
-      (Obs.Report.of_verdict "strong_completeness" sc
-       :: Obs.Report.of_verdict "eventual_strong_accuracy" esa
-       :: ta_checks
-      @ List.rev !lemma_checks)
+    ~checks;
+  if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
 let extract_cmd =
   let n_t =
@@ -316,7 +319,11 @@ let extract_cmd =
       const run_extract $ seed_t $ horizon_t 20000 $ adversary_t $ crashes_t $ n_t $ box_t
       $ lemmas_t $ dump_trace_t $ csv_t $ trace_out_t $ report_t)
   in
-  Cmd.v (Cmd.info "extract" ~doc:"Run the failure-detector extraction (the paper's reduction)")
+  Cmd.v
+    (Cmd.info "extract"
+       ~doc:
+         "Run the failure-detector extraction (the paper's reduction). Exits 1 if a detector \
+          property or, with --lemmas, a lemma check fails.")
     term
 
 (* ------------------------------------------------------------------ *)

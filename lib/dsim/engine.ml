@@ -32,6 +32,10 @@ type refmap = { mutable buckets : packet Vec.t Types.Pidmap.t }
 
 type delivery = Wheel of wheel | Refmap of refmap
 
+(* A filtered in-flight counter: the undelivered packets on one tag whose
+   payload satisfies [pred]. *)
+type watch = { pred : Msg.t -> bool; mutable matching : int }
+
 type proc = {
   pid : Types.pid;
   mutable alive : bool;
@@ -67,6 +71,10 @@ and t = {
          maintained incrementally at send / dead-destination discard /
          inbox drain / crash-time inbox clear, so per-tick monitors read
          it in O(1) instead of scanning every bucket and inbox *)
+  mutable watches : watch array array;
+      (* id -> the filtered counters on that tag, moved at the same four
+         points as [pending_tag]. Empty until the first counter is
+         registered, so unwatched runs pay one compare per packet. *)
   order : int array;
       (* per-tick scheduling order scratch: rebuilt to the identity and
          shuffled in place each tick, so [step] allocates no order array *)
@@ -121,6 +129,7 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     tag_count = 0;
     sent_tag = [||];
     pending_tag = [||];
+    watches = [||];
     order = Array.make n 0;
   }
 
@@ -142,6 +151,7 @@ let live_set t =
     (fun acc p -> if p.alive then Types.Pidset.add p.pid acc else acc)
     Types.Pidset.empty t.procs
 
+(* Tags are interned at their first send or first counter registration. *)
 let intern_tag t tag =
   match Hashtbl.find_opt t.tag_ids tag with
   | Some id -> id
@@ -162,6 +172,20 @@ let intern_tag t tag =
       Hashtbl.replace t.tag_ids tag id;
       t.tag_count <- id + 1;
       id
+
+(* simlint: hotpath *)
+let count_watched t pkt delta =
+  let ws = t.watches.(pkt.tag_id) in
+  for k = 0 to Array.length ws - 1 do
+    let w = ws.(k) in
+    if w.pred pkt.payload then w.matching <- w.matching + delta
+  done
+
+(* [pkt] enters (+1) or leaves (-1) the undelivered set: move its tag's
+   pending count and every filtered counter its payload matches. *)
+let[@inline] pend t pkt delta =
+  t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) + delta;
+  if pkt.tag_id < Array.length t.watches then count_watched t pkt delta
 
 let send t ~src ~dst ~tag payload =
   if dst < 0 || dst >= t.n_procs then invalid_arg "Engine.send: bad destination";
@@ -199,7 +223,7 @@ let send t ~src ~dst ~tag payload =
   t.flight_count <- t.flight_count + 1;
   t.sent_total <- t.sent_total + 1;
   t.sent_tag.(tag_id) <- t.sent_tag.(tag_id) + 1;
-  t.pending_tag.(tag_id) <- t.pending_tag.(tag_id) + 1
+  pend t pkt 1
 
 let ctx t pid : Context.t =
   {
@@ -270,10 +294,9 @@ let do_crash t (p : proc) =
     p.alive <- false;
     t.live_count <- t.live_count - 1;
     (* Discard the pending inbox; each discarded packet leaves the
-       per-tag undelivered count with it. *)
+       per-tag undelivered counts with it. *)
     for i = 0 to Vec.length p.inbox - 1 do
-      let pkt = Vec.get p.inbox i in
-      t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) - 1
+      pend t (Vec.get p.inbox i) (-1)
     done;
     Vec.clear p.inbox;
     (* simlint: allow D011 — allocates only on the once-per-process crash transition *)
@@ -283,9 +306,9 @@ let do_crash t (p : proc) =
 let crash_now t pid = do_crash t t.procs.(pid)
 
 (* Every undelivered packet: the delivery structure (wheel slots +
-   overflow, or the reference map) plus the live inboxes. Cost is
-   proportional to total traffic — debug/monitoring only; the hot path
-   never calls this. *)
+   overflow, or the reference map) plus the live inboxes. Cost is the
+   wheel size plus the traffic — the counters' test oracle and the seed
+   of a counter registered mid-run; the hot path never calls this. *)
 let iter_undelivered t f =
   (match t.delivery with
   | Wheel w ->
@@ -294,19 +317,27 @@ let iter_undelivered t f =
   | Refmap r -> Types.Pidmap.iter (fun _ bucket -> Vec.iter f bucket) r.buckets);
   Array.iter (fun p -> Vec.iter f p.inbox) t.procs
 
-let in_flight_scan t ~tag =
+let in_flight_scan t ~tag ~f =
   let count = ref 0 in
-  iter_undelivered t (fun pkt -> if String.equal pkt.tag tag then incr count);
+  iter_undelivered t (fun pkt -> if String.equal pkt.tag tag && f pkt.payload then incr count);
   !count
 
 let in_flight t ~tag =
   match Hashtbl.find_opt t.tag_ids tag with Some id -> t.pending_tag.(id) | None -> 0
 
-let in_flight_filtered t ~tag ~f =
-  let count = ref 0 in
-  iter_undelivered t (fun pkt ->
-      if String.equal pkt.tag tag && f pkt.payload then incr count);
-  !count
+let in_flight_counter t ~tag ~f =
+  let id = intern_tag t tag in
+  (* A counter registered before its tag has traffic, the usual case for
+     monitors installed ahead of the run, starts at 0 without a scan. *)
+  let matching = if t.pending_tag.(id) = 0 then 0 else in_flight_scan t ~tag ~f in
+  let w = { pred = f; matching } in
+  if id >= Array.length t.watches then begin
+    let grown = Array.make (Array.length t.tag_names) [||] in
+    Array.blit t.watches 0 grown 0 (Array.length t.watches);
+    t.watches <- grown
+  end;
+  t.watches.(id) <- Array.append t.watches.(id) [| w |];
+  fun () -> w.matching
 
 let in_flight_total t = t.flight_count
 
@@ -318,7 +349,8 @@ let sent_with_tag t ~tag =
 let sent_by_tag t =
   let acc = ref [] in
   for id = t.tag_count - 1 downto 0 do
-    acc := (t.tag_names.(id), t.sent_tag.(id)) :: !acc
+    (* A tag interned by a counter registration has not sent yet. *)
+    if t.sent_tag.(id) > 0 then acc := (t.tag_names.(id), t.sent_tag.(id)) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
@@ -328,14 +360,13 @@ let sent_by_tag t =
 let on_tick t f = Vec.add_last t.hooks f
 
 (* Deliver one packet: move it to the destination inbox, or discard it if
-   the destination crashed (the per-tag pending count drops either way it
+   the destination crashed (the per-tag pending counts drop either way it
    leaves the system — on discard here, on drain otherwise). *)
 (* simlint: hotpath *)
 let deliver_packet t pkt =
   t.flight_count <- t.flight_count - 1;
   let p = t.procs.(pkt.dst) in
-  if p.alive then Vec.add_last p.inbox pkt
-  else t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) - 1
+  if p.alive then Vec.add_last p.inbox pkt else pend t pkt (-1)
 
 (* Iterative bucket delivery in send order (oldest first). The old list
    representation recursed to the bucket tail before delivering, so the
@@ -436,7 +467,7 @@ let step_process t (p : proc) =
       (* Drained from the inbox: the packet stops counting as undelivered
          the moment this step consumes it, matching what a scan of the
          inboxes at the end of the tick would see. *)
-      t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) - 1
+      pend t pkt (-1)
     done;
     Vec.clear p.inbox;
     Prng.shuffle_prefix t.prng p.batch ~len:pending;

@@ -67,21 +67,29 @@ val live_count : t -> int
 val in_flight : t -> tag:string -> int
 (** Number of undelivered messages addressed to components named [tag]
     (including those already ripe but not yet consumed). Used by white-box
-    monitors such as the Lemma 3 checker; not available to protocols. O(1):
-    backed by per-tag counters maintained at send, crash-time discard and
-    inbox drain. *)
+    monitors; not available to protocols. O(1): backed by per-tag counters
+    maintained at send, dead-destination discard, inbox drain and
+    crash-time inbox clear. *)
 
-val in_flight_scan : t -> tag:string -> int
-(** Same quantity as {!in_flight}, recomputed by walking every in-flight
-    bucket and every inbox — O(total undelivered traffic). Kept as the
-    debug cross-check for the incremental counters (see
-    [test/test_scale.ml]); monitors should call {!in_flight}. *)
+val in_flight_counter : t -> tag:string -> f:(Msg.t -> bool) -> unit -> int
+(** [in_flight_counter t ~tag ~f] registers a counter of the undelivered
+    messages on [tag] whose payload satisfies [f], and returns its O(1)
+    reader. The engine moves it at the same four points as {!in_flight}'s
+    counters, so read from an {!on_tick} hook it equals
+    [in_flight_scan t ~tag ~f]. [f] must be a pure function of the payload:
+    it runs once when a matching-tag packet is sent and once when it
+    leaves. Registering on a tag with nothing pending is O(1); otherwise the
+    counter is seeded by one scan. Registration is not a send: it leaves
+    {!sent_with_tag} and {!sent_by_tag} unchanged. The Lemma 3 monitor
+    registers four per reduction pair. *)
 
-val in_flight_filtered : t -> tag:string -> f:(Msg.t -> bool) -> int
-(** Like {!in_flight} but counting only payloads satisfying [f]. This one
-    is a scan — the filter is an arbitrary predicate, so no counter can be
-    maintained for it. Its only client (the Lemma 3 monitor) runs on
-    2-process reduction pairs where traffic is tiny. *)
+val in_flight_scan : t -> tag:string -> f:(Msg.t -> bool) -> int
+(** What an {!in_flight_counter} maintains ({!in_flight}'s count, with
+    [f] accepting every payload), recomputed by walking every wheel slot,
+    the overflow map and every inbox — O(wheel size + undelivered
+    traffic). The test oracle for the counters (see [test/test_scale.ml])
+    and the seed of a counter registered while its tag has traffic
+    pending; monitors read the counters. *)
 
 val in_flight_total : t -> int
 (** All undelivered packets, any tag (excludes inbox-pending ones). *)

@@ -57,6 +57,22 @@ let install_online ~engine ~pair =
   let w_phase i = phase_of pair.Pair.w_handles.(i) in
   let subject_live () = Engine.is_live engine pair.Pair.subject in
   let watcher_live () = Engine.is_live engine pair.Pair.watcher in
+  (* Lemma 3's channels, counted by the engine: ping_i on its way to the
+     witness, ack_i on its way back. *)
+  let pings =
+    Array.init 2 (fun i ->
+        Engine.in_flight_counter engine ~tag:pair.Pair.witness_tag ~f:(function
+          | Messages.Ping j -> j = i
+          (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ping_i and deliberately ignores every other message *)
+          | _ -> false))
+  in
+  let acks =
+    Array.init 2 (fun i ->
+        Engine.in_flight_counter engine ~tag:pair.Pair.subject_tag ~f:(function
+          | Messages.Ack j -> j = i
+          (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ack_i and deliberately ignores every other message *)
+          | _ -> false))
+  in
   Engine.on_tick engine (fun () ->
       let now = Engine.now engine in
       if subject_live () then begin
@@ -73,18 +89,7 @@ let install_online ~engine ~pair =
           then Acc.add o.l4 (Printf.sprintf "t=%d: s_%d hungry but trigger<>%d" now i i);
           (* Lemma 3: no ping_i/ack_i in transit when (not eating) /\ ping_i *)
           if (not eating) && ping && watcher_live () then begin
-            let pings =
-              Engine.in_flight_filtered engine ~tag:pair.Pair.witness_tag ~f:(function
-                | Messages.Ping j -> j = i
-                (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ping_i and deliberately ignores every other message *)
-                | _ -> false)
-            in
-            let acks =
-              Engine.in_flight_filtered engine ~tag:pair.Pair.subject_tag ~f:(function
-                | Messages.Ack j -> j = i
-                (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ack_i and deliberately ignores every other message *)
-                | _ -> false)
-            in
+            let pings = pings.(i) () and acks = acks.(i) () in
             if pings + acks > 0 then
               Acc.add o.l3
                 (Printf.sprintf "t=%d: %d ping(s), %d ack(s) in transit on idle channel %d" now
@@ -154,6 +159,28 @@ let note_times trace ~pid ~label ~info =
          | Trace.Note n when String.equal n.info info -> Some e.at
          | _ -> None)
 
+(* One pass over a sorted list of times, counting those inside a series of
+   windows: [before c x] and [through c x] drop the times < x (resp.
+   <= x) and return how many have been dropped so far, so a window's count
+   is the difference of two reads at its ends. Reads must not move back in
+   time, which holds for windows taken in time order that do not overlap
+   (Lemma 5's sessions) or only touch (Lemma 12's gaps between eats); a
+   sweep is then O(times + windows) instead of a filter per window. *)
+type sweep = { mutable rest : int list; mutable passed : int }
+
+let sweep times = { rest = times; passed = 0 }
+
+let rec drop_while c keep =
+  match c.rest with
+  | t :: tl when keep t ->
+      c.rest <- tl;
+      c.passed <- c.passed + 1;
+      drop_while c keep
+  | _ -> c.passed
+
+let before c x = drop_while c (fun t -> t < x)
+let through c x = drop_while c (fun t -> t <= x)
+
 let trace_reports ~engine ~pair =
   let trace = Engine.trace engine in
   let horizon = Engine.now engine in
@@ -172,12 +199,15 @@ let trace_reports ~engine ~pair =
         |> List.filter (fun (_, b) -> b < horizon - slack)
       in
       let info_tag = Printf.sprintf "%s:%d" pair.Pair.subject_tag i in
-      let pings = note_times trace ~pid:pair.Pair.subject ~label:"red-ping" ~info:info_tag in
-      let acks = note_times trace ~pid:pair.Pair.subject ~label:"red-ack" ~info:info_tag in
+      let notes label = sweep (note_times trace ~pid:pair.Pair.subject ~label ~info:info_tag) in
+      let pings = notes "red-ping" and acks = notes "red-ack" in
       List.iter
         (fun (a, b) ->
-          let np = List.length (List.filter (fun t -> t >= a && t < b) pings) in
-          let na = List.length (List.filter (fun t -> t > a && t <= b) acks) in
+          (* pings in [a, b), acks in (a, b] *)
+          let np0 = before pings a in
+          let np = before pings b - np0 in
+          let na0 = through acks a in
+          let na = through acks b - na0 in
           if np <> 1 then
             l5_violations :=
               Printf.sprintf "s_%d session [%d,%d): %d pings" i a b np :: !l5_violations;
@@ -222,12 +252,14 @@ let trace_reports ~engine ~pair =
       let starts_i =
         eating_starts trace ~instance:pair.Pair.dx_instances.(i) ~pid:pair.Pair.watcher
       in
-      let starts_other =
-        eating_starts trace ~instance:pair.Pair.dx_instances.(1 - i) ~pid:pair.Pair.watcher
+      let others =
+        sweep (eating_starts trace ~instance:pair.Pair.dx_instances.(1 - i) ~pid:pair.Pair.watcher)
       in
       let rec scan = function
         | a :: (b :: _ as rest) ->
-            let c = List.length (List.filter (fun t -> t > a && t < b) starts_other) in
+            (* w_{1-i} eats in (a, b) *)
+            let c0 = through others a in
+            let c = before others b - c0 in
             if c <> 1 then
               l12_violations :=
                 Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)

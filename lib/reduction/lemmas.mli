@@ -35,7 +35,14 @@ type online
 val install_online : engine:Dsim.Engine.t -> pair:Pair.t -> online
 (** Hook the per-tick state-invariant checks (Lemmas 2, 3, 4, 8, 9) into
     the engine. Violations are accumulated (capped); Lemma 8 records the
-    last tick its invariant did not hold. *)
+    last tick its invariant did not hold.
+
+    Per-tick cost is O(1) per pair: the hook reads phases, flags and, for
+    Lemma 3, four in-transit counts that the engine maintains
+    ({!Dsim.Engine.in_flight_counter}, registered here: ping_0/1 on the
+    witness tag, ack_0/1 on the subject tag) instead of scanning the
+    undelivered traffic. Installing before the run registers them in
+    O(1); installing mid-run seeds each with one scan. *)
 
 val online_reports : online -> report list
 (** Lemma 8's report is judged against the current engine time: its last
@@ -44,4 +51,6 @@ val online_reports : online -> report list
 val trace_reports : engine:Dsim.Engine.t -> pair:Pair.t -> report list
 (** Post-hoc schedule lemmas (5, 7, 11, 12) plus liveness of the subjects'
     hungry phases (Lemma 1) and finiteness of their eating sessions
-    (Lemma 6). Sessions still open near the horizon are ignored. *)
+    (Lemma 6). Sessions still open near the horizon are ignored. Linear in
+    the trace: Lemmas 5 and 12 count notes and eats per window in one
+    sweep over each sorted time list. *)

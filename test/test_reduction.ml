@@ -189,6 +189,160 @@ let test_lemmas_seed_sweep () =
       if not (holds v) then Alcotest.failf "seed %d: extracted not ◇P" seed)
     [ 101; 102; 103; 104; 105; 106 ]
 
+(* Lemma 3 fires: a Ping_i the subject never sent through S_p, injected
+   while s_i is idle and ping_i is armed, is a ping in transit on an idle
+   channel. The injecting hook is registered before the monitor, so the
+   monitor's end-of-tick check sees the ping still in flight. *)
+let stray_ping_run ~seed ~at =
+  let n = 2 in
+  let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:500 ()) () in
+  let suspects = evp_suspects engine ~n ~windows:[] in
+  let dining = Reduction.Pair.wf_ewx_factory ~n ~suspects in
+  let pair = Reduction.Pair.create ~engine ~dining ~watcher:0 ~subject:1 () in
+  let injected = ref None in
+  let idle_and_armed i =
+    (not
+       (Types.phase_equal
+          (pair.Reduction.Pair.s_handles.(i).Dining.Spec.phase ())
+          Types.Eating))
+    && pair.Reduction.Pair.subject_threads.Reduction.Subject.ping_flag i
+  in
+  Engine.on_tick engine (fun () ->
+      if Option.is_none !injected && Engine.now engine >= at then
+        match List.find_opt idle_and_armed [ 0; 1 ] with
+        | Some i ->
+            let ctx = Engine.ctx engine pair.Reduction.Pair.subject in
+            ctx.Context.send ~dst:pair.Reduction.Pair.watcher ~tag:pair.Reduction.Pair.witness_tag
+              (Reduction.Messages.Ping i);
+            injected := Some (i, Engine.now engine)
+        | None -> ());
+  let online = Reduction.Lemmas.install_online ~engine ~pair in
+  (engine, pair, online, injected)
+
+let l3_report online =
+  List.find
+    (fun r -> String.equal r.Reduction.Lemmas.lemma "L3")
+    (Reduction.Lemmas.online_reports online)
+
+let test_lemma3_detects_stray_ping () =
+  let engine, _, online, injected = stray_ping_run ~seed:29L ~at:5000 in
+  Engine.run engine ~until:4999;
+  check "L3 clean before the stray ping" true (Reduction.Lemmas.ok (l3_report online));
+  Engine.run engine ~until:8000;
+  match !injected with
+  | None -> Alcotest.fail "no tick had an idle, armed subject thread"
+  | Some (i, at) -> (
+      let l3 = l3_report online in
+      check "L3 reports the stray ping" false (Reduction.Lemmas.ok l3);
+      let want = Printf.sprintf "t=%d: 1 ping(s), 0 ack(s) in transit on idle channel %d" at i in
+      match l3.Reduction.Lemmas.violations with
+      | first :: _ -> Alcotest.(check string) "first violation is the injection tick" want first
+      | [] -> Alcotest.fail "no L3 violation")
+
+(* ------------------------------------------------------------------ *)
+(* Post-hoc Lemmas 5 and 12: one-pass sweeps against the filter-per-window
+   reference in lemmas_reference.ml *)
+
+let render (r : Reduction.Lemmas.report) =
+  String.concat "\n"
+    ((r.Reduction.Lemmas.lemma ^ " " ^ r.Reduction.Lemmas.info) :: r.Reduction.Lemmas.violations)
+
+let l5_l12 ~engine ~pair =
+  List.filter
+    (fun r -> List.mem r.Reduction.Lemmas.lemma [ "L5"; "L12" ])
+    (Reduction.Lemmas.trace_reports ~engine ~pair)
+
+let same_l5_l12 label ~engine ~pair =
+  Alcotest.(check (list string))
+    label
+    (List.map render (Lemmas_reference.l5_l12 ~engine ~pair))
+    (List.map render (l5_l12 ~engine ~pair))
+
+let test_sweeps_match_reference_runs () =
+  List.iter
+    (fun (seed, n, horizon, crash) ->
+      let r = wf_extraction ~seed ~n () in
+      Option.iter (fun (pid, at) -> Engine.schedule_crash r.engine pid ~at) crash;
+      Engine.run r.engine ~until:horizon;
+      List.iter
+        (fun (pair, _) ->
+          same_l5_l12
+            (Printf.sprintf "seed %Ld n=%d horizon %d pair %s" seed n horizon
+               pair.Reduction.Pair.name)
+            ~engine:r.engine ~pair)
+        r.onlines)
+    [
+      (7L, 3, 5000, None);
+      (7L, 3, 20000, None);
+      (29L, 2, 40000, None);
+      (103L, 2, 12000, None);
+      (19L, 3, 20000, Some (2, 5000));
+    ];
+  (* A run the stray ping knocks off the one-ping-one-ack pattern. *)
+  let engine, pair, _, _ = stray_ping_run ~seed:29L ~at:5000 in
+  Engine.run engine ~until:20000;
+  same_l5_l12 "stray-ping run" ~engine ~pair
+
+(* Random traces dense in violations and in ties: transitions and notes
+   land on the same tick, on session boundaries and on each other, which
+   real runs rarely do. The pair only supplies names; the trace and clock
+   are a bare engine's. *)
+let test_sweeps_match_reference_random () =
+  let names_engine = Engine.create ~n:2 ~adversary:(Adversary.synchronous ()) () in
+  let pair =
+    Reduction.Pair.create ~engine:names_engine
+      ~dining:(Reduction.Pair.ftme_factory ~suspects:(fun _ () -> Types.Pidset.empty))
+      ~watcher:0 ~subject:1 ()
+  in
+  let violations = ref 0 in
+  for case = 0 to 39 do
+    let rng = Prng.create (Int64.of_int (4100 + case)) in
+    let horizon = Prng.int_in rng ~lo:1500 ~hi:8000 in
+    let engine = Engine.create ~n:2 ~adversary:(Adversary.synchronous ()) () in
+    Engine.run engine ~until:horizon;
+    let events = ref [] in
+    let add at ev = events := (at, ev) :: !events in
+    let gaps = [| 0; 0; 1; 1; 2; 3; 7; 20; 60 |] in
+    let cycle = [| Types.Thinking; Types.Hungry; Types.Eating; Types.Exiting |] in
+    let note pid label i at =
+      add at
+        (Trace.Note
+           { pid; label; info = Printf.sprintf "%s:%d" pair.Reduction.Pair.subject_tag i })
+    in
+    let diner pid i =
+      let at = ref (Prng.int rng ~bound:30) and k = ref 0 in
+      while !at < horizon - 1 do
+        let from_ = cycle.(!k mod 4) and to_ = cycle.((!k + 1) mod 4) in
+        add !at
+          (Trace.Transition { instance = pair.Reduction.Pair.dx_instances.(i); pid; from_; to_ });
+        if pid = pair.Reduction.Pair.subject then begin
+          if Types.phase_equal to_ Types.Eating && Prng.bool rng then note pid "red-ping" i !at;
+          if Types.phase_equal from_ Types.Eating && Prng.bool rng then note pid "red-ack" i !at
+        end;
+        incr k;
+        at := !at + Prng.pick rng gaps
+      done
+    in
+    List.iter
+      (fun pid ->
+        diner pid 0;
+        diner pid 1)
+      [ pair.Reduction.Pair.subject; pair.Reduction.Pair.watcher ];
+    for at = 0 to horizon - 1 do
+      List.iter
+        (fun (label, i) ->
+          if Prng.chance rng ~p:0.02 then note pair.Reduction.Pair.subject label i at)
+        [ ("red-ping", 0); ("red-ping", 1); ("red-ack", 0); ("red-ack", 1) ]
+    done;
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
+    |> List.iter (fun (at, ev) -> Trace.append (Engine.trace engine) ~at ev);
+    same_l5_l12 (Printf.sprintf "random trace %d" case) ~engine ~pair;
+    List.iter
+      (fun r -> violations := !violations + List.length r.Reduction.Lemmas.violations)
+      (l5_l12 ~engine ~pair)
+  done;
+  check "random traces violate L5/L12" true (!violations > 100)
+
 (* ------------------------------------------------------------------ *)
 (* Robustness of the reduction to early oracle mistakes in the black box *)
 
@@ -395,6 +549,11 @@ let () =
           Alcotest.test_case "with crash" `Quick test_lemmas_with_crash;
           Alcotest.test_case "bursty adversary" `Quick test_lemmas_under_bursty_adversary;
           Alcotest.test_case "seed sweep" `Slow test_lemmas_seed_sweep;
+          Alcotest.test_case "L3 reports a stray ping" `Quick test_lemma3_detects_stray_ping;
+          Alcotest.test_case "L5/L12 sweeps match reference on runs" `Quick
+            test_sweeps_match_reference_runs;
+          Alcotest.test_case "L5/L12 sweeps match reference on random traces" `Quick
+            test_sweeps_match_reference_random;
         ] );
       ( "black-box robustness",
         [

@@ -124,29 +124,138 @@ let test_overflow_delivers_exactly_once () =
 (* ------------------------------------------------------------------ *)
 (* Incremental counters vs brute-force scan *)
 
+(* Process 0 is offered no step in [100, 250) (the backstop is pushed past
+   the stall), so what is delivered to it waits in its live inbox until it
+   crashes at 250 with that inbox full. *)
+let stall_pid0 (base : Adversary.t) =
+  {
+    base with
+    Adversary.name = base.Adversary.name ^ "+stall0";
+    steps =
+      (fun rng ~now pid ->
+        let offered = base.Adversary.steps rng ~now pid in
+        offered && not (pid = 0 && now >= 100 && now < 250));
+    fairness_bound = 400;
+  }
+
+(* One [Int_msg] per step on "chat" to a random process, dead or alive;
+   the payload carries the destination ([k mod n = dst]) so a filtered
+   counter can select one process's packets. Nothing is sent to process 0
+   from tick 200 on, so by 249 its packets all sit in its stalled inbox. *)
+let chatter engine pid ~n =
+  let ctx = Engine.ctx engine pid in
+  let rng = ctx.Context.rng in
+  Component.make ~name:"chat"
+    ~actions:
+      [
+        Component.action "send"
+          ~guard:(fun () -> true)
+          ~body:(fun () ->
+            let dst =
+              if ctx.Context.now () < 200 then Prng.int rng ~bound:n
+              else Prng.int_in rng ~lo:1 ~hi:(n - 1)
+            in
+            ctx.Context.send ~dst ~tag:"chat" (Msg.Int_msg ((n * Prng.int rng ~bound:1000) + dst)));
+      ]
+    ()
+
 let test_in_flight_counter_matches_scan () =
-  (* The O(1) per-tag counters must agree with the full-state scan at
-     every observation point the monitors use (end of tick), across
-     sends, deliveries, inbox drains, mid-run crashes (inbox discard) and
-     deliveries to dead destinations. *)
+  (* The O(1) per-tag counters and the filtered counters must agree with
+     the full-state scan at every observation point the monitors use (end
+     of tick), across sends, deliveries, packets waiting in a live inbox,
+     inbox drains, mid-run crashes (inbox discard), deliveries to dead
+     destinations and delays past the 256-tick wheel horizon, under both
+     delivery modes. Filtered counters are registered before traffic, on a
+     tag that never sends, and mid-run while matching packets are pending
+     (seeded by the scan). *)
   let n = 6 in
-  let engine = build_instance ~delivery:`Wheel ~seed:77L ~n ~adversary:(Adversary.async_uniform ()) in
-  Engine.schedule_crash engine 2 ~at:150;
-  Engine.schedule_crash engine 4 ~at:300;
-  let checked = ref 0 in
-  Engine.on_tick engine (fun () ->
+  let to_pid p = function Msg.Int_msg k -> k mod n = p | _ -> false in
+  let cases =
+    [
+      ("async", `Wheel, fun () -> Adversary.async_uniform ());
+      ("async", `Reference, fun () -> Adversary.async_uniform ());
+      ("big-delay", `Wheel, big_delay_adversary);
+      ("big-delay", `Reference, big_delay_adversary);
+    ]
+  in
+  List.iter
+    (fun (adv_name, delivery, adv) ->
+      let label =
+        Printf.sprintf "%s/%s" adv_name
+          (match delivery with `Wheel -> "wheel" | `Reference -> "reference")
+      in
+      let engine = build_instance ~delivery ~seed:77L ~n ~adversary:(stall_pid0 (adv ())) in
+      for pid = 0 to n - 1 do
+        Engine.register engine pid (chatter engine pid ~n)
+      done;
+      Engine.schedule_crash engine 2 ~at:150;
+      Engine.schedule_crash engine 0 ~at:250;
+      Engine.schedule_crash engine 4 ~at:300;
+      (* every (tag, filter, counter) registered so far *)
+      let counters = ref [] in
+      let register tag f =
+        let c = Engine.in_flight_counter engine ~tag ~f in
+        counters := (tag, f, c) :: !counters;
+        c
+      in
+      let to0 = register "chat" (to_pid 0) and to4 = register "chat" (to_pid 4) in
       List.iter
-        (fun tag ->
-          let fast = Engine.in_flight engine ~tag in
-          let slow = Engine.in_flight_scan engine ~tag in
-          if fast <> slow then
-            Alcotest.failf "t=%d tag=%s: counter %d <> scan %d" (Engine.now engine) tag fast
-              slow;
-          incr checked)
-        [ "d"; "never-sent" ]);
-  Engine.run engine ~until:600;
-  check_int "cross-checked every tick" (2 * 600) !checked;
-  check_int "unknown tag counts zero" 0 (Engine.in_flight engine ~tag:"never-sent")
+        (fun (tag, f) -> ignore (register tag f : unit -> int))
+        [
+          ("chat", fun _ -> true);
+          ("d", fun _ -> true);
+          ("d", fun _ -> false);
+          ("quiet", fun _ -> true);
+        ];
+      let checked = ref 0 and inbox_seen = ref false and to0_stalled = ref 0 in
+      let to0_after_crash = ref (-1) and to4_dead = ref false and seeded = ref 0 in
+      Engine.on_tick engine (fun () ->
+          let now = Engine.now engine in
+          if now = 120 then begin
+            (* process 0 has been stalled since 100: its inbox is not empty *)
+            let to01 m = to_pid 0 m || to_pid 1 m in
+            seeded := Engine.in_flight_scan engine ~tag:"chat" ~f:to01;
+            ignore (register "chat" to01 : unit -> int)
+          end;
+          List.iter
+            (fun tag ->
+              let fast = Engine.in_flight engine ~tag in
+              let slow = Engine.in_flight_scan engine ~tag ~f:(fun _ -> true) in
+              if fast <> slow then
+                Alcotest.failf "%s t=%d tag=%s: counter %d <> scan %d" label now tag fast slow;
+              incr checked)
+            [ "d"; "chat"; "never-sent" ];
+          List.iter
+            (fun (tag, f, c) ->
+              let fast = c () and slow = Engine.in_flight_scan engine ~tag ~f in
+              if fast <> slow then
+                Alcotest.failf "%s t=%d tag=%s: filtered counter %d <> scan %d" label now tag fast
+                  slow;
+              incr checked)
+            !counters;
+          (* pending counts include inboxes, in_flight_total does not *)
+          let pending = Engine.in_flight engine ~tag:"d" + Engine.in_flight engine ~tag:"chat" in
+          if pending > Engine.in_flight_total engine then inbox_seen := true;
+          if now = 249 then to0_stalled := to0 ();
+          if now = 250 then to0_after_crash := to0 ();
+          if now > 300 && to4 () > 0 then to4_dead := true);
+      Engine.run engine ~until:900;
+      (* 3 tags and 6 counters every tick, plus the one registered at 120 *)
+      check_int (label ^ ": cross-checked every tick") ((9 * 900) + (900 - 119)) !checked;
+      check (label ^ ": packets waited in a live inbox") true !inbox_seen;
+      check (label ^ ": mid-run counter seeded from pending packets") true (!seeded > 0);
+      check (label ^ ": packets sent to a dead destination") true !to4_dead;
+      if String.equal adv_name "async" then begin
+        (* Delays are at most 8 and nothing goes to process 0 after tick
+           200: at 249 its packets are all in its inbox, and the crash
+           discards them. *)
+        check (label ^ ": stalled inbox holds packets at the crash") true (!to0_stalled > 0);
+        check_int (label ^ ": crash discards the inbox") 0 !to0_after_crash
+      end;
+      check (label ^ ": registration is not a send") false
+        (List.mem_assoc "quiet" (Engine.sent_by_tag engine));
+      check_int (label ^ ": unknown tag counts zero") 0 (Engine.in_flight engine ~tag:"never-sent"))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Quadratic-registration fix: many components per process *)
