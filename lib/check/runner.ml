@@ -110,15 +110,16 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
   Option.iter Obs.Instrument.finalize inst;
   let trace = Engine.trace engine in
   let horizon = c.Config.horizon in
+  let ix = Dining.Monitor.Index.build trace ~instance in
   let checks =
     [
       Obs.Report.of_verdict "wait_freedom"
-        (Dining.Monitor.wait_freedom trace ~instance ~n ~horizon ~slack:(horizon / 3));
+        (Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 3));
       Obs.Report.of_verdict "eventual_weak_exclusion"
-        (Dining.Monitor.eventual_weak_exclusion trace ~instance ~graph ~horizon
+        (Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon
            ~suffix_from:(horizon / 2));
       Obs.Report.of_verdict "exiting_finite"
-        (Dining.Monitor.exiting_finite trace ~instance ~n ~horizon ~slack:(horizon / 3));
+        (Dining.Monitor.Index.exiting_finite ix ~n ~horizon ~slack:(horizon / 3));
     ]
   in
   let failed =
@@ -126,14 +127,14 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
       (fun (ch : Obs.Report.check) -> if ch.Obs.Report.holds then None else Some ch.Obs.Report.name)
       checks
   in
-  let meals =
-    List.init n (fun pid -> Dining.Monitor.eat_count trace ~instance ~pid)
-    |> List.fold_left ( + ) 0
-  in
+  let meals = ref 0 in
+  for pid = 0 to n - 1 do
+    meals := !meals + Dining.Monitor.Index.eat_count ix ~pid
+  done;
   ( {
       checks;
       failed;
-      meals;
+      meals = !meals;
       trace_events = Trace.length trace;
       coverage = Obs.Coverage.snapshot cov;
     },

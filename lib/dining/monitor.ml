@@ -6,41 +6,287 @@ type violation = {
   q : Types.pid;
 }
 
-let clip_at_crash intervals crash =
-  match crash with
-  | None -> intervals
-  | Some tc ->
-      List.filter_map
-        (fun (a, b) -> if a >= tc then None else Some (a, min b tc))
-        intervals
+(* ------------------------------------------------------------------ *)
+(* The phase index: one instance's transitions regrouped by diner.
 
-let live_eating_intervals trace ~instance ~pid ~horizon =
-  let crash = Types.Pidmap.find_opt pid (Trace.crash_times trace) in
-  clip_at_crash (Trace.eating_intervals trace ~instance ~pid ~horizon) crash
+   Two linear passes over the trace (count, then fill) lay the
+   transitions out in compressed rows: diner [p]'s are
+   [trans.(off.(p)) .. trans.(off.(p + 1) - 1)], in trace order, each
+   one int packing the tick and the phase entered ([at * 4 + code]).
+   Sizes are exact, so building never grows an array. Every check below
+   reads segments, eating intervals and meal counts off this one layout,
+   replaying Trace.phase_timeline's segment rule. *)
 
-let exclusion_violations trace ~instance ~graph ~horizon =
-  let n = Graphs.Conflict_graph.n graph in
-  let intervals =
-    Array.init n (fun pid -> live_eating_intervals trace ~instance ~pid ~horizon)
-  in
+let code = function
+  | Types.Thinking -> 0
+  | Types.Hungry -> 1
+  | Types.Eating -> 2
+  | Types.Exiting -> 3
+
+let hungry = code Types.Hungry
+let eating = code Types.Eating
+let exiting = code Types.Exiting
+let never = max_int (* crash time of a diner that never crashes *)
+
+type index = {
+  instance : string;
+  off : int array; (* length npids + 1 *)
+  trans : int array;
+  crash : int array; (* first crash per pid, [never] if none *)
+}
+
+(* [a] with room for index [i], new slots [fill]. *)
+let grown a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let build trace ~instance =
+  let counts = ref [||] and crash = ref [||] in
+  Trace.iter trace (fun (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Transition { instance = i; pid; _ } when pid >= 0 && String.equal i instance ->
+          counts := grown !counts pid 0;
+          !counts.(pid) <- !counts.(pid) + 1
+      | Trace.Crash { pid } when pid >= 0 ->
+          crash := grown !crash pid never;
+          if !crash.(pid) = never then !crash.(pid) <- e.Trace.at
+      | _ -> ());
+  let counts = !counts in
+  let npids = Array.length counts in
+  let off = Array.make (npids + 1) 0 in
+  for p = 0 to npids - 1 do
+    off.(p + 1) <- off.(p) + counts.(p)
+  done;
+  let trans = Array.make off.(npids) 0 in
+  let fill = Array.sub off 0 npids in
+  Trace.iter trace (fun (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Transition { instance = i; pid; to_; _ } when pid >= 0 && String.equal i instance ->
+          let k = fill.(pid) in
+          (* The merge and the overtaking count need each diner's
+             intervals in time order. *)
+          if k > off.(pid) && e.Trace.at < trans.(k - 1) asr 2 then
+            invalid_arg "Dining.Monitor: a diner's transitions go back in time";
+          trans.(k) <- (e.Trace.at * 4) + code to_;
+          fill.(pid) <- k + 1
+      | _ -> ());
+  { instance; off; trans; crash = !crash }
+
+let npids ix = Array.length ix.off - 1
+let row_start ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid) else 0
+let row_stop ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid + 1) else 0
+let crash_time ix pid = if pid >= 0 && pid < Array.length ix.crash then ix.crash.(pid) else never
+let crashed ix pid = crash_time ix pid <> never
+
+(* A cursor over diner [pid]'s phase history: after [next] returns
+   true, [a, b) is the next segment and [ph] its phase. Segments are cut
+   the way Trace.phase_timeline cuts them: a transition at [t] ends the
+   current segment when [t] is past its start, and the last segment runs
+   to the horizon when it starts before it. Diners start Thinking at 0. *)
+type segments = {
+  ix : index;
+  horizon : Types.time;
+  stop : int; (* end of the row *)
+  mutable k : int; (* next transition; [stop + 1] once the horizon segment is out *)
+  mutable phase : int; (* phase entered at [since], not yet emitted *)
+  mutable since : Types.time;
+  mutable a : Types.time;
+  mutable b : Types.time;
+  mutable ph : int;
+}
+
+let segments ix pid ~horizon =
+  {
+    ix;
+    horizon;
+    stop = row_stop ix pid;
+    k = row_start ix pid;
+    phase = code Types.Thinking;
+    since = 0;
+    a = 0;
+    b = 0;
+    ph = 0;
+  }
+
+let rec next s =
+  if s.k < s.stop then begin
+    let x = s.ix.trans.(s.k) in
+    let start = s.since and ph = s.phase in
+    s.k <- s.k + 1;
+    s.phase <- x land 3;
+    s.since <- x asr 2;
+    if s.since > start then begin
+      s.a <- start;
+      s.b <- s.since;
+      s.ph <- ph;
+      true
+    end
+    else next s
+  end
+  else if s.k = s.stop && s.since < s.horizon then begin
+    s.k <- s.stop + 1;
+    s.a <- s.since;
+    s.b <- s.horizon;
+    s.ph <- s.phase;
+    true
+  end
+  else false
+
+let iter_segments ix pid ~horizon f =
+  let s = segments ix pid ~horizon in
+  while next s do
+    f s.a s.b s.ph
+  done
+
+let eat_count_ix ix ~pid =
+  let meals = ref 0 in
+  for k = row_start ix pid to row_stop ix pid - 1 do
+    if ix.trans.(k) land 3 = eating then incr meals
+  done;
+  !meals
+
+(* [f a] for every segment of [pid] in phase [c] that reaches the
+   horizon and began before [horizon - slack]. *)
+let iter_stuck ix pid ~horizon ~slack c f =
+  iter_segments ix pid ~horizon (fun a b ph ->
+      if ph = c && b >= horizon && a < horizon - slack then f a)
+
+let verdict details = { Detectors.Properties.holds = details = []; details }
+
+(* Details newest first: pids descending, later segments first. *)
+let stuck_verdict ix ~n ~horizon ~slack c describe =
+  let details = ref [] in
+  for pid = 0 to n - 1 do
+    if not (crashed ix pid) then
+      iter_stuck ix pid ~horizon ~slack c (fun a -> details := describe pid a :: !details)
+  done;
+  verdict !details
+
+let wait_freedom_ix ix ~n ~horizon ~slack =
+  stuck_verdict ix ~n ~horizon ~slack hungry (fun pid a ->
+      Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)" ix.instance pid
+        a horizon)
+
+let exiting_finite_ix ix ~n ~horizon ~slack =
+  stuck_verdict ix ~n ~horizon ~slack exiting (fun pid a ->
+      Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" ix.instance pid a)
+
+let live_eating_intervals_ix ix ~pid ~horizon =
+  let tc = crash_time ix pid and acc = ref [] in
+  iter_segments ix pid ~horizon (fun a b ph ->
+      if ph = eating && a < tc then acc := (a, if b < tc then b else tc) :: !acc);
+  List.rev !acc
+
+let compare_violation v1 v2 =
+  match Int.compare v1.at v2.at with
+  | 0 -> ( match Int.compare v1.p v2.p with 0 -> Int.compare v1.q v2.q | c -> c)
+  | c -> c
+
+(* Moves [s] to its diner's next eating interval that starts before the
+   diner's crash [tc]; false when none is left (intervals are in time
+   order, so once one starts at or after [tc] all later ones do). A
+   crashed process is no longer live, so its intervals end at [tc]:
+   post-crash "eating" cannot violate ◇WX. *)
+let rec next_live_eating s ~tc =
+  next s && if s.ph = eating then s.a < tc else next_live_eating s ~tc
+
+(* Each diner's live eating intervals are sorted and disjoint, so one
+   two-pointer merge per edge finds every overlapping pair: the interval
+   that ends first cannot overlap anything later in the other row. The
+   cost is linear in the two diners' transitions, where comparing every
+   pair of intervals was their product. *)
+let exclusion_violations_ix ix ~graph ~horizon =
   let acc = ref [] in
   List.iter
     (fun (p, q) ->
-      List.iter
-        (fun (a1, b1) ->
-          List.iter
-            (fun (a2, b2) ->
-              let lo = max a1 a2 and hi = min b1 b2 in
-              if lo < hi then acc := { at = lo; p; q } :: !acc)
-            intervals.(q))
-        intervals.(p))
+      let tp = crash_time ix p and tq = crash_time ix q in
+      let sp = segments ix p ~horizon and sq = segments ix q ~horizon in
+      let more_p = ref (next_live_eating sp ~tc:tp) and more_q = ref (next_live_eating sq ~tc:tq) in
+      while !more_p && !more_q do
+        let b1 = if sp.b < tp then sp.b else tp and b2 = if sq.b < tq then sq.b else tq in
+        let lo = if sp.a > sq.a then sp.a else sq.a and hi = if b1 < b2 then b1 else b2 in
+        if lo < hi then acc := { at = lo; p; q } :: !acc;
+        if b1 <= b2 then more_p := next_live_eating sp ~tc:tp
+        else more_q := next_live_eating sq ~tc:tq
+      done)
     (Graphs.Conflict_graph.edges graph);
-  let cmp v1 v2 =
-    match Int.compare v1.at v2.at with
-    | 0 -> ( match Int.compare v1.p v2.p with 0 -> Int.compare v1.q v2.q | c -> c)
-    | c -> c
-  in
-  List.sort cmp !acc
+  List.sort compare_violation !acc
+
+let eventual_weak_exclusion_ix ix ~graph ~horizon ~suffix_from =
+  exclusion_violations_ix ix ~graph ~horizon
+  |> List.filter (fun v -> v.at >= suffix_from)
+  |> List.map (fun v ->
+         Printf.sprintf "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
+           ix.instance v.p v.q v.at suffix_from)
+  |> verdict
+
+let starved_ix ix ~n ~horizon ~slack =
+  let acc = ref [] in
+  for pid = n - 1 downto 0 do
+    if not (crashed ix pid) then begin
+      let stuck = ref false in
+      iter_stuck ix pid ~horizon ~slack hungry (fun _ -> stuck := true);
+      if !stuck then acc := pid :: !acc
+    end
+  done;
+  !acc
+
+(* Ticks at which [pid] entered Eating, in order. *)
+let eating_starts ix ~pid =
+  let starts = Array.make (eat_count_ix ix ~pid) 0 and i = ref 0 in
+  for k = row_start ix pid to row_stop ix pid - 1 do
+    if ix.trans.(k) land 3 = eating then begin
+      starts.(!i) <- ix.trans.(k) asr 2;
+      incr i
+    end
+  done;
+  starts
+
+(* The number of elements of the sorted [a] below [t]. *)
+let count_below a t =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let max_overtaking_ix ix ~graph ~after ~horizon =
+  let n = Graphs.Conflict_graph.n graph in
+  let starts = Array.init n (fun pid -> eating_starts ix ~pid) in
+  let worst = ref 0 in
+  for p = 0 to n - 1 do
+    if not (crashed ix p) then
+      iter_segments ix p ~horizon (fun a b ph ->
+          if ph = hungry && a >= after then
+            Graphs.Conflict_graph.iter_neighbors graph p (fun q ->
+                let c = count_below starts.(q) b - count_below starts.(q) a in
+                if c > !worst then worst := c))
+  done;
+  !worst
+
+(* ------------------------------------------------------------------ *)
+(* Public checks: each builds the index and reads it. *)
+
+module Index = struct
+  type t = index
+
+  let build = build
+  let eat_count = eat_count_ix
+  let wait_freedom = wait_freedom_ix
+  let eventual_weak_exclusion = eventual_weak_exclusion_ix
+  let exiting_finite = exiting_finite_ix
+end
+
+let live_eating_intervals trace ~instance ~pid ~horizon =
+  live_eating_intervals_ix (build trace ~instance) ~pid ~horizon
+
+let exclusion_violations trace ~instance ~graph ~horizon =
+  exclusion_violations_ix (build trace ~instance) ~graph ~horizon
 
 let last_violation_time trace ~instance ~graph ~horizon =
   match List.rev (exclusion_violations trace ~instance ~graph ~horizon) with
@@ -48,106 +294,29 @@ let last_violation_time trace ~instance ~graph ~horizon =
   | v :: _ -> Some v.at
 
 let eventual_weak_exclusion trace ~instance ~graph ~horizon ~suffix_from =
-  let late =
-    List.filter (fun v -> v.at >= suffix_from) (exclusion_violations trace ~instance ~graph ~horizon)
-  in
-  let details =
-    List.map
-      (fun v ->
-        Printf.sprintf "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
-          instance v.p v.q v.at suffix_from)
-      late
-  in
-  { Detectors.Properties.holds = details = []; details }
+  eventual_weak_exclusion_ix (build trace ~instance) ~graph ~horizon ~suffix_from
 
 let perpetual_weak_exclusion trace ~instance ~graph ~horizon =
   eventual_weak_exclusion trace ~instance ~graph ~horizon ~suffix_from:0
 
 let wait_freedom trace ~instance ~n ~horizon ~slack =
-  let crash_times = Trace.crash_times trace in
-  let details = ref [] in
-  for pid = 0 to n - 1 do
-    if not (Types.Pidmap.mem pid crash_times) then
-      List.iter
-        (fun (a, b, ph) ->
-          if Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack then
-            details :=
-              Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)"
-                instance pid a horizon
-              :: !details)
-        (Trace.phase_timeline trace ~instance ~pid ~horizon)
-  done;
-  { Detectors.Properties.holds = !details = []; details = !details }
+  wait_freedom_ix (build trace ~instance) ~n ~horizon ~slack
 
 let exiting_finite trace ~instance ~n ~horizon ~slack =
-  let crash_times = Trace.crash_times trace in
-  let details = ref [] in
-  for pid = 0 to n - 1 do
-    if not (Types.Pidmap.mem pid crash_times) then
-      List.iter
-        (fun (a, b, ph) ->
-          if Types.phase_equal ph Types.Exiting && b >= horizon && a < horizon - slack then
-            details :=
-              Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" instance pid a
-              :: !details)
-        (Trace.phase_timeline trace ~instance ~pid ~horizon)
-  done;
-  { Detectors.Properties.holds = !details = []; details = !details }
+  exiting_finite_ix (build trace ~instance) ~n ~horizon ~slack
 
-let eat_count trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
-  |> List.filter (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Transition { to_ = Types.Eating; _ } -> true
-         | _ -> false)
-  |> List.length
-
-let hungry_segments trace ~instance ~pid ~horizon =
-  Trace.phase_timeline trace ~instance ~pid ~horizon
-  |> List.filter_map (fun (a, b, ph) ->
-         if Types.phase_equal ph Types.Hungry then Some (a, b) else None)
-
-let eating_starts trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
-  |> List.filter_map (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Transition { to_ = Types.Eating; _ } -> Some e.at
-         | _ -> None)
+let eat_count trace ~instance ~pid = eat_count_ix (build trace ~instance) ~pid
 
 let max_overtaking trace ~instance ~graph ~after ~horizon =
-  let crash_times = Trace.crash_times trace in
-  let n = Graphs.Conflict_graph.n graph in
-  let starts = Array.init n (fun pid -> eating_starts trace ~instance ~pid) in
-  let worst = ref 0 in
-  for p = 0 to n - 1 do
-    if not (Types.Pidmap.mem p crash_times) then
-      List.iter
-        (fun (a, b) ->
-          if a >= after then
-            Graphs.Conflict_graph.iter_neighbors graph p (fun q ->
-                let c = List.length (List.filter (fun t -> t >= a && t < b) starts.(q)) in
-                worst := max !worst c))
-        (hungry_segments trace ~instance ~pid:p ~horizon)
-  done;
-  !worst
+  max_overtaking_ix (build trace ~instance) ~graph ~after ~horizon
 
 let starved trace ~instance ~n ~horizon ~slack =
-  let crash_times = Trace.crash_times trace in
-  List.filter
-    (fun pid ->
-      (not (Types.Pidmap.mem pid crash_times))
-      && List.exists
-           (fun (a, b, ph) ->
-             Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack)
-           (Trace.phase_timeline trace ~instance ~pid ~horizon))
-    (List.init n Fun.id)
+  starved_ix (build trace ~instance) ~n ~horizon ~slack
 
 let failure_locality trace ~instance ~graph ~horizon ~slack =
-  let n = Graphs.Conflict_graph.n graph in
-  let crashed =
-    List.map fst (Types.Pidmap.bindings (Trace.crash_times trace))
-  in
-  let victims = starved trace ~instance ~n ~horizon ~slack in
+  let ix = build trace ~instance in
+  let crashed = List.filter (crashed ix) (List.init (Array.length ix.crash) Fun.id) in
+  let victims = starved_ix ix ~n:(Graphs.Conflict_graph.n graph) ~horizon ~slack in
   List.fold_left
     (fun acc pid ->
       let nearest =
@@ -162,13 +331,15 @@ let failure_locality trace ~instance ~graph ~horizon ~slack =
     (Some 0) victims
 
 let fairness_index trace ~instance ~pids =
-  let xs = List.map (fun pid -> float_of_int (eat_count trace ~instance ~pid)) pids in
+  let ix = build trace ~instance in
+  let xs = List.map (fun pid -> float_of_int (eat_count_ix ix ~pid)) pids in
   let n = float_of_int (List.length xs) in
   let s = List.fold_left ( +. ) 0.0 xs in
   let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
   if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
 
 let hungry_wait_times trace ~instance ~pid ~horizon =
-  Trace.phase_timeline trace ~instance ~pid ~horizon
-  |> List.filter_map (fun (a, b, ph) ->
-         if Types.phase_equal ph Types.Hungry && b < horizon then Some (b - a) else None)
+  let acc = ref [] in
+  iter_segments (build trace ~instance) pid ~horizon (fun a b ph ->
+      if ph = hungry && b < horizon then acc := (b - a) :: !acc);
+  List.rev !acc

@@ -12,7 +12,16 @@
       correct neighbor stays hungry.
 
     On a finite trace the eventual properties are checked against an
-    explicit suffix start (or reported as a measured convergence time). *)
+    explicit suffix start (or reported as a measured convergence time).
+
+    Every check reads one {e phase index} of the instance: its
+    transitions regrouped by diner into flat int rows, plus each diner's
+    first crash, built in two linear passes over the trace. Each function
+    below builds that index and reads it, so its cost is linear in the
+    trace (◇WX adds a sort of the violations it reports); {!Index} lets a
+    caller build it once for several checks. Diners are non-negative
+    pids, and each diner's transitions must be appended in time order, as
+    the engine appends them ([Invalid_argument] otherwise). *)
 
 type violation = {
   at : Dsim.Types.time;  (** Instant both neighbors were eating and live. *)
@@ -94,3 +103,27 @@ val fairness_index :
 val hungry_wait_times :
   Dsim.Trace.t -> instance:string -> pid:Dsim.Types.pid -> horizon:Dsim.Types.time -> int list
 (** Durations of the completed hungry -> eating waits of one diner. *)
+
+(** {1 Several checks over one index} *)
+
+module Index : sig
+  type t
+  (** The phase index of one dining instance. *)
+
+  val build : Dsim.Trace.t -> instance:string -> t
+
+  val eat_count : t -> pid:Dsim.Types.pid -> int
+
+  val wait_freedom :
+    t -> n:int -> horizon:Dsim.Types.time -> slack:Dsim.Types.time ->
+    Detectors.Properties.verdict
+
+  val eventual_weak_exclusion :
+    t -> graph:Graphs.Conflict_graph.t -> horizon:Dsim.Types.time ->
+    suffix_from:Dsim.Types.time -> Detectors.Properties.verdict
+
+  val exiting_finite :
+    t -> n:int -> horizon:Dsim.Types.time -> slack:Dsim.Types.time ->
+    Detectors.Properties.verdict
+end
+(** [Index.f (Index.build trace ~instance)] is [f trace ~instance]. *)

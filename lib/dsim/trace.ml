@@ -16,33 +16,46 @@ type t = {
 
 let dummy = { at = 0; ev = Crash { pid = -1 } }
 
-let create ?(retain = true) () =
-  { buf = Array.make 1024 dummy; len = 0; retain; subs = [] }
+(* The buffer is allocated at the first retained append, so a
+   [~retain:false] trace never holds one. *)
+let create ?(retain = true) () = { buf = [||]; len = 0; retain; subs = [] }
 
 let subscribe t f = t.subs <- t.subs @ [ f ]
 
 let set_retain t b = t.retain <- b
 let retains t = t.retain
 
-let append t ~at ev =
-  (match t.subs with
+let rec fan_out e = function
   | [] -> ()
+  | f :: rest ->
+      f e;
+      fan_out e rest
+
+(* The first block is small (the model checker's 14-tick runs keep about
+   ten entries each) and each later one doubles. *)
+let push t e =
+  if t.len = Array.length t.buf then begin
+    (* simlint: allow D011 — amortised doubling of the retained trace buffer *)
+    let bigger = Array.make (max 64 (2 * t.len)) dummy in
+    Array.blit t.buf 0 bigger 0 t.len;
+    t.buf <- bigger
+  end;
+  t.buf.(t.len) <- e;
+  t.len <- t.len + 1
+
+(* One entry, built only when someone keeps or observes it, and shared by
+   the subscribers and the buffer. *)
+let append t ~at ev =
+  match t.subs with
+  | [] ->
+      if t.retain then
+        (* simlint: allow D011 — the retained entry IS the product; set retain:false to run allocation-free *)
+        push t { at; ev }
   | subs ->
-      (* simlint: allow D011 — entry + fanout closure exist only when subscribers are registered *)
+      (* simlint: allow D011 — the entry subscribers receive; retention stores this same block *)
       let e = { at; ev } in
-      (* simlint: allow D011 — see above: live-subscriber path, not the default hot configuration *)
-      List.iter (fun f -> f e) subs);
-  if t.retain then begin
-    if t.len = Array.length t.buf then begin
-      (* simlint: allow D011 — amortised doubling of the retained trace buffer *)
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
-    end;
-    (* simlint: allow D011 — the retained entry IS the product; set retain:false to run allocation-free *)
-    t.buf.(t.len) <- { at; ev };
-    t.len <- t.len + 1
-  end
+      fan_out e subs;
+      if t.retain then push t e
 
 let length t = t.len
 

@@ -25,9 +25,14 @@ val create : ?retain:bool -> unit -> t
 (** [retain] (default [true]): whether appended entries are stored in the
     in-memory buffer. With [~retain:false] the trace only fans appends out
     to subscribers — the memory-free streaming mode for very long runs
-    (property checkers then run offline over an exported JSONL file). *)
+    (property checkers then run offline over an exported JSONL file). The
+    buffer is allocated at the first retained append, so a
+    [~retain:false] trace never holds one. *)
 
 val append : t -> at:Types.time -> event -> unit
+(** Builds the entry only when it is retained or observed, once, and
+    shares it between the subscribers and the buffer; with
+    [~retain:false] and no subscriber an append allocates nothing. *)
 
 val subscribe : t -> (entry -> unit) -> unit
 (** Register a streaming observer called synchronously on every append, in

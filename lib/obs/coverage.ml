@@ -13,31 +13,16 @@
    deliberately not [Hashtbl.hash], which is a simlint D010 taint source
    (its output is not specified across OCaml versions, and signatures
    are pinned in tests and corpus artifacts). Everything here is a pure
-   function of the trace, hence of the engine seed. *)
+   function of the trace, hence of the engine seed.
+
+   The collector hashes the bytes of each rendered site string (see
+   [hash_site]) without ever building it, and keeps the 64-bit state in
+   two 32-bit halves held in native ints, so observing an event allocates
+   nothing once its track has been seen. *)
 
 open Dsim
 
 let default_width = 4096
-
-(* ------------------------------------------------------------------ *)
-(* FNV-1a, 64 bit. *)
-
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
-  !h
-
-let fnv_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done;
-  !h
 
 (* ------------------------------------------------------------------ *)
 (* Finished signatures: plain data, so run outcomes carrying one still
@@ -119,22 +104,112 @@ let to_json t =
 (* ------------------------------------------------------------------ *)
 (* Collector. *)
 
+(* A track and the site of its previous event. Its key is [kind ^ name]
+   (see [track_kind]), never built: "t:<instance>", "s:<detector>",
+   "n:<label>" or "c". *)
+type track = { kind : string; name : string; mutable prev_hi : int; mutable prev_lo : int }
+
 type collector = {
   cwidth : int;
   cbits : Bytes.t;
-  (* Per-track previous site. Lookup/replace only — never traversed —
-     so iteration-order nondeterminism (simlint D003) cannot leak. *)
-  last : (string * int, int64) Hashtbl.t;
+  (* FNV-1a state: the 64-bit hash as its high and low 32-bit halves. *)
+  mutable hi : int;
+  mutable lo : int;
+  (* Searched linearly (runs have a handful of tracks), never traversed
+     in any other way. *)
+  mutable tracks : track list;
 }
 
 let create ?(width = default_width) () =
   if width <= 0 || width mod 8 <> 0 then
     invalid_arg "Coverage.create: width must be a positive multiple of 8";
-  { cwidth = width; cbits = Bytes.make (width / 8) '\000'; last = Hashtbl.create 64 }
+  { cwidth = width; cbits = Bytes.make (width / 8) '\000'; hi = 0; lo = 0; tracks = [] }
 
-let set_bit bits idx =
-  let byte = idx / 8 and mask = 1 lsl (idx mod 8) in
-  Bytes.set bits byte (Char.chr (Char.code (Bytes.get bits byte) lor mask))
+(* ---- FNV-1a, 64 bit: h <- (h xor b) * p mod 2^64 with
+   p = 0x100000001b3 = 2^40 + 0x1b3, basis 0xcbf29ce484222325. With
+   h = hi * 2^32 + lo, the low half of the product is lo' * 0x1b3 mod 2^32
+   (lo' = lo xor b) and the high half takes that product's carry, hi *
+   0x1b3, and the 2^40 term's lo' * 2^8; every intermediate fits in 42
+   bits. *)
+
+let mask32 = 0xffff_ffff
+
+let reset c =
+  c.hi <- 0xcbf29ce4;
+  c.lo <- 0x84222325
+
+let byte c b =
+  let lo = c.lo lxor b in
+  let m = lo * 0x1b3 in
+  c.hi <- ((c.hi * 0x1b3) + (m lsr 32) + (lo lsl 8)) land mask32;
+  c.lo <- m land mask32
+
+let char c ch = byte c (Char.code ch)
+
+let string c s =
+  for i = 0 to String.length s - 1 do
+    char c (String.unsafe_get s i)
+  done
+
+(* The digits of [-n] for [n <= 0], most significant first; counting on
+   the negative side keeps [min_int] exact. *)
+let rec neg_digits c n =
+  if n <= -10 then neg_digits c (n / 10);
+  byte c (Char.code '0' - (n mod 10))
+
+(* The bytes of [Printf.sprintf "%d" n]. *)
+let decimal c n =
+  if n < 0 then begin
+    char c '-';
+    neg_digits c n
+  end
+  else neg_digits c (-n)
+
+(* The 4 bytes of a 32-bit half, least significant first. *)
+let word32 c w =
+  for i = 0 to 3 do
+    byte c ((w lsr (8 * i)) land 0xff)
+  done
+
+(* The 8 bytes of a 64-bit value, least significant first. *)
+let word64 c ~hi ~lo =
+  word32 c lo;
+  word32 c hi
+
+(* Leaves in [c.hi]/[c.lo] the hash of the event's site string, one of
+     t|<instance>|<pid>|<from>|<to>      s|<detector>|<owner>|<target>|<1 or 0>
+     c|<pid>                             n|<label>|<pid>|<info>
+   (the 1 or 0 tells a suspicion from a trust). *)
+let hash_site c (ev : Trace.event) =
+  reset c;
+  match ev with
+  | Trace.Transition { instance; pid; from_; to_ } ->
+      string c "t|";
+      string c instance;
+      char c '|';
+      decimal c pid;
+      char c '|';
+      string c (Types.phase_to_string from_);
+      char c '|';
+      string c (Types.phase_to_string to_)
+  | Trace.Suspect { detector; owner; target } | Trace.Trust { detector; owner; target } ->
+      string c "s|";
+      string c detector;
+      char c '|';
+      decimal c owner;
+      char c '|';
+      decimal c target;
+      string c (match ev with Trace.Suspect _ -> "|1" | _ -> "|0")
+  | Trace.Crash { pid } ->
+      string c "c|";
+      decimal c pid
+  | Trace.Note { pid; label; info } ->
+      string c "n|";
+      string c label;
+      char c '|';
+      decimal c pid;
+      char c '|';
+      string c info
 
 (* Track identity: events only form edges with their predecessor on the
    same logical strand. Strands are deliberately cross-process — all
@@ -143,41 +218,58 @@ let set_bit bits idx =
    event followed which, i.e. the schedule's interleaving (a per-process
    strand would collapse to the fixed phase cycle and lose exactly the
    information a schedule signature exists to capture). *)
-let track_of = function
-  | Trace.Transition { instance; _ } -> ("t:" ^ instance, 0)
-  | Trace.Suspect { detector; _ } | Trace.Trust { detector; _ } -> ("s:" ^ detector, 0)
-  | Trace.Crash _ -> ("c", 0)
-  | Trace.Note { label; _ } -> ("n:" ^ label, 0)
+let track_kind = function
+  | Trace.Transition _ -> "t:"
+  | Trace.Suspect _ | Trace.Trust _ -> "s:"
+  | Trace.Crash _ -> "c"
+  | Trace.Note _ -> "n:"
 
-let site_of = function
-  | Trace.Transition { instance; pid; from_; to_ } ->
-      fnv_string fnv_basis
-        (Printf.sprintf "t|%s|%d|%s|%s" instance pid (Types.phase_to_string from_)
-           (Types.phase_to_string to_))
-  | Trace.Suspect { detector; owner; target } ->
-      fnv_string fnv_basis (Printf.sprintf "s|%s|%d|%d|1" detector owner target)
-  | Trace.Trust { detector; owner; target } ->
-      fnv_string fnv_basis (Printf.sprintf "s|%s|%d|%d|0" detector owner target)
-  | Trace.Crash { pid } -> fnv_string fnv_basis (Printf.sprintf "c|%d" pid)
-  | Trace.Note { pid; label; info } ->
-      fnv_string fnv_basis (Printf.sprintf "n|%s|%d|%s" label pid info)
+let track_name = function
+  | Trace.Transition { instance; _ } -> instance
+  | Trace.Suspect { detector; _ } | Trace.Trust { detector; _ } -> detector
+  | Trace.Crash _ -> ""
+  | Trace.Note { label; _ } -> label
 
+(* Adds a track whose previous site is the track-start sentinel, the hash
+   of "start|<key>|0", so the first edge of a track is distinct per
+   track. *)
+let add_track c kind name =
+  reset c;
+  string c "start|";
+  string c kind;
+  string c name;
+  string c "|0";
+  (* simlint: allow D011 — a track is added once per run *)
+  let t = { kind; name; prev_hi = c.hi; prev_lo = c.lo } in
+  (* simlint: allow D011 — see above *)
+  c.tracks <- t :: c.tracks;
+  t
+
+let rec find_track c kind name = function
+  | t :: rest ->
+      if String.equal t.kind kind && String.equal t.name name then t
+      else find_track c kind name rest
+  | [] -> add_track c kind name
+
+let set_bit bits idx =
+  let byte = idx / 8 and mask = 1 lsl (idx mod 8) in
+  Bytes.set bits byte (Char.chr (Char.code (Bytes.get bits byte) lor mask))
+
+(* The edge is the hash of the previous site's 8 bytes then the current
+   site's; its bucket is its low 62 bits modulo the width (the bits that
+   survive Int64.to_int and [land max_int]). *)
+(* simlint: hotpath *)
 let observe c (e : Trace.entry) =
-  let track = track_of e.Trace.ev in
-  let cur = site_of e.Trace.ev in
-  let prev =
-    match Hashtbl.find_opt c.last track with
-    | Some p -> p
-    | None ->
-        (* Track-start sentinel site, derived from the track key so the
-           first edge of a track is distinct per track. *)
-        let name, pid = track in
-        fnv_string fnv_basis (Printf.sprintf "start|%s|%d" name pid)
-  in
-  let edge = fnv_int64 (fnv_int64 fnv_basis prev) cur in
-  let idx = Int64.to_int edge land max_int mod c.cwidth in
-  set_bit c.cbits idx;
-  Hashtbl.replace c.last track cur
+  let ev = e.Trace.ev in
+  let t = find_track c (track_kind ev) (track_name ev) c.tracks in
+  hash_site c ev;
+  let cur_hi = c.hi and cur_lo = c.lo in
+  reset c;
+  word64 c ~hi:t.prev_hi ~lo:t.prev_lo;
+  word64 c ~hi:cur_hi ~lo:cur_lo;
+  set_bit c.cbits ((((c.hi land 0x3fff_ffff) lsl 32) lor c.lo) mod c.cwidth);
+  t.prev_hi <- cur_hi;
+  t.prev_lo <- cur_lo
 
 let attach c tr =
   Trace.iter tr (observe c);

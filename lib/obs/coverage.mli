@@ -65,6 +65,8 @@ val create : ?width:int -> unit -> collector
 (** Fresh collector. Raises like {!empty}. *)
 
 val observe : collector -> Dsim.Trace.entry -> unit
+(** Hashes the bytes of the event's rendered site string without building
+    it; allocates nothing once the event's track has been seen. *)
 
 val attach : collector -> Dsim.Trace.t -> unit
 (** [iter] over already-recorded entries, then [subscribe] for the rest

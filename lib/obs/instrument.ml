@@ -1,17 +1,173 @@
 open Dsim
 
+(* The metric handles of one dining instance and of one detector. Each is
+   resolved at the first event that creates its name, exactly when the
+   name-per-event lookup this replaces would have created it, so the
+   registry ends up with the same names and values. *)
+type dining = {
+  instance : string;
+  mutable meals : Metrics.counter option;
+  mutable meals_window : Window.t option;
+  mutable hunger : Metrics.histogram option;
+  mutable hunger_exact : Quantile.t option;
+}
+
+(* [counters.(i)] is [detector.<name><detector_suffixes.(i)>]. *)
+type detector = { detector : string; counters : Metrics.counter option array }
+
+let flips = 0
+let suspects = 1
+let trusts = 2
+let detector_suffixes = [| ".flips"; ".suspects"; ".trusts" |]
+
 type t = {
   metrics : Metrics.t;
   engine : Engine.t;
   t0 : float;
   mutable ticks : int;
   mutable elapsed : float option; (* set by finalize *)
+  spans : Span.t;
+  (* First-seen order; searched linearly by name (a run has a handful). *)
+  mutable dinings : dining list;
+  mutable detectors : detector list;
+  mutable crashes : Metrics.counter option;
 }
 
 let meals_window_width = 1000
 
+(* Each lookup below builds its record or name once per instance or
+   detector: the hot callers find the cached handle. *)
+let rec dining_of st instance = function
+  | d :: rest -> if String.equal d.instance instance then d else dining_of st instance rest
+  | [] ->
+      (* simlint: allow D011 — built once per dining instance *)
+      let d = { instance; meals = None; meals_window = None; hunger = None; hunger_exact = None } in
+      (* simlint: allow D011 — see above *)
+      st.dinings <- d :: st.dinings;
+      d
+
+let rec detector_of st detector = function
+  | d :: rest -> if String.equal d.detector detector then d else detector_of st detector rest
+  | [] ->
+      (* simlint: allow D011 — built once per detector *)
+      let d = { detector; counters = Array.make (Array.length detector_suffixes) None } in
+      (* simlint: allow D011 — see above *)
+      st.detectors <- d :: st.detectors;
+      d
+
+let dining_name d suffix =
+  (* simlint: allow D011 — a name is built once, when its handle is resolved *)
+  "dining." ^ d.instance ^ suffix
+
+(* Resolve-once accessors: a name and its [Some] are built with the
+   handle. *)
+let detector_counter st d i =
+  match d.counters.(i) with
+  | Some c -> c
+  | None ->
+      let c =
+        (* simlint: allow D011 — a name is built once, when its handle is resolved *)
+        Metrics.counter st.metrics ("detector." ^ d.detector ^ detector_suffixes.(i))
+      in
+      (* simlint: allow D011 — built once, with the handle *)
+      d.counters.(i) <- Some c;
+      c
+
+let crashes st =
+  match st.crashes with
+  | Some c -> c
+  | None ->
+      let c = Metrics.counter st.metrics "engine.crashes" in
+      (* simlint: allow D011 — built once, with the handle *)
+      st.crashes <- Some c;
+      c
+
+let meals st d =
+  match d.meals with
+  | Some c -> c
+  | None ->
+      let c = Metrics.counter st.metrics (dining_name d ".meals") in
+      (* simlint: allow D011 — built once, with the handle *)
+      d.meals <- Some c;
+      c
+
+let meals_window st d =
+  match d.meals_window with
+  | Some w -> w
+  | None ->
+      let w =
+        Metrics.series st.metrics (dining_name d ".meals_per_window") ~width:meals_window_width
+      in
+      (* simlint: allow D011 — built once, with the handle *)
+      d.meals_window <- Some w;
+      w
+
+let hunger st d =
+  match d.hunger with
+  | Some h -> h
+  | None ->
+      let h =
+        Metrics.histogram st.metrics (dining_name d ".hunger_latency")
+          ~buckets:Metrics.latency_buckets
+      in
+      (* simlint: allow D011 — built once, with the handle *)
+      d.hunger <- Some h;
+      h
+
+let hunger_exact st d =
+  match d.hunger_exact with
+  | Some q -> q
+  | None ->
+      let q = Metrics.quantile st.metrics (dining_name d ".hunger_latency_exact") in
+      (* simlint: allow D011 — built once, with the handle *)
+      d.hunger_exact <- Some q;
+      q
+(* Hunger latency via the span layer: a streaming (memory-free) span
+   collector closes a diner's Hungry span on the transition out of
+   Hungry; when the next phase is Eating, the span length is one
+   completed hunger session. Dual-recorded as the bucketed
+   [hunger_latency] histogram (cheap cross-run aggregation) and the
+   exact [hunger_latency_exact] quantile digest (true p99/p999). *)
+let on_span_close st ~instance ~pid:_ ~phase ~start ~stop ~next =
+  if Types.phase_equal phase Types.Hungry && Types.phase_equal next Types.Eating then begin
+    let d = dining_of st instance st.dinings in
+    Metrics.observe (hunger st d) (stop - start);
+    Quantile.add (hunger_exact st d) (stop - start)
+  end
+
+(* simlint: hotpath *)
+let on_event st (e : Trace.entry) =
+  Span.observe st.spans e;
+  match e.Trace.ev with
+  | Trace.Suspect { detector; _ } ->
+      let d = detector_of st detector st.detectors in
+      Metrics.incr (detector_counter st d flips);
+      Metrics.incr (detector_counter st d suspects)
+  | Trace.Trust { detector; _ } ->
+      let d = detector_of st detector st.detectors in
+      Metrics.incr (detector_counter st d flips);
+      Metrics.incr (detector_counter st d trusts)
+  | Trace.Crash _ -> Metrics.incr (crashes st)
+  | Trace.Transition { instance; to_ = Types.Eating; _ } ->
+      let d = dining_of st instance st.dinings in
+      Metrics.incr (meals st d);
+      Window.observe (meals_window st d) ~at:e.Trace.at
+  | Trace.Transition _ | Trace.Note _ -> ()
+
 let install ~metrics engine =
-  let st = { metrics; engine; t0 = Unix.gettimeofday (); ticks = 0; elapsed = None } in
+  let st =
+    {
+      metrics;
+      engine;
+      t0 = Unix.gettimeofday ();
+      ticks = 0;
+      elapsed = None;
+      spans = Span.create ~retain:false ();
+      dinings = [];
+      detectors = [];
+      crashes = None;
+    }
+  in
   let depth =
     Metrics.histogram metrics "engine.in_flight_depth" ~buckets:Metrics.depth_buckets
   in
@@ -23,46 +179,8 @@ let install ~metrics engine =
       Metrics.incr ticks;
       Metrics.observe depth (Engine.in_flight_total engine);
       Metrics.set live (Engine.live_count engine));
-  (* Hunger latency via the span layer: a streaming (memory-free) span
-     collector closes a diner's Hungry span on the transition out of
-     Hungry; when the next phase is Eating, the span length is one
-     completed hunger session. Dual-recorded as the bucketed
-     [hunger_latency] histogram (cheap cross-run aggregation) and the
-     exact [hunger_latency_exact] quantile digest (true p99/p999). *)
-  let spans = Span.create ~retain:false () in
-  Span.on_close spans (fun sp ~next ->
-      match (sp.Span.phase, next) with
-      | Types.Hungry, Types.Eating ->
-          let latency = sp.Span.stop - sp.Span.start in
-          Metrics.observe
-            (Metrics.histogram metrics
-               ("dining." ^ sp.Span.instance ^ ".hunger_latency")
-               ~buckets:Metrics.latency_buckets)
-            latency;
-          Quantile.add
-            (Metrics.quantile metrics ("dining." ^ sp.Span.instance ^ ".hunger_latency_exact"))
-            latency
-      | _ -> ());
-  Trace.subscribe (Engine.trace engine) (fun e ->
-      Span.observe spans e;
-      match e.Trace.ev with
-      | Trace.Suspect { detector; _ } ->
-          Metrics.incr (Metrics.counter metrics ("detector." ^ detector ^ ".flips"));
-          Metrics.incr (Metrics.counter metrics ("detector." ^ detector ^ ".suspects"))
-      | Trace.Trust { detector; _ } ->
-          Metrics.incr (Metrics.counter metrics ("detector." ^ detector ^ ".flips"));
-          Metrics.incr (Metrics.counter metrics ("detector." ^ detector ^ ".trusts"))
-      | Trace.Crash _ -> Metrics.incr (Metrics.counter metrics "engine.crashes")
-      | Trace.Transition { instance; to_; _ } -> (
-          match to_ with
-          | Types.Eating ->
-              Metrics.incr (Metrics.counter metrics ("dining." ^ instance ^ ".meals"));
-              Window.observe
-                (Metrics.series metrics ("dining." ^ instance ^ ".meals_per_window")
-                   ~width:meals_window_width)
-                ~at:e.Trace.at
-          | Types.Thinking | Types.Hungry | Types.Exiting -> ())
-      | Trace.Note _ -> ());
+  Span.on_close st.spans (on_span_close st);
+  Trace.subscribe (Engine.trace engine) (on_event st);
   st
 
 let finalize st =

@@ -21,6 +21,10 @@
     [engine.sent_total], [engine.in_flight_final] and per-tag
     [engine.sent.<tag>].
 
+    Each handle is resolved once, at the first event that creates its
+    name, so the registry holds the same names as a lookup per event
+    would, and the subscriber builds no name or key per event.
+
     All of the above is deterministic in the engine seed. Wall-clock
     timing (elapsed seconds, ticks/sec) is measured too but deliberately
     kept {e outside} the registry — it is only available through

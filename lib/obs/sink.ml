@@ -53,6 +53,13 @@ let phase_exn s =
   | Some p -> p
   | None -> failwith (Printf.sprintf "Sink.entry_of_json: unknown phase %S" s)
 
+(* Pids index processes (and the span and monitor tables), so a negative
+   one is malformed input. *)
+let pid_exn j key =
+  let pid = Json.int (Json.get j key) in
+  if pid < 0 then failwith (Printf.sprintf "Sink.entry_of_json: negative %s %d" key pid);
+  pid
+
 let entry_of_json j =
   let at = Json.int (Json.get j "at") in
   let ev =
@@ -61,7 +68,7 @@ let entry_of_json j =
         Trace.Transition
           {
             instance = Json.str (Json.get j "instance");
-            pid = Json.int (Json.get j "pid");
+            pid = pid_exn j "pid";
             from_ = phase_exn (Json.str (Json.get j "from"));
             to_ = phase_exn (Json.str (Json.get j "to"));
           }
@@ -69,21 +76,21 @@ let entry_of_json j =
         Trace.Suspect
           {
             detector = Json.str (Json.get j "detector");
-            owner = Json.int (Json.get j "owner");
-            target = Json.int (Json.get j "target");
+            owner = pid_exn j "owner";
+            target = pid_exn j "target";
           }
     | "trust" ->
         Trace.Trust
           {
             detector = Json.str (Json.get j "detector");
-            owner = Json.int (Json.get j "owner");
-            target = Json.int (Json.get j "target");
+            owner = pid_exn j "owner";
+            target = pid_exn j "target";
           }
-    | "crash" -> Trace.Crash { pid = Json.int (Json.get j "pid") }
+    | "crash" -> Trace.Crash { pid = pid_exn j "pid" }
     | "note" ->
         Trace.Note
           {
-            pid = Json.int (Json.get j "pid");
+            pid = pid_exn j "pid";
             label = Json.str (Json.get j "label");
             info = Json.str (Json.get j "info");
           }

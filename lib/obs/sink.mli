@@ -40,7 +40,8 @@ val entry_to_json : Dsim.Trace.entry -> Json.t
     [detector]/[owner]/[target], crashes [pid], notes [pid]/[label]/[info]. *)
 
 val entry_of_json : Json.t -> Dsim.Trace.entry
-(** Inverse of {!entry_to_json}. Raises [Failure] on schema mismatch. *)
+(** Inverse of {!entry_to_json}. Raises [Failure] on schema mismatch,
+    including a negative pid, owner or target. *)
 
 val read_jsonl : string -> Dsim.Trace.t
 (** Load a JSONL trace file back into an in-memory trace (blank lines are

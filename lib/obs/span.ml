@@ -17,35 +17,91 @@ type span = {
   closed : bool; (* false: cut at the horizon, not ended by a transition *)
 }
 
-type t = {
-  open_ : (string * Types.pid, Types.phase * Types.time) Hashtbl.t;
-  mutable closed : span list; (* reverse chronological close order *)
-  retain : bool;
-  mutable on_close : (span -> next:Types.phase -> unit) list; (* registration order *)
+type close =
+  instance:string ->
+  pid:Types.pid ->
+  phase:Types.phase ->
+  start:Types.time ->
+  stop:Types.time ->
+  next:Types.phase ->
+  unit
+
+(* The open spans of one dining instance, indexed by pid. *)
+type lane = {
+  lane_instance : string;
+  mutable phases : Types.phase array;
+  mutable since : Types.time array; (* [unseen]: no transition of that diner yet *)
 }
 
-let create ?(retain = true) () =
-  { open_ = Hashtbl.create 64; closed = []; retain; on_close = [] }
+let unseen = min_int
+
+type t = {
+  (* Searched linearly by instance name (a run has a handful); only
+     [spans] traverses them, and it sorts. *)
+  mutable lanes : lane list;
+  mutable closed : span list; (* reverse chronological close order *)
+  retain : bool;
+  mutable on_close : close list; (* registration order *)
+}
+
+let create ?(retain = true) () = { lanes = []; closed = []; retain; on_close = [] }
 
 let on_close t f = t.on_close <- t.on_close @ [ f ]
+
+let rec find_lane t instance = function
+  | lane :: rest ->
+      if String.equal lane.lane_instance instance then lane else find_lane t instance rest
+  | [] ->
+      (* simlint: allow D011 — one lane per instance, built at its first transition *)
+      let lane = { lane_instance = instance; phases = [||]; since = [||] } in
+      (* simlint: allow D011 — see above *)
+      t.lanes <- lane :: t.lanes;
+      lane
+
+(* Makes room for [pid]; runs O(log pid) times per lane. *)
+let reserve lane pid =
+  let n = Array.length lane.since in
+  if pid >= n then begin
+    let cap = max (pid + 1) (max 8 (2 * n)) in
+    (* simlint: allow D011 — amortised doubling of a lane's per-pid slots *)
+    let phases = Array.make cap Types.Thinking in
+    (* simlint: allow D011 — see above *)
+    let since = Array.make cap unseen in
+    Array.blit lane.phases 0 phases 0 n;
+    Array.blit lane.since 0 since 0 n;
+    lane.phases <- phases;
+    lane.since <- since
+  end
+
+let rec fire fs ~instance ~pid ~phase ~start ~stop ~next =
+  match fs with
+  | [] -> ()
+  | (f : close) :: rest ->
+      f ~instance ~pid ~phase ~start ~stop ~next;
+      fire rest ~instance ~pid ~phase ~start ~stop ~next
 
 let observe t (e : Trace.entry) =
   match e.Trace.ev with
   | Trace.Transition { instance; pid; from_; to_ } ->
-      let key = (instance, pid) in
-      let phase, start =
-        match Hashtbl.find_opt t.open_ key with
-        | Some opened -> opened
-        | None -> (from_, 0) (* diners start Thinking at tick 0 *)
-      in
-      let sp = { instance; pid; phase; start; stop = e.Trace.at; closed = true } in
-      List.iter (fun f -> f sp ~next:to_) t.on_close;
+      if pid < 0 then invalid_arg "Span.observe: negative pid";
+      let lane = find_lane t instance t.lanes in
+      reserve lane pid;
+      (* A diner first seen mid-run has held [from_] since tick 0 (diners
+         start Thinking at 0). *)
+      let seen = lane.since.(pid) <> unseen in
+      let phase = if seen then lane.phases.(pid) else from_ in
+      let start = if seen then lane.since.(pid) else 0 in
+      let stop = e.Trace.at in
+      fire t.on_close ~instance ~pid ~phase ~start ~stop ~next:to_;
       (* Zero-length spans (entered and left within one tick) fire the
          close callbacks — a 0-tick hunger session is still a latency
          sample — but are dropped from the retained interval list, like
          Trace.phase_timeline drops zero-length segments. *)
-      if t.retain && sp.stop > sp.start then t.closed <- sp :: t.closed;
-      Hashtbl.replace t.open_ key (to_, e.Trace.at)
+      if t.retain && stop > start then
+        (* simlint: allow D011 — the retained span is the product; Instrument's collector keeps none *)
+        t.closed <- { instance; pid; phase; start; stop; closed = true } :: t.closed;
+      lane.phases.(pid) <- to_;
+      lane.since.(pid) <- stop
   | Trace.Suspect _ | Trace.Trust _ | Trace.Crash _ | Trace.Note _ -> ()
 
 let attach t tr =
@@ -64,15 +120,25 @@ let compare_span a b =
 
 let spans t ~horizon =
   if not t.retain then invalid_arg "Span.spans: collector created with ~retain:false";
-  (* Hashtbl order is nondeterministic; sorting makes the list canonical
-     (simlint D003). *)
-  Hashtbl.fold
-    (fun (instance, pid) (phase, start) acc ->
-      if horizon > start then
-        { instance; pid; phase; start; stop = horizon; closed = false } :: acc
-      else acc)
-    t.open_ (List.rev t.closed)
-  |> List.sort compare_span
+  let acc = ref (List.rev t.closed) in
+  List.iter
+    (fun lane ->
+      Array.iteri
+        (fun pid start ->
+          if start <> unseen && horizon > start then
+            acc :=
+              {
+                instance = lane.lane_instance;
+                pid;
+                phase = lane.phases.(pid);
+                start;
+                stop = horizon;
+                closed = false;
+              }
+              :: !acc)
+        lane.since)
+    t.lanes;
+  List.sort compare_span !acc
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event ("trace_event/1") export, openable in Perfetto or

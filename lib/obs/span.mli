@@ -26,16 +26,30 @@ val create : ?retain:bool -> unit -> t
     With [~retain:false] the collector only drives {!on_close} callbacks
     — the memory-free mode {!Instrument} uses for latency accounting. *)
 
-val on_close : t -> (span -> next:Dsim.Types.phase -> unit) -> unit
+type close =
+  instance:string ->
+  pid:Dsim.Types.pid ->
+  phase:Dsim.Types.phase ->
+  start:Dsim.Types.time ->
+  stop:Dsim.Types.time ->
+  next:Dsim.Types.phase ->
+  unit
+(** A span-close callback: the closed span's fields (it is always
+    [closed = true]) and [next], the phase the diner moved to. The fields
+    come unboxed so that closing a span allocates nothing. *)
+
+val on_close : t -> close -> unit
 (** Register a callback fired (in registration order) whenever a
     transition closes a span, including zero-length ones — a 0-tick
-    hunger session is still a latency sample. [next] is the phase the
-    diner moved to. *)
+    hunger session is still a latency sample. *)
 
 val observe : t -> Dsim.Trace.entry -> unit
 (** Feed one trace entry. Only [Transition] events affect span state. A
     diner first seen mid-run is assumed to have held the transition's
-    [from_] phase since tick 0 (diners start [Thinking] at 0). *)
+    [from_] phase since tick 0 (diners start [Thinking] at 0). Open spans
+    live in per-instance arrays indexed by pid, so a [~retain:false]
+    collector allocates only when it first meets an instance or a larger
+    pid. Raises [Invalid_argument] on a negative pid. *)
 
 val attach : t -> Dsim.Trace.t -> unit
 (** [iter] over the already-recorded entries, then [subscribe] for the

@@ -334,6 +334,24 @@ let test_corpus_coverage_digest_pinned () =
   Alcotest.(check string) "family-sync schedule-coverage digest is pinned"
     pinned_sync_coverage_digest digest
 
+(* The canonical body (wall_clock stripped) of `dinersim fuzz --runs 100
+   --seed 0xF5EED`'s summary: verdicts, merged Instrument metrics and the
+   coverage block, so both trace observers are pinned byte for byte.
+   Changes only with the engine, the algorithms, the trace vocabulary, the
+   metric set or the coverage hash. *)
+let pinned_campaign_summary_digest = "746c22cb8d5aaecc71175c1b8e849931"
+
+let test_campaign_summary_digest_pinned () =
+  let result =
+    Check.Campaign.run ~runs:100 ~jobs:1 ~registry:Check.Runner.default_registry
+      ~root_seed:0xF5EEDL ()
+  in
+  let body =
+    Obs.Json.to_string (Obs.Report.strip_wall_clock (Check.Campaign.summary ~cmd:"fuzz" result))
+  in
+  Alcotest.(check string) "fuzz campaign summary digest is pinned" pinned_campaign_summary_digest
+    (Digest.to_hex (Digest.string body))
+
 (* ------------------------------------------------------------------ *)
 (* Corpus *)
 
@@ -436,6 +454,8 @@ let () =
             test_coverage_knob_sensitivity;
           Alcotest.test_case "corpus coverage digest is pinned" `Quick
             test_corpus_coverage_digest_pinned;
+          Alcotest.test_case "campaign summary digest is pinned" `Slow
+            test_campaign_summary_digest_pinned;
         ] );
       ( "corpus",
         [

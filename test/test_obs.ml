@@ -91,7 +91,14 @@ let test_entry_json_roundtrip () =
       let j = Obs.Sink.entry_to_json e in
       let e' = Obs.Sink.entry_of_json (Obs.Json.of_string (Obs.Json.to_string j)) in
       check "entry survives json round-trip" true (e = e'))
-    entries
+    entries;
+  match
+    Obs.Sink.entry_of_json
+      (Obs.Json.of_string
+         {|{"at":3,"ev":"transition","instance":"dx","pid":-1,"from":"thinking","to":"hungry"}|})
+  with
+  | _ -> Alcotest.fail "negative pid accepted"
+  | exception Failure _ -> ()
 
 let test_jsonl_sink_roundtrip () =
   let path = Filename.temp_file "obs_trace" ".jsonl" in
@@ -386,7 +393,8 @@ let transition at instance pid from_ to_ =
 let test_span_fold () =
   let t = Obs.Span.create () in
   let closes = ref [] in
-  Obs.Span.on_close t (fun sp ~next -> closes := (sp, next) :: !closes);
+  Obs.Span.on_close t (fun ~instance ~pid ~phase ~start ~stop ~next ->
+      closes := ({ Obs.Span.instance; pid; phase; start; stop; closed = true }, next) :: !closes);
   List.iter (Obs.Span.observe t)
     [
       transition 5 "dx" 0 Types.Thinking Types.Hungry;
@@ -501,6 +509,83 @@ let test_coverage_signatures () =
   check_int "json edges" (Obs.Coverage.edges a) Obs.Json.(int (get j "edges"));
   check_str "json digest" (Obs.Coverage.digest a) Obs.Json.(str (get j "digest"));
   check_str "json bitmap" (Obs.Coverage.to_hex a) Obs.Json.(str (get j "bitmap"))
+
+(* ------------------------------------------------------------------ *)
+(* Observer allocation *)
+
+(* Words allocated by [f] (minor + major - promoted). The same number of
+   reads brackets every measurement, so differences between two
+   measurements are the work's alone. *)
+let words_of f =
+  let read () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = read () in
+  f ();
+  read () -. before
+
+(* Per-event words of [feed n] in its steady state: [feed] is run once to
+   warm up (each track and metric handle seen), then the cost of [n] more
+   events is the difference between [2n] and [n]. *)
+let steady_words feed =
+  let n = 2000 in
+  feed n;
+  let once = words_of (fun () -> feed n) in
+  let twice = words_of (fun () -> feed (2 * n)) in
+  (twice -. once) /. float_of_int n
+
+(* Every kind of event, at one tick so that no per-tick series grows.
+   Four transitions per diner close one hunger span. *)
+let events =
+  let tr pid from_ to_ = Trace.Transition { instance = "dx"; pid; from_; to_ } in
+  [|
+    tr 0 Types.Thinking Types.Hungry;
+    tr 0 Types.Hungry Types.Eating;
+    Trace.Suspect { detector = "hb"; owner = 0; target = 1 };
+    tr 1 Types.Thinking Types.Hungry;
+    tr 0 Types.Eating Types.Exiting;
+    Trace.Trust { detector = "hb"; owner = 0; target = 1 };
+    tr 0 Types.Exiting Types.Thinking;
+    Trace.Crash { pid = 2 };
+    tr 1 Types.Hungry Types.Eating;
+    Trace.Note { pid = 1; label = "ping"; info = "x" };
+    tr 1 Types.Eating Types.Exiting;
+    tr 1 Types.Exiting Types.Thinking;
+  |]
+
+let append_events tr n =
+  for i = 0 to n - 1 do
+    Trace.append tr ~at:7 events.(i mod Array.length events)
+  done
+
+let test_observers_allocation () =
+  if words_of (fun () -> ignore (Sys.opaque_identity (Trace.create ~retain:false ()))) >= 64.0 then
+    Alcotest.fail "a retain:false trace allocates a buffer";
+  let bare = Trace.create ~retain:false () in
+  Alcotest.(check (float 0.0)) "retain:false, no subscriber: 0 words per append" 0.0
+    (steady_words (append_events bare));
+  let plain = Trace.create ~retain:false () in
+  Trace.subscribe plain ignore;
+  let entry_words = steady_words (append_events plain) in
+  let covered = Trace.create ~retain:false () in
+  Trace.subscribe covered ignore;
+  Obs.Coverage.attach (Obs.Coverage.create ()) covered;
+  Alcotest.(check (float 0.0)) "a coverage collector adds no words per append" entry_words
+    (steady_words (append_events covered));
+  (* Instrument resolves each metric handle once: no metric name is built
+     per event (one name would be a string of 3 words or more). What
+     remains is the exact-quantile digest's batch compaction, a few words
+     per hunger sample amortised over 512 samples. *)
+  let engine =
+    Engine.create ~retain_trace:false ~n:3 ~adversary:(Adversary.synchronous ()) ()
+  in
+  Trace.subscribe (Engine.trace engine) ignore;
+  let inst = Obs.Instrument.install ~metrics:(Obs.Metrics.create ()) engine in
+  let extra = steady_words (append_events (Engine.trace engine)) -. entry_words in
+  Obs.Instrument.finalize inst;
+  if extra >= 1.0 then
+    Alcotest.failf "Instrument's subscriber allocates %.2f words per event" extra
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented run: histogram / exact-digest / series agreement *)
@@ -704,7 +789,11 @@ let () =
             test_chrome_export_deterministic;
         ] );
       ( "coverage",
-        [ Alcotest.test_case "signature semantics on seeded runs" `Quick test_coverage_signatures ] );
+        [
+          Alcotest.test_case "signature semantics on seeded runs" `Quick test_coverage_signatures;
+          Alcotest.test_case "observers allocate nothing per event" `Quick
+            test_observers_allocation;
+        ] );
       ( "instrument",
         [
           Alcotest.test_case "exact digest and series track the run" `Quick
