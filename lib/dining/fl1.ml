@@ -5,9 +5,18 @@ type Msg.t += Fl_fork | Fl_request of int
 type edge_state = {
   peer : Types.pid;
   mutable has_fork : bool;
-  mutable peer_req : int option;
+  mutable peer_req : int; (* pending request timestamp from peer, or [no_request] *)
   mutable next_ask : Types.time;
 }
+
+(* Session timestamps start at 1, so 0 is never a pending request's. *)
+let no_request = 0
+
+(* The edge to [src], found without building a closure or an option per
+   received message. *)
+let rec edge_to src = function
+  | [] -> raise Not_found
+  | (e : edge_state) :: rest -> if e.peer = src then e else edge_to src rest
 
 let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let self = ctx.Context.self in
@@ -16,7 +25,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let edges =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
-           { peer; has_fork = self > peer; peer_req = None; next_ask = 0 })
+           { peer; has_fork = self > peer; peer_req = no_request; next_ask = 0 })
   in
   let suspected q = Types.Pidset.mem q (suspects ()) in
   let eating () = Types.phase_equal (phase ()) Types.Eating in
@@ -25,7 +34,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let session = ref None in
   let stamp_session =
     Component.action "fl-stamp"
-      ~guard:(fun () -> hungry () && !session = None)
+      ~guard:(fun () -> hungry () && Option.is_none !session)
       ~body:(fun () ->
         incr clock;
         session := Some !clock)
@@ -33,55 +42,51 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let needs_request (e : edge_state) =
     (not e.has_fork) && ctx.Context.now () >= e.next_ask
   in
+  let request_fork e =
+    match !session with
+    | Some ts when needs_request e ->
+        e.next_ask <- ctx.Context.now () + 32;
+        ctx.Context.send ~dst:e.peer ~tag:instance (Fl_request ts)
+    | Some _ | None -> ()
+  in
   let request_forks =
     Component.action "fl-request"
-      ~guard:(fun () -> hungry () && !session <> None && List.exists needs_request edges)
-      ~body:(fun () ->
-        match !session with
-        | None -> ()
-        | Some ts ->
-            List.iter
-              (fun e ->
-                if needs_request e then begin
-                  e.next_ask <- ctx.Context.now () + 32;
-                  ctx.Context.send ~dst:e.peer ~tag:instance (Fl_request ts)
-                end)
-              edges)
+      ~guard:(fun () -> hungry () && Option.is_some !session && List.exists needs_request edges)
+      ~body:(fun () -> List.iter request_fork edges)
   in
   (* Doomed: waiting on a fork whose holder we currently suspect. A doomed
      diner cannot eat soon, so it must not make anyone wait on it. *)
-  let doomed () =
-    hungry () && List.exists (fun (e : edge_state) -> (not e.has_fork) && suspected e.peer) edges
-  in
+  let held_by_suspect (e : edge_state) = (not e.has_fork) && suspected e.peer in
+  let doomed () = hungry () && List.exists held_by_suspect edges in
   let i_have_priority_over req_ts peer =
     match !session with
-    | Some my_ts when hungry () && not (doomed ()) -> (my_ts, self) < (req_ts, peer)
+    | Some my_ts when hungry () && not (doomed ()) -> Spec.precedes my_ts self req_ts peer
     | Some _ | None -> false
   in
   let owed (e : edge_state) =
     e.has_fork && (not (eating ()))
-    && match e.peer_req with Some ts -> not (i_have_priority_over ts e.peer) | None -> false
+    && e.peer_req <> no_request
+    && not (i_have_priority_over e.peer_req e.peer)
+  in
+  let yield_fork e =
+    if owed e then begin
+      e.has_fork <- false;
+      e.peer_req <- no_request;
+      e.next_ask <- 0;
+      ctx.Context.send ~dst:e.peer ~tag:instance Fl_fork
+    end
   in
   let yield_forks =
     Component.action "fl-yield"
       ~guard:(fun () -> List.exists owed edges)
-      ~body:(fun () ->
-        List.iter
-          (fun e ->
-            if owed e then begin
-              e.has_fork <- false;
-              e.peer_req <- None;
-              e.next_ask <- 0;
-              ctx.Context.send ~dst:e.peer ~tag:instance Fl_fork
-            end)
-          edges)
+      ~body:(fun () -> List.iter yield_fork edges)
   in
   (* Perpetual exclusion: eating requires every real fork — suspicion never
      substitutes for one. *)
   let eat =
     Component.action "fl-eat"
       ~guard:(fun () ->
-        hungry () && !session <> None
+        hungry () && Option.is_some !session
         && List.for_all (fun (e : edge_state) -> e.has_fork) edges)
       ~body:(fun () -> Spec.Cell.set cell Types.Eating)
   in
@@ -94,13 +99,13 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
         Spec.Cell.set cell Types.Thinking)
   in
   let on_receive ~src msg =
-    match List.find_opt (fun (e : edge_state) -> e.peer = src) edges with
-    | None -> ()
-    | Some e -> (
+    match edge_to src edges with
+    | exception Not_found -> ()
+    | e -> (
         match msg with
         | Fl_request ts ->
-            clock := max !clock ts;
-            e.peer_req <- Some ts
+            clock := Int.max !clock ts;
+            e.peer_req <- ts
         | Fl_fork -> e.has_fork <- true
         (* simlint: allow D015 — Fl_request/Fl_fork are this algorithm's whole edge protocol; the wildcard only absorbs other families sharing the engine's extensible Msg.t *)
         | _ -> ())

@@ -28,14 +28,13 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
   let others = List.filter (fun q -> q <> self) members in
   let suspected q = Types.Pidset.mem q (suspects ()) in
   (* The believed server: the lowest member not currently suspected.
-     Trusting accuracy keeps this safe; strong completeness keeps it live. *)
-  let believed_server () =
-    let rec go = function
-      | [] -> self
-      | p :: rest -> if p = self || not (suspected p) then p else go rest
-    in
-    go members
+     Trusting accuracy keeps this safe; strong completeness keeps it live.
+     The walk is built once here, so the guards that ask build nothing. *)
+  let rec first_trusted = function
+    | [] -> self
+    | p :: rest -> if p = self || not (suspected p) then p else first_trusted rest
   in
+  let believed_server () = first_trusted members in
   (* ---- client state ---- *)
   let sent_to = ref None in
   let max_epoch_seen = ref 0 in

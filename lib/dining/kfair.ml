@@ -9,13 +9,20 @@ type Msg.t += Kf_req of int | Kf_grant of int
    the stale value as the pending request would make us answer with a grant
    the requester drops as outdated, losing its real request forever (a
    whole-graph deadlock observed in sweeps). [granted_upto] is the largest
-   timestamp we have answered. *)
+   timestamp we have answered. Both start at [min_int], below every
+   timestamp, so a neighbor that never asked has nothing pending. *)
 type neighbor = {
   peer : Types.pid;
   mutable granted : bool; (* their grant for my current request *)
-  mutable latest_req : int option;
+  mutable latest_req : int;
   mutable granted_upto : int;
 }
+
+(* The neighbor [src], found without building a closure or an option per
+   received message. *)
+let rec neighbor_of src = function
+  | [] -> raise Not_found
+  | nb :: rest -> if nb.peer = src then nb else neighbor_of src rest
 
 let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let self = ctx.Context.self in
@@ -24,7 +31,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let neighbors =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
-           { peer; granted = false; latest_req = None; granted_upto = min_int })
+           { peer; granted = false; latest_req = min_int; granted_upto = min_int })
   in
   let clock = ref 0 in
   let req_ts = ref (-1) in
@@ -34,7 +41,11 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let my_priority_over ts peer =
     !sent
     && Types.phase_equal (phase ()) Types.Hungry
-    && (!req_ts, self) < (ts, peer)
+    && Spec.precedes !req_ts self ts peer
+  in
+  let ask nb =
+    nb.granted <- false;
+    ctx.Context.send ~dst:nb.peer ~tag:instance (Kf_req !req_ts)
   in
   let request =
     Component.action "kf-request"
@@ -43,11 +54,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
         incr clock;
         req_ts := !clock;
         sent := true;
-        List.iter
-          (fun nb ->
-            nb.granted <- false;
-            ctx.Context.send ~dst:nb.peer ~tag:instance (Kf_req !req_ts))
-          neighbors)
+        List.iter ask neighbors)
   in
   (* Answer pending requests whenever we neither hold the critical section
      nor outrank the requester. Running this as a guarded action (rather
@@ -55,36 +62,29 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
      is re-evaluated as our own state changes — a request deferred during
      our meal is granted right after we return to thinking. *)
   let pending nb =
-    match nb.latest_req with
-    | Some ts ->
-        ts > nb.granted_upto
-        && (not (Types.phase_equal (phase ()) Types.Eating))
-        && (not (Types.phase_equal (phase ()) Types.Exiting))
-        && not (my_priority_over ts nb.peer)
-    | None -> false
+    nb.latest_req > nb.granted_upto
+    && (not (Types.phase_equal (phase ()) Types.Eating))
+    && (not (Types.phase_equal (phase ()) Types.Exiting))
+    && not (my_priority_over nb.latest_req nb.peer)
+  in
+  let grant nb =
+    if pending nb then begin
+      nb.granted_upto <- nb.latest_req;
+      ctx.Context.send ~dst:nb.peer ~tag:instance (Kf_grant nb.latest_req)
+    end
   in
   let serve =
     Component.action "kf-serve"
       ~guard:(fun () -> List.exists pending neighbors)
-      ~body:(fun () ->
-        List.iter
-          (fun nb ->
-            if pending nb then
-              match nb.latest_req with
-              | Some ts ->
-                  nb.granted_upto <- ts;
-                  ctx.Context.send ~dst:nb.peer ~tag:instance (Kf_grant ts)
-              | None -> ())
-          neighbors)
+      ~body:(fun () -> List.iter grant neighbors)
   in
+  let granted_or_suspected nb = nb.granted || Types.Pidset.mem nb.peer (suspects ()) in
   let eat =
     Component.action "kf-eat"
       ~guard:(fun () ->
         Types.phase_equal (phase ()) Types.Hungry
         && !sent
-        && List.for_all
-             (fun nb -> nb.granted || Types.Pidset.mem nb.peer (suspects ()))
-             neighbors)
+        && List.for_all granted_or_suspected neighbors)
       ~body:(fun () -> Spec.Cell.set cell Types.Eating)
   in
   let finish_exit =
@@ -95,14 +95,13 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
         Spec.Cell.set cell Types.Thinking)
   in
   let on_receive ~src msg =
-    match List.find_opt (fun nb -> nb.peer = src) neighbors with
-    | None -> ()
-    | Some nb -> (
+    match neighbor_of src neighbors with
+    | exception Not_found -> ()
+    | nb -> (
         match msg with
         | Kf_req ts ->
-            clock := max !clock ts + 1;
-            nb.latest_req <-
-              (match nb.latest_req with Some old -> Some (max old ts) | None -> Some ts)
+            clock := Int.max !clock ts + 1;
+            nb.latest_req <- Int.max nb.latest_req ts
         | Kf_grant ts ->
             (* Grants for superseded requests are stale; drop them. *)
             if !sent && ts = !req_ts then nb.granted <- true
@@ -118,7 +117,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
          (List.map
             (fun nb ->
               Printf.sprintf "%d:g=%b,req=%s,upto=%d" nb.peer nb.granted
-                (match nb.latest_req with Some t -> string_of_int t | None -> "-")
+                (if nb.latest_req = min_int then "-" else string_of_int nb.latest_req)
                 nb.granted_upto)
             neighbors))
   in

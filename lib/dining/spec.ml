@@ -18,6 +18,8 @@ let legal_transition ~from_ ~to_ =
     (fun (a, b) -> Types.phase_equal a from_ && Types.phase_equal b to_)
     legal_transitions
 
+let[@inline] precedes ts p ts' p' = ts < ts' || (ts = ts' && p < p')
+
 type handle = {
   instance : string;
   self : Types.pid;

@@ -15,6 +15,12 @@ val legal_transitions : (Dsim.Types.phase * Dsim.Types.phase) list
 val legal_transition : from_:Dsim.Types.phase -> to_:Dsim.Types.phase -> bool
 (** [legal_transition ~from_ ~to_] is membership in {!legal_transitions}. *)
 
+val precedes : int -> Dsim.Types.pid -> int -> Dsim.Types.pid -> bool
+(** [precedes ts p ts' p'] is the priority order the timestamped
+    algorithms share: [(ts, p)] before [(ts', p')] lexicographically. It
+    compares the integers directly, so a guard that evaluates it builds no
+    pair and makes no polymorphic-compare call. *)
+
 type handle = {
   instance : string;
   self : Dsim.Types.pid;

@@ -9,9 +9,18 @@ type Msg.t += Fork | Request of int (* requester's session timestamp *)
 type edge_state = {
   peer : Types.pid;
   mutable has_fork : bool;
-  mutable peer_req : int option; (* pending request timestamp from peer *)
+  mutable peer_req : int; (* pending request timestamp from peer, or [no_request] *)
   mutable next_ask : Types.time; (* earliest time of the next (re-)request *)
 }
+
+(* Session timestamps start at 1, so 0 is never a pending request's. *)
+let no_request = 0
+
+(* The edge to [src]. A named recursion builds neither a predicate closure
+   nor an option per received message. *)
+let rec edge_to src = function
+  | [] -> raise Not_found
+  | (e : edge_state) :: rest -> if e.peer = src then e else edge_to src rest
 
 type debug = {
   has_fork : Types.pid -> bool;
@@ -28,7 +37,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
            (* The fork starts at the higher-id endpoint. *)
-           { peer; has_fork = self > peer; peer_req = None; next_ask = 0 })
+           { peer; has_fork = self > peer; peer_req = no_request; next_ask = 0 })
   in
   let suspected q = config.suspicion_override && Types.Pidset.mem q (suspects ()) in
   let eating () = Types.phase_equal (phase ()) Types.Eating in
@@ -42,7 +51,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
   let session = ref None in
   let stamp_session =
     Component.action "din-stamp"
-      ~guard:(fun () -> hungry () && !session = None)
+      ~guard:(fun () -> hungry () && Option.is_none !session)
       ~body:(fun () ->
         incr clock;
         session := Some !clock)
@@ -56,52 +65,48 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
   let needs_request (e : edge_state) =
     (not e.has_fork) && ctx.Context.now () >= e.next_ask && not (suspected e.peer)
   in
+  let request_fork e =
+    match !session with
+    | Some ts when needs_request e ->
+        e.next_ask <- ctx.Context.now () + 32;
+        ctx.Context.send ~dst:e.peer ~tag:instance (Request ts)
+    | Some _ | None -> ()
+  in
   let request_forks =
     Component.action "din-request"
-      ~guard:(fun () -> hungry () && !session <> None && List.exists needs_request edges)
-      ~body:(fun () ->
-        match !session with
-        | None -> ()
-        | Some ts ->
-            List.iter
-              (fun e ->
-                if needs_request e then begin
-                  e.next_ask <- ctx.Context.now () + 32;
-                  ctx.Context.send ~dst:e.peer ~tag:instance (Request ts)
-                end)
-              edges)
+      ~guard:(fun () -> hungry () && Option.is_some !session && List.exists needs_request edges)
+      ~body:(fun () -> List.iter request_fork edges)
   in
   (* Yield rule: a requested fork is surrendered unless we are eating with
      it or we are hungry with strictly higher priority. *)
   let i_have_priority_over req_ts peer =
     match !session with
-    | Some my_ts when hungry () -> (my_ts, self) < (req_ts, peer)
+    | Some my_ts when hungry () -> Spec.precedes my_ts self req_ts peer
     | Some _ | None -> false
   in
   let owed (e : edge_state) =
     e.has_fork && (not (eating ()))
-    && match e.peer_req with Some ts -> not (i_have_priority_over ts e.peer) | None -> false
+    && e.peer_req <> no_request
+    && not (i_have_priority_over e.peer_req e.peer)
+  in
+  let yield_fork e =
+    if owed e then begin
+      e.has_fork <- false;
+      e.peer_req <- no_request;
+      e.next_ask <- 0;
+      ctx.Context.send ~dst:e.peer ~tag:instance Fork
+    end
   in
   let yield_forks =
     Component.action "din-yield"
       ~guard:(fun () -> List.exists owed edges)
-      ~body:(fun () ->
-        List.iter
-          (fun e ->
-            if owed e then begin
-              e.has_fork <- false;
-              e.peer_req <- None;
-              e.next_ask <- 0;
-              ctx.Context.send ~dst:e.peer ~tag:instance Fork
-            end)
-          edges)
+      ~body:(fun () -> List.iter yield_fork edges)
   in
   let virtual_eat = ref false in
+  let covered (e : edge_state) = e.has_fork || suspected e.peer in
   let eat =
     Component.action "din-eat"
-      ~guard:(fun () ->
-        hungry () && !session <> None
-        && List.for_all (fun (e : edge_state) -> e.has_fork || suspected e.peer) edges)
+      ~guard:(fun () -> hungry () && Option.is_some !session && List.for_all covered edges)
       ~body:(fun () ->
         virtual_eat := List.exists (fun (e : edge_state) -> not e.has_fork) edges;
         Spec.Cell.set cell Types.Eating)
@@ -116,13 +121,13 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
         Spec.Cell.set cell Types.Thinking)
   in
   let on_receive ~src msg =
-    match List.find_opt (fun (e : edge_state) -> e.peer = src) edges with
-    | None -> ()
-    | Some e -> (
+    match edge_to src edges with
+    | exception Not_found -> ()
+    | e -> (
         match msg with
         | Request ts ->
-            clock := max !clock ts;
-            e.peer_req <- Some ts
+            clock := Int.max !clock ts;
+            e.peer_req <- ts
         | Fork -> e.has_fork <- true
         (* simlint: allow D015 — Request/Fork are this algorithm's whole edge protocol; the wildcard only absorbs other families sharing the engine's extensible Msg.t *)
         | _ -> ())
@@ -133,14 +138,14 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
       ~on_receive ()
   in
   let find q =
-    match List.find_opt (fun (e : edge_state) -> e.peer = q) edges with
-    | Some e -> e
-    | None -> invalid_arg "Wf_ewx.debug: not a neighbor"
+    match edge_to q edges with
+    | e -> e
+    | exception Not_found -> invalid_arg "Wf_ewx.debug: not a neighbor"
   in
   let debug =
     {
       has_fork = (fun q -> (find q).has_fork);
-      peer_requesting = (fun q -> (find q).peer_req <> None);
+      peer_requesting = (fun q -> (find q).peer_req <> no_request);
       session_ts = (fun () -> !session);
       eating_virtually = (fun () -> !virtual_eat && eating ());
     }

@@ -7,9 +7,13 @@ type packet = {
 }
 
 (* In-flight delivery structure. The production representation is a
-   bucketed timing wheel: [slots] holds one Vec per future tick in the
-   window (t.clock, t.clock + wheel_size], indexed by [at land mask], so
-   send and delivery are O(1) in the number of distinct delivery times.
+   bucketed timing wheel: slot [s] holds the packets due at one future tick
+   in the window (t.clock, t.clock + wheel_size], indexed by [at land mask],
+   as the first [fill.(s)] entries of the packet array [slots.(s)], so send
+   and delivery are O(1) in the number of distinct delivery times. Every
+   slot starts as the shared empty array and grows geometrically, so an
+   engine's creation allocates two flat arrays rather than one growable
+   buffer per slot, and a short run pays only for the slots it fills.
    Deliveries beyond the horizon land in [overflow], an int map keyed on
    delivery tick whose minimum bucket migrates into the wheel the tick it
    enters the window (exactly one bucket can qualify per tick, because
@@ -23,7 +27,8 @@ type packet = {
    test/test_scale.ml runs randomized instances under both and demands
    byte-identical traces. *)
 type wheel = {
-  slots : packet Vec.t array; (* length is a power of two *)
+  slots : packet array array; (* length is a power of two *)
+  fill : int array; (* fill.(s) = packets due in slot s *)
   mask : int; (* Array.length slots - 1 *)
   mutable overflow : packet Vec.t Types.Pidmap.t;
 }
@@ -41,7 +46,7 @@ type proc = {
   mutable alive : bool;
   mutable crash_at : Types.time option;
   components : Component.t Vec.t; (* registration order *)
-  mutable flat_actions : (Component.t * Component.action) array;
+  mutable flat_actions : Component.action array;
   mutable cursor : int; (* weak-fairness rotation over flat_actions *)
   inbox : packet Vec.t;
   mutable last_step : Types.time;
@@ -106,7 +111,8 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     | `Wheel ->
         Wheel
           {
-            slots = Array.init wheel_size (fun _ -> Vec.create ());
+            slots = Array.make wheel_size [||];
+            fill = Array.make wheel_size 0;
             mask = wheel_size - 1;
             overflow = Types.Pidmap.empty;
           }
@@ -151,11 +157,12 @@ let live_set t =
     (fun acc p -> if p.alive then Types.Pidset.add p.pid acc else acc)
     Types.Pidset.empty t.procs
 
-(* Tags are interned at their first send or first counter registration. *)
+(* Tags are interned at their first send or first counter registration.
+   [Hashtbl.find] rather than [find_opt], so a send builds no option. *)
 let intern_tag t tag =
-  match Hashtbl.find_opt t.tag_ids tag with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.tag_ids tag with
+  | id -> id
+  | exception Not_found ->
       let id = t.tag_count in
       if id = Array.length t.tag_names then begin
         let cap = max 16 (2 * (id + 1)) in
@@ -187,6 +194,18 @@ let[@inline] pend t pkt delta =
   t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) + delta;
   if pkt.tag_id < Array.length t.watches then count_watched t pkt delta
 
+(* simlint: hotpath *)
+let slot_add w s pkt =
+  let len = w.fill.(s) in
+  if len = Array.length w.slots.(s) then begin
+    (* simlint: allow D011 — amortised geometric slot growth, as in Vec.add_last; the steady-state append is a plain store *)
+    let grown = Array.make (Int.max 8 (2 * len)) pkt in
+    Array.blit w.slots.(s) 0 grown 0 len;
+    w.slots.(s) <- grown
+  end;
+  w.slots.(s).(len) <- pkt;
+  w.fill.(s) <- len + 1
+
 let send t ~src ~dst ~tag payload =
   if dst < 0 || dst >= t.n_procs then invalid_arg "Engine.send: bad destination";
   (* Reliable channels: the message is assigned a finite delay at send time.
@@ -198,7 +217,7 @@ let send t ~src ~dst ~tag payload =
   let pkt = { src; dst; tag; tag_id; payload } in
   (match t.delivery with
   | Wheel w ->
-      if at - t.clock <= wheel_size then Vec.add_last w.slots.(at land w.mask) pkt
+      if at - t.clock <= wheel_size then slot_add w (at land w.mask) pkt
       else begin
         let bucket =
           match Types.Pidmap.find_opt at w.overflow with
@@ -236,31 +255,8 @@ let ctx t pid : Context.t =
   }
 
 let reflatten p =
-  let ncomps = Vec.length p.components in
-  let total = ref 0 in
-  for i = 0 to ncomps - 1 do
-    total := !total + Array.length (Vec.get p.components i).Component.actions
-  done;
-  (if !total = 0 then p.flat_actions <- [||]
-   else begin
-     (* Seed value for Array.make; every slot is overwritten in order. *)
-     let rec first i =
-       let c = Vec.get p.components i in
-       if Array.length c.Component.actions > 0 then (c, c.Component.actions.(0))
-       else first (i + 1)
-     in
-     let flat = Array.make !total (first 0) in
-     let k = ref 0 in
-     for i = 0 to ncomps - 1 do
-       let c = Vec.get p.components i in
-       Array.iter
-         (fun a ->
-           flat.(!k) <- (c, a);
-           incr k)
-         c.Component.actions
-     done;
-     p.flat_actions <- flat
-   end);
+  p.flat_actions <-
+    Array.concat (List.map (fun c -> c.Component.actions) (Vec.to_list p.components));
   (* The cursor indexed the *previous* flat layout; re-anchor the
      weak-fairness rotation at the start of the new one so a mid-run
      registration resumes from a well-defined action rather than wherever
@@ -312,7 +308,12 @@ let crash_now t pid = do_crash t t.procs.(pid)
 let iter_undelivered t f =
   (match t.delivery with
   | Wheel w ->
-      Array.iter (fun slot -> Vec.iter f slot) w.slots;
+      Array.iteri
+        (fun s slot ->
+          for i = 0 to w.fill.(s) - 1 do
+            f slot.(i)
+          done)
+        w.slots;
       Types.Pidmap.iter (fun _ bucket -> Vec.iter f bucket) w.overflow
   | Refmap r -> Types.Pidmap.iter (fun _ bucket -> Vec.iter f bucket) r.buckets);
   Array.iter (fun p -> Vec.iter f p.inbox) t.procs
@@ -368,34 +369,30 @@ let deliver_packet t pkt =
   let p = t.procs.(pkt.dst) in
   if p.alive then Vec.add_last p.inbox pkt else pend t pkt (-1)
 
-(* Iterative bucket delivery in send order (oldest first). The old list
-   representation recursed to the bucket tail before delivering, so the
-   stack grew with the bucket — a same-tick flood at n=10^5 overflowed it.
-   Vec buckets append in send order and an index loop delivers them with
-   O(1) stack whatever the bucket size. *)
-(* simlint: hotpath *)
-let deliver_slot t slot =
-  for i = 0 to Vec.length slot - 1 do
-    deliver_packet t (Vec.get slot i)
-  done;
-  Vec.clear slot
-
 (* One wheel turn: deliver the current tick's slot, then migrate the
    overflow bucket entering the window, if any, into the slot just freed
    ([at = clock + wheel_size] maps to [clock land mask]). Migration
    precedes this tick's sends, and a direct wheel insert for the same
    delivery tick can only happen at [clock >= at - wheel_size], so within
    any slot migrated packets (sent strictly earlier) come first and global
-   send order — the delivery order the old map preserved — is kept. *)
+   send order — the delivery order the old map preserved — is kept.
+   Slots and buckets append in send order and index loops deliver them
+   oldest first, with O(1) stack whatever their size: a recursive walk
+   would overflow the stack on a same-tick flood at n=10^5. *)
 (* simlint: hotpath *)
 let turn_wheel t w =
-  deliver_slot t w.slots.(t.clock land w.mask);
+  let s = t.clock land w.mask in
+  let slot = w.slots.(s) in
+  for i = 0 to w.fill.(s) - 1 do
+    deliver_packet t slot.(i)
+  done;
+  w.fill.(s) <- 0;
   match Types.Pidmap.min_binding_opt w.overflow with
   | Some (at, bucket) when at - t.clock <= wheel_size ->
       w.overflow <- Types.Pidmap.remove at w.overflow;
-      let dst = w.slots.(at land w.mask) in
+      let dst = at land w.mask in
       for i = 0 to Vec.length bucket - 1 do
-        Vec.add_last dst (Vec.get bucket i)
+        slot_add w dst (Vec.get bucket i)
       done
   | Some _ | None -> ()
 
@@ -406,7 +403,9 @@ let rec deliver_ref t r =
   match Types.Pidmap.min_binding_opt r.buckets with
   | Some (at, bucket) when at <= t.clock ->
       r.buckets <- Types.Pidmap.remove at r.buckets;
-      deliver_slot t bucket;
+      for i = 0 to Vec.length bucket - 1 do
+        deliver_packet t (Vec.get bucket i)
+      done;
       deliver_ref t r
   | Some _ | None -> ()
 
@@ -440,7 +439,7 @@ let route_receive (p : proc) pkt = route_from p 0 ~src:pkt.src pkt.payload pkt.t
 let rec scan_action (p : proc) acts m k =
   if k < m then begin
     let idx = (p.cursor + k) mod m in
-    let _, a = acts.(idx) in
+    let a = acts.(idx) in
     if a.Component.guard () then begin
       p.cursor <- (idx + 1) mod m;
       a.Component.body ()

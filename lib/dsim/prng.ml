@@ -1,21 +1,35 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is kept unboxed in an 8-byte buffer and read and
+   written through the unchecked 64-bit bytes primitives. With [mix], the
+   state advance and [float] inlined, ocamlopt keeps every intermediate
+   [int64] and [float] in registers, so a draw allocates nothing; a
+   mutable [int64] record field would box a fresh state (3 words) on each
+   advance and the returned value on each call. Both primitives use the
+   native byte order, so a state written by one is read back unchanged. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let copy t = { state = t.state }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
+
+let copy = Bytes.copy
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators", OOPSLA 2014. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
 
 let split t = create (next_int64 t)
 
@@ -39,7 +53,7 @@ let int_in t ~lo ~hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t =
+let[@inline] float t =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 (* 2^53 *)
 

@@ -2,7 +2,16 @@
 
     All stochastic choices in the simulator flow through this module so that
     every run is exactly reproducible from its seed. [Stdlib.Random] is never
-    used anywhere in the library. *)
+    used anywhere in the library.
+
+    Allocation contract: a draw allocates nothing. [int], [int_in], [bool],
+    [chance] and [shuffle_prefix] (hence [shuffle]) allocate 0 words per
+    call, because the state is held unboxed and every intermediate [int64]
+    and [float] stays in registers. The engine draws on every process-tick,
+    so [test/test_alloc.ml] measures each of them and fails on any word.
+    [next_int64] and [float] return boxed values when not inlined into the
+    caller; [create], [copy], [split] and [derive] allocate the new
+    state. *)
 
 type t
 
@@ -11,7 +20,8 @@ val create : int64 -> t
     streams. *)
 
 val copy : t -> t
-(** Snapshot of the current generator state. *)
+(** Snapshot of the current generator state: a fresh state, so the copy
+    and its source advance independently. *)
 
 val split : t -> t
 (** [split t] derives an independent child stream and advances [t]. *)

@@ -1,66 +1,114 @@
 (* Exact quantiles over integer samples.
 
-   Representation: a sorted run-length array of (value, count) pairs plus
-   a small fixed-capacity pending buffer of raw samples. When the buffer
-   fills it is sorted and merged into the runs — "deterministic
-   compaction": compaction happens at exactly the same points for the
-   same sample sequence, and the merged runs are a pure function of the
-   sample multiset, so two runs that observe the same values in the same
-   order hold byte-identical state at every step. No sampling, no decay:
+   Representation: a sorted run-length encoding in two int arrays,
+   distinct values and their counts, plus a small fixed-capacity pending
+   buffer of raw samples. When the buffer fills it is sorted and merged
+   into the runs in place, so a steady-state [add] allocates nothing.
+   Compaction is deterministic: it happens at exactly the same points for
+   the same sample sequence, and the merged runs are a pure function of
+   the sample multiset, so two runs that observe the same values in the
+   same order hold byte-identical state at every step. No sampling, no decay:
    the quantiles reported are exact nearest-rank statistics of everything
    observed. Memory is O(distinct values), which for tick-valued
    latencies is bounded by the horizon. *)
 
 type t = {
-  mutable runs : (int * int) array; (* (value, count), values strictly increasing *)
+  mutable values : int array; (* distinct values, strictly increasing; first [len] live *)
+  mutable counts : int array; (* counts.(i) = occurrences of values.(i) *)
+  mutable len : int;
   pending : int array;
   mutable pending_len : int;
   mutable n : int;
   mutable sum : int;
 }
 
-let pending_capacity = 512
+(* 128 slots keep the buffer (129 words) under the minor heap's
+   large-block limit: a fuller buffer would put one block on the major
+   heap for every digest, and a campaign makes one per run and one per
+   merge. *)
+let pending_capacity = 128
 
 let create () =
-  { runs = [||]; pending = Array.make pending_capacity 0; pending_len = 0; n = 0; sum = 0 }
+  {
+    values = [||];
+    counts = [||];
+    len = 0;
+    pending = Array.make pending_capacity 0;
+    pending_len = 0;
+    n = 0;
+    sum = 0;
+  }
 
-(* Merge the (sorted) pending samples into the run array. Linear in the
-   number of runs plus pending samples. *)
+(* Room for [need] runs; geometric, so amortised. *)
+let reserve t need =
+  let cap = Array.length t.values in
+  if cap < need then begin
+    let cap = Int.max need (2 * cap) in
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 t.len;
+      b
+    in
+    t.values <- grow t.values;
+    t.counts <- grow t.counts
+  end
+
+(* Write the run [(v, c)] just below slot [w] of the merged block
+   [w, top), or add [c] to slot [w] when it holds [v]; returns the
+   block's new first slot. *)
+let push_back t ~top w v c =
+  if w < top && t.values.(w) = v then begin
+    t.counts.(w) <- t.counts.(w) + c;
+    w
+  end
+  else begin
+    t.values.(w - 1) <- v;
+    t.counts.(w - 1) <- c;
+    w - 1
+  end
+
+(* Merge [nb] sorted runs, the values [bv.(j)] with the counts
+   [counts.(j)] (1 each without [counts]), into the digest's runs, in
+   place: the merge fills the arrays from the back, largest value first,
+   never writing a slot that holds a run not yet read, then moves the
+   merged block to the front. No second pair of arrays is kept, so a
+   digest holds its runs once. Linear in the number of runs merged. *)
+let merge_sorted ?counts t bv nb =
+  let top = t.len + nb in
+  reserve t top;
+  let w = ref top and i = ref t.len and j = ref nb in
+  while !i > 0 || !j > 0 do
+    if !j = 0 || (!i > 0 && t.values.(!i - 1) >= bv.(!j - 1)) then begin
+      decr i;
+      w := push_back t ~top !w t.values.(!i) t.counts.(!i)
+    end
+    else begin
+      decr j;
+      w := push_back t ~top !w bv.(!j) (match counts with Some c -> c.(!j) | None -> 1)
+    end
+  done;
+  let len = top - !w in
+  Array.blit t.values !w t.values 0 len;
+  Array.blit t.counts !w t.counts 0 len;
+  t.len <- len
+
+(* Insertion sort of p.(0 .. len-1): in place and allocation-free, which
+   [Array.sort] is not, and quick at the buffer's size. *)
+let sort_prefix p len =
+  for i = 1 to len - 1 do
+    let v = p.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && p.(!j) > v do
+      p.(!j + 1) <- p.(!j);
+      decr j
+    done;
+    p.(!j + 1) <- v
+  done
+
 let compact t =
   if t.pending_len > 0 then begin
-    let p = Array.sub t.pending 0 t.pending_len in
-    Array.sort Int.compare p;
-    let old = t.runs in
-    let merged = Array.make (Array.length old + Array.length p) (0, 0) in
-    let mi = ref 0 in
-    let push v c =
-      if !mi > 0 && fst merged.(!mi - 1) = v then begin
-        let _, c0 = merged.(!mi - 1) in
-        merged.(!mi - 1) <- (v, c0 + c)
-      end
-      else begin
-        merged.(!mi) <- (v, c);
-        incr mi
-      end
-    in
-    let oi = ref 0 and pi = ref 0 in
-    while !oi < Array.length old || !pi < Array.length p do
-      if !pi >= Array.length p then begin
-        let v, c = old.(!oi) in
-        push v c;
-        incr oi
-      end
-      else if !oi >= Array.length old || p.(!pi) < fst old.(!oi) then begin
-        push p.(!pi) 1;
-        incr pi
-      end
-      else begin
-        let v, c = old.(!oi) in
-        push v c;
-        incr oi
-      end
-    done;
-    t.runs <- Array.sub merged 0 !mi;
+    sort_prefix t.pending t.pending_len;
+    merge_sorted t t.pending t.pending_len;
     t.pending_len <- 0
   end
 
@@ -76,11 +124,11 @@ let sum t = t.sum
 
 let min_value t =
   compact t;
-  if t.n = 0 then None else Some (fst t.runs.(0))
+  if t.n = 0 then None else Some t.values.(0)
 
 let max_value t =
   compact t;
-  if t.n = 0 then None else Some (fst t.runs.(Array.length t.runs - 1))
+  if t.n = 0 then None else Some t.values.(t.len - 1)
 
 let quantile t q =
   if not (q >= 0.0 && q <= 1.0) then invalid_arg "Quantile.quantile: q outside [0, 1]";
@@ -91,55 +139,24 @@ let quantile t q =
        rank = ceil(q * n), clamped to [1, n]. q = 0 is the minimum. *)
     let rank = max 1 (min t.n (int_of_float (ceil (q *. float_of_int t.n)))) in
     let rec go i acc =
-      let v, c = t.runs.(i) in
-      if acc + c >= rank then v else go (i + 1) (acc + c)
+      let acc = acc + t.counts.(i) in
+      if acc >= rank then t.values.(i) else go (i + 1) acc
     in
     Some (go 0 0)
   end
 
 let runs t =
   compact t;
-  Array.to_list t.runs
+  List.init t.len (fun i -> (t.values.(i), t.counts.(i)))
 
-(* Multiset union: merge the two run arrays pairwise (one linear pass),
-   so the result is independent of merge order — campaigns merging
-   per-run digests in any order produce the same statistics, though
-   drivers still merge in run-index order for uniformity with gauges. *)
+(* Multiset union: merge the two run arrays (one linear pass), so the
+   result is independent of merge order — campaigns merging per-run
+   digests in any order produce the same statistics, though campaigns still
+   merge in run-index order for uniformity with gauges. *)
 let merge ~into src =
   compact src;
   compact into;
-  let a = into.runs and b = src.runs in
-  let merged = Array.make (Array.length a + Array.length b) (0, 0) in
-  let mi = ref 0 in
-  let push v c =
-    if !mi > 0 && fst merged.(!mi - 1) = v then begin
-      let _, c0 = merged.(!mi - 1) in
-      merged.(!mi - 1) <- (v, c0 + c)
-    end
-    else begin
-      merged.(!mi) <- (v, c);
-      incr mi
-    end
-  in
-  let ai = ref 0 and bi = ref 0 in
-  while !ai < Array.length a || !bi < Array.length b do
-    if !ai >= Array.length a then begin
-      let v, c = b.(!bi) in
-      push v c;
-      incr bi
-    end
-    else if !bi >= Array.length b || fst a.(!ai) <= fst b.(!bi) then begin
-      let v, c = a.(!ai) in
-      push v c;
-      incr ai
-    end
-    else begin
-      let v, c = b.(!bi) in
-      push v c;
-      incr bi
-    end
-  done;
-  into.runs <- Array.sub merged 0 !mi;
+  merge_sorted ~counts:src.counts into src.values src.len;
   into.n <- into.n + src.n;
   into.sum <- into.sum + src.sum
 

@@ -3,9 +3,10 @@
     Unlike the fixed-bucket {!Metrics} histograms (whose quantiles are
     only known up to a bucket bound), this digest reports {e exact}
     nearest-rank quantiles: the internal representation is a sorted
-    run-length array of (value, count) pairs plus a small pending buffer
-    of raw samples, compacted deterministically whenever the buffer
-    fills. No reservoir, no sampling, no decay — p999 of a million
+    run-length encoding (distinct values and their counts, in two int
+    arrays) plus a small pending buffer of raw samples, compacted
+    deterministically whenever the buffer fills. A steady-state {!add}
+    allocates nothing. No reservoir, no sampling, no decay — p999 of a million
     samples is the true 999,000th order statistic. Memory is O(distinct
     values), bounded for tick-valued latencies by the run horizon.
 
@@ -37,7 +38,7 @@ val quantile : t -> float -> int option
 
 val runs : t -> (int * int) list
 (** The compacted (value, count) runs in increasing value order — the
-    digest's full exact contents (used by tests and merges). *)
+    digest's full exact contents (used by tests). *)
 
 val merge : into:t -> t -> unit
 (** Multiset union: after [merge ~into src], [into] holds every sample of

@@ -1,0 +1,119 @@
+(* Allocation on the engine's hot path, counted exactly.
+
+   These counts are the authority on hot-path allocation: simlint's D011
+   reads the source, so it cannot see a boxed [int64] or [float] result,
+   nor follow a call through a closure field such as [Component.guard].
+   Every number here is a deterministic count (minor + major - promoted
+   words), so the tests compare it with a fixed bound, not with a
+   timing. *)
+
+open Dsim
+
+(* ------------------------------------------------------------------ *)
+(* Prng: every draw the engine makes per process-tick *)
+
+let draws name f =
+  let rng = Prng.create 0x5EEDL in
+  let words =
+    Alloc_probe.steady_words (fun n ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (f rng))
+        done)
+  in
+  Alcotest.(check (float 0.0)) (name ^ ": 0 words per draw") 0.0 words
+
+let test_prng_draws () =
+  draws "int" (fun rng -> Prng.int rng ~bound:17);
+  draws "int_in" (fun rng -> Prng.int_in rng ~lo:1 ~hi:8);
+  draws "bool" Prng.bool;
+  (* A fraction strictly inside (0, 1), so every call draws. *)
+  draws "chance" (fun rng -> Prng.chance rng ~p:0.7);
+  let rng = Prng.create 0x5EEDL in
+  let a = Array.init 64 Fun.id in
+  let words =
+    Alloc_probe.steady_words ~n:200 (fun n ->
+        for _ = 1 to n do
+          Prng.shuffle_prefix rng a ~len:48
+        done)
+  in
+  Alcotest.(check (float 0.0)) "shuffle_prefix: 0 words per swap" 0.0 (words /. 47.0)
+
+(* The reference splitmix64.c (Vigna) seeded with 0. *)
+let test_prng_known_answer () =
+  let rng = Prng.create 0L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64 stream" expected (Prng.next_int64 rng))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
+let test_prng_copy_independent () =
+  let src = Prng.create 42L in
+  ignore (Prng.next_int64 src);
+  let dup = Prng.copy src in
+  let from_src = Prng.next_int64 src in
+  ignore (Prng.next_int64 src);
+  Alcotest.(check int64) "the copy starts where its source was" from_src (Prng.next_int64 dup);
+  let fresh = Prng.create 42L in
+  for _ = 1 to 3 do
+    ignore (Prng.next_int64 fresh)
+  done;
+  Alcotest.(check int64) "the copy's draws left the source alone" (Prng.next_int64 fresh)
+    (Prng.next_int64 src)
+
+(* ------------------------------------------------------------------ *)
+(* Engine steps *)
+
+(* Steady-state words per process-tick: [Alloc_probe.steady_words] over
+   runs of [ticks] and [2 * ticks] ticks, after [ticks] warm-up ticks have
+   grown every scratch buffer. *)
+let per_proc_tick ~ticks engine =
+  Alloc_probe.steady_words ~n:ticks (fun k -> Engine.run engine ~until:(Engine.now engine + k))
+  /. float_of_int (Engine.n engine)
+
+let test_bare_engine () =
+  (* [partial_sync]'s default GST is at tick 500 and the 400 ticks run
+     here end before it, so every step offer draws. *)
+  List.iter
+    (fun (name, adversary) ->
+      let engine = Engine.create ~seed:7L ~retain_trace:false ~n:100 ~adversary () in
+      Alcotest.(check (float 0.0))
+        (name ^ ": 0 words per process-tick")
+        0.0
+        (per_proc_tick ~ticks:100 engine))
+    [
+      ("async_uniform", Adversary.async_uniform ()); ("partial_sync", Adversary.partial_sync ());
+    ]
+
+(* The benchmark's ring instance with no observer: 100 hygienic diners
+   with greedy clients under [async_uniform]. What remains is the work a
+   message or a meal needs: the packet and its payload, the trace event
+   of each phase change, and each session's timestamp. *)
+let test_ring () =
+  let n = 100 in
+  let engine =
+    Engine.create ~seed:4242L ~retain_trace:false ~n ~adversary:(Adversary.async_uniform ()) ()
+  in
+  let graph = Graphs.Conflict_graph.ring ~n in
+  for pid = 0 to n - 1 do
+    let ctx = Engine.ctx engine pid in
+    let comp, handle, _ = Dining.Hygienic.component ctx ~instance:"sc" ~graph () in
+    Engine.register engine pid comp;
+    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
+  done;
+  let words = per_proc_tick ~ticks:2000 engine in
+  if words >= 3.0 then Alcotest.failf "ring: %.2f words per process-tick (bound 3)" words
+
+let () =
+  Alcotest.run "alloc"
+    [
+      ( "prng",
+        [
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws;
+          Alcotest.test_case "splitmix64 known answer" `Quick test_prng_known_answer;
+          Alcotest.test_case "copy advances independently" `Quick test_prng_copy_independent;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "component-free step allocates nothing" `Quick test_bare_engine;
+          Alcotest.test_case "ring step under 3 words per process-tick" `Quick test_ring;
+        ] );
+    ]

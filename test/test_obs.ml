@@ -291,7 +291,7 @@ let sample_stream seed =
 
 let test_quantile_exact_vs_naive () =
   let next = sample_stream 0x9E3779B97F4A7C15L in
-  (* > 5x the 512-sample pending buffer: forces several compactions. *)
+  (* > 20x the 128-sample pending buffer: forces many compactions. *)
   let n = 3000 in
   let samples = Array.init n (fun _ -> next ()) in
   let q = Obs.Quantile.create () in
@@ -315,6 +315,13 @@ let test_quantile_exact_vs_naive () =
   (* Runs are the exact multiset: counts sum to n, values strictly
      increasing. *)
   let runs = Obs.Quantile.runs q in
+  let naive_runs =
+    Array.fold_right
+      (fun v acc ->
+        match acc with (u, c) :: rest when u = v -> (v, c + 1) :: rest | _ -> (v, 1) :: acc)
+      sorted []
+  in
+  check "runs are the run-length encoding of the sorted samples" true (runs = naive_runs);
   check_int "runs cover every sample" n (List.fold_left (fun acc (_, c) -> acc + c) 0 runs);
   check "runs strictly increasing" true
     (fst (List.fold_left (fun (ok, prev) (v, _) -> (ok && v > prev, v)) (true, min_int) runs));
@@ -513,28 +520,6 @@ let test_coverage_signatures () =
 (* ------------------------------------------------------------------ *)
 (* Observer allocation *)
 
-(* Words allocated by [f] (minor + major - promoted). The same number of
-   reads brackets every measurement, so differences between two
-   measurements are the work's alone. *)
-let words_of f =
-  let read () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let before = read () in
-  f ();
-  read () -. before
-
-(* Per-event words of [feed n] in its steady state: [feed] is run once to
-   warm up (each track and metric handle seen), then the cost of [n] more
-   events is the difference between [2n] and [n]. *)
-let steady_words feed =
-  let n = 2000 in
-  feed n;
-  let once = words_of (fun () -> feed n) in
-  let twice = words_of (fun () -> feed (2 * n)) in
-  (twice -. once) /. float_of_int n
-
 (* Every kind of event, at one tick so that no per-tick series grows.
    Four transitions per diner close one hunger span. *)
 let events =
@@ -560,32 +545,47 @@ let append_events tr n =
   done
 
 let test_observers_allocation () =
-  if words_of (fun () -> ignore (Sys.opaque_identity (Trace.create ~retain:false ()))) >= 64.0 then
+  if
+    Alloc_probe.words_of (fun () -> ignore (Sys.opaque_identity (Trace.create ~retain:false ())))
+    >= 64.0
+  then
     Alcotest.fail "a retain:false trace allocates a buffer";
   let bare = Trace.create ~retain:false () in
   Alcotest.(check (float 0.0)) "retain:false, no subscriber: 0 words per append" 0.0
-    (steady_words (append_events bare));
+    (Alloc_probe.steady_words (append_events bare));
   let plain = Trace.create ~retain:false () in
   Trace.subscribe plain ignore;
-  let entry_words = steady_words (append_events plain) in
+  let entry_words = Alloc_probe.steady_words (append_events plain) in
   let covered = Trace.create ~retain:false () in
   Trace.subscribe covered ignore;
   Obs.Coverage.attach (Obs.Coverage.create ()) covered;
   Alcotest.(check (float 0.0)) "a coverage collector adds no words per append" entry_words
-    (steady_words (append_events covered));
+    (Alloc_probe.steady_words (append_events covered));
   (* Instrument resolves each metric handle once: no metric name is built
-     per event (one name would be a string of 3 words or more). What
-     remains is the exact-quantile digest's batch compaction, a few words
-     per hunger sample amortised over 512 samples. *)
+     per event (one name would be a string of 3 words or more). The
+     warm-up of 20k events (3,333 hunger samples) covers the growth of the
+     exact digest's merge arrays, so the window measured is steady. *)
   let engine =
     Engine.create ~retain_trace:false ~n:3 ~adversary:(Adversary.synchronous ()) ()
   in
   Trace.subscribe (Engine.trace engine) ignore;
   let inst = Obs.Instrument.install ~metrics:(Obs.Metrics.create ()) engine in
-  let extra = steady_words (append_events (Engine.trace engine)) -. entry_words in
+  let extra =
+    Alloc_probe.steady_words ~n:20_000 (append_events (Engine.trace engine)) -. entry_words
+  in
   Obs.Instrument.finalize inst;
   if extra >= 1.0 then
-    Alcotest.failf "Instrument's subscriber allocates %.2f words per event" extra
+    Alcotest.failf "Instrument's subscriber allocates %.2f words per event" extra;
+  (* The exact digest behind Instrument's hunger latencies: 300 distinct
+     values, so every compaction merges into runs it has already seen. *)
+  let q = Obs.Quantile.create () in
+  let per_add =
+    Alloc_probe.steady_words ~n:100_000 (fun n ->
+        for i = 0 to n - 1 do
+          Obs.Quantile.add q (i * 7919 mod 300)
+        done)
+  in
+  if per_add >= 1.0 then Alcotest.failf "Quantile.add allocates %.2f words per sample" per_add
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented run: histogram / exact-digest / series agreement *)

@@ -22,8 +22,11 @@ let fixtures_root =
   in
   find "." 7
 
+(* The built-in D011 roots name engine functions the fixtures do not
+   define; the fixtures' hot roots are their own annotations. *)
 let run_fixtures ?baseline ?allowlist () =
-  Driver.run ?baseline ?allowlist ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
+  Driver.run ?baseline ?allowlist ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
+    ~root:fixtures_root ()
 
 let triple (f : Finding.t) = (f.Finding.rule, f.Finding.file, f.Finding.line)
 let opens result = List.map (fun (f, _) -> triple f) (Driver.open_findings result)
@@ -227,6 +230,29 @@ let test_d011_hotpath_chain () =
     | Some (_, s) -> s = Finding.Suppressed
     | None -> false)
 
+(* A D011 root names a function or the run fails: a root naming nothing
+   (as a renamed engine function leaves behind) would silently check
+   nothing. The built-in roots must resolve on this tree's lib/. *)
+let test_d011_roots_resolve () =
+  Alcotest.check_raises "a --hotpath root naming no function is an error"
+    (Invalid_argument "hot-path root D011_hotpath.gone names no function in the scanned files")
+    (fun () ->
+      ignore
+        (Driver.run ~hotpath_roots:[ "D011_hotpath.gone" ] ~dirs:[ "fixtures" ] ~force_lib:true
+           ~root:fixtures_root ()));
+  Alcotest.check_raises "a built-in root absent from the scan is an error"
+    (Invalid_argument "hot-path root Dsim.Engine.step names no function in the scanned files")
+    (fun () -> ignore (Driver.run ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()));
+  let rec lib_root base = function
+    | 0 -> Alcotest.fail "lib/dsim/engine.ml not found from cwd"
+    | n ->
+        if Sys.file_exists (Filename.concat base "lib/dsim/engine.ml") then base
+        else lib_root (Filename.concat base "..") (n - 1)
+  in
+  let result = Driver.run ~only:[ "D011" ] ~dirs:[ "lib" ] ~root:(lib_root "." 7) () in
+  Alcotest.(check int) "the built-in roots resolve on lib/, with no open D011" 0
+    (List.length (Driver.open_findings result))
+
 (* The shape a model-checking explorer hot loop takes: a DFS driver
    popping a worklist by pattern matching (allocation-free) but pushing
    through a helper that conses. The cons must be attributed to the
@@ -364,8 +390,8 @@ let test_d018_worker_prng () =
    selected rules survive. *)
 let test_only_filter () =
   let result =
-    Driver.run ~only:[ "D014"; "D016" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root
-      ()
+    Driver.run ~only:[ "D014"; "D016" ] ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
+      ~root:fixtures_root ()
   in
   let rules =
     List.sort_uniq compare
@@ -381,7 +407,7 @@ let test_only_filter () =
     [ { Baseline.file = "fixtures/taint_c.ml"; rule = "D010"; line = 5; sym = None } ]
   in
   let result =
-    Driver.run ~baseline ~only:[ "D014" ] ~dirs:[ "fixtures" ] ~force_lib:true
+    Driver.run ~baseline ~only:[ "D014" ] ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
       ~root:fixtures_root ()
   in
   Alcotest.(check int)
@@ -687,6 +713,7 @@ let () =
         [
           Alcotest.test_case "D011 hot-path allocation chain" `Quick test_d011_hotpath_chain;
           Alcotest.test_case "D011 DFS worklist loop" `Quick test_d011_dfs_loop;
+          Alcotest.test_case "D011 roots must name functions" `Quick test_d011_roots_resolve;
           Alcotest.test_case "D012 domain escapes and RMW" `Quick test_d012_escapes;
           Alcotest.test_case "D013 quadratic accumulation" `Quick test_d013_quadratic;
           Alcotest.test_case "catalog fully covered by fixtures" `Quick test_catalog_coverage;

@@ -389,17 +389,25 @@ let sites_of_binding (e0 : Parsetree.expression) : site list =
 type file = { input : Callgraph.input; hot_lines : int list }
 
 let findings (files : file list) (g : Callgraph.t) ~(roots : string list) : Finding.t list =
-  (* Per-node allocation sites, and the hot roots the annotations name. *)
+  (* Per-node allocation sites, the hot roots the annotations name, and
+     every binding that is a syntactic function. *)
   let node_sites : (string * string * site list) list ref = ref [] in
   let annotated = ref [] in
+  let functions = ref SS.empty in
   List.iter
     (fun f ->
       Callgraph.iter_bindings f.input (fun ~id ~line ~is_rec:_ body ->
           if Suppress.marks_hot f.hot_lines ~line then annotated := id :: !annotated;
+          if Option.is_some (peel_fun body SS.empty) then functions := SS.add id !functions;
           match sites_of_binding body with
           | [] -> ()
           | sites -> node_sites := (id, f.input.Callgraph.rel, sites) :: !node_sites))
     files;
+  List.iter
+    (fun r ->
+      if not (SS.mem r !functions) then
+        invalid_arg (Printf.sprintf "hot-path root %s names no function in the scanned files" r))
+    roots;
   let roots = List.sort_uniq String.compare (roots @ !annotated) in
   let seeds =
     List.map

@@ -26,11 +26,19 @@ let default_dirs = [ "lib"; "bin"; "bench"; "stress" ]
 let wallclock_allowlist = [ "lib/obs/instrument.ml" ]
 
 (* D011 hot roots that hold even if an annotation comment drifts: the
-   engine's step dispatch and the per-tick delivery path must stay
-   allocation-free for the million-philosopher target. In-source
-   [(* simlint: hotpath *)] annotations extend this set; [--hotpath ID]
-   on the CLI extends it further. *)
-let default_hotpath_roots = [ "Dsim.Engine.step"; "Dsim.Engine.deliver_ripe"; "Dsim.Vec.add_last" ]
+   engine's step dispatch and its per-tick delivery path, the wheel turn
+   and the per-packet delivery. In-source [(* simlint: hotpath *)]
+   annotations extend this set; [--hotpath ID] on the CLI extends it
+   further. Every root given here or on the CLI must name a function of
+   the scanned files, or the run fails: a root that names nothing would
+   silently check nothing. *)
+let default_hotpath_roots =
+  [
+    "Dsim.Engine.step";
+    "Dsim.Engine.turn_wheel";
+    "Dsim.Engine.deliver_packet";
+    "Dsim.Vec.add_last";
+  ]
 
 let read_file path =
   let ic = open_in_bin path in
