@@ -69,11 +69,10 @@ mc-smoke: build
 		--out /tmp/dinersim-mc-repro --report /tmp/dinersim-mc-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-mc-smoke.json
 
-# Refresh the committed benchmark snapshot. Medians over --trials runs;
-# the extra trials execute on the worker pool, and the recorded `jobs`
-# field documents the pool width used for the refresh.
+# Refresh the committed benchmark snapshot. Medians over --trials runs,
+# timed one after another so no trial shares the cores with another.
 bench-smoke: build
-	dune exec bench/main.exe -- --trials 3 -j $(J)
+	dune exec bench/main.exe -- --trials 3
 
 # Engine scaling curve, n = 10^2..10^5 (ring of hygienic diners, fixed
 # total proc-tick budget — see DESIGN.md "Engine at scale"). Written to
@@ -82,7 +81,7 @@ bench-smoke: build
 # also live in the full suite, so regressions are gated there.
 bench-scale: build
 	dune exec bench/main.exe -- scale2 scale3 scale4 scale5 \
-		--trials 3 -j $(J) --out _build/bench-scale.json
+		--trials 3 --out _build/bench-scale.json
 
 # Perf-regression gate: stash the committed snapshot, run a fresh
 # bench-smoke (which overwrites BENCH_dining.json in place), and diff the

@@ -35,11 +35,21 @@ let f1 () =
     Printf.printf "  %-6s %s\n" label cells
   in
   Printf.printf "\n  eating sessions, t in [%d, %d), %d ticks per column:\n\n" w0 w1 scale;
-  let intervals inst pid = Trace.eating_intervals (Engine.trace engine) ~instance:inst ~pid ~horizon in
-  row "p.w0" (intervals pair.Reduction.Pair.dx_instances.(0) 0);
-  row "q.s0" (intervals pair.Reduction.Pair.dx_instances.(0) 1);
-  row "p.w1" (intervals pair.Reduction.Pair.dx_instances.(1) 0);
-  row "q.s1" (intervals pair.Reduction.Pair.dx_instances.(1) 1);
+  let indexes =
+    Array.map
+      (fun instance -> Dining.Monitor.Index.build (Engine.trace engine) ~instance)
+      pair.Reduction.Pair.dx_instances
+  in
+  let intervals i pid =
+    let acc = ref [] in
+    Dining.Monitor.Index.iter_segments indexes.(i) ~pid ~horizon (fun a b ph ->
+        if Types.phase_equal ph Types.Eating then acc := (a, b) :: !acc);
+    !acc
+  in
+  row "p.w0" (intervals 0 0);
+  row "q.s0" (intervals 0 1);
+  row "p.w1" (intervals 1 0);
+  row "q.s1" (intervals 1 1);
   (* The gray regions of Figure 1: some subject is always eating. *)
   let l8 =
     List.find
@@ -54,7 +64,7 @@ let f1 () =
   let l12 =
     List.find
       (fun r -> r.Reduction.Lemmas.lemma = "L12")
-      (Reduction.Lemmas.trace_reports ~engine ~pair)
+      (Reduction.Lemmas.trace_reports_on ~indexes ~engine ~pair)
   in
   Printf.printf "  witness alternation (Lemma 12): %s   [%s]\n" l12.Reduction.Lemmas.info
     (Util.ok_fail (Reduction.Lemmas.ok l12))
@@ -391,12 +401,11 @@ let k1 () =
       done;
       (match crash with Some at -> Engine.schedule_crash engine 2 ~at | None -> ());
       Engine.run engine ~until:30000;
-      let trace = Engine.trace engine in
-      let k = Dining.Monitor.max_overtaking trace ~instance:"kf" ~graph ~after:15000 ~horizon:30000 in
-      let wf = Dining.Monitor.wait_freedom trace ~instance:"kf" ~n ~horizon:30000 ~slack:6000 in
+      let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance:"kf" in
+      let k = Dining.Monitor.Index.max_overtaking ix ~graph ~after:15000 ~horizon:30000 in
+      let wf = Dining.Monitor.Index.wait_freedom ix ~n ~horizon:30000 ~slack:6000 in
       let wx =
-        Dining.Monitor.eventual_weak_exclusion trace ~instance:"kf" ~graph ~horizon:30000
-          ~suffix_from:15000
+        Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon:30000 ~suffix_from:15000
       in
       rows :=
         [
@@ -685,17 +694,11 @@ let fl () =
     build engine;
     Engine.schedule_crash engine 0 ~at:1000;
     Engine.run engine ~until:horizon;
-    let trace = Engine.trace engine in
-    let violations =
-      List.length (Dining.Monitor.exclusion_violations trace ~instance:"d" ~graph ~horizon)
-    in
-    let last_violation =
-      Dining.Monitor.last_violation_time trace ~instance:"d" ~graph ~horizon
-    in
-    let loc =
-      Dining.Monitor.failure_locality trace ~instance:"d" ~graph ~horizon ~slack:4000
-    in
-    let starved = Dining.Monitor.starved trace ~instance:"d" ~n ~horizon ~slack:4000 in
+    let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance:"d" in
+    let violations = List.length (Dining.Monitor.Index.exclusion_violations ix ~graph ~horizon) in
+    let last_violation = Dining.Monitor.Index.last_violation_time ix ~graph ~horizon in
+    let loc = Dining.Monitor.Index.failure_locality ix ~graph ~horizon ~slack:4000 in
+    let starved = Dining.Monitor.Index.starved ix ~n ~horizon ~slack:4000 in
     [
       label;
       (if violations = 0 then "perpetual"

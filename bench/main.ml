@@ -2,7 +2,7 @@
 
      dune exec bench/main.exe                  # every experiment + micro benches
      dune exec bench/main.exe -- t1 v1         # selected experiments
-     dune exec bench/main.exe -- --trials 5 -j 4   # median of 5 timings
+     dune exec bench/main.exe -- --trials 5    # median of 5 timings
 
    One entry per artifact of the paper; see the per-experiment index in
    DESIGN.md and the measured-vs-paper discussion in EXPERIMENTS.md.
@@ -12,12 +12,12 @@
    experiment run, schema "dinersim-bench/1". This file is the perf
    trajectory anchor — successive PRs append comparable snapshots.
 
-   --trials T re-runs every experiment T times and records the median
-   wall time (first trial prints normally; re-runs go to /dev/null).
-   -j/--jobs spreads the re-runs over that many worker domains
-   (default 1: contention-free timings). The bench file is wall-clock
-   trajectory data, never canonical — trials and jobs are recorded in
-   it so snapshots are comparable. *)
+   --trials T re-runs every experiment T times, one after another, and
+   records the median wall time (first trial prints normally; re-runs go
+   to /dev/null). Trials never overlap, so no timing shares the machine
+   with another trial. The bench file is wall-clock trajectory data,
+   never canonical — the trial count is recorded in it so snapshots are
+   comparable. *)
 
 let registry =
   [
@@ -43,7 +43,7 @@ let registry =
 
 let usage () =
   print_endline
-    "usage: main.exe [--trials T] [-j N] [--out FILE] [experiment ...]\n\
+    "usage: main.exe [--trials T] [--out FILE] [experiment ...]\n\
      available experiments:";
   List.iter (fun (key, doc, _) -> Printf.printf "  %-8s %s\n" key doc) registry;
   print_endline "  all      run everything (default)"
@@ -61,7 +61,7 @@ let time_run f =
 
 (* Re-run trials repeat the experiments for timing only; their narrative
    output duplicates the first trial's, so fd 1 points at /dev/null for
-   the duration (process-wide, hence also for every worker domain). *)
+   the duration. *)
 let with_quiet_stdout f =
   flush stdout;
   let saved = Unix.dup Unix.stdout in
@@ -75,22 +75,13 @@ let with_quiet_stdout f =
       Unix.close saved)
     f
 
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else if n land 1 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let write_bench ~out ~trials ~jobs entries =
+let write_bench ~out ~trials entries =
   let j =
     Obs.Json.Obj
       [
         ("schema", Obs.Json.Str "dinersim-bench/1");
         ("suite", Obs.Json.Str "dining");
         ("trials", Obs.Json.Int trials);
-        ("jobs", Obs.Json.Int jobs);
         ("experiments", Obs.Json.Arr entries);
       ]
   in
@@ -100,60 +91,36 @@ let write_bench ~out ~trials ~jobs entries =
     (fun () -> output_string oc (Obs.Json.to_string_pretty j));
   Printf.printf "\nbench report written to %s\n" out
 
-(* Bechamel stabilizes the major heap before sampling and fails if it
-   cannot — impossible while sibling worker domains allocate — and it is
-   already a statistical harness of its own, so "micro" gets exactly one
-   wall sample and never rides the re-trial pool. *)
+(* Bechamel stabilizes the major heap before sampling and is already a
+   statistical harness of its own, so "micro" gets exactly one wall
+   sample. *)
 let retrials_p (key, _, _) = key <> "micro"
 
-let run_selected ~out ~trials ~jobs entries =
-  let entries = Array.of_list entries in
-  (* Trial 0 runs sequentially with normal output — the experiment text is
-     part of the harness's human contract. *)
-  let first = Array.map (fun (_, _, f) -> time_run f) entries in
-  (* Extra trials are timing-only; pool item [i] re-runs poolable
-     experiment [i mod m], so merging back in index order groups trials
-     per experiment. *)
-  let pooled =
-    Array.of_list
-      (List.filteri
-         (fun i _ -> retrials_p entries.(i))
-         (List.init (Array.length entries) Fun.id))
-  in
-  let m = Array.length pooled in
+let run_selected ~out ~trials entries =
+  (* Trial 0 runs with normal output — the experiment text is part of
+     the harness's human contract; the extra trials are timing-only. *)
+  let first = List.map (fun (_, _, f) -> time_run f) entries in
   let extra =
-    if trials <= 1 || m = 0 then [||]
-    else
-      with_quiet_stdout (fun () ->
-          Exec.Pool.map ~jobs
-            (m * (trials - 1))
-            (fun i ->
-              let _, _, f = entries.(pooled.(i mod m)) in
-              time_run f))
+    with_quiet_stdout (fun () ->
+        List.map
+          (fun ((_, _, f) as e) ->
+            if retrials_p e then List.init (trials - 1) (fun _ -> time_run f) else [])
+          entries)
   in
   let json =
-    Array.to_list
-      (Array.mapi
-         (fun i (key, doc, _) ->
-           let walls =
-             Array.of_list
-               (first.(i)
-               :: List.filteri
-                    (fun j _ -> pooled.(j mod m) = i)
-                    (Array.to_list extra))
-           in
-           Obs.Json.Obj
-             [
-               ("key", Obs.Json.Str key);
-               ("doc", Obs.Json.Str doc);
-               ("wall_s", Obs.Json.Float (median walls));
-               ( "walls_s",
-                 Obs.Json.Arr
-                   (Array.to_list (Array.map (fun w -> Obs.Json.Float w) walls)) );
-             ])
-         entries)
+    List.map2
+      (fun (key, doc, _) walls ->
+        Obs.Json.Obj
+          [
+            ("key", Obs.Json.Str key);
+            ("doc", Obs.Json.Str doc);
+            ("wall_s", Obs.Json.Float (Core.Batch.Stats.of_floats walls).Core.Batch.Stats.median);
+            ("walls_s", Obs.Json.Arr (List.map (fun w -> Obs.Json.Float w) walls));
+          ])
+      entries
+      (List.map2 (fun w ws -> w :: ws) first extra)
   in
-  write_bench ~out ~trials ~jobs json
+  write_bench ~out ~trials json
 
 let () =
   let or_die = function
@@ -166,24 +133,21 @@ let () =
   let trials, args =
     or_die (Core.Cmdline.extract_int_flag ~names:[ "--trials" ] ~default:1 args)
   in
-  let jobs, args =
-    or_die (Core.Cmdline.extract_int_flag ~names:[ "-j"; "--jobs" ] ~default:1 args)
-  in
   (* --out keeps partial-suite runs (e.g. `make bench-scale`) from
      clobbering the committed full-suite snapshot the perf gate diffs
      against. *)
   let out, keys =
     or_die (Core.Cmdline.extract_string_flag ~names:[ "--out" ] ~default:default_bench_path args)
   in
-  if trials < 1 || jobs < 1 then begin
-    Printf.eprintf "bench: --trials and -j must be at least 1\n";
+  if trials < 1 then begin
+    Printf.eprintf "bench: --trials must be at least 1\n";
     exit 2
   end;
   match keys with
-  | [] | [ "all" ] -> run_selected ~out ~trials ~jobs registry
+  | [] | [ "all" ] -> run_selected ~out ~trials registry
   | keys ->
       let unknown = List.filter (fun k -> not (List.exists (fun (key, _, _) -> key = k) registry)) keys in
       if unknown <> [] || List.mem "--help" keys || List.mem "help" keys then usage ()
       else
-        run_selected ~out ~trials ~jobs
+        run_selected ~out ~trials
           (List.map (fun k -> List.find (fun (key, _, _) -> key = k) registry) keys)

@@ -50,7 +50,8 @@ let bench_trace_scan () =
   let graph = run.Core.Scenario.graph in
   Test.make ~name:"monitor exclusion-scan 5k ticks"
     (Staged.stage (fun () ->
-         ignore (Dining.Monitor.exclusion_violations trace ~instance:"dx" ~graph ~horizon:5000)))
+         let ix = Dining.Monitor.Index.build trace ~instance:"dx" in
+         ignore (Dining.Monitor.Index.exclusion_violations ix ~graph ~horizon:5000)))
 
 let bench_deliver_backlog () =
   (* Regression bench for the deliver_ripe rewrite: with a wide delay

@@ -329,104 +329,52 @@ let extract_cmd =
 (* ------------------------------------------------------------------ *)
 (* dining *)
 
+(* The dining algorithms of Check.Runner.default_registry, in --algo's
+   order, with the names the summary prints. *)
+let dining_algos =
+  [ ("hygienic", "hygienic"); ("wf", "wf-◇wx"); ("kfair", "k-fair"); ("ftme", "ftme"); ("fl1", "fl1") ]
+
 let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trace_out report =
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary () in
   let obs = obs_install engine ~trace_out ~report in
-  let register_clients handle pid =
-    let ctx = Engine.ctx engine pid in
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
-  in
   let instance = "din" in
-  (match algo with
-  | `Hygienic ->
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, handle, _ = Dining.Hygienic.component ctx ~instance ~graph () in
-        Engine.register engine pid comp;
-        register_clients handle pid
-      done
-  | `Wf | `Kfair | `Fl1 ->
-      let suspects = Core.Scenario.evp_suspects engine ~n ~windows:[] in
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, handle =
-          match algo with
-          | `Wf ->
-              let c, h, _ =
-                Dining.Wf_ewx.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-              in
-              (c, h)
-          | `Fl1 -> Dining.Fl1.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-          | `Kfair | `Hygienic | `Ftme ->
-              let c, h, _ =
-                Dining.Kfair.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-              in
-              (c, h)
-        in
-        Engine.register engine pid comp;
-        register_clients handle pid
-      done
-  | `Ftme ->
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, oracle =
-          Detectors.Ground_truth.trusting ctx ~peers:(List.init n Fun.id) ()
-        in
-        Engine.register engine pid comp;
-        let dcomp, handle, _ =
-          Dining.Ftme.component ctx ~instance ~members:(List.init n Fun.id)
-            ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-            ()
-        in
-        Engine.register engine pid dcomp;
-        register_clients handle pid
-      done);
+  (List.assoc algo Check.Runner.default_registry) engine ~graph ~instance ~eat_ticks;
   apply_crashes engine crashes;
   Engine.run engine ~until:horizon;
   maybe_dump engine dump;
   maybe_csv engine csv;
-  let trace = Engine.trace engine in
+  let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance in
   Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
-    (match algo with
-    | `Hygienic -> "hygienic" | `Wf -> "wf-◇wx" | `Kfair -> "k-fair" | `Ftme -> "ftme"
-    | `Fl1 -> "fl1")
-    n
+    (List.assoc algo dining_algos) n
     (List.length (Graphs.Conflict_graph.edges graph))
     adversary.Adversary.name horizon;
   for pid = 0 to n - 1 do
     Printf.printf "  p%d: %d meals%s\n" pid
-      (Dining.Monitor.eat_count trace ~instance ~pid)
+      (Dining.Monitor.Index.eat_count ix ~pid)
       (if Engine.is_live engine pid then "" else " (crashed)")
   done;
-  let violations = Dining.Monitor.exclusion_violations trace ~instance ~graph ~horizon in
+  let violations = Dining.Monitor.Index.exclusion_violations ix ~graph ~horizon in
   Printf.printf "exclusion violations: %d%s\n" (List.length violations)
-    (match Dining.Monitor.last_violation_time trace ~instance ~graph ~horizon with
-    | Some t -> Printf.sprintf " (last at t=%d)" t
-    | None -> "");
-  let wf = Dining.Monitor.wait_freedom trace ~instance ~n ~horizon ~slack:(horizon / 5) in
+    (match List.rev violations with
+    | v :: _ -> Printf.sprintf " (last at t=%d)" v.Dining.Monitor.at
+    | [] -> "");
+  let wf = Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 5) in
   Format.printf "wait-freedom: %a@." Detectors.Properties.pp_verdict wf;
   Printf.printf "max suffix overtaking (after t=%d): %d\n" (horizon / 2)
-    (Dining.Monitor.max_overtaking trace ~instance ~graph ~after:(horizon / 2) ~horizon);
+    (Dining.Monitor.Index.max_overtaking ix ~graph ~after:(horizon / 2) ~horizon);
   Printf.printf "crash locality: %s; fairness index: %.2f\n"
-    (match
-       Dining.Monitor.failure_locality trace ~instance ~graph ~horizon ~slack:(horizon / 5)
-     with
+    (match Dining.Monitor.Index.failure_locality ix ~graph ~horizon ~slack:(horizon / 5) with
     | Some l -> string_of_int l
     | None -> "unbounded")
-    (Dining.Monitor.fairness_index trace ~instance ~pids:(List.init n Fun.id));
+    (Dining.Monitor.Index.fairness_index ix ~pids:(List.init n Fun.id));
   let wx =
-    Dining.Monitor.eventual_weak_exclusion trace ~instance ~graph ~horizon
-      ~suffix_from:(horizon / 2)
+    Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:(horizon / 2)
   in
   obs_finish obs ~cmd:"dining" ~seed ~horizon
     ~config:
       [
-        ( "algo",
-          Obs.Json.Str
-            (match algo with
-            | `Hygienic -> "hygienic" | `Wf -> "wf" | `Kfair -> "kfair" | `Ftme -> "ftme"
-            | `Fl1 -> "fl1") );
+        ("algo", Obs.Json.Str algo);
         ("n", Obs.Json.Int n);
         ("edges", Obs.Json.Int (List.length (Graphs.Conflict_graph.edges graph)));
         ("adversary", Obs.Json.Str adversary.Adversary.name);
@@ -444,11 +392,7 @@ let dining_cmd =
     let doc = "Algorithm: hygienic | wf | kfair | ftme | fl1." in
     Arg.(
       value
-      & opt
-          (enum
-             [ ("hygienic", `Hygienic); ("wf", `Wf); ("kfair", `Kfair); ("ftme", `Ftme);
-               ("fl1", `Fl1) ])
-          `Wf
+      & opt (enum (List.map (fun (name, _) -> (name, name)) dining_algos)) "wf"
       & info [ "algo" ] ~doc)
   in
   let eat_t =
@@ -1093,7 +1037,13 @@ let run_trace input output horizon =
     | Some p -> p
     | None -> Filename.remove_extension input ^ ".perfetto.json"
   in
-  let j = Obs.Span.chrome_of_trace ?horizon trace in
+  let j =
+    match Obs.Span.chrome_of_trace ?horizon trace with
+    | j -> j
+    | exception Invalid_argument msg ->
+        Printf.eprintf "%s: %s\n" input msg;
+        exit 2
+  in
   let events =
     match Obs.Json.find j "traceEvents" with Some (Obs.Json.Arr l) -> List.length l | _ -> 0
   in

@@ -35,6 +35,3 @@ let changes trace ~pid =
 
 let stabilisation_time trace ~pid =
   match List.rev (changes trace ~pid) with [] -> None | (t, _) :: _ -> Some t
-
-let final_leader trace ~pid =
-  match List.rev (changes trace ~pid) with [] -> None | (_, l) :: _ -> Some l

@@ -24,5 +24,3 @@ val stabilisation_time :
   Dsim.Trace.t -> pid:Dsim.Types.pid -> Dsim.Types.time option
 (** Time of the last leader change logged by that process ([None] if it
     never elected anyone). *)
-
-val final_leader : Dsim.Trace.t -> pid:Dsim.Types.pid -> Dsim.Types.pid option

@@ -43,8 +43,6 @@ let seeds ?(base = 42) n = List.init n (fun i -> Int64.of_int (base + (i * 7919)
 
 let sweep ~seeds f = List.map (fun seed -> f ~seed) seeds
 
-let sweep_stats ~seeds f = Stats.of_floats (sweep ~seeds f)
-
 let count_where ~seeds f =
   let hits = List.length (List.filter (fun seed -> f ~seed) seeds) in
   (hits, List.length seeds)

@@ -28,7 +28,5 @@ val seeds : ?base:int -> int -> int64 list
 val sweep : seeds:int64 list -> (seed:int64 -> 'a) -> 'a list
 (** Run the experiment body once per seed, collecting results. *)
 
-val sweep_stats : seeds:int64 list -> (seed:int64 -> float) -> Stats.t
-
 val count_where : seeds:int64 list -> (seed:int64 -> bool) -> int * int
 (** [(hits, total)]. *)

@@ -97,18 +97,13 @@ let box_checks candidate ~seed ~horizon =
   done;
   Engine.schedule_crash engine 1 ~at:(horizon / 4);
   Engine.run engine ~until:horizon;
-  let trace = Engine.trace engine in
-  let wf =
-    Dining.Monitor.wait_freedom trace ~instance:"cert" ~n:2 ~horizon ~slack:(horizon / 4)
-  in
+  let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance:"cert" in
+  let wf = Dining.Monitor.Index.wait_freedom ix ~n:2 ~horizon ~slack:(horizon / 4) in
   let wx =
-    Dining.Monitor.eventual_weak_exclusion trace ~instance:"cert" ~graph ~horizon
-      ~suffix_from:(horizon / 2)
+    Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:(horizon / 2)
   in
-  let meals = Dining.Monitor.eat_count trace ~instance:"cert" ~pid:0 in
-  let ex =
-    Dining.Monitor.exiting_finite trace ~instance:"cert" ~n:2 ~horizon ~slack:(horizon / 4)
-  in
+  let meals = Dining.Monitor.Index.eat_count ix ~pid:0 in
+  let ex = Dining.Monitor.Index.exiting_finite ix ~n:2 ~horizon ~slack:(horizon / 4) in
   [
     {
       label = Printf.sprintf "exiting is finite (seed %Ld)" seed;

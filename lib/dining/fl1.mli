@@ -21,7 +21,7 @@
     converges, exactly the crashed processes' neighbors can remain doomed.
 
     Checked by tests/benches: perpetual weak exclusion on every run; after
-    convergence {!Monitor.failure_locality} is 0 without crashes and <= 1
+    convergence {!Monitor.Index.failure_locality} is 0 without crashes and <= 1
     with them, against unbounded starvation chains for the no-detector
     baseline. *)
 

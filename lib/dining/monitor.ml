@@ -6,340 +6,328 @@ type violation = {
   q : Types.pid;
 }
 
-(* ------------------------------------------------------------------ *)
-(* The phase index: one instance's transitions regrouped by diner.
+module Index = struct
+  (* One instance's transitions regrouped by diner.
 
-   Two linear passes over the trace (count, then fill) lay the
-   transitions out in compressed rows: diner [p]'s are
-   [trans.(off.(p)) .. trans.(off.(p + 1) - 1)], in trace order, each
-   one int packing the tick and the phase entered ([at * 4 + code]).
-   Sizes are exact, so building never grows an array. Every check below
-   reads segments, eating intervals and meal counts off this one layout,
-   replaying Trace.phase_timeline's segment rule. *)
+     Two linear passes over the trace (count, then fill) lay the
+     transitions out in compressed rows: diner [p]'s are
+     [trans.(off.(p)) .. trans.(off.(p + 1) - 1)], in trace order, each
+     one int packing the tick and the phase entered ([at * 4 + code]).
+     Sizes are exact, so building never grows an array. Every reader
+     below takes segments, eating intervals and meal counts off this one
+     layout. *)
 
-let code = function
-  | Types.Thinking -> 0
-  | Types.Hungry -> 1
-  | Types.Eating -> 2
-  | Types.Exiting -> 3
+  let code = function
+    | Types.Thinking -> 0
+    | Types.Hungry -> 1
+    | Types.Eating -> 2
+    | Types.Exiting -> 3
 
-let hungry = code Types.Hungry
-let eating = code Types.Eating
-let exiting = code Types.Exiting
-let never = max_int (* crash time of a diner that never crashes *)
+  let phase_of_code = [| Types.Thinking; Types.Hungry; Types.Eating; Types.Exiting |]
+  let thinking = code Types.Thinking
+  let hungry = code Types.Hungry
+  let eating = code Types.Eating
+  let exiting = code Types.Exiting
+  let never = max_int (* crash time of a diner that never crashes *)
 
-type index = {
-  instance : string;
-  off : int array; (* length npids + 1 *)
-  trans : int array;
-  crash : int array; (* first crash per pid, [never] if none *)
-}
-
-(* [a] with room for index [i], new slots [fill]. *)
-let grown a i fill =
-  if i < Array.length a then a
-  else begin
-    let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let build trace ~instance =
-  let counts = ref [||] and crash = ref [||] in
-  Trace.iter trace (fun (e : Trace.entry) ->
-      match e.Trace.ev with
-      | Trace.Transition { instance = i; pid; _ } when pid >= 0 && String.equal i instance ->
-          counts := grown !counts pid 0;
-          !counts.(pid) <- !counts.(pid) + 1
-      | Trace.Crash { pid } when pid >= 0 ->
-          crash := grown !crash pid never;
-          if !crash.(pid) = never then !crash.(pid) <- e.Trace.at
-      | _ -> ());
-  let counts = !counts in
-  let npids = Array.length counts in
-  let off = Array.make (npids + 1) 0 in
-  for p = 0 to npids - 1 do
-    off.(p + 1) <- off.(p) + counts.(p)
-  done;
-  let trans = Array.make off.(npids) 0 in
-  let fill = Array.sub off 0 npids in
-  Trace.iter trace (fun (e : Trace.entry) ->
-      match e.Trace.ev with
-      | Trace.Transition { instance = i; pid; to_; _ } when pid >= 0 && String.equal i instance ->
-          let k = fill.(pid) in
-          (* The merge and the overtaking count need each diner's
-             intervals in time order. *)
-          if k > off.(pid) && e.Trace.at < trans.(k - 1) asr 2 then
-            invalid_arg "Dining.Monitor: a diner's transitions go back in time";
-          trans.(k) <- (e.Trace.at * 4) + code to_;
-          fill.(pid) <- k + 1
-      | _ -> ());
-  { instance; off; trans; crash = !crash }
-
-let npids ix = Array.length ix.off - 1
-let row_start ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid) else 0
-let row_stop ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid + 1) else 0
-let crash_time ix pid = if pid >= 0 && pid < Array.length ix.crash then ix.crash.(pid) else never
-let crashed ix pid = crash_time ix pid <> never
-
-(* A cursor over diner [pid]'s phase history: after [next] returns
-   true, [a, b) is the next segment and [ph] its phase. Segments are cut
-   the way Trace.phase_timeline cuts them: a transition at [t] ends the
-   current segment when [t] is past its start, and the last segment runs
-   to the horizon when it starts before it. Diners start Thinking at 0. *)
-type segments = {
-  ix : index;
-  horizon : Types.time;
-  stop : int; (* end of the row *)
-  mutable k : int; (* next transition; [stop + 1] once the horizon segment is out *)
-  mutable phase : int; (* phase entered at [since], not yet emitted *)
-  mutable since : Types.time;
-  mutable a : Types.time;
-  mutable b : Types.time;
-  mutable ph : int;
-}
-
-let segments ix pid ~horizon =
-  {
-    ix;
-    horizon;
-    stop = row_stop ix pid;
-    k = row_start ix pid;
-    phase = code Types.Thinking;
-    since = 0;
-    a = 0;
-    b = 0;
-    ph = 0;
+  type t = {
+    instance : string;
+    off : int array; (* length npids + 1 *)
+    trans : int array;
+    first : int array; (* per pid, the code of its first transition's [from_] *)
+    crash : int array; (* first crash per pid, [never] if none *)
   }
 
-let rec next s =
-  if s.k < s.stop then begin
-    let x = s.ix.trans.(s.k) in
-    let start = s.since and ph = s.phase in
-    s.k <- s.k + 1;
-    s.phase <- x land 3;
-    s.since <- x asr 2;
-    if s.since > start then begin
-      s.a <- start;
-      s.b <- s.since;
-      s.ph <- ph;
+  (* [a] with room for index [i], new slots [fill]. *)
+  let grown a i fill =
+    if i < Array.length a then a
+    else begin
+      let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  let build trace ~instance =
+    let counts = ref [||] and crash = ref [||] in
+    Trace.iter trace (fun (e : Trace.entry) ->
+        match e.Trace.ev with
+        | Trace.Transition { instance = i; pid; _ } when pid >= 0 && String.equal i instance ->
+            counts := grown !counts pid 0;
+            !counts.(pid) <- !counts.(pid) + 1
+        | Trace.Crash { pid } when pid >= 0 ->
+            crash := grown !crash pid never;
+            if !crash.(pid) = never then !crash.(pid) <- e.Trace.at
+        | _ -> ());
+    let counts = !counts in
+    let npids = Array.length counts in
+    let off = Array.make (npids + 1) 0 in
+    for p = 0 to npids - 1 do
+      off.(p + 1) <- off.(p) + counts.(p)
+    done;
+    let trans = Array.make off.(npids) 0 and first = Array.make npids thinking in
+    let fill = Array.sub off 0 npids in
+    Trace.iter trace (fun (e : Trace.entry) ->
+        match e.Trace.ev with
+        | Trace.Transition { instance = i; pid; from_; to_ }
+          when pid >= 0 && String.equal i instance ->
+            let k = fill.(pid) in
+            (* The merge and the overtaking count need each diner's
+               intervals in time order. *)
+            if k > off.(pid) && e.Trace.at < trans.(k - 1) asr 2 then
+              invalid_arg "Dining.Monitor: a diner's transitions go back in time";
+            if k = off.(pid) then first.(pid) <- code from_;
+            trans.(k) <- (e.Trace.at * 4) + code to_;
+            fill.(pid) <- k + 1
+        | _ -> ());
+    { instance; off; trans; first; crash = !crash }
+
+  let npids ix = Array.length ix.off - 1
+  let row_start ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid) else 0
+  let row_stop ix pid = if pid >= 0 && pid < npids ix then ix.off.(pid + 1) else 0
+  let crash_time ix pid = if pid >= 0 && pid < Array.length ix.crash then ix.crash.(pid) else never
+  let crashed ix pid = crash_time ix pid <> never
+
+  (* A cursor over diner [pid]'s phase history: after [next] returns
+     true, [a, b) is the next segment and [ph] its phase. A transition at
+     [t] ends the current segment when [t] is past its start, and the
+     last segment runs to the horizon when it starts before it. The
+     diner holds [initial] from tick 0 to its first transition. *)
+  type segments = {
+    ix : t;
+    horizon : Types.time;
+    stop : int; (* end of the row *)
+    mutable k : int; (* next transition; [stop + 1] once the horizon segment is out *)
+    mutable phase : int; (* phase entered at [since], not yet emitted *)
+    mutable since : Types.time;
+    mutable a : Types.time;
+    mutable b : Types.time;
+    mutable ph : int;
+  }
+
+  let segments ?(initial = thinking) ix pid ~horizon =
+    {
+      ix;
+      horizon;
+      stop = row_stop ix pid;
+      k = row_start ix pid;
+      phase = initial;
+      since = 0;
+      a = 0;
+      b = 0;
+      ph = 0;
+    }
+
+  let rec next s =
+    if s.k < s.stop then begin
+      let x = s.ix.trans.(s.k) in
+      let start = s.since and ph = s.phase in
+      s.k <- s.k + 1;
+      s.phase <- x land 3;
+      s.since <- x asr 2;
+      if s.since > start then begin
+        s.a <- start;
+        s.b <- s.since;
+        s.ph <- ph;
+        true
+      end
+      else next s
+    end
+    else if s.k = s.stop && s.since < s.horizon then begin
+      s.k <- s.stop + 1;
+      s.a <- s.since;
+      s.b <- s.horizon;
+      s.ph <- s.phase;
       true
     end
-    else next s
-  end
-  else if s.k = s.stop && s.since < s.horizon then begin
-    s.k <- s.stop + 1;
-    s.a <- s.since;
-    s.b <- s.horizon;
-    s.ph <- s.phase;
-    true
-  end
-  else false
+    else false
 
-let iter_segments ix pid ~horizon f =
-  let s = segments ix pid ~horizon in
-  while next s do
-    f s.a s.b s.ph
-  done
+  let iter_codes ix pid ~horizon f =
+    let s = segments ix pid ~horizon in
+    while next s do
+      f s.a s.b s.ph
+    done
 
-let eat_count_ix ix ~pid =
-  let meals = ref 0 in
-  for k = row_start ix pid to row_stop ix pid - 1 do
-    if ix.trans.(k) land 3 = eating then incr meals
-  done;
-  !meals
+  let iter_segments ix ~pid ~horizon f =
+    iter_codes ix pid ~horizon (fun a b ph -> f a b phase_of_code.(ph))
 
-(* [f a] for every segment of [pid] in phase [c] that reaches the
-   horizon and began before [horizon - slack]. *)
-let iter_stuck ix pid ~horizon ~slack c f =
-  iter_segments ix pid ~horizon (fun a b ph ->
-      if ph = c && b >= horizon && a < horizon - slack then f a)
+  let iter_spans ix ~horizon f =
+    for pid = 0 to npids ix - 1 do
+      if row_stop ix pid > row_start ix pid then begin
+        let s = segments ~initial:ix.first.(pid) ix pid ~horizon in
+        while next s do
+          (* [s.k] passes [s.stop] only for the segment the horizon cuts. *)
+          f pid s.a s.b phase_of_code.(s.ph) (s.k <= s.stop)
+        done
+      end
+    done
 
-let verdict details = { Detectors.Properties.holds = details = []; details }
+  let eat_count ix ~pid =
+    let meals = ref 0 in
+    for k = row_start ix pid to row_stop ix pid - 1 do
+      if ix.trans.(k) land 3 = eating then incr meals
+    done;
+    !meals
 
-(* Details newest first: pids descending, later segments first. *)
-let stuck_verdict ix ~n ~horizon ~slack c describe =
-  let details = ref [] in
-  for pid = 0 to n - 1 do
-    if not (crashed ix pid) then
-      iter_stuck ix pid ~horizon ~slack c (fun a -> details := describe pid a :: !details)
-  done;
-  verdict !details
+  let eating_starts ix ~pid =
+    let starts = Array.make (eat_count ix ~pid) 0 and i = ref 0 in
+    for k = row_start ix pid to row_stop ix pid - 1 do
+      if ix.trans.(k) land 3 = eating then begin
+        starts.(!i) <- ix.trans.(k) asr 2;
+        incr i
+      end
+    done;
+    starts
 
-let wait_freedom_ix ix ~n ~horizon ~slack =
-  stuck_verdict ix ~n ~horizon ~slack hungry (fun pid a ->
-      Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)" ix.instance pid
-        a horizon)
+  (* [f a] for every segment of [pid] in phase [c] that reaches the
+     horizon and began before [horizon - slack]. *)
+  let iter_stuck ix pid ~horizon ~slack c f =
+    iter_codes ix pid ~horizon (fun a b ph ->
+        if ph = c && b >= horizon && a < horizon - slack then f a)
 
-let exiting_finite_ix ix ~n ~horizon ~slack =
-  stuck_verdict ix ~n ~horizon ~slack exiting (fun pid a ->
-      Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" ix.instance pid a)
+  let verdict details = { Detectors.Properties.holds = details = []; details }
 
-let live_eating_intervals_ix ix ~pid ~horizon =
-  let tc = crash_time ix pid and acc = ref [] in
-  iter_segments ix pid ~horizon (fun a b ph ->
-      if ph = eating && a < tc then acc := (a, if b < tc then b else tc) :: !acc);
-  List.rev !acc
+  (* Details newest first: pids descending, later segments first. *)
+  let stuck_verdict ix ~n ~horizon ~slack c describe =
+    let details = ref [] in
+    for pid = 0 to n - 1 do
+      if not (crashed ix pid) then
+        iter_stuck ix pid ~horizon ~slack c (fun a -> details := describe pid a :: !details)
+    done;
+    verdict !details
 
-let compare_violation v1 v2 =
-  match Int.compare v1.at v2.at with
-  | 0 -> ( match Int.compare v1.p v2.p with 0 -> Int.compare v1.q v2.q | c -> c)
-  | c -> c
+  let wait_freedom ix ~n ~horizon ~slack =
+    stuck_verdict ix ~n ~horizon ~slack hungry (fun pid a ->
+        Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)" ix.instance
+          pid a horizon)
 
-(* Moves [s] to its diner's next eating interval that starts before the
-   diner's crash [tc]; false when none is left (intervals are in time
-   order, so once one starts at or after [tc] all later ones do). A
-   crashed process is no longer live, so its intervals end at [tc]:
-   post-crash "eating" cannot violate ◇WX. *)
-let rec next_live_eating s ~tc =
-  next s && if s.ph = eating then s.a < tc else next_live_eating s ~tc
+  let exiting_finite ix ~n ~horizon ~slack =
+    stuck_verdict ix ~n ~horizon ~slack exiting (fun pid a ->
+        Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" ix.instance pid a)
 
-(* Each diner's live eating intervals are sorted and disjoint, so one
-   two-pointer merge per edge finds every overlapping pair: the interval
-   that ends first cannot overlap anything later in the other row. The
-   cost is linear in the two diners' transitions, where comparing every
-   pair of intervals was their product. *)
-let exclusion_violations_ix ix ~graph ~horizon =
-  let acc = ref [] in
-  List.iter
-    (fun (p, q) ->
-      let tp = crash_time ix p and tq = crash_time ix q in
-      let sp = segments ix p ~horizon and sq = segments ix q ~horizon in
-      let more_p = ref (next_live_eating sp ~tc:tp) and more_q = ref (next_live_eating sq ~tc:tq) in
-      while !more_p && !more_q do
-        let b1 = if sp.b < tp then sp.b else tp and b2 = if sq.b < tq then sq.b else tq in
-        let lo = if sp.a > sq.a then sp.a else sq.a and hi = if b1 < b2 then b1 else b2 in
-        if lo < hi then acc := { at = lo; p; q } :: !acc;
-        if b1 <= b2 then more_p := next_live_eating sp ~tc:tp
-        else more_q := next_live_eating sq ~tc:tq
-      done)
-    (Graphs.Conflict_graph.edges graph);
-  List.sort compare_violation !acc
+  let live_eating_intervals ix ~pid ~horizon =
+    let tc = crash_time ix pid and acc = ref [] in
+    iter_codes ix pid ~horizon (fun a b ph ->
+        if ph = eating && a < tc then acc := (a, if b < tc then b else tc) :: !acc);
+    List.rev !acc
 
-let eventual_weak_exclusion_ix ix ~graph ~horizon ~suffix_from =
-  exclusion_violations_ix ix ~graph ~horizon
-  |> List.filter (fun v -> v.at >= suffix_from)
-  |> List.map (fun v ->
-         Printf.sprintf "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
-           ix.instance v.p v.q v.at suffix_from)
-  |> verdict
+  let compare_violation v1 v2 =
+    match Int.compare v1.at v2.at with
+    | 0 -> ( match Int.compare v1.p v2.p with 0 -> Int.compare v1.q v2.q | c -> c)
+    | c -> c
 
-let starved_ix ix ~n ~horizon ~slack =
-  let acc = ref [] in
-  for pid = n - 1 downto 0 do
-    if not (crashed ix pid) then begin
-      let stuck = ref false in
-      iter_stuck ix pid ~horizon ~slack hungry (fun _ -> stuck := true);
-      if !stuck then acc := pid :: !acc
-    end
-  done;
-  !acc
+  (* Moves [s] to its diner's next eating interval that starts before the
+     diner's crash [tc]; false when none is left (intervals are in time
+     order, so once one starts at or after [tc] all later ones do). A
+     crashed process is no longer live, so its intervals end at [tc]:
+     post-crash "eating" cannot violate ◇WX. *)
+  let rec next_live_eating s ~tc =
+    next s && if s.ph = eating then s.a < tc else next_live_eating s ~tc
 
-(* Ticks at which [pid] entered Eating, in order. *)
-let eating_starts ix ~pid =
-  let starts = Array.make (eat_count_ix ix ~pid) 0 and i = ref 0 in
-  for k = row_start ix pid to row_stop ix pid - 1 do
-    if ix.trans.(k) land 3 = eating then begin
-      starts.(!i) <- ix.trans.(k) asr 2;
-      incr i
-    end
-  done;
-  starts
+  (* Each diner's live eating intervals are sorted and disjoint, so one
+     two-pointer merge per edge finds every overlapping pair: the interval
+     that ends first cannot overlap anything later in the other row. The
+     cost is linear in the two diners' transitions, where comparing every
+     pair of intervals was their product. *)
+  let exclusion_violations ix ~graph ~horizon =
+    let acc = ref [] in
+    List.iter
+      (fun (p, q) ->
+        let tp = crash_time ix p and tq = crash_time ix q in
+        let sp = segments ix p ~horizon and sq = segments ix q ~horizon in
+        let more_p = ref (next_live_eating sp ~tc:tp)
+        and more_q = ref (next_live_eating sq ~tc:tq) in
+        while !more_p && !more_q do
+          let b1 = if sp.b < tp then sp.b else tp and b2 = if sq.b < tq then sq.b else tq in
+          let lo = if sp.a > sq.a then sp.a else sq.a and hi = if b1 < b2 then b1 else b2 in
+          if lo < hi then acc := { at = lo; p; q } :: !acc;
+          if b1 <= b2 then more_p := next_live_eating sp ~tc:tp
+          else more_q := next_live_eating sq ~tc:tq
+        done)
+      (Graphs.Conflict_graph.edges graph);
+    List.sort compare_violation !acc
 
-(* The number of elements of the sorted [a] below [t]. *)
-let count_below a t =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < t then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  let last_violation_time ix ~graph ~horizon =
+    match List.rev (exclusion_violations ix ~graph ~horizon) with
+    | [] -> None
+    | v :: _ -> Some v.at
 
-let max_overtaking_ix ix ~graph ~after ~horizon =
-  let n = Graphs.Conflict_graph.n graph in
-  let starts = Array.init n (fun pid -> eating_starts ix ~pid) in
-  let worst = ref 0 in
-  for p = 0 to n - 1 do
-    if not (crashed ix p) then
-      iter_segments ix p ~horizon (fun a b ph ->
-          if ph = hungry && a >= after then
-            Graphs.Conflict_graph.iter_neighbors graph p (fun q ->
-                let c = count_below starts.(q) b - count_below starts.(q) a in
-                if c > !worst then worst := c))
-  done;
-  !worst
+  let eventual_weak_exclusion ix ~graph ~horizon ~suffix_from =
+    exclusion_violations ix ~graph ~horizon
+    |> List.filter (fun v -> v.at >= suffix_from)
+    |> List.map (fun v ->
+           Printf.sprintf
+             "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
+             ix.instance v.p v.q v.at suffix_from)
+    |> verdict
 
-(* ------------------------------------------------------------------ *)
-(* Public checks: each builds the index and reads it. *)
+  let perpetual_weak_exclusion ix ~graph ~horizon =
+    eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:0
 
-module Index = struct
-  type t = index
+  let starved ix ~n ~horizon ~slack =
+    let acc = ref [] in
+    for pid = n - 1 downto 0 do
+      if not (crashed ix pid) then begin
+        let stuck = ref false in
+        iter_stuck ix pid ~horizon ~slack hungry (fun _ -> stuck := true);
+        if !stuck then acc := pid :: !acc
+      end
+    done;
+    !acc
 
-  let build = build
-  let eat_count = eat_count_ix
-  let wait_freedom = wait_freedom_ix
-  let eventual_weak_exclusion = eventual_weak_exclusion_ix
-  let exiting_finite = exiting_finite_ix
+  (* The number of elements of the sorted [a] below [t]. *)
+  let count_below a t =
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) < t then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let max_overtaking ix ~graph ~after ~horizon =
+    let n = Graphs.Conflict_graph.n graph in
+    let starts = Array.init n (fun pid -> eating_starts ix ~pid) in
+    let worst = ref 0 in
+    for p = 0 to n - 1 do
+      if not (crashed ix p) then
+        iter_codes ix p ~horizon (fun a b ph ->
+            if ph = hungry && a >= after then
+              Graphs.Conflict_graph.iter_neighbors graph p (fun q ->
+                  let c = count_below starts.(q) b - count_below starts.(q) a in
+                  if c > !worst then worst := c))
+    done;
+    !worst
+
+  let failure_locality ix ~graph ~horizon ~slack =
+    let crashed = List.filter (crashed ix) (List.init (Array.length ix.crash) Fun.id) in
+    let victims = starved ix ~n:(Graphs.Conflict_graph.n graph) ~horizon ~slack in
+    List.fold_left
+      (fun acc pid ->
+        let nearest =
+          List.filter_map (fun c -> Graphs.Conflict_graph.distance graph pid c) crashed
+          |> function
+          | [] -> None
+          | ds -> Some (List.fold_left min max_int ds)
+        in
+        match (acc, nearest) with
+        | None, _ | _, None -> None
+        | Some worst, Some d -> Some (max worst d))
+      (Some 0) victims
+
+  let fairness_index ix ~pids =
+    let xs = List.map (fun pid -> float_of_int (eat_count ix ~pid)) pids in
+    let n = float_of_int (List.length xs) in
+    let s = List.fold_left ( +. ) 0.0 xs in
+    let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
+    if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
 end
 
-let live_eating_intervals trace ~instance ~pid ~horizon =
-  live_eating_intervals_ix (build trace ~instance) ~pid ~horizon
-
-let exclusion_violations trace ~instance ~graph ~horizon =
-  exclusion_violations_ix (build trace ~instance) ~graph ~horizon
-
-let last_violation_time trace ~instance ~graph ~horizon =
-  match List.rev (exclusion_violations trace ~instance ~graph ~horizon) with
-  | [] -> None
-  | v :: _ -> Some v.at
+let wait_freedom trace ~instance ~n ~horizon ~slack =
+  Index.wait_freedom (Index.build trace ~instance) ~n ~horizon ~slack
 
 let eventual_weak_exclusion trace ~instance ~graph ~horizon ~suffix_from =
-  eventual_weak_exclusion_ix (build trace ~instance) ~graph ~horizon ~suffix_from
-
-let perpetual_weak_exclusion trace ~instance ~graph ~horizon =
-  eventual_weak_exclusion trace ~instance ~graph ~horizon ~suffix_from:0
-
-let wait_freedom trace ~instance ~n ~horizon ~slack =
-  wait_freedom_ix (build trace ~instance) ~n ~horizon ~slack
+  Index.eventual_weak_exclusion (Index.build trace ~instance) ~graph ~horizon ~suffix_from
 
 let exiting_finite trace ~instance ~n ~horizon ~slack =
-  exiting_finite_ix (build trace ~instance) ~n ~horizon ~slack
+  Index.exiting_finite (Index.build trace ~instance) ~n ~horizon ~slack
 
-let eat_count trace ~instance ~pid = eat_count_ix (build trace ~instance) ~pid
-
-let max_overtaking trace ~instance ~graph ~after ~horizon =
-  max_overtaking_ix (build trace ~instance) ~graph ~after ~horizon
-
-let starved trace ~instance ~n ~horizon ~slack =
-  starved_ix (build trace ~instance) ~n ~horizon ~slack
-
-let failure_locality trace ~instance ~graph ~horizon ~slack =
-  let ix = build trace ~instance in
-  let crashed = List.filter (crashed ix) (List.init (Array.length ix.crash) Fun.id) in
-  let victims = starved_ix ix ~n:(Graphs.Conflict_graph.n graph) ~horizon ~slack in
-  List.fold_left
-    (fun acc pid ->
-      let nearest =
-        List.filter_map (fun c -> Graphs.Conflict_graph.distance graph pid c) crashed
-        |> function
-        | [] -> None
-        | ds -> Some (List.fold_left min max_int ds)
-      in
-      match (acc, nearest) with
-      | None, _ | _, None -> None
-      | Some worst, Some d -> Some (max worst d))
-    (Some 0) victims
-
-let fairness_index trace ~instance ~pids =
-  let ix = build trace ~instance in
-  let xs = List.map (fun pid -> float_of_int (eat_count_ix ix ~pid)) pids in
-  let n = float_of_int (List.length xs) in
-  let s = List.fold_left ( +. ) 0.0 xs in
-  let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
-  if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
-
-let hungry_wait_times trace ~instance ~pid ~horizon =
-  let acc = ref [] in
-  iter_segments (build trace ~instance) pid ~horizon (fun a b ph ->
-      if ph = hungry && b < horizon then acc := (b - a) :: !acc);
-  List.rev !acc
+let eat_count trace ~instance ~pid = Index.eat_count (Index.build trace ~instance) ~pid

@@ -71,14 +71,12 @@ and t = {
   mutable tag_names : string array; (* id -> tag; first tag_count slots live *)
   mutable tag_count : int;
   mutable sent_tag : int array; (* id -> messages ever sent *)
-  mutable pending_tag : int array;
-      (* id -> undelivered messages (in flight or sitting in a live inbox);
-         maintained incrementally at send / dead-destination discard /
-         inbox drain / crash-time inbox clear, so per-tick monitors read
-         it in O(1) instead of scanning every bucket and inbox *)
   mutable watches : watch array array;
-      (* id -> the filtered counters on that tag, moved at the same four
-         points as [pending_tag]. Empty until the first counter is
+      (* id -> the filtered counters of undelivered messages (in flight or
+         sitting in a live inbox) on that tag, moved incrementally at send
+         / dead-destination discard / inbox drain / crash-time inbox
+         clear, so per-tick monitors read them in O(1) instead of scanning
+         every bucket and inbox. Empty until the first counter is
          registered, so unwatched runs pay one compare per packet. *)
   order : int array;
       (* per-tick scheduling order scratch: rebuilt to the identity and
@@ -134,7 +132,6 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     tag_names = [||];
     tag_count = 0;
     sent_tag = [||];
-    pending_tag = [||];
     watches = [||];
     order = Array.make n 0;
   }
@@ -172,8 +169,7 @@ let intern_tag t tag =
           b
         in
         t.tag_names <- grow t.tag_names "";
-        t.sent_tag <- grow t.sent_tag 0;
-        t.pending_tag <- grow t.pending_tag 0
+        t.sent_tag <- grow t.sent_tag 0
       end;
       t.tag_names.(id) <- tag;
       Hashtbl.replace t.tag_ids tag id;
@@ -188,10 +184,9 @@ let count_watched t pkt delta =
     if w.pred pkt.payload then w.matching <- w.matching + delta
   done
 
-(* [pkt] enters (+1) or leaves (-1) the undelivered set: move its tag's
-   pending count and every filtered counter its payload matches. *)
+(* [pkt] enters (+1) or leaves (-1) the undelivered set: move every
+   filtered counter on its tag that its payload matches. *)
 let[@inline] pend t pkt delta =
-  t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) + delta;
   if pkt.tag_id < Array.length t.watches then count_watched t pkt delta
 
 (* simlint: hotpath *)
@@ -323,14 +318,12 @@ let in_flight_scan t ~tag ~f =
   iter_undelivered t (fun pkt -> if String.equal pkt.tag tag && f pkt.payload then incr count);
   !count
 
-let in_flight t ~tag =
-  match Hashtbl.find_opt t.tag_ids tag with Some id -> t.pending_tag.(id) | None -> 0
-
 let in_flight_counter t ~tag ~f =
   let id = intern_tag t tag in
-  (* A counter registered before its tag has traffic, the usual case for
-     monitors installed ahead of the run, starts at 0 without a scan. *)
-  let matching = if t.pending_tag.(id) = 0 then 0 else in_flight_scan t ~tag ~f in
+  (* A tag that has never sent has nothing pending: a counter registered
+     then, the usual case for monitors installed ahead of the run, starts
+     at 0 without a scan. *)
+  let matching = if t.sent_tag.(id) = 0 then 0 else in_flight_scan t ~tag ~f in
   let w = { pred = f; matching } in
   if id >= Array.length t.watches then begin
     let grown = Array.make (Array.length t.tag_names) [||] in

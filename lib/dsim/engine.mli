@@ -64,32 +64,27 @@ val live_count : t -> int
     [Types.Pidset.cardinal (live_set t)] which rebuilds a set per call.
     Per-tick instrumentation should use this. *)
 
-val in_flight : t -> tag:string -> int
-(** Number of undelivered messages addressed to components named [tag]
-    (including those already ripe but not yet consumed). Used by white-box
-    monitors; not available to protocols. O(1): backed by per-tag counters
-    maintained at send, dead-destination discard, inbox drain and
-    crash-time inbox clear. *)
-
 val in_flight_counter : t -> tag:string -> f:(Msg.t -> bool) -> unit -> int
 (** [in_flight_counter t ~tag ~f] registers a counter of the undelivered
-    messages on [tag] whose payload satisfies [f], and returns its O(1)
-    reader. The engine moves it at the same four points as {!in_flight}'s
-    counters, so read from an {!on_tick} hook it equals
-    [in_flight_scan t ~tag ~f]. [f] must be a pure function of the payload:
-    it runs once when a matching-tag packet is sent and once when it
-    leaves. Registering on a tag with nothing pending is O(1); otherwise the
-    counter is seeded by one scan. Registration is not a send: it leaves
-    {!sent_with_tag} and {!sent_by_tag} unchanged. The Lemma 3 monitor
-    registers four per reduction pair. *)
+    messages on [tag] (in flight, or ripe in a live inbox but not yet
+    consumed) whose payload satisfies [f], and returns its O(1) reader.
+    The engine moves it at four points: send, dead-destination discard,
+    inbox drain and crash-time inbox clear; so read from an {!on_tick}
+    hook it equals [in_flight_scan t ~tag ~f]. [f] must be a pure function
+    of the payload: it runs once when a matching-tag packet is sent and
+    once when it leaves. With [f] accepting every payload it counts all of
+    the tag's undelivered messages. Registering on a tag that has never
+    sent is O(1); otherwise the counter is seeded by one scan.
+    Registration is not a send: it leaves {!sent_with_tag} and
+    {!sent_by_tag} unchanged. For white-box monitors, not protocols: the
+    Lemma 3 monitor registers four per reduction pair. *)
 
 val in_flight_scan : t -> tag:string -> f:(Msg.t -> bool) -> int
-(** What an {!in_flight_counter} maintains ({!in_flight}'s count, with
-    [f] accepting every payload), recomputed by walking every wheel slot,
-    the overflow map and every inbox — O(wheel size + undelivered
-    traffic). The test oracle for the counters (see [test/test_scale.ml])
-    and the seed of a counter registered while its tag has traffic
-    pending; monitors read the counters. *)
+(** What an {!in_flight_counter} maintains, recomputed by walking every
+    wheel slot, the overflow map and every inbox — O(wheel size +
+    undelivered traffic). The test oracle for the counters (see
+    [test/test_scale.ml]) and the seed of a counter registered once its
+    tag has sent; monitors read the counters. *)
 
 val in_flight_total : t -> int
 (** All undelivered packets, any tag (excludes inbox-pending ones). *)

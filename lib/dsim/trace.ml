@@ -10,7 +10,7 @@ type entry = { at : Types.time; ev : event }
 type t = {
   mutable buf : entry array;
   mutable len : int;
-  mutable retain : bool;
+  retain : bool;
   mutable subs : (entry -> unit) list; (* registration order *)
 }
 
@@ -21,9 +21,6 @@ let dummy = { at = 0; ev = Crash { pid = -1 } }
 let create ?(retain = true) () = { buf = [||]; len = 0; retain; subs = [] }
 
 let subscribe t f = t.subs <- t.subs @ [ f ]
-
-let set_retain t b = t.retain <- b
-let retains t = t.retain
 
 let rec fan_out e = function
   | [] -> ()
@@ -84,32 +81,6 @@ let crash_times t =
           m := Types.Pidmap.add pid e.at !m
       | _ -> ());
   !m
-
-let transitions ?instance ?pid t =
-  filter t (fun e ->
-      match e.ev with
-      | Transition tr ->
-          (match instance with Some i -> String.equal i tr.instance | None -> true)
-          && (match pid with Some p -> p = tr.pid | None -> true)
-      | _ -> false)
-
-let phase_timeline t ~instance ~pid ~horizon =
-  let trs = transitions ~instance ~pid t in
-  let rec go current since = function
-    | [] -> if since >= horizon then [] else [ (since, horizon, current) ]
-    | e :: rest -> (
-        match e.ev with
-        | Transition tr ->
-            let seg = if e.at > since then [ (since, e.at, current) ] else [] in
-            seg @ go tr.to_ e.at rest
-        | _ -> go current since rest)
-  in
-  go Types.Thinking 0 trs
-
-let eating_intervals t ~instance ~pid ~horizon =
-  phase_timeline t ~instance ~pid ~horizon
-  |> List.filter_map (fun (a, b, ph) ->
-         if Types.phase_equal ph Types.Eating then Some (a, b) else None)
 
 let suspicion_flips t ~detector ~owner ~target =
   filter t (fun e ->

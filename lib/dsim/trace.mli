@@ -4,7 +4,12 @@
     flips of any failure-detector module, crashes, and protocol-specific
     notes — is appended here with its global-clock timestamp. All property
     checkers (exclusion, wait-freedom, completeness, accuracy, fairness and
-    the paper's lemma invariants) are pure functions over a trace. *)
+    the paper's lemma invariants) are pure functions over a trace.
+
+    The trace keeps events in append order and offers no per-diner view:
+    a dining instance's phase history (segments, eating intervals, meal
+    counts) is read from [Dining.Monitor.Index], built from the trace in
+    two linear passes. *)
 
 type event =
   | Transition of { instance : string; pid : Types.pid; from_ : Types.phase; to_ : Types.phase }
@@ -39,8 +44,6 @@ val subscribe : t -> (entry -> unit) -> unit
     registration order, before (and regardless of) in-memory retention.
     This is the attachment point for [Obs.Sink] trace sinks. *)
 
-val set_retain : t -> bool -> unit
-val retains : t -> bool
 val length : t -> int
 val entries : t -> entry list
 (** All entries in chronological (append) order. *)
@@ -50,20 +53,6 @@ val filter : t -> (entry -> bool) -> entry list
 
 val crash_times : t -> Types.time Types.Pidmap.t
 (** First crash time of each crashed process. *)
-
-val transitions : ?instance:string -> ?pid:Types.pid -> t -> entry list
-(** Phase transitions, optionally restricted to one instance and/or diner. *)
-
-val eating_intervals :
-  t -> instance:string -> pid:Types.pid -> horizon:Types.time -> (Types.time * Types.time) list
-(** Closed eating sessions of a diner as [(start, stop)] pairs; a session
-    still open at the end of the run is closed at [horizon]. *)
-
-val phase_timeline :
-  t -> instance:string -> pid:Types.pid -> horizon:Types.time
-  -> (Types.time * Types.time * Types.phase) list
-(** Piecewise-constant phase history [(from, to_exclusive, phase)] covering
-    [0, horizon); diners start [Thinking]. *)
 
 val suspicion_flips :
   t -> detector:string -> owner:Types.pid -> target:Types.pid

@@ -28,7 +28,3 @@ module Pidset = Set.Make (Int)
 module Pidmap = Map.Make (Int)
 
 let pidset_of_list l = Pidset.of_list l
-
-let pp_pidset fmt s =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map string_of_int (Pidset.elements s)))

@@ -29,4 +29,3 @@ module Pidset : Set.S with type elt = pid
 module Pidmap : Map.S with type key = pid
 
 val pidset_of_list : pid list -> Pidset.t
-val pp_pidset : Format.formatter -> Pidset.t -> unit

@@ -138,31 +138,6 @@ let random ~n ~p ~rng =
   done;
   of_edges ~n !acc
 
-let gnm ~n ~m ~rng =
-  if n < 2 then invalid_arg "Conflict_graph.gnm: need n >= 2";
-  if m < 0 || m > n * (n - 1) / 2 then invalid_arg "Conflict_graph.gnm: too many edges";
-  (* Rejection-sample distinct pairs; every draw comes from [rng], so the
-     graph is a pure function of the seed. The expected number of redraws
-     stays O(m) while m is below about half of all pairs — the sparse
-     regime (m = O(n)) this generator exists for. *)
-  let seen = Hashtbl.create (2 * max 1 m) in
-  let acc = ref [] in
-  let made = ref 0 in
-  while !made < m do
-    let a = Prng.int_in rng ~lo:0 ~hi:(n - 1) in
-    let b = Prng.int_in rng ~lo:0 ~hi:(n - 1) in
-    if a <> b then begin
-      let lo = min a b and hi = max a b in
-      let key = (lo * n) + hi in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        acc := (lo, hi) :: !acc;
-        incr made
-      end
-    end
-  done;
-  of_edges ~n !acc
-
 let distance t a b =
   if a = b then Some 0
   else begin

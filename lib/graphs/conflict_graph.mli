@@ -58,11 +58,4 @@ val grid : rows:int -> cols:int -> t
 
 val random : n:int -> p:float -> rng:Dsim.Prng.t -> t
 (** Erdos–Renyi G(n, p). Draws one [chance] per vertex pair — O(n^2) PRNG
-    draws, fine up to a few thousand vertices; use {!gnm} for large sparse
-    graphs. *)
-
-val gnm : n:int -> m:int -> rng:Dsim.Prng.t -> t
-(** Uniform random graph with exactly [m] distinct edges, built by
-    rejection-sampling endpoint pairs — O(m) expected draws in the sparse
-    regime, so 10^5-vertex benchmark graphs cost seconds of PRNG work, not
-    the O(n^2) sweep of {!random}. Deterministic in the [rng] seed. *)
+    draws, fine up to a few thousand vertices. *)

@@ -1,5 +1,3 @@
-let schema_version = "dinersim-mc/1"
-
 let counterexample_json (v : Explore.violation) =
   let failed =
     List.filter_map
@@ -24,7 +22,7 @@ let make ?(max_counterexamples = 16) ~(config : Explore.config) ~(result : Explo
   in
   Obs.Json.Obj
     [
-      ("schema", Obs.Json.Str schema_version);
+      ("schema", Obs.Json.Str Obs.Report.mc_schema_version);
       ("cmd", Obs.Json.Str "check");
       ("config", Check.Config.to_json config.Explore.base);
       ( "explorer",

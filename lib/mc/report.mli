@@ -28,11 +28,9 @@
     body, so reports from the same instance are byte-identical at any
     [-j] (the jobs-invariance property test pins this). Embedded
     counterexamples are complete digest-pinned ["fuzz-repro/1"] artifacts:
-    extract one and hand it to [dinersim replay]. {!Obs.Report.read_any}
-    recognises and shape-validates the schema, so [dinersim report] vets
-    these documents too. *)
-
-val schema_version : string
+    extract one and hand it to [dinersim replay]. The schema tag is
+    {!Obs.Report.mc_schema_version}: {!Obs.Report.read_any} recognises and
+    shape-validates it, so [dinersim report] vets these documents too. *)
 
 val make :
   ?max_counterexamples:int ->

@@ -6,6 +6,7 @@ open Dsim
    registry ends up with the same names and values. *)
 type dining = {
   instance : string;
+  mutable last : Types.time array; (* per pid, the tick of its last transition; 0 before one *)
   mutable meals : Metrics.counter option;
   mutable meals_window : Window.t option;
   mutable hunger : Metrics.histogram option;
@@ -26,7 +27,6 @@ type t = {
   t0 : float;
   mutable ticks : int;
   mutable elapsed : float option; (* set by finalize *)
-  spans : Span.t;
   (* First-seen order; searched linearly by name (a run has a handful). *)
   mutable dinings : dining list;
   mutable detectors : detector list;
@@ -40,8 +40,10 @@ let meals_window_width = 1000
 let rec dining_of st instance = function
   | d :: rest -> if String.equal d.instance instance then d else dining_of st instance rest
   | [] ->
-      (* simlint: allow D011 — built once per dining instance *)
-      let d = { instance; meals = None; meals_window = None; hunger = None; hunger_exact = None } in
+      let d =
+        (* simlint: allow D011 — built once per dining instance *)
+        { instance; last = [||]; meals = None; meals_window = None; hunger = None; hunger_exact = None }
+      in
       (* simlint: allow D011 — see above *)
       st.dinings <- d :: st.dinings;
       d
@@ -122,22 +124,33 @@ let hunger_exact st d =
       (* simlint: allow D011 — built once, with the handle *)
       d.hunger_exact <- Some q;
       q
-(* Hunger latency via the span layer: a streaming (memory-free) span
-   collector closes a diner's Hungry span on the transition out of
-   Hungry; when the next phase is Eating, the span length is one
-   completed hunger session. Dual-recorded as the bucketed
-   [hunger_latency] histogram (cheap cross-run aggregation) and the
-   exact [hunger_latency_exact] quantile digest (true p99/p999). *)
-let on_span_close st ~instance ~pid:_ ~phase ~start ~stop ~next =
-  if Types.phase_equal phase Types.Hungry && Types.phase_equal next Types.Eating then begin
-    let d = dining_of st instance st.dinings in
-    Metrics.observe (hunger st d) (stop - start);
-    Quantile.add (hunger_exact st d) (stop - start)
+
+(* Makes room for [pid] in [d.last]; runs O(log pid) times per instance. *)
+let reserve d pid =
+  let n = Array.length d.last in
+  if pid >= n then begin
+    (* simlint: allow D011 — amortised doubling of an instance's per-pid ticks *)
+    let last = Array.make (max (pid + 1) (max 8 (2 * n))) 0 in
+    Array.blit d.last 0 last 0 n;
+    d.last <- last
   end
+
+(* Hunger latency: on Hungry -> Eating, the ticks since the diner's
+   previous transition (its entry into Hungry), from 0 when the diner is
+   first seen there; a 0-tick hunger session is still a sample.
+   Dual-recorded as the bucketed [hunger_latency] histogram (cheap
+   cross-run aggregation) and the exact [hunger_latency_exact] quantile
+   digest (true p99/p999). *)
+let on_transition st d ~pid ~from_ ~to_ ~at =
+  reserve d pid;
+  if Types.phase_equal from_ Types.Hungry && Types.phase_equal to_ Types.Eating then begin
+    Metrics.observe (hunger st d) (at - d.last.(pid));
+    Quantile.add (hunger_exact st d) (at - d.last.(pid))
+  end;
+  d.last.(pid) <- at
 
 (* simlint: hotpath *)
 let on_event st (e : Trace.entry) =
-  Span.observe st.spans e;
   match e.Trace.ev with
   | Trace.Suspect { detector; _ } ->
       let d = detector_of st detector st.detectors in
@@ -148,11 +161,14 @@ let on_event st (e : Trace.entry) =
       Metrics.incr (detector_counter st d flips);
       Metrics.incr (detector_counter st d trusts)
   | Trace.Crash _ -> Metrics.incr (crashes st)
-  | Trace.Transition { instance; to_ = Types.Eating; _ } ->
+  | Trace.Transition { instance; pid; from_; to_ } ->
       let d = dining_of st instance st.dinings in
-      Metrics.incr (meals st d);
-      Window.observe (meals_window st d) ~at:e.Trace.at
-  | Trace.Transition _ | Trace.Note _ -> ()
+      on_transition st d ~pid ~from_ ~to_ ~at:e.Trace.at;
+      if Types.phase_equal to_ Types.Eating then begin
+        Metrics.incr (meals st d);
+        Window.observe (meals_window st d) ~at:e.Trace.at
+      end
+  | Trace.Note _ -> ()
 
 let install ~metrics engine =
   let st =
@@ -162,7 +178,6 @@ let install ~metrics engine =
       t0 = Unix.gettimeofday ();
       ticks = 0;
       elapsed = None;
-      spans = Span.create ~retain:false ();
       dinings = [];
       detectors = [];
       crashes = None;
@@ -179,7 +194,6 @@ let install ~metrics engine =
       Metrics.incr ticks;
       Metrics.observe depth (Engine.in_flight_total engine);
       Metrics.set live (Engine.live_count engine));
-  Span.on_close st.spans (on_span_close st);
   Trace.subscribe (Engine.trace engine) (on_event st);
   st
 

@@ -8,12 +8,12 @@
     - a trace subscriber folds events as they happen: counters
       [detector.<name>.flips], [detector.<name>.suspects],
       [detector.<name>.trusts], [engine.crashes],
-      [dining.<instance>.meals], and — via a streaming {!Span} collector
-      over Hungry→Eating spans — histogram
+      [dining.<instance>.meals], histogram
       [dining.<instance>.hunger_latency] plus the exact-quantile digest
-      [dining.<instance>.hunger_latency_exact] (ticks from entering
-      Hungry to entering Eating, one sample per completed hunger
-      session), and the throughput series
+      [dining.<instance>.hunger_latency_exact] (on each Hungry→Eating
+      transition, the ticks since the diner's previous transition, or
+      since tick 0 for a diner first seen there: one sample per completed
+      hunger session, 0-tick sessions included), and the throughput series
       [dining.<instance>.meals_per_window] ({!meals_window_width}-tick
       windows).
 

@@ -66,31 +66,34 @@ let gauge t name =
 let set g v = g.g <- v
 let gauge_value g = g.g
 
+let new_histogram buckets =
+  (* simlint: allow D011 — registration, once per name *)
+  let bounds = Array.of_list buckets in
+  for i = 1 to Array.length bounds - 1 do
+    if bounds.(i) <= bounds.(i - 1) then
+      invalid_arg "Metrics.histogram: bounds must be strictly increasing"
+  done;
+  let counts =
+    (* simlint: allow D011 — registration, once per name *)
+    Array.make (Array.length bounds + 1) 0
+  in
+  (* simlint: allow D011 — registration, once per name *)
+  let h = { bounds; counts; n = 0; sum = 0; min_v = max_int; max_v = min_int } in
+  (* simlint: allow D011 — registration, once per name *)
+  (h, Histogram h)
+
 let histogram t name ~buckets =
   register t name
-    (fun () ->
-      let bounds = Array.of_list buckets in
-      Array.iteri
-        (fun i b -> if i > 0 && b <= bounds.(i - 1) then invalid_arg "Metrics.histogram: bounds must be strictly increasing")
-        bounds;
-      let h =
-        {
-          bounds;
-          counts = Array.make (Array.length bounds + 1) 0;
-          n = 0;
-          sum = 0;
-          min_v = max_int;
-          max_v = min_int;
-        }
-      in
-      (h, Histogram h))
+    (* simlint: allow D011 — registration, once per name *)
+    (fun () -> new_histogram buckets)
+    (* simlint: allow D011 — registration, once per name *)
     (function Histogram h -> Some h | _ -> None)
 
 let quantile t name =
   register t name
-    (fun () ->
-      let q = Quantile.create () in
-      (q, Quantile q))
+    (* simlint: allow D011 — registration, once per name *)
+    (fun () -> let q = Quantile.create () in (q, Quantile q))
+    (* simlint: allow D011 — registration, once per name *)
     (function Quantile q -> Some q | _ -> None)
 
 let series t name ~width =

@@ -39,18 +39,20 @@ let create () =
     sum = 0;
   }
 
+(* The first [len] slots of [a] in an array of [cap]. *)
+let grown a ~cap ~len =
+  (* simlint: allow D011 — geometric growth of the runs, amortised over the samples *)
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 len;
+  b
+
 (* Room for [need] runs; geometric, so amortised. *)
 let reserve t need =
   let cap = Array.length t.values in
   if cap < need then begin
     let cap = Int.max need (2 * cap) in
-    let grow a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 t.len;
-      b
-    in
-    t.values <- grow t.values;
-    t.counts <- grow t.counts
+    t.values <- grown t.values ~cap ~len:t.len;
+    t.counts <- grown t.counts ~cap ~len:t.len
   end
 
 (* Write the run [(v, c)] just below slot [w] of the merged block
@@ -76,6 +78,7 @@ let push_back t ~top w v c =
 let merge_sorted ?counts t bv nb =
   let top = t.len + nb in
   reserve t top;
+  (* simlint: allow D011 — local refs that never escape compile to mutable variables, not heap blocks *)
   let w = ref top and i = ref t.len and j = ref nb in
   while !i > 0 || !j > 0 do
     if !j = 0 || (!i > 0 && t.values.(!i - 1) >= bv.(!j - 1)) then begin
@@ -97,6 +100,7 @@ let merge_sorted ?counts t bv nb =
 let sort_prefix p len =
   for i = 1 to len - 1 do
     let v = p.(i) in
+    (* simlint: allow D011 — a local ref that never escapes compiles to a mutable variable *)
     let j = ref (i - 1) in
     while !j >= 0 && p.(!j) > v do
       p.(!j + 1) <- p.(!j);

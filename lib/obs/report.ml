@@ -47,20 +47,20 @@ let write ~path j =
 let validate j =
   (match Json.find j "schema" with
   | Some (Json.Str s) when s = schema_version -> ()
-  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.read: unknown schema %S" s)
-  | _ -> failwith "Report.read: missing schema tag");
+  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.validate: unknown schema %S" s)
+  | _ -> failwith "Report.validate: missing schema tag");
   (match Json.find j "cmd" with
   | Some (Json.Str _) -> ()
-  | _ -> failwith "Report.read: missing cmd");
+  | _ -> failwith "Report.validate: missing cmd");
   match Json.find j "checks" with
   | Some (Json.Arr checks) ->
       List.iter
         (fun c ->
           match (Json.find c "name", Json.find c "holds") with
           | Some (Json.Str _), Some (Json.Bool _) -> ()
-          | _ -> failwith "Report.read: malformed check entry")
+          | _ -> failwith "Report.validate: malformed check entry")
         checks
-  | _ -> failwith "Report.read: missing checks array"
+  | _ -> failwith "Report.validate: missing checks array"
 
 (* ------------------------------------------------------------------ *)
 (* Campaign summaries: one document per fuzz (or other multi-run)
@@ -89,14 +89,14 @@ let make_campaign ~cmd ~root_seed ~runs ~violations ?(config = []) ?metrics ?cov
 let validate_campaign j =
   (match Json.find j "schema" with
   | Some (Json.Str s) when s = campaign_schema_version -> ()
-  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.read_campaign: unknown schema %S" s)
-  | _ -> failwith "Report.read_campaign: missing schema tag");
+  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.validate_campaign: unknown schema %S" s)
+  | _ -> failwith "Report.validate_campaign: missing schema tag");
   (match (Json.find j "runs", Json.find j "violations") with
   | Some (Json.Int _), Some (Json.Int _) -> ()
-  | _ -> failwith "Report.read_campaign: missing runs/violations counters");
+  | _ -> failwith "Report.validate_campaign: missing runs/violations counters");
   (match Json.find j "entries" with
   | Some (Json.Arr _) -> ()
-  | _ -> failwith "Report.read_campaign: missing entries array");
+  | _ -> failwith "Report.validate_campaign: missing entries array");
   (* The coverage block is optional (older summaries predate it) but must
      be well-formed when present. *)
   match Json.find j "coverage" with
@@ -104,7 +104,7 @@ let validate_campaign j =
   | Some c -> (
       match (Json.find c "width", Json.find c "edges", Json.find c "bitmap") with
       | Some (Json.Int _), Some (Json.Int _), Some (Json.Str _) -> ()
-      | _ -> failwith "Report.read_campaign: malformed coverage block")
+      | _ -> failwith "Report.validate_campaign: malformed coverage block")
 
 (* ------------------------------------------------------------------ *)
 (* simlint reports: the determinism linter's canonical document. Obs
@@ -116,13 +116,13 @@ let simlint_schema_version = "simlint-report/1"
 let validate_simlint j =
   (match Json.find j "schema" with
   | Some (Json.Str s) when s = simlint_schema_version -> ()
-  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.read_simlint: unknown schema %S" s)
-  | _ -> failwith "Report.read_simlint: missing schema tag");
+  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.validate_simlint: unknown schema %S" s)
+  | _ -> failwith "Report.validate_simlint: missing schema tag");
   List.iter
     (fun k ->
       match Json.find j k with
       | Some (Json.Int _) -> ()
-      | _ -> failwith (Printf.sprintf "Report.read_simlint: missing %s counter" k))
+      | _ -> failwith (Printf.sprintf "Report.validate_simlint: missing %s counter" k))
     [ "files_scanned"; "open"; "suppressed"; "baselined" ];
   (match Json.find j "findings" with
   | Some (Json.Arr findings) ->
@@ -131,12 +131,12 @@ let validate_simlint j =
           match (Json.find f "rule", Json.find f "file", Json.find f "line", Json.find f "status")
           with
           | Some (Json.Str _), Some (Json.Str _), Some (Json.Int _), Some (Json.Str _) -> ()
-          | _ -> failwith "Report.read_simlint: malformed finding entry")
+          | _ -> failwith "Report.validate_simlint: malformed finding entry")
         findings
-  | _ -> failwith "Report.read_simlint: missing findings array");
+  | _ -> failwith "Report.validate_simlint: missing findings array");
   match Json.find j "stale_baseline" with
   | Some (Json.Arr _) -> ()
-  | _ -> failwith "Report.read_simlint: missing stale_baseline array"
+  | _ -> failwith "Report.validate_simlint: missing stale_baseline array"
 
 (* ------------------------------------------------------------------ *)
 (* Model-checking reports: one document per exhaustive [dinersim check]
@@ -149,26 +149,26 @@ let mc_schema_version = "dinersim-mc/1"
 let validate_mc j =
   (match Json.find j "schema" with
   | Some (Json.Str s) when s = mc_schema_version -> ()
-  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.read_mc: unknown schema %S" s)
-  | _ -> failwith "Report.read_mc: missing schema tag");
+  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.validate_mc: unknown schema %S" s)
+  | _ -> failwith "Report.validate_mc: missing schema tag");
   List.iter
     (fun k ->
       match Json.find j k with
       | Some (Json.Int _) -> ()
-      | _ -> failwith (Printf.sprintf "Report.read_mc: missing %s counter" k))
+      | _ -> failwith (Printf.sprintf "Report.validate_mc: missing %s counter" k))
     [ "crash_schedules"; "schedules"; "pruned"; "violations"; "max_decisions" ];
   (match Json.find j "truncated" with
   | Some (Json.Bool _) -> ()
-  | _ -> failwith "Report.read_mc: missing truncated flag");
+  | _ -> failwith "Report.validate_mc: missing truncated flag");
   match Json.find j "counterexamples" with
   | Some (Json.Arr cexs) ->
       List.iter
         (fun c ->
           match (Json.find c "digest", Json.find c "repro") with
           | Some (Json.Str _), Some (Json.Obj _) -> ()
-          | _ -> failwith "Report.read_mc: malformed counterexample entry")
+          | _ -> failwith "Report.validate_mc: malformed counterexample entry")
         cexs
-  | _ -> failwith "Report.read_mc: missing counterexamples array"
+  | _ -> failwith "Report.validate_mc: missing counterexamples array"
 
 let slurp ~path =
   let ic = open_in path in
@@ -178,26 +178,6 @@ let slurp ~path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   Json.of_string content
-
-let read ~path =
-  let j = slurp ~path in
-  validate j;
-  j
-
-let read_campaign ~path =
-  let j = slurp ~path in
-  validate_campaign j;
-  j
-
-let read_simlint ~path =
-  let j = slurp ~path in
-  validate_simlint j;
-  j
-
-let read_mc ~path =
-  let j = slurp ~path in
-  validate_mc j;
-  j
 
 let read_any ~path =
   let j = slurp ~path in

@@ -48,10 +48,6 @@ val make :
 val write : path:string -> Json.t -> unit
 (** Pretty-printed with a trailing newline. *)
 
-val read : path:string -> Json.t
-(** Parse and validate: correct schema tag, [cmd] string, well-formed
-    [checks] array. Raises [Failure] with a reason on invalid input. *)
-
 val passed : Json.t -> bool
 (** True iff every check holds. *)
 
@@ -93,15 +89,13 @@ val make_campaign :
     {!Coverage.to_json} and {!Check}'s campaign driver); also canonical.
     Omitted, the field is absent. *)
 
-val read_campaign : path:string -> Json.t
-(** Parse and validate a campaign summary: schema tag, run/violation
-    counters, entries array. Raises [Failure] on invalid input. *)
-
 val read_any :
   path:string -> [ `Run of Json.t | `Campaign of Json.t | `Simlint of Json.t | `Mc of Json.t ]
-(** Parse any of the four document kinds, dispatching on the schema tag
-    (documents without a campaign, simlint or mc tag are validated as run
-    reports). Raises [Failure] on invalid input. *)
+(** The one reader: parse any of the four document kinds, dispatching on
+    the schema tag, and validate its shape. A run report needs the run
+    schema tag, a [cmd] string and a well-formed [checks] array (documents
+    without a campaign, simlint or mc tag are validated as run reports).
+    Raises [Failure] with a reason on invalid input. *)
 
 val pp_campaign_summary : Format.formatter -> Json.t -> unit
 (** Short human rendering of a campaign summary: counters, one line per
@@ -120,10 +114,6 @@ val simlint_schema_version : string
 val validate_simlint : Json.t -> unit
 (** Raises [Failure] with a reason on malformed input. *)
 
-val read_simlint : path:string -> Json.t
-(** Parse and validate a simlint report. Raises [Failure] on invalid
-    input. *)
-
 val pp_simlint_summary : Format.formatter -> Json.t -> unit
 (** Short human rendering: counters, each open finding, and the gate
     verdict (ok iff zero open findings and no stale baseline entry). *)
@@ -141,9 +131,6 @@ val mc_schema_version : string
 
 val validate_mc : Json.t -> unit
 (** Raises [Failure] with a reason on malformed input. *)
-
-val read_mc : path:string -> Json.t
-(** Parse and validate an mc report. Raises [Failure] on invalid input. *)
 
 val pp_mc_summary : Format.formatter -> Json.t -> unit
 (** Short human rendering: schedule/prune counters, one line per

@@ -1,10 +1,8 @@
-(* Span layer: folds the flat trace stream into per-(instance, diner)
-   phase spans — the interval view of the run that latency accounting,
-   the Chrome-trace export and (eventually) open-loop workload reporting
-   all share. One collector subscribes to a live trace (or replays a
-   recorded one); each Transition event closes the diner's current span
-   and opens the next. Spans still open when the caller asks for the
-   final list are closed at the horizon and flagged [closed = false]. *)
+(* Span layer: the interval view of a run, rendered from the phase
+   index (Dining.Monitor.Index) of each dining instance in the trace —
+   one span per contiguous stay of a diner in a phase. The index is the
+   run's one phase history; this module only names its segments and
+   renders them for the Chrome-trace export. *)
 
 open Dsim
 
@@ -17,128 +15,27 @@ type span = {
   closed : bool; (* false: cut at the horizon, not ended by a transition *)
 }
 
-type close =
-  instance:string ->
-  pid:Types.pid ->
-  phase:Types.phase ->
-  start:Types.time ->
-  stop:Types.time ->
-  next:Types.phase ->
-  unit
+(* The dining instances with a transition in [tr], sorted. *)
+let instances tr =
+  let acc = ref [] in
+  Trace.iter tr (fun (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Transition { instance; _ } ->
+          if not (List.exists (String.equal instance) !acc) then acc := instance :: !acc
+      | Trace.Suspect _ | Trace.Trust _ | Trace.Crash _ | Trace.Note _ -> ());
+  List.sort String.compare !acc
 
-(* The open spans of one dining instance, indexed by pid. *)
-type lane = {
-  lane_instance : string;
-  mutable phases : Types.phase array;
-  mutable since : Types.time array; (* [unseen]: no transition of that diner yet *)
-}
-
-let unseen = min_int
-
-type t = {
-  (* Searched linearly by instance name (a run has a handful); only
-     [spans] traverses them, and it sorts. *)
-  mutable lanes : lane list;
-  mutable closed : span list; (* reverse chronological close order *)
-  retain : bool;
-  mutable on_close : close list; (* registration order *)
-}
-
-let create ?(retain = true) () = { lanes = []; closed = []; retain; on_close = [] }
-
-let on_close t f = t.on_close <- t.on_close @ [ f ]
-
-let rec find_lane t instance = function
-  | lane :: rest ->
-      if String.equal lane.lane_instance instance then lane else find_lane t instance rest
-  | [] ->
-      (* simlint: allow D011 — one lane per instance, built at its first transition *)
-      let lane = { lane_instance = instance; phases = [||]; since = [||] } in
-      (* simlint: allow D011 — see above *)
-      t.lanes <- lane :: t.lanes;
-      lane
-
-(* Makes room for [pid]; runs O(log pid) times per lane. *)
-let reserve lane pid =
-  let n = Array.length lane.since in
-  if pid >= n then begin
-    let cap = max (pid + 1) (max 8 (2 * n)) in
-    (* simlint: allow D011 — amortised doubling of a lane's per-pid slots *)
-    let phases = Array.make cap Types.Thinking in
-    (* simlint: allow D011 — see above *)
-    let since = Array.make cap unseen in
-    Array.blit lane.phases 0 phases 0 n;
-    Array.blit lane.since 0 since 0 n;
-    lane.phases <- phases;
-    lane.since <- since
-  end
-
-let rec fire fs ~instance ~pid ~phase ~start ~stop ~next =
-  match fs with
-  | [] -> ()
-  | (f : close) :: rest ->
-      f ~instance ~pid ~phase ~start ~stop ~next;
-      fire rest ~instance ~pid ~phase ~start ~stop ~next
-
-let observe t (e : Trace.entry) =
-  match e.Trace.ev with
-  | Trace.Transition { instance; pid; from_; to_ } ->
-      if pid < 0 then invalid_arg "Span.observe: negative pid";
-      let lane = find_lane t instance t.lanes in
-      reserve lane pid;
-      (* A diner first seen mid-run has held [from_] since tick 0 (diners
-         start Thinking at 0). *)
-      let seen = lane.since.(pid) <> unseen in
-      let phase = if seen then lane.phases.(pid) else from_ in
-      let start = if seen then lane.since.(pid) else 0 in
-      let stop = e.Trace.at in
-      fire t.on_close ~instance ~pid ~phase ~start ~stop ~next:to_;
-      (* Zero-length spans (entered and left within one tick) fire the
-         close callbacks — a 0-tick hunger session is still a latency
-         sample — but are dropped from the retained interval list, like
-         Trace.phase_timeline drops zero-length segments. *)
-      if t.retain && stop > start then
-        (* simlint: allow D011 — the retained span is the product; Instrument's collector keeps none *)
-        t.closed <- { instance; pid; phase; start; stop; closed = true } :: t.closed;
-      lane.phases.(pid) <- to_;
-      lane.since.(pid) <- stop
-  | Trace.Suspect _ | Trace.Trust _ | Trace.Crash _ | Trace.Note _ -> ()
-
-let attach t tr =
-  Trace.iter tr (observe t);
-  Trace.subscribe tr (observe t)
-
-let compare_span a b =
-  let c = String.compare a.instance b.instance in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.pid b.pid in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.start b.start in
-      if c <> 0 then c else Int.compare a.stop b.stop
-
-let spans t ~horizon =
-  if not t.retain then invalid_arg "Span.spans: collector created with ~retain:false";
-  let acc = ref (List.rev t.closed) in
-  List.iter
-    (fun lane ->
-      Array.iteri
-        (fun pid start ->
-          if start <> unseen && horizon > start then
-            acc :=
-              {
-                instance = lane.lane_instance;
-                pid;
-                phase = lane.phases.(pid);
-                start;
-                stop = horizon;
-                closed = false;
-              }
-              :: !acc)
-        lane.since)
-    t.lanes;
-  List.sort compare_span !acc
+(* Instances sorted, pids ascending, each diner's spans in time order:
+   already the canonical (instance, pid, start, stop) order. *)
+let spans tr ~horizon =
+  List.concat_map
+    (fun instance ->
+      let acc = ref [] in
+      Dining.Monitor.Index.iter_spans (Dining.Monitor.Index.build tr ~instance) ~horizon
+        (fun pid start stop phase closed ->
+          acc := { instance; pid; phase; start; stop; closed } :: !acc);
+      List.rev !acc)
+    (instances tr)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event ("trace_event/1") export, openable in Perfetto or
@@ -187,9 +84,7 @@ let chrome_of_trace ?horizon tr =
         Trace.iter tr (fun e -> if e.Trace.at > !last then last := e.Trace.at);
         !last + 1
   in
-  let collector = create () in
-  Trace.iter tr (observe collector);
-  let spans = spans collector ~horizon in
+  let spans = spans tr ~horizon in
   (* One Chrome thread lane per dining instance, numbered in sorted
      instance order so the lane assignment is canonical. *)
   let instances =

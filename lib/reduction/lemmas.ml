@@ -7,7 +7,6 @@ type report = {
 }
 
 let ok r = r.violations = []
-let all_ok rs = List.for_all ok rs
 
 let pp_report fmt r =
   Format.fprintf fmt "%-8s %s %s" r.lemma (if ok r then "OK " else "FAIL") r.info;
@@ -145,43 +144,36 @@ let online_reports o =
 (* ------------------------------------------------------------------ *)
 (* Post-hoc schedule lemmas *)
 
-let eating_starts trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
-  |> List.filter_map (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Transition { to_ = Types.Eating; _ } -> Some e.at
-         | _ -> None)
-
 let note_times trace ~pid ~label ~info =
   Trace.notes ~pid ~label trace
   |> List.filter_map (fun (e : Trace.entry) ->
          match e.ev with
          | Trace.Note n when String.equal n.info info -> Some e.at
          | _ -> None)
+  |> Array.of_list
 
-(* One pass over a sorted list of times, counting those inside a series of
-   windows: [before c x] and [through c x] drop the times < x (resp.
-   <= x) and return how many have been dropped so far, so a window's count
-   is the difference of two reads at its ends. Reads must not move back in
-   time, which holds for windows taken in time order that do not overlap
-   (Lemma 5's sessions) or only touch (Lemma 12's gaps between eats); a
-   sweep is then O(times + windows) instead of a filter per window. *)
-type sweep = { mutable rest : int list; mutable passed : int }
+(* One pass over a sorted array of times, counting those inside a series
+   of windows: [before c x] and [through c x] skip the times < x (resp.
+   <= x) and return how many have been skipped so far, so a window's
+   count is the difference of two reads at its ends. Reads must not move
+   back in time, which holds for windows taken in time order that do not
+   overlap (Lemma 5's sessions) or only touch (Lemma 12's gaps between
+   eats); a sweep is then O(times + windows) instead of a filter per
+   window. *)
+type sweep = { times : int array; mutable passed : int }
 
-let sweep times = { rest = times; passed = 0 }
+let sweep times = { times; passed = 0 }
 
-let rec drop_while c keep =
-  match c.rest with
-  | t :: tl when keep t ->
-      c.rest <- tl;
-      c.passed <- c.passed + 1;
-      drop_while c keep
-  | _ -> c.passed
+let skip_while c keep =
+  while c.passed < Array.length c.times && keep c.times.(c.passed) do
+    c.passed <- c.passed + 1
+  done;
+  c.passed
 
-let before c x = drop_while c (fun t -> t < x)
-let through c x = drop_while c (fun t -> t <= x)
+let before c x = skip_while c (fun t -> t < x)
+let through c x = skip_while c (fun t -> t <= x)
 
-let trace_reports ~engine ~pair =
+let trace_reports_on ~indexes:ix ~engine ~pair =
   let trace = Engine.trace engine in
   let horizon = Engine.now engine in
   let slack = max 1000 (horizon / 5) in
@@ -193,46 +185,36 @@ let trace_reports ~engine ~pair =
   let l5_violations = ref [] in
   if both_correct then
     for i = 0 to 1 do
-      let sessions =
-        Trace.eating_intervals trace ~instance:pair.Pair.dx_instances.(i)
-          ~pid:pair.Pair.subject ~horizon
-        |> List.filter (fun (_, b) -> b < horizon - slack)
-      in
       let info_tag = Printf.sprintf "%s:%d" pair.Pair.subject_tag i in
       let notes label = sweep (note_times trace ~pid:pair.Pair.subject ~label ~info:info_tag) in
       let pings = notes "red-ping" and acks = notes "red-ack" in
-      List.iter
-        (fun (a, b) ->
-          (* pings in [a, b), acks in (a, b] *)
-          let np0 = before pings a in
-          let np = before pings b - np0 in
-          let na0 = through acks a in
-          let na = through acks b - na0 in
-          if np <> 1 then
-            l5_violations :=
-              Printf.sprintf "s_%d session [%d,%d): %d pings" i a b np :: !l5_violations;
-          if na <> 1 then
-            l5_violations :=
-              Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations)
-        sessions
+      Dining.Monitor.Index.iter_segments ix.(i) ~pid:pair.Pair.subject ~horizon (fun a b ph ->
+          if Types.phase_equal ph Types.Eating && b < horizon - slack then begin
+            (* pings in [a, b), acks in (a, b] *)
+            let np0 = before pings a in
+            let np = before pings b - np0 in
+            let na0 = through acks a in
+            let na = through acks b - na0 in
+            if np <> 1 then
+              l5_violations :=
+                Printf.sprintf "s_%d session [%d,%d): %d pings" i a b np :: !l5_violations;
+            if na <> 1 then
+              l5_violations :=
+                Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations
+          end)
     done;
   (* Lemmas 7 and 11: threads eat repeatedly. *)
-  let counts role pid =
-    List.map
-      (fun i -> List.length (eating_starts trace ~instance:pair.Pair.dx_instances.(i) ~pid))
-      [ 0; 1 ]
-    |> fun l -> (role, l)
-  in
-  let _, s_counts = counts "subject" pair.Pair.subject in
-  let _, w_counts = counts "witness" pair.Pair.watcher in
+  let counts pid = List.map (fun i -> Dining.Monitor.Index.eat_count ix.(i) ~pid) [ 0; 1 ] in
+  let s_counts = counts pair.Pair.subject and w_counts = counts pair.Pair.watcher in
+  let show counts = String.concat "/" (List.map string_of_int counts) in
   let l7 =
     {
       lemma = "L7";
       violations =
         (if both_correct && List.exists (fun c -> c < 2) s_counts then
-           [ Printf.sprintf "subjects ate only %s times" (String.concat "/" (List.map string_of_int s_counts)) ]
+           [ Printf.sprintf "subjects ate only %s times" (show s_counts) ]
          else []);
-      info = Printf.sprintf "subject eats: %s" (String.concat "/" (List.map string_of_int s_counts));
+      info = Printf.sprintf "subject eats: %s" (show s_counts);
     }
   in
   let l11 =
@@ -240,34 +222,27 @@ let trace_reports ~engine ~pair =
       lemma = "L11";
       violations =
         (if watcher_correct && List.exists (fun c -> c < 2) w_counts then
-           [ Printf.sprintf "witnesses ate only %s times" (String.concat "/" (List.map string_of_int w_counts)) ]
+           [ Printf.sprintf "witnesses ate only %s times" (show w_counts) ]
          else []);
-      info = Printf.sprintf "witness eats: %s" (String.concat "/" (List.map string_of_int w_counts));
+      info = Printf.sprintf "witness eats: %s" (show w_counts);
     }
   in
   (* Lemma 12: between consecutive eats of w_i, w_{1-i} eats exactly once. *)
   let l12_violations = ref [] in
   if watcher_correct then
     for i = 0 to 1 do
-      let starts_i =
-        eating_starts trace ~instance:pair.Pair.dx_instances.(i) ~pid:pair.Pair.watcher
-      in
-      let others =
-        sweep (eating_starts trace ~instance:pair.Pair.dx_instances.(1 - i) ~pid:pair.Pair.watcher)
-      in
-      let rec scan = function
-        | a :: (b :: _ as rest) ->
-            (* w_{1-i} eats in (a, b) *)
-            let c0 = through others a in
-            let c = before others b - c0 in
-            if c <> 1 then
-              l12_violations :=
-                Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)
-                :: !l12_violations;
-            scan rest
-        | _ -> ()
-      in
-      scan starts_i
+      let starts = Dining.Monitor.Index.eating_starts ix.(i) ~pid:pair.Pair.watcher in
+      let others = sweep (Dining.Monitor.Index.eating_starts ix.(1 - i) ~pid:pair.Pair.watcher) in
+      for k = 1 to Array.length starts - 1 do
+        let a = starts.(k - 1) and b = starts.(k) in
+        (* w_{1-i} eats in (a, b) *)
+        let c0 = through others a in
+        let c = before others b - c0 in
+        if c <> 1 then
+          l12_violations :=
+            Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)
+            :: !l12_violations
+      done
     done;
   (* Lemma 1 (wait-freedom of the subjects) and Lemma 6 (finite eating),
      judged only when both processes are correct. *)
@@ -275,14 +250,11 @@ let trace_reports ~engine ~pair =
   let l6_violations = ref [] in
   if both_correct then
     for i = 0 to 1 do
-      List.iter
-        (fun (a, b, ph) ->
+      Dining.Monitor.Index.iter_segments ix.(i) ~pid:pair.Pair.subject ~horizon (fun a b ph ->
           if Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack then
             l1_violations := Printf.sprintf "s_%d hungry since t=%d unserved" i a :: !l1_violations;
           if Types.phase_equal ph Types.Eating && b >= horizon && a < horizon - slack then
             l6_violations := Printf.sprintf "s_%d eating since t=%d never exits" i a :: !l6_violations)
-        (Trace.phase_timeline trace ~instance:pair.Pair.dx_instances.(i) ~pid:pair.Pair.subject
-           ~horizon)
     done;
   [
     { lemma = "L1"; violations = List.rev !l1_violations; info = "hungry subjects eat" };
@@ -292,3 +264,11 @@ let trace_reports ~engine ~pair =
     l11;
     { lemma = "L12"; violations = List.rev !l12_violations; info = "witness alternation" };
   ]
+
+let trace_reports ~engine ~pair =
+  let indexes =
+    Array.map
+      (fun instance -> Dining.Monitor.Index.build (Engine.trace engine) ~instance)
+      pair.Pair.dx_instances
+  in
+  trace_reports_on ~indexes ~engine ~pair

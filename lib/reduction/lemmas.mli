@@ -27,7 +27,6 @@ type report = {
 }
 
 val ok : report -> bool
-val all_ok : report list -> bool
 val pp_report : Format.formatter -> report -> unit
 
 type online
@@ -51,6 +50,16 @@ val online_reports : online -> report list
 val trace_reports : engine:Dsim.Engine.t -> pair:Pair.t -> report list
 (** Post-hoc schedule lemmas (5, 7, 11, 12) plus liveness of the subjects'
     hungry phases (Lemma 1) and finiteness of their eating sessions
-    (Lemma 6). Sessions still open near the horizon are ignored. Linear in
-    the trace: Lemmas 5 and 12 count notes and eats per window in one
-    sweep over each sorted time list. *)
+    (Lemma 6). Sessions still open near the horizon are ignored.
+
+    Cost: one {!Dining.Monitor.Index} per dining instance of the pair
+    (two linear passes over the trace each) and one {!Dsim.Trace.notes}
+    pass per note label and instance for Lemma 5; every lemma then reads
+    segments, eating starts and meal counts off the two indexes. Lemmas 5
+    and 12 count notes and eats per window in one sweep over each sorted
+    time array, so the whole check is linear in the trace. *)
+
+val trace_reports_on :
+  indexes:Dining.Monitor.Index.t array -> engine:Dsim.Engine.t -> pair:Pair.t -> report list
+(** {!trace_reports} on indexes of [pair.dx_instances] (in that order)
+    that the caller has already built from the engine's trace. *)

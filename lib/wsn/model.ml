@@ -114,9 +114,9 @@ type sample = {
 let coverage_series t ~sample_every ~horizon =
   let trace = Engine.trace t.engine in
   let crash_times = Trace.crash_times trace in
+  let ix = Dining.Monitor.Index.build trace ~instance:t.instance in
   let intervals =
-    Array.init t.node_count (fun pid ->
-        Dining.Monitor.live_eating_intervals trace ~instance:t.instance ~pid ~horizon)
+    Array.init t.node_count (fun pid -> Dining.Monitor.Index.live_eating_intervals ix ~pid ~horizon)
   in
   let on_duty pid at = List.exists (fun (a, b) -> a <= at && at < b) intervals.(pid) in
   let alive_at pid at =

@@ -3,6 +3,7 @@
 
      dune exec stress/sweep.exe -- wf                # 648 configs
      dune exec stress/sweep.exe -- kfair /tmp/k.json # custom report path
+     dune exec stress/sweep.exe -- fl1               # any Check.Runner algorithm
      dune exec stress/sweep.exe -- wf --seed 0xBEEF  # shift the seed grid
      dune exec stress/sweep.exe -- wf -j 8           # 8 worker domains
 
@@ -66,8 +67,9 @@ let grid base_seed =
   |> Array.of_list
 
 (* One configuration = one independent simulation, a pure function of the
-   algorithm name and the grid point: safe to run on any worker domain. *)
-let run_config algo (gspec, adv, ncrash, seed) =
+   algorithm and the grid point: safe to run on any worker domain. The
+   algorithm is deployed by its Check.Runner.default_registry builder. *)
+let run_config algo deploy (gspec, adv, ncrash, seed) =
   let graph = graph_of seed gspec in
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary:(adversary_of adv) () in
@@ -76,25 +78,15 @@ let run_config algo (gspec, adv, ncrash, seed) =
      phase, like the campaign driver. *)
   let metrics = Obs.Metrics.create () in
   let inst = Obs.Instrument.install ~metrics engine in
-  let suspects = Core.Scenario.evp_suspects engine ~n ~windows:[] in
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle =
-      if algo = "wf" then
-        let c, h, _ = Dining.Wf_ewx.component ctx ~instance:"dx" ~graph ~suspects:(suspects pid) () in (c, h)
-      else
-        let c, h, _ = Dining.Kfair.component ctx ~instance:"dx" ~graph ~suspects:(suspects pid) () in (c, h)
-    in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
-  done;
+  (* eat_ticks 3: the greedy client's default meal. *)
+  deploy engine ~graph ~instance:"dx" ~eat_ticks:3;
   if ncrash >= 1 then Engine.schedule_crash engine (n - 1) ~at:(600 + Int64.to_int (Int64.rem seed 1500L));
   if ncrash >= 2 && n > 3 then Engine.schedule_crash engine 1 ~at:2200;
   Engine.run engine ~until:14000;
   Obs.Instrument.finalize inst;
-  let trace = Engine.trace engine in
-  let wf = Dining.Monitor.wait_freedom trace ~instance:"dx" ~n ~horizon:14000 ~slack:4500 in
-  let wx = Dining.Monitor.eventual_weak_exclusion trace ~instance:"dx" ~graph ~horizon:14000 ~suffix_from:8000 in
+  let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance:"dx" in
+  let wf = Dining.Monitor.Index.wait_freedom ix ~n ~horizon:14000 ~slack:4500 in
+  let wx = Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon:14000 ~suffix_from:8000 in
   let ok = wf.Detectors.Properties.holds && wx.Detectors.Properties.holds in
   let entry =
     Obs.Json.Obj
@@ -137,6 +129,14 @@ let () =
     exit 2
   end;
   let algo = match positional with a :: _ -> a | [] -> "wf" in
+  let deploy =
+    match List.assoc_opt algo Check.Runner.default_registry with
+    | Some deploy -> deploy
+    | None ->
+        Printf.eprintf "sweep: unknown algorithm %S (known: %s)\n" algo
+          (String.concat ", " (List.map fst Check.Runner.default_registry));
+        exit 2
+  in
   let report_path =
     match positional with
     | _ :: p :: _ -> p
@@ -145,7 +145,7 @@ let () =
   let specs = grid base_seed in
   let (results : (Obs.Json.t * string option * Obs.Metrics.t) array), total_s =
     Obs.Instrument.time (fun () ->
-        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config algo specs.(i)))
+        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config algo deploy specs.(i)))
   in
   (* Merge phase, in grid order: failure lines, report entries and the
      merged metrics registry come out identical for every -j. *)

@@ -1,12 +1,15 @@
-(* Lemmas 5 and 12 as [Reduction.Lemmas.trace_reports] first counted
-   them: a [List.filter] over a whole list for every window, so
-   O(sessions x events). Kept as the oracle for the one-pass sweeps that
-   replaced it; test_reduction.ml demands identical reports from both. *)
+(* The post-hoc lemma checks of [Reduction.Lemmas.trace_reports] as they
+   were first written: every lemma filters the whole trace through the
+   per-diner queries of trace_reference.ml, and Lemmas 5 and 12 run a
+   [List.filter] over a whole list for every window, so
+   O(sessions x events). Kept as the oracle for the checks that read one
+   phase index per dining instance and sweep each time array once;
+   test_reduction.ml demands identical reports from both. *)
 
 open Dsim
 
 let eating_starts trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
+  Trace_reference.transitions ~instance ~pid trace
   |> List.filter_map (fun (e : Trace.entry) ->
          match e.ev with
          | Trace.Transition { to_ = Types.Eating; _ } -> Some e.at
@@ -19,8 +22,8 @@ let note_times trace ~pid ~label ~info =
          | Trace.Note n when String.equal n.info info -> Some e.at
          | _ -> None)
 
-(* The [L5] and [L12] reports, in that order. *)
-let l5_l12 ~engine ~(pair : Reduction.Pair.t) : Reduction.Lemmas.report list =
+(* The [L1], [L5], [L6], [L7], [L11] and [L12] reports, in that order. *)
+let trace_reports ~engine ~(pair : Reduction.Pair.t) : Reduction.Lemmas.report list =
   let trace = Engine.trace engine in
   let horizon = Engine.now engine in
   let slack = max 1000 (horizon / 5) in
@@ -33,7 +36,7 @@ let l5_l12 ~engine ~(pair : Reduction.Pair.t) : Reduction.Lemmas.report list =
   if both_correct then
     for i = 0 to 1 do
       let sessions =
-        Trace.eating_intervals trace ~instance:pair.Reduction.Pair.dx_instances.(i)
+        Trace_reference.eating_intervals trace ~instance:pair.Reduction.Pair.dx_instances.(i)
           ~pid:pair.Reduction.Pair.subject ~horizon
         |> List.filter (fun (_, b) -> b < horizon - slack)
       in
@@ -52,6 +55,35 @@ let l5_l12 ~engine ~(pair : Reduction.Pair.t) : Reduction.Lemmas.report list =
               Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations)
         sessions
     done;
+  let counts pid =
+    List.map
+      (fun i ->
+        List.length (eating_starts trace ~instance:pair.Reduction.Pair.dx_instances.(i) ~pid))
+      [ 0; 1 ]
+  in
+  let s_counts = counts pair.Reduction.Pair.subject in
+  let w_counts = counts pair.Reduction.Pair.watcher in
+  let show counts = String.concat "/" (List.map string_of_int counts) in
+  let l7 =
+    {
+      Reduction.Lemmas.lemma = "L7";
+      violations =
+        (if both_correct && List.exists (fun c -> c < 2) s_counts then
+           [ Printf.sprintf "subjects ate only %s times" (show s_counts) ]
+         else []);
+      info = Printf.sprintf "subject eats: %s" (show s_counts);
+    }
+  in
+  let l11 =
+    {
+      Reduction.Lemmas.lemma = "L11";
+      violations =
+        (if watcher_correct && List.exists (fun c -> c < 2) w_counts then
+           [ Printf.sprintf "witnesses ate only %s times" (show w_counts) ]
+         else []);
+      info = Printf.sprintf "witness eats: %s" (show w_counts);
+    }
+  in
   let l12_violations = ref [] in
   if watcher_correct then
     for i = 0 to 1 do
@@ -75,15 +107,25 @@ let l5_l12 ~engine ~(pair : Reduction.Pair.t) : Reduction.Lemmas.report list =
       in
       scan starts_i
     done;
+  let l1_violations = ref [] in
+  let l6_violations = ref [] in
+  if both_correct then
+    for i = 0 to 1 do
+      List.iter
+        (fun (a, b, ph) ->
+          if Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack then
+            l1_violations := Printf.sprintf "s_%d hungry since t=%d unserved" i a :: !l1_violations;
+          if Types.phase_equal ph Types.Eating && b >= horizon && a < horizon - slack then
+            l6_violations :=
+              Printf.sprintf "s_%d eating since t=%d never exits" i a :: !l6_violations)
+        (Trace_reference.phase_timeline trace ~instance:pair.Reduction.Pair.dx_instances.(i)
+           ~pid:pair.Reduction.Pair.subject ~horizon)
+    done;
   [
-    {
-      Reduction.Lemmas.lemma = "L5";
-      violations = List.rev !l5_violations;
-      info = "one ping/ack per session";
-    };
-    {
-      Reduction.Lemmas.lemma = "L12";
-      violations = List.rev !l12_violations;
-      info = "witness alternation";
-    };
+    { Reduction.Lemmas.lemma = "L1"; violations = List.rev !l1_violations; info = "hungry subjects eat" };
+    { Reduction.Lemmas.lemma = "L5"; violations = List.rev !l5_violations; info = "one ping/ack per session" };
+    { Reduction.Lemmas.lemma = "L6"; violations = List.rev !l6_violations; info = "finite subject eating" };
+    l7;
+    l11;
+    { Reduction.Lemmas.lemma = "L12"; violations = List.rev !l12_violations; info = "witness alternation" };
   ]

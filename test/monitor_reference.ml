@@ -1,8 +1,8 @@
 (* Dining.Monitor as it was before the phase index: every check filters
-   the whole trace once per diner (Trace.phase_timeline and friends), and
-   eventual weak exclusion compares every pair of eating intervals of
-   every edge, so checking is O(n x events) plus a quadratic term per
-   edge. Kept as the oracle for the one-pass index that replaced it;
+   the whole trace once per diner (Trace_reference.phase_timeline and
+   friends), and eventual weak exclusion compares every pair of eating
+   intervals of every edge, so checking is O(n x events) plus a quadratic
+   term per edge. Kept as the oracle for the one-pass index that replaced it;
    test_monitor.ml demands identical verdicts, details, violation lists
    and meal counts from both. *)
 
@@ -24,7 +24,7 @@ let clip_at_crash intervals crash =
 
 let live_eating_intervals trace ~instance ~pid ~horizon =
   let crash = Types.Pidmap.find_opt pid (Trace.crash_times trace) in
-  clip_at_crash (Trace.eating_intervals trace ~instance ~pid ~horizon) crash
+  clip_at_crash (Trace_reference.eating_intervals trace ~instance ~pid ~horizon) crash
 
 let exclusion_violations trace ~instance ~graph ~horizon =
   let n = Graphs.Conflict_graph.n graph in
@@ -83,7 +83,7 @@ let wait_freedom trace ~instance ~n ~horizon ~slack =
               Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)"
                 instance pid a horizon
               :: !details)
-        (Trace.phase_timeline trace ~instance ~pid ~horizon)
+        (Trace_reference.phase_timeline trace ~instance ~pid ~horizon)
   done;
   { Detectors.Properties.holds = !details = []; details = !details }
 
@@ -98,12 +98,12 @@ let exiting_finite trace ~instance ~n ~horizon ~slack =
             details :=
               Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" instance pid a
               :: !details)
-        (Trace.phase_timeline trace ~instance ~pid ~horizon)
+        (Trace_reference.phase_timeline trace ~instance ~pid ~horizon)
   done;
   { Detectors.Properties.holds = !details = []; details = !details }
 
 let eat_count trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
+  Trace_reference.transitions ~instance ~pid trace
   |> List.filter (fun (e : Trace.entry) ->
          match e.ev with
          | Trace.Transition { to_ = Types.Eating; _ } -> true
@@ -111,12 +111,12 @@ let eat_count trace ~instance ~pid =
   |> List.length
 
 let hungry_segments trace ~instance ~pid ~horizon =
-  Trace.phase_timeline trace ~instance ~pid ~horizon
+  Trace_reference.phase_timeline trace ~instance ~pid ~horizon
   |> List.filter_map (fun (a, b, ph) ->
          if Types.phase_equal ph Types.Hungry then Some (a, b) else None)
 
 let eating_starts trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
+  Trace_reference.transitions ~instance ~pid trace
   |> List.filter_map (fun (e : Trace.entry) ->
          match e.ev with
          | Trace.Transition { to_ = Types.Eating; _ } -> Some e.at
@@ -147,7 +147,7 @@ let starved trace ~instance ~n ~horizon ~slack =
       && List.exists
            (fun (a, b, ph) ->
              Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack)
-           (Trace.phase_timeline trace ~instance ~pid ~horizon))
+           (Trace_reference.phase_timeline trace ~instance ~pid ~horizon))
     (List.init n Fun.id)
 
 let failure_locality trace ~instance ~graph ~horizon ~slack =
@@ -175,8 +175,3 @@ let fairness_index trace ~instance ~pids =
   let s = List.fold_left ( +. ) 0.0 xs in
   let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
   if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
-
-let hungry_wait_times trace ~instance ~pid ~horizon =
-  Trace.phase_timeline trace ~instance ~pid ~horizon
-  |> List.filter_map (fun (a, b, ph) ->
-         if Types.phase_equal ph Types.Hungry && b < horizon then Some (b - a) else None)

@@ -1,6 +1,7 @@
 (* Tests for the dining algorithms: hygienic baseline and WF-◇WX. *)
 
 open Dsim
+module Ix = Dining.Monitor.Index
 
 let check = Alcotest.(check bool)
 let holds (v : Detectors.Properties.verdict) = v.Detectors.Properties.holds
@@ -24,7 +25,7 @@ let test_hygienic_perpetual_exclusion () =
   let graph = Graphs.Conflict_graph.ring ~n:5 in
   let engine = hygienic_run ~graph () in
   let v =
-    Dining.Monitor.perpetual_weak_exclusion (Engine.trace engine) ~instance:"hyg" ~graph
+    Ix.perpetual_weak_exclusion (Ix.build (Engine.trace engine) ~instance:"hyg") ~graph
       ~horizon:(Engine.now engine)
   in
   check "no violation ever" true (holds v)
@@ -250,7 +251,7 @@ let test_kfair_bounded_overtaking () =
   let graph = Graphs.Conflict_graph.ring ~n:5 in
   let engine = kfair_run ~seed:33L ~graph () in
   let tr = Engine.trace engine in
-  let k = Dining.Monitor.max_overtaking tr ~instance:"kf" ~graph ~after:5000 ~horizon:12000 in
+  let k = Ix.max_overtaking (Ix.build tr ~instance:"kf") ~graph ~after:5000 ~horizon:12000 in
   check "suffix overtaking <= 2" true (k <= 2)
 
 (* ------------------------------------------------------------------ *)
@@ -296,7 +297,7 @@ let test_ftme_perpetual_exclusion_no_crash () =
   let engine = ftme_run ~n:4 () in
   let graph = Graphs.Conflict_graph.clique ~n:4 in
   let v =
-    Dining.Monitor.perpetual_weak_exclusion (Engine.trace engine) ~instance:"fx" ~graph
+    Ix.perpetual_weak_exclusion (Ix.build (Engine.trace engine) ~instance:"fx") ~graph
       ~horizon:12000
   in
   check "never a violation" true (holds v)
@@ -307,7 +308,7 @@ let test_ftme_survives_server_crashes () =
   let engine = ftme_run ~seed:42L ~n:5 ~crash:[ (0, 1500); (1, 4000) ] () in
   let graph = Graphs.Conflict_graph.clique ~n:5 in
   let tr = Engine.trace engine in
-  let v = Dining.Monitor.perpetual_weak_exclusion tr ~instance:"fx" ~graph ~horizon:12000 in
+  let v = Ix.perpetual_weak_exclusion (Ix.build tr ~instance:"fx") ~graph ~horizon:12000 in
   check "perpetual exclusion across fail-overs" true (holds v);
   let w = Dining.Monitor.wait_freedom tr ~instance:"fx" ~n:5 ~horizon:12000 ~slack:3000 in
   check "wait-free across fail-overs" true (holds w);
@@ -324,7 +325,7 @@ let test_ftme_crash_of_cs_holder () =
   let engine = ftme_run ~seed:43L ~n:4 ~eat_ticks:40 ~crash:[ (2, 800) ] () in
   let graph = Graphs.Conflict_graph.clique ~n:4 in
   let tr = Engine.trace engine in
-  let v = Dining.Monitor.perpetual_weak_exclusion tr ~instance:"fx" ~graph ~horizon:12000 in
+  let v = Ix.perpetual_weak_exclusion (Ix.build tr ~instance:"fx") ~graph ~horizon:12000 in
   check "perpetual exclusion" true (holds v);
   let w = Dining.Monitor.wait_freedom tr ~instance:"fx" ~n:4 ~horizon:12000 ~slack:3000 in
   check "wait-free" true (holds w)
@@ -345,7 +346,7 @@ let test_ftme_stale_message_regressions () =
       in
       let graph = Graphs.Conflict_graph.clique ~n:4 in
       let trace = Engine.trace engine in
-      let wx = Dining.Monitor.perpetual_weak_exclusion trace ~instance:"fx" ~graph ~horizon:12000 in
+      let wx = Ix.perpetual_weak_exclusion (Ix.build trace ~instance:"fx") ~graph ~horizon:12000 in
       let wf = Dining.Monitor.wait_freedom trace ~instance:"fx" ~n:4 ~horizon:12000 ~slack:4000 in
       if not (holds wx) then Alcotest.failf "seed %Ld: exclusion violated" seed;
       if not (holds wf) then Alcotest.failf "seed %Ld: starvation" seed)
@@ -365,7 +366,7 @@ let test_ftme_needs_trusting_accuracy () =
   let engine = ftme_run ~seed:44L ~n:4 ~eat_ticks:400 ~oracle_windows:windows () in
   let graph = Graphs.Conflict_graph.clique ~n:4 in
   let v =
-    Dining.Monitor.perpetual_weak_exclusion (Engine.trace engine) ~instance:"fx" ~graph
+    Ix.perpetual_weak_exclusion (Ix.build (Engine.trace engine) ~instance:"fx") ~graph
       ~horizon:12000
   in
   check "exclusion violated under false suspicion" false (holds v)
@@ -394,7 +395,7 @@ let test_fl1_perpetual_exclusion () =
   let graph = Graphs.Conflict_graph.ring ~n:5 in
   let engine = fl1_run ~graph ~horizon:10000 ~crash:[ (2, 800) ] () in
   let v =
-    Dining.Monitor.perpetual_weak_exclusion (Engine.trace engine) ~instance:"fl" ~graph
+    Ix.perpetual_weak_exclusion (Ix.build (Engine.trace engine) ~instance:"fl") ~graph
       ~horizon:10000
   in
   check "never a violation, even pre-convergence" true (holds v)
@@ -403,7 +404,7 @@ let test_fl1_locality_bounded () =
   let graph = Graphs.Conflict_graph.path ~n:6 in
   let engine = fl1_run ~graph ~horizon:12000 ~crash:[ (0, 1000) ] () in
   let loc =
-    Dining.Monitor.failure_locality (Engine.trace engine) ~instance:"fl" ~graph ~horizon:12000
+    Ix.failure_locality (Ix.build (Engine.trace engine) ~instance:"fl") ~graph ~horizon:12000
       ~slack:4000
   in
   check "locality <= 1" true (match loc with Some l -> l <= 1 | None -> false);
@@ -419,7 +420,7 @@ let test_fl1_no_crash_no_starvation () =
   let graph = Graphs.Conflict_graph.ring ~n:5 in
   let engine = fl1_run ~seed:6L ~graph ~horizon:10000 () in
   let loc =
-    Dining.Monitor.failure_locality (Engine.trace engine) ~instance:"fl" ~graph ~horizon:10000
+    Ix.failure_locality (Ix.build (Engine.trace engine) ~instance:"fl") ~graph ~horizon:10000
       ~slack:3000
   in
   Alcotest.(check (option int)) "locality 0" (Some 0) loc
@@ -433,7 +434,7 @@ let test_fl1_baseline_chain_starvation () =
     fl1_run ~with_detector:false ~graph ~horizon:12000 ~crash:[ (0, 1000) ] ~glutton:[ 0 ] ()
   in
   let starved =
-    Dining.Monitor.starved (Engine.trace engine) ~instance:"fl" ~n:6 ~horizon:12000 ~slack:4000
+    Ix.starved (Ix.build (Engine.trace engine) ~instance:"fl") ~n:6 ~horizon:12000 ~slack:4000
   in
   check "everyone behind the crash starves" true (List.length starved >= 4);
   (* ... while the detector-equipped FL1 run with the same pinned crash
@@ -442,7 +443,7 @@ let test_fl1_baseline_chain_starvation () =
     fl1_run ~with_detector:true ~graph ~horizon:12000 ~crash:[ (0, 1000) ] ~glutton:[ 0 ] ()
   in
   let loc =
-    Dining.Monitor.failure_locality (Engine.trace engine) ~instance:"fl" ~graph ~horizon:12000
+    Ix.failure_locality (Ix.build (Engine.trace engine) ~instance:"fl") ~graph ~horizon:12000
       ~slack:4000
   in
   check "fl1 confines the same crash to locality 1" true
@@ -481,11 +482,11 @@ let test_fairness_index () =
   eat 1 3;
   eat 1 4;
   Alcotest.(check (float 1e-9)) "even meals" 1.0
-    (Dining.Monitor.fairness_index tr ~instance:"i" ~pids:[ 0; 1 ]);
-  let skew = Dining.Monitor.fairness_index tr ~instance:"i" ~pids:[ 0; 1; 2 ] in
+    (Ix.fairness_index (Ix.build tr ~instance:"i") ~pids:[ 0; 1 ]);
+  let skew = Ix.fairness_index (Ix.build tr ~instance:"i") ~pids:[ 0; 1; 2 ] in
   check "skew below 1" true (skew < 1.0);
   Alcotest.(check (float 1e-9)) "no meals at all" 1.0
-    (Dining.Monitor.fairness_index tr ~instance:"i" ~pids:[ 7; 8 ])
+    (Ix.fairness_index (Ix.build tr ~instance:"i") ~pids:[ 7; 8 ])
 
 let test_cell_misuse_raises () =
   let engine = Engine.create ~seed:1L ~n:1 ~adversary:(Adversary.synchronous ()) () in
@@ -534,7 +535,7 @@ let test_monitor_detects_violation () =
   trans 0 10 Types.Eating Types.Exiting;
   trans 1 12 Types.Eating Types.Exiting;
   let graph = Graphs.Conflict_graph.pair () in
-  let vs = Dining.Monitor.exclusion_violations tr ~instance:"i" ~graph ~horizon:20 in
+  let vs = Ix.exclusion_violations (Ix.build tr ~instance:"i") ~graph ~horizon:20 in
   Alcotest.(check int) "one overlap" 1 (List.length vs);
   let v = List.hd vs in
   Alcotest.(check int) "overlap start" 4 v.Dining.Monitor.at
@@ -551,7 +552,7 @@ let test_monitor_crash_clips_liveness () =
   trans 1 7 Types.Thinking Types.Hungry;
   trans 1 8 Types.Hungry Types.Eating;
   let graph = Graphs.Conflict_graph.pair () in
-  let vs = Dining.Monitor.exclusion_violations tr ~instance:"i" ~graph ~horizon:20 in
+  let vs = Ix.exclusion_violations (Ix.build tr ~instance:"i") ~graph ~horizon:20 in
   Alcotest.(check int) "no live overlap" 0 (List.length vs)
 
 let test_monitor_exiting_finite () =
@@ -585,7 +586,7 @@ let test_monitor_overtaking () =
     [ 2; 10; 20 ];
   trans 0 30 Types.Hungry Types.Eating;
   let graph = Graphs.Conflict_graph.pair () in
-  let k = Dining.Monitor.max_overtaking tr ~instance:"i" ~graph ~after:0 ~horizon:40 in
+  let k = Ix.max_overtaking (Ix.build tr ~instance:"i") ~graph ~after:0 ~horizon:40 in
   Alcotest.(check int) "three overtakes" 3 k
 
 let () =

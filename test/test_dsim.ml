@@ -253,13 +253,14 @@ let test_engine_messages_to_crashed_dropped () =
   in
   Engine.register engine 0 sender;
   Engine.register engine 1 sink;
+  let app_pending = Engine.in_flight_counter engine ~tag:"app" ~f:(fun _ -> true) in
   Engine.schedule_crash engine 1 ~at:10;
   Engine.run engine ~until:100;
   (* Only messages delivered before the crash arrive; in-flight count for
      the tag eventually drains to 0 despite the crash. *)
   check "some early deliveries possible" true (!got <= 10);
   Engine.run engine ~until:300;
-  check "sender keeps spamming but inbox stays empty" true (Engine.in_flight engine ~tag:"app" >= 0)
+  check "sender keeps spamming but inbox stays empty" true (app_pending () >= 0)
 
 let test_engine_hook_order () =
   (* on_tick hooks fire in registration order every tick (they are held in
@@ -378,12 +379,26 @@ let test_engine_inbox_drains_under_load () =
     in
     Engine.register engine pid spam
   done;
+  let spam_pending = Engine.in_flight_counter engine ~tag:"spam" ~f:(fun _ -> true) in
   Engine.run engine ~until:2000;
   (* 6 sends per tick, delay 1: only the last tick's packets are pending. *)
-  check "bounded backlog" true (Engine.in_flight engine ~tag:"spam" <= 12)
+  check "bounded backlog" true (spam_pending () <= 12)
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
+
+(* Diner [pid]'s phase segments [(a, b, phase)] of instance "i", from the
+   phase index. *)
+let segments tr ~pid ~horizon =
+  let acc = ref [] in
+  Dining.Monitor.Index.iter_segments (Dining.Monitor.Index.build tr ~instance:"i") ~pid ~horizon
+    (fun a b ph -> acc := (a, b, ph) :: !acc);
+  List.rev !acc
+
+let eating_intervals tr ~pid ~horizon =
+  List.filter_map
+    (fun (a, b, ph) -> if Types.phase_equal ph Types.Eating then Some (a, b) else None)
+    (segments tr ~pid ~horizon)
 
 let test_trace_phase_timeline () =
   let tr = Trace.create () in
@@ -394,9 +409,12 @@ let test_trace_phase_timeline () =
   trans 20 Types.Hungry Types.Eating;
   trans 35 Types.Eating Types.Exiting;
   trans 36 Types.Exiting Types.Thinking;
-  let tl = Trace.phase_timeline tr ~instance:"i" ~pid:0 ~horizon:50 in
+  let tl = segments tr ~pid:0 ~horizon:50 in
   Alcotest.(check int) "five segments" 5 (List.length tl);
-  let intervals = Trace.eating_intervals tr ~instance:"i" ~pid:0 ~horizon:50 in
+  Alcotest.(check (list string)) "segments cover [0, horizon)"
+    [ "thinking[0,10)"; "hungry[10,20)"; "eating[20,35)"; "exiting[35,36)"; "thinking[36,50)" ]
+    (List.map (fun (a, b, ph) -> Printf.sprintf "%s[%d,%d)" (Types.phase_to_string ph) a b) tl);
+  let intervals = eating_intervals tr ~pid:0 ~horizon:50 in
   Alcotest.(check (list (pair int int))) "eating interval" [ (20, 35) ] intervals
 
 let test_trace_open_eating_clipped_at_horizon () =
@@ -405,7 +423,7 @@ let test_trace_open_eating_clipped_at_horizon () =
     (Trace.Transition { instance = "i"; pid = 1; from_ = Types.Thinking; to_ = Types.Hungry });
   Trace.append tr ~at:9
     (Trace.Transition { instance = "i"; pid = 1; from_ = Types.Hungry; to_ = Types.Eating });
-  let intervals = Trace.eating_intervals tr ~instance:"i" ~pid:1 ~horizon:100 in
+  let intervals = eating_intervals tr ~pid:1 ~horizon:100 in
   Alcotest.(check (list (pair int int))) "clipped" [ (9, 100) ] intervals
 
 let test_trace_suspicion_history () =

@@ -236,14 +236,15 @@ let test_report_schema_round_trip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Obs.Report.write ~path report;
-      Obs.Report.validate_mc (Obs.Report.read_mc ~path);
-      (match Obs.Report.read_any ~path with
-      | `Mc j ->
-          Alcotest.(check string) "read_any dispatches to the mc validator"
-            (Obs.Json.to_string report) (Obs.Json.to_string j)
-      | `Run _ | `Campaign _ | `Simlint _ -> Alcotest.fail "mc report misdispatched");
+      let j =
+        match Obs.Report.read_any ~path with
+        | `Mc j ->
+            Alcotest.(check string) "read_any dispatches to the mc validator"
+              (Obs.Json.to_string report) (Obs.Json.to_string j);
+            j
+        | `Run _ | `Campaign _ | `Simlint _ -> Alcotest.fail "mc report misdispatched"
+      in
       (* The human summary renders without raising. *)
-      let j = Obs.Report.read_mc ~path in
       let buf = Buffer.create 256 in
       let fmt = Format.formatter_of_buffer buf in
       Obs.Report.pp_mc_summary fmt j;

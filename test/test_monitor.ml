@@ -1,11 +1,13 @@
 (* Differential test of Dining.Monitor against the pre-index monitors in
-   monitor_reference.ml: every public check, on the checked-in corpus,
-   on random fuzz configs (the broken wf-dropfork variant, a wf whose ◇P
-   suspects everyone forever, and crash-heavy schedules among them) and
-   on hand-made traces at the edges of the segment rule, must give the
-   same verdicts, the same detail strings in the same order, the same
-   violation lists and the same meal counts. Check.Runner's outcomes,
-   which read one shared index, are compared the same way. *)
+   monitor_reference.ml, and of Obs.Span against the streaming fold in
+   span_reference.ml: every public check, segment list and span list, on
+   the checked-in corpus, on random fuzz configs (the broken wf-dropfork
+   variant, a wf whose ◇P suspects everyone forever, and crash-heavy
+   schedules among them) and on hand-made traces at the edges of the
+   segment rule, must give the same verdicts, the same detail strings in
+   the same order, the same violation lists, meal counts, segments and
+   spans. Check.Runner's outcomes, which read one shared index, are
+   compared the same way. *)
 
 open Dsim
 module R = Monitor_reference
@@ -24,9 +26,17 @@ let same what ~reference ~got =
   if not (String.equal reference got) then
     Alcotest.failf "%s\n  reference: %s\n  index:     %s" what reference got
 
-(* Every public check on one trace, at one horizon and slack. *)
+let str_span (sp : Obs.Span.span) =
+  Printf.sprintf "%s/p%d:%s[%d,%d)%s" sp.Obs.Span.instance sp.Obs.Span.pid
+    (Types.phase_to_string sp.Obs.Span.phase)
+    sp.Obs.Span.start sp.Obs.Span.stop
+    (if sp.Obs.Span.closed then "" else "open")
+
+(* Every public check on one trace, at one horizon and slack: the four
+   one-check forms over the trace, everything else over one index. *)
 let compare_all ~ctx trace ~instance ~graph ~horizon ~slack =
   let n = Graphs.Conflict_graph.n graph in
+  let ix = M.Index.build trace ~instance in
   let what name = Printf.sprintf "%s: %s (horizon %d, slack %d)" ctx name horizon slack in
   let suffix_from = horizon / 2 in
   same (what "wait_freedom")
@@ -41,7 +51,7 @@ let compare_all ~ctx trace ~instance ~graph ~horizon ~slack =
     ~got:(str_verdict (M.eventual_weak_exclusion trace ~instance ~graph ~horizon ~suffix_from));
   same (what "perpetual_weak_exclusion")
     ~reference:(str_verdict (R.perpetual_weak_exclusion trace ~instance ~graph ~horizon))
-    ~got:(str_verdict (M.perpetual_weak_exclusion trace ~instance ~graph ~horizon));
+    ~got:(str_verdict (M.Index.perpetual_weak_exclusion ix ~graph ~horizon));
   same (what "exclusion_violations")
     ~reference:
       (str_list
@@ -50,45 +60,61 @@ let compare_all ~ctx trace ~instance ~graph ~horizon ~slack =
     ~got:
       (str_list
          (fun (v : M.violation) -> Printf.sprintf "%d:%d-%d" v.M.at v.M.p v.M.q)
-         (M.exclusion_violations trace ~instance ~graph ~horizon));
+         (M.Index.exclusion_violations ix ~graph ~horizon));
   same (what "last_violation_time")
     ~reference:(str_opt (R.last_violation_time trace ~instance ~graph ~horizon))
-    ~got:(str_opt (M.last_violation_time trace ~instance ~graph ~horizon));
+    ~got:(str_opt (M.Index.last_violation_time ix ~graph ~horizon));
   List.iter
     (fun after ->
       same (what (Printf.sprintf "max_overtaking after %d" after))
         ~reference:(string_of_int (R.max_overtaking trace ~instance ~graph ~after ~horizon))
-        ~got:(string_of_int (M.max_overtaking trace ~instance ~graph ~after ~horizon)))
+        ~got:(string_of_int (M.Index.max_overtaking ix ~graph ~after ~horizon)))
     [ 0; horizon / 2 ];
   same (what "starved")
     ~reference:(str_ints (R.starved trace ~instance ~n ~horizon ~slack))
-    ~got:(str_ints (M.starved trace ~instance ~n ~horizon ~slack));
+    ~got:(str_ints (M.Index.starved ix ~n ~horizon ~slack));
   same (what "failure_locality")
     ~reference:(str_opt (R.failure_locality trace ~instance ~graph ~horizon ~slack))
-    ~got:(str_opt (M.failure_locality trace ~instance ~graph ~horizon ~slack));
+    ~got:(str_opt (M.Index.failure_locality ix ~graph ~horizon ~slack));
   let pids = List.init (n + 1) Fun.id in
   same (what "fairness_index")
     ~reference:(Printf.sprintf "%h" (R.fairness_index trace ~instance ~pids))
-    ~got:(Printf.sprintf "%h" (M.fairness_index trace ~instance ~pids));
+    ~got:(Printf.sprintf "%h" (M.Index.fairness_index ix ~pids));
   List.iter
     (fun pid ->
       let what name = what (Printf.sprintf "%s p%d" name pid) in
       same (what "eat_count")
         ~reference:(string_of_int (R.eat_count trace ~instance ~pid))
         ~got:(string_of_int (M.eat_count trace ~instance ~pid));
+      same (what "eating_starts")
+        ~reference:(str_ints (R.eating_starts trace ~instance ~pid))
+        ~got:(str_ints (Array.to_list (M.Index.eating_starts ix ~pid)));
       same (what "live_eating_intervals")
         ~reference:(str_list str_pair (R.live_eating_intervals trace ~instance ~pid ~horizon))
-        ~got:(str_list str_pair (M.live_eating_intervals trace ~instance ~pid ~horizon));
-      same (what "hungry_wait_times")
-        ~reference:(str_ints (R.hungry_wait_times trace ~instance ~pid ~horizon))
-        ~got:(str_ints (M.hungry_wait_times trace ~instance ~pid ~horizon)))
+        ~got:(str_list str_pair (M.Index.live_eating_intervals ix ~pid ~horizon));
+      let segments = ref [] in
+      M.Index.iter_segments ix ~pid ~horizon (fun a b ph -> segments := (a, b, ph) :: !segments);
+      let str_segment (a, b, ph) = Printf.sprintf "%s[%d,%d)" (Types.phase_to_string ph) a b in
+      same (what "segments")
+        ~reference:
+          (str_list str_segment (Trace_reference.phase_timeline trace ~instance ~pid ~horizon))
+        ~got:(str_list str_segment (List.rev !segments)))
     pids
+
+(* Obs.Span's rendering of the index against the old streaming fold. *)
+let compare_spans ~ctx trace ~horizon =
+  same
+    (Printf.sprintf "%s: spans (horizon %d)" ctx horizon)
+    ~reference:(str_list str_span (Span_reference.spans trace ~horizon))
+    ~got:(str_list str_span (Obs.Span.spans trace ~horizon))
 
 (* The run's own horizon and slack, then horizons cutting the trace short
    and running past its end, with a zero slack. *)
 let compare_horizons ~ctx trace ~instance ~graph ~horizon =
   List.iter
-    (fun (horizon, slack) -> compare_all ~ctx trace ~instance ~graph ~horizon ~slack)
+    (fun (horizon, slack) ->
+      compare_all ~ctx trace ~instance ~graph ~horizon ~slack;
+      compare_spans ~ctx trace ~horizon)
     [ (horizon, horizon / 3); (horizon / 2, 0); (horizon + 7, horizon / 5) ]
 
 (* Check.Runner's checks and meal count against the reference monitors
@@ -255,7 +281,8 @@ let test_hand_made () =
     (fun graph ->
       List.iter
         (fun (horizon, slack) ->
-          compare_all ~ctx:"hand-made" tr ~instance:"i" ~graph ~horizon ~slack)
+          compare_all ~ctx:"hand-made" tr ~instance:"i" ~graph ~horizon ~slack;
+          compare_spans ~ctx:"hand-made" tr ~horizon)
         [ (40, 10); (40, 0); (41, 10); (39, 0); (12, 3); (60, 20); (3, 0) ])
     [ Graphs.Conflict_graph.clique ~n:5; Graphs.Conflict_graph.ring ~n:5; Graphs.Conflict_graph.star ~n:5 ];
   (* The edge cases do what the paper's properties say. *)
@@ -267,21 +294,23 @@ let test_hand_made () =
       "[i] correct p0 hungry since t=15 never ate (horizon 40)";
     ]
     wf.Detectors.Properties.details;
+  let ix = M.Index.build tr ~instance:"i" in
   Alcotest.(check (list (pair int int)))
     "a crash cuts the meal it interrupts" [ (6, 8) ]
-    (M.live_eating_intervals tr ~instance:"i" ~pid:1 ~horizon:40);
+    (M.Index.live_eating_intervals ix ~pid:1 ~horizon:40);
   Alcotest.(check (list (pair int int)))
     "zero-length meals are no interval" [ (5, 9); (40, 41) ]
-    (M.live_eating_intervals tr ~instance:"i" ~pid:0 ~horizon:41 @ M.live_eating_intervals tr ~instance:"i" ~pid:3 ~horizon:41);
+    (M.Index.live_eating_intervals ix ~pid:0 ~horizon:41
+    @ M.Index.live_eating_intervals ix ~pid:3 ~horizon:41);
   Alcotest.(check int) "zero-length meals still count" 2 (M.eat_count tr ~instance:"i" ~pid:0);
   Alcotest.(check (list (pair int int)))
     "meals after a crash are not live" []
-    (M.live_eating_intervals tr ~instance:"i" ~pid:2 ~horizon:40);
+    (M.Index.live_eating_intervals ix ~pid:2 ~horizon:40);
   Alcotest.(check (list string)) "one overlap, cut by p1's crash"
     [ "6:0-1" ]
     (List.map
        (fun (v : M.violation) -> Printf.sprintf "%d:%d-%d" v.M.at v.M.p v.M.q)
-       (M.exclusion_violations tr ~instance:"i" ~graph ~horizon:40))
+       (M.Index.exclusion_violations ix ~graph ~horizon:40))
 
 (* A diner whose transitions go back in time is refused, not silently
    mis-merged. *)

@@ -397,46 +397,48 @@ let test_window_series () =
 let transition at instance pid from_ to_ =
   { Trace.at; ev = Trace.Transition { instance; pid; from_; to_ } }
 
+(* A trace of hand-written entries. *)
+let trace_of entries =
+  let tr = Trace.create () in
+  List.iter (fun (e : Trace.entry) -> Trace.append tr ~at:e.Trace.at e.Trace.ev) entries;
+  tr
+
+let synthetic_stream =
+  [
+    transition 5 "dx" 0 Types.Thinking Types.Hungry;
+    (* entered and left Hungry within one tick: a zero-length span *)
+    transition 5 "dx" 0 Types.Hungry Types.Eating;
+    transition 20 "dx" 0 Types.Eating Types.Thinking;
+    (* diner 1 first seen mid-run: assumed Hungry since tick 0 *)
+    transition 10 "dx" 1 Types.Hungry Types.Eating;
+  ]
+
 let test_span_fold () =
-  let t = Obs.Span.create () in
-  let closes = ref [] in
-  Obs.Span.on_close t (fun ~instance ~pid ~phase ~start ~stop ~next ->
-      closes := ({ Obs.Span.instance; pid; phase; start; stop; closed = true }, next) :: !closes);
-  List.iter (Obs.Span.observe t)
-    [
-      transition 5 "dx" 0 Types.Thinking Types.Hungry;
-      (* entered and left Hungry within one tick: a zero-length span *)
-      transition 5 "dx" 0 Types.Hungry Types.Eating;
-      transition 20 "dx" 0 Types.Eating Types.Thinking;
-      (* diner 1 first seen mid-run: assumed Hungry since tick 0 *)
-      transition 10 "dx" 1 Types.Hungry Types.Eating;
-    ];
+  let tr = trace_of synthetic_stream in
+  let span pid phase start stop closed = { Obs.Span.instance = "dx"; pid; phase; start; stop; closed } in
   let expect =
     [
-      { Obs.Span.instance = "dx"; pid = 0; phase = Types.Thinking; start = 0; stop = 5; closed = true };
-      { Obs.Span.instance = "dx"; pid = 0; phase = Types.Eating; start = 5; stop = 20; closed = true };
-      { Obs.Span.instance = "dx"; pid = 0; phase = Types.Thinking; start = 20; stop = 30; closed = false };
-      { Obs.Span.instance = "dx"; pid = 1; phase = Types.Hungry; start = 0; stop = 10; closed = true };
-      { Obs.Span.instance = "dx"; pid = 1; phase = Types.Eating; start = 10; stop = 30; closed = false };
+      span 0 Types.Thinking 0 5 true;
+      span 0 Types.Eating 5 20 true;
+      span 0 Types.Thinking 20 30 false;
+      span 1 Types.Hungry 0 10 true;
+      span 1 Types.Eating 10 30 false;
     ]
   in
-  check "folded spans (open ones cut at the horizon)" true
-    (Obs.Span.spans t ~horizon:30 = expect);
-  check_int "every transition fired a close" 4 (List.length !closes);
-  (* The zero-length Hungry stay is dropped from the retained list but
-     still reaches the close callbacks — it is a 0-tick latency sample. *)
-  check "zero-length close observed with its next phase" true
-    (List.exists
-       (fun (sp, next) ->
-         sp.Obs.Span.phase = Types.Hungry && sp.Obs.Span.start = 5 && sp.Obs.Span.stop = 5
-         && next = Types.Eating)
-       !closes);
-  let nf = Obs.Span.create ~retain:false () in
-  Obs.Span.observe nf (transition 5 "dx" 0 Types.Thinking Types.Hungry);
-  try
-    ignore (Obs.Span.spans nf ~horizon:30);
-    Alcotest.fail "spans on a retain:false collector accepted"
-  with Invalid_argument _ -> ()
+  check "spans (open ones cut at the horizon)" true (Obs.Span.spans tr ~horizon:30 = expect);
+  check "the streaming fold agrees" true (Span_reference.spans tr ~horizon:30 = expect);
+  (* A span ended by a transition past the horizon stays closed, and a
+     stay that starts at or after the horizon has no open span. *)
+  let early =
+    [
+      span 0 Types.Thinking 0 5 true;
+      span 0 Types.Eating 5 20 true;
+      span 1 Types.Hungry 0 10 true;
+      span 1 Types.Eating 10 15 false;
+    ]
+  in
+  check "spans at an earlier horizon" true (Obs.Span.spans tr ~horizon:15 = early);
+  check "the streaming fold agrees at it" true (Span_reference.spans tr ~horizon:15 = early)
 
 let test_chrome_export_deterministic () =
   let render () =
@@ -454,15 +456,43 @@ let test_chrome_export_deterministic () =
       let ph = Obs.Json.(str (get e "ph")) in
       check "only metadata/complete/instant events" true (List.mem ph [ "M"; "X"; "i" ]))
     events;
-  (* One complete event per span of an independent fold of the same trace. *)
+  (* One complete event per span of the streaming fold of the same trace. *)
   let engine = seeded_dining_run ~horizon:3000 () in
-  let collector = Obs.Span.create () in
-  Obs.Span.attach collector (Engine.trace engine);
-  let n_spans = List.length (Obs.Span.spans collector ~horizon:3001) in
+  let n_spans = List.length (Span_reference.spans (Engine.trace engine) ~horizon:3001) in
   let n_x =
     List.length (List.filter (fun e -> Obs.Json.(str (get e "ph")) = "X") events)
   in
   check_int "one X event per span" n_spans n_x
+
+(* Digests of the Chrome documents that [dinersim trace] writes, taken
+   when Span still folded the trace itself: rendering over the phase
+   index must not move a byte. Each corpus artifact is replayed as
+   [dinersim trace] replays it, cut at its configured horizon. *)
+let chrome_digest ?horizon trace =
+  Digest.to_hex
+    (Digest.string (Obs.Json.to_string_pretty (Obs.Span.chrome_of_trace ?horizon trace)))
+
+let test_chrome_documents_pinned () =
+  List.iter
+    (fun (file, want) ->
+      let r = Check.Repro.load ~path:(Filename.concat "corpus" file) in
+      let _, trace =
+        Check.Runner.run_traced
+          ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+          ~registry:Broken_dining.registry r.Check.Repro.config
+      in
+      check_str file want (chrome_digest ~horizon:r.Check.Repro.config.Check.Config.horizon trace))
+    [
+      ("broken-wf-dropfork.json", "942dc498873012c6b4c189e81b090cc5");
+      ("family-async.json", "c08490f2427dfda535d0e8be5b8be126");
+      ("family-bursty.json", "72c57dd8629f64dfb1b8bec13d9ea262");
+      ("family-partial.json", "91f3fe22b16127df5e9c39e4161e0f1f");
+      ("family-sync.json", "c0bcb6c50066950de41a4c5c0f8386b7");
+    ];
+  check_str "seeded run, default horizon" "0d8a0e9988464ee64dd29c4d94dff78b"
+    (chrome_digest (Engine.trace (seeded_dining_run ~horizon:3000 ())));
+  check_str "seeded run cut before its end" "74fb421a401be113607d65adea156cd1"
+    (chrome_digest ~horizon:4000 (Engine.trace (seeded_dining_run ())))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-coverage signatures *)
@@ -635,6 +665,29 @@ let test_exact_quantiles_track_histogram () =
     Obs.Json.(int (get series "total"));
   check "series peak positive" true Obs.Json.(int (get series "peak") > 0)
 
+(* Hunger latency comes from each diner's previous transition tick: a
+   zero-length Hungry stay is a 0-tick sample, and a diner first seen at
+   Hungry -> Eating has been hungry since tick 0. *)
+let test_hunger_latency_from_transition_ticks () =
+  let m = Obs.Metrics.create () in
+  let engine =
+    Engine.create ~retain_trace:false ~n:2 ~adversary:(Adversary.synchronous ()) ()
+  in
+  let inst = Obs.Instrument.install ~metrics:m engine in
+  List.iter
+    (fun (e : Trace.entry) -> Trace.append (Engine.trace engine) ~at:e.Trace.at e.Trace.ev)
+    synthetic_stream;
+  Obs.Instrument.finalize inst;
+  let j = Obs.Metrics.to_json m in
+  let exact = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency_exact") in
+  check_int "one sample per Hungry -> Eating" 2 Obs.Json.(int (get exact "count"));
+  check_int "the zero-length stay is a 0 sample" 0 Obs.Json.(int (get exact "min"));
+  check_int "pid 1, first seen at Hungry -> Eating at 10, waited 10" 10
+    Obs.Json.(int (get exact "max"));
+  check_int "nothing else" 10 Obs.Json.(int (get exact "sum"));
+  let hist = Obs.Json.(get (get j "histograms") "dining.dx.hunger_latency") in
+  check_int "the histogram sees the same samples" 2 Obs.Json.(int (get hist "count"))
+
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
@@ -658,7 +711,11 @@ let test_report_schema_roundtrip () =
           ()
       in
       Obs.Report.write ~path j;
-      let j' = Obs.Report.read ~path in
+      let j' =
+        match Obs.Report.read_any ~path with
+        | `Run j -> j
+        | `Campaign _ | `Simlint _ | `Mc _ -> Alcotest.fail "run report misdispatched"
+      in
       check "write/read identity" true (j = j');
       check_str "schema tag" Obs.Report.schema_version Obs.Json.(str (get j' "schema"));
       check_str "cmd" "dining" Obs.Json.(str (get j' "cmd"));
@@ -682,7 +739,7 @@ let test_report_rejects_invalid () =
       List.iter
         (fun s ->
           write s;
-          match Obs.Report.read ~path with
+          match Obs.Report.read_any ~path with
           | _ -> Alcotest.failf "accepted %S" s
           | exception Failure _ -> ())
         [
@@ -734,14 +791,12 @@ let test_simlint_report_roundtrip () =
           check_str "canonical text round-trips" (Obs.Json.to_string doc)
             (Obs.Json.to_string j)
       | `Run _ | `Campaign _ | `Mc _ -> Alcotest.fail "simlint report misdispatched");
-      let j = Obs.Report.read_simlint ~path in
-      check_str "read_simlint agrees" (Obs.Json.to_string doc) (Obs.Json.to_string j);
       List.iter
         (fun bad ->
           let oc = open_out path in
           output_string oc bad;
           close_out oc;
-          match Obs.Report.read_simlint ~path with
+          match Obs.Report.read_any ~path with
           | _ -> Alcotest.failf "accepted %S" bad
           | exception Failure _ -> ())
         [
@@ -785,6 +840,7 @@ let () =
       ( "span",
         [
           Alcotest.test_case "fold of a synthetic stream" `Quick test_span_fold;
+          Alcotest.test_case "chrome documents pinned" `Quick test_chrome_documents_pinned;
           Alcotest.test_case "chrome export deterministic" `Quick
             test_chrome_export_deterministic;
         ] );
@@ -796,6 +852,8 @@ let () =
         ] );
       ( "instrument",
         [
+          Alcotest.test_case "hunger latency from transition ticks" `Quick
+            test_hunger_latency_from_transition_ticks;
           Alcotest.test_case "exact digest and series track the run" `Quick
             test_exact_quantiles_track_histogram;
         ] );

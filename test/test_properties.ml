@@ -3,6 +3,7 @@
    full simulation, so case counts are kept moderate. *)
 
 open Dsim
+module Ix = Dining.Monitor.Index
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
@@ -79,10 +80,13 @@ let prop_timeline_legal =
       let graph = Graphs.Conflict_graph.ring ~n:4 in
       let run = Core.Scenario.wf_dining ~seed ~graph () in
       Engine.run run.Core.Scenario.engine ~until:4000;
-      let trace = Engine.trace run.Core.Scenario.engine in
+      let ix = Ix.build (Engine.trace run.Core.Scenario.engine) ~instance:"dx" in
       List.for_all
         (fun pid ->
-          let tl = Trace.phase_timeline trace ~instance:"dx" ~pid ~horizon:4000 in
+          let tl = ref [] in
+          Ix.iter_segments ix ~pid ~horizon:4000 (fun a b ph ->
+              tl := (a, b, ph) :: !tl);
+          let tl = List.rev !tl in
           (* contiguous segments, legal phase successions *)
           let rec check = function
             | (_, b1, p1) :: ((a2, _, p2) :: _ as rest) ->
@@ -156,7 +160,7 @@ let prop_wf_dining_fairness =
       let run = Core.Scenario.wf_dining ~seed ~graph () in
       Engine.run run.Core.Scenario.engine ~until:10000;
       let trace = Engine.trace run.Core.Scenario.engine in
-      Dining.Monitor.fairness_index trace ~instance:"dx"
+      Ix.fairness_index (Ix.build trace ~instance:"dx")
         ~pids:(List.init (Graphs.Conflict_graph.n graph) Fun.id)
       >= 0.7)
 
@@ -188,7 +192,7 @@ let prop_ftme_perpetual =
       Engine.run engine ~until:12000;
       let trace = Engine.trace engine in
       let graph = Graphs.Conflict_graph.clique ~n in
-      let wx = Dining.Monitor.perpetual_weak_exclusion trace ~instance:"fx" ~graph ~horizon:12000 in
+      let wx = Ix.perpetual_weak_exclusion (Ix.build trace ~instance:"fx") ~graph ~horizon:12000 in
       let wf = Dining.Monitor.wait_freedom trace ~instance:"fx" ~n ~horizon:12000 ~slack:4000 in
       if not (wx.Detectors.Properties.holds && wf.Detectors.Properties.holds) then
         QCheck2.Test.fail_reportf "adv=%s crash=%s: %s" (adversary_name adv)
@@ -283,7 +287,7 @@ let prop_kfair_overtaking =
       done;
       Engine.run engine ~until:12000;
       let trace = Engine.trace engine in
-      Dining.Monitor.max_overtaking trace ~instance:"kf" ~graph ~after:6000 ~horizon:12000 <= 2)
+      Ix.max_overtaking (Ix.build trace ~instance:"kf") ~graph ~after:6000 ~horizon:12000 <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Application substrates *)

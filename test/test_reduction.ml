@@ -240,23 +240,19 @@ let test_lemma3_detects_stray_ping () =
       | [] -> Alcotest.fail "no L3 violation")
 
 (* ------------------------------------------------------------------ *)
-(* Post-hoc Lemmas 5 and 12: one-pass sweeps against the filter-per-window
-   reference in lemmas_reference.ml *)
+(* Post-hoc Lemmas 1, 5, 6, 7, 11 and 12: the checks over one phase index
+   per instance against the trace-filtering reference in
+   lemmas_reference.ml, report for report *)
 
 let render (r : Reduction.Lemmas.report) =
   String.concat "\n"
     ((r.Reduction.Lemmas.lemma ^ " " ^ r.Reduction.Lemmas.info) :: r.Reduction.Lemmas.violations)
 
-let l5_l12 ~engine ~pair =
-  List.filter
-    (fun r -> List.mem r.Reduction.Lemmas.lemma [ "L5"; "L12" ])
-    (Reduction.Lemmas.trace_reports ~engine ~pair)
-
-let same_l5_l12 label ~engine ~pair =
+let same_reports label ~engine ~pair =
   Alcotest.(check (list string))
     label
-    (List.map render (Lemmas_reference.l5_l12 ~engine ~pair))
-    (List.map render (l5_l12 ~engine ~pair))
+    (List.map render (Lemmas_reference.trace_reports ~engine ~pair))
+    (List.map render (Reduction.Lemmas.trace_reports ~engine ~pair))
 
 let test_sweeps_match_reference_runs () =
   List.iter
@@ -266,7 +262,7 @@ let test_sweeps_match_reference_runs () =
       Engine.run r.engine ~until:horizon;
       List.iter
         (fun (pair, _) ->
-          same_l5_l12
+          same_reports
             (Printf.sprintf "seed %Ld n=%d horizon %d pair %s" seed n horizon
                pair.Reduction.Pair.name)
             ~engine:r.engine ~pair)
@@ -281,7 +277,7 @@ let test_sweeps_match_reference_runs () =
   (* A run the stray ping knocks off the one-ping-one-ack pattern. *)
   let engine, pair, _, _ = stray_ping_run ~seed:29L ~at:5000 in
   Engine.run engine ~until:20000;
-  same_l5_l12 "stray-ping run" ~engine ~pair
+  same_reports "stray-ping run" ~engine ~pair
 
 (* Random traces dense in violations and in ties: transitions and notes
    land on the same tick, on session boundaries and on each other, which
@@ -336,10 +332,12 @@ let test_sweeps_match_reference_random () =
     done;
     List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
     |> List.iter (fun (at, ev) -> Trace.append (Engine.trace engine) ~at ev);
-    same_l5_l12 (Printf.sprintf "random trace %d" case) ~engine ~pair;
+    same_reports (Printf.sprintf "random trace %d" case) ~engine ~pair;
     List.iter
-      (fun r -> violations := !violations + List.length r.Reduction.Lemmas.violations)
-      (l5_l12 ~engine ~pair)
+      (fun (r : Reduction.Lemmas.report) ->
+        if List.mem r.Reduction.Lemmas.lemma [ "L5"; "L12" ] then
+          violations := !violations + List.length r.Reduction.Lemmas.violations)
+      (Reduction.Lemmas.trace_reports ~engine ~pair)
   done;
   check "random traces violate L5/L12" true (!violations > 100)
 
