@@ -85,10 +85,7 @@ let write_bench ~out ~trials entries =
         ("experiments", Obs.Json.Arr entries);
       ]
   in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Obs.Json.to_string_pretty j));
+  Obs.Json.write_file ~path:out j;
   Printf.printf "\nbench report written to %s\n" out
 
 (* Bechamel stabilizes the major heap before sampling and is already a

@@ -188,7 +188,7 @@ let obs_finish obs ~cmd ~seed ~horizon ~config ~checks =
         Obs.Report.make ~cmd ~seed ~horizon ~config ~metrics:obs.metrics ~checks
           ~wall:(Obs.Instrument.wall_json obs.inst) ()
       in
-      io_or_die "report" (fun () -> Obs.Report.write ~path j);
+      io_or_die "report" (fun () -> Obs.Json.write_file ~path j);
       Printf.printf "report written to %s\n" path)
     obs.report_path
 
@@ -728,7 +728,7 @@ let run_certify box seeds horizon trace_out report_path =
                report.Core.Certify.checks)
           ()
       in
-      io_or_die "report" (fun () -> Obs.Report.write ~path j);
+      io_or_die "report" (fun () -> Obs.Json.write_file ~path j);
       Printf.printf "report written to %s\n" path)
     report_path;
   if not report.Core.Certify.certified then exit 1
@@ -759,7 +759,6 @@ let run_report path =
   match Obs.Report.read_any ~path with
   | `Run j -> Format.printf "%a" Obs.Report.pp_summary j
   | `Campaign j -> Format.printf "%a" Obs.Report.pp_campaign_summary j
-  | `Simlint j -> Format.printf "%a" Obs.Report.pp_simlint_summary j
   | `Mc j -> Format.printf "%a" Obs.Report.pp_mc_summary j
   | exception Failure msg ->
       prerr_endline msg;
@@ -776,8 +775,9 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Validate a JSON run report, campaign summary or simlint report and print its \
-          checks")
+         "Validate a dinersim-report/1 run report, dinersim-campaign/1 campaign summary or \
+          dinersim-mc/1 model-checking report and print its summary. Exits 2 when the file \
+          cannot be read or fails validation.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -860,7 +860,7 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
   Option.iter
     (fun path ->
       io_or_die "report" (fun () ->
-          Obs.Report.write ~path (Check.Campaign.summary ~total_s ~cmd:"fuzz" result));
+          Obs.Json.write_file ~path (Check.Campaign.summary ~total_s ~cmd:"fuzz" result));
       Printf.printf "report written to %s\n" path)
     report_path;
   if result.Check.Campaign.violations <> [] then exit 1
@@ -970,32 +970,22 @@ let replay_cmd =
 (* ------------------------------------------------------------------ *)
 (* trace — render a run as a Chrome trace-event (Perfetto) document *)
 
-let slurp_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run_trace input output horizon =
-  let content =
-    match slurp_file input with
-    | c -> c
-    | exception Sys_error msg ->
-        prerr_endline msg;
-        exit 2
-  in
   (* Classify the input: a fuzz-repro/1 artifact is re-executed (replay is
      bit-identical, so the rendered trace is the violating run's); any
      other whole-file JSON document has no trace inside; everything else
      is treated as a JSONL event stream from --trace-out. *)
   let classified =
-    match Obs.Json.of_string content with
+    match Obs.Json.read_file ~path:input with
     | j -> (
         match Obs.Json.find j "schema" with
-        | Some (Obs.Json.Str s) when s = Check.Repro.schema_version -> `Repro
+        | Some (Obs.Json.Str s) when s = Check.Repro.schema_version -> `Repro j
         | Some (Obs.Json.Str s) -> `Other_schema s
         | _ -> `Jsonl)
     | exception Failure _ -> `Jsonl
+    | exception Sys_error msg ->
+        prerr_endline msg;
+        exit 2
   in
   let trace, horizon =
     match classified with
@@ -1005,9 +995,9 @@ let run_trace input output horizon =
            fuzz-repro/1 artifact or a JSONL stream from --trace-out instead\n"
           input s;
         exit 2
-    | `Repro -> (
+    | `Repro j -> (
         let r =
-          match Check.Repro.load ~path:input with
+          match Check.Repro.of_json j with
           | r -> r
           | exception Failure msg ->
               Printf.eprintf "%s: %s\n" input msg;
@@ -1047,11 +1037,7 @@ let run_trace input output horizon =
   let events =
     match Obs.Json.find j "traceEvents" with Some (Obs.Json.Arr l) -> List.length l | _ -> 0
   in
-  io_or_die "trace document" (fun () ->
-      let oc = open_out output in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Obs.Json.to_string_pretty j)));
+  io_or_die "trace document" (fun () -> Obs.Json.write_file ~path:output j);
   Printf.printf "perfetto trace written to %s (%d events from %d trace entries)\n" output
     events (Trace.length trace)
 
@@ -1175,7 +1161,7 @@ let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_
     (fun path ->
       let wall = Obs.Json.Obj [ ("total_s", Obs.Json.Float total_s) ] in
       io_or_die "report" (fun () ->
-          Obs.Report.write ~path (Mc.Report.make ~config:mc ~result ~metrics ~wall ()));
+          Obs.Json.write_file ~path (Mc.Report.make ~config:mc ~result ~metrics ~wall ()));
       Printf.printf "report written to %s\n" path)
     report_path;
   match result.Mc.Explore.violations with [] -> () | _ :: _ -> exit 1

@@ -73,10 +73,6 @@ val wall_json : ?total_s:float -> t -> Obs.Json.t
 (** The wall_clock section: [{"jobs":N, "total_s":S?, "runs_s":[...]}].
     Everything in it is excluded from the canonical digest. *)
 
-val coverage_json : t -> Obs.Json.t
-(** The summary's coverage block:
-    [{"width","edges","digest","growth":[...],"bitmap":"hex"}]. *)
-
 val summary : ?total_s:float -> cmd:string -> t -> Obs.Json.t
 (** The ["dinersim-campaign/1"] summary document (see
     {!Obs.Report.make_campaign}). Canonical body (config, entries, merged

@@ -58,12 +58,6 @@ val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> t
 (** Raises [Failure] on malformed input. *)
 
-val crash_tolerant : string -> bool
-(** Whether the generator may schedule crashes for this algorithm. False
-    for [hygienic] (no failure detector: a crashed neighbour blocks its
-    forks forever) and [fl1] (failure locality 1: neighbours of a crashed
-    diner may legitimately starve); true for everything else. *)
-
 val generate : Prng.t -> algos:string list -> families:family list -> max_horizon:int -> t
 (** Draw a random config. Knob ranges are calibrated so the monitored
     properties are expected to hold for the real algorithms (gst within the

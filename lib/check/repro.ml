@@ -79,22 +79,8 @@ let of_json j =
   | _ -> failwith "Repro.of_json: missing digest");
   r
 
-let save ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Obs.Json.to_string_pretty (to_json r));
-      output_char oc '\n')
-
-let load ~path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_json (Obs.Json.of_string content)
+let save ~path r = Obs.Json.write_file ~path (to_json r)
+let load ~path = of_json (Obs.Json.read_file ~path)
 
 let replay ~registry r =
   let outcome = Runner.run ~replay:(r.len, r.overrides) ~registry r.config in

@@ -81,13 +81,10 @@ let ftme_extraction ?(seed = 9L) ?(adversary = Adversary.async_uniform ())
   let extract = Reduction.Extract.create ~engine ~dining ~members:(List.init n Fun.id) () in
   { engine; extract; onlines = [] }
 
-let vulnerability ?(seed = 43L) ?(adversary = Adversary.partial_sync ~gst:500 ())
-    ?(mistake_until = 300) ~mode () =
+let vulnerability ?(seed = 43L) ?(adversary = Adversary.partial_sync ~gst:500 ()) ~mode () =
   let n = 2 in
   let engine = Engine.create ~seed ~n ~adversary () in
-  let windows =
-    [ (0, [ { Detectors.Injected.from_ = 0; until = mistake_until; target = 1 } ]) ]
-  in
+  let windows = [ (0, [ { Detectors.Injected.from_ = 0; until = 300; target = 1 } ]) ] in
   let suspects = evp_suspects engine ~n ~windows in
   let dining = Reduction.Pair.wf_ewx_factory ~n ~suspects in
   match mode with

@@ -65,13 +65,12 @@ val ftme_extraction :
 val vulnerability :
   ?seed:int64 ->
   ?adversary:Adversary.t ->
-  ?mistake_until:Types.time ->
   mode:[ `Flawed_cm | `Our_reduction ] ->
   unit ->
   Engine.t * (unit -> bool)
 (** The Section 3 scenario on two processes: the subject (p0, which holds
     the edge's request token) falsely suspects the watcher (p1, which holds
-    the fork) until [mistake_until], enters its critical section on the
+    the fork) until t = 300, enters its critical section on the
     virtual fork during that prefix, and — as the [8] construction's
     subject — never exits. Returns the engine and the extracted
     "suspected?" output at the watcher. The flawed construction flips it

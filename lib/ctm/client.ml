@@ -14,12 +14,9 @@ type tx_state =
   | Computing of { until : Types.time; version : int; value : int }
   | Cas_sent
 
-let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) ?transactions () =
+let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) () =
   let stats = { attempts = 0; commits = 0; aborts = 0; commit_times = [] } in
   let state = ref Idle in
-  let more_to_do () =
-    match transactions with None -> true | Some k -> stats.commits < k
-  in
   let send_read () =
     stats.attempts <- stats.attempts + 1;
     state := Read_sent;
@@ -32,7 +29,7 @@ let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) ?transactions ()
   in
   let start_tx =
     Component.action "tx-start"
-      ~guard:(fun () -> !state = Idle && more_to_do ())
+      ~guard:(fun () -> !state = Idle)
       ~body:(fun () ->
         match cm with
         | None -> send_read ()

@@ -23,8 +23,5 @@ val component :
   store:Dsim.Types.pid ->
   ?cm:Dining.Spec.handle ->
   ?compute_ticks:int ->
-  ?transactions:int ->
   unit ->
   Dsim.Component.t * stats
-(** [transactions] bounds the number of commits to perform (default:
-    unbounded). *)

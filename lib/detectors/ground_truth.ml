@@ -66,12 +66,8 @@ let trusting ctx ?(detector_name = "trusting") ?(detection_delay = 20) ~peers ()
     ~should_suspect:(fun ~now ~dead_since ->
       match dead_since with Some t -> now - t >= detection_delay | None -> false)
 
-let strong ctx ?(detector_name = "strong") ?anchor ~peers () =
-  let anchor =
-    match anchor with
-    | Some a -> a
-    | None -> List.fold_left min max_int peers
-  in
+let strong ctx ?(detector_name = "strong") ~peers () =
+  let anchor = List.fold_left min max_int peers in
   make_polling ctx ~detector_name
     ~comp_name:(detector_name ^ "-mod")
     ~peers:(List.filter (fun q -> q <> anchor) peers)

@@ -22,13 +22,12 @@ val perfect :
 val strong :
   Dsim.Context.t ->
   ?detector_name:string ->
-  ?anchor:Dsim.Types.pid ->
   peers:Dsim.Types.pid list ->
   unit ->
   Dsim.Component.t * Oracle.t
 (** S: strong completeness + perpetual weak accuracy — some correct process
-    ([anchor], default the lowest peer, which must then be correct in the
-    run for the oracle to meet its spec) is never suspected by anyone;
+    (the lowest peer, which must then be correct in the run for the oracle
+    to meet its spec) is never suspected by anyone;
     everyone else is suspected once crashed. Used with {!trusting} to model
     the (T + S) composition of [4]. *)
 

@@ -3,9 +3,9 @@ open Dsim
 type pair_stat = {
   owner : Types.pid;
   target : Types.pid;
-  flips : (Types.time * bool) list;
+  flips : (Types.time * bool) list;  (** [(t, suspected?)] chronological. *)
   final_suspected : bool;
-  false_suspicions : int;
+  false_suspicions : int;  (** Suspect events fired while the target was still live. *)
 }
 
 type verdict = {
@@ -24,6 +24,10 @@ let verdict details = { holds = details = []; details }
 
 let crash_time trace pid = Types.Pidmap.find_opt pid (Trace.crash_times trace)
 
+(* All ordered pairs (owner <> target) over pids [0..n-1].
+   [initially_suspected] is the detector's attitude before any logged flip
+   (the reduction's extracted detector starts suspecting; heartbeat ◇P
+   starts trusting). *)
 let pair_stats trace ~detector ~n ~initially_suspected =
   let crash_times = Trace.crash_times trace in
   let stats = ref [] in

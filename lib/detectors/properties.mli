@@ -16,32 +16,12 @@
     additionally report convergence statistics so that experiments can show
     the times are stable well before the horizon. *)
 
-type pair_stat = {
-  owner : Dsim.Types.pid;
-  target : Dsim.Types.pid;
-  flips : (Dsim.Types.time * bool) list;  (** [(t, suspected?)] chronological. *)
-  final_suspected : bool;
-  false_suspicions : int;
-      (** Suspect events fired while the target was still live. *)
-}
-
 type verdict = {
   holds : bool;
   details : string list;  (** Human-readable violations (empty iff [holds]). *)
 }
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-val pair_stats :
-  Dsim.Trace.t ->
-  detector:string ->
-  n:int ->
-  initially_suspected:bool ->
-  pair_stat list
-(** All ordered pairs (owner <> target) over pids [0..n-1].
-    [initially_suspected] is the detector's attitude before any logged flip
-    (the reduction's extracted detector starts suspecting; heartbeat ◇P
-    starts trusting). *)
 
 val strong_completeness :
   Dsim.Trace.t -> detector:string -> n:int -> initially_suspected:bool -> verdict

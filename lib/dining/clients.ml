@@ -37,10 +37,10 @@ let greedy ctx ~handle ?(eat_ticks = 3) ?(think_ticks = 2) () =
 let n_sessions ctx ~handle ~sessions ?(eat_ticks = 3) ?(think_ticks = 2) () =
   build ctx ~handle ~eat_ticks ~think_ticks ~limit:(Some sessions)
 
-let glutton ctx ~handle ?(start_after = 0) () =
+let glutton _ctx ~handle () =
   let get_hungry =
     Component.action "client-glutton"
-      ~guard:(fun () -> ctx.Context.now () >= start_after && phase_is handle Types.Thinking)
+      ~guard:(fun () -> phase_is handle Types.Thinking)
       ~body:(fun () -> handle.Spec.hungry ())
   in
   Component.make ~name:("client:" ^ handle.Spec.instance) ~actions:[ get_hungry ] ()

@@ -30,7 +30,6 @@ val n_sessions :
 val glutton :
   Dsim.Context.t ->
   handle:Spec.handle ->
-  ?start_after:int ->
   unit ->
   Dsim.Component.t
 (** Becomes hungry once and never exits its critical section — the

@@ -68,8 +68,6 @@ type tape = { mutable rev : decision list; mutable count : int }
 
 let tape () = { rev = []; count = 0 }
 
-let tape_length tp = tp.count
-
 let tape_decisions tp =
   let a = Array.make (max tp.count 1) (Step true) in
   List.iteri (fun i d -> a.(tp.count - 1 - i) <- d) tp.rev;

@@ -78,7 +78,6 @@ type tape
     (delay and step queries share a single position counter). *)
 
 val tape : unit -> tape
-val tape_length : tape -> int
 val tape_decisions : tape -> decision array
 
 val record : tape -> t -> t
@@ -89,8 +88,8 @@ val replay : len:int -> overrides:(int * decision) list -> t -> t
     override table: query [i < len] takes the decision at position [i] when
     one is present with the matching kind, and otherwise the {e friendliest}
     choice (delay 1 / step offered). Queries at positions [>= len] fall back
-    to the base adversary. Replaying [~len:(tape_length tp)] with the full
-    recorded decision list reproduces the recorded run exactly; removing
+    to the base adversary. Replaying [~len] the tape's length with the full
+    recorded decision list ({!tape_decisions}) reproduces the recorded run exactly; removing
     overrides neutralises the corresponding adversarial choices. Raises
     [Invalid_argument] on an override position outside [0, len). *)
 

@@ -69,7 +69,6 @@ val suspected_at :
 
 val notes : ?pid:Types.pid -> ?label:string -> t -> entry list
 
-val pp_entry : Format.formatter -> entry -> unit
 val dump : ?limit:int -> Format.formatter -> t -> unit
 
 val to_csv : t -> string

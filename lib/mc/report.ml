@@ -14,12 +14,9 @@ let counterexample_json (v : Explore.violation) =
       ("repro", Check.Repro.to_json v.Explore.repro);
     ]
 
-let make ?(max_counterexamples = 16) ~(config : Explore.config) ~(result : Explore.result)
-    ?metrics ?wall () =
+let make ~(config : Explore.config) ~(result : Explore.result) ?metrics ?wall () =
   let s = result.Explore.stats in
-  let cexs =
-    List.filteri (fun i _ -> i < max_counterexamples) result.Explore.violations
-  in
+  let cexs = List.filteri (fun i _ -> i < 16) result.Explore.violations in
   Obs.Json.Obj
     [
       ("schema", Obs.Json.Str Obs.Report.mc_schema_version);

@@ -33,14 +33,13 @@
     shape-validates it, so [dinersim report] vets these documents too. *)
 
 val make :
-  ?max_counterexamples:int ->
   config:Explore.config ->
   result:Explore.result ->
   ?metrics:Obs.Metrics.t ->
   ?wall:Obs.Json.t ->
   unit ->
   Obs.Json.t
-(** Build the document. At most [max_counterexamples] (default 16, in
+(** Build the document. At most 16 counterexamples (the first in
     enumeration order) are embedded — the ["violations"] counter still
     reports the full count, so a capped report is visible as
     [violations > length counterexamples], never a silent truncation. *)

@@ -261,6 +261,20 @@ let of_string s =
   v
 
 (* ------------------------------------------------------------------ *)
+(* Files *)
+
+let write_file ~path j =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string_pretty j))
+
+let read_file ~path =
+  let ic = open_in_bin path in
+  of_string
+    (Fun.protect
+       ~finally:(fun () -> close_in ic)
+       (fun () -> really_input_string ic (in_channel_length ic)))
+
+(* ------------------------------------------------------------------ *)
 (* Accessors *)
 
 let find j key = match j with Obj fields -> List.assoc_opt key fields | _ -> None

@@ -26,6 +26,14 @@ val of_string : string -> t
 (** Strict parser. Raises [Failure] with a position on malformed input.
     Numbers without [.], [e] or [E] parse as [Int]; others as [Float]. *)
 
+val write_file : path:string -> t -> unit
+(** Write the {!to_string_pretty} rendering, trailing newline included, to
+    [path]. Raises [Sys_error] when the file cannot be written. *)
+
+val read_file : path:string -> t
+(** Parse the whole file at [path] with {!of_string}. Raises [Sys_error]
+    when it cannot be read and [Failure] when it is not one JSON value. *)
+
 val find : t -> string -> t option
 (** [find (Obj _) key] — [None] on missing key or non-object. *)
 

@@ -78,7 +78,6 @@ let push_back t ~top w v c =
 let merge_sorted ?counts t bv nb =
   let top = t.len + nb in
   reserve t top;
-  (* simlint: allow D011 — local refs that never escape compile to mutable variables, not heap blocks *)
   let w = ref top and i = ref t.len and j = ref nb in
   while !i > 0 || !j > 0 do
     if !j = 0 || (!i > 0 && t.values.(!i - 1) >= bv.(!j - 1)) then begin
@@ -100,7 +99,6 @@ let merge_sorted ?counts t bv nb =
 let sort_prefix p len =
   for i = 1 to len - 1 do
     let v = p.(i) in
-    (* simlint: allow D011 — a local ref that never escapes compiles to a mutable variable *)
     let j = ref (i - 1) in
     while !j >= 0 && p.(!j) > v do
       p.(!j + 1) <- p.(!j);

@@ -38,12 +38,6 @@ let make ~cmd ?seed ?horizon ?(config = []) ?metrics ?(checks = []) ?wall () =
       ("wall_clock", Option.value ~default:Json.Null wall);
     ]
 
-let write ~path j =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string_pretty j))
-
 let validate j =
   (match Json.find j "schema" with
   | Some (Json.Str s) when s = schema_version -> ()
@@ -107,42 +101,10 @@ let validate_campaign j =
       | _ -> failwith "Report.validate_campaign: malformed coverage block")
 
 (* ------------------------------------------------------------------ *)
-(* simlint reports: the determinism linter's canonical document. Obs
-   validates the shape only — the linter itself lives in tools/simlint —
-   so `dinersim report` can vet all three schema families. *)
-
-let simlint_schema_version = "simlint-report/1"
-
-let validate_simlint j =
-  (match Json.find j "schema" with
-  | Some (Json.Str s) when s = simlint_schema_version -> ()
-  | Some (Json.Str s) -> failwith (Printf.sprintf "Report.validate_simlint: unknown schema %S" s)
-  | _ -> failwith "Report.validate_simlint: missing schema tag");
-  List.iter
-    (fun k ->
-      match Json.find j k with
-      | Some (Json.Int _) -> ()
-      | _ -> failwith (Printf.sprintf "Report.validate_simlint: missing %s counter" k))
-    [ "files_scanned"; "open"; "suppressed"; "baselined" ];
-  (match Json.find j "findings" with
-  | Some (Json.Arr findings) ->
-      List.iter
-        (fun f ->
-          match (Json.find f "rule", Json.find f "file", Json.find f "line", Json.find f "status")
-          with
-          | Some (Json.Str _), Some (Json.Str _), Some (Json.Int _), Some (Json.Str _) -> ()
-          | _ -> failwith "Report.validate_simlint: malformed finding entry")
-        findings
-  | _ -> failwith "Report.validate_simlint: missing findings array");
-  match Json.find j "stale_baseline" with
-  | Some (Json.Arr _) -> ()
-  | _ -> failwith "Report.validate_simlint: missing stale_baseline array"
-
-(* ------------------------------------------------------------------ *)
 (* Model-checking reports: one document per exhaustive [dinersim check]
-   run, written by lib/mc. As with simlint, Obs validates the shape only
-   — obs cannot depend on the explorer — so `dinersim report` can vet all
-   four schema families. *)
+   run, written by lib/mc. Obs validates the shape only — obs cannot
+   depend on the explorer — so `dinersim report` can vet all three schema
+   families. *)
 
 let mc_schema_version = "dinersim-mc/1"
 
@@ -170,24 +132,12 @@ let validate_mc j =
         cexs
   | _ -> failwith "Report.validate_mc: missing counterexamples array"
 
-let slurp ~path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Json.of_string content
-
 let read_any ~path =
-  let j = slurp ~path in
+  let j = Json.read_file ~path in
   match Json.find j "schema" with
   | Some (Json.Str s) when s = campaign_schema_version ->
       validate_campaign j;
       `Campaign j
-  | Some (Json.Str s) when s = simlint_schema_version ->
-      validate_simlint j;
-      `Simlint j
   | Some (Json.Str s) when s = mc_schema_version ->
       validate_mc j;
       `Mc j
@@ -327,26 +277,6 @@ let pp_campaign_summary fmt j =
   | None -> ());
   pp_metrics_latencies fmt j;
   Format.fprintf fmt "  verdict: %s@." (if int "violations" = 0 then "ok" else "FAIL")
-
-let pp_simlint_summary fmt j =
-  let int k = match Json.find j k with Some (Json.Int n) -> n | _ -> 0 in
-  Format.fprintf fmt "simlint: %d file(s), %d open, %d suppressed, %d baselined@."
-    (int "files_scanned") (int "open") (int "suppressed") (int "baselined");
-  (match Json.find j "findings" with
-  | Some (Json.Arr findings) ->
-      List.iter
-        (fun f ->
-          let str k = match Json.find f k with Some (Json.Str s) -> s | _ -> "?" in
-          let line = match Json.find f "line" with Some (Json.Int n) -> n | _ -> 0 in
-          if str "status" = "open" then
-            Format.fprintf fmt "  %s %s:%d %s@." (str "rule") (str "file") line (str "msg"))
-        findings
-  | _ -> ());
-  let stale =
-    match Json.find j "stale_baseline" with Some (Json.Arr l) -> List.length l | _ -> 0
-  in
-  if stale > 0 then Format.fprintf fmt "  stale baseline entries: %d@." stale;
-  Format.fprintf fmt "  verdict: %s@." (if int "open" = 0 && stale = 0 then "ok" else "FAIL")
 
 let pp_mc_summary fmt j =
   let int k = match Json.find j k with Some (Json.Int n) -> n | _ -> 0 in

@@ -45,9 +45,6 @@ val make :
   unit ->
   Json.t
 
-val write : path:string -> Json.t -> unit
-(** Pretty-printed with a trailing newline. *)
-
 val passed : Json.t -> bool
 (** True iff every check holds. *)
 
@@ -66,8 +63,6 @@ val pp_summary : Format.formatter -> Json.t -> unit
     drivers (the schedule fuzzer): the root seed, run/violation counters,
     and one entry per executed run. Everything except ["wall_clock"] is
     deterministic in the root seed. *)
-
-val campaign_schema_version : string
 
 val make_campaign :
   cmd:string ->
@@ -89,38 +84,21 @@ val make_campaign :
     {!Coverage.to_json} and {!Check}'s campaign driver); also canonical.
     Omitted, the field is absent. *)
 
-val read_any :
-  path:string -> [ `Run of Json.t | `Campaign of Json.t | `Simlint of Json.t | `Mc of Json.t ]
-(** The one reader: parse any of the four document kinds, dispatching on
+val read_any : path:string -> [ `Run of Json.t | `Campaign of Json.t | `Mc of Json.t ]
+(** The one reader: parse any of the three document kinds, dispatching on
     the schema tag, and validate its shape. A run report needs the run
     schema tag, a [cmd] string and a well-formed [checks] array (documents
-    without a campaign, simlint or mc tag are validated as run reports).
-    Raises [Failure] with a reason on invalid input. *)
+    without a campaign or mc tag are validated as run reports). Raises
+    [Failure] with a reason on invalid input. *)
 
 val pp_campaign_summary : Format.formatter -> Json.t -> unit
 (** Short human rendering of a campaign summary: counters, one line per
     violation entry, the schedule-coverage line when the summary carries
     a coverage block, and the same latency digests as {!pp_summary}. *)
 
-(** {1 simlint reports}
-
-    The third document kind, schema ["simlint-report/1"], written by the
-    determinism linter in [tools/simlint]. Obs validates the shape only
-    (counters, findings array with rule/file/line/status, stale-baseline
-    array) so reports can be vetted without linking the linter. *)
-
-val simlint_schema_version : string
-
-val validate_simlint : Json.t -> unit
-(** Raises [Failure] with a reason on malformed input. *)
-
-val pp_simlint_summary : Format.formatter -> Json.t -> unit
-(** Short human rendering: counters, each open finding, and the gate
-    verdict (ok iff zero open findings and no stale baseline entry). *)
-
 (** {1 Model-checking reports}
 
-    The fourth document kind, schema ["dinersim-mc/1"], written by the
+    The third document kind, schema ["dinersim-mc/1"], written by the
     bounded exhaustive explorer in [lib/mc] ([dinersim check]). Obs
     validates the shape only (schedule/prune/violation counters, the
     truncation flag, and a counterexamples array whose entries carry a

@@ -10,8 +10,7 @@ type t = {
   s_handle : Dining.Spec.handle;
 }
 
-let create ~engine ?(detector_name = "flawed-cm") ?(heartbeat_period = 4) ~dining ~watcher
-    ~subject () =
+let create ~engine ?(detector_name = "flawed-cm") ~dining ~watcher ~subject () =
   if watcher = subject then invalid_arg "Flawed_cm.create: watcher = subject";
   let name = Printf.sprintf "%d>%d" watcher subject in
   let cm_instance = Printf.sprintf "cm[%s]" name in
@@ -30,7 +29,7 @@ let create ~engine ?(detector_name = "flawed-cm") ?(heartbeat_period = 4) ~dinin
     Component.action "cm-heartbeat"
       ~guard:(fun () -> sctx.Context.now () >= !next_hb)
       ~body:(fun () ->
-        next_hb := sctx.Context.now () + heartbeat_period;
+        next_hb := sctx.Context.now () + 4;
         sctx.Context.send ~dst:watcher ~tag:wtag Messages.Heartbeat_cm)
   in
   let request_once =

@@ -36,7 +36,6 @@ type t = {
 val create :
   engine:Dsim.Engine.t ->
   ?detector_name:string ->
-  ?heartbeat_period:int ->
   dining:Pair.dining_factory ->
   watcher:Dsim.Types.pid ->
   subject:Dsim.Types.pid ->

@@ -144,13 +144,35 @@ let online_reports o =
 (* ------------------------------------------------------------------ *)
 (* Post-hoc schedule lemmas *)
 
-let note_times trace ~pid ~label ~info =
-  Trace.notes ~pid ~label trace
-  |> List.filter_map (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Note n when String.equal n.info info -> Some e.at
-         | _ -> None)
-  |> Array.of_list
+(* The subject's red-ping and red-ack times in each instance, in trace
+   (hence time) order: slot [2 * i] holds instance [i]'s pings and slot
+   [2 * i + 1] its acks. One pass counts them and a second fills the
+   arrays. *)
+let subject_notes trace (pair : Pair.t) =
+  let tags = Array.init 2 (fun i -> Printf.sprintf "%s:%d" pair.Pair.subject_tag i) in
+  let slot (e : Trace.entry) =
+    match e.ev with
+    | Trace.Note n when n.pid = pair.Pair.subject ->
+        let kind = match n.label with "red-ping" -> 0 | "red-ack" -> 1 | _ -> -1 in
+        if kind < 0 then -1
+        else if String.equal n.info tags.(0) then kind
+        else if String.equal n.info tags.(1) then 2 + kind
+        else -1
+    | _ -> -1
+  in
+  let counts = Array.make 4 0 in
+  Trace.iter trace (fun e ->
+      let k = slot e in
+      if k >= 0 then counts.(k) <- counts.(k) + 1);
+  let times = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 4 0;
+  Trace.iter trace (fun e ->
+      let k = slot e in
+      if k >= 0 then begin
+        times.(k).(counts.(k)) <- e.at;
+        counts.(k) <- counts.(k) + 1
+      end);
+  times
 
 (* One pass over a sorted array of times, counting those inside a series
    of windows: [before c x] and [through c x] skip the times < x (resp.
@@ -183,11 +205,10 @@ let trace_reports_on ~indexes:ix ~engine ~pair =
   let watcher_correct = Engine.is_live engine pair.Pair.watcher in
   (* Lemma 5: one ping and one ack per completed subject eating session. *)
   let l5_violations = ref [] in
-  if both_correct then
+  if both_correct then begin
+    let notes = subject_notes trace pair in
     for i = 0 to 1 do
-      let info_tag = Printf.sprintf "%s:%d" pair.Pair.subject_tag i in
-      let notes label = sweep (note_times trace ~pid:pair.Pair.subject ~label ~info:info_tag) in
-      let pings = notes "red-ping" and acks = notes "red-ack" in
+      let pings = sweep notes.(2 * i) and acks = sweep notes.((2 * i) + 1) in
       Dining.Monitor.Index.iter_segments ix.(i) ~pid:pair.Pair.subject ~horizon (fun a b ph ->
           if Types.phase_equal ph Types.Eating && b < horizon - slack then begin
             (* pings in [a, b), acks in (a, b] *)
@@ -202,7 +223,8 @@ let trace_reports_on ~indexes:ix ~engine ~pair =
               l5_violations :=
                 Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations
           end)
-    done;
+    done
+  end;
   (* Lemmas 7 and 11: threads eat repeatedly. *)
   let counts pid = List.map (fun i -> Dining.Monitor.Index.eat_count ix.(i) ~pid) [ 0; 1 ] in
   let s_counts = counts pair.Pair.subject and w_counts = counts pair.Pair.watcher in

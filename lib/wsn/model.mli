@@ -37,9 +37,6 @@ type t = {
   energy : int array;  (** Remaining energy per node (live view). *)
 }
 
-val area_of : t -> Dsim.Types.pid -> int
-val nodes_of_area : t -> int -> Dsim.Types.pid list
-
 val setup : engine:Dsim.Engine.t -> ?config:config -> scheduler:scheduler -> unit -> t
 (** Registers all node components (detector + scheduler + volunteer client)
     and installs the energy-drain hook. The engine must have been created

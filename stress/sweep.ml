@@ -176,10 +176,7 @@ let () =
             [ ("jobs", Obs.Json.Int jobs); ("total_s", Obs.Json.Float total_s) ] );
       ]
   in
-  let oc = open_out report_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Obs.Json.to_string_pretty j));
+  Obs.Json.write_file ~path:report_path j;
   Printf.printf "algo=%s runs=%d failures=%d jobs=%d report=%s\n" algo (Array.length specs)
     !fails jobs report_path;
   if !fails > 0 then exit 1

@@ -710,11 +710,11 @@ let test_report_schema_roundtrip () =
           ~wall:(Obs.Json.Obj [ ("elapsed_s", Obs.Json.Float 0.5) ])
           ()
       in
-      Obs.Report.write ~path j;
+      Obs.Json.write_file ~path j;
       let j' =
         match Obs.Report.read_any ~path with
         | `Run j -> j
-        | `Campaign _ | `Simlint _ | `Mc _ -> Alcotest.fail "run report misdispatched"
+        | `Campaign _ | `Mc _ -> Alcotest.fail "run report misdispatched"
       in
       check "write/read identity" true (j = j');
       check_str "schema tag" Obs.Report.schema_version Obs.Json.(str (get j' "schema"));
@@ -749,60 +749,6 @@ let test_report_rejects_invalid () =
           {|{"schema":"dinersim-report/1","checks":[]}|};
           {|{"schema":"dinersim-report/1","cmd":"x"}|};
           {|{"schema":"dinersim-report/1","cmd":"x","checks":[{"name":"y"}]}|};
-        ])
-
-(* The third schema family: the determinism linter's simlint-report/1.
-   read_any must dispatch on the tag and the validator must round-trip the
-   canonical document (and reject truncated ones). *)
-let test_simlint_report_roundtrip () =
-  let path = Filename.temp_file "obs_simlint" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let finding =
-        Obs.Json.Obj
-          [
-            ("rule", Obs.Json.Str "D010");
-            ("file", Obs.Json.Str "lib/x.ml");
-            ("line", Obs.Json.Int 3);
-            ("col", Obs.Json.Int 2);
-            ("severity", Obs.Json.Str "error");
-            ("msg", Obs.Json.Str "call chain A -> B reaches `Random.int`");
-            ("status", Obs.Json.Str "open");
-          ]
-      in
-      let doc =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.Str Obs.Report.simlint_schema_version);
-            ("files_scanned", Obs.Json.Int 2);
-            ("open", Obs.Json.Int 1);
-            ("suppressed", Obs.Json.Int 0);
-            ("baselined", Obs.Json.Int 0);
-            ("findings", Obs.Json.Arr [ finding ]);
-            ("stale_baseline", Obs.Json.Arr []);
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Obs.Json.to_string doc);
-      close_out oc;
-      (match Obs.Report.read_any ~path with
-      | `Simlint j ->
-          check_str "canonical text round-trips" (Obs.Json.to_string doc)
-            (Obs.Json.to_string j)
-      | `Run _ | `Campaign _ | `Mc _ -> Alcotest.fail "simlint report misdispatched");
-      List.iter
-        (fun bad ->
-          let oc = open_out path in
-          output_string oc bad;
-          close_out oc;
-          match Obs.Report.read_any ~path with
-          | _ -> Alcotest.failf "accepted %S" bad
-          | exception Failure _ -> ())
-        [
-          {|{"schema":"simlint-report/1"}|};
-          {|{"schema":"simlint-report/1","files_scanned":1,"open":0,"suppressed":0,"baselined":0,"findings":[{"rule":"D001"}],"stale_baseline":[]}|};
-          {|{"schema":"simlint-report/1","files_scanned":1,"open":0,"suppressed":0,"baselined":0,"findings":[]}|};
         ])
 
 let () =
@@ -861,6 +807,5 @@ let () =
         [
           Alcotest.test_case "schema roundtrip" `Quick test_report_schema_roundtrip;
           Alcotest.test_case "rejects invalid" `Quick test_report_rejects_invalid;
-          Alcotest.test_case "simlint report roundtrip" `Quick test_simlint_report_roundtrip;
         ] );
     ]

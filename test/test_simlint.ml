@@ -24,8 +24,8 @@ let fixtures_root =
 
 (* The built-in D011 roots name engine functions the fixtures do not
    define; the fixtures' hot roots are their own annotations. *)
-let run_fixtures ?baseline ?allowlist () =
-  Driver.run ?baseline ?allowlist ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
+let run_fixtures ?allowlist () =
+  Driver.run ?allowlist ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
     ~root:fixtures_root ()
 
 let triple (f : Finding.t) = (f.Finding.rule, f.Finding.file, f.Finding.line)
@@ -56,7 +56,9 @@ let test_every_rule_fires () =
   check "no parse failures in fixtures" false (List.mem "E000" rules)
 
 let test_corpus_fails_gate () =
-  check "fixture corpus has open findings" true (Driver.open_findings (run_fixtures ()) <> [])
+  let result = run_fixtures () in
+  check "fixture corpus has open findings" true (Driver.open_findings result <> []);
+  check "corpus fails the gate outright" false (Driver.gate_ok result)
 
 let test_d001_sites () =
   let fs = in_file "d001_wallclock.ml" (run_fixtures ()) in
@@ -192,16 +194,6 @@ let test_d009_suppressed_site () =
          s = Finding.Suppressed && triple f = ("D009", "fixtures/pool_user.ml", 14))
        result.Driver.findings)
 
-let test_d010_baseline () =
-  let baseline = [ { Baseline.file = "fixtures/taint_c.ml"; rule = "D010"; line = 5; sym = None } ] in
-  let result = run_fixtures ~baseline () in
-  check "baselined D010 no longer open" true
-    (List.exists
-       (fun ((f : Finding.t), s) ->
-         s = Finding.Baselined && triple f = ("D010", "fixtures/taint_c.ml", 5))
-       result.Driver.findings);
-  Alcotest.(check int) "no stale entries" 0 (List.length result.Driver.stale_baseline)
-
 (* ------------------------------------------------------------------ *)
 (* D011-D013: hot-path allocation, domain escape, quadratic accumulation. *)
 
@@ -218,6 +210,12 @@ let test_d011_hotpath_chain () =
       ("D011", "fixtures/d011_dfs.ml", 8);
       ("D011", "fixtures/d011_dfs.ml", 8);
       ("D011", "fixtures/d011_hotpath.ml", 6);
+      ("D011", "fixtures/d011_localref.ml", 18);
+      ("D011", "fixtures/d011_localref.ml", 19);
+      ("D011", "fixtures/d011_localref.ml", 23);
+      ("D011", "fixtures/d011_localref.ml", 27);
+      ("D011", "fixtures/d011_localref.ml", 32);
+      ("D011", "fixtures/d011_localref.ml", 33);
     ]
     (List.sort compare (List.filter (fun (r, _, _) -> r = "D011") (opens result)));
   let f, _ = Option.get (disposition result ("D011", "fixtures/d011_hotpath.ml", 6)) in
@@ -229,6 +227,29 @@ let test_d011_hotpath_chain () =
     (match disposition result ("D011", "fixtures/d011_hotpath.ml", 10) with
     | Some (_, s) -> s = Finding.Suppressed
     | None -> false)
+
+(* A local ref read and written only through [!], [:=], [incr] and [decr]
+   is a mutable variable, not a heap block; captured, returned, passed or
+   stored, it is one. *)
+let test_d011_local_refs () =
+  let result = run_fixtures () in
+  let ref_lines =
+    List.filter_map
+      (fun ((f : Finding.t), _) ->
+        if
+          f.Finding.file = "fixtures/d011_localref.ml"
+          && contains ~needle:"call to allocator ref" f.Finding.msg
+        then Some f.Finding.line
+        else None)
+      result.Driver.findings
+  in
+  Alcotest.(check (list int))
+    "captured, returned, passed and stored refs flagged; the loop counters clean"
+    [ 18; 23; 27; 32 ] ref_lines;
+  check "the capturing closure is flagged too" true
+    (match disposition result ("D011", "fixtures/d011_localref.ml", 19) with
+    | Some (f, Finding.Open) -> contains ~needle:"closure capturing hits" f.Finding.msg
+    | _ -> false)
 
 (* A D011 root names a function or the run fails: a root naming nothing
    (as a renamed engine function leaves behind) would silently check
@@ -385,9 +406,8 @@ let test_d018_worker_prng () =
     | Some (_, s) -> s = Finding.Suppressed
     | None -> false)
 
-(* The --only rule filter: findings and baseline entries outside the
-   selection vanish entirely (no false stale reports), open findings of the
-   selected rules survive. *)
+(* The --only rule filter: findings outside the selection vanish
+   entirely, open findings of the selected rules survive. *)
 let test_only_filter () =
   let result =
     Driver.run ~only:[ "D014"; "D016" ] ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
@@ -402,17 +422,7 @@ let test_only_filter () =
   Alcotest.(check (list (triple string string int)))
     "open findings are exactly the two firing fixtures"
     [ ("D014", "fixtures/d014_unhandled.ml", 13); ("D016", "fixtures/d016_phase.ml", 10) ]
-    (List.sort compare (opens result));
-  let baseline =
-    [ { Baseline.file = "fixtures/taint_c.ml"; rule = "D010"; line = 5; sym = None } ]
-  in
-  let result =
-    Driver.run ~baseline ~only:[ "D014" ] ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
-      ~root:fixtures_root ()
-  in
-  Alcotest.(check int)
-    "baseline entries for deselected rules are filtered, not stale" 0
-    (List.length result.Driver.stale_baseline)
+    (List.sort compare (opens result))
 
 (* Callgraph resolution through [include M] and functor bodies, which the
    protocol passes depend on: a handler arm inside a functor must count as
@@ -469,84 +479,6 @@ let test_catalog_coverage () =
       end)
     Rules.catalog
 
-let test_sym_keyed_baseline () =
-  (* Interprocedural entries key on file + rule + chain endpoints: the
-     recorded line is informational, so the entry survives line drift in any
-     file along the chain... *)
-  let entry =
-    {
-      Baseline.file = "fixtures/d011_hotpath.ml";
-      rule = "D011";
-      line = 999;
-      sym = Some "D011_hotpath.hot_tick->D011_hotpath.build_pair:tuple";
-    }
-  in
-  let result = run_fixtures ~baseline:[ entry ] () in
-  check "sym entry matches despite line drift" true
-    (List.exists
-       (fun ((f : Finding.t), s) ->
-         s = Finding.Baselined && triple f = ("D011", "fixtures/d011_hotpath.ml", 6))
-       result.Driver.findings);
-  Alcotest.(check int) "no stale entries" 0 (List.length result.Driver.stale_baseline);
-  (* ... while a sym mismatch does not match even at the right line. *)
-  let wrong = { entry with Baseline.line = 6; sym = Some "Other.root->Other.leaf:tuple" } in
-  let result = run_fixtures ~baseline:[ wrong ] () in
-  check "wrong sym stays open" true
-    (List.mem ("D011", "fixtures/d011_hotpath.ml", 6) (opens result));
-  Alcotest.(check int) "wrong sym is stale" 1 (List.length result.Driver.stale_baseline)
-
-(* ------------------------------------------------------------------ *)
-(* Gate semantics and baseline regeneration. *)
-
-let test_gate_and_baseline_regeneration () =
-  let plain = run_fixtures () in
-  check "corpus fails the gate outright" false (Driver.gate_ok plain);
-  (* Regenerating the baseline from the run grandfathers every
-     non-suppressed finding: the gate then passes... *)
-  let regenerated = Driver.to_baseline plain in
-  let grandfathered = run_fixtures ~baseline:regenerated () in
-  check "regenerated baseline covers every open finding" true (Driver.gate_ok grandfathered);
-  Alcotest.(check int) "nothing open" 0 (List.length (Driver.open_findings grandfathered));
-  (* ... and a stale entry alone fails it again. *)
-  let stale =
-    { Baseline.file = "fixtures/gone.ml"; rule = "D001"; line = 1; sym = None } :: regenerated
-  in
-  let with_stale = run_fixtures ~baseline:stale () in
-  check "stale baseline entry fails the gate" false (Driver.gate_ok with_stale);
-  Alcotest.(check int) "no open findings, only staleness" 0
-    (List.length (Driver.open_findings with_stale))
-
-let test_baseline_write_deterministic () =
-  let entries = Driver.to_baseline (run_fixtures ()) in
-  let slurp path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let p1 = Filename.temp_file "simlint_baseline" ".json" in
-  let p2 = Filename.temp_file "simlint_baseline" ".json" in
-  Baseline.write ~path:p1 entries;
-  Baseline.write ~path:p2 entries;
-  Alcotest.(check string) "two writes are byte-identical" (slurp p1) (slurp p2);
-  let reloaded = Baseline.load p1 in
-  check "write/load round-trips the entries" true (reloaded = entries);
-  (* The regenerated (--baseline-update) entries for the interprocedural
-     rules are sym-keyed, never bare line keys. *)
-  let interprocedural =
-    List.filter
-      (fun (e : Baseline.entry) ->
-        List.mem e.Baseline.rule
-          [ "D009"; "D010"; "D011"; "D012"; "D013"; "D014"; "D015"; "D016"; "D017"; "D018" ])
-      entries
-  in
-  check "interprocedural rules present in the regenerated baseline" true
-    (List.exists (fun (e : Baseline.entry) -> e.Baseline.rule = "D011") interprocedural);
-  check "interprocedural entries are sym-keyed" true
-    (List.for_all (fun (e : Baseline.entry) -> e.Baseline.sym <> None) interprocedural);
-  Sys.remove p1;
-  Sys.remove p2
-
 (* ------------------------------------------------------------------ *)
 (* SARIF emission. *)
 
@@ -582,7 +514,7 @@ let test_sarif_shape () =
     List.length (List.filter (fun r -> find r "suppressions" <> None) results)
   in
   Alcotest.(check int)
-    "suppressed+baselined findings carry a suppressions array"
+    "suppressed findings carry a suppressions array"
     (List.length result.Driver.findings - List.length (Driver.open_findings result))
     suppressed_count;
   let with_sym =
@@ -599,6 +531,19 @@ let test_sarif_shape () =
             | None -> false)
           results));
   check "sym-carrying results exist" true (with_sym > 0);
+  (* The fingerprint of an interprocedural finding is its symbol chain, so
+     every one of them must carry a sym. *)
+  let interprocedural =
+    List.filter
+      (fun ((f : Finding.t), _) ->
+        List.mem f.Finding.rule
+          [ "D009"; "D010"; "D011"; "D012"; "D013"; "D014"; "D015"; "D016"; "D017"; "D018" ])
+      result.Driver.findings
+  in
+  check "interprocedural rules present in the fixture run" true
+    (List.exists (fun ((f : Finding.t), _) -> f.Finding.rule = "D011") interprocedural);
+  check "every interprocedural finding carries a sym" true
+    (List.for_all (fun ((f : Finding.t), _) -> f.Finding.sym <> None) interprocedural);
   let driver = get (get run "tool") "driver" in
   Alcotest.(check int) "rule catalog shipped" (List.length Rules.catalog)
     (List.length (arr (get driver "rules")))
@@ -643,39 +588,6 @@ let test_clean_fixture () =
     "compliant file yields nothing" []
     (in_file "clean.ml" (run_fixtures ()))
 
-let test_baseline_grandfathers () =
-  let baseline =
-    [
-      { Baseline.file = "fixtures/d003_hashtbl_order.ml"; rule = "D003"; line = 7; sym = None };
-      { Baseline.file = "fixtures/gone.ml"; rule = "D001"; line = 1; sym = None };
-    ]
-  in
-  let plain = run_fixtures () in
-  let result = run_fixtures ~baseline () in
-  Alcotest.(check int)
-    "baselined finding no longer open"
-    (List.length (Driver.open_findings plain) - 1)
-    (List.length (Driver.open_findings result));
-  check "finding reported as baselined" true
-    (List.exists
-       (fun (f, s) -> s = Finding.Baselined && triple f = ("D003", "fixtures/d003_hashtbl_order.ml", 7))
-       result.Driver.findings);
-  Alcotest.(check int) "stale entry surfaced" 1 (List.length result.Driver.stale_baseline)
-
-let test_json_roundtrip () =
-  let result = run_fixtures () in
-  let j = Driver.to_json result in
-  let s = Obs.Json.to_string j in
-  let j' = Obs.Json.of_string s in
-  Alcotest.(check string) "canonical text is a fixpoint" s (Obs.Json.to_string j');
-  Alcotest.(check string)
-    "schema" "simlint-report/1"
-    (Obs.Json.str (Obs.Json.get j' "schema"));
-  Alcotest.(check int)
-    "finding count round-trips"
-    (List.length result.Driver.findings)
-    (List.length (Obs.Json.arr (Obs.Json.get j' "findings")))
-
 let test_suppress_parser () =
   let t = Suppress.parse "let a = 1\n(* simlint: allow D001 D003 — why *)\nlet b = 2\n" in
   check "covers own line" true (Suppress.covers t ~rule:"D001" ~line:2);
@@ -705,7 +617,6 @@ let () =
           Alcotest.test_case "D010 cross-module chain" `Quick test_d010_cross_module_chain;
           Alcotest.test_case "D010 sink suppression" `Quick test_d010_suppressed_sink;
           Alcotest.test_case "D010 respects the allowlist" `Quick test_d010_allowlist;
-          Alcotest.test_case "D010 baseline hit" `Quick test_d010_baseline;
           Alcotest.test_case "D009 shared state under parallel dispatch" `Quick test_d009_sites;
           Alcotest.test_case "D009 site suppression" `Quick test_d009_suppressed_site;
         ] );
@@ -713,12 +624,11 @@ let () =
         [
           Alcotest.test_case "D011 hot-path allocation chain" `Quick test_d011_hotpath_chain;
           Alcotest.test_case "D011 DFS worklist loop" `Quick test_d011_dfs_loop;
+          Alcotest.test_case "D011 local refs that never escape" `Quick test_d011_local_refs;
           Alcotest.test_case "D011 roots must name functions" `Quick test_d011_roots_resolve;
           Alcotest.test_case "D012 domain escapes and RMW" `Quick test_d012_escapes;
           Alcotest.test_case "D013 quadratic accumulation" `Quick test_d013_quadratic;
           Alcotest.test_case "catalog fully covered by fixtures" `Quick test_catalog_coverage;
-          Alcotest.test_case "sym-keyed baseline survives line drift" `Quick
-            test_sym_keyed_baseline;
         ] );
       ( "protocol",
         [
@@ -731,24 +641,14 @@ let () =
           Alcotest.test_case "callgraph through include and functors" `Quick
             test_callgraph_include_functor;
         ] );
-      ( "gate",
-        [
-          Alcotest.test_case "stale baseline fails; regeneration passes" `Quick
-            test_gate_and_baseline_regeneration;
-          Alcotest.test_case "baseline writes are deterministic" `Quick
-            test_baseline_write_deterministic;
-        ] );
       ( "dispositions",
         [
           Alcotest.test_case "suppression is per-site and per-rule" `Quick test_suppression_exact;
           Alcotest.test_case "clean file stays clean" `Quick test_clean_fixture;
-          Alcotest.test_case "baseline grandfathers exactly once" `Quick
-            test_baseline_grandfathers;
           Alcotest.test_case "suppress comment parser" `Quick test_suppress_parser;
         ] );
       ( "report",
         [
-          Alcotest.test_case "JSON round-trips through Obs.Json" `Quick test_json_roundtrip;
           Alcotest.test_case "SARIF pinned byte-exactly" `Quick test_sarif_pinned;
           Alcotest.test_case "SARIF document shape" `Quick test_sarif_shape;
           Alcotest.test_case "severity mapping" `Quick test_severities;

@@ -111,17 +111,9 @@ let of_json ~threshold ~min_base_s ~baseline ~candidate =
   let keys want = List.filter_map (fun e -> if e.presence = want then Some e.key else None) entries in
   { threshold; min_base_s; entries; missing = keys Removed; extra = keys Added }
 
-let slurp path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Obs.Json.of_string content
-
 let of_files ~threshold ~min_base_s ~baseline ~candidate =
-  of_json ~threshold ~min_base_s ~baseline:(slurp baseline) ~candidate:(slurp candidate)
+  of_json ~threshold ~min_base_s ~baseline:(Obs.Json.read_file ~path:baseline)
+    ~candidate:(Obs.Json.read_file ~path:candidate)
 
 let regressions t = List.filter_map (fun e -> if e.regressed then Some e.key else None) t.entries
 

@@ -57,16 +57,10 @@ let () =
   Format.printf "%a" Benchdiff.Diff.pp d;
   (match json_out with
   | Some path ->
-      let oc =
-        match open_out path with
-        | oc -> oc
-        | exception Sys_error msg ->
-            Printf.eprintf "benchdiff: %s\n" msg;
-            exit 2
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Obs.Json.to_string_pretty (Benchdiff.Diff.to_json d)));
+      (try Obs.Json.write_file ~path (Benchdiff.Diff.to_json d)
+       with Sys_error msg ->
+         Printf.eprintf "benchdiff: %s\n" msg;
+         exit 2);
       Printf.printf "diff written to %s\n" path
   | None -> ());
   if not (Benchdiff.Diff.ok d) then exit 1

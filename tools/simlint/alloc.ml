@@ -22,7 +22,10 @@
        skipped when the whole expression is a structured constant, which
        ocamlopt lifts to static data.
      - calls to known allocators ([@]/[List.append], [^]/[String.concat],
-       [ref], [Printf.sprintf], [Array.make], [Buffer.contents], ...).
+       [ref], [Printf.sprintf], [Array.make], [Buffer.contents], ...). A
+       [let x = ref e] whose body uses [x] only as [!x], [x := v],
+       [incr x] or [decr x], with no closure mentioning [x], is not a
+       site: ocamlopt keeps such a cell in a mutable variable.
      - partial application of a known-arity stdlib function (builds a
        closure at each call).
 
@@ -231,11 +234,41 @@ let rec is_const (e : Parsetree.expression) =
   | Parsetree.Pexp_constraint (inner, _) -> is_const inner
   | _ -> false
 
+(* Whether [let x = ref _ in body] keeps its cell off the heap: every use
+   of [x] in [body] is [!x], [x := v], [incr x] or [decr x], and no
+   closure ([fun], [function], [lazy], an object or a binding operator's
+   body) mentions [x]. Any other use — returned, passed, stored, matched,
+   shadowed — counts as an escape. *)
+let local_ref x (body : Parsetree.expression) =
+  let escapes = ref false in
+  let is_x (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt = Longident.Lident y; _ } -> String.equal y x
+    | _ -> false
+  in
+  let rec it = { Ast_iterator.default_iterator with Ast_iterator.expr = (fun _ e -> expr e) }
+  and expr (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_apply (f, (Asttypes.Nolabel, cell) :: rest) when is_x cell -> (
+        match (Rules.path_of_expr f, rest) with
+        | Some ("!" | "incr" | "decr"), [] -> ()
+        | Some ":=", [ (Asttypes.Nolabel, v) ] -> expr v
+        | _ -> escapes := true)
+    | Parsetree.Pexp_ident _ when is_x e -> escapes := true
+    | ( Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ | Parsetree.Pexp_lazy _
+      | Parsetree.Pexp_object _ | Parsetree.Pexp_letop _ )
+      when SS.mem x (free_vars e) ->
+        escapes := true
+    | _ -> Ast_iterator.default_iterator.Ast_iterator.expr it e
+  in
+  expr body;
+  not !escapes
+
 type site = {
   line : int;
   col : int;
   kind : string;  (** human description, e.g. "closure capturing p, t" *)
-  slug : string;  (** compact kind for the baseline symbol key *)
+  slug : string;  (** compact kind for the finding's symbol key *)
 }
 
 let site_of ~loc ~kind ~slug =
@@ -309,13 +342,18 @@ let sites_of_binding (e0 : Parsetree.expression) : site list =
             (* [let rec f] allocates a cyclic closure per entry even with no
                other capture: record the self name as a local before the
                capture check so the analysis sees it. *)
-            (if rf = Asttypes.Recursive then
-               scoped names (fun () ->
-                   List.iter
-                     (fun (vb : Parsetree.value_binding) -> expr vb.Parsetree.pvb_expr)
-                     vbs)
-             else
-               List.iter (fun (vb : Parsetree.value_binding) -> expr vb.Parsetree.pvb_expr) vbs);
+            let bound (vb : Parsetree.value_binding) =
+              match (rf, vb.Parsetree.pvb_pat.Parsetree.ppat_desc, vb.Parsetree.pvb_expr) with
+              | ( Asttypes.Nonrecursive,
+                  Parsetree.Ppat_var { txt = x; _ },
+                  { Parsetree.pexp_desc = Parsetree.Pexp_apply (f, [ (Asttypes.Nolabel, init) ]); _ }
+                )
+                when Rules.path_of_expr f = Some "ref" && local_ref x body ->
+                  expr init
+              | _ -> expr vb.Parsetree.pvb_expr
+            in
+            (if rf = Asttypes.Recursive then scoped names (fun () -> List.iter bound vbs)
+             else List.iter bound vbs);
             scoped names (fun () -> expr body)
         | Parsetree.Pexp_for (pat, lo, hi, _, body) ->
             expr lo;

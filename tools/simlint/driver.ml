@@ -3,19 +3,15 @@
    v2: the driver parses every requested .ml under the root ONCE, runs the
    per-file rules ([Rules]) and the file-set rule D005, then hands all the
    parsed structures to [Callgraph]/[Taint] for the whole-project
-   interprocedural pass (D010). Each finding is classified as open,
-   suppressed (a [simlint: allow] comment at the site) or baselined (listed
-   in baseline.json). Only open findings pass the gate — and since v2 a
-   stale baseline entry fails it too (the baseline may only shrink; use
-   --baseline-update to regenerate it). *)
+   interprocedural pass (D010). Each finding is classified as open or
+   suppressed (a [simlint: allow] comment at the site); only open findings
+   fail the gate. *)
 
 type result = {
   findings : (Finding.t * Finding.status) list;  (** sorted, deterministic *)
   files_scanned : int;
-  stale_baseline : Baseline.entry list;  (** entries that matched nothing *)
 }
 
-let schema = "simlint-report/1"
 let default_dirs = [ "lib"; "bin"; "bench"; "stress" ]
 
 (* D001 allowlist: the one module allowed to touch the wall clock. Matching
@@ -117,7 +113,7 @@ let lint_file ?(force_lib = false) ~root ~rel () =
   let p = parse_one ~allowlist:wallclock_allowlist ~force_lib ~root rel in
   (file_findings ~root p, p.suppressions)
 
-let run ?(baseline = Baseline.empty) ?(dirs = default_dirs) ?(force_lib = false)
+let run ?(dirs = default_dirs) ?(force_lib = false)
     ?(allowlist = wallclock_allowlist) ?(hotpath_roots = default_hotpath_roots) ?(only = [])
     ~root () =
   let files =
@@ -152,114 +148,38 @@ let run ?(baseline = Baseline.empty) ?(dirs = default_dirs) ?(force_lib = false)
     @ Msgflow.findings inputs
     @ Protocol.findings inputs
   in
-  (* [--only D014,D016]: restrict the run to the named rules. Baseline
-     entries for unselected rules are dropped up front so they are neither
-     consumed nor reported stale by a filtered run. *)
+  (* [--only D014,D016]: restrict the run to the named rules. *)
   let selected (f : Finding.t) = only = [] || List.mem f.Finding.rule only in
-  let baseline =
-    if only = [] then baseline
-    else List.filter (fun (e : Baseline.entry) -> List.mem e.Baseline.rule only) baseline
-  in
   let suppressions_of =
     let tbl = Hashtbl.create 64 in
     List.iter (fun p -> Hashtbl.replace tbl p.rel p.suppressions) parsed;
     fun file -> Option.value ~default:[] (Hashtbl.find_opt tbl file)
   in
-  let remaining = ref baseline in
   let classify (f : Finding.t) =
     if Suppress.covers (suppressions_of f.Finding.file) ~rule:f.Finding.rule ~line:f.Finding.line
     then (f, Finding.Suppressed)
-    else
-      match Baseline.matches !remaining f with
-      | Some rest ->
-          remaining := rest;
-          (f, Finding.Baselined)
-      | None -> (f, Finding.Open)
+    else (f, Finding.Open)
   in
   let findings =
     List.map classify (List.filter selected (per_file @ interprocedural))
     |> List.sort (fun (a, _) (b, _) -> Finding.compare a b)
   in
-  { findings; files_scanned = List.length files; stale_baseline = !remaining }
+  { findings; files_scanned = List.length files }
 
 let count status t =
   List.length (List.filter (fun (_, s) -> s = status) t.findings)
 
 let open_findings t = List.filter (fun (_, s) -> s = Finding.Open) t.findings
 
-(* The gate: open findings fail it, and so does a stale baseline entry —
-   an entry whose finding has been fixed must be deleted (or the whole file
-   regenerated with --baseline-update), otherwise it could silently
-   grandfather an unrelated future finding on the same line. *)
-let gate_ok t = open_findings t = [] && t.stale_baseline = []
-
-(* Deterministic baseline regeneration: every finding that is not
-   suppressed in-source becomes an entry, in report order. Interprocedural
-   findings carry a symbol chain and get sym-keyed entries (stable under
-   line drift); per-file findings stay line-keyed. *)
-let to_baseline t =
-  List.filter_map
-    (fun ((f : Finding.t), s) ->
-      match s with
-      | Finding.Suppressed -> None
-      | Finding.Open | Finding.Baselined ->
-          Some
-            {
-              Baseline.file = f.Finding.file;
-              rule = f.Finding.rule;
-              line = f.Finding.line;
-              sym = f.Finding.sym;
-            })
-    t.findings
-
-let to_json t =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str schema);
-      ("files_scanned", Obs.Json.Int t.files_scanned);
-      ("open", Obs.Json.Int (count Finding.Open t));
-      ("suppressed", Obs.Json.Int (count Finding.Suppressed t));
-      ("baselined", Obs.Json.Int (count Finding.Baselined t));
-      ("findings", Obs.Json.Arr (List.map Finding.to_json t.findings));
-      ( "stale_baseline",
-        Obs.Json.Arr
-          (List.map
-             (fun (e : Baseline.entry) ->
-               Obs.Json.Obj
-                 ([
-                    ("file", Obs.Json.Str e.Baseline.file);
-                    ("rule", Obs.Json.Str e.Baseline.rule);
-                    ("line", Obs.Json.Int e.Baseline.line);
-                  ]
-                 @
-                 match e.Baseline.sym with
-                 | Some s -> [ ("sym", Obs.Json.Str s) ]
-                 | None -> []))
-             t.stale_baseline) );
-    ]
+(* The gate: any open finding fails it. *)
+let gate_ok t = open_findings t = []
 
 let print_human ppf t =
   List.iter
     (fun (f, status) ->
       match status with
       | Finding.Open -> Format.fprintf ppf "%s@." (Finding.to_string f)
-      | Finding.Suppressed | Finding.Baselined ->
-          Format.fprintf ppf "%s [%s]@." (Finding.to_string f) (Finding.status_name status))
+      | Finding.Suppressed -> Format.fprintf ppf "%s [suppressed]@." (Finding.to_string f))
     t.findings;
-  List.iter
-    (fun (e : Baseline.entry) ->
-      match e.Baseline.sym with
-      | Some s ->
-          Format.fprintf ppf
-            "simlint: stale baseline entry %s %s [%s] (fixed? remove it or run \
-             --baseline-update)@."
-            e.Baseline.rule e.Baseline.file s
-      | None ->
-          Format.fprintf ppf
-            "simlint: stale baseline entry %s %s:%d (fixed? remove it or run \
-             --baseline-update)@."
-            e.Baseline.rule e.Baseline.file e.Baseline.line)
-    t.stale_baseline;
-  Format.fprintf ppf "simlint: %d file(s), %d open, %d suppressed, %d baselined@."
-    t.files_scanned (count Finding.Open t) (count Finding.Suppressed t)
-    (count Finding.Baselined t)
+  Format.fprintf ppf "simlint: %d file(s), %d open, %d suppressed@." t.files_scanned
+    (count Finding.Open t) (count Finding.Suppressed t)

@@ -1,8 +1,8 @@
-(* A single rule violation, plus its disposition after suppressions and the
-   baseline have been applied. Everything is plain data so the driver can
-   sort, dedupe and serialise without touching the AST again. *)
+(* A single rule violation, plus its disposition after in-source
+   suppressions have been applied. Everything is plain data so the driver
+   can sort, dedupe and serialise without touching the AST again. *)
 
-type status = Open | Suppressed | Baselined
+type status = Open | Suppressed
 
 (* Severities are advisory metadata for reports and SARIF: the gate itself
    fails on ANY open finding regardless of level, so a "note" cannot rot
@@ -17,11 +17,11 @@ type t = {
   msg : string;
   severity : severity;
   sym : string option;
-      (** Stable symbol-chain key for interprocedural findings (D009–D012):
+      (** Stable symbol-chain key for interprocedural findings (D009–D018):
           the chain's endpoints, e.g. "Dsim.Engine.step->Dsim.Trace.append:
           record". Line numbers drift under unrelated edits; the endpoints
-          only change when the code the finding is about changes, so the
-          baseline keys on [sym] when present. *)
+          only change when the code the finding is about changes, so SARIF
+          fingerprints a finding by [sym] when present. *)
 }
 
 (* Determinism leaks (including the interprocedural D010) break the replay
@@ -62,24 +62,6 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let status_name = function
-  | Open -> "open"
-  | Suppressed -> "suppressed"
-  | Baselined -> "baselined"
-
 let severity_name = function Error -> "error" | Warning -> "warning" | Note -> "note"
 
 let to_string t = Printf.sprintf "%s:%d:%d: %s %s" t.file t.line t.col t.rule t.msg
-
-let to_json (t, status) =
-  Obs.Json.Obj
-    ([
-       ("rule", Obs.Json.Str t.rule);
-       ("file", Obs.Json.Str t.file);
-       ("line", Obs.Json.Int t.line);
-       ("col", Obs.Json.Int t.col);
-       ("severity", Obs.Json.Str (severity_name t.severity));
-       ("msg", Obs.Json.Str t.msg);
-       ("status", Obs.Json.Str (status_name status));
-     ]
-    @ match t.sym with None -> [] | Some s -> [ ("sym", Obs.Json.Str s) ])

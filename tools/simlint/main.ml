@@ -1,24 +1,19 @@
 (* simlint — determinism & simulation-hygiene linter.
 
-   Usage: simlint [--root DIR] [--baseline FILE] [--json] [--sarif FILE]
-                  [--baseline-update] [--force-lib] [DIR ...]
+   Usage: simlint [--root DIR] [--sarif FILE] [--force-lib] [--hotpath ID]
+                  [--only RULES] [DIR ...]
 
-   Scans lib/ bin/ bench/ stress/ under the root by default. Exits 0 when no
-   open (non-suppressed, non-baselined) finding remains AND no baseline
-   entry is stale, 1 otherwise, 2 on usage or I/O errors. [--json] prints
-   the canonical simlint-report/1 document instead of human text; [--sarif]
-   additionally writes a SARIF 2.1.0 document for CI annotation.
-   [--baseline-update] regenerates the baseline file deterministically from
-   the current findings (everything not suppressed in-source) and exits 0. *)
+   Scans lib/ bin/ bench/ stress/ under the root by default. A finding is
+   silenced only by an in-source [(* simlint: allow Dxxx — reason *)]
+   comment. Exits 0 when no open finding remains, 1 otherwise, 2 on usage
+   or I/O errors. [--sarif] additionally writes a SARIF 2.1.0 document for
+   CI annotation. *)
 
 open Simlint
 
 let () =
   let root = ref "." in
-  let baseline_path = ref "" in
-  let json = ref false in
   let sarif_path = ref "" in
-  let baseline_update = ref false in
   let force_lib = ref false in
   let hotpaths = ref [] in
   let only = ref [] in
@@ -26,15 +21,7 @@ let () =
   let spec =
     [
       ("--root", Arg.Set_string root, "DIR repository root to scan (default .)");
-      ( "--baseline",
-        Arg.Set_string baseline_path,
-        "FILE baseline.json of grandfathered findings (default \
-         <root>/tools/simlint/baseline.json when present)" );
-      ("--json", Arg.Set json, " emit the canonical simlint-report/1 JSON document");
       ("--sarif", Arg.Set_string sarif_path, "FILE also write a SARIF 2.1.0 report to FILE");
-      ( "--baseline-update",
-        Arg.Set baseline_update,
-        " regenerate the baseline file from current findings and exit 0" );
       ( "--force-lib",
         Arg.Set force_lib,
         " apply lib-only rules (D004/D005/D006/D007/D008) to every scanned file" );
@@ -52,50 +39,12 @@ let () =
         "RULES run only the named rules, comma-separated (e.g. D014,D016); repeatable" );
     ]
   in
-  let usage = "simlint [--root DIR] [--baseline FILE] [--json] [--sarif FILE] [DIR ...]" in
+  let usage = "simlint [--root DIR] [--sarif FILE] [DIR ...]" in
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;
   let dirs = if !dirs = [] then Driver.default_dirs else List.rev !dirs in
-  let default_baseline = Filename.concat !root "tools/simlint/baseline.json" in
-  let baseline_file =
-    if !baseline_path <> "" then Some !baseline_path
-    else if Sys.file_exists default_baseline then Some default_baseline
-    else None
-  in
-  if !baseline_update then begin
-    (* Regenerate from a baseline-free run: every finding that is not
-       suppressed in-source becomes an entry, in canonical report order. *)
-    let result =
-      try
-        Driver.run ~dirs ~force_lib:!force_lib
-          ~hotpath_roots:(Driver.default_hotpath_roots @ List.rev !hotpaths)
-          ~only:!only ~root:!root ()
-      with e ->
-        Printf.eprintf "simlint: %s\n" (Printexc.to_string e);
-        exit 2
-    in
-    let path = Option.value ~default:default_baseline baseline_file in
-    let entries = Driver.to_baseline result in
-    (try Baseline.write ~path entries
-     with e ->
-       Printf.eprintf "simlint: cannot write baseline %s: %s\n" path (Printexc.to_string e);
-       exit 2);
-    Printf.printf "simlint: wrote %d baseline entr%s to %s\n" (List.length entries)
-      (if List.length entries = 1 then "y" else "ies")
-      path;
-    exit 0
-  end;
-  let baseline =
-    match baseline_file with
-    | None -> Baseline.empty
-    | Some p -> (
-        try Baseline.load p
-        with e ->
-          Printf.eprintf "simlint: cannot load baseline %s: %s\n" p (Printexc.to_string e);
-          exit 2)
-  in
   let result =
     try
-      Driver.run ~baseline ~dirs ~force_lib:!force_lib
+      Driver.run ~dirs ~force_lib:!force_lib
         ~hotpath_roots:(Driver.default_hotpath_roots @ List.rev !hotpaths)
         ~only:!only ~root:!root ()
     with e ->
@@ -108,6 +57,5 @@ let () =
       Printf.eprintf "simlint: cannot write SARIF %s: %s\n" !sarif_path (Printexc.to_string e);
       exit 2
   end;
-  if !json then print_endline (Obs.Json.to_string (Driver.to_json result))
-  else Driver.print_human Format.std_formatter result;
+  Driver.print_human Format.std_formatter result;
   exit (if Driver.gate_ok result then 0 else 1)

@@ -1,6 +1,6 @@
 (* The determinism & simulation-hygiene rules, as one Parsetree walk.
 
-   Rules (ids are stable; suppressions and the baseline key on them):
+   Rules (ids are stable; suppressions key on them):
 
    D001  wall-clock access ([Unix.gettimeofday], [Unix.time], [Unix.localtime],
          [Unix.gmtime], [Sys.time]) outside the allowlisted module set.

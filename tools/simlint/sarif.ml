@@ -7,8 +7,7 @@
    any post-processing.
 
    Disposition mapping: an open finding is a plain result; a suppressed one
-   carries [{"kind":"inSource"}] (the [simlint: allow] comment); a
-   baselined one carries [{"kind":"external"}] (tools/simlint/baseline.json).
+   carries [{"kind":"inSource"}] (the [simlint: allow] comment).
    Code-scanning UIs hide suppressed results but keep them auditable. *)
 
 let version = "2.1.0"
@@ -53,9 +52,8 @@ let result_json ((f : Finding.t), (status : Finding.status)) =
       ("locations", Obs.Json.Arr [ location ]);
     ]
   in
-  (* Interprocedural findings expose their symbol-chain key (the same one
-     the baseline matches on) as a stable fingerprint, so code-scanning
-     dedup survives line drift just like the baseline does. *)
+  (* Interprocedural findings expose their symbol-chain key as a stable
+     fingerprint, so code-scanning dedup survives line drift. *)
   let fingerprints =
     match f.Finding.sym with
     | Some s ->
@@ -68,8 +66,6 @@ let result_json ((f : Finding.t), (status : Finding.status)) =
     | Finding.Open -> []
     | Finding.Suppressed ->
         [ ("suppressions", Obs.Json.Arr [ Obs.Json.Obj [ ("kind", Obs.Json.Str "inSource") ] ]) ]
-    | Finding.Baselined ->
-        [ ("suppressions", Obs.Json.Arr [ Obs.Json.Obj [ ("kind", Obs.Json.Str "external") ] ]) ]
   in
   Obs.Json.Obj (base @ suppressions)
 
