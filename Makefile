@@ -53,14 +53,15 @@ fuzz-smoke: build
 		-j $(J) --report /tmp/dinersim-fuzz-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke.json
 
-# Bounded exhaustive model check of a known-good instance: every one of
-# the 256 schedules a dls(delta=2,phi=1) adversary can produce for wf on
-# a pair within 12 ticks, all dining monitors green. Exits non-zero on
-# any violation; the dinersim-mc/1 report is re-parsed as a round-trip
-# check (and uploaded as a CI artifact).
+# Bounded exhaustive model check of a known-good instance, the one
+# perfbench's mc workload times: every one of the 59,049 schedules a
+# dls(delta=3,phi=1) adversary can produce for wf on a pair within 14
+# ticks, all dining monitors green (under a second at -j 1). Exits
+# non-zero on any violation; the dinersim-mc/1 report is re-parsed as a
+# round-trip check (and uploaded as a CI artifact).
 mc-smoke: build
-	dune exec bin/dinersim.exe -- check --algo wf --topology pair --horizon 12 \
-		--delta 2 --phi 1 --eat-ticks 1 --seed 0x5EED -j $(J) \
+	dune exec bin/dinersim.exe -- check --algo wf --topology pair --horizon 14 \
+		--delta 3 --phi 1 --eat-ticks 1 --seed 0x5EED -j $(J) \
 		--out /tmp/dinersim-mc-repro --report /tmp/dinersim-mc-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-mc-smoke.json
 

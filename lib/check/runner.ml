@@ -90,7 +90,7 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
     match (record, replay, drive) with
     | Some tape, None, None -> Adversary.record tape base
     | None, Some (len, overrides), None -> Adversary.replay ~len ~overrides base
-    | None, None, Some controller -> Adversary.drive controller base
+    | None, None, Some (delay, step) -> Adversary.drive ~delay ~step base
     | None, None, None -> base
     | _ -> assert false
   in

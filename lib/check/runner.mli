@@ -38,7 +38,8 @@ val default_registry : registry
 val run :
   ?record:Adversary.tape ->
   ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(Adversary.query -> Adversary.decision) ->
+  ?drive:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int)
+         * (now:Types.time -> Types.pid -> bool) ->
   ?metrics:Obs.Metrics.t ->
   registry:registry ->
   Config.t ->
@@ -46,9 +47,10 @@ val run :
 (** Execute the config. [record] wraps the adversary so its decision
     sequence is captured; [replay] drives the first [len] adversary queries
     from the given positional overrides (see {!Adversary.replay}); [drive]
-    hands every adversary query to a controller callback (see
-    {!Adversary.drive}) — the bounded exhaustive explorer's hook. The
-    three are mutually exclusive. [metrics] installs the standard
+    hands every adversary query to a pair of controller callbacks, the
+    delay one and the step one (see {!Adversary.drive}) — the bounded
+    exhaustive explorer's hook. The three are mutually exclusive.
+    [metrics] installs the standard
     {!Obs.Instrument} engine instrumentation into the given registry
     (finalized before returning) — campaign drivers give each run its own
     registry and merge them in run-index order. Raises [Failure] on an
@@ -57,7 +59,8 @@ val run :
 val run_traced :
   ?record:Adversary.tape ->
   ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(Adversary.query -> Adversary.decision) ->
+  ?drive:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int)
+         * (now:Types.time -> Types.pid -> bool) ->
   ?metrics:Obs.Metrics.t ->
   registry:registry ->
   Config.t ->

@@ -148,11 +148,7 @@ let dls ?(delta = 2) ?(phi = 2) () =
     fairness_bound = phi;
   }
 
-type query =
-  | Delay_q of { now : Types.time; src : Types.pid; dst : Types.pid }
-  | Step_q of { now : Types.time; pid : Types.pid }
-
-let drive controller base =
+let drive ~delay ~step base =
   {
     name = base.name ^ "/driven";
     delay =
@@ -161,16 +157,12 @@ let drive controller base =
            and its full-override [replay] then consume identical PRNG
            streams, so counterexample artifacts replay bit-identically. *)
         let (_ : int) = base.delay rng ~now ~src ~dst in
-        match controller (Delay_q { now; src; dst }) with
-        | Delay d ->
-            if d < 1 then invalid_arg "Adversary.drive: delay must be >= 1" else d
-        | Step _ -> invalid_arg "Adversary.drive: Step decision for a delay query");
+        let d = delay ~now ~src ~dst in
+        if d < 1 then invalid_arg "Adversary.drive: delay must be >= 1" else d);
     steps =
       (fun rng ~now p ->
         let (_ : bool) = base.steps rng ~now p in
-        match controller (Step_q { now; pid = p }) with
-        | Step s -> s
-        | Delay _ -> invalid_arg "Adversary.drive: Delay decision for a step query");
+        step ~now p);
     fairness_bound = base.fairness_bound;
   }
 

@@ -97,24 +97,25 @@ val replay : len:int -> overrides:(int * decision) list -> t -> t
 
     The model-checking explorer needs to {e choose} every adversary
     decision rather than record or override a random one. [drive] hands
-    each query — with its tick and the pids involved — to a controller
-    callback that returns the decision. *)
+    the fields of each query — its tick and the pids involved — to one of
+    two controller callbacks, which returns the decision: a delay, or
+    whether the step is offered. No query value is built, so a driven
+    query allocates nothing beyond what its callback does. *)
 
-type query =
-  | Delay_q of { now : Types.time; src : Types.pid; dst : Types.pid }
-      (** A delivery-delay choice for a message sent at [now]. *)
-  | Step_q of { now : Types.time; pid : Types.pid }
-      (** A step-offer choice for [pid] at tick [now]. *)
-
-val drive : (query -> decision) -> t -> t
-(** [drive controller base] answers every adversary query with
-    [controller q]. The base adversary's decision is computed (and its
-    PRNG draws burnt) {e first}, exactly as {!record} does — so a driven
-    run consumes the same engine PRNG stream as a {!replay} of the chosen
-    decisions, and a counterexample found by the explorer replays
-    bit-identically from an ordinary full-override decision table. Raises
-    [Invalid_argument] when the controller returns a decision of the wrong
-    kind for the query, or a delay [< 1]. *)
+val drive :
+  delay:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int) ->
+  step:(now:Types.time -> Types.pid -> bool) ->
+  t ->
+  t
+(** [drive ~delay ~step base] answers each delivery-delay query for a
+    message sent at [now] from [src] to [dst] with [delay ~now ~src ~dst],
+    and each step-offer query for [pid] at tick [now] with [step ~now pid].
+    The base adversary's decision is computed (and its PRNG draws burnt)
+    {e first}, exactly as {!record} does — so a driven run consumes the
+    same engine PRNG stream as a {!replay} of the chosen decisions, and a
+    counterexample found by the explorer replays bit-identically from an
+    ordinary full-override decision table. Raises [Invalid_argument] when
+    [delay] returns a delay [< 1]. *)
 
 val bursty :
   ?gst:Types.time ->

@@ -8,18 +8,23 @@ type packet = {
 
 (* In-flight delivery structure. The production representation is a
    bucketed timing wheel: slot [s] holds the packets due at one future tick
-   in the window (t.clock, t.clock + wheel_size], indexed by [at land mask],
-   as the first [fill.(s)] entries of the packet array [slots.(s)], so send
+   in the window (t.clock, t.clock + size], indexed by [at land mask], as
+   the first [fill.(s)] entries of the packet array [slots.(s)], so send
    and delivery are O(1) in the number of distinct delivery times. Every
-   slot starts as the shared empty array and grows geometrically, so an
-   engine's creation allocates two flat arrays rather than one growable
-   buffer per slot, and a short run pays only for the slots it fills.
-   Deliveries beyond the horizon land in [overflow], an int map keyed on
-   delivery tick whose minimum bucket migrates into the wheel the tick it
-   enters the window (exactly one bucket can qualify per tick, because
-   buckets hold distinct ticks and the window advances one tick at a
-   time). The wheel holds only future ticks, so a slot is always empty
-   when its tick's packets start arriving.
+   slot starts as the shared empty array and grows geometrically, so a
+   short run pays only for the slots it fills.
+
+   The wheel is sized to the delays the run draws ([grow_wheel]), from
+   [initial_wheel] up to [max_wheel] slots, so a short run with small
+   delays allocates a small wheel, and a delivered packet stays reachable
+   from its slot only until that slot comes round again, a few ticks.
+   Deliveries beyond [max_wheel] ticks land in [overflow], an int map
+   keyed on delivery tick whose minimum bucket migrates into the wheel the
+   tick it enters the window (exactly one bucket can qualify per tick,
+   because buckets hold distinct ticks and the window advances one tick at
+   a time). The overflow map fills only at [max_wheel] slots, so growth
+   never has a bucket to migrate. The wheel holds only future ticks, so a
+   slot is always empty when its tick's packets start arriving.
 
    [Refmap] is the previous tree-map-of-buckets representation, kept as a
    reference implementation: O(log buckets) per send/delivery, but simple
@@ -27,10 +32,10 @@ type packet = {
    test/test_scale.ml runs randomized instances under both and demands
    byte-identical traces. *)
 type wheel = {
-  slots : packet array array; (* length is a power of two *)
-  fill : int array; (* fill.(s) = packets due in slot s *)
-  mask : int; (* Array.length slots - 1 *)
-  mutable overflow : packet Vec.t Types.Pidmap.t;
+  mutable slots : packet array array; (* length is a power of two *)
+  mutable fill : int array; (* fill.(s) = packets due in slot s *)
+  mutable mask : int; (* Array.length slots - 1 *)
+  mutable overflow : packet Vec.t Types.Pidmap.t; (* empty below max_wheel *)
 }
 
 type refmap = { mutable buckets : packet Vec.t Types.Pidmap.t }
@@ -46,13 +51,14 @@ type proc = {
   mutable alive : bool;
   mutable crash_at : Types.time option;
   components : Component.t Vec.t; (* registration order *)
-  mutable flat_actions : Component.action array;
+  mutable flat_actions : Component.action array; (* the components', in order *)
   mutable cursor : int; (* weak-fairness rotation over flat_actions *)
   inbox : packet Vec.t;
   mutable last_step : Types.time;
   mutable batch : packet array;
       (* step_process drain scratch, grown geometrically and reused across
          steps; only the first [Vec.length inbox] slots are meaningful *)
+  mutable ctx : Context.t option; (* built by the first [ctx] call *)
 }
 
 and t = {
@@ -83,10 +89,12 @@ and t = {
          shuffled in place each tick, so [step] allocates no order array *)
 }
 
-(* 256 ticks of horizon covers every built-in adversary (delays are small
-   bounded draws); anything beyond rides the overflow map and costs the
-   old O(log n) only for itself. *)
-let wheel_size = 256
+(* A wheel starts with room for the unit delays of synchronous runs and
+   the small draws of the DLS family. 256 ticks of horizon covers every
+   built-in adversary (delays are small bounded draws); anything beyond
+   rides the overflow map and costs the old O(log n) only for itself. *)
+let initial_wheel = 4
+let max_wheel = 256
 
 let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~adversary () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
@@ -102,6 +110,7 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
           inbox = Vec.create ();
           last_step = 0;
           batch = [||];
+          ctx = None;
         })
   in
   let delivery =
@@ -109,9 +118,9 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     | `Wheel ->
         Wheel
           {
-            slots = Array.make wheel_size [||];
-            fill = Array.make wheel_size 0;
-            mask = wheel_size - 1;
+            slots = Array.make initial_wheel [||];
+            fill = Array.make initial_wheel 0;
+            mask = initial_wheel - 1;
             overflow = Types.Pidmap.empty;
           }
     | `Reference -> Refmap { buckets = Types.Pidmap.empty }
@@ -201,6 +210,27 @@ let slot_add w s pkt =
   w.slots.(s).(len) <- pkt;
   w.fill.(s) <- len + 1
 
+(* Grow the wheel to the smallest power of two of at least [delay] slots,
+   at most [max_wheel]. Slot [s] holds the one tick [at] of the window
+   (clock, clock + size] with [at land mask = s], so it moves whole, array
+   and fill, to [at land mask'] in the larger wheel, where the ticks of the
+   old window take distinct slots: no packet is touched and each slot
+   keeps its send order. *)
+let grow_wheel w ~clock ~delay =
+  let size = w.mask + 1 in
+  let rec fit s = if s >= delay || s >= max_wheel then s else fit (2 * s) in
+  let size' = fit (2 * size) in
+  let slots = Array.make size' [||] and fill = Array.make size' 0 in
+  for s = 0 to size - 1 do
+    let at = clock + 1 + ((s - clock - 1) land w.mask) in
+    let s' = at land (size' - 1) in
+    slots.(s') <- w.slots.(s);
+    fill.(s') <- w.fill.(s)
+  done;
+  w.slots <- slots;
+  w.fill <- fill;
+  w.mask <- size' - 1
+
 let send t ~src ~dst ~tag payload =
   if dst < 0 || dst >= t.n_procs then invalid_arg "Engine.send: bad destination";
   (* Reliable channels: the message is assigned a finite delay at send time.
@@ -212,7 +242,8 @@ let send t ~src ~dst ~tag payload =
   let pkt = { src; dst; tag; tag_id; payload } in
   (match t.delivery with
   | Wheel w ->
-      if at - t.clock <= wheel_size then slot_add w (at land w.mask) pkt
+      if delay > w.mask + 1 && w.mask + 1 < max_wheel then grow_wheel w ~clock:t.clock ~delay;
+      if delay <= w.mask + 1 then slot_add w (at land w.mask) pkt
       else begin
         let bucket =
           match Types.Pidmap.find_opt at w.overflow with
@@ -239,24 +270,25 @@ let send t ~src ~dst ~tag payload =
   t.sent_tag.(tag_id) <- t.sent_tag.(tag_id) + 1;
   pend t pkt 1
 
+(* One context per process, built at the first request: a deployment
+   that asks again (the detector layer, then the dining layer) shares it. *)
 let ctx t pid : Context.t =
-  {
-    Context.self = pid;
-    send = (fun ~dst ~tag m -> send t ~src:pid ~dst ~tag m);
-    now = (fun () -> t.clock);
-    rng = t.prng;
-    log = (fun ev -> Trace.append t.tr ~at:t.clock ev);
-    is_live = (fun q -> is_live t q);
-  }
-
-let reflatten p =
-  p.flat_actions <-
-    Array.concat (List.map (fun c -> c.Component.actions) (Vec.to_list p.components));
-  (* The cursor indexed the *previous* flat layout; re-anchor the
-     weak-fairness rotation at the start of the new one so a mid-run
-     registration resumes from a well-defined action rather than wherever
-     the old rotation happened to stop. *)
-  p.cursor <- 0
+  let p = t.procs.(pid) in
+  match p.ctx with
+  | Some c -> c
+  | None ->
+      let c =
+        {
+          Context.self = pid;
+          send = (fun ~dst ~tag m -> send t ~src:pid ~dst ~tag m);
+          now = (fun () -> t.clock);
+          rng = t.prng;
+          log = (fun ev -> Trace.append t.tr ~at:t.clock ev);
+          is_live = (fun q -> is_live t q);
+        }
+      in
+      p.ctx <- Some c;
+      c
 
 let register t pid comp =
   let p = t.procs.(pid) in
@@ -273,7 +305,13 @@ let register t pid comp =
      old [p.components <- p.components @ [comp]] list append re-copied the
      whole list per layer, quadratic in layers per process. *)
   Vec.add_last p.components comp;
-  reflatten p
+  if Array.length comp.Component.actions > 0 then
+    p.flat_actions <- Array.append p.flat_actions comp.Component.actions;
+  (* The cursor indexed the *previous* flat layout; re-anchor the
+     weak-fairness rotation at the start of the new one so a mid-run
+     registration resumes from a well-defined action rather than wherever
+     the old rotation happened to stop. *)
+  p.cursor <- 0
 
 let schedule_crash t pid ~at =
   let p = t.procs.(pid) in
@@ -364,11 +402,12 @@ let deliver_packet t pkt =
 
 (* One wheel turn: deliver the current tick's slot, then migrate the
    overflow bucket entering the window, if any, into the slot just freed
-   ([at = clock + wheel_size] maps to [clock land mask]). Migration
-   precedes this tick's sends, and a direct wheel insert for the same
-   delivery tick can only happen at [clock >= at - wheel_size], so within
-   any slot migrated packets (sent strictly earlier) come first and global
-   send order — the delivery order the old map preserved — is kept.
+   ([at = clock + max_wheel] maps to [clock land mask]: the overflow map
+   fills only at full size). Migration precedes this tick's sends, and a
+   direct wheel insert for the same delivery tick can only happen at
+   [clock >= at - max_wheel], so within any slot migrated packets (sent
+   strictly earlier) come first and global send order — the delivery
+   order the old map preserved — is kept.
    Slots and buckets append in send order and index loops deliver them
    oldest first, with O(1) stack whatever their size: a recursive walk
    would overflow the stack on a same-tick flood at n=10^5. *)
@@ -381,7 +420,7 @@ let turn_wheel t w =
   done;
   w.fill.(s) <- 0;
   match Types.Pidmap.min_binding_opt w.overflow with
-  | Some (at, bucket) when at - t.clock <= wheel_size ->
+  | Some (at, bucket) when at - t.clock <= max_wheel ->
       w.overflow <- Types.Pidmap.remove at w.overflow;
       let dst = at land w.mask in
       for i = 0 to Vec.length bucket - 1 do

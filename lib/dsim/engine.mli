@@ -32,8 +32,12 @@ val create :
     instead of holding it in memory.
 
     [delivery] selects the in-flight representation: [`Wheel] (default), an
-    O(1) bucketed timing wheel keyed on delivery tick with an overflow map
-    beyond the horizon, or [`Reference], the previous tree-map of buckets.
+    O(1) bucketed timing wheel keyed on delivery tick, or [`Reference], the
+    previous tree-map of buckets. The wheel starts at 4 slots and grows to
+    the smallest power of two that holds a send's delay, up to 256 slots,
+    with an overflow map beyond; so creating an engine for short runs with
+    small delays, as the model checker does once per schedule, allocates
+    little (an n = 2 engine, 138 words).
     The two are observationally identical (same traces, same PRNG draws,
     same delivery order — property-tested in [test/test_scale.ml]);
     [`Reference] exists only as the oracle for that differential test. *)
@@ -44,10 +48,13 @@ val trace : t -> Trace.t
 val rng : t -> Prng.t
 
 val ctx : t -> Types.pid -> Context.t
-(** Capability bundle for building components at process [pid]. *)
+(** Capability bundle for building components at process [pid]. Built at
+    the first call for [pid]; later calls return the same value. *)
 
 val register : t -> Types.pid -> Component.t -> unit
-(** Add a component (protocol layer / logical thread) to a process. Raises
+(** Add a component (protocol layer / logical thread) to a process: its
+    actions are appended to the process's action table, and the
+    weak-fairness rotation restarts at the table's first action. Raises
     [Invalid_argument] on duplicate component names at the same process. *)
 
 val schedule_crash : t -> Types.pid -> at:Types.time -> unit

@@ -45,124 +45,153 @@ let dls_bounds (c : Check.Config.t) =
   | Check.Config.Dls { delta; phi } -> (delta, phi)
   | _ -> invalid_arg "Mc.Explore: the config adversary must be the Dls family"
 
-let schedule_key decisions =
-  let buf = Buffer.create (4 * Array.length decisions) in
-  Array.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf '.';
-      match d with
-      | Adversary.Step s -> Buffer.add_string buf (if s then "S1" else "S0")
-      | Adversary.Delay d ->
-          Buffer.add_char buf 'D';
-          Buffer.add_string buf (string_of_int d))
-    decisions;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
-(* One node visit: re-execute the engine, replaying [prefix] and
-   extending it with first choices. The controller mirrors the engine's
-   weak-fairness accounting (engine.ml: [forced = clock - last_step >=
-   fairness_bound], and a step — offered or forced — resets [last_step])
-   so forced queries never branch, and maintains the sleep set along the
-   replayed prefix so reduction state needs no snapshotting: a [Step
-   false] at an unforced, awake pid can only be a descended sibling, which
-   is exactly the "put it to sleep" case. *)
+(* The decision tape. A search keeps one tape of int-coded decisions: a
+   delay is itself (>= 1), an offered step [offered], a withheld one
+   [withheld]. A node of the DFS tree is the prefix [tape.(0 .. len-1)];
+   visiting it re-executes the engine, replaying the prefix and extending
+   it with first choices (step offered, delay 1), each fresh position
+   pushing its untaken siblings as (position, decision) pairs on a stack
+   whose top is the next node in DFS order. A popped sibling's prefix is
+   still on the tape: a visit replaying [len] decisions pushes only
+   positions [>= len], so positions never decrease towards the top of the
+   stack, every visit since the sibling's push lay below its parent, and
+   each rewrote only positions from the sibling's own onwards.
+
+   The controller mirrors the engine's weak-fairness accounting
+   (engine.ml: [forced = clock - last_step >= fairness_bound], and a step
+   — offered or forced — resets [last_step]) so forced queries never
+   branch, and maintains the sleep set along the replayed prefix so
+   reduction state needs no snapshotting: a withheld step at an unforced,
+   awake pid can only be a descended sibling, which is exactly the "put it
+   to sleep" case. *)
+
+let offered = 0
+let withheld = -1
 
 exception Cut
 (* Raised by the controller to abandon an engine run once the root-split
    depth is reached; the partial tape becomes a subtree root. *)
 
-type visit =
-  | Completed of {
-      decisions : Adversary.decision array;
-      outcome : Check.Runner.outcome;
-      pending : Adversary.decision array list;
-      fresh_pruned : int;
-    }
-  | Cut_at of {
-      prefix : Adversary.decision array;
-      pending : Adversary.decision array list;
-      fresh_pruned : int;
-    }
+type search = {
+  graph : Graphs.Conflict_graph.t;
+  delta : int;
+  phi : int;
+  por : bool;
+  cut : int; (* decisions after which a run is abandoned *)
+  mutable tape : int array;
+  mutable len : int; (* the prefix the next visit replays *)
+  mutable count : int; (* decisions the current run has answered *)
+  sibs : (int * int) Vec.t; (* pending (position, decision), top last *)
+  last_step : int array; (* per pid, reset at each visit *)
+  sleep : bool array;
+  mutable pruned : int; (* fresh step branches the reduction removed *)
+}
 
-let visit ?cut ~registry ~graph ~delta ~phi ~por (cfg : Check.Config.t)
-    (prefix : Adversary.decision array) =
+let search ?(cut = max_int) ~graph ~delta ~phi ~por () =
   let n = Graphs.Conflict_graph.n graph in
-  let last_step = Array.make n 0 in
-  let sleep = Array.make n false in
-  let chosen = ref [] (* reversed tape so far *) in
-  let count = ref 0 in
-  let pending = ref [] (* untaken siblings, head = next in DFS order *) in
-  let fresh_pruned = ref 0 in
+  {
+    graph;
+    delta;
+    phi;
+    por;
+    cut;
+    tape = [||];
+    len = 0;
+    count = 0;
+    sibs = Vec.create ();
+    last_step = Array.make n 0;
+    sleep = Array.make n false;
+    pruned = 0;
+  }
+
+(* Make the top sibling the next node: its decision goes on the tape at
+   its position, which ends the prefix. *)
+let pop s =
+  let pos, code = Vec.get s.sibs (Vec.length s.sibs - 1) in
+  Vec.remove_last s.sibs;
+  s.tape.(pos) <- code;
+  s.len <- pos + 1
+
+(* Record the answer to query [i]; at a replayed position the tape
+   already holds it. *)
+let answer s i code =
+  if i = Array.length s.tape then begin
+    let bigger = Array.make (max 16 (2 * i)) 0 in
+    Array.blit s.tape 0 bigger 0 i;
+    s.tape <- bigger
+  end;
+  s.tape.(i) <- code;
+  s.count <- i + 1
+
+let decisions s =
+  Array.init s.count (fun i ->
+      let code = s.tape.(i) in
+      if code >= 1 then Adversary.Delay code else Adversary.Step (code = offered))
+
+(* The two callbacks [Adversary.drive] hands each query to, built once
+   per search. A fresh position takes the first branch and pushes its
+   siblings; pushing a delay's siblings from [delta] down leaves the
+   smallest on top. *)
+let controller s =
+  let wake_one q = s.sleep.(q) <- false in
   let wake pid =
-    sleep.(pid) <- false;
-    Graphs.Conflict_graph.iter_neighbors graph pid (fun q -> sleep.(q) <- false)
+    s.sleep.(pid) <- false;
+    Graphs.Conflict_graph.iter_neighbors s.graph pid wake_one
   in
-  let sibling d = Array.of_list (List.rev (d :: !chosen)) in
-  let controller q =
-    let i = !count in
-    (match cut with Some depth when i >= depth -> raise Cut | _ -> ());
-    let answer =
-      if i < Array.length prefix then prefix.(i)
+  let delay ~now:_ ~src:_ ~dst =
+    let i = s.count in
+    if i >= s.cut then raise Cut;
+    let code =
+      if i < s.len then s.tape.(i)
       else begin
-        (* Fresh position: pick the first branch, queue the siblings.
-           Prepending each position's siblings keeps [pending] in DFS
-           order — deeper positions come first, in-order within one. *)
-        match q with
-        | Adversary.Step_q { now; pid } ->
-            let forced = now - last_step.(pid) >= phi in
-            if forced then Adversary.Step true
-            else if por && sleep.(pid) then begin
-              incr fresh_pruned;
-              Adversary.Step false
-            end
-            else begin
-              pending := sibling (Adversary.Step false) :: !pending;
-              Adversary.Step true
-            end
-        | Adversary.Delay_q _ ->
-            let rec siblings d acc =
-              if d < 2 then acc else siblings (d - 1) (sibling (Adversary.Delay d) :: acc)
-            in
-            pending := siblings delta !pending;
-            Adversary.Delay 1
+        for d = s.delta downto 2 do
+          Vec.add_last s.sibs (i, d)
+        done;
+        1
       end
     in
-    (match (q, answer) with
-    | Adversary.Step_q { now; pid }, Adversary.Step s ->
-        let forced = now - last_step.(pid) >= phi in
-        if s || forced then begin
-          last_step.(pid) <- now;
-          wake pid
-        end
-        else sleep.(pid) <- true
-    | Adversary.Delay_q { dst; _ }, Adversary.Delay _ -> wake dst
-    | Adversary.Step_q _, Adversary.Delay _ | Adversary.Delay_q _, Adversary.Step _ ->
-        (* Query kinds are deterministic in the answered prefix, so a
-           replayed decision always matches its query. *)
-        assert false);
-    chosen := answer :: !chosen;
-    incr count;
-    answer
+    (* Query kinds are deterministic in the answered prefix, so a
+       replayed decision always matches its query. *)
+    assert (code >= 1);
+    answer s i code;
+    wake dst;
+    code
   in
-  match
-    try `Done (Check.Runner.run ~drive:controller ~registry cfg) with Cut -> `Abandoned
-  with
-  | `Done outcome ->
-      Completed
-        {
-          decisions = Array.of_list (List.rev !chosen);
-          outcome;
-          pending = !pending;
-          fresh_pruned = !fresh_pruned;
-        }
-  | `Abandoned ->
-      Cut_at
-        {
-          prefix = Array.of_list (List.rev !chosen);
-          pending = !pending;
-          fresh_pruned = !fresh_pruned;
-        }
+  let step ~now pid =
+    let i = s.count in
+    if i >= s.cut then raise Cut;
+    let forced = now - s.last_step.(pid) >= s.phi in
+    let code =
+      if i < s.len then s.tape.(i)
+      else if forced then offered
+      else if s.por && s.sleep.(pid) then begin
+        s.pruned <- s.pruned + 1;
+        withheld
+      end
+      else begin
+        Vec.add_last s.sibs (i, withheld);
+        offered
+      end
+    in
+    assert (code <= offered);
+    answer s i code;
+    if code = offered || forced then begin
+      s.last_step.(pid) <- now;
+      wake pid
+    end
+    else s.sleep.(pid) <- true;
+    code = offered
+  in
+  (delay, step)
+
+(* One node visit: re-execute the engine on the tape's prefix. Raises
+   [Cut] when the search has a cut and the run reaches it. *)
+let visit s ~drive ~registry cfg =
+  s.count <- 0;
+  Array.fill s.last_step 0 (Array.length s.last_step) 0;
+  Array.fill s.sleep 0 (Array.length s.sleep) false;
+  Check.Runner.run ~drive ~registry cfg
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: sequential root split. DFS down to [split_depth] decisions,
@@ -171,32 +200,25 @@ let visit ?cut ~registry ~graph ~delta ~phi ~por (cfg : Check.Config.t)
 
 type item =
   | Leaf of { decisions : Adversary.decision array; outcome : Check.Runner.outcome }
-  | Subtree of Adversary.decision array
+  | Subtree of int array (* the root's coded prefix *)
 
 let split ~registry ~graph ~delta ~phi ~por ~split_depth cfg =
+  let s = search ~cut:split_depth ~graph ~delta ~phi ~por () in
+  let drive = controller s in
   let items = ref [] (* reversed enumeration order *) in
-  let pruned = ref 0 in
-  let stack = ref [ [||] ] in
   let rec loop () =
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-        stack := rest;
-        (if Array.length prefix >= split_depth then items := Subtree prefix :: !items
-         else
-           match visit ~cut:split_depth ~registry ~graph ~delta ~phi ~por cfg prefix with
-           | Completed { decisions; outcome; pending; fresh_pruned } ->
-               pruned := !pruned + fresh_pruned;
-               items := Leaf { decisions; outcome } :: !items;
-               stack := pending @ !stack
-           | Cut_at { prefix = p; pending; fresh_pruned } ->
-               pruned := !pruned + fresh_pruned;
-               items := Subtree p :: !items;
-               stack := pending @ !stack);
-        loop ()
+    (if s.len >= split_depth then items := Subtree (Array.sub s.tape 0 s.len) :: !items
+     else
+       match visit s ~drive ~registry cfg with
+       | outcome -> items := Leaf { decisions = decisions s; outcome } :: !items
+       | exception Cut -> items := Subtree (Array.sub s.tape 0 s.count) :: !items);
+    if Vec.length s.sibs > 0 then begin
+      pop s;
+      loop ()
+    end
   in
   loop ();
-  (List.rev !items, !pruned)
+  (List.rev !items, s.pruned)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: one work item, on a pool worker. Everything it needs derives
@@ -211,12 +233,15 @@ type worker_result = {
   w_collected : Adversary.decision array list;
 }
 
+(* [decisions] builds the schedule's decision array, which only a
+   violation or [collect] needs. *)
 let record_schedule ~collect ~cfg ~collected ~violations ~local_index decisions
     (outcome : Check.Runner.outcome) =
-  if collect then collected := decisions :: !collected;
+  if collect then collected := decisions () :: !collected;
   match outcome.Check.Runner.failed with
   | [] -> ()
   | _ :: _ ->
+      let decisions = decisions () in
       let overrides = List.mapi (fun i d -> (i, d)) (Array.to_list decisions) in
       let repro =
         Check.Repro.v ~config:cfg ~len:(Array.length decisions) ~overrides
@@ -225,34 +250,32 @@ let record_schedule ~collect ~cfg ~collected ~violations ~local_index decisions
       violations := (local_index, repro) :: !violations
 
 let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root =
+  let s = search ~graph ~delta ~phi ~por () in
+  let drive = controller s in
+  s.tape <- Array.copy root;
+  s.len <- Array.length root;
+  let current () = decisions s in
   let schedules = ref 0 in
-  let pruned = ref 0 in
   let max_decisions = ref 0 in
   let truncated = ref false in
   let violations = ref [] in
   let collected = ref [] in
-  let stack = ref [ root ] in
   let rec loop () =
-    match !stack with
-    | [] -> ()
-    | _ :: _ when !schedules >= budget -> truncated := true
-    | prefix :: rest ->
-        stack := rest;
-        (match visit ~registry ~graph ~delta ~phi ~por cfg prefix with
-        | Completed { decisions; outcome; pending; fresh_pruned } ->
-            pruned := !pruned + fresh_pruned;
-            max_decisions := max !max_decisions (Array.length decisions);
-            record_schedule ~collect ~cfg ~collected ~violations ~local_index:!schedules
-              decisions outcome;
-            incr schedules;
-            stack := pending @ !stack
-        | Cut_at _ -> assert false (* no cut depth in phase 2 *));
+    let outcome = visit s ~drive ~registry cfg in
+    max_decisions := max !max_decisions s.count;
+    record_schedule ~collect ~cfg ~collected ~violations ~local_index:!schedules current outcome;
+    incr schedules;
+    if Vec.length s.sibs > 0 then
+      if !schedules >= budget then truncated := true
+      else begin
+        pop s;
         loop ()
+      end
   in
   loop ();
   {
     w_schedules = !schedules;
-    w_pruned = !pruned;
+    w_pruned = s.pruned;
     w_max_decisions = !max_decisions;
     w_truncated = !truncated;
     w_violations = List.rev !violations;
@@ -262,7 +285,9 @@ let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root 
 let leaf_result ~collect ~cfg decisions outcome =
   let violations = ref [] in
   let collected = ref [] in
-  record_schedule ~collect ~cfg ~collected ~violations ~local_index:0 decisions outcome;
+  record_schedule ~collect ~cfg ~collected ~violations ~local_index:0
+    (fun () -> decisions)
+    outcome;
   {
     w_schedules = 1;
     w_pruned = 0 (* phase 1 already counted its prunes *);
@@ -377,26 +402,3 @@ let run ?progress ?metrics ~registry mc =
       bump "mc_violations" stats.violation_count;
       bump "mc_crash_schedules" stats.crash_schedules);
   { stats; violations = List.rev !violations; schedules = List.rev !collected }
-
-let random_schedule ~registry (cfg : Check.Config.t) rng =
-  let delta, phi = dls_bounds cfg in
-  let n = Check.Config.n_procs cfg in
-  let last_step = Array.make n 0 in
-  let chosen = ref [] in
-  let controller q =
-    let d =
-      match q with
-      | Adversary.Step_q { now; pid } ->
-          let forced = now - last_step.(pid) >= phi in
-          (* Forced queries are normalised to [Step true], matching the
-             exhaustive enumeration's single branch. *)
-          let s = forced || Prng.chance rng ~p:0.5 in
-          if s then last_step.(pid) <- now;
-          Adversary.Step s
-      | Adversary.Delay_q _ -> Adversary.Delay (Prng.int_in rng ~lo:1 ~hi:delta)
-    in
-    chosen := d :: !chosen;
-    d
-  in
-  let (_ : Check.Runner.outcome) = Check.Runner.run ~drive:controller ~registry cfg in
-  Array.of_list (List.rev !chosen)

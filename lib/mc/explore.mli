@@ -15,12 +15,17 @@
     Exploration is depth-first by re-execution: each tree node is a
     decision prefix; visiting it runs a fresh engine that replays the
     prefix and extends it greedily with first choices (step offered, delay
-    1), pushing the untaken siblings as pending prefixes. Forced steps —
-    queries where the engine's weak-fairness backstop fires because the
-    process has not stepped for [phi] ticks — have a single branch,
-    normalised to [Step true]; the explorer mirrors the engine's fairness
-    accounting exactly, so tapes never branch on decisions the engine
-    would ignore.
+    1). One search keeps one decision tape: a node is a prefix of it, and
+    a pending sibling is a (position, decision) pair on a stack, not a
+    copied prefix — when it is popped, the tape still holds its parent's
+    prefix, because every visit since its push explored below that
+    parent. The controller and its per-pid arrays are built once per
+    search, and a schedule's decision array is built only for a violation
+    or under [collect_schedules]. Forced steps — queries where the
+    engine's weak-fairness backstop fires because the process has not
+    stepped for [phi] ticks — have a single branch, normalised to
+    [Step true]; the explorer mirrors the engine's fairness accounting
+    exactly, so tapes never branch on decisions the engine would ignore.
 
     {2 Partial-order reduction}
 
@@ -121,15 +126,3 @@ val run :
     ([mc_schedules], [mc_pruned_branches], [mc_violations],
     [mc_crash_schedules]). Raises [Invalid_argument] when the config's
     adversary is not [Dls] or a handicap is set. *)
-
-val random_schedule : registry:Check.Runner.registry -> Check.Config.t -> Prng.t -> Adversary.decision array
-(** Execute one run of the config under a uniformly random DLS schedule
-    drawn from the given (explorer-side) PRNG and return its full
-    normalised decision tape — forced steps recorded as [Step true],
-    exactly as the exhaustive enumeration records them. Used by the
-    cross-validation test: every tape this returns must be a member of the
-    un-reduced exhaustive schedule set. *)
-
-val schedule_key : Adversary.decision array -> string
-(** Compact injective rendering of a decision tape ("S1.D2.S0..."), for
-    set membership and digests in tests. *)

@@ -102,6 +102,72 @@ let test_ring () =
   let words = per_proc_tick ~ticks:2000 engine in
   if words >= 3.0 then Alcotest.failf "ring: %.2f words per process-tick (bound 3)" words
 
+(* ------------------------------------------------------------------ *)
+(* Model-checker schedules: what one schedule pays before and around its
+   run. The model checker creates an engine per schedule, so creation is
+   counted whole, not per tick. *)
+
+(* 138 words: the wheel starts at 4 slots, where a fixed 256-slot wheel
+   took 514 of 640. *)
+let test_engine_create () =
+  let adversary = Adversary.dls ~delta:2 ~phi:1 () in
+  let create () = ignore (Sys.opaque_identity (Engine.create ~n:2 ~adversary ())) in
+  create ();
+  let words = Alloc_probe.words_of create in
+  if words > 144.0 then Alcotest.failf "n = 2 Engine.create: %.0f words (bound 144)" words
+
+(* A driven query hands its fields to a callback: with callbacks that
+   allocate nothing, neither does the query. *)
+let test_driven_queries () =
+  let adversary =
+    Adversary.drive
+      ~delay:(fun ~now:_ ~src:_ ~dst:_ -> 1)
+      ~step:(fun ~now:_ _ -> true)
+      (Adversary.dls ~delta:2 ~phi:1 ())
+  in
+  let rng = Prng.create 0x5EEDL in
+  let per_query name f =
+    let words =
+      Alloc_probe.steady_words (fun n ->
+          for now = 1 to n do
+            ignore (Sys.opaque_identity (f now))
+          done)
+    in
+    Alcotest.(check (float 0.0)) (name ^ ": 0 words per driven query") 0.0 words
+  in
+  per_query "delay" (fun now -> adversary.Adversary.delay rng ~now ~src:0 ~dst:1);
+  per_query "step" (fun now -> adversary.Adversary.steps rng ~now 1)
+
+(* The 256-schedule green instance of test_mc.ml: wf on a pair, horizon
+   12, delta 2, phi 1, including the explorer's own bookkeeping. It measures
+   2,100 words per schedule, 3,379 when each pending sibling copied its
+   prefix and each query built a block. *)
+let test_mc_schedule () =
+  let base =
+    {
+      Check.Config.algo = "wf";
+      topology = Check.Config.Pair;
+      adversary = Check.Config.Dls { delta = 2; phi = 1 };
+      crashes = [];
+      handicap = None;
+      horizon = 12;
+      eat_ticks = 1;
+      seed = 0x5EEDL;
+    }
+  in
+  let mc = Mc.Explore.default ~base in
+  let explore () = Mc.Explore.run ~registry:Check.Runner.default_registry mc in
+  ignore (explore ());
+  let schedules = ref 0 in
+  let words =
+    Alloc_probe.words_of (fun () ->
+        schedules := (explore ()).Mc.Explore.stats.Mc.Explore.schedules)
+  in
+  Alcotest.(check int) "every schedule explored" 256 !schedules;
+  let per_schedule = words /. float_of_int !schedules in
+  if per_schedule > 2180.0 then
+    Alcotest.failf "wf pair: %.0f words per schedule (bound 2180)" per_schedule
+
 let () =
   Alcotest.run "alloc"
     [
@@ -115,5 +181,11 @@ let () =
         [
           Alcotest.test_case "component-free step allocates nothing" `Quick test_bare_engine;
           Alcotest.test_case "ring step under 3 words per process-tick" `Quick test_ring;
+          Alcotest.test_case "n = 2 creation" `Quick test_engine_create;
+        ] );
+      ( "mc",
+        [
+          Alcotest.test_case "driven queries allocate nothing" `Quick test_driven_queries;
+          Alcotest.test_case "words per wf pair schedule" `Quick test_mc_schedule;
         ] );
     ]

@@ -62,25 +62,86 @@ let test_wf_green_instance () =
 (* Cross-validation: the exhaustive schedule set (no reduction) is a
    superset of any random DLS tape for the same instance. *)
 
+(* Compact injective rendering of a decision tape ("S1.D2.S0..."), for
+   set membership and digests. *)
+let schedule_key decisions =
+  let buf = Buffer.create (4 * Array.length decisions) in
+  Array.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_char buf '.';
+      match d with
+      | Dsim.Adversary.Step s -> Buffer.add_string buf (if s then "S1" else "S0")
+      | Dsim.Adversary.Delay d ->
+          Buffer.add_char buf 'D';
+          Buffer.add_string buf (string_of_int d))
+    decisions;
+  Buffer.contents buf
+
+(* One run of the config under a uniformly random DLS schedule drawn from
+   [rng] (the test's own stream, not the engine's), returning its full
+   decision tape normalised as the exhaustive enumeration records it:
+   forced steps as [Step true]. *)
+let random_schedule (cfg : Check.Config.t) rng =
+  let delta, phi =
+    match cfg.Check.Config.adversary with
+    | Check.Config.Dls { delta; phi } -> (delta, phi)
+    | _ -> Alcotest.fail "random_schedule needs a Dls config"
+  in
+  let last_step = Array.make (Check.Config.n_procs cfg) 0 in
+  let chosen = ref [] in
+  let delay ~now:_ ~src:_ ~dst:_ =
+    let d = Dsim.Prng.int_in rng ~lo:1 ~hi:delta in
+    chosen := Dsim.Adversary.Delay d :: !chosen;
+    d
+  in
+  let step ~now pid =
+    let forced = now - last_step.(pid) >= phi in
+    let s = forced || Dsim.Prng.chance rng ~p:0.5 in
+    if s then last_step.(pid) <- now;
+    chosen := Dsim.Adversary.Step s :: !chosen;
+    s
+  in
+  let (_ : Check.Runner.outcome) = Check.Runner.run ~drive:(delay, step) ~registry cfg in
+  Array.of_list (List.rev !chosen)
+
+let step_instance () = mc_config ~algo:"hygienic" ~horizon:10 ~delta:1 ~phi:2 ()
 let pinned_step_instance_schedules = 20736
 
 let test_exhaustive_superset_of_random_tapes () =
-  let base = mc_config ~algo:"hygienic" ~horizon:10 ~delta:1 ~phi:2 () in
+  let base = step_instance () in
   let r = explore ~por:false ~collect:true base in
   Alcotest.(check int) "schedule count pinned" pinned_step_instance_schedules
     r.Mc.Explore.stats.Mc.Explore.schedules;
   Alcotest.(check int) "collected every schedule" pinned_step_instance_schedules
     (List.length r.Mc.Explore.schedules);
   let seen = Hashtbl.create 8192 in
-  List.iter (fun d -> Hashtbl.replace seen (Mc.Explore.schedule_key d) ()) r.Mc.Explore.schedules;
+  List.iter (fun d -> Hashtbl.replace seen (schedule_key d) ()) r.Mc.Explore.schedules;
   for i = 0 to 49 do
     let rng = Dsim.Prng.derive 0xF00DL ~index:i in
-    let tape = Mc.Explore.random_schedule ~registry base rng in
+    let tape = random_schedule base rng in
     Alcotest.(check bool)
       (Printf.sprintf "random tape %d is an enumerated schedule" i)
       true
-      (Hashtbl.mem seen (Mc.Explore.schedule_key tape))
+      (Hashtbl.mem seen (schedule_key tape))
   done
+
+(* The enumeration order, not only the count: the digest of the step
+   instance's schedules, one key a line, in the order [collect_schedules]
+   returns them. It moves only when the engine's query pattern or the
+   explorer's DFS order changes, and the parallel frontier must not move
+   it. *)
+let pinned_step_instance_digest = "925c93719b3f902fa0c75f0db735ba51"
+
+let test_enumeration_order_pinned () =
+  List.iter
+    (fun jobs ->
+      let r = explore ~por:false ~collect:true ~jobs (step_instance ()) in
+      Alcotest.(check string)
+        (Printf.sprintf "schedule order digest at jobs=%d" jobs)
+        pinned_step_instance_digest
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" (List.map schedule_key r.Mc.Explore.schedules)))))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction: pinned reduction counts, and the reduced
@@ -265,6 +326,8 @@ let () =
             test_wf_green_instance;
           Alcotest.test_case "exhaustive set covers random tapes" `Slow
             test_exhaustive_superset_of_random_tapes;
+          Alcotest.test_case "enumeration order pinned at -j 1/2" `Slow
+            test_enumeration_order_pinned;
           Alcotest.test_case "POR counts pinned, verdicts preserved" `Slow
             test_por_counts_pinned_and_verdicts_equal;
           Alcotest.test_case "crash schedules enumerate canonically" `Slow

@@ -53,6 +53,21 @@ let big_delay_adversary () =
     fairness_bound = 8;
   }
 
+(* Delays that outgrow the wheel in stages, with packets in flight at
+   each growth: at most 2 ticks (the initial 4-slot wheel) until tick 100,
+   at most 40 until tick 300, then up to 600, past the full 256-slot
+   wheel into the overflow map. *)
+let growing_delay_adversary () =
+  {
+    Adversary.name = "growing-delay";
+    delay =
+      (fun rng ~now ~src:_ ~dst:_ ->
+        let hi = if now < 100 then 2 else if now < 300 then 40 else 600 in
+        Prng.int_in rng ~lo:1 ~hi);
+    steps = (fun rng ~now:_ _ -> Prng.bool rng);
+    fairness_bound = 8;
+  }
+
 let build_instance ~delivery ~seed ~n ~adversary =
   let engine = Engine.create ~seed ~delivery ~n ~adversary () in
   let graph = Graphs.Conflict_graph.ring ~n in
@@ -65,24 +80,27 @@ let build_instance ~delivery ~seed ~n ~adversary =
   engine
 
 let test_wheel_matches_reference () =
-  (* Randomized small instances under three adversary families (bounded
-     delays, partial synchrony, and overflow-exercising large delays):
-     the wheel and the reference map must produce byte-identical traces
-     and identical message accounting. *)
+  (* Randomized small instances under four adversary families (bounded
+     delays, partial synchrony, overflow-exercising large delays, and
+     delays that grow the wheel in stages): the wheel and the reference
+     map must produce byte-identical traces and identical message
+     accounting. *)
   let adversaries =
     [
       ("async", fun () -> Adversary.async_uniform ());
       ("psync", fun () -> Adversary.partial_sync ~gst:120 ());
       ("big-delay", big_delay_adversary);
+      ("growing-delay", growing_delay_adversary);
     ]
   in
   for case = 0 to 11 do
     let seed = Int64.of_int (1000 + (case * 77)) in
     let n = 3 + (case mod 5) in
-    let name, adv = List.nth adversaries (case mod 3) in
+    let name, adv = List.nth adversaries (case mod List.length adversaries) in
     let run delivery =
       let engine = build_instance ~delivery ~seed ~n ~adversary:(adv ()) in
-      if case mod 4 = 0 then Engine.schedule_crash engine (n - 1) ~at:200;
+      (* The first case of each adversary also crashes a process. *)
+      if case < List.length adversaries then Engine.schedule_crash engine (n - 1) ~at:200;
       Engine.run engine ~until:900;
       ( Trace.to_csv (Engine.trace engine),
         Engine.sent_total engine,

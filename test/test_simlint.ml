@@ -22,11 +22,10 @@ let fixtures_root =
   in
   find "." 7
 
-(* The built-in D011 roots name engine functions the fixtures do not
-   define; the fixtures' hot roots are their own annotations. *)
+(* The fixtures' hot roots are their own annotations: the built-in D011
+   roots name engine modules the fixtures do not contain. *)
 let run_fixtures ?allowlist () =
-  Driver.run ?allowlist ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
-    ~root:fixtures_root ()
+  Driver.run ?allowlist ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
 
 let triple (f : Finding.t) = (f.Finding.rule, f.Finding.file, f.Finding.line)
 let opens result = List.map (fun (f, _) -> triple f) (Driver.open_findings result)
@@ -251,9 +250,11 @@ let test_d011_local_refs () =
     | Some (f, Finding.Open) -> contains ~needle:"closure capturing hits" f.Finding.msg
     | _ -> false)
 
-(* A D011 root names a function or the run fails: a root naming nothing
-   (as a renamed engine function leaves behind) would silently check
-   nothing. The built-in roots must resolve on this tree's lib/. *)
+(* A D011 root that applies names a function or the run fails: a root
+   naming nothing (as a renamed engine function leaves behind) would
+   silently check nothing. A built-in root applies only where its
+   module's file is scanned, so a tree without lib/ runs; it must resolve
+   on this tree's lib/. *)
 let test_d011_roots_resolve () =
   Alcotest.check_raises "a --hotpath root naming no function is an error"
     (Invalid_argument "hot-path root D011_hotpath.gone names no function in the scanned files")
@@ -261,9 +262,29 @@ let test_d011_roots_resolve () =
       ignore
         (Driver.run ~hotpath_roots:[ "D011_hotpath.gone" ] ~dirs:[ "fixtures" ] ~force_lib:true
            ~root:fixtures_root ()));
-  Alcotest.check_raises "a built-in root absent from the scan is an error"
-    (Invalid_argument "hot-path root Dsim.Engine.step names no function in the scanned files")
-    (fun () -> ignore (Driver.run ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()));
+  (* What `simlint --root . bin` runs: the built-in roots, none of whose
+     modules is scanned. *)
+  let without_lib =
+    Driver.run ~only:[ "D011" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
+  in
+  check "a scan without the built-in roots' modules runs" true
+    (without_lib.Driver.files_scanned > 0);
+  (* An engine whose [step] is gone: the built-in root applies and fails. *)
+  let tree = Filename.temp_dir "simlint-roots" "" in
+  let engine = List.fold_left Filename.concat tree [ "lib"; "dsim"; "engine.ml" ] in
+  Sys.mkdir (Filename.concat tree "lib") 0o755;
+  Sys.mkdir (Filename.dirname engine) 0o755;
+  Out_channel.with_open_text engine (fun oc -> output_string oc "let tick () = ()\n");
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove engine;
+      Sys.rmdir (Filename.dirname engine);
+      Sys.rmdir (Filename.concat tree "lib");
+      Sys.rmdir tree)
+    (fun () ->
+      Alcotest.check_raises "a built-in root whose module is scanned must resolve"
+        (Invalid_argument "hot-path root Dsim.Engine.step names no function in the scanned files")
+        (fun () -> ignore (Driver.run ~dirs:[ "lib" ] ~root:tree ())));
   let rec lib_root base = function
     | 0 -> Alcotest.fail "lib/dsim/engine.ml not found from cwd"
     | n ->
@@ -410,8 +431,7 @@ let test_d018_worker_prng () =
    entirely, open findings of the selected rules survive. *)
 let test_only_filter () =
   let result =
-    Driver.run ~only:[ "D014"; "D016" ] ~hotpath_roots:[] ~dirs:[ "fixtures" ] ~force_lib:true
-      ~root:fixtures_root ()
+    Driver.run ~only:[ "D014"; "D016" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
   in
   let rules =
     List.sort_uniq compare

@@ -64,6 +64,13 @@ let namespace_of_file rel =
   | [ "lib"; dir; _ ] -> Some (String.capitalize_ascii dir)
   | _ -> None
 
+(* The scope every top-level binding of a file is named under, e.g.
+   ["Dining"; "Ftme"] for lib/dining/ftme.ml. *)
+let file_scope rel =
+  match namespace_of_file rel with
+  | Some n -> [ n; module_of_file rel ]
+  | None -> [ module_of_file rel ]
+
 let rec pat_name (p : Parsetree.pattern) =
   match p.Parsetree.ppat_desc with
   | Parsetree.Ppat_var { txt; _ } -> Some txt
@@ -131,11 +138,7 @@ let build (inputs : input list) : t =
   (* ---- pass 1: definitions, raw references, seeds ---- *)
   let walk_file (inp : input) =
     let ns = namespace_of_file inp.rel in
-    let root_scope =
-      match ns with
-      | Some n -> [ n; module_of_file inp.rel ]
-      | None -> [ module_of_file inp.rel ]
-    in
+    let root_scope = file_scope inp.rel in
     (* Candidate prefixes for a reference in scope [s], most specific
        first, ending with the empty prefix (absolute reference). *)
     let rec scope_chain = function
@@ -343,11 +346,7 @@ let find_node t id = List.assoc_opt id t.nodes
    analyses walk binding bodies through this, so a site they report always
    names a node the call-graph passes know. *)
 let iter_bindings (inp : input) (f : id:string -> line:int -> is_rec:bool -> Parsetree.expression -> unit) =
-  let root_scope =
-    match namespace_of_file inp.rel with
-    | Some n -> [ n; module_of_file inp.rel ]
-    | None -> [ module_of_file inp.rel ]
-  in
+  let root_scope = file_scope inp.rel in
   let rec walk_items scope items = List.iter (walk_item scope) items
   and walk_item scope (si : Parsetree.structure_item) =
     match si.Parsetree.pstr_desc with

@@ -25,10 +25,12 @@ let wallclock_allowlist = [ "lib/obs/instrument.ml" ]
    engine's step dispatch and its per-tick delivery path, the wheel turn
    and the per-packet delivery. In-source [(* simlint: hotpath *)]
    annotations extend this set; [--hotpath ID] on the CLI extends it
-   further. Every root given here or on the CLI must name a function of
-   the scanned files, or the run fails: a root that names nothing would
-   silently check nothing. *)
-let default_hotpath_roots =
+   further. A built-in root applies when its module's file is among the
+   scanned files, so a scan of bin/ alone has none. A root that applies,
+   built-in or from the CLI, must name a function of the scanned files, or
+   the run fails: a root that names nothing would silently check
+   nothing. *)
+let builtin_hotpath_roots =
   [
     "Dsim.Engine.step";
     "Dsim.Engine.turn_wheel";
@@ -114,14 +116,16 @@ let lint_file ?(force_lib = false) ~root ~rel () =
   (file_findings ~root p, p.suppressions)
 
 let run ?(dirs = default_dirs) ?(force_lib = false)
-    ?(allowlist = wallclock_allowlist) ?(hotpath_roots = default_hotpath_roots) ?(only = [])
-    ~root () =
+    ?(allowlist = wallclock_allowlist) ?(hotpath_roots = []) ?(only = []) ~root () =
   let files =
     dirs
     |> List.concat_map (fun d ->
            if Sys.file_exists (Filename.concat root d) then ml_files root d else [])
   in
   let parsed = List.map (parse_one ~allowlist ~force_lib ~root) files in
+  let scanned = List.map (fun rel -> Callgraph.dotted (Callgraph.file_scope rel) ^ ".") files in
+  let applies r = List.exists (fun prefix -> Rules.starts_with ~prefix r) scanned in
+  let hotpath_roots = List.filter applies builtin_hotpath_roots @ hotpath_roots in
   let per_file = List.concat_map (fun p -> file_findings ~root p) parsed in
   let interprocedural =
     let ok =

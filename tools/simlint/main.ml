@@ -45,7 +45,7 @@ let () =
   let result =
     try
       Driver.run ~dirs ~force_lib:!force_lib
-        ~hotpath_roots:(Driver.default_hotpath_roots @ List.rev !hotpaths)
+        ~hotpath_roots:(List.rev !hotpaths)
         ~only:!only ~root:!root ()
     with e ->
       Printf.eprintf "simlint: %s\n" (Printexc.to_string e);
