@@ -693,11 +693,7 @@ let agreement_cmd =
 (* ------------------------------------------------------------------ *)
 (* certify *)
 
-let run_certify box seeds horizon trace_out report_path =
-  (match trace_out with
-  | Some _ ->
-      prerr_endline "certify runs many short engines; --trace-out is not supported here"
-  | None -> ());
+let run_certify box seeds horizon report_path =
   let candidate =
     match box with
     | `Wf -> Core.Certify.wf_ewx_candidate
@@ -745,7 +741,7 @@ let certify_cmd =
     Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds per check.")
   in
   let term =
-    Term.(const run_certify $ box_t $ seeds_t $ horizon_t 20000 $ trace_out_t $ report_t)
+    Term.(const run_certify $ box_t $ seeds_t $ horizon_t 20000 $ report_t)
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1003,10 +999,12 @@ let run_trace input output horizon =
               Printf.eprintf "%s: %s\n" input msg;
               exit 2
         in
+        let drive =
+          Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides
+        in
         match
-          Check.Runner.run_traced
-            ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
-            ~registry:Check.Runner.default_registry r.Check.Repro.config
+          Check.Runner.run_traced ~drive ~registry:Check.Runner.default_registry
+            r.Check.Repro.config
         with
         | _, trace ->
             ( trace,
@@ -1249,7 +1247,8 @@ let check_cmd =
   let out_t =
     Arg.(
       value & opt string "mc-repro"
-      & info [ "out" ] ~docv:"DIR" ~doc:"Directory for counterexample repro artifacts.")
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:"Directory for the first 16 counterexample repro artifacts.")
   in
   let term =
     Term.(
@@ -1262,8 +1261,9 @@ let check_cmd =
        ~doc:
          "Exhaustively model-check a bounded instance: enumerate every schedule of a \
           DLS-parametric adversary (message delays in [1, delta], steps at least every phi \
-          ticks), run each through the dining property monitors, and save any counterexample \
-          as a replayable fuzz-repro/1 artifact. Exits 1 if a violation was found.")
+          ticks), run each through the dining property monitors, count every violation, and \
+          save the first 16 counterexamples as replayable fuzz-repro/1 artifacts. Exits 1 if \
+          a violation was found.")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -162,7 +162,6 @@ let create (ctx : Context.t) ?(tag = "consensus") ~members ~suspects () =
         if ok then cr.positive_acks <- cr.positive_acks + 1
         else cr.negative_acks <- cr.negative_acks + 1
     | Cs_decide v -> decide v
-    (* simlint: allow D015 — the arms above cover the full consensus message set; Msg.t is engine-wide, so the wildcard only absorbs other protocol families' traffic on this process *)
     | _ -> ()
   in
   let component =

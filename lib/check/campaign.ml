@@ -42,7 +42,7 @@ let violation_entry v =
     | None -> [])
 
 let run ?(runs = 100) ?(max_repros = 3) ?(max_horizon = 6000) ?(families = Config.all_families)
-    ?algos ?config_budget ?decision_budget ?on_run ?corpus ?(jobs = 1) ~registry ~root_seed ()
+    ?algos ?on_run ?corpus ?(jobs = 1) ~registry ~root_seed ()
     =
   if runs < 0 then invalid_arg "Campaign.run: runs < 0";
   let algos =
@@ -99,7 +99,7 @@ let run ?(runs = 100) ?(max_repros = 3) ?(max_horizon = 6000) ?(families = Confi
         let repro =
           if !shrunk < max_repros then begin
             incr shrunk;
-            Some (Shrink.counterexample ?config_budget ?decision_budget ~registry config)
+            Some (Shrink.counterexample ~registry config)
           end
           else None
         in

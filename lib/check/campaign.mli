@@ -50,8 +50,6 @@ val run :
   ?max_horizon:int ->
   ?families:Config.family list ->
   ?algos:string list ->
-  ?config_budget:int ->
-  ?decision_budget:int ->
   ?on_run:(int -> Config.t -> Runner.outcome -> unit) ->
   ?corpus:(int -> Repro.t -> unit) ->
   ?jobs:int ->

@@ -83,7 +83,8 @@ let save ~path r = Obs.Json.write_file ~path (to_json r)
 let load ~path = of_json (Obs.Json.read_file ~path)
 
 let replay ~registry r =
-  let outcome = Runner.run ~replay:(r.len, r.overrides) ~registry r.config in
+  let drive = Adversary.replayer ~len:r.len ~overrides:r.overrides in
+  let outcome = Runner.run ~drive ~registry r.config in
   let expected =
     List.map (fun (c : Obs.Report.check) -> (c.Obs.Report.name, c.Obs.Report.holds)) r.checks
   in

@@ -3,7 +3,7 @@
     One JSON document holds everything needed to re-execute a fuzzed run
     bit-identically: the {!Config} (which includes the engine seed), the
     decision-trace override (length + sparse positional overrides, see
-    {!Dsim.Adversary.replay}), and the recorded property verdicts. A
+    {!Dsim.Adversary.replayer}), and the recorded property verdicts. A
     content digest (over the canonical compact JSON, digest field
     excluded) pins the artifact: {!load} verifies it, so a corpus file
     that drifts from its recorded digest fails loudly. *)

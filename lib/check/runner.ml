@@ -73,11 +73,7 @@ let default_registry =
     ("ftme", ftme_builder);
   ]
 
-let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
-  (match (record, replay, drive) with
-  | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      invalid_arg "Runner.run: record, replay and drive are mutually exclusive"
-  | _ -> ());
+let run_traced ?drive ?metrics ~registry (c : Config.t) =
   let builder =
     match List.assoc_opt c.Config.algo registry with
     | Some b -> b
@@ -86,14 +82,7 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
   let graph = Config.graph c in
   let n = Graphs.Conflict_graph.n graph in
   let base = Config.to_adversary c in
-  let adversary =
-    match (record, replay, drive) with
-    | Some tape, None, None -> Adversary.record tape base
-    | None, Some (len, overrides), None -> Adversary.replay ~len ~overrides base
-    | None, None, Some (delay, step) -> Adversary.drive ~delay ~step base
-    | None, None, None -> base
-    | _ -> assert false
-  in
+  let adversary = match drive with Some ctl -> Adversary.drive ctl base | None -> base in
   let engine = Engine.create ~seed:c.Config.seed ~n ~adversary () in
   (* Instrumentation must be installed before components register so its
      on_tick hook and trace subscriber see the whole run. *)
@@ -140,5 +129,4 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
     },
     trace )
 
-let run ?record ?replay ?drive ?metrics ~registry c =
-  fst (run_traced ?record ?replay ?drive ?metrics ~registry c)
+let run ?drive ?metrics ~registry c = fst (run_traced ?drive ?metrics ~registry c)

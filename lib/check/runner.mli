@@ -1,11 +1,11 @@
 (** Execute one campaign config and collect its property verdicts.
 
     A runner builds the engine from the config (seed, adversary, optionally
-    wrapped for decision recording or replay), deploys the named dining
-    algorithm with greedy clients on every process, applies the crash
-    schedule, runs to the horizon, and checks the Section 4 dining
-    properties over the trace: wait-freedom (slack horizon/3), eventual
-    weak exclusion (suffix from horizon/2), and finite exiting. *)
+    steered by a controller), deploys the named dining algorithm with
+    greedy clients on every process, applies the crash schedule, runs to
+    the horizon, and checks the Section 4 dining properties over the
+    trace: wait-freedom (slack horizon/3), eventual weak exclusion (suffix
+    from horizon/2), and finite exiting. *)
 
 open Dsim
 
@@ -36,31 +36,23 @@ val default_registry : registry
     under ftme, nothing under hygienic). *)
 
 val run :
-  ?record:Adversary.tape ->
-  ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int)
-         * (now:Types.time -> Types.pid -> bool) ->
+  ?drive:Adversary.controller ->
   ?metrics:Obs.Metrics.t ->
   registry:registry ->
   Config.t ->
   outcome
-(** Execute the config. [record] wraps the adversary so its decision
-    sequence is captured; [replay] drives the first [len] adversary queries
-    from the given positional overrides (see {!Adversary.replay}); [drive]
-    hands every adversary query to a pair of controller callbacks, the
-    delay one and the step one (see {!Adversary.drive}) — the bounded
-    exhaustive explorer's hook. The three are mutually exclusive.
-    [metrics] installs the standard
+(** Execute the config. [drive] steers the config's adversary with a
+    controller (see {!Adversary.drive}): {!Adversary.recorder} captures the
+    run's decisions, {!Adversary.replayer} re-executes a recorded or edited
+    decision table, and the bounded exhaustive explorer chooses every
+    decision. [metrics] installs the standard
     {!Obs.Instrument} engine instrumentation into the given registry
     (finalized before returning) — campaign drivers give each run its own
     registry and merge them in run-index order. Raises [Failure] on an
     algorithm name missing from the registry. *)
 
 val run_traced :
-  ?record:Adversary.tape ->
-  ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int)
-         * (now:Types.time -> Types.pid -> bool) ->
+  ?drive:Adversary.controller ->
   ?metrics:Obs.Metrics.t ->
   registry:registry ->
   Config.t ->

@@ -108,7 +108,12 @@ let candidates (c : Config.t) =
   if c.Config.eat_ticks > 1 then add { c with Config.eat_ticks = 1 };
   List.rev !out
 
-let config ?(budget = 200) ~registry c0 =
+(* Run budgets: at most 200 config candidates, then at most 150 replays
+   of the decision trace. *)
+let config_budget = 200
+let decision_budget = 150
+
+let config ~registry c0 =
   let evals = ref 0 in
   let still_fails c =
     incr evals;
@@ -118,25 +123,25 @@ let config ?(budget = 200) ~registry c0 =
     let rec try_cands = function
       | [] -> c
       | cand :: rest ->
-          if !evals >= budget then c
+          if !evals >= config_budget then c
           else if still_fails cand then improve cand
           else try_cands rest
     in
-    if !evals >= budget then c else try_cands (candidates c)
+    if !evals >= config_budget then c else try_cands (candidates c)
   in
   improve c0
 
-let decisions ?(budget = 150) ~registry (c : Config.t) =
-  let tape = Adversary.tape () in
-  ignore (Runner.run ~record:tape ~registry c);
-  let d = Adversary.tape_decisions tape in
+let decisions ~registry (c : Config.t) =
+  let drive, recorded = Adversary.recorder () in
+  ignore (Runner.run ~drive ~registry c);
+  let d = recorded () in
   let len = Array.length d in
   if len = 0 then (0, [])
   else begin
     let evals = ref 0 in
     let still_fails overrides =
       incr evals;
-      (Runner.run ~replay:(len, overrides) ~registry c).Runner.failed <> []
+      (Runner.run ~drive:(Adversary.replayer ~len ~overrides) ~registry c).Runner.failed <> []
     in
     let kept = Array.make len true in
     let to_overrides () =
@@ -152,7 +157,7 @@ let decisions ?(budget = 150) ~registry (c : Config.t) =
          friendliest choice) while the violation persists, halving the
          chunk size, under a run budget. *)
       let chunk = ref (max 1 (len / 2)) in
-      let continue_ () = !evals < budget && Array.exists Fun.id kept in
+      let continue_ () = !evals < decision_budget && Array.exists Fun.id kept in
       while !chunk >= 1 && continue_ () do
         let pos = ref 0 in
         while !pos < len && continue_ () do
@@ -176,8 +181,8 @@ let decisions ?(budget = 150) ~registry (c : Config.t) =
     end
   end
 
-let counterexample ?config_budget ?decision_budget ~registry c0 =
-  let c = config ?budget:config_budget ~registry c0 in
-  let len, overrides = decisions ?budget:decision_budget ~registry c in
-  let outcome = Runner.run ~replay:(len, overrides) ~registry c in
+let counterexample ~registry c0 =
+  let c = config ~registry c0 in
+  let len, overrides = decisions ~registry c in
+  let outcome = Runner.run ~drive:(Adversary.replayer ~len ~overrides) ~registry c in
   Repro.v ~config:c ~len ~overrides ~checks:outcome.Runner.checks

@@ -6,37 +6,15 @@
     topology, friendlier adversary family/knobs, fewer and earlier crashes,
     no handicap, half the horizon, unit meals) and keeps a candidate iff
     its run still exhibits a property violation, restarting from the
-    coarsest candidates after every acceptance until a fixpoint or the run
-    budget. Decision shrinking then records the minimal config's failing
-    run and neutralises positional chunks of the decision trace towards
-    the friendliest schedule (delay 1 / step offered) in a ddmin-style
-    halving loop. Every step is deterministic, so a given failing config
-    always shrinks to the same artifact. *)
+    coarsest candidates after every acceptance until a fixpoint or a budget
+    of 200 runs. Decision shrinking then records the minimal config's
+    failing run and neutralises positional chunks of the decision trace
+    towards the friendliest schedule (delay 1 / step offered) in a
+    ddmin-style halving loop, within 150 replays. Every step is
+    deterministic, so a given failing config always shrinks to the same
+    artifact. *)
 
-open Dsim
-
-val fails : registry:Runner.registry -> Config.t -> bool
-(** One natural run; true iff some monitored property is violated. *)
-
-val config : ?budget:int -> registry:Runner.registry -> Config.t -> Config.t
-(** Greedy config-level shrink (budget: max runs, default 200). The input
-    should be failing; the result then still fails. *)
-
-val decisions :
-  ?budget:int ->
-  registry:Runner.registry ->
-  Config.t ->
-  int * (int * Adversary.decision) list
-(** Record the config's failing run and ddmin its decision trace (budget:
-    max replays, default 150). Returns the trace length and the surviving
-    positional overrides (empty when the violation needs no adversarial
-    decisions at all). *)
-
-val counterexample :
-  ?config_budget:int ->
-  ?decision_budget:int ->
-  registry:Runner.registry ->
-  Config.t ->
-  Repro.t
+val counterexample : registry:Runner.registry -> Config.t -> Repro.t
 (** Full pipeline: shrink the config, shrink its decision trace, re-run
-    the minimal case and package it with its recorded verdicts. *)
+    the minimal case and package it with its recorded verdicts. The input
+    should be failing; the artifact then still fails. *)

@@ -81,7 +81,6 @@ let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) () =
                  kept across retries: commit is what releases it. *)
               send_read ()
             end
-      (* simlint: allow D015 — both store responses are handled above; the wildcard only absorbs other protocol families sharing the engine's extensible Msg.t *)
       | _ -> ()
   in
   let comp =

@@ -34,7 +34,6 @@ let component (ctx : Context.t) () =
         end
         else stats.cas_fail <- stats.cas_fail + 1;
         ctx.Context.send ~dst:src ~tag:client_tag (Cas_resp { ok; version = !version })
-    (* simlint: allow D015 — both store requests are handled above; the wildcard only absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   (Component.make ~name:tag ~on_receive (), stats)

@@ -70,7 +70,6 @@ let component (ctx : Context.t) ?(detector_name = "evp") ?(tag = "fd")
               ctx.Context.log
                 (Trace.Trust { detector = detector_name; owner = self; target = st.peer })
             end)
-    (* simlint: allow D015 — Hb_msg is this detector's whole vocabulary; the wildcard only absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   let comp =

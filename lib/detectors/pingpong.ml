@@ -80,7 +80,6 @@ let component (ctx : Context.t) ?(detector_name = "evp-pp") ?(tag = "fdpp")
               ctx.Context.log
                 (Trace.Trust { detector = detector_name; owner = self; target = st.peer })
             end)
-    (* simlint: allow D015 — Query/Response are handled above; the wildcard only absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   let comp = Component.make ~name:tag ~actions:[ send_queries; check_timeouts ] ~on_receive () in

@@ -107,7 +107,6 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
             clock := Int.max !clock ts;
             e.peer_req <- ts
         | Fl_fork -> e.has_fork <- true
-        (* simlint: allow D015 — Fl_request/Fl_fork are this algorithm's whole edge protocol; the wildcard only absorbs other families sharing the engine's extensible Msg.t *)
         | _ -> ())
   in
   let comp =

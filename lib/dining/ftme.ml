@@ -191,7 +191,6 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
           | Some _ | None -> ());
           if waiting then enqueue src
         end
-    (* simlint: allow D015 — all five Fx_* constructors are handled above; the wildcard only absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   let comp =

@@ -105,7 +105,6 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
         | Kf_grant ts ->
             (* Grants for superseded requests are stale; drop them. *)
             if !sent && ts = !req_ts then nb.granted <- true
-        (* simlint: allow D015 — Kf_req/Kf_grant are this algorithm's whole vocabulary; the wildcard only absorbs other families sharing the engine's extensible Msg.t *)
         | _ -> ())
   in
   let comp =

@@ -129,7 +129,6 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
             clock := Int.max !clock ts;
             e.peer_req <- ts
         | Fork -> e.has_fork <- true
-        (* simlint: allow D015 — Request/Fork are this algorithm's whole edge protocol; the wildcard only absorbs other families sharing the engine's extensible Msg.t *)
         | _ -> ())
   in
   let comp =

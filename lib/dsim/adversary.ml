@@ -51,84 +51,7 @@ let bursty ?(gst = 800) ?(calm = 60) ?(storm = 40) ?(storm_delay = 80) ?(delta =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Record / replay.
-
-   Both wrappers forward every query to the base adversary *first*, so the
-   engine-shared PRNG consumes exactly the draws the base would consume.
-   Recording therefore never perturbs the run it observes, and a replay
-   whose overrides equal the recorded decisions reproduces the recorded
-   run bit-identically — while a replay with *edited* decisions (the
-   shrinker's neutralised candidates) stays fully deterministic, because
-   the base draws are a deterministic function of the engine PRNG state
-   and the query sequence. *)
-
-type decision = Delay of int | Step of bool
-
-type tape = { mutable rev : decision list; mutable count : int }
-
-let tape () = { rev = []; count = 0 }
-
-let tape_decisions tp =
-  let a = Array.make (max tp.count 1) (Step true) in
-  List.iteri (fun i d -> a.(tp.count - 1 - i) <- d) tp.rev;
-  Array.sub a 0 tp.count
-
-let push tp d =
-  tp.rev <- d :: tp.rev;
-  tp.count <- tp.count + 1
-
-let record tp base =
-  {
-    name = base.name ^ "/rec";
-    delay =
-      (fun rng ~now ~src ~dst ->
-        let d = base.delay rng ~now ~src ~dst in
-        push tp (Delay d);
-        d);
-    steps =
-      (fun rng ~now p ->
-        let s = base.steps rng ~now p in
-        push tp (Step s);
-        s);
-    fairness_bound = base.fairness_bound;
-  }
-
-let replay ~len ~overrides base =
-  if len < 0 then invalid_arg "Adversary.replay: negative length";
-  let tbl = Hashtbl.create (max 16 (2 * List.length overrides)) in
-  List.iter
-    (fun (i, d) ->
-      if i < 0 || i >= len then invalid_arg "Adversary.replay: override out of range";
-      Hashtbl.replace tbl i d)
-    overrides;
-  let cursor = ref 0 in
-  let next () =
-    let i = !cursor in
-    incr cursor;
-    i
-  in
-  {
-    name = Printf.sprintf "%s/replay(%d of %d)" base.name (Hashtbl.length tbl) len;
-    delay =
-      (fun rng ~now ~src ~dst ->
-        let b = base.delay rng ~now ~src ~dst in
-        let i = next () in
-        if i >= len then b
-        else
-          match Hashtbl.find_opt tbl i with
-          | Some (Delay d) -> d
-          | Some (Step _) | None -> 1);
-    steps =
-      (fun rng ~now p ->
-        let b = base.steps rng ~now p in
-        let i = next () in
-        if i >= len then b
-        else match Hashtbl.find_opt tbl i with Some (Step s) -> s | Some (Delay _) | None -> true);
-    fairness_bound = base.fairness_bound;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* DLS-style parametric adversary and the drive hook (model checking).
+(* DLS-style parametric adversary (model checking).
 
    [dls] is the bounded counterpart of the classic partially synchronous
    model of Dwork-Lynch-Stockmeyer: every message is delivered within
@@ -148,23 +71,73 @@ let dls ?(delta = 2) ?(phi = 2) () =
     fairness_bound = phi;
   }
 
-let drive ~delay ~step base =
+(* ------------------------------------------------------------------ *)
+(* Steering a run.
+
+   [drive] forwards every query to the base adversary *first*, so the
+   engine-shared PRNG consumes exactly the draws the base would consume,
+   then lets the controller answer, given the base's decision. A
+   controller that answers with the base decision (the recorder) never
+   perturbs the run it observes; one that answers with the recorded
+   decisions (the replayer) reproduces the recorded run bit-identically;
+   and one that edits or chooses them (the shrinker's neutralised
+   candidates, the explorer) stays fully deterministic, because the base
+   draws are a deterministic function of the engine PRNG state and the
+   query sequence. *)
+
+type decision = Delay of int | Step of bool
+
+type controller =
+  (now:Types.time -> src:Types.pid -> dst:Types.pid -> int -> int)
+  * (now:Types.time -> Types.pid -> bool -> bool)
+
+let drive (delay, step) base =
   {
-    name = base.name ^ "/driven";
+    base with
     delay =
       (fun rng ~now ~src ~dst ->
-        (* Burn the base draws first, exactly like [record]: a driven run
-           and its full-override [replay] then consume identical PRNG
-           streams, so counterexample artifacts replay bit-identically. *)
-        let (_ : int) = base.delay rng ~now ~src ~dst in
-        let d = delay ~now ~src ~dst in
+        let d = delay ~now ~src ~dst (base.delay rng ~now ~src ~dst) in
         if d < 1 then invalid_arg "Adversary.drive: delay must be >= 1" else d);
-    steps =
-      (fun rng ~now p ->
-        let (_ : bool) = base.steps rng ~now p in
-        step ~now p);
-    fairness_bound = base.fairness_bound;
+    steps = (fun rng ~now p -> step ~now p (base.steps rng ~now p));
   }
+
+let recorder () =
+  let tape = Vec.create () in
+  let delay ~now:_ ~src:_ ~dst:_ d =
+    Vec.add_last tape (Delay d);
+    d
+  in
+  let step ~now:_ _ s =
+    Vec.add_last tape (Step s);
+    s
+  in
+  ((delay, step), fun () -> Array.init (Vec.length tape) (Vec.get tape))
+
+let replayer ~len ~overrides =
+  if len < 0 then invalid_arg "Adversary.replayer: negative length";
+  let table = Array.make len None in
+  List.iter
+    (fun (i, d) ->
+      if i < 0 || i >= len then invalid_arg "Adversary.replayer: override out of range";
+      table.(i) <- Some d)
+    overrides;
+  let cursor = ref 0 in
+  let next () =
+    let i = !cursor in
+    incr cursor;
+    i
+  in
+  let delay ~now:_ ~src:_ ~dst:_ base =
+    let i = next () in
+    if i >= len then base
+    else match table.(i) with Some (Delay d) -> d | Some (Step _) | None -> 1
+  in
+  let step ~now:_ _ base =
+    let i = next () in
+    if i >= len then base
+    else match table.(i) with Some (Step s) -> s | Some (Delay _) | None -> true
+  in
+  (delay, step)
 
 let handicap ~slow ~factor base =
   if factor <= 0.0 || factor > 1.0 then invalid_arg "Adversary.handicap: factor in (0,1]";

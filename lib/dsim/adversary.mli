@@ -59,63 +59,54 @@ val handicap : slow:Types.pid list -> factor:float -> t -> t
     backstop is stretched by [1/factor] too, so they stay correct — just
     arbitrarily slow, which asynchrony permits). *)
 
-(** {1 Record / replay}
+(** {1 Steering a run}
 
-    The schedule-fuzzing harness needs to (a) capture every nondeterministic
-    choice an adversary makes during a run and (b) re-execute a run with
-    some of those choices overridden (the shrinker's neutralised
-    candidates). Both wrappers forward each query to the base adversary
-    {e first} — consuming exactly the PRNG draws the base would consume —
-    so recording never perturbs the run it observes, and replaying the full
-    recorded decision sequence reproduces the recorded run bit-identically. *)
+    Three tools choose or capture the decisions of a run rather than let
+    the adversary draw them: the fuzz shrinker records a failing run and
+    re-executes it with some decisions neutralised, [dinersim replay] and
+    [dinersim trace] re-run repro artifacts, and the model checker in
+    lib/mc chooses every decision. All three steer the run through
+    {!drive}, which asks the base adversary {e first} — consuming exactly
+    the PRNG draws the base would consume — and then lets a controller
+    answer, given the base's own decision. Recording therefore never
+    perturbs the run it observes, and replaying the full recorded decision
+    sequence reproduces the recorded run bit-identically. *)
 
 type decision =
   | Delay of int  (** A delivery-delay choice, in ticks (>= 1). *)
   | Step of bool  (** A step-offer choice. *)
 
-type tape
-(** Mutable recording of the decision sequence of one run, in query order
-    (delay and step queries share a single position counter). *)
+type controller =
+  (now:Types.time -> src:Types.pid -> dst:Types.pid -> int -> int)
+  * (now:Types.time -> Types.pid -> bool -> bool)
+(** The delay and the step callback. The delay callback answers the
+    delivery-delay query for a message sent at [now] from [src] to [dst];
+    the step callback answers the step-offer query for a pid at tick
+    [now]. Each receives the base adversary's decision for the query as
+    its last argument. Delay and step queries share one position counter,
+    in query order. A controller that counts queries serves one run. *)
 
-val tape : unit -> tape
-val tape_decisions : tape -> decision array
+val drive : controller -> t -> t
+(** [drive (delay, step) base] answers every query with the controller's
+    answer, after drawing the base adversary's decision and passing it on.
+    No query value is built, so a driven query allocates nothing beyond
+    what its callback does. Raises [Invalid_argument] when the delay
+    callback returns a delay [< 1]. *)
 
-val record : tape -> t -> t
-(** Wrap an adversary so every decision is appended to the tape. *)
+val recorder : unit -> controller * (unit -> decision array)
+(** A controller that answers every query with the base decision, and a
+    reader for the decisions recorded so far, in query order. *)
 
-val replay : len:int -> overrides:(int * decision) list -> t -> t
-(** [replay ~len ~overrides base] drives the first [len] queries from the
+val replayer : len:int -> overrides:(int * decision) list -> controller
+(** [replayer ~len ~overrides] answers the first [len] queries from the
     override table: query [i < len] takes the decision at position [i] when
     one is present with the matching kind, and otherwise the {e friendliest}
-    choice (delay 1 / step offered). Queries at positions [>= len] fall back
-    to the base adversary. Replaying [~len] the tape's length with the full
-    recorded decision list ({!tape_decisions}) reproduces the recorded run exactly; removing
-    overrides neutralises the corresponding adversarial choices. Raises
-    [Invalid_argument] on an override position outside [0, len). *)
-
-(** {1 Driven adversaries}
-
-    The model-checking explorer needs to {e choose} every adversary
-    decision rather than record or override a random one. [drive] hands
-    the fields of each query — its tick and the pids involved — to one of
-    two controller callbacks, which returns the decision: a delay, or
-    whether the step is offered. No query value is built, so a driven
-    query allocates nothing beyond what its callback does. *)
-
-val drive :
-  delay:(now:Types.time -> src:Types.pid -> dst:Types.pid -> int) ->
-  step:(now:Types.time -> Types.pid -> bool) ->
-  t ->
-  t
-(** [drive ~delay ~step base] answers each delivery-delay query for a
-    message sent at [now] from [src] to [dst] with [delay ~now ~src ~dst],
-    and each step-offer query for [pid] at tick [now] with [step ~now pid].
-    The base adversary's decision is computed (and its PRNG draws burnt)
-    {e first}, exactly as {!record} does — so a driven run consumes the
-    same engine PRNG stream as a {!replay} of the chosen decisions, and a
-    counterexample found by the explorer replays bit-identically from an
-    ordinary full-override decision table. Raises [Invalid_argument] when
-    [delay] returns a delay [< 1]. *)
+    choice (delay 1 / step offered). Queries at positions [>= len] take the
+    base decision. Replaying a recorded run's length with its full
+    recorded decision list reproduces that run exactly; removing overrides
+    neutralises the corresponding adversarial choices. A replayed query
+    allocates nothing. Raises [Invalid_argument] on a negative [len] or an
+    override position outside [0, len). *)
 
 val bursty :
   ?gst:Types.time ->

@@ -37,6 +37,7 @@ type stats = {
 type result = {
   stats : stats;
   violations : violation list;
+  failed_checks : string list;
   schedules : Adversary.decision array list;
 }
 
@@ -129,17 +130,17 @@ let decisions s =
       let code = s.tape.(i) in
       if code >= 1 then Adversary.Delay code else Adversary.Step (code = offered))
 
-(* The two callbacks [Adversary.drive] hands each query to, built once
-   per search. A fresh position takes the first branch and pushes its
-   siblings; pushing a delay's siblings from [delta] down leaves the
-   smallest on top. *)
+(* The controller [Adversary.drive] hands each query to, built once per
+   search; it ignores the base adversary's decision. A fresh position
+   takes the first branch and pushes its siblings; pushing a delay's
+   siblings from [delta] down leaves the smallest on top. *)
 let controller s =
   let wake_one q = s.sleep.(q) <- false in
   let wake pid =
     s.sleep.(pid) <- false;
     Graphs.Conflict_graph.iter_neighbors s.graph pid wake_one
   in
-  let delay ~now:_ ~src:_ ~dst =
+  let delay ~now:_ ~src:_ ~dst _ =
     let i = s.count in
     if i >= s.cut then raise Cut;
     let code =
@@ -158,7 +159,7 @@ let controller s =
     wake dst;
     code
   in
-  let step ~now pid =
+  let step ~now pid _ =
     let i = s.count in
     if i >= s.cut then raise Cut;
     let forced = now - s.last_step.(pid) >= s.phi in
@@ -222,32 +223,62 @@ let split ~registry ~graph ~delta ~phi ~por ~split_depth cfg =
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: one work item, on a pool worker. Everything it needs derives
-   from its item; results merge in item order (Pool.map's contract). *)
+   from its item; results merge in item order (Pool.map's contract).
+
+   Only the first [kept] violations in enumeration order get an artifact;
+   later ones are counted, and their failed checks join the union. Each
+   item keeps its own first [kept], so the merge keeps the global first
+   [kept]. *)
+
+let kept = 16
 
 type worker_result = {
-  w_schedules : int;
-  w_pruned : int;
-  w_max_decisions : int;
-  w_truncated : bool;
-  w_violations : (int * Check.Repro.t) list; (* local schedule index *)
-  w_collected : Adversary.decision array list;
+  mutable w_schedules : int;
+  mutable w_pruned : int;
+  mutable w_max_decisions : int;
+  mutable w_truncated : bool;
+  mutable w_violation_count : int;
+  mutable w_violations : (int * Check.Repro.t) list;
+      (* the first [kept], by local schedule index, newest first *)
+  mutable w_failed : string list; (* each failed check name once *)
+  mutable w_collected : Adversary.decision array list; (* newest first *)
 }
 
-(* [decisions] builds the schedule's decision array, which only a
-   violation or [collect] needs. *)
-let record_schedule ~collect ~cfg ~collected ~violations ~local_index decisions
-    (outcome : Check.Runner.outcome) =
-  if collect then collected := decisions () :: !collected;
-  match outcome.Check.Runner.failed with
+let worker () =
+  {
+    w_schedules = 0;
+    w_pruned = 0;
+    w_max_decisions = 0;
+    w_truncated = false;
+    w_violation_count = 0;
+    w_violations = [];
+    w_failed = [];
+    w_collected = [];
+  }
+
+(* Count one complete schedule. [decisions] builds its decision array,
+   which only a kept violation or [collect] needs. *)
+let record_schedule w ~collect ~cfg decisions (outcome : Check.Runner.outcome) =
+  if collect then w.w_collected <- decisions () :: w.w_collected;
+  (match outcome.Check.Runner.failed with
   | [] -> ()
-  | _ :: _ ->
-      let decisions = decisions () in
-      let overrides = List.mapi (fun i d -> (i, d)) (Array.to_list decisions) in
-      let repro =
-        Check.Repro.v ~config:cfg ~len:(Array.length decisions) ~overrides
-          ~checks:outcome.Check.Runner.checks
-      in
-      violations := (local_index, repro) :: !violations
+  | failed ->
+      List.iter
+        (fun name ->
+          if not (List.exists (String.equal name) w.w_failed) then
+            w.w_failed <- name :: w.w_failed)
+        failed;
+      if w.w_violation_count < kept then begin
+        let decisions = decisions () in
+        let overrides = List.mapi (fun i d -> (i, d)) (Array.to_list decisions) in
+        let repro =
+          Check.Repro.v ~config:cfg ~len:(Array.length decisions) ~overrides
+            ~checks:outcome.Check.Runner.checks
+        in
+        w.w_violations <- (w.w_schedules, repro) :: w.w_violations
+      end;
+      w.w_violation_count <- w.w_violation_count + 1);
+  w.w_schedules <- w.w_schedules + 1
 
 let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root =
   let s = search ~graph ~delta ~phi ~por () in
@@ -255,47 +286,28 @@ let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root 
   s.tape <- Array.copy root;
   s.len <- Array.length root;
   let current () = decisions s in
-  let schedules = ref 0 in
-  let max_decisions = ref 0 in
-  let truncated = ref false in
-  let violations = ref [] in
-  let collected = ref [] in
+  let w = worker () in
   let rec loop () =
     let outcome = visit s ~drive ~registry cfg in
-    max_decisions := max !max_decisions s.count;
-    record_schedule ~collect ~cfg ~collected ~violations ~local_index:!schedules current outcome;
-    incr schedules;
+    w.w_max_decisions <- max w.w_max_decisions s.count;
+    record_schedule w ~collect ~cfg current outcome;
     if Vec.length s.sibs > 0 then
-      if !schedules >= budget then truncated := true
+      if w.w_schedules >= budget then w.w_truncated <- true
       else begin
         pop s;
         loop ()
       end
   in
   loop ();
-  {
-    w_schedules = !schedules;
-    w_pruned = s.pruned;
-    w_max_decisions = !max_decisions;
-    w_truncated = !truncated;
-    w_violations = List.rev !violations;
-    w_collected = List.rev !collected;
-  }
+  w.w_pruned <- s.pruned;
+  w
 
+(* Phase 1 already counted a leaf's prunes. *)
 let leaf_result ~collect ~cfg decisions outcome =
-  let violations = ref [] in
-  let collected = ref [] in
-  record_schedule ~collect ~cfg ~collected ~violations ~local_index:0
-    (fun () -> decisions)
-    outcome;
-  {
-    w_schedules = 1;
-    w_pruned = 0 (* phase 1 already counted its prunes *);
-    w_max_decisions = Array.length decisions;
-    w_truncated = false;
-    w_violations = List.rev !violations;
-    w_collected = List.rev !collected;
-  }
+  let w = worker () in
+  w.w_max_decisions <- Array.length decisions;
+  record_schedule w ~collect ~cfg (fun () -> decisions) outcome;
+  w
 
 (* ------------------------------------------------------------------ *)
 (* Crash-schedule enumeration: all sorted pid/tick assignments of size up
@@ -338,7 +350,9 @@ let run ?progress ?metrics ~registry mc =
   let pruned = ref 0 in
   let max_decisions = ref 0 in
   let truncated = ref false in
-  let violations = ref [] (* reversed global order *) in
+  let violation_count = ref 0 in
+  let violations = ref [] (* the first [kept], reversed global order *) in
+  let failed = ref [] in
   let collected = ref [] (* reversed global order *) in
   List.iteri
     (fun crash_index crashes ->
@@ -361,10 +375,13 @@ let run ?progress ?metrics ~registry mc =
         (fun w ->
           List.iter
             (fun (local, repro) ->
-              violations :=
-                { crash_index; schedule_index = !schedules + local; repro } :: !violations)
-            w.w_violations;
-          List.iter (fun d -> collected := d :: !collected) w.w_collected;
+              if List.length !violations < kept then
+                violations :=
+                  { crash_index; schedule_index = !schedules + local; repro } :: !violations)
+            (List.rev w.w_violations);
+          violation_count := !violation_count + w.w_violation_count;
+          failed := w.w_failed @ !failed;
+          collected := w.w_collected @ !collected;
           schedules := !schedules + w.w_schedules;
           pruned := !pruned + w.w_pruned;
           max_decisions := max !max_decisions w.w_max_decisions;
@@ -378,7 +395,7 @@ let run ?progress ?metrics ~registry mc =
               crash_schedules = crash_index + 1;
               schedules = !schedules;
               pruned = !pruned;
-              violation_count = List.length !violations;
+              violation_count = !violation_count;
               max_decisions = !max_decisions;
               truncated = !truncated;
             })
@@ -388,7 +405,7 @@ let run ?progress ?metrics ~registry mc =
       crash_schedules = List.length crash_scheds;
       schedules = !schedules;
       pruned = !pruned;
-      violation_count = List.length !violations;
+      violation_count = !violation_count;
       max_decisions = !max_decisions;
       truncated = !truncated;
     }
@@ -401,4 +418,9 @@ let run ?progress ?metrics ~registry mc =
       bump "mc_pruned_branches" stats.pruned;
       bump "mc_violations" stats.violation_count;
       bump "mc_crash_schedules" stats.crash_schedules);
-  { stats; violations = List.rev !violations; schedules = List.rev !collected }
+  {
+    stats;
+    violations = List.rev !violations;
+    failed_checks = List.sort_uniq String.compare !failed;
+    schedules = List.rev !collected;
+  }

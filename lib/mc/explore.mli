@@ -4,13 +4,14 @@
     bounded instance — a {!Check.Config.t} whose adversary is the
     DLS-parametric family [Dls {delta; phi}] — and executes each complete
     schedule through {!Check.Runner}, using the existing wait-freedom /
-    ◇WX / exiting monitors as oracles. The decision tape of
-    {!Dsim.Adversary} is the schedule representation: a schedule is the
-    full sequence of delay choices (each in [1, delta]) and unforced
-    step-offer booleans the engine queries during one run, so every
-    counterexample is an ordinary full-override ["fuzz-repro/1"] artifact
-    that [dinersim replay] re-executes bit-identically (see
-    {!Dsim.Adversary.drive} for the PRNG-parity argument).
+    ◇WX / exiting monitors as oracles. A schedule is the full sequence of
+    {!Dsim.Adversary.decision}s the engine queries during one run — delay
+    choices (each in [1, delta]) and unforced step-offer booleans — which
+    the explorer's controller answers through {!Dsim.Adversary.drive}. So
+    every counterexample is an ordinary full-override ["fuzz-repro/1"]
+    artifact that [dinersim replay] re-executes bit-identically through
+    {!Dsim.Adversary.replayer} (see {!Dsim.Adversary.drive} for the
+    PRNG-parity argument).
 
     Exploration is depth-first by re-execution: each tree node is a
     decision prefix; visiting it runs a fresh engine that replays the
@@ -20,8 +21,8 @@
     copied prefix — when it is popped, the tape still holds its parent's
     prefix, because every visit since its push explored below that
     parent. The controller and its per-pid arrays are built once per
-    search, and a schedule's decision array is built only for a violation
-    or under [collect_schedules]. Forced steps — queries where the
+    search, and a schedule's decision array is built only for a kept
+    violation or under [collect_schedules]. Forced steps — queries where the
     engine's weak-fairness backstop fires because the process has not
     stepped for [phi] ticks — have a single branch, normalised to
     [Step true]; the explorer mirrors the engine's fairness accounting
@@ -91,6 +92,8 @@ type violation = {
   repro : Check.Repro.t;
       (** Full-override replayable artifact (schema ["fuzz-repro/1"]). *)
 }
+(** Only the first 16 violations in enumeration order are kept as
+    artifacts; [violation_count] counts them all. *)
 
 type stats = {
   crash_schedules : int;
@@ -103,7 +106,11 @@ type stats = {
 
 type result = {
   stats : stats;
-  violations : violation list;  (** In global enumeration order. *)
+  violations : violation list;
+      (** The first 16 in global enumeration order, at any [jobs]. *)
+  failed_checks : string list;
+      (** Sorted union of the failed check names of every violation, kept
+          or not. *)
   schedules : Adversary.decision array list;
       (** Every explored schedule, in enumeration order — empty unless
           [collect_schedules]. *)

@@ -16,7 +16,6 @@ let counterexample_json (v : Explore.violation) =
 
 let make ~(config : Explore.config) ~(result : Explore.result) ?metrics ?wall () =
   let s = result.Explore.stats in
-  let cexs = List.filteri (fun i _ -> i < 16) result.Explore.violations in
   Obs.Json.Obj
     [
       ("schema", Obs.Json.Str Obs.Report.mc_schema_version);
@@ -37,7 +36,7 @@ let make ~(config : Explore.config) ~(result : Explore.result) ?metrics ?wall ()
       ("violations", Obs.Json.Int s.Explore.violation_count);
       ("max_decisions", Obs.Json.Int s.Explore.max_decisions);
       ("truncated", Obs.Json.Bool s.Explore.truncated);
-      ("counterexamples", Obs.Json.Arr (List.map counterexample_json cexs));
+      ("counterexamples", Obs.Json.Arr (List.map counterexample_json result.Explore.violations));
       ( "metrics",
         match metrics with Some m -> Obs.Metrics.to_json m | None -> Obs.Json.Obj [] );
       ("wall_clock", Option.value ~default:Obs.Json.Null wall);

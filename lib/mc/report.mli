@@ -39,7 +39,7 @@ val make :
   ?wall:Obs.Json.t ->
   unit ->
   Obs.Json.t
-(** Build the document. At most 16 counterexamples (the first in
-    enumeration order) are embedded — the ["violations"] counter still
-    reports the full count, so a capped report is visible as
+(** Build the document. It embeds the counterexamples the explorer keeps,
+    at most 16 (the first in enumeration order) — the ["violations"]
+    counter still reports the full count, so a capped report is visible as
     [violations > length counterexamples], never a silent truncation. *)

@@ -75,7 +75,6 @@ let create ~engine ?(detector_name = "flawed-cm") ~dining ~watcher ~subject () =
     | Messages.Heartbeat_cm when src = subject ->
         set_suspect false;
         heard := true
-    (* simlint: allow D015 — the flawed contention manager of Section 3 hears only Heartbeat_cm; the wildcard absorbs other families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   Engine.register engine watcher

@@ -62,14 +62,12 @@ let install_online ~engine ~pair =
     Array.init 2 (fun i ->
         Engine.in_flight_counter engine ~tag:pair.Pair.witness_tag ~f:(function
           | Messages.Ping j -> j = i
-          (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ping_i and deliberately ignores every other message *)
           | _ -> false))
   in
   let acks =
     Array.init 2 (fun i ->
         Engine.in_flight_counter engine ~tag:pair.Pair.subject_tag ~f:(function
           | Messages.Ack j -> j = i
-          (* simlint: allow D015 — in-flight classifier, not a handler: the filter counts Ack_i and deliberately ignores every other message *)
           | _ -> false))
   in
   Engine.on_tick engine (fun () ->

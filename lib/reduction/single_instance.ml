@@ -50,7 +50,6 @@ let create ~engine ?(detector_name = "single-inst") ~dining ~watcher ~subject ()
     | Messages.Ping _ when src = subject ->
         haveping := true;
         wctx.Context.send ~dst:subject ~tag:stag (Messages.Ack 0)
-    (* simlint: allow D015 — the witness hears only Ping from its subject; the wildcard absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   Engine.register engine watcher
@@ -82,7 +81,6 @@ let create ~engine ?(detector_name = "single-inst") ~dining ~watcher ~subject ()
   let s_receive ~src msg =
     match msg with
     | Messages.Ack _ when src = watcher -> acked := true
-    (* simlint: allow D015 — the subject hears only Ack from its watcher; the wildcard absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   Engine.register engine subject

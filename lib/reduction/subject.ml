@@ -51,7 +51,6 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
     | Messages.Ack i when src = witness_pid ->
         note "red-ack" i;
         trigger := 1 - i
-    (* simlint: allow D015 — action S_a of the reduction hears only Ack from the witness; the wildcard absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   let component =

@@ -47,7 +47,6 @@ let create (ctx : Context.t) ~tag ~subject_pid ~subject_tag ~dx ~detector_name (
     | Messages.Ping i when src = subject_pid ->
         haveping.(i) <- true;
         ctx.Context.send ~dst:subject_pid ~tag:subject_tag (Messages.Ack i)
-    (* simlint: allow D015 — action W_p of the reduction hears only Ping from the subject; the wildcard absorbs other protocol families sharing the engine's extensible Msg.t *)
     | _ -> ()
   in
   let component =

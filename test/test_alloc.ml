@@ -117,26 +117,34 @@ let test_engine_create () =
   if words > 144.0 then Alcotest.failf "n = 2 Engine.create: %.0f words (bound 144)" words
 
 (* A driven query hands its fields to a callback: with callbacks that
-   allocate nothing, neither does the query. *)
+   allocate nothing, neither does the query. The replayer answers from a
+   dense table, so a replayed query allocates nothing either. *)
 let test_driven_queries () =
-  let adversary =
-    Adversary.drive
-      ~delay:(fun ~now:_ ~src:_ ~dst:_ -> 1)
-      ~step:(fun ~now:_ _ -> true)
-      (Adversary.dls ~delta:2 ~phi:1 ())
-  in
+  let base = Adversary.dls ~delta:2 ~phi:1 () in
   let rng = Prng.create 0x5EEDL in
+  let n = 2000 in
   let per_query name f =
     let words =
-      Alloc_probe.steady_words (fun n ->
+      Alloc_probe.steady_words ~n (fun n ->
           for now = 1 to n do
             ignore (Sys.opaque_identity (f now))
           done)
     in
     Alcotest.(check (float 0.0)) (name ^ ": 0 words per driven query") 0.0 words
   in
-  per_query "delay" (fun now -> adversary.Adversary.delay rng ~now ~src:0 ~dst:1);
-  per_query "step" (fun now -> adversary.Adversary.steps rng ~now 1)
+  let fixed = Adversary.drive ((fun ~now:_ ~src:_ ~dst:_ _ -> 1), fun ~now:_ _ _ -> true) base in
+  per_query "delay" (fun now -> fixed.Adversary.delay rng ~now ~src:0 ~dst:1);
+  per_query "step" (fun now -> fixed.Adversary.steps rng ~now 1);
+  (* [steady_words ~n] makes n + n + 2n queries: the table covers them all. *)
+  let replayed decision =
+    let len = 4 * n in
+    let overrides = List.init len (fun i -> (i, decision i)) in
+    Adversary.drive (Adversary.replayer ~len ~overrides) base
+  in
+  let delays = replayed (fun i -> Adversary.Delay (1 + (i mod 2))) in
+  per_query "replayed delay" (fun now -> delays.Adversary.delay rng ~now ~src:0 ~dst:1);
+  let steps = replayed (fun i -> Adversary.Step (i mod 2 = 0)) in
+  per_query "replayed step" (fun now -> steps.Adversary.steps rng ~now 1)
 
 (* The 256-schedule green instance of test_mc.ml: wf on a pair, horizon
    12, delta 2, phi 1, including the explorer's own bookkeeping. It measures

@@ -56,17 +56,19 @@ let some_config () =
 let test_record_replay_identity () =
   let registry = Check.Runner.default_registry in
   let c = some_config () in
-  let tape = Adversary.tape () in
-  let natural = Check.Runner.run ~record:tape ~registry c in
+  let drive, recorded = Adversary.recorder () in
+  let natural = Check.Runner.run ~drive ~registry c in
   let plain = Check.Runner.run ~registry c in
   Alcotest.(check bool) "recording does not perturb the run" true (natural = plain);
-  let d = Adversary.tape_decisions tape in
+  let d = recorded () in
   let len = Array.length d in
   Alcotest.(check bool) "the run consulted the adversary" true (len > 0);
   let full = List.init len (fun i -> (i, d.(i))) in
-  let replayed = Check.Runner.run ~replay:(len, full) ~registry c in
+  let replayed =
+    Check.Runner.run ~drive:(Adversary.replayer ~len ~overrides:full) ~registry c
+  in
   Alcotest.(check bool) "full-override replay is bit-identical" true (natural = replayed);
-  let zero = Check.Runner.run ~replay:(0, []) ~registry c in
+  let zero = Check.Runner.run ~drive:(Adversary.replayer ~len:0 ~overrides:[]) ~registry c in
   Alcotest.(check bool) "len=0 replay falls through to the natural run" true (natural = zero)
 
 (* ------------------------------------------------------------------ *)
@@ -324,7 +326,7 @@ let test_corpus_coverage_digest_pinned () =
   let r = Check.Repro.load ~path in
   let outcome =
     Check.Runner.run
-      ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+      ~drive:(Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides)
       ~registry:Check.Runner.default_registry r.Check.Repro.config
   in
   let digest = Obs.Coverage.digest outcome.Check.Runner.coverage in

@@ -89,12 +89,12 @@ let random_schedule (cfg : Check.Config.t) rng =
   in
   let last_step = Array.make (Check.Config.n_procs cfg) 0 in
   let chosen = ref [] in
-  let delay ~now:_ ~src:_ ~dst:_ =
+  let delay ~now:_ ~src:_ ~dst:_ _ =
     let d = Dsim.Prng.int_in rng ~lo:1 ~hi:delta in
     chosen := Dsim.Adversary.Delay d :: !chosen;
     d
   in
-  let step ~now pid =
+  let step ~now pid _ =
     let forced = now - last_step.(pid) >= phi in
     let s = forced || Dsim.Prng.chance rng ~p:0.5 in
     if s then last_step.(pid) <- now;
@@ -154,16 +154,7 @@ let pinned_full_violations = 22041
 let pinned_por_schedules = 4530
 let pinned_por_pruned = 1048
 let pinned_por_violations = 4454
-
-let failed_name_set (r : Mc.Explore.result) =
-  List.sort_uniq String.compare
-    (List.concat_map
-       (fun (v : Mc.Explore.violation) ->
-         List.filter_map
-           (fun (c : Obs.Report.check) ->
-             if c.Obs.Report.holds then None else Some c.Obs.Report.name)
-           v.Mc.Explore.repro.Check.Repro.checks)
-       r.Mc.Explore.violations)
+let pinned_failed_checks = [ "exiting_finite"; "wait_freedom" ]
 
 let test_por_counts_pinned_and_verdicts_equal () =
   let algo, horizon, delta, phi = pinned_por_instance in
@@ -182,8 +173,10 @@ let test_por_counts_pinned_and_verdicts_equal () =
     por.Mc.Explore.stats.Mc.Explore.pruned;
   Alcotest.(check int) "reduced violation count pinned" pinned_por_violations
     por.Mc.Explore.stats.Mc.Explore.violation_count;
+  Alcotest.(check (list string)) "failed-property set pinned" pinned_failed_checks
+    full.Mc.Explore.failed_checks;
   Alcotest.(check (list string)) "reduction preserves the failed-property set"
-    (failed_name_set full) (failed_name_set por)
+    full.Mc.Explore.failed_checks por.Mc.Explore.failed_checks
 
 (* ------------------------------------------------------------------ *)
 (* Seeded broken variant: wf-dropfork starves on the very first (all-
@@ -199,6 +192,20 @@ let test_dropfork_counterexample_and_replay () =
     pinned_wf_green_schedules s.Mc.Explore.schedules;
   Alcotest.(check int) "every schedule starves" pinned_wf_green_schedules
     s.Mc.Explore.violation_count;
+  (* Every violation is counted, but only the first 16 in enumeration
+     order are kept as artifacts, at any job count. *)
+  List.iter
+    (fun jobs ->
+      let r = if jobs = 1 then r else explore ~jobs base in
+      Alcotest.(check int)
+        (Printf.sprintf "every violation counted at jobs=%d" jobs)
+        pinned_wf_green_schedules r.Mc.Explore.stats.Mc.Explore.violation_count;
+      Alcotest.(check (list int))
+        (Printf.sprintf "schedules 0-15 kept at jobs=%d" jobs)
+        (List.init 16 Fun.id)
+        (List.map (fun (v : Mc.Explore.violation) -> v.Mc.Explore.schedule_index)
+           r.Mc.Explore.violations))
+    [ 1; 2 ];
   let first =
     match r.Mc.Explore.violations with
     | v :: _ -> v

@@ -119,8 +119,8 @@ let compare_horizons ~ctx trace ~instance ~graph ~horizon =
 
 (* Check.Runner's checks and meal count against the reference monitors
    applied as the runner applied the old ones. *)
-let compare_runner ~ctx ?replay ~registry (c : Check.Config.t) =
-  let outcome, trace = Check.Runner.run_traced ?replay ~registry c in
+let compare_runner ~ctx ?drive ~registry (c : Check.Config.t) =
+  let outcome, trace = Check.Runner.run_traced ?drive ~registry c in
   let instance = Check.Runner.instance and graph = Check.Config.graph c in
   let n = Graphs.Conflict_graph.n graph and horizon = c.Check.Config.horizon in
   let reference =
@@ -167,7 +167,7 @@ let test_corpus () =
       let r = Check.Repro.load ~path in
       ignore
         (compare_runner ~ctx:path
-           ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+           ~drive:(Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides)
            ~registry:Broken_dining.registry r.Check.Repro.config))
     files
 

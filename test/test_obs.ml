@@ -478,7 +478,7 @@ let test_chrome_documents_pinned () =
       let r = Check.Repro.load ~path:(Filename.concat "corpus" file) in
       let _, trace =
         Check.Runner.run_traced
-          ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+          ~drive:(Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides)
           ~registry:Broken_dining.registry r.Check.Repro.config
       in
       check_str file want (chrome_digest ~horizon:r.Check.Repro.config.Check.Config.horizon trace))

@@ -50,7 +50,7 @@ let test_every_rule_fires () =
     (fun rule -> check (rule ^ " fires on the corpus") true (List.mem rule rules))
     [
       "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009"; "D010"; "D011";
-      "D012"; "D013"; "D014"; "D015"; "D016"; "D017"; "D018";
+      "D012"; "D013"; "D014"; "D016"; "D017"; "D018";
     ];
   check "no parse failures in fixtures" false (List.mem "E000" rules)
 
@@ -365,20 +365,6 @@ let test_d014_unhandled () =
     | Some (_, s) -> s = Finding.Suppressed
     | None -> false)
 
-let test_d015_catchall_drop () =
-  let result = run_fixtures () in
-  Alcotest.(check (list (triple string string int)))
-    "literal catch-all in handler position flagged; named wildcard clean"
-    [ ("D015", "fixtures/d015_catchall.ml", 11) ]
-    (List.filter (fun (r, _, _) -> r = "D015") (opens result));
-  let f, _ = Option.get (disposition result ("D015", "fixtures/d015_catchall.ml", 11)) in
-  check "message lists the constructors the arms above handle" true
-    (contains ~needle:"arms above handle Pf_ping" f.Finding.msg);
-  check "justified drop suppressed, not open" true
-    (match disposition result ("D015", "fixtures/d015_suppressed.ml", 10) with
-    | Some (_, s) -> s = Finding.Suppressed
-    | None -> false)
-
 let test_d016_phase_legality () =
   let result = run_fixtures () in
   Alcotest.(check (list (triple string string int)))
@@ -557,7 +543,7 @@ let test_sarif_shape () =
     List.filter
       (fun ((f : Finding.t), _) ->
         List.mem f.Finding.rule
-          [ "D009"; "D010"; "D011"; "D012"; "D013"; "D014"; "D015"; "D016"; "D017"; "D018" ])
+          [ "D009"; "D010"; "D011"; "D012"; "D013"; "D014"; "D016"; "D017"; "D018" ])
       result.Driver.findings
   in
   check "interprocedural rules present in the fixture run" true
@@ -577,8 +563,6 @@ let test_severities () =
     (Finding.severity_name (Finding.severity_of_rule "D006"));
   Alcotest.(check string) "D014 is an error" "error"
     (Finding.severity_name (Finding.severity_of_rule "D014"));
-  Alcotest.(check string) "D015 is a warning" "warning"
-    (Finding.severity_name (Finding.severity_of_rule "D015"));
   Alcotest.(check string) "D016 is an error" "error"
     (Finding.severity_name (Finding.severity_of_rule "D016"));
   Alcotest.(check string) "D017 is an error" "error"
@@ -653,7 +637,6 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "D014 unhandled protocol message" `Quick test_d014_unhandled;
-          Alcotest.test_case "D015 catch-all message drop" `Quick test_d015_catchall_drop;
           Alcotest.test_case "D016 phase-transition legality" `Quick test_d016_phase_legality;
           Alcotest.test_case "D017 fork-token conservation" `Quick test_d017_fork_conservation;
           Alcotest.test_case "D018 worker PRNG derivation" `Quick test_d018_worker_prng;

@@ -28,14 +28,13 @@ type t = {
    contract outright, and cross-domain escapes (D012) race; the protocol
    rules D014/D016/D017 violate the paper's correctness argument itself and
    D018 its determinism contract, so all four are errors. The hygiene rules
-   flag hazards that need a human judgement call (D015's catch-all drop is
-   mandatory shape for extensible variants, hence warning); D005 is a
+   flag hazards that need a human judgement call, hence warning; D005 is a
    conventions nudge. *)
 let severity_of_rule = function
   | "D001" | "D002" | "D003" | "D009" | "D010" | "D012" | "D014" | "D016" | "D017" | "D018"
   | "E000" ->
       Error
-  | "D004" | "D006" | "D007" | "D008" | "D011" | "D013" | "D015" -> Warning
+  | "D004" | "D006" | "D007" | "D008" | "D011" | "D013" -> Warning
   | _ -> Note
 
 let make ~rule ~file ~line ~col ~msg =

@@ -1,4 +1,4 @@
-(* Protocol message-flow analysis (rules D014/D015).
+(* Protocol message-flow analysis (rule D014).
 
    The engine routes messages through the extensible variant [Dsim.Msg.t],
    so OCaml's exhaustiveness checker is structurally blind to the protocol
@@ -11,15 +11,6 @@
          matches it anywhere. The finding lands on the (first) construction
          site and names the enclosing top-level binding and the declaration
          site.
-
-   D015  a [match]/[function] that handles at least one declared protocol
-         constructor also has a literal catch-all arm ([| _ ->] or
-         [| exception _ ->]). Extensible variants *require* some catch-all,
-         so in handler position the wildcard silently absorbs any protocol
-         constructor added later — exactly the silent-message-drop class
-         the paper's liveness lemmas assume away. Every such arm must carry
-         a [(* simlint: allow D015 — reason *)] justification (or bind a
-         named wildcard, which reviewers can see is deliberate).
 
    Matching is keyed on the constructor's *name*, not its module path:
    declarations are indexed project-wide and a pattern [Wf_ewx.Fork] and a
@@ -88,17 +79,6 @@ let pat_ctors (p : Parsetree.pattern) : SS.t =
   it.Ast_iterator.pat it p;
   !acc
 
-(* A case arm that is a literal catch-all: [_], possibly behind an alias or
-   type constraint, or [exception _]. A *named* wildcard ([| other -> ...])
-   is deliberate and stays clean. *)
-let rec catchall_pat (p : Parsetree.pattern) =
-  match p.Parsetree.ppat_desc with
-  | Parsetree.Ppat_any -> true
-  | Parsetree.Ppat_alias (inner, _) | Parsetree.Ppat_constraint (inner, _)
-  | Parsetree.Ppat_exception inner ->
-      catchall_pat inner
-  | _ -> false
-
 type construction = { cnode : string; cfile : string; cline : int; ccol : int }
 
 let findings (inputs : Callgraph.input list) : Finding.t list =
@@ -106,36 +86,8 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
   let decl_names = List.fold_left (fun s d -> SS.add d.ctor s) SS.empty decls in
   let handled = ref SS.empty in
   let constructions : (string, construction) Hashtbl.t = Hashtbl.create 32 in
-  let d015 = ref [] in
   let walk_input (inp : Callgraph.input) =
     Callgraph.iter_bindings inp (fun ~id ~line:_ ~is_rec:_ body ->
-        let check_cases cases =
-          let arm_ctors =
-            List.fold_left
-              (fun s (c : Parsetree.case) ->
-                SS.union s (SS.inter decl_names (pat_ctors c.Parsetree.pc_lhs)))
-              SS.empty cases
-          in
-          if not (SS.is_empty arm_ctors) then
-            List.iter
-              (fun (c : Parsetree.case) ->
-                if catchall_pat c.Parsetree.pc_lhs then
-                  let loc = c.Parsetree.pc_lhs.Parsetree.ppat_loc in
-                  let line, col = Callgraph.pos_of loc in
-                  d015 :=
-                    Finding.with_sym
-                      (Printf.sprintf "%s:%s:drop" id (SS.min_elt arm_ctors))
-                      (Finding.make ~rule:"D015" ~file:inp.Callgraph.rel ~line ~col
-                         ~msg:
-                           (Printf.sprintf
-                              "catch-all arm in %s discards protocol messages (arms above \
-                               handle %s); Msg.t is extensible, so this silently drops any \
-                               constructor added later — handle it or justify the drop"
-                              id
-                              (String.concat ", " (SS.elements arm_ctors))))
-                    :: !d015)
-              cases
-        in
         let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
           (match e.Parsetree.pexp_desc with
           | Parsetree.Pexp_construct ({ txt; loc }, _) -> (
@@ -156,7 +108,6 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                     then Hashtbl.replace constructions s cand
                   end
               | _ -> ())
-          | Parsetree.Pexp_match (_, cases) | Parsetree.Pexp_function cases -> check_cases cases
           | _ -> ());
           Ast_iterator.default_iterator.Ast_iterator.expr it e
         in
@@ -173,8 +124,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
         it.Ast_iterator.expr it body)
   in
   List.iter walk_input inputs;
-  let d014 =
-    List.filter_map
+  List.filter_map
       (fun d ->
         match Hashtbl.find_opt constructions d.ctor with
         | Some c when not (SS.mem d.ctor !handled) ->
@@ -190,5 +140,3 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                          d.ctor d.dfile d.dline c.cnode)))
         | _ -> None)
       decls
-  in
-  d014 @ List.rev !d015
