@@ -5,7 +5,7 @@
 # run report is written and parses.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
-	bench-smoke bench-scale bench-diff trace-smoke clean
+	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
 
 # Worker count for the parallel targets below. Results are byte-identical
 # for any J (see DESIGN.md, "Parallel execution & determinism contract"),
@@ -32,7 +32,8 @@ fmt:
 		echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-# Determinism & simulation-hygiene gate (rules D001-D018; see DESIGN.md).
+# Determinism & simulation-hygiene gate (rules D001-D010, D012-D014 and
+# D016-D018; see DESIGN.md).
 # Exits 1 on any finding not suppressed by an in-source
 # `(* simlint: allow Dxxx — reason *)` comment, 2 on a usage or I/O
 # error. Also writes the SARIF 2.1.0 form for CI code-scanning upload.
@@ -91,16 +92,30 @@ bench-diff: build
 		--threshold $(BENCH_THRESHOLD) --json _build/benchdiff.json
 
 # End-to-end smoke of the Perfetto exporter: render a corpus repro
-# artifact and a freshly streamed JSONL trace, then sanity-check both
-# documents parse back.
+# artifact and a freshly streamed JSONL trace, each to its own file. Then
+# render the artifact again from outside the tree with the default output
+# path, which must land in the current directory: the step fails if any
+# file, ignored ones included, appears under test/.
 trace-smoke: build
 	dune exec bin/dinersim.exe -- trace test/corpus/family-sync.json \
 		-o /tmp/dinersim-trace-smoke.perfetto.json
 	dune exec bin/dinersim.exe -- dining --seed 41 --horizon 3000 \
 		--trace-out /tmp/dinersim-trace-smoke.jsonl > /dev/null
-	dune exec bin/dinersim.exe -- trace /tmp/dinersim-trace-smoke.jsonl
+	dune exec bin/dinersim.exe -- trace /tmp/dinersim-trace-smoke.jsonl \
+		-o /tmp/dinersim-trace-smoke-jsonl.perfetto.json
+	dir=$$(mktemp -d) && find test | sort > $$dir/before && \
+	cd $$dir && $(CURDIR)/_build/default/bin/dinersim.exe trace \
+		$(CURDIR)/test/corpus/family-sync.json && \
+	test -s family-sync.perfetto.json && cd $(CURDIR) && \
+	find test | sort | diff $$dir/before - && rm -r $$dir
 
-check: fmt build test lint smoke fuzz-smoke mc-smoke trace-smoke
+# Replay the checked-in family artifacts through the CLI: every recorded
+# verdict must match. The broken-variant counterexample beside them names
+# a test-only algorithm, so `dune runtest` replays it.
+replay-smoke: build
+	dune exec bin/dinersim.exe -- replay test/corpus/family-*.json
+
+check: fmt build test lint smoke fuzz-smoke mc-smoke trace-smoke replay-smoke
 	@echo "check: OK"
 
 clean:

@@ -919,35 +919,35 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 (* replay — re-execute fuzz-repro artifacts *)
 
+(* Every path is replayed and reported on its own line, in order (an
+   error goes to stderr); the exit status is the worst outcome: 2 if a
+   file could not be loaded or run, else 1 on a verdict mismatch, else 0. *)
 let run_replay paths =
   let registry = Check.Runner.default_registry in
-  let mismatched = ref false in
-  List.iter
-    (fun path ->
-      let r =
-        match Check.Repro.load ~path with
-        | r -> r
-        | exception Failure msg ->
-            Printf.eprintf "%s: %s\n" path msg;
-            exit 2
-        | exception Sys_error msg ->
-            prerr_endline msg;
-            exit 2
-      in
-      match Check.Repro.replay ~registry r with
-      | Ok (o : Check.Runner.outcome) ->
-          Printf.printf "%s: OK — %s; %d meals, %d events, verdicts match\n" path
-            (Check.Config.describe r.Check.Repro.config)
-            o.Check.Runner.meals o.Check.Runner.trace_events
-      | Error mismatches ->
-          mismatched := true;
-          Printf.printf "%s: VERDICT MISMATCH\n" path;
-          List.iter (fun m -> Printf.printf "  %s\n" m) mismatches
-      | exception Failure msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 2)
-    paths;
-  if !mismatched then exit 1
+  let error msg =
+    flush stdout;
+    prerr_endline msg;
+    2
+  in
+  let replay path =
+    match Check.Repro.load ~path with
+    | exception Failure msg -> error (path ^ ": " ^ msg)
+    | exception Sys_error msg -> error msg
+    | r -> (
+        match Check.Repro.replay ~registry r with
+        | Ok (o : Check.Runner.outcome) ->
+            Printf.printf "%s: OK — %s; %d meals, %d events, verdicts match\n" path
+              (Check.Config.describe r.Check.Repro.config)
+              o.Check.Runner.meals o.Check.Runner.trace_events;
+            0
+        | Error mismatches ->
+            Printf.printf "%s: VERDICT MISMATCH\n" path;
+            List.iter (fun m -> Printf.printf "  %s\n" m) mismatches;
+            1
+        | exception Failure msg -> error (path ^ ": " ^ msg))
+  in
+  let worst = List.fold_left (fun worst path -> max worst (replay path)) 0 paths in
+  if worst > 0 then exit worst
 
 let replay_cmd =
   let paths_t =
@@ -960,7 +960,10 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "Re-execute fuzz-repro/1 artifacts bit-identically and verify the recorded property \
-          verdicts. Exits 1 on a verdict mismatch, 2 on a malformed artifact.")
+          verdicts, one line per file. Exits 2 if any file could not be loaded or run, else 1 \
+          on a verdict mismatch. Only the built-in algorithms are registered: the \
+          test/corpus/broken-wf-dropfork.json counterexample names the test-only \
+          $(b,wf-dropfork) variant and replays under the test registry (dune runtest).")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1023,7 +1026,7 @@ let run_trace input output horizon =
   let output =
     match output with
     | Some p -> p
-    | None -> Filename.remove_extension input ^ ".perfetto.json"
+    | None -> Filename.remove_extension (Filename.basename input) ^ ".perfetto.json"
   in
   let j =
     match Obs.Span.chrome_of_trace ?horizon trace with
@@ -1054,7 +1057,9 @@ let trace_cmd =
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"PATH"
-          ~doc:"Output path (default: the input path with a .perfetto.json extension).")
+          ~doc:
+            "Output path (default: the input's file name with a .perfetto.json extension, in \
+             the current directory).")
   in
   let trace_horizon_t =
     Arg.(

@@ -185,7 +185,6 @@ let intern_tag t tag =
       t.tag_count <- id + 1;
       id
 
-(* simlint: hotpath *)
 let count_watched t pkt delta =
   let ws = t.watches.(pkt.tag_id) in
   for k = 0 to Array.length ws - 1 do
@@ -198,11 +197,9 @@ let count_watched t pkt delta =
 let[@inline] pend t pkt delta =
   if pkt.tag_id < Array.length t.watches then count_watched t pkt delta
 
-(* simlint: hotpath *)
 let slot_add w s pkt =
   let len = w.fill.(s) in
   if len = Array.length w.slots.(s) then begin
-    (* simlint: allow D011 — amortised geometric slot growth, as in Vec.add_last; the steady-state append is a plain store *)
     let grown = Array.make (Int.max 8 (2 * len)) pkt in
     Array.blit w.slots.(s) 0 grown 0 len;
     w.slots.(s) <- grown
@@ -328,7 +325,6 @@ let do_crash t (p : proc) =
       pend t (Vec.get p.inbox i) (-1)
     done;
     Vec.clear p.inbox;
-    (* simlint: allow D011 — allocates only on the once-per-process crash transition *)
     Trace.append t.tr ~at:t.clock (Trace.Crash { pid = p.pid })
   end
 
@@ -394,7 +390,6 @@ let on_tick t f = Vec.add_last t.hooks f
 (* Deliver one packet: move it to the destination inbox, or discard it if
    the destination crashed (the per-tag pending counts drop either way it
    leaves the system — on discard here, on drain otherwise). *)
-(* simlint: hotpath *)
 let deliver_packet t pkt =
   t.flight_count <- t.flight_count - 1;
   let p = t.procs.(pkt.dst) in
@@ -411,7 +406,6 @@ let deliver_packet t pkt =
    Slots and buckets append in send order and index loops deliver them
    oldest first, with O(1) stack whatever their size: a recursive walk
    would overflow the stack on a same-tick flood at n=10^5. *)
-(* simlint: hotpath *)
 let turn_wheel t w =
   let s = t.clock land w.mask in
   let slot = w.slots.(s) in
@@ -430,7 +424,6 @@ let turn_wheel t w =
 
 (* Reference delivery: peel ripe buckets off the cheap end of the map in
    ascending delivery-time order, exactly the old tree-map behaviour. *)
-(* simlint: hotpath *)
 let rec deliver_ref t r =
   match Types.Pidmap.min_binding_opt r.buckets with
   | Some (at, bucket) when at <= t.clock ->
@@ -445,7 +438,6 @@ let rec deliver_ref t r =
    packet; a message for an unregistered layer is dropped. Open-coded
    index walk (rather than a [find]-style combinator) so the per-packet
    dispatch neither builds a predicate closure nor boxes the result. *)
-(* simlint: hotpath *)
 let rec route_from (p : proc) i ~src payload tag =
   if i < Vec.length p.components then begin
     let c = Vec.get p.components i in
@@ -453,7 +445,6 @@ let rec route_from (p : proc) i ~src payload tag =
     else route_from p (i + 1) ~src payload tag
   end
 
-(* simlint: hotpath *)
 let route_receive (p : proc) pkt = route_from p 0 ~src:pkt.src pkt.payload pkt.tag
 
 (* One atomic step of process [p]: consume the pending messages (the paper's
@@ -479,7 +470,6 @@ let rec scan_action (p : proc) acts m k =
     else scan_action p acts m (k + 1)
   end
 
-(* simlint: hotpath *)
 let step_process t (p : proc) =
   p.last_step <- t.clock;
   let pending = Vec.length p.inbox in
@@ -490,7 +480,6 @@ let step_process t (p : proc) =
        draws exactly what [shuffle] on a fresh [pending]-sized array drew,
        so replay digests are unchanged. *)
     if Array.length p.batch < pending then
-      (* simlint: allow D011 — amortised geometric scratch growth, not a per-step cost *)
       p.batch <- Array.make (max 8 (2 * pending)) (Vec.get p.inbox 0);
     for i = 0 to pending - 1 do
       let pkt = Vec.get p.inbox i in
@@ -512,7 +501,6 @@ let step_process t (p : proc) =
     if m > 0 then scan_action p acts m 0
   end
 
-(* simlint: hotpath *)
 let step t =
   t.clock <- t.clock + 1;
   for i = 0 to t.n_procs - 1 do

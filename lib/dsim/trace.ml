@@ -32,7 +32,6 @@ let rec fan_out e = function
    ten entries each) and each later one doubles. *)
 let push t e =
   if t.len = Array.length t.buf then begin
-    (* simlint: allow D011 — amortised doubling of the retained trace buffer *)
     let bigger = Array.make (max 64 (2 * t.len)) dummy in
     Array.blit t.buf 0 bigger 0 t.len;
     t.buf <- bigger
@@ -46,10 +45,8 @@ let append t ~at ev =
   match t.subs with
   | [] ->
       if t.retain then
-        (* simlint: allow D011 — the retained entry IS the product; set retain:false to run allocation-free *)
         push t { at; ev }
   | subs ->
-      (* simlint: allow D011 — the entry subscribers receive; retention stores this same block *)
       let e = { at; ev } in
       fan_out e subs;
       if t.retain then push t e

@@ -4,11 +4,9 @@ let create () = { buf = [||]; len = 0 }
 
 let length t = t.len
 
-(* simlint: hotpath *)
 let add_last t x =
   if t.len = Array.length t.buf then begin
     let cap = max 8 (2 * t.len) in
-    (* simlint: allow D011 — amortised doubling; the steady-state append is a plain store *)
     let bigger = Array.make cap x in
     Array.blit t.buf 0 bigger 0 t.len;
     t.buf <- bigger

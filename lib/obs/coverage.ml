@@ -239,9 +239,7 @@ let add_track c kind name =
   string c kind;
   string c name;
   string c "|0";
-  (* simlint: allow D011 — a track is added once per run *)
   let t = { kind; name; prev_hi = c.hi; prev_lo = c.lo } in
-  (* simlint: allow D011 — see above *)
   c.tracks <- t :: c.tracks;
   t
 
@@ -258,7 +256,6 @@ let set_bit bits idx =
 (* The edge is the hash of the previous site's 8 bytes then the current
    site's; its bucket is its low 62 bits modulo the width (the bits that
    survive Int64.to_int and [land max_int]). *)
-(* simlint: hotpath *)
 let observe c (e : Trace.entry) =
   let ev = e.Trace.ev in
   let t = find_track c (track_kind ev) (track_name ev) c.tracks in

@@ -41,24 +41,19 @@ let rec dining_of st instance = function
   | d :: rest -> if String.equal d.instance instance then d else dining_of st instance rest
   | [] ->
       let d =
-        (* simlint: allow D011 — built once per dining instance *)
         { instance; last = [||]; meals = None; meals_window = None; hunger = None; hunger_exact = None }
       in
-      (* simlint: allow D011 — see above *)
       st.dinings <- d :: st.dinings;
       d
 
 let rec detector_of st detector = function
   | d :: rest -> if String.equal d.detector detector then d else detector_of st detector rest
   | [] ->
-      (* simlint: allow D011 — built once per detector *)
       let d = { detector; counters = Array.make (Array.length detector_suffixes) None } in
-      (* simlint: allow D011 — see above *)
       st.detectors <- d :: st.detectors;
       d
 
 let dining_name d suffix =
-  (* simlint: allow D011 — a name is built once, when its handle is resolved *)
   "dining." ^ d.instance ^ suffix
 
 (* Resolve-once accessors: a name and its [Some] are built with the
@@ -68,10 +63,8 @@ let detector_counter st d i =
   | Some c -> c
   | None ->
       let c =
-        (* simlint: allow D011 — a name is built once, when its handle is resolved *)
         Metrics.counter st.metrics ("detector." ^ d.detector ^ detector_suffixes.(i))
       in
-      (* simlint: allow D011 — built once, with the handle *)
       d.counters.(i) <- Some c;
       c
 
@@ -80,7 +73,6 @@ let crashes st =
   | Some c -> c
   | None ->
       let c = Metrics.counter st.metrics "engine.crashes" in
-      (* simlint: allow D011 — built once, with the handle *)
       st.crashes <- Some c;
       c
 
@@ -89,7 +81,6 @@ let meals st d =
   | Some c -> c
   | None ->
       let c = Metrics.counter st.metrics (dining_name d ".meals") in
-      (* simlint: allow D011 — built once, with the handle *)
       d.meals <- Some c;
       c
 
@@ -100,7 +91,6 @@ let meals_window st d =
       let w =
         Metrics.series st.metrics (dining_name d ".meals_per_window") ~width:meals_window_width
       in
-      (* simlint: allow D011 — built once, with the handle *)
       d.meals_window <- Some w;
       w
 
@@ -112,7 +102,6 @@ let hunger st d =
         Metrics.histogram st.metrics (dining_name d ".hunger_latency")
           ~buckets:Metrics.latency_buckets
       in
-      (* simlint: allow D011 — built once, with the handle *)
       d.hunger <- Some h;
       h
 
@@ -121,7 +110,6 @@ let hunger_exact st d =
   | Some q -> q
   | None ->
       let q = Metrics.quantile st.metrics (dining_name d ".hunger_latency_exact") in
-      (* simlint: allow D011 — built once, with the handle *)
       d.hunger_exact <- Some q;
       q
 
@@ -129,7 +117,6 @@ let hunger_exact st d =
 let reserve d pid =
   let n = Array.length d.last in
   if pid >= n then begin
-    (* simlint: allow D011 — amortised doubling of an instance's per-pid ticks *)
     let last = Array.make (max (pid + 1) (max 8 (2 * n))) 0 in
     Array.blit d.last 0 last 0 n;
     d.last <- last
@@ -149,7 +136,6 @@ let on_transition st d ~pid ~from_ ~to_ ~at =
   end;
   d.last.(pid) <- at
 
-(* simlint: hotpath *)
 let on_event st (e : Trace.entry) =
   match e.Trace.ev with
   | Trace.Suspect { detector; _ } ->

@@ -29,8 +29,9 @@ let kind_name = function
   | Series _ -> "series"
 
 (* Registration runs once per name: callers on a hot path (see
-   Instrument) resolve a handle once and keep it, so the allocation sites
-   below that D011 reaches from there are justified as one-off. *)
+   Instrument) resolve a handle once and keep it, so what it allocates is
+   paid once per name, not per event (test_obs counts the words per
+   event). *)
 let register t name make match_existing =
   match Hashtbl.find_opt t.tbl name with
   | Some item -> (
@@ -38,19 +39,15 @@ let register t name make match_existing =
       | Some v -> v
       | None ->
           invalid_arg
-            (* simlint: allow D011 — registration error, once per name *)
             (Printf.sprintf "Metrics: %S already registered as a %s" name (kind_name item)))
   | None ->
       let v, item = make () in
-      (* simlint: allow D011 — registration, once per name *)
       Hashtbl.add t.tbl name item;
       v
 
 let counter t name =
   register t name
-    (* simlint: allow D011 — registration, once per name *)
     (fun () -> let c = { c = 0 } in (c, Counter c))
-    (* simlint: allow D011 — registration, once per name *)
     (function Counter c -> Some c | _ -> None)
 
 let incr ?(by = 1) c = c.c <- c.c + by
@@ -67,40 +64,30 @@ let set g v = g.g <- v
 let gauge_value g = g.g
 
 let new_histogram buckets =
-  (* simlint: allow D011 — registration, once per name *)
   let bounds = Array.of_list buckets in
   for i = 1 to Array.length bounds - 1 do
     if bounds.(i) <= bounds.(i - 1) then
       invalid_arg "Metrics.histogram: bounds must be strictly increasing"
   done;
   let counts =
-    (* simlint: allow D011 — registration, once per name *)
     Array.make (Array.length bounds + 1) 0
   in
-  (* simlint: allow D011 — registration, once per name *)
   let h = { bounds; counts; n = 0; sum = 0; min_v = max_int; max_v = min_int } in
-  (* simlint: allow D011 — registration, once per name *)
   (h, Histogram h)
 
 let histogram t name ~buckets =
   register t name
-    (* simlint: allow D011 — registration, once per name *)
     (fun () -> new_histogram buckets)
-    (* simlint: allow D011 — registration, once per name *)
     (function Histogram h -> Some h | _ -> None)
 
 let quantile t name =
   register t name
-    (* simlint: allow D011 — registration, once per name *)
     (fun () -> let q = Quantile.create () in (q, Quantile q))
-    (* simlint: allow D011 — registration, once per name *)
     (function Quantile q -> Some q | _ -> None)
 
 let series t name ~width =
   register t name
-    (* simlint: allow D011 — registration, once per name *)
     (fun () -> let w = Window.create ~width in (w, Series w))
-    (* simlint: allow D011 — registration, once per name *)
     (function Series w -> Some w | _ -> None)
 
 (* Top level, not local to [observe]: a local [let rec] closure would be

@@ -41,7 +41,6 @@ let create () =
 
 (* The first [len] slots of [a] in an array of [cap]. *)
 let grown a ~cap ~len =
-  (* simlint: allow D011 — geometric growth of the runs, amortised over the samples *)
   let b = Array.make cap 0 in
   Array.blit a 0 b 0 len;
   b

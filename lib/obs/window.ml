@@ -13,7 +13,6 @@ type t = {
 
 let create ~width =
   if width <= 0 then invalid_arg "Window.create: width must be positive";
-  (* simlint: allow D011 — one series per name, built at its registration *)
   { width; counts = Array.make 16 0; len = 0; total = 0 }
 
 let width t = t.width
@@ -26,7 +25,6 @@ let observe ?(by = 1) t ~at =
   if at < 0 then invalid_arg "Window.observe: negative timestamp";
   let b = at / t.width in
   if b >= Array.length t.counts then begin
-    (* simlint: allow D011 — amortised doubling as the horizon grows *)
     let bigger = Array.make (doubled (2 * Array.length t.counts) b) 0 in
     Array.blit t.counts 0 bigger 0 t.len;
     t.counts <- bigger

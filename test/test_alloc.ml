@@ -1,11 +1,11 @@
 (* Allocation on the engine's hot path, counted exactly.
 
-   These counts are the authority on hot-path allocation: simlint's D011
-   reads the source, so it cannot see a boxed [int64] or [float] result,
-   nor follow a call through a closure field such as [Component.guard].
-   Every number here is a deterministic count (minor + major - promoted
-   words), so the tests compare it with a fixed bound, not with a
-   timing. *)
+   These counts, with test_obs's per-event count for the trace observers,
+   are the one authority on hot-path allocation. A count sees what no
+   reading of the source can: a boxed [int64] or [float] result, or a call
+   through a closure field such as [Component.guard]. Every number here is
+   a deterministic count (minor + major - promoted words), so the tests
+   compare it with a fixed bound, not with a timing. *)
 
 open Dsim
 
@@ -102,6 +102,66 @@ let test_ring () =
   let words = per_proc_tick ~ticks:2000 engine in
   if words >= 3.0 then Alcotest.failf "ring: %.2f words per process-tick (bound 3)" words
 
+(* Steady-state words per message sent, over runs of [ticks] and
+   [2 * ticks] ticks after [ticks] warm-up ticks, as [per_proc_tick]. *)
+let per_message ~ticks engine =
+  let run k = Engine.run engine ~until:(Engine.now engine + k) in
+  run ticks;
+  let measure k =
+    let sent = Engine.sent_total engine in
+    let words = Alloc_probe.words_of (fun () -> run k) in
+    (words, Engine.sent_total engine - sent)
+  in
+  let once, sent_once = measure ticks in
+  let twice, sent_twice = measure (2 * ticks) in
+  (twice -. once) /. float_of_int (sent_twice - sent_once)
+
+(* What one message costs the engine from send to receive: [send],
+   [slot_add], [turn_wheel], [deliver_packet], the watched counter's
+   [count_watched], the inbox's [Vec.add_last], [step_process] and
+   [route_from]. Each of 16 processes on a ring sends one constant
+   message to its successor on every step, so all that remains is the
+   packet, a 6-word block; a block built per packet or per step adds at
+   least 2 words more. The bound's tenth of a word is for the amortised
+   growth of wheel slots under random delays (6.003 under
+   [async_uniform]). *)
+let test_per_message () =
+  let n = 16 in
+  let is_unit = function Msg.Unit_msg -> true | _ -> false in
+  List.iter
+    (fun (name, adversary) ->
+      let engine = Engine.create ~seed:11L ~retain_trace:false ~n ~adversary () in
+      let received = ref 0 in
+      for pid = 0 to n - 1 do
+        let ctx = Engine.ctx engine pid in
+        let succ = (pid + 1) mod n in
+        let send =
+          Component.action "send"
+            ~guard:(fun () -> true)
+            ~body:(fun () -> ctx.Context.send ~dst:succ ~tag:"ring" Msg.Unit_msg)
+        in
+        Engine.register engine pid
+          (Component.make ~name:"ring" ~actions:[ send ]
+             ~on_receive:(fun ~src:_ _ -> incr received)
+             ())
+      done;
+      let pending = Engine.in_flight_counter engine ~tag:"ring" ~f:is_unit in
+      let words = per_message ~ticks:2000 engine in
+      if words > 6.1 then
+        Alcotest.failf "%s: %.3f words per message (bound: the 6-word packet)" name words;
+      Alcotest.(check int)
+        (name ^ ": every message sent is received or pending")
+        (Engine.sent_total engine) (!received + pending ());
+      Alcotest.(check int)
+        (name ^ ": the watched counter matches a scan")
+        (Engine.in_flight_scan engine ~tag:"ring" ~f:is_unit)
+        (pending ()))
+    [
+      ("synchronous", Adversary.synchronous ());
+      ("async_uniform", Adversary.async_uniform ());
+      ("dls", Adversary.dls ~delta:3 ~phi:2 ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Model-checker schedules: what one schedule pays before and around its
    run. The model checker creates an engine per schedule, so creation is
@@ -190,6 +250,7 @@ let () =
           Alcotest.test_case "component-free step allocates nothing" `Quick test_bare_engine;
           Alcotest.test_case "ring step under 3 words per process-tick" `Quick test_ring;
           Alcotest.test_case "n = 2 creation" `Quick test_engine_create;
+          Alcotest.test_case "a message costs its 6-word packet" `Quick test_per_message;
         ] );
       ( "mc",
         [

@@ -579,9 +579,9 @@ let test_graph_distance () =
 
    A chatty two-process exchange with a mid-run crash, digested over the
    CSV trace rendering. The pin is the behavioural contract the hot-path
-   allocation work (simlint D011) must preserve: removing per-tick
-   allocations from [Engine.step]/[step_process] may not change a single
-   PRNG draw, delivery order, or trace byte. *)
+   allocation work (counted in test_alloc.ml) must preserve: removing
+   per-tick allocations from [Engine.step]/[step_process] may not change a
+   single PRNG draw, delivery order, or trace byte. *)
 
 let test_engine_trace_digest_pinned () =
   let run () =

@@ -22,8 +22,6 @@ let fixtures_root =
   in
   find "." 7
 
-(* The fixtures' hot roots are their own annotations: the built-in D011
-   roots name engine modules the fixtures do not contain. *)
 let run_fixtures ?allowlist () =
   Driver.run ?allowlist ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
 
@@ -49,8 +47,8 @@ let test_every_rule_fires () =
   List.iter
     (fun rule -> check (rule ^ " fires on the corpus") true (List.mem rule rules))
     [
-      "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009"; "D010"; "D011";
-      "D012"; "D013"; "D014"; "D016"; "D017"; "D018";
+      "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009"; "D010"; "D012";
+      "D013"; "D014"; "D016"; "D017"; "D018";
     ];
   check "no parse failures in fixtures" false (List.mem "E000" rules)
 
@@ -194,129 +192,12 @@ let test_d009_suppressed_site () =
        result.Driver.findings)
 
 (* ------------------------------------------------------------------ *)
-(* D011-D013: hot-path allocation, domain escape, quadratic accumulation. *)
+(* D012-D013: domain escape, quadratic accumulation. *)
 
 let disposition result (rule, file, line) =
   List.find_map
     (fun ((f : Finding.t), s) -> if triple f = (rule, file, line) then Some (f, s) else None)
     result.Driver.findings
-
-let test_d011_hotpath_chain () =
-  let result = run_fixtures () in
-  Alcotest.(check (list (triple string string int)))
-    "allocation reached from the annotated root flagged; cold path clean"
-    [
-      ("D011", "fixtures/d011_dfs.ml", 8);
-      ("D011", "fixtures/d011_dfs.ml", 8);
-      ("D011", "fixtures/d011_hotpath.ml", 6);
-      ("D011", "fixtures/d011_localref.ml", 18);
-      ("D011", "fixtures/d011_localref.ml", 19);
-      ("D011", "fixtures/d011_localref.ml", 23);
-      ("D011", "fixtures/d011_localref.ml", 27);
-      ("D011", "fixtures/d011_localref.ml", 32);
-      ("D011", "fixtures/d011_localref.ml", 33);
-    ]
-    (List.sort compare (List.filter (fun (r, _, _) -> r = "D011") (opens result)));
-  let f, _ = Option.get (disposition result ("D011", "fixtures/d011_hotpath.ml", 6)) in
-  check "message carries the hot caller chain" true
-    (contains ~needle:"chain D011_hotpath.hot_tick -> D011_hotpath.build_pair" f.Finding.msg);
-  check "finding is sym-keyed on the chain endpoints" true
-    (f.Finding.sym = Some "D011_hotpath.hot_tick->D011_hotpath.build_pair:tuple");
-  check "justified amortised growth suppressed, not open" true
-    (match disposition result ("D011", "fixtures/d011_hotpath.ml", 10) with
-    | Some (_, s) -> s = Finding.Suppressed
-    | None -> false)
-
-(* A local ref read and written only through [!], [:=], [incr] and [decr]
-   is a mutable variable, not a heap block; captured, returned, passed or
-   stored, it is one. *)
-let test_d011_local_refs () =
-  let result = run_fixtures () in
-  let ref_lines =
-    List.filter_map
-      (fun ((f : Finding.t), _) ->
-        if
-          f.Finding.file = "fixtures/d011_localref.ml"
-          && contains ~needle:"call to allocator ref" f.Finding.msg
-        then Some f.Finding.line
-        else None)
-      result.Driver.findings
-  in
-  Alcotest.(check (list int))
-    "captured, returned, passed and stored refs flagged; the loop counters clean"
-    [ 18; 23; 27; 32 ] ref_lines;
-  check "the capturing closure is flagged too" true
-    (match disposition result ("D011", "fixtures/d011_localref.ml", 19) with
-    | Some (f, Finding.Open) -> contains ~needle:"closure capturing hits" f.Finding.msg
-    | _ -> false)
-
-(* A D011 root that applies names a function or the run fails: a root
-   naming nothing (as a renamed engine function leaves behind) would
-   silently check nothing. A built-in root applies only where its
-   module's file is scanned, so a tree without lib/ runs; it must resolve
-   on this tree's lib/. *)
-let test_d011_roots_resolve () =
-  Alcotest.check_raises "a --hotpath root naming no function is an error"
-    (Invalid_argument "hot-path root D011_hotpath.gone names no function in the scanned files")
-    (fun () ->
-      ignore
-        (Driver.run ~hotpath_roots:[ "D011_hotpath.gone" ] ~dirs:[ "fixtures" ] ~force_lib:true
-           ~root:fixtures_root ()));
-  (* What `simlint --root . bin` runs: the built-in roots, none of whose
-     modules is scanned. *)
-  let without_lib =
-    Driver.run ~only:[ "D011" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
-  in
-  check "a scan without the built-in roots' modules runs" true
-    (without_lib.Driver.files_scanned > 0);
-  (* An engine whose [step] is gone: the built-in root applies and fails. *)
-  let tree = Filename.temp_dir "simlint-roots" "" in
-  let engine = List.fold_left Filename.concat tree [ "lib"; "dsim"; "engine.ml" ] in
-  Sys.mkdir (Filename.concat tree "lib") 0o755;
-  Sys.mkdir (Filename.dirname engine) 0o755;
-  Out_channel.with_open_text engine (fun oc -> output_string oc "let tick () = ()\n");
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove engine;
-      Sys.rmdir (Filename.dirname engine);
-      Sys.rmdir (Filename.concat tree "lib");
-      Sys.rmdir tree)
-    (fun () ->
-      Alcotest.check_raises "a built-in root whose module is scanned must resolve"
-        (Invalid_argument "hot-path root Dsim.Engine.step names no function in the scanned files")
-        (fun () -> ignore (Driver.run ~dirs:[ "lib" ] ~root:tree ())));
-  let rec lib_root base = function
-    | 0 -> Alcotest.fail "lib/dsim/engine.ml not found from cwd"
-    | n ->
-        if Sys.file_exists (Filename.concat base "lib/dsim/engine.ml") then base
-        else lib_root (Filename.concat base "..") (n - 1)
-  in
-  let result = Driver.run ~only:[ "D011" ] ~dirs:[ "lib" ] ~root:(lib_root "." 7) () in
-  Alcotest.(check int) "the built-in roots resolve on lib/, with no open D011" 0
-    (List.length (Driver.open_findings result))
-
-(* The shape a model-checking explorer hot loop takes: a DFS driver
-   popping a worklist by pattern matching (allocation-free) but pushing
-   through a helper that conses. The cons must be attributed to the
-   annotated driver through the call chain; the unreached fold stays
-   clean. *)
-let test_d011_dfs_loop () =
-  let result = run_fixtures () in
-  (* [state :: stack] parses as the cons constructor applied to its argument
-     tuple, so the one push expression classifies as two sites. *)
-  Alcotest.(check (list int))
-    "only the frontier push is flagged; match-pop and unreached fold clean" [ 8; 8 ]
-    (rule_lines "D011" (in_file "d011_dfs.ml" result));
-  let cons =
-    List.find_map
-      (fun ((f : Finding.t), _) ->
-        if f.Finding.sym = Some "D011_dfs.check_states->D011_dfs.push_frontier:cons" then Some f
-        else None)
-      result.Driver.findings
-  in
-  let f = Option.get cons in
-  check "cons site carries the DFS driver chain" true
-    (contains ~needle:"chain D011_dfs.check_states -> D011_dfs.push_frontier" f.Finding.msg)
 
 let test_d012_escapes () =
   let result = run_fixtures () in
@@ -543,11 +424,11 @@ let test_sarif_shape () =
     List.filter
       (fun ((f : Finding.t), _) ->
         List.mem f.Finding.rule
-          [ "D009"; "D010"; "D011"; "D012"; "D013"; "D014"; "D016"; "D017"; "D018" ])
+          [ "D009"; "D010"; "D012"; "D013"; "D014"; "D016"; "D017"; "D018" ])
       result.Driver.findings
   in
   check "interprocedural rules present in the fixture run" true
-    (List.exists (fun ((f : Finding.t), _) -> f.Finding.rule = "D011") interprocedural);
+    (List.exists (fun ((f : Finding.t), _) -> f.Finding.rule = "D010") interprocedural);
   check "every interprocedural finding carries a sym" true
     (List.for_all (fun ((f : Finding.t), _) -> f.Finding.sym <> None) interprocedural);
   let driver = get (get run "tool") "driver" in
@@ -600,6 +481,37 @@ let test_suppress_parser () =
   check "does not cover other rules" false (Suppress.covers t ~rule:"D002" ~line:3);
   check "no marker, no suppression" true (Suppress.parse "(* allow D001 *)" = [])
 
+(* Every [simlint: allow] comment in the tree [make lint] scans names a
+   catalogued rule: an allow that outlives its rule silences nothing and
+   misleads its reader. The sources are test dependencies, materialised
+   one level above the test's working directory; from elsewhere the walk
+   up finds the source tree. *)
+let test_allows_name_rules () =
+  let rec tree_root base = function
+    | 0 -> Alcotest.fail "lib/dsim/engine.ml not found from cwd"
+    | n ->
+        if Sys.file_exists (Filename.concat base "lib/dsim/engine.ml") then base
+        else tree_root (Filename.concat base "..") (n - 1)
+  in
+  let root = tree_root "." 7 in
+  let allows =
+    List.concat_map
+      (fun dir ->
+        List.concat_map
+          (fun rel ->
+            List.map
+              (fun (line, rule) -> (rel, line, rule))
+              (Suppress.parse (Driver.read_file (Filename.concat root rel))))
+          (Driver.ml_files root dir))
+      Driver.default_dirs
+  in
+  check "the scanned tree has allow comments" true (allows <> []);
+  List.iter
+    (fun (rel, line, rule) ->
+      if not (List.mem_assoc rule Rules.catalog) then
+        Alcotest.failf "%s:%d allows %s, which is not a rule of the catalog" rel line rule)
+    allows
+
 let () =
   Alcotest.run "simlint"
     [
@@ -626,10 +538,6 @@ let () =
         ] );
       ( "hotpath",
         [
-          Alcotest.test_case "D011 hot-path allocation chain" `Quick test_d011_hotpath_chain;
-          Alcotest.test_case "D011 DFS worklist loop" `Quick test_d011_dfs_loop;
-          Alcotest.test_case "D011 local refs that never escape" `Quick test_d011_local_refs;
-          Alcotest.test_case "D011 roots must name functions" `Quick test_d011_roots_resolve;
           Alcotest.test_case "D012 domain escapes and RMW" `Quick test_d012_escapes;
           Alcotest.test_case "D013 quadratic accumulation" `Quick test_d013_quadratic;
           Alcotest.test_case "catalog fully covered by fixtures" `Quick test_catalog_coverage;
@@ -649,6 +557,8 @@ let () =
           Alcotest.test_case "suppression is per-site and per-rule" `Quick test_suppression_exact;
           Alcotest.test_case "clean file stays clean" `Quick test_clean_fixture;
           Alcotest.test_case "suppress comment parser" `Quick test_suppress_parser;
+          Alcotest.test_case "every allow names a catalogued rule" `Quick
+            test_allows_name_rules;
         ] );
       ( "report",
         [

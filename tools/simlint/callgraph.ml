@@ -342,10 +342,10 @@ let find_node t id = List.assoc_opt id t.nodes
 (* Iterate the top-level value bindings of one input with exactly the
    canonical ids [build] assigns its nodes (namespace prefix, nested-module
    scopes, the synthetic "(init)" for pattern-less bindings), without
-   touching a builder. The allocation ([Alloc]) and escape ([Escape])
-   analyses walk binding bodies through this, so a site they report always
-   names a node the call-graph passes know. *)
-let iter_bindings (inp : input) (f : id:string -> line:int -> is_rec:bool -> Parsetree.expression -> unit) =
+   touching a builder. The escape ([Escape]), message-flow ([Msgflow]) and
+   protocol ([Protocol]) passes walk binding bodies through this, so a site
+   they report always names a node the call-graph passes know. *)
+let iter_bindings (inp : input) (f : id:string -> is_rec:bool -> Parsetree.expression -> unit) =
   let root_scope = file_scope inp.rel in
   let rec walk_items scope items = List.iter (walk_item scope) items
   and walk_item scope (si : Parsetree.structure_item) =
@@ -353,15 +353,11 @@ let iter_bindings (inp : input) (f : id:string -> line:int -> is_rec:bool -> Par
     | Parsetree.Pstr_value (rf, vbs) ->
         List.iter
           (fun (vb : Parsetree.value_binding) ->
-            let line, _ = pos_of vb.Parsetree.pvb_loc in
             let name = Option.value ~default:"(init)" (pat_name vb.Parsetree.pvb_pat) in
-            f ~id:(dotted (scope @ [ name ])) ~line
-              ~is_rec:(rf = Asttypes.Recursive)
+            f ~id:(dotted (scope @ [ name ])) ~is_rec:(rf = Asttypes.Recursive)
               vb.Parsetree.pvb_expr)
           vbs
-    | Parsetree.Pstr_eval (e, _) ->
-        let line, _ = pos_of si.Parsetree.pstr_loc in
-        f ~id:(dotted (scope @ [ "(init)" ])) ~line ~is_rec:false e
+    | Parsetree.Pstr_eval (e, _) -> f ~id:(dotted (scope @ [ "(init)" ])) ~is_rec:false e
     | Parsetree.Pstr_module mb -> (
         let name = match mb.Parsetree.pmb_name.txt with Some n -> n | None -> "_" in
         match mb.Parsetree.pmb_expr.Parsetree.pmod_desc with
@@ -386,3 +382,71 @@ let iter_bindings (inp : input) (f : id:string -> line:int -> is_rec:bool -> Par
     | _ -> ()
   in
   walk_items root_scope inp.str
+
+module SS = Set.Make (String)
+
+(* The variables a pattern binds. *)
+let pat_vars (p : Parsetree.pattern) : SS.t =
+  let acc = ref SS.empty in
+  let pat it (p : Parsetree.pattern) =
+    (match p.Parsetree.ppat_desc with
+    | Parsetree.Ppat_var { txt; _ } -> acc := SS.add txt !acc
+    | Parsetree.Ppat_alias (_, { txt; _ }) -> acc := SS.add txt !acc
+    | _ -> ());
+    Ast_iterator.default_iterator.Ast_iterator.pat it p
+  in
+  let it = { Ast_iterator.default_iterator with pat } in
+  it.Ast_iterator.pat it p;
+  !acc
+
+(* Unqualified identifiers of [e0] not bound within it. Module-qualified
+   paths are globals and never captures. Scoping is handled for the forms
+   that bind ([fun], [let], cases, [for]); everything else falls through
+   to the default traversal. *)
+let free_vars (e0 : Parsetree.expression) : SS.t =
+  let free = ref SS.empty in
+  let bound = ref SS.empty in
+  let scoped extra k =
+    let saved = !bound in
+    bound := SS.union saved extra;
+    k ();
+    bound := saved
+  in
+  let rec it =
+    {
+      Ast_iterator.default_iterator with
+      Ast_iterator.expr = (fun _ e -> expr e);
+      case = (fun _ c -> case c);
+      pat = (fun _ _ -> ());
+    }
+  and expr (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt = Longident.Lident x; _ } ->
+        if not (SS.mem x !bound) then free := SS.add x !free
+    | Parsetree.Pexp_fun (_, dflt, pat, body) ->
+        Option.iter expr dflt;
+        scoped (pat_vars pat) (fun () -> expr body)
+    | Parsetree.Pexp_let (rf, vbs, body) ->
+        let names =
+          List.fold_left
+            (fun s (vb : Parsetree.value_binding) -> SS.union s (pat_vars vb.Parsetree.pvb_pat))
+            SS.empty vbs
+        in
+        (if rf = Asttypes.Recursive then
+           scoped names (fun () ->
+               List.iter (fun (vb : Parsetree.value_binding) -> expr vb.Parsetree.pvb_expr) vbs)
+         else
+           List.iter (fun (vb : Parsetree.value_binding) -> expr vb.Parsetree.pvb_expr) vbs);
+        scoped names (fun () -> expr body)
+    | Parsetree.Pexp_for (pat, lo, hi, _, body) ->
+        expr lo;
+        expr hi;
+        scoped (pat_vars pat) (fun () -> expr body)
+    | _ -> Ast_iterator.default_iterator.Ast_iterator.expr it e
+  and case (c : Parsetree.case) =
+    scoped (pat_vars c.Parsetree.pc_lhs) (fun () ->
+        Option.iter expr c.Parsetree.pc_guard;
+        expr c.Parsetree.pc_rhs)
+  in
+  expr e0;
+  !free

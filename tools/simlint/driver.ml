@@ -21,23 +21,6 @@ let default_dirs = [ "lib"; "bin"; "bench"; "stress" ]
    do not inherit nondeterminism from it. *)
 let wallclock_allowlist = [ "lib/obs/instrument.ml" ]
 
-(* D011 hot roots that hold even if an annotation comment drifts: the
-   engine's step dispatch and its per-tick delivery path, the wheel turn
-   and the per-packet delivery. In-source [(* simlint: hotpath *)]
-   annotations extend this set; [--hotpath ID] on the CLI extends it
-   further. A built-in root applies when its module's file is among the
-   scanned files, so a scan of bin/ alone has none. A root that applies,
-   built-in or from the CLI, must name a function of the scanned files, or
-   the run fails: a root that names nothing would silently check
-   nothing. *)
-let builtin_hotpath_roots =
-  [
-    "Dsim.Engine.step";
-    "Dsim.Engine.turn_wheel";
-    "Dsim.Engine.deliver_packet";
-    "Dsim.Vec.add_last";
-  ]
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -70,7 +53,6 @@ type parsed = {
   lib : bool;
   wallclock_ok : bool;
   suppressions : Suppress.t;
-  hot_lines : int list;  (** lines carrying a [(* simlint: hotpath *)] annotation *)
   str : (Parsetree.structure, exn) Result.t;
 }
 
@@ -81,7 +63,6 @@ let parse_one ~allowlist ~force_lib ~root rel =
     lib = force_lib || is_lib rel;
     wallclock_ok = List.mem rel allowlist;
     suppressions = Suppress.parse text;
-    hot_lines = Suppress.hotpaths text;
     str = (try Ok (parse_structure ~path:rel text) with e -> Error e);
   }
 
@@ -115,37 +96,27 @@ let lint_file ?(force_lib = false) ~root ~rel () =
   let p = parse_one ~allowlist:wallclock_allowlist ~force_lib ~root rel in
   (file_findings ~root p, p.suppressions)
 
-let run ?(dirs = default_dirs) ?(force_lib = false)
-    ?(allowlist = wallclock_allowlist) ?(hotpath_roots = []) ?(only = []) ~root () =
+let run ?(dirs = default_dirs) ?(force_lib = false) ?(allowlist = wallclock_allowlist)
+    ?(only = []) ~root () =
   let files =
     dirs
     |> List.concat_map (fun d ->
            if Sys.file_exists (Filename.concat root d) then ml_files root d else [])
   in
   let parsed = List.map (parse_one ~allowlist ~force_lib ~root) files in
-  let scanned = List.map (fun rel -> Callgraph.dotted (Callgraph.file_scope rel) ^ ".") files in
-  let applies r = List.exists (fun prefix -> Rules.starts_with ~prefix r) scanned in
-  let hotpath_roots = List.filter applies builtin_hotpath_roots @ hotpath_roots in
   let per_file = List.concat_map (fun p -> file_findings ~root p) parsed in
   let interprocedural =
-    let ok =
+    let inputs =
       List.filter_map
         (fun p ->
           match p.str with
           | Ok str ->
-              Some
-                ( { Callgraph.rel = p.rel; lib = p.lib; wallclock_ok = p.wallclock_ok; str },
-                  p.hot_lines )
+              Some { Callgraph.rel = p.rel; lib = p.lib; wallclock_ok = p.wallclock_ok; str }
           | Error _ -> None)
         parsed
     in
-    let inputs = List.map fst ok in
     let g = Callgraph.build inputs in
-    Taint.findings g @ Taint.shared_state_findings g
-    @ Alloc.findings
-        (List.map (fun (input, hot_lines) -> { Alloc.input; hot_lines }) ok)
-        g ~roots:hotpath_roots
-    @ Escape.findings inputs
+    Taint.findings g @ Taint.shared_state_findings g @ Escape.findings inputs
     (* The protocol-conformance passes (D014–D018) deliberately run over
        ALL scanned inputs — bin/bench/stress construct Msg.t values too —
        unlike the lib-scoped hygiene rules D004–D008. *)

@@ -139,7 +139,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
   in
   let walk_input (inp : Callgraph.input) =
     let rel = inp.Callgraph.rel in
-    Callgraph.iter_bindings inp (fun ~id ~line:_ ~is_rec body ->
+    Callgraph.iter_bindings inp (fun ~id ~is_rec body ->
         (* Tracked locals: name -> origin; scoping by save/restore. *)
         let env : (string, origin) Hashtbl.t = Hashtbl.create 16 in
         (* Names of enclosing [let rec] functions whose loop body the walk
@@ -192,7 +192,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                                     collect per-index results instead"
                                    p v h)
                           | _ -> ())
-                        (Alloc.free_vars a)
+                        (Callgraph.free_vars a)
                   | _ -> ())
                 args
           | _ -> ()

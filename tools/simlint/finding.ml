@@ -17,10 +17,11 @@ type t = {
   msg : string;
   severity : severity;
   sym : string option;
-      (** Stable symbol-chain key for interprocedural findings (D009–D018):
-          the chain's endpoints, e.g. "Dsim.Engine.step->Dsim.Trace.append:
-          record". Line numbers drift under unrelated edits; the endpoints
-          only change when the code the finding is about changes, so SARIF
+      (** Stable symbol-chain key for interprocedural findings (D009, D010,
+          D012–D014, D016–D018): the chain's endpoints, e.g.
+          "Clock_user.tag->Allowed_clock.stamp:Unix.gettimeofday". Line
+          numbers drift under unrelated edits; the endpoints only change
+          when the code the finding is about changes, so SARIF
           fingerprints a finding by [sym] when present. *)
 }
 
@@ -34,7 +35,7 @@ let severity_of_rule = function
   | "D001" | "D002" | "D003" | "D009" | "D010" | "D012" | "D014" | "D016" | "D017" | "D018"
   | "E000" ->
       Error
-  | "D004" | "D006" | "D007" | "D008" | "D011" | "D013" -> Warning
+  | "D004" | "D006" | "D007" | "D008" | "D013" -> Warning
   | _ -> Note
 
 let make ~rule ~file ~line ~col ~msg =

@@ -1,7 +1,7 @@
 (* simlint — determinism & simulation-hygiene linter.
 
-   Usage: simlint [--root DIR] [--sarif FILE] [--force-lib] [--hotpath ID]
-                  [--only RULES] [DIR ...]
+   Usage: simlint [--root DIR] [--sarif FILE] [--force-lib] [--only RULES]
+                  [DIR ...]
 
    Scans lib/ bin/ bench/ stress/ under the root by default. A finding is
    silenced only by an in-source [(* simlint: allow Dxxx — reason *)]
@@ -15,7 +15,6 @@ let () =
   let root = ref "." in
   let sarif_path = ref "" in
   let force_lib = ref false in
-  let hotpaths = ref [] in
   let only = ref [] in
   let dirs = ref [] in
   let spec =
@@ -25,9 +24,6 @@ let () =
       ( "--force-lib",
         Arg.Set force_lib,
         " apply lib-only rules (D004/D005/D006/D007/D008) to every scanned file" );
-      ( "--hotpath",
-        Arg.String (fun id -> hotpaths := id :: !hotpaths),
-        "ID extra D011 hot root (dotted node id, e.g. Dsim.Engine.step); repeatable" );
       ( "--only",
         Arg.String
           (fun s ->
@@ -44,9 +40,7 @@ let () =
   let dirs = if !dirs = [] then Driver.default_dirs else List.rev !dirs in
   let result =
     try
-      Driver.run ~dirs ~force_lib:!force_lib
-        ~hotpath_roots:(List.rev !hotpaths)
-        ~only:!only ~root:!root ()
+      Driver.run ~dirs ~force_lib:!force_lib ~only:!only ~root:!root ()
     with e ->
       Printf.eprintf "simlint: %s\n" (Printexc.to_string e);
       exit 2

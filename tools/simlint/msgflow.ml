@@ -87,7 +87,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
   let handled = ref SS.empty in
   let constructions : (string, construction) Hashtbl.t = Hashtbl.create 32 in
   let walk_input (inp : Callgraph.input) =
-    Callgraph.iter_bindings inp (fun ~id ~line:_ ~is_rec:_ body ->
+    Callgraph.iter_bindings inp (fun ~id ~is_rec:_ body ->
         let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
           (match e.Parsetree.pexp_desc with
           | Parsetree.Pexp_construct ({ txt; loc }, _) -> (

@@ -93,7 +93,7 @@ let findings ?(legal = default_legal) (inputs : Callgraph.input list) : Finding.
   in
   let walk_input (inp : Callgraph.input) =
     let rel = inp.Callgraph.rel in
-    Callgraph.iter_bindings inp (fun ~id ~line:_ ~is_rec:_ body ->
+    Callgraph.iter_bindings inp (fun ~id ~is_rec:_ body ->
         (* ---------------- D016: phase-transition legality ---------------- *)
         (* Local helpers whose body mentions exactly one phase literal act
            as phase tests when referenced ([let hungry () = ... Hungry]).
@@ -405,7 +405,7 @@ let findings ?(legal = default_legal) (inputs : Callgraph.input list) : Finding.
                                     and the draw order depends on scheduling; derive a \
                                     per-worker PRNG via Prng.derive root_seed ~index"
                                    p v))
-                            (SS.inter (Alloc.free_vars a) !prng_locals)
+                            (SS.inter (Callgraph.free_vars a) !prng_locals)
                       | _ -> ())
                     args
               | _ -> ())

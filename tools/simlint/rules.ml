@@ -80,7 +80,6 @@ let catalog =
     ("D008", "module-level mutable state in lib code");
     ("D009", "parallel worker dispatch reaches shared mutable state");
     ("D010", "result depends on a nondeterminism source in another file");
-    ("D011", "allocation reachable from an annotated hot-path function");
     ("D012", "mutable state escapes into a parallel worker closure");
     ("D013", "quadratic accumulation inside a recursive loop");
     ("D014", "protocol message constructed but never handled");

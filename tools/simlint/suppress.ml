@@ -77,31 +77,3 @@ let parse text : t =
 (* A suppression on line L covers findings on L and L+1. *)
 let covers (t : t) ~rule ~line =
   List.exists (fun (l, r) -> r = rule && (l = line || l = line - 1)) t
-
-(* Hot-path annotations.
-
-   A comment [(* simlint: hotpath *)] on the line immediately before a
-   top-level binding (or on the binding's own first line) marks it as a
-   root of the D011 allocation analysis: no expression reachable from it
-   through the call graph may allocate. Parsed from the raw text for the
-   same reason suppressions are — the compiler drops comments. *)
-
-let hotpaths text : int list =
-  let lines = String.split_on_char '\n' text in
-  List.concat
-    (List.mapi
-       (fun i line ->
-         match find_marker line with
-         | None -> []
-         | Some at -> (
-             let rest =
-               String.sub line (at + String.length marker)
-                 (String.length line - at - String.length marker)
-             in
-             match words rest with "hotpath" :: _ -> [ i + 1 ] | _ -> []))
-       lines)
-
-(* An annotation on line L marks a binding whose definition starts on L or
-   L+1 (mirror of [covers]). *)
-let marks_hot (annotations : int list) ~line =
-  List.exists (fun l -> l = line || l = line - 1) annotations

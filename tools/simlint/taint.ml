@@ -57,27 +57,6 @@ let propagate_from (g : Callgraph.t) (seeds : (string * chain) list) : (string, 
   done;
   tainted
 
-(* Callee-ward fixpoint (forward over call edges), for analyses that ask
-   "what does this root reach" rather than "who reaches this seed" — the
-   same BFS run over the graph with every edge flipped. The allocation
-   analysis ([Alloc], rule D011) seeds this with the hot-path roots; a
-   reached node's trail is [node .. root], so reversing it yields the
-   human-facing "hot caller -> ... -> allocating callee" chain. *)
-let propagate_forward (g : Callgraph.t) (seeds : (string * chain) list) :
-    (string, chain) Hashtbl.t =
-  let flipped =
-    {
-      g with
-      Callgraph.edges =
-        List.sort compare
-          (List.map
-             (fun (e : Callgraph.edge) ->
-               { e with Callgraph.caller = e.Callgraph.callee; callee = e.Callgraph.caller })
-             g.Callgraph.edges);
-    }
-  in
-  propagate_from flipped seeds
-
 let propagate (g : Callgraph.t) : (string, chain) Hashtbl.t =
   propagate_from g
     (List.map
