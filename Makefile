@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is the pre-merge gate: format
 # (when ocamlformat is installed), build, full test suite, the simlint
-# determinism gate, and a 10k-tick end-to-end smoke of the extraction
-# that fails on any failed ◇P property or Lemma check and checks that its
-# run report is written and parses.
+# determinism gate, and 10k-tick end-to-end smokes of the extraction: over
+# the wf box, failing on any failed ◇P property or Lemma check and
+# checking that its run report is written and parses, and over the ftme
+# box with a crash, failing on any failed completeness, accuracy or
+# trusting-accuracy check.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -44,6 +46,7 @@ lint: build
 smoke: build
 	dune exec bin/dinersim.exe -- extract --horizon 10000 --lemmas --report /tmp/dinersim-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke.json
+	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000
 
 # Bounded schedule-fuzzing campaign over the real algorithms (fixed root
 # seed, so the exact same configs every time; -j only changes wall-clock,

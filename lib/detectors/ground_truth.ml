@@ -7,13 +7,14 @@ type peer_obs = {
   peer : Types.pid;
   mutable dead_since : Types.time option;
   mutable suspected : bool;
+  mutable answered : bool; (* in the set the last query returned *)
 }
 
 let make_polling (ctx : Context.t) ~detector_name ~comp_name ~peers ~should_suspect =
   let self = ctx.Context.self in
   let states =
     List.map
-      (fun peer -> { peer; dead_since = None; suspected = false })
+      (fun peer -> { peer; dead_since = None; suspected = false; answered = false })
       (List.filter (fun q -> q <> self) peers)
   in
   let observe st =
@@ -38,18 +39,30 @@ let make_polling (ctx : Context.t) ~detector_name ~comp_name ~peers ~should_susp
           states)
   in
   let comp = Component.make ~name:comp_name ~actions:[ poll ] () in
-  let suspects () =
-    (* Queries reflect the oracle's latest observation even between steps. *)
-    List.fold_left
-      (fun acc st ->
-        if
+  (* Queries reflect the oracle's latest observation even between steps.
+     [refresh] marks each peer's answer and tells whether any changed, so
+     a query that finds the last one's suspects returns that set. *)
+  let rec refresh changed = function
+    | [] -> changed
+    | st :: rest ->
+        let suspected =
           st.suspected
           ||
           (observe st;
            should_suspect ~now:(ctx.Context.now ()) ~dead_since:st.dead_since)
-        then Types.Pidset.add st.peer acc
-        else acc)
-      Types.Pidset.empty states
+        in
+        let changed = changed || suspected <> st.answered in
+        st.answered <- suspected;
+        refresh changed rest
+  in
+  let last = ref Types.Pidset.empty in
+  let suspects () =
+    if refresh false states then
+      last :=
+        List.fold_left
+          (fun acc st -> if st.answered then Types.Pidset.add st.peer acc else acc)
+          Types.Pidset.empty states;
+    !last
   in
   (comp, Oracle.make ~name:detector_name ~owner:self ~suspects)
 

@@ -5,12 +5,13 @@ type Msg.t += Fl_fork | Fl_request of int
 type edge_state = {
   peer : Types.pid;
   mutable has_fork : bool;
-  mutable peer_req : int; (* pending request timestamp from peer, or [no_request] *)
+  mutable peer_req : int; (* pending request timestamp from peer, or [no_ts] *)
   mutable next_ask : Types.time;
 }
 
-(* Session timestamps start at 1, so 0 is never a pending request's. *)
-let no_request = 0
+(* Session timestamps start at 1, so 0 is neither a pending request's nor
+   a current session's. *)
+let no_ts = 0
 
 (* The edge to [src], found without building a closure or an option per
    received message. *)
@@ -25,33 +26,32 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let edges =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
-           { peer; has_fork = self > peer; peer_req = no_request; next_ask = 0 })
+           { peer; has_fork = self > peer; peer_req = no_ts; next_ask = 0 })
   in
   let suspected q = Types.Pidset.mem q (suspects ()) in
   let eating () = Types.phase_equal (phase ()) Types.Eating in
   let hungry () = Types.phase_equal (phase ()) Types.Hungry in
   let clock = ref 0 in
-  let session = ref None in
+  let session = ref no_ts in
   let stamp_session =
     Component.action "fl-stamp"
-      ~guard:(fun () -> hungry () && Option.is_none !session)
+      ~guard:(fun () -> hungry () && !session = no_ts)
       ~body:(fun () ->
         incr clock;
-        session := Some !clock)
+        session := !clock)
   in
   let needs_request (e : edge_state) =
     (not e.has_fork) && ctx.Context.now () >= e.next_ask
   in
   let request_fork e =
-    match !session with
-    | Some ts when needs_request e ->
-        e.next_ask <- ctx.Context.now () + 32;
-        ctx.Context.send ~dst:e.peer ~tag:instance (Fl_request ts)
-    | Some _ | None -> ()
+    if !session <> no_ts && needs_request e then begin
+      e.next_ask <- ctx.Context.now () + 32;
+      ctx.Context.send ~dst:e.peer ~tag:instance (Fl_request !session)
+    end
   in
   let request_forks =
     Component.action "fl-request"
-      ~guard:(fun () -> hungry () && Option.is_some !session && List.exists needs_request edges)
+      ~guard:(fun () -> hungry () && !session <> no_ts && List.exists needs_request edges)
       ~body:(fun () -> List.iter request_fork edges)
   in
   (* Doomed: waiting on a fork whose holder we currently suspect. A doomed
@@ -59,19 +59,17 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let held_by_suspect (e : edge_state) = (not e.has_fork) && suspected e.peer in
   let doomed () = hungry () && List.exists held_by_suspect edges in
   let i_have_priority_over req_ts peer =
-    match !session with
-    | Some my_ts when hungry () && not (doomed ()) -> Spec.precedes my_ts self req_ts peer
-    | Some _ | None -> false
+    !session <> no_ts && hungry () && (not (doomed ())) && Spec.precedes !session self req_ts peer
   in
   let owed (e : edge_state) =
     e.has_fork && (not (eating ()))
-    && e.peer_req <> no_request
+    && e.peer_req <> no_ts
     && not (i_have_priority_over e.peer_req e.peer)
   in
   let yield_fork e =
     if owed e then begin
       e.has_fork <- false;
-      e.peer_req <- no_request;
+      e.peer_req <- no_ts;
       e.next_ask <- 0;
       ctx.Context.send ~dst:e.peer ~tag:instance Fl_fork
     end
@@ -86,7 +84,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let eat =
     Component.action "fl-eat"
       ~guard:(fun () ->
-        hungry () && Option.is_some !session
+        hungry () && !session <> no_ts
         && List.for_all (fun (e : edge_state) -> e.has_fork) edges)
       ~body:(fun () -> Spec.Cell.set cell Types.Eating)
   in
@@ -94,7 +92,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
     Component.action "fl-exit"
       ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
       ~body:(fun () ->
-        session := None;
+        session := no_ts;
         List.iter (fun (e : edge_state) -> e.next_ask <- 0) edges;
         Spec.Cell.set cell Types.Thinking)
   in

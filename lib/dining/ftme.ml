@@ -15,6 +15,10 @@ type Msg.t +=
   | Fx_recover of int (* new server's epoch *)
   | Fx_status of { in_cs : grant_id option; waiting : bool }
 
+(* Whether [q] is queued at or after index [i]. *)
+let rec queued (q : Types.pid) queue i =
+  i < Vec.length queue && (Vec.get queue i = q || queued q queue (i + 1))
+
 let component (ctx : Context.t) ~instance ~members ~suspects () =
   let members = List.sort_uniq compare members in
   (match members with
@@ -52,26 +56,22 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
   let released : (grant_id, unit) Hashtbl.t = Hashtbl.create 32 in
   let serial = ref 0 in
   let note label info = ctx.Context.log (Trace.Note { pid = self; label; info }) in
-  let in_queue q =
-    let found = ref false in
-    Vec.iter (fun x -> if x = q then found := true) queue;
-    !found
-  in
   (* Dedup only against the queue itself. A request from the *currently
      granted* process must still be enqueued: on non-FIFO channels a
      client's next request can overtake its release broadcast, and clients
      do not resend while their believed server is unchanged. *)
   let enqueue q =
-    if not (in_queue q) then begin
+    if not (queued q queue 0) then begin
       note "fx-enq" (string_of_int q);
       Vec.add_last queue q
     end
   in
   let dequeue () =
     let head = Vec.get queue 0 in
-    let rest = List.tl (Vec.to_list queue) in
-    Vec.clear queue;
-    List.iter (Vec.add_last queue) rest;
+    for k = 1 to Vec.length queue - 1 do
+      Vec.set queue (k - 1) (Vec.get queue k)
+    done;
+    Vec.remove_last queue;
     head
   in
   let i_am_server () = believed_server () = self in

@@ -35,19 +35,52 @@ module Cell = struct
     instance : string;
     mutable cur : Types.phase;
     mutable callback : Types.phase -> Types.phase -> unit;
+    mutable entered : Trace.event array;
+        (* The last [Transition] logged into each phase, reused while the
+           phase is entered from the same one: a phase change then costs
+           the trace only its entry. The array and each event are built on
+           first use, so a deployment that runs a few ticks (the model
+           checker's) builds nothing at creation and no event it does not
+           log. *)
   }
 
-  let create ctx ~instance = { ctx; instance; cur = Types.Thinking; callback = (fun _ _ -> ()) }
+  let unused = Trace.Crash { pid = -1 }
+
+  let create ctx ~instance =
+    {
+      ctx;
+      instance;
+      cur = Types.Thinking;
+      callback = (fun _ _ -> ());
+      entered = [||];
+    }
 
   let phase t = t.cur
+
+  let slot = function
+    | Types.Thinking -> 0
+    | Types.Hungry -> 1
+    | Types.Eating -> 2
+    | Types.Exiting -> 3
+
+  let transition t prev next =
+    if Array.length t.entered = 0 then t.entered <- [| unused; unused; unused; unused |];
+    let k = slot next in
+    match t.entered.(k) with
+    | Trace.Transition { from_; _ } as ev when Types.phase_equal from_ prev -> ev
+    | _ ->
+        let ev =
+          Trace.Transition
+            { instance = t.instance; pid = t.ctx.Context.self; from_ = prev; to_ = next }
+        in
+        t.entered.(k) <- ev;
+        ev
 
   let set t next =
     let prev = t.cur in
     if not (Types.phase_equal prev next) then begin
       t.cur <- next;
-      t.ctx.Context.log
-        (Trace.Transition
-           { instance = t.instance; pid = t.ctx.Context.self; from_ = prev; to_ = next });
+      t.ctx.Context.log (transition t prev next);
       t.callback prev next
     end
 

@@ -9,12 +9,13 @@ type Msg.t += Fork | Request of int (* requester's session timestamp *)
 type edge_state = {
   peer : Types.pid;
   mutable has_fork : bool;
-  mutable peer_req : int; (* pending request timestamp from peer, or [no_request] *)
+  mutable peer_req : int; (* pending request timestamp from peer, or [no_ts] *)
   mutable next_ask : Types.time; (* earliest time of the next (re-)request *)
 }
 
-(* Session timestamps start at 1, so 0 is never a pending request's. *)
-let no_request = 0
+(* Session timestamps start at 1, so 0 is neither a pending request's nor
+   a current session's. *)
+let no_ts = 0
 
 (* The edge to [src]. A named recursion builds neither a predicate closure
    nor an option per received message. *)
@@ -25,7 +26,6 @@ let rec edge_to src = function
 type debug = {
   has_fork : Types.pid -> bool;
   peer_requesting : Types.pid -> bool;
-  session_ts : unit -> int option;
   eating_virtually : unit -> bool;
 }
 
@@ -37,7 +37,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
            (* The fork starts at the higher-id endpoint. *)
-           { peer; has_fork = self > peer; peer_req = no_request; next_ask = 0 })
+           { peer; has_fork = self > peer; peer_req = no_ts; next_ask = 0 })
   in
   let suspected q = config.suspicion_override && Types.Pidset.mem q (suspects ()) in
   let eating () = Types.phase_equal (phase ()) Types.Eating in
@@ -48,13 +48,13 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
      starvation-free among live diners, no persistent precedence state to
      corrupt. *)
   let clock = ref 0 in
-  let session = ref None in
+  let session = ref no_ts in
   let stamp_session =
     Component.action "din-stamp"
-      ~guard:(fun () -> hungry () && Option.is_none !session)
+      ~guard:(fun () -> hungry () && !session = no_ts)
       ~body:(fun () ->
         incr clock;
-        session := Some !clock)
+        session := !clock)
   in
   (* Requests are retried while the fork is missing: sessions and yields
      race on non-FIFO channels, so a request recorded at a holder can be
@@ -66,33 +66,30 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
     (not e.has_fork) && ctx.Context.now () >= e.next_ask && not (suspected e.peer)
   in
   let request_fork e =
-    match !session with
-    | Some ts when needs_request e ->
-        e.next_ask <- ctx.Context.now () + 32;
-        ctx.Context.send ~dst:e.peer ~tag:instance (Request ts)
-    | Some _ | None -> ()
+    if !session <> no_ts && needs_request e then begin
+      e.next_ask <- ctx.Context.now () + 32;
+      ctx.Context.send ~dst:e.peer ~tag:instance (Request !session)
+    end
   in
   let request_forks =
     Component.action "din-request"
-      ~guard:(fun () -> hungry () && Option.is_some !session && List.exists needs_request edges)
+      ~guard:(fun () -> hungry () && !session <> no_ts && List.exists needs_request edges)
       ~body:(fun () -> List.iter request_fork edges)
   in
   (* Yield rule: a requested fork is surrendered unless we are eating with
      it or we are hungry with strictly higher priority. *)
   let i_have_priority_over req_ts peer =
-    match !session with
-    | Some my_ts when hungry () -> Spec.precedes my_ts self req_ts peer
-    | Some _ | None -> false
+    !session <> no_ts && hungry () && Spec.precedes !session self req_ts peer
   in
   let owed (e : edge_state) =
     e.has_fork && (not (eating ()))
-    && e.peer_req <> no_request
+    && e.peer_req <> no_ts
     && not (i_have_priority_over e.peer_req e.peer)
   in
   let yield_fork e =
     if owed e then begin
       e.has_fork <- false;
-      e.peer_req <- no_request;
+      e.peer_req <- no_ts;
       e.next_ask <- 0;
       ctx.Context.send ~dst:e.peer ~tag:instance Fork
     end
@@ -106,7 +103,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
   let covered (e : edge_state) = e.has_fork || suspected e.peer in
   let eat =
     Component.action "din-eat"
-      ~guard:(fun () -> hungry () && Option.is_some !session && List.for_all covered edges)
+      ~guard:(fun () -> hungry () && !session <> no_ts && List.for_all covered edges)
       ~body:(fun () ->
         virtual_eat := List.exists (fun (e : edge_state) -> not e.has_fork) edges;
         Spec.Cell.set cell Types.Eating)
@@ -116,7 +113,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
       ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
       ~body:(fun () ->
         virtual_eat := false;
-        session := None;
+        session := no_ts;
         List.iter (fun (e : edge_state) -> e.next_ask <- 0) edges;
         Spec.Cell.set cell Types.Thinking)
   in
@@ -144,8 +141,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
   let debug =
     {
       has_fork = (fun q -> (find q).has_fork);
-      peer_requesting = (fun q -> (find q).peer_req <> no_request);
-      session_ts = (fun () -> !session);
+      peer_requesting = (fun q -> (find q).peer_req <> no_ts);
       eating_virtually = (fun () -> !virtual_eat && eating ());
     }
   in

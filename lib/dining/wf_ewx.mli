@@ -47,8 +47,6 @@ type debug = {
   has_fork : Dsim.Types.pid -> bool;
   peer_requesting : Dsim.Types.pid -> bool;
       (** A request from that neighbor is pending here. *)
-  session_ts : unit -> int option;
-      (** Timestamp of the current hungry session, if any. *)
   eating_virtually : unit -> bool;
       (** True while eating with at least one fork replaced by suspicion. *)
 }

@@ -18,9 +18,13 @@ module Acc = struct
 
   let create () = { items = []; count = 0 }
 
-  let add t msg =
+  (* Counts one violation and tells whether its message is kept, so that
+     a broken run formats only the messages it reports. *)
+  let count t =
     t.count <- t.count + 1;
-    if t.count <= 10 then t.items <- t.items @ [ msg ]
+    t.count <= 10
+
+  let keep t msg = t.items <- t.items @ [ msg ]
 
   let violations t =
     if t.count > 10 then t.items @ [ Printf.sprintf "... (%d total)" t.count ] else t.items
@@ -77,18 +81,19 @@ let install_online ~engine ~pair =
           let eating = Types.phase_equal (s_phase i) Types.Eating in
           let ping = pair.Pair.subject_threads.Subject.ping_flag i in
           (* Lemma 2 *)
-          if (not eating) && not ping then
-            Acc.add o.l2 (Printf.sprintf "t=%d: s_%d not eating but ping_%d=false" now i i);
+          if (not eating) && (not ping) && Acc.count o.l2 then
+            Acc.keep o.l2 (Printf.sprintf "t=%d: s_%d not eating but ping_%d=false" now i i);
           (* Lemma 4 *)
           if
             Types.phase_equal (s_phase i) Types.Hungry
             && pair.Pair.subject_threads.Subject.trigger () <> i
-          then Acc.add o.l4 (Printf.sprintf "t=%d: s_%d hungry but trigger<>%d" now i i);
+            && Acc.count o.l4
+          then Acc.keep o.l4 (Printf.sprintf "t=%d: s_%d hungry but trigger<>%d" now i i);
           (* Lemma 3: no ping_i/ack_i in transit when (not eating) /\ ping_i *)
           if (not eating) && ping && watcher_live () then begin
             let pings = pings.(i) () and acks = acks.(i) () in
-            if pings + acks > 0 then
-              Acc.add o.l3
+            if pings + acks > 0 && Acc.count o.l3 then
+              Acc.keep o.l3
                 (Printf.sprintf "t=%d: %d ping(s), %d ack(s) in transit on idle channel %d" now
                    pings acks i)
           end
@@ -109,7 +114,8 @@ let install_online ~engine ~pair =
         && not
              (Types.phase_equal (w_phase 0) Types.Thinking
              || Types.phase_equal (w_phase 1) Types.Thinking)
-      then Acc.add o.l9 (Printf.sprintf "t=%d: no witness thinking" now));
+        && Acc.count o.l9
+      then Acc.keep o.l9 (Printf.sprintf "t=%d: no witness thinking" now));
   o
 
 let online_reports o =
@@ -147,7 +153,7 @@ let online_reports o =
    [2 * i + 1] its acks. One pass counts them and a second fills the
    arrays. *)
 let subject_notes trace (pair : Pair.t) =
-  let tags = Array.init 2 (fun i -> Printf.sprintf "%s:%d" pair.Pair.subject_tag i) in
+  let tags = pair.Pair.subject_threads.Subject.note_info in
   let slot (e : Trace.entry) =
     match e.ev with
     | Trace.Note n when n.pid = pair.Pair.subject ->
@@ -184,14 +190,14 @@ type sweep = { times : int array; mutable passed : int }
 
 let sweep times = { times; passed = 0 }
 
-let skip_while c keep =
-  while c.passed < Array.length c.times && keep c.times.(c.passed) do
+let before c x =
+  while c.passed < Array.length c.times && c.times.(c.passed) < x do
     c.passed <- c.passed + 1
   done;
   c.passed
 
-let before c x = skip_while c (fun t -> t < x)
-let through c x = skip_while c (fun t -> t <= x)
+(* Times are ints, so [t <= x] is [t < x + 1]. *)
+let through c x = before c (x + 1)
 
 let trace_reports_on ~indexes:ix ~engine ~pair =
   let trace = Engine.trace engine in

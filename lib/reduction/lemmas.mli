@@ -33,8 +33,9 @@ type online
 
 val install_online : engine:Dsim.Engine.t -> pair:Pair.t -> online
 (** Hook the per-tick state-invariant checks (Lemmas 2, 3, 4, 8, 9) into
-    the engine. Violations are accumulated (capped); Lemma 8 records the
-    last tick its invariant did not hold.
+    the engine. Violations are counted and the first ten kept (only
+    those are formatted); Lemma 8 records the last tick its invariant
+    did not hold.
 
     Per-tick cost is O(1) per pair: the hook reads phases, flags and, for
     Lemma 3, four in-transit counts that the engine maintains
@@ -53,11 +54,12 @@ val trace_reports : engine:Dsim.Engine.t -> pair:Pair.t -> report list
     (Lemma 6). Sessions still open near the horizon are ignored.
 
     Cost: one {!Dining.Monitor.Index} per dining instance of the pair
-    (two linear passes over the trace each) and one {!Dsim.Trace.notes}
-    pass per note label and instance for Lemma 5; every lemma then reads
-    segments, eating starts and meal counts off the two indexes. Lemmas 5
-    and 12 count notes and eats per window in one sweep over each sorted
-    time array, so the whole check is linear in the trace. *)
+    (two linear passes over the trace each) and two passes for Lemma 5's
+    notes, matched against the subject's {!Subject.t.note_info}; every
+    lemma then reads segments, eating starts and meal counts off the two
+    indexes. Lemmas 5 and 12 count notes and eats per window in one sweep
+    over each sorted time array, so the whole check is linear in the
+    trace. *)
 
 val trace_reports_on :
   indexes:Dining.Monitor.Index.t array -> engine:Dsim.Engine.t -> pair:Pair.t -> report list

@@ -4,6 +4,7 @@ type t = {
   component : Component.t;
   trigger : unit -> int;
   ping_flag : int -> bool;
+  note_info : string array;
 }
 
 let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
@@ -12,10 +13,11 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
   let trigger = ref 0 in
   let ping = [| true; true |] in
   let phase i = (dx.(i) : Dining.Spec.handle).Dining.Spec.phase () in
-  let note label i =
-    ctx.Context.log
-      (Trace.Note { pid = self; label; info = Printf.sprintf "%s:%d" tag i })
-  in
+  (* Each ping and ack note is built once here and logged as it is. *)
+  let note_info = [| tag ^ ":0"; tag ^ ":1" |] in
+  let note label i = Trace.Note { pid = self; label; info = note_info.(i) } in
+  let pinged = [| note "red-ping" 0; note "red-ping" 1 |]
+  and acked = [| note "red-ack" 0; note "red-ack" 1 |] in
   (* Action S_h: {(s_i = thinking) /\ (trigger = i)} *)
   let s_h i =
     Component.action (Printf.sprintf "S_h[%d]" i)
@@ -31,7 +33,7 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
         && ping.(i))
       ~body:(fun () ->
         ctx.Context.send ~dst:witness_pid ~tag:witness_tag (Messages.Ping i);
-        note "red-ping" i;
+        ctx.Context.log pinged.(i);
         ping.(i) <- false)
   in
   (* Action S_x: {(s_i = eating) /\ (s_{1-i} = eating) /\ (trigger = 1-i)} *)
@@ -49,7 +51,7 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
   let on_receive ~src msg =
     match msg with
     | Messages.Ack i when src = witness_pid ->
-        note "red-ack" i;
+        ctx.Context.log acked.(i);
         trigger := 1 - i
     | _ -> ()
   in
@@ -58,4 +60,4 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
       ~actions:[ s_h 0; s_p 0; s_x 0; s_h 1; s_p 1; s_x 1 ]
       ~on_receive ()
   in
-  { component; trigger = (fun () -> !trigger); ping_flag = (fun i -> ping.(i)) }
+  { component; trigger = (fun () -> !trigger); ping_flag = (fun i -> ping.(i)); note_info }

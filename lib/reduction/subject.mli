@@ -11,12 +11,15 @@
     twice in DX_i without [s_i] eating in between.
 
     For Lemma 5's bookkeeping the subject logs trace notes
-    ["red-ping"]/["red-ack"] with [info = tag ^ ":" ^ i]. *)
+    ["red-ping"]/["red-ack"] with [info = note_info.(i)]. *)
 
 type t = {
   component : Dsim.Component.t;
   trigger : unit -> int;
   ping_flag : int -> bool;
+  note_info : string array;
+      (** [note_info.(i)] is [tag ^ ":" ^ i], the [info] of instance [i]'s
+          ping and ack notes. *)
 }
 
 val create :

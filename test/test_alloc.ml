@@ -84,9 +84,10 @@ let test_bare_engine () =
     ]
 
 (* The benchmark's ring instance with no observer: 100 hygienic diners
-   with greedy clients under [async_uniform]. What remains is the work a
-   message or a meal needs: the packet and its payload, the trace event
-   of each phase change, and each session's timestamp. *)
+   with greedy clients under [async_uniform]. What remains is what a
+   message needs, its packet and its payload: 1.040 words per
+   process-tick, 1.803 when each phase change built its trace event and
+   each session boxed its timestamp. *)
 let test_ring () =
   let n = 100 in
   let engine =
@@ -100,7 +101,19 @@ let test_ring () =
     Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
   done;
   let words = per_proc_tick ~ticks:2000 engine in
-  if words >= 3.0 then Alcotest.failf "ring: %.2f words per process-tick (bound 3)" words
+  if words >= 1.1 then Alcotest.failf "ring: %.3f words per process-tick (bound 1.1)" words
+
+(* The extraction on 3 processes, as `dinersim extract -n 3 --lemmas`
+   runs it, with its trace retained: 6 ordered pairs of 4 diners each,
+   the heartbeat detectors and the online lemma monitors. A logged event
+   costs its entry and its share of the buffer: 7.370 words per
+   process-tick, 16.429 when each phase change built its event and each
+   ping or ack note formatted its text. *)
+let test_extraction () =
+  let run = Core.Scenario.wf_extraction ~n:3 () in
+  let words = per_proc_tick ~ticks:2000 run.Core.Scenario.engine in
+  if words >= 7.5 then
+    Alcotest.failf "extraction: %.3f words per process-tick (bound 7.5)" words
 
 (* Steady-state words per message sent, over runs of [ticks] and
    [2 * ticks] ticks after [ticks] warm-up ticks, as [per_proc_tick]. *)
@@ -163,6 +176,90 @@ let test_per_message () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Trace events and detector queries *)
+
+let cell_round cell =
+  Dining.Spec.Cell.set cell Types.Hungry;
+  Dining.Spec.Cell.set cell Types.Eating;
+  Dining.Spec.Cell.set cell Types.Exiting;
+  Dining.Spec.Cell.set cell Types.Thinking
+
+(* A phase change costs the trace only its entry: nothing when no one
+   keeps or observes it, the 3-word entry for a subscriber. *)
+let test_cell_transitions () =
+  List.iter
+    (fun (name, observed, want) ->
+      let engine =
+        Engine.create ~retain_trace:false ~n:1 ~adversary:(Adversary.synchronous ()) ()
+      in
+      if observed then Trace.subscribe (Engine.trace engine) ignore;
+      let cell = Dining.Spec.Cell.create (Engine.ctx engine 0) ~instance:"c" in
+      let words =
+        Alloc_probe.steady_words (fun n ->
+            for _ = 1 to n do
+              cell_round cell
+            done)
+      in
+      Alcotest.(check (float 0.0)) (name ^ ": words per transition") want (words /. 4.0))
+    [ ("no observer", false, 0.0); ("one subscriber", true, 3.0) ]
+
+(* [Spec.Cell.set] is unchecked: a phase entered from another phase than
+   the one its reused event names is logged with its own [from_]. *)
+let test_cell_unexpected_from () =
+  let engine = Engine.create ~n:1 ~adversary:(Adversary.synchronous ()) () in
+  let cell = Dining.Spec.Cell.create (Engine.ctx engine 0) ~instance:"c" in
+  cell_round cell;
+  List.iter (Dining.Spec.Cell.set cell) Types.[ Eating; Hungry; Eating ];
+  let logged =
+    List.map
+      (fun (e : Trace.entry) ->
+        match e.Trace.ev with
+        | Trace.Transition { from_; to_; _ } ->
+            Types.phase_to_string from_ ^ ">" ^ Types.phase_to_string to_
+        | _ -> Alcotest.fail "not a transition")
+      (Trace.entries (Engine.trace engine))
+  in
+  Alcotest.(check (list string))
+    "each transition names its own phases"
+    [
+      "thinking>hungry";
+      "hungry>eating";
+      "eating>exiting";
+      "exiting>thinking";
+      "thinking>eating";
+      "eating>hungry";
+      "hungry>eating";
+    ]
+    logged
+
+(* The trusting oracle, queried with its answer unchanged, returns the
+   set it returned last: 0 words per query before and after a
+   detection. *)
+let test_ground_truth_query () =
+  let engine = Engine.create ~retain_trace:false ~n:3 ~adversary:(Adversary.synchronous ()) () in
+  let comp, oracle =
+    Detectors.Ground_truth.trusting (Engine.ctx engine 0) ~detection_delay:5 ~peers:[ 0; 1; 2 ] ()
+  in
+  Engine.register engine 0 comp;
+  let per_query name want =
+    let words =
+      Alloc_probe.steady_words (fun n ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (oracle.Detectors.Oracle.suspects ()))
+          done)
+    in
+    Alcotest.(check (float 0.0)) (name ^ ": 0 words per query") 0.0 words;
+    Alcotest.(check (list int))
+      (name ^ ": suspects")
+      want
+      (Types.Pidset.elements (oracle.Detectors.Oracle.suspects ()))
+  in
+  per_query "all live" [];
+  Engine.crash_now engine 2;
+  Engine.run engine ~until:10;
+  per_query "p2 detected" [ 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Model-checker schedules: what one schedule pays before and around its
    run. The model checker creates an engine per schedule, so creation is
    counted whole, not per tick. *)
@@ -208,7 +305,7 @@ let test_driven_queries () =
 
 (* The 256-schedule green instance of test_mc.ml: wf on a pair, horizon
    12, delta 2, phi 1, including the explorer's own bookkeeping. It measures
-   2,100 words per schedule, 3,379 when each pending sibling copied its
+   2,086 words per schedule, 3,379 when each pending sibling copied its
    prefix and each query built a block. *)
 let test_mc_schedule () =
   let base =
@@ -248,9 +345,18 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "component-free step allocates nothing" `Quick test_bare_engine;
-          Alcotest.test_case "ring step under 3 words per process-tick" `Quick test_ring;
+          Alcotest.test_case "ring step under 1.1 words per process-tick" `Quick test_ring;
           Alcotest.test_case "n = 2 creation" `Quick test_engine_create;
           Alcotest.test_case "a message costs its 6-word packet" `Quick test_per_message;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "a phase change costs only its entry" `Quick test_cell_transitions;
+          Alcotest.test_case "a phase entered unexpectedly names it" `Quick
+            test_cell_unexpected_from;
+          Alcotest.test_case "an unchanged oracle answer allocates nothing" `Quick
+            test_ground_truth_query;
+          Alcotest.test_case "extraction under 7.5 words per process-tick" `Quick test_extraction;
         ] );
       ( "mc",
         [

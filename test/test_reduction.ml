@@ -192,14 +192,16 @@ let test_lemmas_seed_sweep () =
 (* Lemma 3 fires: a Ping_i the subject never sent through S_p, injected
    while s_i is idle and ping_i is armed, is a ping in transit on an idle
    channel. The injecting hook is registered before the monitor, so the
-   monitor's end-of-tick check sees the ping still in flight. *)
-let stray_ping_run ~seed ~at =
+   monitor's end-of-tick check sees the ping still in flight. The first
+   [pings] ticks from [at] with an idle, armed subject thread inject one
+   each; [injected] lists them, latest first. *)
+let stray_ping_run ?(pings = 1) ~seed ~at () =
   let n = 2 in
   let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:500 ()) () in
   let suspects = evp_suspects engine ~n ~windows:[] in
   let dining = Reduction.Pair.wf_ewx_factory ~n ~suspects in
   let pair = Reduction.Pair.create ~engine ~dining ~watcher:0 ~subject:1 () in
-  let injected = ref None in
+  let injected = ref [] in
   let idle_and_armed i =
     (not
        (Types.phase_equal
@@ -208,13 +210,13 @@ let stray_ping_run ~seed ~at =
     && pair.Reduction.Pair.subject_threads.Reduction.Subject.ping_flag i
   in
   Engine.on_tick engine (fun () ->
-      if Option.is_none !injected && Engine.now engine >= at then
+      if List.length !injected < pings && Engine.now engine >= at then
         match List.find_opt idle_and_armed [ 0; 1 ] with
         | Some i ->
             let ctx = Engine.ctx engine pair.Reduction.Pair.subject in
             ctx.Context.send ~dst:pair.Reduction.Pair.watcher ~tag:pair.Reduction.Pair.witness_tag
               (Reduction.Messages.Ping i);
-            injected := Some (i, Engine.now engine)
+            injected := (i, Engine.now engine) :: !injected
         | None -> ());
   let online = Reduction.Lemmas.install_online ~engine ~pair in
   (engine, pair, online, injected)
@@ -225,19 +227,42 @@ let l3_report online =
     (Reduction.Lemmas.online_reports online)
 
 let test_lemma3_detects_stray_ping () =
-  let engine, _, online, injected = stray_ping_run ~seed:29L ~at:5000 in
+  let engine, _, online, injected = stray_ping_run ~seed:29L ~at:5000 () in
   Engine.run engine ~until:4999;
   check "L3 clean before the stray ping" true (Reduction.Lemmas.ok (l3_report online));
   Engine.run engine ~until:8000;
   match !injected with
-  | None -> Alcotest.fail "no tick had an idle, armed subject thread"
-  | Some (i, at) -> (
+  | [] -> Alcotest.fail "no tick had an idle, armed subject thread"
+  | (i, at) :: _ -> (
       let l3 = l3_report online in
       check "L3 reports the stray ping" false (Reduction.Lemmas.ok l3);
       let want = Printf.sprintf "t=%d: 1 ping(s), 0 ack(s) in transit on idle channel %d" at i in
       match l3.Reduction.Lemmas.violations with
       | first :: _ -> Alcotest.(check string) "first violation is the injection tick" want first
       | [] -> Alcotest.fail "no L3 violation")
+
+(* A lemma broken on more than ten ticks reports its first ten messages
+   and the total. *)
+let test_capped_violations () =
+  let engine, _, online, injected = stray_ping_run ~pings:12 ~seed:29L ~at:5000 () in
+  Engine.run engine ~until:8000;
+  Alcotest.(check int) "twelve stray pings" 12 (List.length !injected);
+  Alcotest.(check (list string))
+    "L3's report"
+    [
+      "t=5000: 1 ping(s), 0 ack(s) in transit on idle channel 0";
+      "t=5001: 2 ping(s), 0 ack(s) in transit on idle channel 0";
+      "t=5002: 2 ping(s), 1 ack(s) in transit on idle channel 0";
+      "t=5003: 1 ping(s), 3 ack(s) in transit on idle channel 0";
+      "t=5004: 2 ping(s), 2 ack(s) in transit on idle channel 0";
+      "t=5005: 3 ping(s), 1 ack(s) in transit on idle channel 0";
+      "t=5006: 2 ping(s), 3 ack(s) in transit on idle channel 0";
+      "t=5007: 2 ping(s), 2 ack(s) in transit on idle channel 0";
+      "t=5008: 3 ping(s), 2 ack(s) in transit on idle channel 0";
+      "t=5009: 3 ping(s), 2 ack(s) in transit on idle channel 0";
+      "... (17 total)";
+    ]
+    (l3_report online).Reduction.Lemmas.violations
 
 (* ------------------------------------------------------------------ *)
 (* Post-hoc Lemmas 1, 5, 6, 7, 11 and 12: the checks over one phase index
@@ -275,7 +300,7 @@ let test_sweeps_match_reference_runs () =
       (19L, 3, 20000, Some (2, 5000));
     ];
   (* A run the stray ping knocks off the one-ping-one-ack pattern. *)
-  let engine, pair, _, _ = stray_ping_run ~seed:29L ~at:5000 in
+  let engine, pair, _, _ = stray_ping_run ~seed:29L ~at:5000 () in
   Engine.run engine ~until:20000;
   same_reports "stray-ping run" ~engine ~pair
 
@@ -552,6 +577,7 @@ let () =
             test_sweeps_match_reference_runs;
           Alcotest.test_case "L5/L12 sweeps match reference on random traces" `Quick
             test_sweeps_match_reference_random;
+          Alcotest.test_case "capped violations keep the first ten" `Quick test_capped_violations;
         ] );
       ( "black-box robustness",
         [
