@@ -4,7 +4,9 @@
 # the wf box, failing on any failed ◇P property or Lemma check and
 # checking that its run report is written and parses, and over the ftme
 # box with a crash, failing on any failed completeness, accuracy or
-# trusting-accuracy check.
+# trusting-accuracy check; then a dining run with a crash, failing on a
+# failed wait-freedom or eventual-weak-exclusion check, and a run whose
+# --crash names no process, which must be rejected with exit status 2.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -35,11 +37,11 @@ fmt:
 	fi
 
 # Determinism & simulation-hygiene gate (rules D001-D010, D012-D014 and
-# D016-D018; see DESIGN.md).
+# D018; see DESIGN.md).
 # Exits 1 on any finding not suppressed by an in-source
 # `(* simlint: allow Dxxx — reason *)` comment, 2 on a usage or I/O
 # error. Also writes the SARIF 2.1.0 form for CI code-scanning upload.
-# Optionally restrict to a rule subset: make lint RULES=D014,D016
+# Optionally restrict to a rule subset: make lint RULES=D014,D018
 lint: build
 	dune exec tools/simlint/main.exe -- --root . --sarif _build/simlint.sarif $(if $(RULES),--only $(RULES))
 
@@ -47,6 +49,8 @@ smoke: build
 	dune exec bin/dinersim.exe -- extract --horizon 10000 --lemmas --report /tmp/dinersim-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke.json
 	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000
+	dune exec bin/dinersim.exe -- dining --algo kfair --topology ring:6 --crash 4@2000 --horizon 6000
+	dune exec bin/dinersim.exe -- dining --topology pair --crash 9@100; test $$? -eq 2
 
 # Bounded schedule-fuzzing campaign over the real algorithms (fixed root
 # seed, so the exact same configs every time; -j only changes wall-clock,

@@ -18,6 +18,9 @@ open Dsim
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing *)
 
+(* Refuse bad input with one [dinersim:] line on stderr and exit status 2. *)
+let reject fmt = Printf.ksprintf (fun msg -> prerr_endline ("dinersim: " ^ msg); exit 2) fmt
+
 (* Seed parsing is shared with stress/sweep.exe through Core.Cmdline, so
    hex (0x2f00d) and decimal seeds are accepted uniformly and seeds echoed
    by one tool are valid input to every other. *)
@@ -157,10 +160,7 @@ type obs = {
 
 (* Fail file-open/write problems as a clean CLI error instead of an
    uncaught Sys_error traceback. *)
-let io_or_die what f =
-  try f () with Sys_error msg ->
-    Printf.eprintf "dinersim: cannot write %s: %s\n" what msg;
-    exit 2
+let io_or_die what f = try f () with Sys_error msg -> reject "cannot write %s: %s" what msg
 
 let obs_install engine ~trace_out ~report =
   let metrics = Obs.Metrics.create () in
@@ -197,7 +197,13 @@ let crashes_config crashes =
     (List.map (fun (pid, at) -> Obs.Json.Str (Printf.sprintf "%d@%d" pid at)) crashes)
 
 let apply_crashes engine crashes =
-  List.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) crashes
+  let n = Engine.n engine in
+  List.iter
+    (fun (pid, at) ->
+      if pid < 0 || pid >= n then
+        reject "--crash %d@%d: no such process (pids are 0..%d)" pid at (n - 1);
+      Engine.schedule_crash engine pid ~at)
+    crashes
 
 let maybe_dump engine n =
   if n > 0 then Trace.dump ~limit:n Format.std_formatter (Engine.trace engine)
@@ -206,14 +212,15 @@ let maybe_dump engine n =
 (* extract *)
 
 let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out report =
+  if n < 2 then reject "-n must be at least 2 (got %d)" n;
   let run =
     match box with
     | `Wf -> Core.Scenario.wf_extraction ~seed ~adversary ~with_lemma_monitors:lemmas ~n ()
     | `Ftme -> Core.Scenario.ftme_extraction ~seed ~adversary ~n ()
   in
   let engine = run.Core.Scenario.engine in
-  let obs = obs_install engine ~trace_out ~report in
   apply_crashes engine crashes;
+  let obs = obs_install engine ~trace_out ~report in
   Engine.run engine ~until:horizon;
   maybe_dump engine dump;
   maybe_csv engine csv;
@@ -337,10 +344,10 @@ let dining_algos =
 let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trace_out report =
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary () in
+  apply_crashes engine crashes;
   let obs = obs_install engine ~trace_out ~report in
   let instance = "din" in
   (List.assoc algo Check.Runner.default_registry) engine ~graph ~instance ~eat_ticks;
-  apply_crashes engine crashes;
   Engine.run engine ~until:horizon;
   maybe_dump engine dump;
   maybe_csv engine csv;
@@ -371,6 +378,9 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
   let wx =
     Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:(horizon / 2)
   in
+  let checks =
+    [ Obs.Report.of_verdict "wait_freedom" wf; Obs.Report.of_verdict "eventual_weak_exclusion" wx ]
+  in
   obs_finish obs ~cmd:"dining" ~seed ~horizon
     ~config:
       [
@@ -381,11 +391,8 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
         ("eat_ticks", Obs.Json.Int eat_ticks);
         ("crashes", crashes_config crashes);
       ]
-    ~checks:
-      [
-        Obs.Report.of_verdict "wait_freedom" wf;
-        Obs.Report.of_verdict "eventual_weak_exclusion" wx;
-      ]
+    ~checks;
+  if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
 let dining_cmd =
   let algo_t =
@@ -403,7 +410,12 @@ let dining_cmd =
       const run_dining $ seed_t $ horizon_t 12000 $ adversary_t $ crashes_t $ topology_t
       $ algo_t $ eat_t $ dump_trace_t $ csv_t $ trace_out_t $ report_t)
   in
-  Cmd.v (Cmd.info "dining" ~doc:"Run a dining algorithm and check its specification") term
+  Cmd.v
+    (Cmd.info "dining"
+       ~doc:
+         "Run a dining algorithm and check its specification. Exits 1 if wait-freedom or \
+          eventual weak exclusion fails.")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* vulnerability *)
@@ -608,6 +620,7 @@ let ctm_cmd =
 (* agreement *)
 
 let run_agreement seed horizon crashes n source trace_out report =
+  if n < 2 then reject "-n must be at least 2 (got %d)" n;
   let engine, suspects_of =
     match source with
     | `Extracted ->
@@ -622,6 +635,7 @@ let run_agreement seed horizon crashes n source trace_out report =
         in
         (engine, Core.Scenario.evp_suspects engine ~n ~windows:[])
   in
+  apply_crashes engine crashes;
   let obs = obs_install engine ~trace_out ~report in
   let members = List.init n Fun.id in
   let instances =
@@ -636,7 +650,6 @@ let run_agreement seed horizon crashes n source trace_out report =
         (pid, c, l))
       members
   in
-  apply_crashes engine crashes;
   Engine.run engine ~until:horizon;
   Printf.printf "consensus + leader election over the %s detector, n=%d\n"
     (match source with `Native -> "native heartbeat" | `Extracted -> "dining-extracted")
@@ -672,7 +685,7 @@ let run_agreement seed horizon crashes n source trace_out report =
 
 let agreement_cmd =
   let n_t =
-    Arg.(value & opt int 3 & info [ "n"; "procs" ] ~docv:"INT" ~doc:"Number of processes.")
+    Arg.(value & opt int 3 & info [ "n"; "procs" ] ~docv:"INT" ~doc:"Number of processes (>= 2).")
   in
   let source_t =
     let doc = "Detector: native (heartbeat ◇P) or extracted (from black-box dining)." in
@@ -788,16 +801,12 @@ let families_of_strings = function
         (fun s ->
           match Check.Config.family_of_string s with
           | Some f -> f
-          | None ->
-              Printf.eprintf "dinersim: unknown adversary family %S (sync|async|partial|bursty)\n" s;
-              exit 2)
+          | None -> reject "unknown adversary family %S (sync|async|partial|bursty)" s)
         l
 
 let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus report_path =
-  if jobs < 1 then begin
-    Printf.eprintf "dinersim: --jobs must be at least 1 (got %d)\n" jobs;
-    exit 2
-  end;
+  if jobs < 1 then reject "--jobs must be at least 1 (got %d)" jobs;
+  if runs < 0 then reject "--runs must be at least 0 (got %d)" runs;
   let registry = Check.Runner.default_registry in
   let families = families_of_strings families in
   let algos =
@@ -806,11 +815,9 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
     | l ->
         List.iter
           (fun a ->
-            if not (List.mem_assoc a registry) then begin
-              Printf.eprintf "dinersim: unknown algorithm %S (known: %s)\n" a
-                (String.concat ", " (List.map fst registry));
-              exit 2
-            end)
+            if not (List.mem_assoc a registry) then
+              reject "unknown algorithm %S (known: %s)" a
+                (String.concat ", " (List.map fst registry)))
           l;
         l
   in
@@ -1085,27 +1092,17 @@ let trace_cmd =
 let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_grid no_por
     max_schedules split_depth jobs out report_path =
   let registry = Check.Runner.default_registry in
-  if not (List.mem_assoc algo registry) then begin
-    Printf.eprintf "dinersim: unknown algorithm %S (known: %s)\n" algo
-      (String.concat ", " (List.map fst registry));
-    exit 2
-  end;
+  if not (List.mem_assoc algo registry) then
+    reject "unknown algorithm %S (known: %s)" algo (String.concat ", " (List.map fst registry));
   let topology =
     match Check.Config.topology_of_string topology with
     | Some t -> t
-    | None ->
-        Printf.eprintf
-          "dinersim: bad topology %S (pair | ring:N | clique:N | star:N | path:N)\n" topology;
-        exit 2
+    | None -> reject "bad topology %S (pair | ring:N | clique:N | star:N | path:N)" topology
   in
-  if delta < 1 || phi < 1 then begin
-    Printf.eprintf "dinersim: --delta and --phi must be at least 1\n";
-    exit 2
-  end;
-  if jobs < 1 then begin
-    Printf.eprintf "dinersim: --jobs must be at least 1 (got %d)\n" jobs;
-    exit 2
-  end;
+  if delta < 1 || phi < 1 then reject "--delta and --phi must be at least 1";
+  if jobs < 1 then reject "--jobs must be at least 1 (got %d)" jobs;
+  if max_schedules < 1 then reject "--max-schedules must be at least 1 (got %d)" max_schedules;
+  if split_depth < 0 then reject "--split-depth must be at least 0 (got %d)" split_depth;
   let base =
     {
       Check.Config.algo;

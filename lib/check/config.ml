@@ -54,13 +54,14 @@ let family = function
    through JSON without any float-formatting subtleties. *)
 let pct p = float_of_int p /. 100.0
 
-let graph c =
-  match c.topology with
+let graph_of_topology = function
   | Pair -> Graphs.Conflict_graph.pair ()
   | Ring n -> Graphs.Conflict_graph.ring ~n
   | Clique n -> Graphs.Conflict_graph.clique ~n
   | Star n -> Graphs.Conflict_graph.star ~n
   | Path n -> Graphs.Conflict_graph.path ~n
+
+let graph c = graph_of_topology c.topology
 
 let n_procs c = Graphs.Conflict_graph.n (graph c)
 
@@ -314,15 +315,7 @@ let generate rng ~algos ~families ~max_horizon =
   in
   let fam = Prng.pick rng (Array.of_list families) in
   let adversary = gen_adversary rng ~family:fam ~horizon in
-  let g =
-    match topology with
-    | Pair -> Graphs.Conflict_graph.pair ()
-    | Ring n -> Graphs.Conflict_graph.ring ~n
-    | Clique n -> Graphs.Conflict_graph.clique ~n
-    | Star n -> Graphs.Conflict_graph.star ~n
-    | Path n -> Graphs.Conflict_graph.path ~n
-  in
-  let n = Graphs.Conflict_graph.n g in
+  let n = Graphs.Conflict_graph.n (graph_of_topology topology) in
   let crashes =
     let k =
       match Prng.int rng ~bound:20 with

@@ -2,21 +2,18 @@ open Dsim
 
 (* The paper's Section-4 diner state machine: a single 4-cycle. Clients
    drive Thinking->Hungry (hungry ()) and Eating->Exiting (exit_eating ());
-   algorithms drive Hungry->Eating and Exiting->Thinking. Exported as data
-   so the runtime monitors and the simlint D016 phase-transition rule share
-   one source of truth. *)
-let legal_transitions =
-  [
-    (Types.Thinking, Types.Hungry);
-    (Types.Hungry, Types.Eating);
-    (Types.Eating, Types.Exiting);
-    (Types.Exiting, Types.Thinking);
-  ]
+   algorithms drive Hungry->Eating and Exiting->Thinking. [Cell.set]
+   refuses every other write. *)
+let next = function
+  | Types.Thinking -> Types.Hungry
+  | Types.Hungry -> Types.Eating
+  | Types.Eating -> Types.Exiting
+  | Types.Exiting -> Types.Thinking
 
-let legal_transition ~from_ ~to_ =
-  List.exists
-    (fun (a, b) -> Types.phase_equal a from_ && Types.phase_equal b to_)
-    legal_transitions
+let legal_transition ~from_ ~to_ = Types.phase_equal (next from_) to_
+
+let legal_transitions =
+  List.map (fun p -> (p, next p)) Types.[ Thinking; Hungry; Eating; Exiting ]
 
 let[@inline] precedes ts p ts' p' = ts < ts' || (ts = ts' && p < p')
 
@@ -36,9 +33,9 @@ module Cell = struct
     mutable cur : Types.phase;
     mutable callback : Types.phase -> Types.phase -> unit;
     mutable entered : Trace.event array;
-        (* The last [Transition] logged into each phase, reused while the
-           phase is entered from the same one: a phase change then costs
-           the trace only its entry. The array and each event are built on
+        (* The [Transition] logged into each phase, reused on every later
+           entry: a phase has one predecessor, so a phase change costs the
+           trace only its entry. The array and each event are built on
            first use, so a deployment that runs a few ticks (the model
            checker's) builds nothing at creation and no event it does not
            log. *)
@@ -63,25 +60,29 @@ module Cell = struct
     | Types.Eating -> 2
     | Types.Exiting -> 3
 
-  let transition t prev next =
+  let transition t prev to_ =
     if Array.length t.entered = 0 then t.entered <- [| unused; unused; unused; unused |];
-    let k = slot next in
+    let k = slot to_ in
     match t.entered.(k) with
-    | Trace.Transition { from_; _ } as ev when Types.phase_equal from_ prev -> ev
+    | Trace.Transition _ as ev -> ev
     | _ ->
         let ev =
           Trace.Transition
-            { instance = t.instance; pid = t.ctx.Context.self; from_ = prev; to_ = next }
+            { instance = t.instance; pid = t.ctx.Context.self; from_ = prev; to_ }
         in
         t.entered.(k) <- ev;
         ev
 
-  let set t next =
+  let set t to_ =
     let prev = t.cur in
-    if not (Types.phase_equal prev next) then begin
-      t.cur <- next;
-      t.ctx.Context.log (transition t prev next);
-      t.callback prev next
+    if not (Types.phase_equal prev to_) then begin
+      if not (legal_transition ~from_:prev ~to_) then
+        invalid_arg
+          (Printf.sprintf "Dining %s p%d: phase %s -> %s is off the cycle" t.instance
+             t.ctx.Context.self (Types.phase_to_string prev) (Types.phase_to_string to_));
+      t.cur <- to_;
+      t.ctx.Context.log (transition t prev to_);
+      t.callback prev to_
     end
 
   let handle t =

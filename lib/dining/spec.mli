@@ -9,11 +9,11 @@
 val legal_transitions : (Dsim.Types.phase * Dsim.Types.phase) list
 (** The paper's Section-4 state machine as data: the exact set of legal
     diner transitions, [Thinking -> Hungry -> Eating -> Exiting ->
-    Thinking]. Runtime monitors and the simlint D016 phase-legality rule
-    both consume this list, so there is one source of truth. *)
+    Thinking]. {!Cell.set} refuses every write outside it. *)
 
 val legal_transition : from_:Dsim.Types.phase -> to_:Dsim.Types.phase -> bool
-(** [legal_transition ~from_ ~to_] is membership in {!legal_transitions}. *)
+(** [legal_transition ~from_ ~to_] is membership in {!legal_transitions}:
+    [to_] is the one phase that follows [from_]. *)
 
 val precedes : int -> Dsim.Types.pid -> int -> Dsim.Types.pid -> bool
 (** [precedes ts p ts' p'] is the priority order the timestamped
@@ -43,7 +43,11 @@ module Cell : sig
   val phase : t -> Dsim.Types.phase
 
   val set : t -> Dsim.Types.phase -> unit
-  (** Unchecked transition (algorithms maintain their own discipline). *)
+  (** [set t ph] moves the diner to [ph], logs the transition and fires the
+      client callback; setting the current phase does nothing. Raises
+      [Invalid_argument], naming the instance, the pid and both phases,
+      when [ph] is neither the current phase nor the one that follows it
+      in the cycle; the phase and the trace are then left unchanged. *)
 
   val handle : t -> t * handle
   (** The cell together with the client-facing handle; [hungry] and

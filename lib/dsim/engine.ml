@@ -311,6 +311,7 @@ let register t pid comp =
   p.cursor <- 0
 
 let schedule_crash t pid ~at =
+  if pid < 0 || pid >= t.n_procs then invalid_arg "Engine.schedule_crash: bad pid";
   let p = t.procs.(pid) in
   p.crash_at <-
     (match p.crash_at with Some old -> Some (min old at) | None -> Some at)

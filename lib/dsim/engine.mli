@@ -58,7 +58,8 @@ val register : t -> Types.pid -> Component.t -> unit
     [Invalid_argument] on duplicate component names at the same process. *)
 
 val schedule_crash : t -> Types.pid -> at:Types.time -> unit
-(** The process ceases taking steps at the first tick >= [at]. *)
+(** The process ceases taking steps at the first tick >= [at]. Raises
+    [Invalid_argument] when [pid] is not a process of the engine. *)
 
 val crash_now : t -> Types.pid -> unit
 

@@ -13,7 +13,9 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
   let trigger = ref 0 in
   let ping = [| true; true |] in
   let phase i = (dx.(i) : Dining.Spec.handle).Dining.Spec.phase () in
-  (* Each ping and ack note is built once here and logged as it is. *)
+  (* The pings and the ping and ack notes are built once here and sent or
+     logged as they are. *)
+  let pings = [| Messages.Ping 0; Messages.Ping 1 |] in
   let note_info = [| tag ^ ":0"; tag ^ ":1" |] in
   let note label i = Trace.Note { pid = self; label; info = note_info.(i) } in
   let pinged = [| note "red-ping" 0; note "red-ping" 1 |]
@@ -32,7 +34,7 @@ let create (ctx : Context.t) ~tag ~witness_pid ~witness_tag ~dx () =
         && (not (Types.phase_equal (phase (1 - i)) Types.Eating))
         && ping.(i))
       ~body:(fun () ->
-        ctx.Context.send ~dst:witness_pid ~tag:witness_tag (Messages.Ping i);
+        ctx.Context.send ~dst:witness_pid ~tag:witness_tag pings.(i);
         ctx.Context.log pinged.(i);
         ping.(i) <- false)
   in

@@ -14,6 +14,8 @@ let create (ctx : Context.t) ~tag ~subject_pid ~subject_tag ~dx ~detector_name (
   let haveping = [| false; false |] in
   let suspect_q = ref true in
   let phase i = (dx.(i) : Dining.Spec.handle).Dining.Spec.phase () in
+  (* Each ack is built once here and sent as it is. *)
+  let acks = [| Messages.Ack 0; Messages.Ack 1 |] in
   let set_suspect v =
     if v <> !suspect_q then begin
       suspect_q := v;
@@ -46,7 +48,7 @@ let create (ctx : Context.t) ~tag ~subject_pid ~subject_tag ~dx ~detector_name (
     match msg with
     | Messages.Ping i when src = subject_pid ->
         haveping.(i) <- true;
-        ctx.Context.send ~dst:subject_pid ~tag:subject_tag (Messages.Ack i)
+        ctx.Context.send ~dst:subject_pid ~tag:subject_tag acks.(i)
     | _ -> ()
   in
   let component =

@@ -331,6 +331,18 @@ let test_engine_duplicate_component_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+let test_engine_crash_bad_pid_rejected () =
+  let engine = Engine.create ~seed:1L ~n:2 ~adversary:(Adversary.synchronous ()) () in
+  List.iter
+    (fun pid ->
+      match Engine.schedule_crash engine pid ~at:10 with
+      | () -> Alcotest.failf "crash of p%d accepted on 2 processes" pid
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "named error" "Engine.schedule_crash: bad pid" msg)
+    [ -1; 2; 9 ];
+  Engine.run engine ~until:20;
+  check_int "no process crashed" 2 (Engine.live_count engine)
+
 let test_engine_run_while () =
   let engine = Engine.create ~seed:1L ~n:1 ~adversary:(Adversary.synchronous ()) () in
   Engine.run_while engine ~max:1000 (fun () -> Engine.now engine < 123);
@@ -666,6 +678,8 @@ let () =
             test_engine_delivery_exactly_once_under_backlog;
           Alcotest.test_case "duplicate component rejected" `Quick
             test_engine_duplicate_component_rejected;
+          Alcotest.test_case "crash of a bad pid rejected" `Quick
+            test_engine_crash_bad_pid_rejected;
           Alcotest.test_case "run_while" `Quick test_engine_run_while;
           Alcotest.test_case "send counters" `Quick test_engine_send_counters;
           Alcotest.test_case "inbox drains under load" `Quick

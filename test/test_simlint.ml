@@ -48,7 +48,7 @@ let test_every_rule_fires () =
     (fun rule -> check (rule ^ " fires on the corpus") true (List.mem rule rules))
     [
       "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009"; "D010"; "D012";
-      "D013"; "D014"; "D016"; "D017"; "D018";
+      "D013"; "D014"; "D018";
     ];
   check "no parse failures in fixtures" false (List.mem "E000" rules)
 
@@ -226,7 +226,7 @@ let test_d013_quadratic () =
     | None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* D014-D018: protocol conformance. *)
+(* D014: protocol message flow; D018: worker PRNG derivation. *)
 
 let test_d014_unhandled () =
   let result = run_fixtures () in
@@ -243,39 +243,6 @@ let test_d014_unhandled () =
     (f.Finding.sym = Some "D014_unhandled.pass_fork->Mf_fork_pass:unhandled");
   check "justified handler-less flood suppressed, not open" true
     (match disposition result ("D014", "fixtures/d014_suppressed.ml", 9) with
-    | Some (_, s) -> s = Finding.Suppressed
-    | None -> false)
-
-let test_d016_phase_legality () =
-  let result = run_fixtures () in
-  Alcotest.(check (list (triple string string int)))
-    "illegal hop flagged; legal hop and unanchored write clean"
-    [ ("D016", "fixtures/d016_phase.ml", 10) ]
-    (List.filter (fun (r, _, _) -> r = "D016") (opens result));
-  let f, _ = Option.get (disposition result ("D016", "fixtures/d016_phase.ml", 10)) in
-  check "message names the illegal hop and the relation" true
-    (contains ~needle:"phase write Eating -> Hungry in D016_phase.regress" f.Finding.msg
-    && contains ~needle:"Thinking->Hungry, Hungry->Eating, Eating->Exiting, Exiting->Thinking"
-         f.Finding.msg);
-  check "sym keys on node and hop" true
-    (f.Finding.sym = Some "D016_phase.regress:Eating->Hungry:phase");
-  check "justified recovery hop suppressed, not open" true
-    (match disposition result ("D016", "fixtures/d016_suppressed.ml", 7) with
-    | Some (_, s) -> s = Finding.Suppressed
-    | None -> false)
-
-let test_d017_fork_conservation () =
-  let result = run_fixtures () in
-  Alcotest.(check (list (triple string string int)))
-    "uncleared send flagged; clearing sender and storing handler clean"
-    [ ("D017", "fixtures/d017_fork.ml", 9) ]
-    (List.filter (fun (r, _, _) -> r = "D017") (opens result));
-  let f, _ = Option.get (disposition result ("D017", "fixtures/d017_fork.ml", 9)) in
-  check "message names the duplicating node and token" true
-    (contains ~needle:"D017_fork.duplicate sends fork token `Pf_fork`" f.Finding.msg);
-  check "sym keys on node and token" true (f.Finding.sym = Some "D017_fork.duplicate:Pf_fork:dup");
-  check "justified monitor-tap leak suppressed, not open" true
-    (match disposition result ("D017", "fixtures/d017_suppressed.ml", 17) with
     | Some (_, s) -> s = Finding.Suppressed
     | None -> false)
 
@@ -298,21 +265,21 @@ let test_d018_worker_prng () =
    entirely, open findings of the selected rules survive. *)
 let test_only_filter () =
   let result =
-    Driver.run ~only:[ "D014"; "D016" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
+    Driver.run ~only:[ "D014"; "D018" ] ~dirs:[ "fixtures" ] ~force_lib:true ~root:fixtures_root ()
   in
   let rules =
     List.sort_uniq compare
       (List.map (fun ((f : Finding.t), _) -> f.Finding.rule) result.Driver.findings)
   in
   Alcotest.(check (list string))
-    "only the selected rules survive, open or suppressed" [ "D014"; "D016" ] rules;
+    "only the selected rules survive, open or suppressed" [ "D014"; "D018" ] rules;
   Alcotest.(check (list (triple string string int)))
     "open findings are exactly the two firing fixtures"
-    [ ("D014", "fixtures/d014_unhandled.ml", 13); ("D016", "fixtures/d016_phase.ml", 10) ]
+    [ ("D014", "fixtures/d014_unhandled.ml", 13); ("D018", "fixtures/d018_prng.ml", 8) ]
     (List.sort compare (opens result))
 
 (* Callgraph resolution through [include M] and functor bodies, which the
-   protocol passes depend on: a handler arm inside a functor must count as
+   message-flow pass depends on: a handler arm inside a functor must count as
    handling, and a bare reference to an included binding must resolve. *)
 let test_callgraph_include_functor () =
   let rel = "fixtures/cg_functor.ml" in
@@ -424,7 +391,7 @@ let test_sarif_shape () =
     List.filter
       (fun ((f : Finding.t), _) ->
         List.mem f.Finding.rule
-          [ "D009"; "D010"; "D012"; "D013"; "D014"; "D016"; "D017"; "D018" ])
+          [ "D009"; "D010"; "D012"; "D013"; "D014"; "D018" ])
       result.Driver.findings
   in
   check "interprocedural rules present in the fixture run" true
@@ -444,10 +411,6 @@ let test_severities () =
     (Finding.severity_name (Finding.severity_of_rule "D006"));
   Alcotest.(check string) "D014 is an error" "error"
     (Finding.severity_name (Finding.severity_of_rule "D014"));
-  Alcotest.(check string) "D016 is an error" "error"
-    (Finding.severity_name (Finding.severity_of_rule "D016"));
-  Alcotest.(check string) "D017 is an error" "error"
-    (Finding.severity_name (Finding.severity_of_rule "D017"));
   Alcotest.(check string) "D018 is an error" "error"
     (Finding.severity_name (Finding.severity_of_rule "D018"));
   Alcotest.(check string) "unknown rules downgrade to note" "note"
@@ -545,8 +508,6 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "D014 unhandled protocol message" `Quick test_d014_unhandled;
-          Alcotest.test_case "D016 phase-transition legality" `Quick test_d016_phase_legality;
-          Alcotest.test_case "D017 fork-token conservation" `Quick test_d017_fork_conservation;
           Alcotest.test_case "D018 worker PRNG derivation" `Quick test_d018_worker_prng;
           Alcotest.test_case "--only rule filter" `Quick test_only_filter;
           Alcotest.test_case "callgraph through include and functors" `Quick

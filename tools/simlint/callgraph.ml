@@ -342,9 +342,9 @@ let find_node t id = List.assoc_opt id t.nodes
 (* Iterate the top-level value bindings of one input with exactly the
    canonical ids [build] assigns its nodes (namespace prefix, nested-module
    scopes, the synthetic "(init)" for pattern-less bindings), without
-   touching a builder. The escape ([Escape]), message-flow ([Msgflow]) and
-   protocol ([Protocol]) passes walk binding bodies through this, so a site
-   they report always names a node the call-graph passes know. *)
+   touching a builder. The escape ([Escape]) and message-flow ([Msgflow])
+   passes walk binding bodies through this, so a site they report always
+   names a node the call-graph passes know. *)
 let iter_bindings (inp : input) (f : id:string -> is_rec:bool -> Parsetree.expression -> unit) =
   let root_scope = file_scope inp.rel in
   let rec walk_items scope items = List.iter (walk_item scope) items

@@ -117,13 +117,12 @@ let run ?(dirs = default_dirs) ?(force_lib = false) ?(allowlist = wallclock_allo
     in
     let g = Callgraph.build inputs in
     Taint.findings g @ Taint.shared_state_findings g @ Escape.findings inputs
-    (* The protocol-conformance passes (D014–D018) deliberately run over
-       ALL scanned inputs — bin/bench/stress construct Msg.t values too —
-       unlike the lib-scoped hygiene rules D004–D008. *)
+    (* The message-flow pass (D014) deliberately runs over ALL scanned
+       inputs — bin/bench/stress construct Msg.t values too — unlike the
+       lib-scoped hygiene rules D004–D008. *)
     @ Msgflow.findings inputs
-    @ Protocol.findings inputs
   in
-  (* [--only D014,D016]: restrict the run to the named rules. *)
+  (* [--only D014,D018]: restrict the run to the named rules. *)
   let selected (f : Finding.t) = only = [] || List.mem f.Finding.rule only in
   let suppressions_of =
     let tbl = Hashtbl.create 64 in

@@ -1,5 +1,5 @@
-(* Domain-escape race analysis (rule D012) and quadratic-accumulation
-   detection (rule D013).
+(* Domain-escape race analysis (rule D012), quadratic-accumulation
+   detection (rule D013) and worker-PRNG derivation (rule D018).
 
    D012 — three closely related hazards around [Exec.Pool]:
 
@@ -31,7 +31,15 @@
    where consing + one final [List.rev] (or a Buffer kept open) is O(n).
    Only arguments of calls to an enclosing [let rec] are examined —
    divide-and-conquer code that merges sibling results with [@] outside
-   the self-call stays clean. *)
+   the self-call stays clean.
+
+   D018 — the [Exec.Pool] determinism contract (DESIGN.md, "Parallel
+   execution & determinism contract") requires every worker to be a pure
+   function of its index; the only sanctioned way to randomness inside a
+   worker is [Prng.derive root_seed ~index]. A worker closure that calls
+   [Prng.create]/[Prng.split]/[Prng.copy] directly, or that captures a
+   local born from one of those, makes the draw sequence depend on domain
+   scheduling and is flagged at the offending site. *)
 
 module SS = Set.Make (String)
 
@@ -40,6 +48,7 @@ type origin =
   | Ref  (** [ref e] — flagged on any captured use *)
   | Store of string  (** mutable container; flagged when mutated in-closure *)
   | Protected  (** [Atomic.make] / [Mutex.create] — never flagged *)
+  | Prng  (** [Prng.create]/[split]/[copy] — flagged (D018) on any captured use *)
 
 let store_heads =
   [
@@ -61,6 +70,8 @@ let mutator_tails =
     "Queue.transfer"; "Stack.push"; "Stack.pop"; "Stack.clear"; "Vec.add_last"; "Vec.set";
     "Vec.clear"; "Vec.remove_last";
   ]
+
+let prng_heads = [ "Prng.create"; "Prng.split"; "Prng.copy" ]
 
 let tail2 path =
   match List.rev (String.split_on_char '.' path) with
@@ -117,24 +128,33 @@ let reads_atomic e path =
   it.Ast_iterator.expr it e;
   !hit
 
+(* The references to [prng_heads] inside [e], with their sites. *)
+let prng_calls e =
+  let acc = ref [] in
+  let expr it (e : Parsetree.expression) =
+    (match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { txt; loc } -> (
+        match Rules.path_of_ident txt with
+        | Some p when List.mem (tail2 p) prng_heads -> acc := (p, loc) :: !acc
+        | _ -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.Ast_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with Ast_iterator.expr = expr } in
+  it.Ast_iterator.expr it e;
+  List.rev !acc
+
 (* Accumulating operations that copy their left operand. *)
 let accumulating = [ "@"; "List.append"; "^"; "Buffer.contents"; "Buffer.to_bytes" ]
 
 let findings (inputs : Callgraph.input list) : Finding.t list =
   let out = ref [] in
   let reported : (string * int * int * string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let report ~sym ~rel ~loc msg =
+  let report ~rule ~sym ~rel ~loc msg =
     let line, col = Callgraph.pos_of loc in
     if not (Hashtbl.mem reported (rel, line, col, sym)) then begin
       Hashtbl.replace reported (rel, line, col, sym) ();
-      out := Finding.with_sym sym (Finding.make ~rule:"D012" ~file:rel ~line ~col ~msg) :: !out
-    end
-  in
-  let report_d013 ~sym ~rel ~loc msg =
-    let line, col = Callgraph.pos_of loc in
-    if not (Hashtbl.mem reported (rel, line, col, sym)) then begin
-      Hashtbl.replace reported (rel, line, col, sym) ();
-      out := Finding.with_sym sym (Finding.make ~rule:"D013" ~file:rel ~line ~col ~msg) :: !out
+      out := Finding.with_sym sym (Finding.make ~rule ~file:rel ~line ~col ~msg) :: !out
     end
   in
   let walk_input (inp : Callgraph.input) =
@@ -150,6 +170,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
           match Rules.head_path e with
           | Some "ref" -> Some Ref
           | Some ("Atomic.make" | "Mutex.create" | "Semaphore.Counting.make") -> Some Protected
+          | Some h when List.mem (tail2 h) prng_heads -> Some Prng
           | Some h when List.mem h store_heads || List.mem (tail2 h) store_heads ->
               Some (Store h)
           | _ -> (
@@ -172,11 +193,22 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                   let a = Callgraph.peel a in
                   match a.Parsetree.pexp_desc with
                   | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
+                      List.iter
+                        (fun (call, loc) ->
+                          report ~rule:"D018"
+                            ~sym:(Printf.sprintf "%s:%s:prng" id (tail2 call))
+                            ~rel ~loc
+                            (Printf.sprintf
+                               "worker closure passed to %s calls `%s` — the Exec.Pool contract \
+                                makes workers pure functions of their index; derive the \
+                                per-worker PRNG via Prng.derive root_seed ~index"
+                               p call))
+                        (prng_calls a);
                       SS.iter
                         (fun v ->
                           match Hashtbl.find_opt env v with
                           | Some Ref ->
-                              report ~sym:(Printf.sprintf "%s:%s:escape" id v) ~rel
+                              report ~rule:"D012" ~sym:(Printf.sprintf "%s:%s:escape" id v) ~rel
                                 ~loc:e.Parsetree.pexp_loc
                                 (Printf.sprintf
                                    "worker closure passed to %s captures mutable `%s` (ref) \
@@ -184,13 +216,22 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                                     or make workers pure functions of their index"
                                    p v)
                           | Some (Store h) when mutates a v ->
-                              report ~sym:(Printf.sprintf "%s:%s:escape" id v) ~rel
+                              report ~rule:"D012" ~sym:(Printf.sprintf "%s:%s:escape" id v) ~rel
                                 ~loc:e.Parsetree.pexp_loc
                                 (Printf.sprintf
                                    "worker closure passed to %s captures and mutates `%s` \
                                     (%s) — concurrent writes from worker domains race; \
                                     collect per-index results instead"
                                    p v h)
+                          | Some Prng ->
+                              report ~rule:"D018" ~sym:(Printf.sprintf "%s:%s:prng" id v) ~rel
+                                ~loc:e.Parsetree.pexp_loc
+                                (Printf.sprintf
+                                   "worker closure passed to %s captures PRNG `%s` created \
+                                    outside the dispatch — all domains share one generator \
+                                    and the draw order depends on scheduling; derive a \
+                                    per-worker PRNG via Prng.derive root_seed ~index"
+                                   p v)
                           | _ -> ())
                         (Callgraph.free_vars a)
                   | _ -> ())
@@ -202,7 +243,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
             | (_, target) :: (_, value) :: _ -> (
                 match Rules.path_of_expr (Callgraph.peel target) with
                 | Some apath when reads_atomic value apath ->
-                    report ~sym:(Printf.sprintf "%s:%s:rmw" id apath) ~rel
+                    report ~rule:"D012" ~sym:(Printf.sprintf "%s:%s:rmw" id apath) ~rel
                       ~loc:e.Parsetree.pexp_loc
                       (Printf.sprintf
                          "non-atomic read-modify-write on Atomic `%s` (get then set loses \
@@ -231,7 +272,7 @@ let findings (inputs : Callgraph.input list) : Finding.t list =
                   it.Ast_iterator.expr it a;
                   match !acc_site with
                   | Some (loc, op) ->
-                      report_d013 ~sym:(Printf.sprintf "%s:%s:quad" id p) ~rel ~loc
+                      report ~rule:"D013" ~sym:(Printf.sprintf "%s:%s:quad" id p) ~rel ~loc
                         (Printf.sprintf
                            "accumulator built with `%s` inside recursive calls to %s — each \
                             iteration copies the whole accumulator (O(n^2)); cons and \

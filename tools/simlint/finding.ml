@@ -10,7 +10,7 @@ type status = Open | Suppressed
 type severity = Error | Warning | Note
 
 type t = {
-  rule : string;  (** "D001" .. "D013", or "E000" for parse failures *)
+  rule : string;  (** "D001" .. "D018", or "E000" for parse failures *)
   file : string;  (** path relative to the lint root *)
   line : int;  (** 1-based *)
   col : int;  (** 0-based, as the compiler prints them *)
@@ -18,7 +18,7 @@ type t = {
   severity : severity;
   sym : string option;
       (** Stable symbol-chain key for interprocedural findings (D009, D010,
-          D012–D014, D016–D018): the chain's endpoints, e.g.
+          D012–D014, D018): the chain's endpoints, e.g.
           "Clock_user.tag->Allowed_clock.stamp:Unix.gettimeofday". Line
           numbers drift under unrelated edits; the endpoints only change
           when the code the finding is about changes, so SARIF
@@ -26,15 +26,13 @@ type t = {
 }
 
 (* Determinism leaks (including the interprocedural D010) break the replay
-   contract outright, and cross-domain escapes (D012) race; the protocol
-   rules D014/D016/D017 violate the paper's correctness argument itself and
-   D018 its determinism contract, so all four are errors. The hygiene rules
-   flag hazards that need a human judgement call, hence warning; D005 is a
-   conventions nudge. *)
+   contract outright, and cross-domain escapes (D012) race; an unhandled
+   protocol message (D014) is silently dropped, and an underived worker
+   PRNG (D018) breaks the pool's determinism contract, so all are errors.
+   The hygiene rules flag hazards that need a human judgement call, hence
+   warning; D005 is a conventions nudge. *)
 let severity_of_rule = function
-  | "D001" | "D002" | "D003" | "D009" | "D010" | "D012" | "D014" | "D016" | "D017" | "D018"
-  | "E000" ->
-      Error
+  | "D001" | "D002" | "D003" | "D009" | "D010" | "D012" | "D014" | "D018" | "E000" -> Error
   | "D004" | "D006" | "D007" | "D008" | "D013" -> Warning
   | _ -> Note
 

@@ -32,7 +32,7 @@ let () =
               @ (String.split_on_char ',' s
                 |> List.map String.trim
                 |> List.filter (fun r -> r <> ""))),
-        "RULES run only the named rules, comma-separated (e.g. D014,D016); repeatable" );
+        "RULES run only the named rules, comma-separated (e.g. D014,D018); repeatable" );
     ]
   in
   let usage = "simlint [--root DIR] [--sarif FILE] [DIR ...]" in

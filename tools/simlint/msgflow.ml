@@ -64,21 +64,6 @@ let declared (inputs : Callgraph.input list) : decl list =
 
 let last_segment li = match List.rev (Rules.flatten li) with s :: _ -> Some s | _ -> None
 
-(* Constructor names mentioned anywhere in a pattern (through or-patterns,
-   aliases, tuples, payloads). *)
-let pat_ctors (p : Parsetree.pattern) : SS.t =
-  let acc = ref SS.empty in
-  let pat (it : Ast_iterator.iterator) (p : Parsetree.pattern) =
-    (match p.Parsetree.ppat_desc with
-    | Parsetree.Ppat_construct ({ txt; _ }, _) -> (
-        match last_segment txt with Some s -> acc := SS.add s !acc | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.Ast_iterator.pat it p
-  in
-  let it = { Ast_iterator.default_iterator with pat } in
-  it.Ast_iterator.pat it p;
-  !acc
-
 type construction = { cnode : string; cfile : string; cline : int; ccol : int }
 
 let findings (inputs : Callgraph.input list) : Finding.t list =

@@ -83,8 +83,6 @@ let catalog =
     ("D012", "mutable state escapes into a parallel worker closure");
     ("D013", "quadratic accumulation inside a recursive loop");
     ("D014", "protocol message constructed but never handled");
-    ("D016", "phase write outside the paper's legal transition relation");
-    ("D017", "fork token duplicated or leaked across send/receive sites");
     ("D018", "worker PRNG not derived from the root seed and index");
     ("E000", "source file failed to parse");
   ]
