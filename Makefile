@@ -87,15 +87,15 @@ bench-scale: build
 	dune exec bench/main.exe -- scale2 scale3 scale4 scale5 \
 		--trials 3 --out _build/bench-scale.json
 
-# Perf-regression gate: stash the committed snapshot, run a fresh
-# bench-smoke (which overwrites BENCH_dining.json in place), and diff the
-# two medians. Exits non-zero when any experiment slowed down by more
-# than BENCH_THRESHOLD x, or dropped out of the suite. The machine diff
-# lands in _build/benchdiff.json (uploaded as a CI artifact).
+# Perf-regression gate: run the suite as bench-smoke does, into
+# _build/bench-fresh.json so the committed snapshot stays untouched, and
+# diff the committed medians against the fresh ones. Exits non-zero when
+# any experiment slowed down by more than BENCH_THRESHOLD x, or dropped
+# out of the suite. The machine diff lands in _build/benchdiff.json; both
+# files are uploaded as CI artifacts.
 bench-diff: build
-	cp BENCH_dining.json _build/bench-baseline.json
-	$(MAKE) bench-smoke
-	dune exec tools/benchdiff/main.exe -- _build/bench-baseline.json BENCH_dining.json \
+	dune exec bench/main.exe -- --trials 3 --out _build/bench-fresh.json
+	dune exec tools/benchdiff/main.exe -- BENCH_dining.json _build/bench-fresh.json \
 		--threshold $(BENCH_THRESHOLD) --json _build/benchdiff.json
 
 # End-to-end smoke of the Perfetto exporter: render a corpus repro

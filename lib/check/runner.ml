@@ -95,21 +95,36 @@ let run_traced ?drive ?metrics ~registry (c : Config.t) =
   List.iter
     (fun (pid, at) -> if pid >= 0 && pid < n then Engine.schedule_crash engine pid ~at)
     c.Config.crashes;
-  Engine.run engine ~until:c.Config.horizon;
+  (* A component that raises breaks the run, not the campaign: the run's
+     one verdict is then the exception, with the tick it escaped at, and
+     the dining checks are not judged on the cut-short trace. *)
+  let raised =
+    match Engine.run engine ~until:c.Config.horizon with
+    | () -> None
+    | exception
+        (( Invalid_argument _ | Failure _ | Not_found | Assert_failure _ | Match_failure _
+         | Division_by_zero ) as exn) ->
+        Some
+          (Obs.Report.check "no_exception" false
+             ~detail:(Printf.sprintf "t=%d: %s" (Engine.now engine) (Printexc.to_string exn)))
+  in
   Option.iter Obs.Instrument.finalize inst;
   let trace = Engine.trace engine in
   let horizon = c.Config.horizon in
   let ix = Dining.Monitor.Index.build trace ~instance in
   let checks =
-    [
-      Obs.Report.of_verdict "wait_freedom"
-        (Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 3));
-      Obs.Report.of_verdict "eventual_weak_exclusion"
-        (Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon
-           ~suffix_from:(horizon / 2));
-      Obs.Report.of_verdict "exiting_finite"
-        (Dining.Monitor.Index.exiting_finite ix ~n ~horizon ~slack:(horizon / 3));
-    ]
+    match raised with
+    | Some check -> [ check ]
+    | None ->
+        [
+          Obs.Report.of_verdict "wait_freedom"
+            (Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 3));
+          Obs.Report.of_verdict "eventual_weak_exclusion"
+            (Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon
+               ~suffix_from:(horizon / 2));
+          Obs.Report.of_verdict "exiting_finite"
+            (Dining.Monitor.Index.exiting_finite ix ~n ~horizon ~slack:(horizon / 3));
+        ]
   in
   let failed =
     List.filter_map

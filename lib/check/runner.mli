@@ -5,7 +5,8 @@
     greedy clients on every process, applies the crash schedule, runs to
     the horizon, and checks the Section 4 dining properties over the
     trace: wait-freedom (slack horizon/3), eventual weak exclusion (suffix
-    from horizon/2), and finite exiting. *)
+    from horizon/2), and finite exiting; or reports a run that raised (see
+    {!run}). *)
 
 open Dsim
 
@@ -49,7 +50,15 @@ val run :
     {!Obs.Instrument} engine instrumentation into the given registry
     (finalized before returning) — campaign drivers give each run its own
     registry and merge them in run-index order. Raises [Failure] on an
-    algorithm name missing from the registry. *)
+    algorithm name missing from the registry.
+
+    A run that raises [Invalid_argument], [Failure], [Not_found],
+    [Assert_failure], [Match_failure] or [Division_by_zero] (what a broken
+    component raises, an off-cycle [Dining.Spec.Cell.set] for one) stops
+    there and has one check, [no_exception], failed, whose detail holds
+    the tick and the exception; the dining checks are not judged. Any
+    other exception (a controller's own, [Stack_overflow],
+    [Out_of_memory]) propagates. *)
 
 val run_traced :
   ?drive:Adversary.controller ->

@@ -1,30 +1,28 @@
-type packet = {
-  src : Types.pid;
-  dst : Types.pid;
-  tag : string;
-  tag_id : int; (* interned index into the engine's tag tables *)
-  payload : Msg.t;
-}
+(* Undelivered messages, oldest first: message [i < len] is the packed
+   header [meta.(i)] (see [pack]) with payload [payloads.(i)]. Both
+   arrays grow geometrically and are reused once emptied, so holding,
+   moving and consuming a message allocates nothing. Every message store
+   is one: a wheel slot, an overflow or reference bucket, a process
+   inbox. *)
+type queue = { mutable meta : int array; mutable payloads : Msg.t array; mutable len : int }
 
 (* In-flight delivery structure. The production representation is a
-   bucketed timing wheel: slot [s] holds the packets due at one future tick
-   in the window (t.clock, t.clock + size], indexed by [at land mask], as
-   the first [fill.(s)] entries of the packet array [slots.(s)], so send
-   and delivery are O(1) in the number of distinct delivery times. Every
-   slot starts as the shared empty array and grows geometrically, so a
-   short run pays only for the slots it fills.
+   bucketed timing wheel: slot [s] holds the messages due at one future
+   tick in the window (t.clock, t.clock + size], indexed by [at land mask],
+   so send and delivery are O(1) in the number of distinct delivery times.
 
    The wheel is sized to the delays the run draws ([grow_wheel]), from
    [initial_wheel] up to [max_wheel] slots, so a short run with small
-   delays allocates a small wheel, and a delivered packet stays reachable
+   delays allocates a small wheel, and a delivered payload stays reachable
    from its slot only until that slot comes round again, a few ticks.
    Deliveries beyond [max_wheel] ticks land in [overflow], an int map
-   keyed on delivery tick whose minimum bucket migrates into the wheel the
-   tick it enters the window (exactly one bucket can qualify per tick,
-   because buckets hold distinct ticks and the window advances one tick at
-   a time). The overflow map fills only at [max_wheel] slots, so growth
-   never has a bucket to migrate. The wheel holds only future ticks, so a
-   slot is always empty when its tick's packets start arriving.
+   keyed on delivery tick whose minimum bucket becomes the slot of its
+   tick the tick it enters the window (exactly one bucket can qualify per
+   tick, because buckets hold distinct ticks and the window advances one
+   tick at a time). The overflow map fills only at [max_wheel] slots, so
+   growth never has a bucket to migrate. The wheel holds only future
+   ticks, so a slot is always empty when its tick's messages start
+   arriving.
 
    [Refmap] is the previous tree-map-of-buckets representation, kept as a
    reference implementation: O(log buckets) per send/delivery, but simple
@@ -32,17 +30,16 @@ type packet = {
    test/test_scale.ml runs randomized instances under both and demands
    byte-identical traces. *)
 type wheel = {
-  mutable slots : packet array array; (* length is a power of two *)
-  mutable fill : int array; (* fill.(s) = packets due in slot s *)
+  mutable slots : queue array; (* length is a power of two *)
   mutable mask : int; (* Array.length slots - 1 *)
-  mutable overflow : packet Vec.t Types.Pidmap.t; (* empty below max_wheel *)
+  mutable overflow : queue Types.Pidmap.t; (* empty below max_wheel *)
 }
 
-type refmap = { mutable buckets : packet Vec.t Types.Pidmap.t }
+type refmap = { mutable buckets : queue Types.Pidmap.t }
 
 type delivery = Wheel of wheel | Refmap of refmap
 
-(* A filtered in-flight counter: the undelivered packets on one tag whose
+(* A filtered in-flight counter: the undelivered messages on one tag whose
    payload satisfies [pred]. *)
 type watch = { pred : Msg.t -> bool; mutable matching : int }
 
@@ -53,11 +50,8 @@ type proc = {
   components : Component.t Vec.t; (* registration order *)
   mutable flat_actions : Component.action array; (* the components', in order *)
   mutable cursor : int; (* weak-fairness rotation over flat_actions *)
-  inbox : packet Vec.t;
+  inbox : queue; (* delivered, not yet consumed *)
   mutable last_step : Types.time;
-  mutable batch : packet array;
-      (* step_process drain scratch, grown geometrically and reused across
-         steps; only the first [Vec.length inbox] slots are meaningful *)
   mutable ctx : Context.t option; (* built by the first [ctx] call *)
 }
 
@@ -83,11 +77,48 @@ and t = {
          / dead-destination discard / inbox drain / crash-time inbox
          clear, so per-tick monitors read them in O(1) instead of scanning
          every bucket and inbox. Empty until the first counter is
-         registered, so unwatched runs pay one compare per packet. *)
+         registered, so unwatched runs pay one compare per message. *)
   order : int array;
       (* per-tick scheduling order scratch: rebuilt to the identity and
          shuffled in place each tick, so [step] allocates no order array *)
+  mutable picks : int array;
+      (* [step_process]'s consumption order scratch, grown geometrically:
+         the inbox indices, shuffled in place *)
 }
+
+(* A message header packs source, destination and interned tag id, 21
+   bits each, into one immediate int; [create] and [intern_tag] keep all
+   three below [field_limit]. *)
+let field_bits = 21
+let field_limit = 1 lsl field_bits
+let field_mask = field_limit - 1
+let[@inline] pack ~src ~dst ~tag_id = (src lsl (2 * field_bits)) lor (dst lsl field_bits) lor tag_id
+let[@inline] src_of m = m lsr (2 * field_bits)
+let[@inline] dst_of m = (m lsr field_bits) land field_mask
+let[@inline] tag_of m = m land field_mask
+
+let queue () = { meta = [||]; payloads = [||]; len = 0 }
+
+let push q m payload =
+  let len = q.len in
+  if len = Array.length q.meta then
+    if len = 0 then begin
+      (* Array literals allocate inline, where [Array.make] and
+         [Array.blit] are C calls; most queues of a model-checker
+         schedule never grow past these four entries. *)
+      q.meta <- [| 0; 0; 0; 0 |];
+      q.payloads <- [| payload; payload; payload; payload |]
+    end
+    else begin
+      let meta = Array.make (2 * len) 0 and payloads = Array.make (2 * len) payload in
+      Array.blit q.meta 0 meta 0 len;
+      Array.blit q.payloads 0 payloads 0 len;
+      q.meta <- meta;
+      q.payloads <- payloads
+    end;
+  q.meta.(len) <- m;
+  q.payloads.(len) <- payload;
+  q.len <- len + 1
 
 (* A wheel starts with room for the unit delays of synchronous runs and
    the small draws of the DLS family. 256 ticks of horizon covers every
@@ -98,6 +129,7 @@ let max_wheel = 256
 
 let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~adversary () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
+  if n > field_limit then invalid_arg "Engine.create: n must be at most 2^21";
   let procs =
     Array.init n (fun pid ->
         {
@@ -107,9 +139,8 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
           components = Vec.create ();
           flat_actions = [||];
           cursor = 0;
-          inbox = Vec.create ();
+          inbox = queue ();
           last_step = 0;
-          batch = [||];
           ctx = None;
         })
   in
@@ -118,8 +149,7 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     | `Wheel ->
         Wheel
           {
-            slots = Array.make initial_wheel [||];
-            fill = Array.make initial_wheel 0;
+            slots = Array.init initial_wheel (fun _ -> queue ());
             mask = initial_wheel - 1;
             overflow = Types.Pidmap.empty;
           }
@@ -137,12 +167,13 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     tr = Trace.create ~retain:retain_trace ();
     hooks = Vec.create ();
     sent_total = 0;
-    tag_ids = Hashtbl.create 32;
+    tag_ids = Hashtbl.create 16;
     tag_names = [||];
     tag_count = 0;
     sent_tag = [||];
     watches = [||];
     order = Array.make n 0;
+    picks = [||];
   }
 
 let n t = t.n_procs
@@ -170,6 +201,7 @@ let intern_tag t tag =
   | id -> id
   | exception Not_found ->
       let id = t.tag_count in
+      if id = field_limit then invalid_arg "Engine: more than 2^21 message tags";
       if id = Array.length t.tag_names then begin
         let cap = max 16 (2 * (id + 1)) in
         let grow a fill =
@@ -185,87 +217,65 @@ let intern_tag t tag =
       t.tag_count <- id + 1;
       id
 
-let count_watched t pkt delta =
-  let ws = t.watches.(pkt.tag_id) in
+let count_watched t tag_id payload delta =
+  let ws = t.watches.(tag_id) in
   for k = 0 to Array.length ws - 1 do
     let w = ws.(k) in
-    if w.pred pkt.payload then w.matching <- w.matching + delta
+    if w.pred payload then w.matching <- w.matching + delta
   done
 
-(* [pkt] enters (+1) or leaves (-1) the undelivered set: move every
+(* A message enters (+1) or leaves (-1) the undelivered set: move every
    filtered counter on its tag that its payload matches. *)
-let[@inline] pend t pkt delta =
-  if pkt.tag_id < Array.length t.watches then count_watched t pkt delta
-
-let slot_add w s pkt =
-  let len = w.fill.(s) in
-  if len = Array.length w.slots.(s) then begin
-    let grown = Array.make (Int.max 8 (2 * len)) pkt in
-    Array.blit w.slots.(s) 0 grown 0 len;
-    w.slots.(s) <- grown
-  end;
-  w.slots.(s).(len) <- pkt;
-  w.fill.(s) <- len + 1
+let[@inline] pend t tag_id payload delta =
+  if tag_id < Array.length t.watches then count_watched t tag_id payload delta
 
 (* Grow the wheel to the smallest power of two of at least [delay] slots,
-   at most [max_wheel]. Slot [s] holds the one tick [at] of the window
-   (clock, clock + size] with [at land mask = s], so it moves whole, array
-   and fill, to [at land mask'] in the larger wheel, where the ticks of the
-   old window take distinct slots: no packet is touched and each slot
-   keeps its send order. *)
+   at most [max_wheel]. New slot [s'] holds the one tick [at] of the
+   window (clock, clock + size'] with [at land mask' = s']; for a tick of
+   the old window that is the old slot of [at], moved whole, so no message
+   is touched and each slot keeps its send order. *)
 let grow_wheel w ~clock ~delay =
   let size = w.mask + 1 in
   let rec fit s = if s >= delay || s >= max_wheel then s else fit (2 * s) in
   let size' = fit (2 * size) in
-  let slots = Array.make size' [||] and fill = Array.make size' 0 in
-  for s = 0 to size - 1 do
-    let at = clock + 1 + ((s - clock - 1) land w.mask) in
-    let s' = at land (size' - 1) in
-    slots.(s') <- w.slots.(s);
-    fill.(s') <- w.fill.(s)
-  done;
+  let slots =
+    Array.init size' (fun s' ->
+        let at = clock + 1 + ((s' - clock - 1) land (size' - 1)) in
+        if at <= clock + size then w.slots.(at land w.mask) else queue ())
+  in
   w.slots <- slots;
-  w.fill <- fill;
   w.mask <- size' - 1
+
+(* Append to the bucket of delivery tick [at], creating it if needed. *)
+let push_bucket buckets at m payload =
+  match Types.Pidmap.find at buckets with
+  | q ->
+      push q m payload;
+      buckets
+  | exception Not_found ->
+      let q = queue () in
+      push q m payload;
+      Types.Pidmap.add at q buckets
 
 let send t ~src ~dst ~tag payload =
   if dst < 0 || dst >= t.n_procs then invalid_arg "Engine.send: bad destination";
   (* Reliable channels: the message is assigned a finite delay at send time.
-     If the destination crashes before delivery, the packet is discarded at
+     If the destination crashes before delivery, the message is discarded at
      delivery time (a crashed process takes no further steps anyway). *)
   let delay = max 1 (t.adversary.Adversary.delay t.prng ~now:t.clock ~src ~dst) in
   let at = t.clock + delay in
   let tag_id = intern_tag t tag in
-  let pkt = { src; dst; tag; tag_id; payload } in
+  let m = pack ~src ~dst ~tag_id in
   (match t.delivery with
   | Wheel w ->
       if delay > w.mask + 1 && w.mask + 1 < max_wheel then grow_wheel w ~clock:t.clock ~delay;
-      if delay <= w.mask + 1 then slot_add w (at land w.mask) pkt
-      else begin
-        let bucket =
-          match Types.Pidmap.find_opt at w.overflow with
-          | Some v -> v
-          | None ->
-              let v = Vec.create () in
-              w.overflow <- Types.Pidmap.add at v w.overflow;
-              v
-        in
-        Vec.add_last bucket pkt
-      end
-  | Refmap r ->
-      let bucket =
-        match Types.Pidmap.find_opt at r.buckets with
-        | Some v -> v
-        | None ->
-            let v = Vec.create () in
-            r.buckets <- Types.Pidmap.add at v r.buckets;
-            v
-      in
-      Vec.add_last bucket pkt);
+      if delay <= w.mask + 1 then push w.slots.(at land w.mask) m payload
+      else w.overflow <- push_bucket w.overflow at m payload
+  | Refmap r -> r.buckets <- push_bucket r.buckets at m payload);
   t.flight_count <- t.flight_count + 1;
   t.sent_total <- t.sent_total + 1;
   t.sent_tag.(tag_id) <- t.sent_tag.(tag_id) + 1;
-  pend t pkt 1
+  pend t tag_id payload 1
 
 (* One context per process, built at the first request: a deployment
    that asks again (the detector layer, then the dining layer) shares it. *)
@@ -320,38 +330,43 @@ let do_crash t (p : proc) =
   if p.alive then begin
     p.alive <- false;
     t.live_count <- t.live_count - 1;
-    (* Discard the pending inbox; each discarded packet leaves the
+    (* Discard the pending inbox; each discarded message leaves the
        per-tag undelivered counts with it. *)
-    for i = 0 to Vec.length p.inbox - 1 do
-      pend t (Vec.get p.inbox i) (-1)
+    let q = p.inbox in
+    for i = 0 to q.len - 1 do
+      pend t (tag_of q.meta.(i)) q.payloads.(i) (-1)
     done;
-    Vec.clear p.inbox;
+    q.len <- 0;
     Trace.append t.tr ~at:t.clock (Trace.Crash { pid = p.pid })
   end
 
 let crash_now t pid = do_crash t t.procs.(pid)
 
-(* Every undelivered packet: the delivery structure (wheel slots +
-   overflow, or the reference map) plus the live inboxes. Cost is the
-   wheel size plus the traffic — the counters' test oracle and the seed
-   of a counter registered mid-run; the hot path never calls this. *)
+(* Every undelivered message, as [f header payload]: the delivery
+   structure (wheel slots + overflow, or the reference map) plus the live
+   inboxes. Cost is the wheel size plus the traffic — the counters' test
+   oracle and the seed of a counter registered mid-run; the hot path never
+   calls this. *)
 let iter_undelivered t f =
+  let each q =
+    for i = 0 to q.len - 1 do
+      f q.meta.(i) q.payloads.(i)
+    done
+  in
   (match t.delivery with
   | Wheel w ->
-      Array.iteri
-        (fun s slot ->
-          for i = 0 to w.fill.(s) - 1 do
-            f slot.(i)
-          done)
-        w.slots;
-      Types.Pidmap.iter (fun _ bucket -> Vec.iter f bucket) w.overflow
-  | Refmap r -> Types.Pidmap.iter (fun _ bucket -> Vec.iter f bucket) r.buckets);
-  Array.iter (fun p -> Vec.iter f p.inbox) t.procs
+      Array.iter each w.slots;
+      Types.Pidmap.iter (fun _ q -> each q) w.overflow
+  | Refmap r -> Types.Pidmap.iter (fun _ q -> each q) r.buckets);
+  Array.iter (fun p -> each p.inbox) t.procs
 
 let in_flight_scan t ~tag ~f =
-  let count = ref 0 in
-  iter_undelivered t (fun pkt -> if String.equal pkt.tag tag && f pkt.payload then incr count);
-  !count
+  match Hashtbl.find_opt t.tag_ids tag with
+  | None -> 0
+  | Some id ->
+      let count = ref 0 in
+      iter_undelivered t (fun m payload -> if tag_of m = id && f payload then incr count);
+      !count
 
 let in_flight_counter t ~tag ~f =
   let id = intern_tag t tag in
@@ -388,20 +403,25 @@ let sent_by_tag t =
    quadratic in hook count. *)
 let on_tick t f = Vec.add_last t.hooks f
 
-(* Deliver one packet: move it to the destination inbox, or discard it if
+(* Deliver one message: move it to the destination inbox, or discard it if
    the destination crashed (the per-tag pending counts drop either way it
-   leaves the system — on discard here, on drain otherwise). *)
-let deliver_packet t pkt =
+   leaves the system — on discard here, on consumption otherwise). *)
+let deliver t m payload =
   t.flight_count <- t.flight_count - 1;
-  let p = t.procs.(pkt.dst) in
-  if p.alive then Vec.add_last p.inbox pkt else pend t pkt (-1)
+  let p = t.procs.(dst_of m) in
+  if p.alive then push p.inbox m payload else pend t (tag_of m) payload (-1)
 
-(* One wheel turn: deliver the current tick's slot, then migrate the
-   overflow bucket entering the window, if any, into the slot just freed
+let deliver_all t q =
+  for i = 0 to q.len - 1 do
+    deliver t q.meta.(i) q.payloads.(i)
+  done
+
+(* One wheel turn: deliver the current tick's slot, then let the overflow
+   bucket entering the window, if any, become the slot just emptied
    ([at = clock + max_wheel] maps to [clock land mask]: the overflow map
    fills only at full size). Migration precedes this tick's sends, and a
    direct wheel insert for the same delivery tick can only happen at
-   [clock >= at - max_wheel], so within any slot migrated packets (sent
+   [clock >= at - max_wheel], so within any slot migrated messages (sent
    strictly earlier) come first and global send order — the delivery
    order the old map preserved — is kept.
    Slots and buckets append in send order and index loops deliver them
@@ -410,17 +430,12 @@ let deliver_packet t pkt =
 let turn_wheel t w =
   let s = t.clock land w.mask in
   let slot = w.slots.(s) in
-  for i = 0 to w.fill.(s) - 1 do
-    deliver_packet t slot.(i)
-  done;
-  w.fill.(s) <- 0;
+  deliver_all t slot;
+  slot.len <- 0;
   match Types.Pidmap.min_binding_opt w.overflow with
   | Some (at, bucket) when at - t.clock <= max_wheel ->
       w.overflow <- Types.Pidmap.remove at w.overflow;
-      let dst = at land w.mask in
-      for i = 0 to Vec.length bucket - 1 do
-        slot_add w dst (Vec.get bucket i)
-      done
+      w.slots.(at land w.mask) <- bucket
   | Some _ | None -> ()
 
 (* Reference delivery: peel ripe buckets off the cheap end of the map in
@@ -429,15 +444,13 @@ let rec deliver_ref t r =
   match Types.Pidmap.min_binding_opt r.buckets with
   | Some (at, bucket) when at <= t.clock ->
       r.buckets <- Types.Pidmap.remove at r.buckets;
-      for i = 0 to Vec.length bucket - 1 do
-        deliver_packet t (Vec.get bucket i)
-      done;
+      deliver_all t bucket;
       deliver_ref t r
   | Some _ | None -> ()
 
 (* First registered component whose name matches the tag handles the
-   packet; a message for an unregistered layer is dropped. Open-coded
-   index walk (rather than a [find]-style combinator) so the per-packet
+   message; a message for an unregistered layer is dropped. Open-coded
+   index walk (rather than a [find]-style combinator) so the per-message
    dispatch neither builds a predicate closure nor boxes the result. *)
 let rec route_from (p : proc) i ~src payload tag =
   if i < Vec.length p.components then begin
@@ -446,16 +459,6 @@ let rec route_from (p : proc) i ~src payload tag =
     else route_from p (i + 1) ~src payload tag
   end
 
-let route_receive (p : proc) pkt = route_from p 0 ~src:pkt.src pkt.payload pkt.tag
-
-(* One atomic step of process [p]: consume the pending messages (the paper's
-   atomic step receives at most one message from *each* process, so draining
-   the inbox — which holds at most a few packets per peer — is faithful and,
-   crucially, keeps consumption ahead of production: draining only one packet
-   per step would let chatty layers grow the inbox without bound, silently
-   stretching every delivery), then execute at most one enabled guarded
-   action, scanning from the rotating cursor so that a continuously enabled
-   action runs within one full rotation (weak fairness). *)
 (* Weak-fairness scan from the rotating cursor: run the first enabled
    action, advancing the cursor past it. Hoisted to top level so the hot
    step builds no [scan] closure (a local [let rec] capturing its
@@ -471,29 +474,43 @@ let rec scan_action (p : proc) acts m k =
     else scan_action p acts m (k + 1)
   end
 
+(* One atomic step of process [p]: consume every message pending at the
+   step's start (the paper's atomic step receives at most one message from
+   *each* process, so draining the inbox — which holds at most a few
+   messages per peer — is faithful and, crucially, keeps consumption ahead
+   of production: consuming only one message per step would let chatty
+   layers grow the inbox without bound, silently stretching every
+   delivery), then execute at most one enabled guarded action, scanning
+   from the rotating cursor so that a continuously enabled action runs
+   within one full rotation (weak fairness). *)
 let step_process t (p : proc) =
   p.last_step <- t.clock;
-  let pending = Vec.length p.inbox in
+  let q = p.inbox in
+  let pending = q.len in
   if pending > 0 then begin
-    (* Non-FIFO: consume in a randomly shuffled order. Only the packets
-       present at the start of the step are delivered in it. The batch
-       lives in per-process scratch reused across steps; [shuffle_prefix]
-       draws exactly what [shuffle] on a fresh [pending]-sized array drew,
-       so replay digests are unchanged. *)
-    if Array.length p.batch < pending then
-      p.batch <- Array.make (max 8 (2 * pending)) (Vec.get p.inbox 0);
+    (* Consumed by this step: each message stops counting as undelivered
+       now, matching what a scan of the inboxes at the end of the tick
+       would see, and a crash during the step discards nothing more. *)
     for i = 0 to pending - 1 do
-      let pkt = Vec.get p.inbox i in
-      p.batch.(i) <- pkt;
-      (* Drained from the inbox: the packet stops counting as undelivered
-         the moment this step consumes it, matching what a scan of the
-         inboxes at the end of the tick would see. *)
-      pend t pkt (-1)
+      pend t (tag_of q.meta.(i)) q.payloads.(i) (-1)
     done;
-    Vec.clear p.inbox;
-    Prng.shuffle_prefix t.prng p.batch ~len:pending;
+    q.len <- 0;
+    (* Non-FIFO: consume in a randomly shuffled order, routing in place.
+       Nothing is delivered during a step, so the inbox's first [pending]
+       entries stay as they were. Shuffling their indices makes exactly the
+       draws, and the permutation, of shuffling the messages themselves. *)
+    if Array.length t.picks < pending then t.picks <- Array.make (max 8 (2 * pending)) 0;
+    let picks = t.picks in
     for i = 0 to pending - 1 do
-      if p.alive then route_receive p p.batch.(i)
+      picks.(i) <- i
+    done;
+    Prng.shuffle_prefix t.prng picks ~len:pending;
+    for i = 0 to pending - 1 do
+      if p.alive then begin
+        let k = picks.(i) in
+        let m = q.meta.(k) in
+        route_from p 0 ~src:(src_of m) q.payloads.(k) t.tag_names.(tag_of m)
+      end
     done
   end;
   if p.alive then begin

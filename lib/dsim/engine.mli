@@ -3,9 +3,10 @@
     Implements the system model of Section 4 of the paper:
 
     - a finite set of processes [0 .. n-1] executing atomic steps: in each
-      step a process receives at most one pending message and executes at
-      most one enabled guarded action (interleaving semantics, with a
-      rotating cursor providing weak fairness across a process's actions);
+      step a process consumes every message pending at the step's start,
+      in a shuffled order, and executes at most one enabled guarded action
+      (interleaving semantics, with a rotating cursor providing weak
+      fairness across a process's actions);
     - reliable non-FIFO channels: every message sent to a correct process is
       eventually delivered exactly once, uncorrupted; delivery delays are
       chosen by the {!Adversary}; messages to crashed processes vanish;
@@ -27,7 +28,11 @@ val create :
   adversary:Adversary.t ->
   unit ->
   t
-(** [retain_trace] (default [true]) is forwarded to {!Trace.create}: pass
+(** Raises [Invalid_argument] unless [0 < n <= 2^21]: a message's
+    header packs its source and destination into 21 bits each (and its
+    tag id, so a run may intern at most 2^21 tags).
+
+    [retain_trace] (default [true]) is forwarded to {!Trace.create}: pass
     [false] for very long runs that stream the trace to an [Obs.Sink]
     instead of holding it in memory.
 
@@ -37,7 +42,7 @@ val create :
     the smallest power of two that holds a send's delay, up to 256 slots,
     with an overflow map beyond; so creating an engine for short runs with
     small delays, as the model checker does once per schedule, allocates
-    little (an n = 2 engine, 138 words).
+    little (an n = 2 engine, 133 words).
     The two are observationally identical (same traces, same PRNG draws,
     same delivery order — property-tested in [test/test_scale.ml]);
     [`Reference] exists only as the oracle for that differential test. *)
@@ -79,7 +84,7 @@ val in_flight_counter : t -> tag:string -> f:(Msg.t -> bool) -> unit -> int
     The engine moves it at four points: send, dead-destination discard,
     inbox drain and crash-time inbox clear; so read from an {!on_tick}
     hook it equals [in_flight_scan t ~tag ~f]. [f] must be a pure function
-    of the payload: it runs once when a matching-tag packet is sent and
+    of the payload: it runs once when a matching-tag message is sent and
     once when it leaves. With [f] accepting every payload it counts all of
     the tag's undelivered messages. Registering on a tag that has never
     sent is O(1); otherwise the counter is seeded by one scan.
@@ -95,7 +100,7 @@ val in_flight_scan : t -> tag:string -> f:(Msg.t -> bool) -> int
     tag has sent; monitors read the counters. *)
 
 val in_flight_total : t -> int
-(** All undelivered packets, any tag (excludes inbox-pending ones). *)
+(** All undelivered messages, any tag (excludes inbox-pending ones). *)
 
 val sent_total : t -> int
 (** Total messages sent so far (accounting, used by benches). *)

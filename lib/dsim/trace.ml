@@ -7,18 +7,25 @@ type event =
 
 type entry = { at : Types.time; ev : event }
 
+(* Retained entries live in fixed chunks of [chunk_size] under a spine:
+   entry [i] is [chunks.(i / chunk_size).(i mod chunk_size)]. An append
+   copies no entry; growth allocates one chunk, and now and then a spine
+   twice as long. *)
 type t = {
-  mutable buf : entry array;
+  mutable chunks : entry array array;
   mutable len : int;
   retain : bool;
   mutable subs : (entry -> unit) list; (* registration order *)
 }
 
+let chunk_bits = 6
+let chunk_size = 1 lsl chunk_bits
+
 let dummy = { at = 0; ev = Crash { pid = -1 } }
 
-(* The buffer is allocated at the first retained append, so a
+(* The spine is allocated at the first retained append, so a
    [~retain:false] trace never holds one. *)
-let create ?(retain = true) () = { buf = [||]; len = 0; retain; subs = [] }
+let create ?(retain = true) () = { chunks = [||]; len = 0; retain; subs = [] }
 
 let subscribe t f = t.subs <- t.subs @ [ f ]
 
@@ -28,19 +35,25 @@ let rec fan_out e = function
       f e;
       fan_out e rest
 
-(* The first block is small (the model checker's 14-tick runs keep about
-   ten entries each) and each later one doubles. *)
+(* A trace of at most one chunk (the model checker's 14-tick runs keep
+   about ten entries each) holds one chunk under a 2-slot spine. *)
 let push t e =
-  if t.len = Array.length t.buf then begin
-    let bigger = Array.make (max 64 (2 * t.len)) dummy in
-    Array.blit t.buf 0 bigger 0 t.len;
-    t.buf <- bigger
+  let c = t.len lsr chunk_bits and i = t.len land (chunk_size - 1) in
+  if i = 0 then begin
+    if c = Array.length t.chunks then begin
+      let spine = Array.make (max 2 (2 * c)) [||] in
+      Array.blit t.chunks 0 spine 0 c;
+      t.chunks <- spine
+    end;
+    t.chunks.(c) <- Array.make chunk_size dummy
   end;
-  t.buf.(t.len) <- e;
+  t.chunks.(c).(i) <- e;
   t.len <- t.len + 1
 
+let[@inline] get t i = t.chunks.(i lsr chunk_bits).(i land (chunk_size - 1))
+
 (* One entry, built only when someone keeps or observes it, and shared by
-   the subscribers and the buffer. *)
+   the subscribers and the chunks. *)
 let append t ~at ev =
   match t.subs with
   | [] ->
@@ -53,15 +66,21 @@ let append t ~at ev =
 
 let length t = t.len
 
+(* Chunk by chunk: the checkers' passes over a long trace skip [get]'s
+   index arithmetic per entry. Entries appended by [f] are not visited. *)
 let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.buf.(i)
+  let len = t.len in
+  for c = 0 to ((len + chunk_size - 1) lsr chunk_bits) - 1 do
+    let chunk = t.chunks.(c) in
+    for i = 0 to Int.min chunk_size (len - (c lsl chunk_bits)) - 1 do
+      f chunk.(i)
+    done
   done
 
 let entries t =
   let acc = ref [] in
   for i = t.len - 1 downto 0 do
-    acc := t.buf.(i) :: !acc
+    acc := get t i :: !acc
   done;
   !acc
 
@@ -118,7 +137,7 @@ let pp_entry fmt e = Format.fprintf fmt "t=%-6d %a" e.at pp_event e.ev
 let dump ?limit fmt t =
   let n = match limit with Some l -> min l t.len | None -> t.len in
   for i = 0 to n - 1 do
-    Format.fprintf fmt "%a@." pp_entry t.buf.(i)
+    Format.fprintf fmt "%a@." pp_entry (get t i)
   done;
   if n < t.len then Format.fprintf fmt "... (%d more)@." (t.len - n)
 

@@ -30,9 +30,10 @@ val create : ?retain:bool -> unit -> t
 (** [retain] (default [true]): whether appended entries are stored in the
     in-memory buffer. With [~retain:false] the trace only fans appends out
     to subscribers — the memory-free streaming mode for very long runs
-    (property checkers then run offline over an exported JSONL file). The
-    buffer is allocated at the first retained append, so a
-    [~retain:false] trace never holds one. *)
+    (property checkers then run offline over an exported JSONL file).
+    Retained entries are stored in 64-entry chunks, the first allocated
+    at the first retained append, so a [~retain:false] trace never holds
+    one and an append never copies earlier entries. *)
 
 val append : t -> at:Types.time -> event -> unit
 (** Builds the entry only when it is retained or observed, once, and

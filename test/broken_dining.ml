@@ -38,3 +38,34 @@ let builder engine ~graph ~instance ~eat_ticks =
 (* The default registry plus the broken variant, so corpus artifacts for
    either kind replay through one registry. *)
 let registry = (algo, builder) :: Check.Runner.default_registry
+
+(* [exit-hungry] is a diner that eats as soon as it is hungry and, at the
+   end of its exit, writes Hungry where the cycle wants Thinking:
+   [Spec.Cell.set] refuses the write with [Invalid_argument], so every run
+   in which a diner finishes an exit raises. It stands for any component
+   that raises, which the runner must report as a failed [no_exception]
+   check. It is kept out of [registry], so the configs that other tests
+   draw over that registry's algorithms do not change. *)
+let exit_hungry = "exit-hungry"
+
+let exit_hungry_builder engine ~graph ~instance ~eat_ticks =
+  for pid = 0 to Graphs.Conflict_graph.n graph - 1 do
+    let ctx = Engine.ctx engine pid in
+    let cell, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance) in
+    let move name ~from_ ~to_ =
+      Component.action name
+        ~guard:(fun () -> Types.phase_equal (Dining.Spec.Cell.phase cell) from_)
+        ~body:(fun () -> Dining.Spec.Cell.set cell to_)
+    in
+    Engine.register engine pid
+      (Component.make ~name:instance
+         ~actions:
+           [
+             move "eat" ~from_:Types.Hungry ~to_:Types.Eating;
+             move "exit" ~from_:Types.Exiting ~to_:Types.Hungry;
+           ]
+         ());
+    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
+  done
+
+let raising_registry = (exit_hungry, exit_hungry_builder) :: registry

@@ -163,6 +163,44 @@ let test_broken_variant_caught_and_shrunk () =
   Alcotest.(check string) "minimal counterexample digest is pinned" pinned_broken_digest
     (Check.Repro.digest r)
 
+(* A diner that raises is a verdict, not an aborted campaign: a run of
+   [exit-hungry] fails [no_exception], whose detail names the tick and
+   the refused write, the campaign shrinks the first such run to a repro,
+   and the repro replays to the same verdict. *)
+let test_raising_diner_is_a_verdict () =
+  let result =
+    Check.Campaign.run ~runs:20 ~max_repros:1 ~max_horizon:2000
+      ~algos:[ Broken_dining.exit_hungry ] ~registry:Broken_dining.raising_registry
+      ~root_seed:0xE417L ()
+  in
+  Alcotest.(check bool) "the campaign completes with violations" true
+    (result.Check.Campaign.violations <> []);
+  List.iter
+    (fun (v : Check.Campaign.violation) ->
+      Alcotest.(check (list string)) "a raising run fails no_exception alone" [ "no_exception" ]
+        v.Check.Campaign.failed)
+    result.Check.Campaign.violations;
+  let r = first_repro result in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  (match r.Check.Repro.checks with
+  | [ { Obs.Report.name = "no_exception"; holds = false; detail } ] ->
+      Alcotest.(check bool) ("detail names the tick: " ^ detail) true
+        (String.length detail > 2 && String.sub detail 0 2 = "t=");
+      Alcotest.(check bool) ("detail names the write: " ^ detail) true
+        (contains detail "Invalid_argument" && contains detail "exiting -> hungry is off the cycle")
+  | _ -> Alcotest.fail "the shrunk repro does not record one failed no_exception check");
+  Alcotest.(check bool) "shrunk to a pair" true
+    (r.Check.Repro.config.Check.Config.topology = Check.Config.Pair);
+  match Check.Repro.replay ~registry:Broken_dining.raising_registry r with
+  | Ok outcome ->
+      Alcotest.(check bool) "the replay reproduces the check, detail included" true
+        (outcome.Check.Runner.checks = r.Check.Repro.checks)
+  | Error mismatches -> Alcotest.fail ("verdict mismatch: " ^ String.concat "; " mismatches)
+
 (* ------------------------------------------------------------------ *)
 (* Worker pool & jobs-invariance *)
 
@@ -436,6 +474,8 @@ let () =
           Alcotest.test_case "real algorithms pass" `Slow test_real_algorithms_pass;
           Alcotest.test_case "broken variant caught, shrink deterministic" `Slow
             test_broken_variant_caught_and_shrunk;
+          Alcotest.test_case "a raising diner is a shrunk verdict" `Quick
+            test_raising_diner_is_a_verdict;
         ] );
       ( "pool",
         [

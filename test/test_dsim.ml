@@ -343,6 +343,17 @@ let test_engine_crash_bad_pid_rejected () =
   Engine.run engine ~until:20;
   check_int "no process crashed" 2 (Engine.live_count engine)
 
+(* A message header packs source, destination and tag id into 21 bits
+   each, so an engine past 2^21 processes is refused before it allocates
+   anything. *)
+let test_engine_size_rejected () =
+  List.iter
+    (fun n ->
+      match Engine.create ~n ~adversary:(Adversary.synchronous ()) () with
+      | _ -> Alcotest.failf "n = %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; (1 lsl 21) + 1; max_int ]
+
 let test_engine_run_while () =
   let engine = Engine.create ~seed:1L ~n:1 ~adversary:(Adversary.synchronous ()) () in
   Engine.run_while engine ~max:1000 (fun () -> Engine.now engine < 123);
@@ -533,6 +544,31 @@ let test_trace_csv () =
   Alcotest.(check string) "suspect row" "5,suspect,d,0,1," (List.nth lines 2);
   Alcotest.(check string) "crash row" "9,crash,,1,," (List.nth lines 3)
 
+(* Entries past the first 64-entry chunk read back in append order
+   through every reader. *)
+let test_trace_chunks () =
+  let tr = Trace.create () in
+  let len = 150 in
+  for i = 0 to len - 1 do
+    Trace.append tr ~at:i (Trace.Crash { pid = i })
+  done;
+  let ats l = List.map (fun (e : Trace.entry) -> e.Trace.at) l in
+  check_int "length" len (Trace.length tr);
+  Alcotest.(check (list int)) "entries" (List.init len Fun.id) (ats (Trace.entries tr));
+  let seen = ref [] in
+  Trace.iter tr (fun e -> seen := e.Trace.at :: !seen);
+  Alcotest.(check (list int)) "iter" (List.init len Fun.id) (List.rev !seen);
+  Alcotest.(check (list int))
+    "filter" (List.init 5 (fun k -> 32 * k))
+    (ats (Trace.filter tr (fun e -> e.Trace.at mod 32 = 0)));
+  let rows = String.split_on_char '\n' (String.trim (Trace.to_csv tr)) in
+  check_int "csv rows" (len + 1) (List.length rows);
+  Alcotest.(check string) "last csv row" "149,crash,,149,," (List.nth rows len);
+  let dumped = Format.asprintf "%a" (Trace.dump ~limit:100) tr in
+  let lines = String.split_on_char '\n' (String.trim dumped) in
+  check_int "dump lines" 101 (List.length lines);
+  Alcotest.(check string) "dump tail" "... (50 more)" (List.nth lines 100)
+
 let test_trace_csv_escaping () =
   (* RFC 4180: fields containing commas, quotes, or line breaks must be
      quoted, with embedded quotes doubled. Regression for note payloads
@@ -680,6 +716,7 @@ let () =
             test_engine_duplicate_component_rejected;
           Alcotest.test_case "crash of a bad pid rejected" `Quick
             test_engine_crash_bad_pid_rejected;
+          Alcotest.test_case "n past 2^21 rejected" `Quick test_engine_size_rejected;
           Alcotest.test_case "run_while" `Quick test_engine_run_while;
           Alcotest.test_case "send counters" `Quick test_engine_send_counters;
           Alcotest.test_case "inbox drains under load" `Quick
@@ -695,6 +732,7 @@ let () =
           Alcotest.test_case "crash times" `Quick test_trace_crash_times;
           Alcotest.test_case "csv export" `Quick test_trace_csv;
           Alcotest.test_case "csv escaping" `Quick test_trace_csv_escaping;
+          Alcotest.test_case "entries across chunks" `Quick test_trace_chunks;
           Alcotest.test_case "handicap adversary" `Quick test_adversary_handicap;
           Alcotest.test_case "handicap backstop at factor near 0" `Quick
             test_adversary_handicap_backstop;

@@ -243,6 +243,45 @@ let test_dropfork_counterexample_and_replay () =
         (Check.Repro.digest v.Mc.Explore.repro)
   | [] -> Alcotest.fail "second exploration found no counterexample"
 
+(* A raising diner under the explorer: every schedule in which a diner
+   finishes an exit raises inside the run, and each is a counterexample
+   failing [no_exception] (the diner has no exclusion, so a schedule that
+   ends before any exit fails eventual weak exclusion instead). The root
+   split abandons runs with its own exception, which must still reach the
+   explorer: split at depth 4, the search counts what it counts
+   unsplit. *)
+let test_raising_diner_counterexamples () =
+  let base = mc_config ~algo:Broken_dining.exit_hungry ~horizon:8 ~phi:2 () in
+  let explore_at split_depth =
+    Mc.Explore.run ~registry:Broken_dining.raising_registry
+      { (Mc.Explore.default ~base) with Mc.Explore.split_depth; max_schedules = 500_000 }
+  in
+  let split = explore_at 4 and unsplit = explore_at 0 in
+  let stats r = r.Mc.Explore.stats in
+  Alcotest.(check bool) "several schedules" true ((stats split).Mc.Explore.schedules > 1);
+  Alcotest.(check bool) "counterexamples found" true
+    ((stats split).Mc.Explore.violation_count > 0);
+  Alcotest.(check bool) "no_exception fails" true
+    (List.mem "no_exception" split.Mc.Explore.failed_checks);
+  Alcotest.(check int) "the split explores the unsplit schedules"
+    (stats unsplit).Mc.Explore.schedules (stats split).Mc.Explore.schedules;
+  Alcotest.(check int) "the split finds the unsplit counterexamples"
+    (stats unsplit).Mc.Explore.violation_count (stats split).Mc.Explore.violation_count;
+  let raised (v : Mc.Explore.violation) =
+    List.exists
+      (fun (c : Obs.Report.check) -> String.equal c.Obs.Report.name "no_exception")
+      v.Mc.Explore.repro.Check.Repro.checks
+  in
+  match List.find_opt raised split.Mc.Explore.violations with
+  | None -> Alcotest.fail "no raising counterexample kept"
+  | Some v -> (
+      let repro = v.Mc.Explore.repro in
+      match Check.Repro.replay ~registry:Broken_dining.raising_registry repro with
+      | Ok outcome ->
+          Alcotest.(check bool) "the counterexample replays to the same check" true
+            (outcome.Check.Runner.checks = repro.Check.Repro.checks)
+      | Error mismatches -> Alcotest.fail ("verdict mismatch: " ^ String.concat "; " mismatches))
+
 (* ------------------------------------------------------------------ *)
 (* Crash-budget enumeration *)
 
@@ -344,6 +383,8 @@ let () =
         [
           Alcotest.test_case "dropfork caught, repro replays bit-identically" `Quick
             test_dropfork_counterexample_and_replay;
+          Alcotest.test_case "a raising diner yields counterexamples" `Quick
+            test_raising_diner_counterexamples;
         ] );
       ( "report",
         [

@@ -264,6 +264,61 @@ let test_in_flight_counter_matches_scan () =
         (Engine.in_flight_counter engine ~tag:"never-sent" ~f:(fun _ -> true) ()))
     cases
 
+(* A process crashes itself from [on_receive] with more messages pending
+   in the same step. Process 0 is stalled in [100, 250) and nothing is
+   sent to it from tick 200 on, so its inbox is full when it next steps;
+   the first message it routes at or after 250 crashes it. The step has
+   already consumed the whole inbox: the rest are not routed, and the
+   counters match the scan at every tick under both delivery modes, whose
+   traces (one note per routed message) are identical. *)
+let test_crash_inside_step () =
+  let n = 5 in
+  let to0 = function Msg.Int_msg k -> k mod n = 0 | _ -> false in
+  let run delivery =
+    let engine =
+      Engine.create ~seed:21L ~delivery ~n ~adversary:(stall_pid0 (Adversary.async_uniform ())) ()
+    in
+    let routed_dead = ref 0 and routed_late = ref 0 in
+    for pid = 0 to n - 1 do
+      let ctx = Engine.ctx engine pid in
+      let on_receive ~src payload =
+        if not (Engine.is_live engine pid) then incr routed_dead;
+        let info = match payload with Msg.Int_msg k -> string_of_int k | _ -> "?" in
+        ctx.Context.log (Trace.Note { pid; label = "recv-from-" ^ string_of_int src; info });
+        if pid = 0 && ctx.Context.now () >= 250 then begin
+          incr routed_late;
+          Engine.crash_now engine 0
+        end
+      in
+      let chat = chatter engine pid ~n in
+      Engine.register engine pid
+        (Component.make ~name:"chat" ~actions:(Array.to_list chat.Component.actions) ~on_receive ())
+    done;
+    let all = Engine.in_flight_counter engine ~tag:"chat" ~f:(fun _ -> true) in
+    let pending0 = Engine.in_flight_counter engine ~tag:"chat" ~f:to0 in
+    let at_249 = ref 0 in
+    Engine.on_tick engine (fun () ->
+        let now = Engine.now engine in
+        List.iter
+          (fun (f, counter) ->
+            let fast = counter () and slow = Engine.in_flight_scan engine ~tag:"chat" ~f in
+            if fast <> slow then Alcotest.failf "t=%d: counter %d <> scan %d" now fast slow)
+          [ ((fun _ -> true), all); (to0, pending0) ];
+        if now = 249 then at_249 := pending0 ());
+    Engine.run engine ~until:600;
+    check "p0 crashed itself" false (Engine.is_live engine 0);
+    check "p0 had more messages pending than it routed" true (!at_249 >= 2);
+    check_int "p0 routed one message after 250" 1 !routed_late;
+    check_int "nothing routed to a crashed process" 0 !routed_dead;
+    check_int "p0's consumed inbox left the counters" 0 (pending0 ());
+    (Trace.to_csv (Engine.trace engine), Engine.sent_total engine, Engine.in_flight_total engine)
+  in
+  let csv_w, sent_w, fl_w = run `Wheel in
+  let csv_r, sent_r, fl_r = run `Reference in
+  Alcotest.(check string) "traces byte-identical" csv_r csv_w;
+  check_int "same sends" sent_r sent_w;
+  check_int "same residue" fl_r fl_w
+
 (* ------------------------------------------------------------------ *)
 (* Quadratic-registration fix: many components per process *)
 
@@ -328,6 +383,8 @@ let () =
             test_overflow_delivers_exactly_once;
           Alcotest.test_case "in-flight counters match brute-force scan" `Quick
             test_in_flight_counter_matches_scan;
+          Alcotest.test_case "a crash from on_receive ends the step" `Quick
+            test_crash_inside_step;
           Alcotest.test_case "400-layer registration and fairness" `Quick
             test_many_components_registration;
         ] );
