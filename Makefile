@@ -55,7 +55,8 @@ smoke: build
 # Bounded schedule-fuzzing campaign over the real algorithms (fixed root
 # seed, so the exact same configs every time; -j only changes wall-clock,
 # never the report body). Exits non-zero if any run violates a dining
-# property.
+# property. The dinersim-campaign/1 report, coverage block included, is
+# uploaded as a CI artifact.
 fuzz-smoke: build
 	dune exec bin/dinersim.exe -- fuzz --runs 200 --seed 0xF5EED --max-horizon 6000 \
 		-j $(J) --report /tmp/dinersim-fuzz-smoke.json

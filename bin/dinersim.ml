@@ -192,6 +192,16 @@ let obs_finish obs ~cmd ~seed ~horizon ~config ~checks =
       Printf.printf "report written to %s\n" path)
     obs.report_path
 
+(* A run that a component's exception cut short (see
+   Check.Runner.guarded_run) is judged by that one failed check alone:
+   print it, write the report with it, exit 1. *)
+let exit_on_fault obs ~cmd ~seed ~horizon ~config = function
+  | None -> ()
+  | Some (check : Obs.Report.check) ->
+      Printf.printf "%s: VIOLATED: %s\n" check.Obs.Report.name check.Obs.Report.detail;
+      obs_finish obs ~cmd ~seed ~horizon ~config ~checks:[ check ];
+      exit 1
+
 let crashes_config crashes =
   Obs.Json.Arr
     (List.map (fun (pid, at) -> Obs.Json.Str (Printf.sprintf "%d@%d" pid at)) crashes)
@@ -221,9 +231,19 @@ let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out r
   let engine = run.Core.Scenario.engine in
   apply_crashes engine crashes;
   let obs = obs_install engine ~trace_out ~report in
-  Engine.run engine ~until:horizon;
+  let config =
+    [
+      ("n", Obs.Json.Int n);
+      ("box", Obs.Json.Str (match box with `Wf -> "wf" | `Ftme -> "ftme"));
+      ("adversary", Obs.Json.Str adversary.Adversary.name);
+      ("lemmas", Obs.Json.Bool lemmas);
+      ("crashes", crashes_config crashes);
+    ]
+  in
+  let fault = Check.Runner.guarded_run engine ~until:horizon in
   maybe_dump engine dump;
   maybe_csv engine csv;
+  exit_on_fault obs ~cmd:"extract" ~seed ~horizon ~config fault;
   let trace = Engine.trace engine in
   Printf.printf "extraction over %s box, n=%d, adversary=%s, horizon=%d\n"
     (match box with `Wf -> "WF-◇WX" | `Ftme -> "perpetual-WX (FTME)")
@@ -297,16 +317,7 @@ let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out r
     :: ta_checks
     @ List.rev !lemma_checks
   in
-  obs_finish obs ~cmd:"extract" ~seed ~horizon
-    ~config:
-      [
-        ("n", Obs.Json.Int n);
-        ("box", Obs.Json.Str (match box with `Wf -> "wf" | `Ftme -> "ftme"));
-        ("adversary", Obs.Json.Str adversary.Adversary.name);
-        ("lemmas", Obs.Json.Bool lemmas);
-        ("crashes", crashes_config crashes);
-      ]
-    ~checks;
+  obs_finish obs ~cmd:"extract" ~seed ~horizon ~config ~checks;
   if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
 let extract_cmd =
@@ -330,7 +341,7 @@ let extract_cmd =
     (Cmd.info "extract"
        ~doc:
          "Run the failure-detector extraction (the paper's reduction). Exits 1 if a detector \
-          property or, with --lemmas, a lemma check fails.")
+          property or, with --lemmas, a lemma check fails, or if a component raises.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -348,9 +359,20 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
   let obs = obs_install engine ~trace_out ~report in
   let instance = "din" in
   (List.assoc algo Check.Runner.default_registry) engine ~graph ~instance ~eat_ticks;
-  Engine.run engine ~until:horizon;
+  let config =
+    [
+      ("algo", Obs.Json.Str algo);
+      ("n", Obs.Json.Int n);
+      ("edges", Obs.Json.Int (List.length (Graphs.Conflict_graph.edges graph)));
+      ("adversary", Obs.Json.Str adversary.Adversary.name);
+      ("eat_ticks", Obs.Json.Int eat_ticks);
+      ("crashes", crashes_config crashes);
+    ]
+  in
+  let fault = Check.Runner.guarded_run engine ~until:horizon in
   maybe_dump engine dump;
   maybe_csv engine csv;
+  exit_on_fault obs ~cmd:"dining" ~seed ~horizon ~config fault;
   let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance in
   Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
     (List.assoc algo dining_algos) n
@@ -381,17 +403,7 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
   let checks =
     [ Obs.Report.of_verdict "wait_freedom" wf; Obs.Report.of_verdict "eventual_weak_exclusion" wx ]
   in
-  obs_finish obs ~cmd:"dining" ~seed ~horizon
-    ~config:
-      [
-        ("algo", Obs.Json.Str algo);
-        ("n", Obs.Json.Int n);
-        ("edges", Obs.Json.Int (List.length (Graphs.Conflict_graph.edges graph)));
-        ("adversary", Obs.Json.Str adversary.Adversary.name);
-        ("eat_ticks", Obs.Json.Int eat_ticks);
-        ("crashes", crashes_config crashes);
-      ]
-    ~checks;
+  obs_finish obs ~cmd:"dining" ~seed ~horizon ~config ~checks;
   if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
 let dining_cmd =
@@ -414,7 +426,7 @@ let dining_cmd =
     (Cmd.info "dining"
        ~doc:
          "Run a dining algorithm and check its specification. Exits 1 if wait-freedom or \
-          eventual weak exclusion fails.")
+          eventual weak exclusion fails, or if a component raises.")
     term
 
 (* ------------------------------------------------------------------ *)

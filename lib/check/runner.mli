@@ -6,7 +6,15 @@
     the horizon, and checks the Section 4 dining properties over the
     trace: wait-freedom (slack horizon/3), eventual weak exclusion (suffix
     from horizon/2), and finite exiting; or reports a run that raised (see
-    {!run}). *)
+    {!guarded_run}).
+
+    A run has two parts. A {!plan} resolves what the config fixes: the
+    registry lookup, the conflict graph, the adversary and its
+    {!Adversary.drive} wrapper. {!judge} executes a plan once, on a fresh
+    engine with a fresh deployment, and returns only that run's checks.
+    {!run} and {!run_traced} are a plan, one execution and the
+    {!outcome} fields around it; the model checker and the shrinker,
+    which need only the verdicts of very many runs, judge plans. *)
 
 open Dsim
 
@@ -24,8 +32,11 @@ type outcome = {
   meals : int;  (** Total completed+ongoing eating sessions (diagnostics). *)
   trace_events : int;
   coverage : Obs.Coverage.t;
-      (** Schedule-coverage signature of the run's event stream —
-          deterministic in the config, so replay reproduces it exactly. *)
+      (** Schedule-coverage signature of the run's event stream, observed
+          from the retained trace after the run ({!Obs.Coverage.observe}
+          over every entry, the bytes a collector subscribed before the
+          deployment would give) — deterministic in the config, so replay
+          reproduces it exactly. *)
 }
 
 val instance : string
@@ -36,29 +47,57 @@ val default_registry : registry
     deploys them (heartbeat ◇P under wf/kfair/fl1, trusting ground truth
     under ftme, nothing under hygienic). *)
 
+val guarded_run : Engine.t -> until:Types.time -> Obs.Report.check option
+(** [Engine.run engine ~until], with the exceptions a broken component
+    raises caught: [Invalid_argument], [Failure], [Not_found],
+    [Assert_failure], [Match_failure] and [Division_by_zero] (an off-cycle
+    [Dining.Spec.Cell.set] raises the first). [None] when the run reached
+    [until]; otherwise the run stops at the raising tick and the result
+    is a failed [no_exception] check whose detail is
+    ["t=<tick>: <exception>"]. Any other exception (a controller's own,
+    [Stack_overflow], [Out_of_memory]) propagates. Every run of this
+    module goes through it, and so do [dinersim dining] and [extract]. *)
+
+type plan
+(** One config's run, resolved: the registry's builder, the conflict
+    graph and the adversary, wrapped by the controller when one is given.
+    A plan is immutable and any number of runs may execute it, but its
+    controller is shared by them: a stateless controller, or one rewound
+    between runs as the model checker's is, serves them all, while a
+    stateful one such as a {!Adversary.recorder} or an
+    {!Adversary.replayer} (its query cursor never rewinds) serves one
+    run. *)
+
+val plan : ?drive:Adversary.controller -> registry:registry -> Config.t -> plan
+(** Raises [Failure] on an algorithm name missing from the registry. *)
+
+val judge : plan -> Obs.Report.check list
+(** Execute the plan once — a fresh engine, the registry builder called
+    once, the crashes, {!guarded_run} to the horizon — and return the
+    run's checks, those of {!outcome}. A green run returns one shared
+    list. *)
+
+val failed : Obs.Report.check list -> string list
+(** The names of the checks that do not hold, in order. *)
+
 val run :
   ?drive:Adversary.controller ->
   ?metrics:Obs.Metrics.t ->
   registry:registry ->
   Config.t ->
   outcome
-(** Execute the config. [drive] steers the config's adversary with a
-    controller (see {!Adversary.drive}): {!Adversary.recorder} captures the
-    run's decisions, {!Adversary.replayer} re-executes a recorded or edited
-    decision table, and the bounded exhaustive explorer chooses every
-    decision. [metrics] installs the standard
+(** Execute the config: {!plan}, one execution, and the {!outcome}.
+    [drive] steers the config's adversary with a controller (see
+    {!Adversary.drive}): {!Adversary.recorder} captures the run's
+    decisions and {!Adversary.replayer} re-executes a recorded or edited
+    decision table. [metrics] installs the standard
     {!Obs.Instrument} engine instrumentation into the given registry
     (finalized before returning) — campaign drivers give each run its own
     registry and merge them in run-index order. Raises [Failure] on an
     algorithm name missing from the registry.
 
-    A run that raises [Invalid_argument], [Failure], [Not_found],
-    [Assert_failure], [Match_failure] or [Division_by_zero] (what a broken
-    component raises, an off-cycle [Dining.Spec.Cell.set] for one) stops
-    there and has one check, [no_exception], failed, whose detail holds
-    the tick and the exception; the dining checks are not judged. Any
-    other exception (a controller's own, [Stack_overflow],
-    [Out_of_memory]) propagates. *)
+    A run cut short by an exception {!guarded_run} catches has that one
+    failed [no_exception] check; the dining checks are not judged. *)
 
 val run_traced :
   ?drive:Adversary.controller ->

@@ -1,6 +1,7 @@
 open Dsim
 
-let fails ~registry c = (Runner.run ~registry c).Runner.failed <> []
+(* Whether the run of [c], steered by [drive] when given, fails a check. *)
+let fails ?drive ~registry c = Runner.failed (Runner.judge (Runner.plan ?drive ~registry c)) <> []
 
 (* Candidate configs must stay well-formed after a coarse simplification:
    shrinking the topology can orphan crash/handicap pids, and shrinking the
@@ -133,7 +134,7 @@ let config ~registry c0 =
 
 let decisions ~registry (c : Config.t) =
   let drive, recorded = Adversary.recorder () in
-  ignore (Runner.run ~drive ~registry c);
+  ignore (Runner.judge (Runner.plan ~drive ~registry c));
   let d = recorded () in
   let len = Array.length d in
   if len = 0 then (0, [])
@@ -141,7 +142,7 @@ let decisions ~registry (c : Config.t) =
     let evals = ref 0 in
     let still_fails overrides =
       incr evals;
-      (Runner.run ~drive:(Adversary.replayer ~len ~overrides) ~registry c).Runner.failed <> []
+      fails ~drive:(Adversary.replayer ~len ~overrides) ~registry c
     in
     let kept = Array.make len true in
     let to_overrides () =
@@ -184,5 +185,5 @@ let decisions ~registry (c : Config.t) =
 let counterexample ~registry c0 =
   let c = config ~registry c0 in
   let len, overrides = decisions ~registry c in
-  let outcome = Runner.run ~drive:(Adversary.replayer ~len ~overrides) ~registry c in
-  Repro.v ~config:c ~len ~overrides ~checks:outcome.Runner.checks
+  let checks = Runner.judge (Runner.plan ~drive:(Adversary.replayer ~len ~overrides) ~registry c) in
+  Repro.v ~config:c ~len ~overrides ~checks

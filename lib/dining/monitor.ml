@@ -178,31 +178,46 @@ module Index = struct
     done;
     starts
 
-  (* [f a] for every segment of [pid] in phase [c] that reaches the
-     horizon and began before [horizon - slack]. *)
-  let iter_stuck ix pid ~horizon ~slack c f =
-    iter_codes ix pid ~horizon (fun a b ph ->
-        if ph = c && b >= horizon && a < horizon - slack then f a)
+  (* Whether the cursor's segment is in phase [c], reaches the horizon and
+     began before [horizon - slack]. *)
+  let stuck s ~slack c = s.ph = c && s.b >= s.horizon && s.a < s.horizon - slack
 
-  let verdict details = { Detectors.Properties.holds = details = []; details }
+  let rec any_stuck s ~slack c = next s && (stuck s ~slack c || any_stuck s ~slack c)
 
-  (* Details newest first: pids descending, later segments first. *)
+  (* The three checks [Check.Runner] judges every run with build no
+     closure, detail or string on a run that passes them, only their
+     segment cursors, and return this one verdict. *)
+  let pass = { Detectors.Properties.holds = true; details = [] }
+
+  let verdict = function
+    | [] -> pass
+    | details -> { Detectors.Properties.holds = false; details }
+
+  (* Details newest first: pids descending, later segments first.
+     [describe s pid] words the stuck segment under [s]. *)
   let stuck_verdict ix ~n ~horizon ~slack c describe =
     let details = ref [] in
     for pid = 0 to n - 1 do
-      if not (crashed ix pid) then
-        iter_stuck ix pid ~horizon ~slack c (fun a -> details := describe pid a :: !details)
+      if not (crashed ix pid) then begin
+        let s = segments ix pid ~horizon in
+        while next s do
+          if stuck s ~slack c then details := describe s pid :: !details
+        done
+      end
     done;
     verdict !details
 
-  let wait_freedom ix ~n ~horizon ~slack =
-    stuck_verdict ix ~n ~horizon ~slack hungry (fun pid a ->
-        Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)" ix.instance
-          pid a horizon)
+  let never_ate s pid =
+    Printf.sprintf "[%s] correct p%d hungry since t=%d never ate (horizon %d)" s.ix.instance pid
+      s.a s.horizon
+
+  let stuck_exiting s pid =
+    Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" s.ix.instance pid s.a
+
+  let wait_freedom ix ~n ~horizon ~slack = stuck_verdict ix ~n ~horizon ~slack hungry never_ate
 
   let exiting_finite ix ~n ~horizon ~slack =
-    stuck_verdict ix ~n ~horizon ~slack exiting (fun pid a ->
-        Printf.sprintf "[%s] correct p%d stuck exiting since t=%d" ix.instance pid a)
+    stuck_verdict ix ~n ~horizon ~slack exiting stuck_exiting
 
   let live_eating_intervals ix ~pid ~horizon =
     let tc = crash_time ix pid and acc = ref [] in
@@ -227,38 +242,53 @@ module Index = struct
      two-pointer merge per edge finds every overlapping pair: the interval
      that ends first cannot overlap anything later in the other row. The
      cost is linear in the two diners' transitions, where comparing every
-     pair of intervals was their product. *)
-  let exclusion_violations ix ~graph ~horizon =
+     pair of intervals was their product. This conses onto [acc] the
+     overlaps of edge [(p, q)] that start at or after [from]. *)
+  let edge_violations ix ~horizon ~from p q acc =
+    let tp = crash_time ix p and tq = crash_time ix q in
+    let sp = segments ix p ~horizon and sq = segments ix q ~horizon in
+    let acc = ref acc in
+    let more_p = ref (next_live_eating sp ~tc:tp) and more_q = ref (next_live_eating sq ~tc:tq) in
+    while !more_p && !more_q do
+      let b1 = if sp.b < tp then sp.b else tp and b2 = if sq.b < tq then sq.b else tq in
+      let lo = if sp.a > sq.a then sp.a else sq.a and hi = if b1 < b2 then b1 else b2 in
+      if lo < hi && lo >= from then acc := { at = lo; p; q } :: !acc;
+      if b1 <= b2 then more_p := next_live_eating sp ~tc:tp
+      else more_q := next_live_eating sq ~tc:tq
+    done;
+    !acc
+
+  (* The violations at or after [from], chronological. *)
+  let violations_from ix ~graph ~horizon ~from =
     let acc = ref [] in
-    List.iter
-      (fun (p, q) ->
-        let tp = crash_time ix p and tq = crash_time ix q in
-        let sp = segments ix p ~horizon and sq = segments ix q ~horizon in
-        let more_p = ref (next_live_eating sp ~tc:tp)
-        and more_q = ref (next_live_eating sq ~tc:tq) in
-        while !more_p && !more_q do
-          let b1 = if sp.b < tp then sp.b else tp and b2 = if sq.b < tq then sq.b else tq in
-          let lo = if sp.a > sq.a then sp.a else sq.a and hi = if b1 < b2 then b1 else b2 in
-          if lo < hi then acc := { at = lo; p; q } :: !acc;
-          if b1 <= b2 then more_p := next_live_eating sp ~tc:tp
-          else more_q := next_live_eating sq ~tc:tq
-        done)
-      (Graphs.Conflict_graph.edges graph);
-    List.sort compare_violation !acc
+    for p = 0 to Graphs.Conflict_graph.n graph - 1 do
+      for i = 0 to Graphs.Conflict_graph.degree graph p - 1 do
+        let q = Graphs.Conflict_graph.neighbor graph p i in
+        if p < q then acc := edge_violations ix ~horizon ~from p q !acc
+      done
+    done;
+    (* [List.sort] builds its closures before it looks at the length. *)
+    match !acc with ([] | [ _ ]) as sorted -> sorted | vs -> List.sort compare_violation vs
+
+  let exclusion_violations ix ~graph ~horizon = violations_from ix ~graph ~horizon ~from:min_int
 
   let last_violation_time ix ~graph ~horizon =
     match List.rev (exclusion_violations ix ~graph ~horizon) with
     | [] -> None
     | v :: _ -> Some v.at
 
+  (* Mistakes before [suffix_from] are allowed, so they are not built. *)
   let eventual_weak_exclusion ix ~graph ~horizon ~suffix_from =
-    exclusion_violations ix ~graph ~horizon
-    |> List.filter (fun v -> v.at >= suffix_from)
-    |> List.map (fun v ->
-           Printf.sprintf
-             "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
-             ix.instance v.p v.q v.at suffix_from)
-    |> verdict
+    match violations_from ix ~graph ~horizon ~from:suffix_from with
+    | [] -> pass
+    | vs ->
+        verdict
+          (List.map
+             (fun v ->
+               Printf.sprintf
+                 "[%s] live neighbors p%d and p%d eating simultaneously at t=%d (suffix from %d)"
+                 ix.instance v.p v.q v.at suffix_from)
+             vs)
 
   let perpetual_weak_exclusion ix ~graph ~horizon =
     eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:0
@@ -266,11 +296,8 @@ module Index = struct
   let starved ix ~n ~horizon ~slack =
     let acc = ref [] in
     for pid = n - 1 downto 0 do
-      if not (crashed ix pid) then begin
-        let stuck = ref false in
-        iter_stuck ix pid ~horizon ~slack hungry (fun _ -> stuck := true);
-        if !stuck then acc := pid :: !acc
-      end
+      if (not (crashed ix pid)) && any_stuck (segments ix pid ~horizon) ~slack hungry then
+        acc := pid :: !acc
     done;
     !acc
 

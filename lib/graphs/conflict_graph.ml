@@ -49,6 +49,7 @@ let of_edges ~n edges =
 
 let n t = t.size
 let degree t p = t.off.(p + 1) - t.off.(p)
+let neighbor t p i = t.adj.(t.off.(p) + i)
 
 let iter_neighbors t p f =
   for i = t.off.(p) to t.off.(p + 1) - 1 do

@@ -34,6 +34,11 @@ val edges : t -> (Dsim.Types.pid * Dsim.Types.pid) list
 (** Each undirected edge once, as [(min, max)] pairs, sorted. *)
 
 val degree : t -> Dsim.Types.pid -> int
+
+val neighbor : t -> Dsim.Types.pid -> int -> Dsim.Types.pid
+(** [neighbor t p i] is the [i]-th neighbor of [p] in ascending order,
+    [0 <= i < degree t p]. *)
+
 val max_degree : t -> int
 
 val distance : t -> Dsim.Types.pid -> Dsim.Types.pid -> int option

@@ -186,13 +186,19 @@ let controller s =
   in
   (delay, step)
 
-(* One node visit: re-execute the engine on the tape's prefix. Raises
-   [Cut] when the search has a cut and the run reaches it. *)
-let visit s ~drive ~registry cfg =
+(* The one run plan of a search: the config's builder, conflict graph
+   and adversary, driven by the search's controller, which [visit]
+   rewinds before each run. *)
+let plan s ~registry cfg = Check.Runner.plan ~drive:(controller s) ~registry cfg
+
+(* One node visit: re-execute the engine on the tape's prefix and return
+   the run's checks. Raises [Cut] when the search has a cut and the run
+   reaches it. *)
+let visit s plan =
   s.count <- 0;
   Array.fill s.last_step 0 (Array.length s.last_step) 0;
   Array.fill s.sleep 0 (Array.length s.sleep) false;
-  Check.Runner.run ~drive ~registry cfg
+  Check.Runner.judge plan
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: sequential root split. DFS down to [split_depth] decisions,
@@ -200,18 +206,18 @@ let visit s ~drive ~registry cfg =
    leaves; everything else becomes a subtree root for phase 2. *)
 
 type item =
-  | Leaf of { decisions : Adversary.decision array; outcome : Check.Runner.outcome }
+  | Leaf of { decisions : Adversary.decision array; checks : Obs.Report.check list }
   | Subtree of int array (* the root's coded prefix *)
 
 let split ~registry ~graph ~delta ~phi ~por ~split_depth cfg =
   let s = search ~cut:split_depth ~graph ~delta ~phi ~por () in
-  let drive = controller s in
+  let plan = plan s ~registry cfg in
   let items = ref [] (* reversed enumeration order *) in
   let rec loop () =
     (if s.len >= split_depth then items := Subtree (Array.sub s.tape 0 s.len) :: !items
      else
-       match visit s ~drive ~registry cfg with
-       | outcome -> items := Leaf { decisions = decisions s; outcome } :: !items
+       match visit s plan with
+       | checks -> items := Leaf { decisions = decisions s; checks } :: !items
        | exception Cut -> items := Subtree (Array.sub s.tape 0 s.count) :: !items);
     if Vec.length s.sibs > 0 then begin
       pop s;
@@ -258,9 +264,9 @@ let worker () =
 
 (* Count one complete schedule. [decisions] builds its decision array,
    which only a kept violation or [collect] needs. *)
-let record_schedule w ~collect ~cfg decisions (outcome : Check.Runner.outcome) =
+let record_schedule w ~collect ~cfg decisions checks =
   if collect then w.w_collected <- decisions () :: w.w_collected;
-  (match outcome.Check.Runner.failed with
+  (match Check.Runner.failed checks with
   | [] -> ()
   | failed ->
       List.iter
@@ -272,8 +278,7 @@ let record_schedule w ~collect ~cfg decisions (outcome : Check.Runner.outcome) =
         let decisions = decisions () in
         let overrides = List.mapi (fun i d -> (i, d)) (Array.to_list decisions) in
         let repro =
-          Check.Repro.v ~config:cfg ~len:(Array.length decisions) ~overrides
-            ~checks:outcome.Check.Runner.checks
+          Check.Repro.v ~config:cfg ~len:(Array.length decisions) ~overrides ~checks
         in
         w.w_violations <- (w.w_schedules, repro) :: w.w_violations
       end;
@@ -282,15 +287,15 @@ let record_schedule w ~collect ~cfg decisions (outcome : Check.Runner.outcome) =
 
 let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root =
   let s = search ~graph ~delta ~phi ~por () in
-  let drive = controller s in
+  let plan = plan s ~registry cfg in
   s.tape <- Array.copy root;
   s.len <- Array.length root;
   let current () = decisions s in
   let w = worker () in
   let rec loop () =
-    let outcome = visit s ~drive ~registry cfg in
+    let checks = visit s plan in
     w.w_max_decisions <- max w.w_max_decisions s.count;
-    record_schedule w ~collect ~cfg current outcome;
+    record_schedule w ~collect ~cfg current checks;
     if Vec.length s.sibs > 0 then
       if w.w_schedules >= budget then w.w_truncated <- true
       else begin
@@ -303,10 +308,10 @@ let explore_subtree ~registry ~graph ~delta ~phi ~por ~budget ~collect cfg root 
   w
 
 (* Phase 1 already counted a leaf's prunes. *)
-let leaf_result ~collect ~cfg decisions outcome =
+let leaf_result ~collect ~cfg decisions checks =
   let w = worker () in
   w.w_max_decisions <- Array.length decisions;
-  record_schedule w ~collect ~cfg (fun () -> decisions) outcome;
+  record_schedule w ~collect ~cfg (fun () -> decisions) checks;
   w
 
 (* ------------------------------------------------------------------ *)
@@ -365,8 +370,8 @@ let run ?progress ?metrics ~registry mc =
       let results =
         Exec.Pool.map ~jobs:(max 1 mc.jobs) (Array.length items) (fun i ->
             match items.(i) with
-            | Leaf { decisions; outcome } ->
-                leaf_result ~collect:mc.collect_schedules ~cfg decisions outcome
+            | Leaf { decisions; checks } ->
+                leaf_result ~collect:mc.collect_schedules ~cfg decisions checks
             | Subtree root ->
                 explore_subtree ~registry ~graph ~delta ~phi ~por
                   ~budget:mc.max_schedules ~collect:mc.collect_schedules cfg root)

@@ -20,13 +20,15 @@
     a pending sibling is a (position, decision) pair on a stack, not a
     copied prefix — when it is popped, the tape still holds its parent's
     prefix, because every visit since its push explored below that
-    parent. The controller and its per-pid arrays are built once per
-    search, and a schedule's decision array is built only for a kept
-    violation or under [collect_schedules]. Forced steps — queries where the
-    engine's weak-fairness backstop fires because the process has not
-    stepped for [phi] ticks — have a single branch, normalised to
-    [Step true]; the explorer mirrors the engine's fairness accounting
-    exactly, so tapes never branch on decisions the engine would ignore.
+    parent. The controller, its per-pid arrays and one
+    {!Check.Runner.plan} are built once per search, each schedule is a
+    {!Check.Runner.judge} of that plan, and a schedule's decision array
+    is built only for a kept violation or under [collect_schedules].
+    Forced steps — queries where the engine's weak-fairness backstop
+    fires because the process has not stepped for [phi] ticks — have a
+    single branch, normalised to [Step true]; the explorer mirrors the
+    engine's fairness accounting exactly, so tapes never branch on
+    decisions the engine would ignore.
 
     {2 Partial-order reduction}
 

@@ -201,6 +201,32 @@ let test_raising_diner_is_a_verdict () =
         (outcome.Check.Runner.checks = r.Check.Repro.checks)
   | Error mismatches -> Alcotest.fail ("verdict mismatch: " ^ String.concat "; " mismatches)
 
+(* The guarded run that Check.Runner, [dinersim dining] and [dinersim
+   extract] share: a component's exception is a failed [no_exception]
+   check naming the tick the engine stopped at; a healthy run is none. *)
+let test_guarded_run () =
+  let deploy builder =
+    let graph = Graphs.Conflict_graph.pair () in
+    let engine = Engine.create ~seed:0x6A4DL ~n:2 ~adversary:(Adversary.synchronous ()) () in
+    builder engine ~graph ~instance:"gr" ~eat_ticks:1;
+    engine
+  in
+  let raising = deploy Broken_dining.exit_hungry_builder in
+  (match Check.Runner.guarded_run raising ~until:200 with
+  | Some { Obs.Report.name = "no_exception"; holds = false; detail } ->
+      Alcotest.(check bool) ("the run stopped early: " ^ detail) true (Engine.now raising < 200);
+      Alcotest.(check string) "detail names the tick and the exception"
+        (Printf.sprintf
+           "t=%d: Invalid_argument(\"Dining gr p0: phase exiting -> hungry is off the cycle\")"
+           (Engine.now raising))
+        detail
+  | Some _ -> Alcotest.fail "not one failed no_exception check"
+  | None -> Alcotest.fail "the raising run reported no check");
+  let healthy = deploy (List.assoc "wf" Check.Runner.default_registry) in
+  Alcotest.(check bool) "a healthy run has no check" true
+    (Check.Runner.guarded_run healthy ~until:200 = None);
+  Alcotest.(check int) "a healthy run reaches the horizon" 200 (Engine.now healthy)
+
 (* ------------------------------------------------------------------ *)
 (* Worker pool & jobs-invariance *)
 
@@ -348,6 +374,57 @@ let test_coverage_knob_sensitivity () =
   Alcotest.(check bool) "the changed knob flips at least one edge bucket" true
     (Obs.Coverage.new_edges ~seen:base cov >= 1)
 
+(* Check.Runner computes a run's signature from its retained trace after
+   the run. It must equal, bit for bit, that of a collector subscribed
+   before the deployment: for every registry algorithm under each fuzzed
+   family with a crash, and for a run an exception cuts short. *)
+let test_post_hoc_coverage_equals_subscriber () =
+  let subscribed = ref [] in
+  let registry =
+    List.map
+      (fun (name, build) ->
+        ( name,
+          fun engine ~graph ~instance ~eat_ticks ->
+            let cov = Obs.Coverage.create () in
+            Obs.Coverage.attach cov (Engine.trace engine);
+            subscribed := cov :: !subscribed;
+            build engine ~graph ~instance ~eat_ticks ))
+      Broken_dining.raising_registry
+  in
+  let same label (c : Check.Config.t) =
+    subscribed := [];
+    let outcome = Check.Runner.run ~registry c in
+    match !subscribed with
+    | [ cov ] ->
+        Alcotest.(check string) (label ^ ": post-hoc signature equals the subscriber's")
+          (Obs.Coverage.to_hex (Obs.Coverage.snapshot cov))
+          (Obs.Coverage.to_hex outcome.Check.Runner.coverage);
+        outcome
+    | l -> Alcotest.failf "%s: %d deployments in one run" label (List.length l)
+  in
+  List.iteri
+    (fun i (algo, _) ->
+      List.iter
+        (fun family ->
+          let c =
+            Check.Config.generate
+              (Prng.derive 0xC0BEL ~index:i)
+              ~algos:[ algo ] ~families:[ family ] ~max_horizon:2000
+          in
+          let c = { c with Check.Config.crashes = [ (1, c.Check.Config.horizon / 3) ] } in
+          ignore (same (Check.Config.describe c) c))
+        Check.Config.all_families)
+    Check.Runner.default_registry;
+  let c =
+    Check.Config.generate (Prng.create 0xE417L) ~algos:[ Broken_dining.exit_hungry ]
+      ~families:[ `Sync ] ~max_horizon:2000
+  in
+  let outcome = same "exit-hungry" c in
+  Alcotest.(check (list string)) "the exit-hungry run is cut short" [ "no_exception" ]
+    outcome.Check.Runner.failed;
+  Alcotest.(check bool) "its signature is not empty" true
+    (Obs.Coverage.edges outcome.Check.Runner.coverage > 0)
+
 (* The coverage digest of one corpus artifact, replayed with its recorded
    decision overrides. Pinned like pinned_broken_digest above: it only
    changes when the engine, the trace vocabulary or the coverage hash
@@ -476,6 +553,7 @@ let () =
             test_broken_variant_caught_and_shrunk;
           Alcotest.test_case "a raising diner is a shrunk verdict" `Quick
             test_raising_diner_is_a_verdict;
+          Alcotest.test_case "guarded run reports an exception" `Quick test_guarded_run;
         ] );
       ( "pool",
         [
@@ -494,6 +572,8 @@ let () =
             test_coverage_jobs_invariance;
           Alcotest.test_case "adversary knob flips edge buckets" `Quick
             test_coverage_knob_sensitivity;
+          Alcotest.test_case "post-hoc signature equals the subscriber's" `Quick
+            test_post_hoc_coverage_equals_subscriber;
           Alcotest.test_case "corpus coverage digest is pinned" `Quick
             test_corpus_coverage_digest_pinned;
           Alcotest.test_case "campaign summary digest is pinned" `Slow

@@ -58,6 +58,39 @@ let test_wf_green_instance () =
   Alcotest.(check int) "no violations" 0 s.Mc.Explore.violation_count;
   Alcotest.(check bool) "not truncated" false s.Mc.Explore.truncated
 
+(* One engine run, one deployment: the explorer reuses one run plan per
+   search, but every run, complete schedule or one the root split
+   abandons, calls the registry builder once, so perfbench's mc workload
+   can count builder entries as engine runs. The default split abandons
+   the 2 runs that reach its depth before their run ends. *)
+let test_one_builder_call_per_run () =
+  let calls = ref 0 in
+  let counting =
+    List.map
+      (fun (name, build) ->
+        ( name,
+          if String.equal name "wf" then (fun engine ~graph ~instance ~eat_ticks ->
+            incr calls;
+            build engine ~graph ~instance ~eat_ticks)
+          else build ))
+      registry
+  in
+  let calls_at split_depth =
+    calls := 0;
+    let r =
+      Mc.Explore.run ~registry:counting
+        { (Mc.Explore.default ~base:(mc_config ())) with Mc.Explore.split_depth }
+    in
+    Alcotest.(check int) "schedule count pinned" pinned_wf_green_schedules
+      r.Mc.Explore.stats.Mc.Explore.schedules;
+    !calls
+  in
+  Alcotest.(check int) "unsplit: one builder call per schedule" pinned_wf_green_schedules
+    (calls_at 0);
+  Alcotest.(check int) "default split: the schedules and the split's 2 abandoned runs"
+    (pinned_wf_green_schedules + 2)
+    (calls_at (Mc.Explore.default ~base:(mc_config ())).Mc.Explore.split_depth)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the exhaustive schedule set (no reduction) is a
    superset of any random DLS tape for the same instance. *)
@@ -370,6 +403,8 @@ let () =
             test_synchronous_is_single_schedule;
           Alcotest.test_case "wf green instance is exhaustively clean" `Quick
             test_wf_green_instance;
+          Alcotest.test_case "one builder call per engine run" `Quick
+            test_one_builder_call_per_run;
           Alcotest.test_case "exhaustive set covers random tapes" `Slow
             test_exhaustive_superset_of_random_tapes;
           Alcotest.test_case "enumeration order pinned at -j 1/2" `Slow
