@@ -6,7 +6,10 @@
 # box with a crash, failing on any failed completeness, accuracy or
 # trusting-accuracy check; then a dining run with a crash, failing on a
 # failed wait-freedom or eventual-weak-exclusion check, and a run whose
-# --crash names no process, which must be rejected with exit status 2.
+# --crash names no process, which must be rejected with exit status 2;
+# then the demos that drive dining handles from outside the dining
+# layer (vulnerability in both modes, wsn, ctm, agreement), each failing
+# when a component raises and each writing a report that must parse.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -51,6 +54,18 @@ smoke: build
 	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000
 	dune exec bin/dinersim.exe -- dining --algo kfair --topology ring:6 --crash 4@2000 --horizon 6000
 	dune exec bin/dinersim.exe -- dining --topology pair --crash 9@100; test $$? -eq 2
+	dune exec bin/dinersim.exe -- vulnerability --mode flawed \
+		--report /tmp/dinersim-smoke-vulnerability-flawed.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-vulnerability-flawed.json
+	dune exec bin/dinersim.exe -- vulnerability --mode ours \
+		--report /tmp/dinersim-smoke-vulnerability-ours.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-vulnerability-ours.json
+	dune exec bin/dinersim.exe -- wsn --report /tmp/dinersim-smoke-wsn.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-wsn.json
+	dune exec bin/dinersim.exe -- ctm --report /tmp/dinersim-smoke-ctm.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-ctm.json
+	dune exec bin/dinersim.exe -- agreement --report /tmp/dinersim-smoke-agreement.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-agreement.json
 
 # Bounded schedule-fuzzing campaign over the real algorithms (fixed root
 # seed, so the exact same configs every time; -j only changes wall-clock,

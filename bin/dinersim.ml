@@ -435,7 +435,11 @@ let dining_cmd =
 let run_vulnerability seed horizon mode trace_out report =
   let engine, suspected = Core.Scenario.vulnerability ~seed ~mode () in
   let obs = obs_install engine ~trace_out ~report in
-  Engine.run engine ~until:horizon;
+  let config =
+    [ ("mode", Obs.Json.Str (match mode with `Flawed_cm -> "flawed" | `Our_reduction -> "ours")) ]
+  in
+  exit_on_fault obs ~cmd:"vulnerability" ~seed ~horizon ~config
+    (Check.Runner.guarded_run engine ~until:horizon);
   let det = match mode with `Flawed_cm -> "flawed-cm" | `Our_reduction -> "extracted" in
   let flips = Trace.suspicion_flips (Engine.trace engine) ~detector:det ~owner:1 ~target:0 in
   Printf.printf
@@ -450,12 +454,7 @@ let run_vulnerability seed horizon mode trace_out report =
          suspecting the correct q"
     | `Our_reduction -> "converged — the hand-off keeps the subject's sessions overlapping");
   let late = List.filter (fun (t, _) -> t > horizon - (horizon / 5)) flips in
-  obs_finish obs ~cmd:"vulnerability" ~seed ~horizon
-    ~config:
-      [
-        ( "mode",
-          Obs.Json.Str (match mode with `Flawed_cm -> "flawed" | `Our_reduction -> "ours") );
-      ]
+  obs_finish obs ~cmd:"vulnerability" ~seed ~horizon ~config
     ~checks:
       [
         Obs.Report.check
@@ -477,7 +476,10 @@ let vulnerability_cmd =
   let term =
     Term.(const run_vulnerability $ seed_t $ horizon_t 20000 $ mode_t $ trace_out_t $ report_t)
   in
-  Cmd.v (Cmd.info "vulnerability" ~doc:"Replay the Section 3 vulnerability scenario") term
+  Cmd.v
+    (Cmd.info "vulnerability"
+       ~doc:"Replay the Section 3 vulnerability scenario. Exits 1 if a component raises.")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* wsn *)
@@ -495,7 +497,18 @@ let run_wsn seed horizon scheduler areas nodes energy trace_out report =
   let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:300 ()) () in
   let obs = obs_install engine ~trace_out ~report in
   let model = Wsn.Model.setup ~engine ~config ~scheduler () in
-  Engine.run engine ~until:horizon;
+  let report_config =
+    [
+      ( "scheduler",
+        Obs.Json.Str
+          (match scheduler with Wsn.Model.Dining -> "dining" | Wsn.Model.All_on -> "all-on") );
+      ("areas", Obs.Json.Int areas);
+      ("nodes_per_area", Obs.Json.Int nodes);
+      ("initial_energy", Obs.Json.Int energy);
+    ]
+  in
+  exit_on_fault obs ~cmd:"wsn" ~seed ~horizon ~config:report_config
+    (Check.Runner.guarded_run engine ~until:horizon);
   Printf.printf "WSN %dx%d, battery=%d, scheduler=%s\n" areas nodes energy
     (match scheduler with Wsn.Model.Dining -> "wf-◇wx dining" | Wsn.Model.All_on -> "all-on");
   (match Wsn.Model.lifetime model with
@@ -508,16 +521,7 @@ let run_wsn seed horizon scheduler areas nodes energy trace_out report =
           s.Wsn.Model.covered areas s.Wsn.Model.redundant s.Wsn.Model.alive)
     (Wsn.Model.coverage_series model ~sample_every:50 ~horizon);
   let lifetime = Wsn.Model.lifetime model in
-  obs_finish obs ~cmd:"wsn" ~seed ~horizon
-    ~config:
-      [
-        ( "scheduler",
-          Obs.Json.Str
-            (match scheduler with Wsn.Model.Dining -> "dining" | Wsn.Model.All_on -> "all-on") );
-        ("areas", Obs.Json.Int areas);
-        ("nodes_per_area", Obs.Json.Int nodes);
-        ("initial_energy", Obs.Json.Int energy);
-      ]
+  obs_finish obs ~cmd:"wsn" ~seed ~horizon ~config:report_config
     ~checks:
       [
         Obs.Report.check
@@ -544,7 +548,10 @@ let wsn_cmd =
       const run_wsn $ seed_t $ horizon_t 9000 $ scheduler_t $ areas_t $ nodes_t $ energy_t
       $ trace_out_t $ report_t)
   in
-  Cmd.v (Cmd.info "wsn" ~doc:"Sensor-network duty-cycle scheduling demo") term
+  Cmd.v
+    (Cmd.info "wsn"
+       ~doc:"Sensor-network duty-cycle scheduling demo. Exits 1 if a component raises.")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* ctm *)
@@ -585,7 +592,11 @@ let run_ctm seed horizon clients with_cm trace_out report =
         (pid, st))
       client_pids
   in
-  Engine.run engine ~until:horizon;
+  let config =
+    [ ("clients", Obs.Json.Int clients); ("contention_manager", Obs.Json.Bool with_cm) ]
+  in
+  exit_on_fault obs ~cmd:"ctm" ~seed ~horizon ~config
+    (Check.Runner.guarded_run engine ~until:horizon);
   Printf.printf "%d transactional clients, %s, horizon=%d\n" clients
     (if with_cm then "with contention manager" else "without contention manager")
     horizon;
@@ -607,9 +618,7 @@ let run_ctm seed horizon clients with_cm trace_out report =
   let aborts =
     List.fold_left (fun acc (_, (st : Ctm.Client.stats)) -> acc + st.Ctm.Client.aborts) 0 stats
   in
-  obs_finish obs ~cmd:"ctm" ~seed ~horizon
-    ~config:
-      [ ("clients", Obs.Json.Int clients); ("contention_manager", Obs.Json.Bool with_cm) ]
+  obs_finish obs ~cmd:"ctm" ~seed ~horizon ~config
     ~checks:
       [
         Obs.Report.check
@@ -626,7 +635,10 @@ let ctm_cmd =
           run_ctm seed horizon clients (not no_cm) trace_out report)
       $ seed_t $ horizon_t 12000 $ clients_t $ cm_t $ trace_out_t $ report_t)
   in
-  Cmd.v (Cmd.info "ctm" ~doc:"Contention-manager transaction boost demo") term
+  Cmd.v
+    (Cmd.info "ctm"
+       ~doc:"Contention-manager transaction boost demo. Exits 1 if a component raises.")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* agreement *)
@@ -662,7 +674,16 @@ let run_agreement seed horizon crashes n source trace_out report =
         (pid, c, l))
       members
   in
-  Engine.run engine ~until:horizon;
+  let config =
+    [
+      ("n", Obs.Json.Int n);
+      ( "detector",
+        Obs.Json.Str (match source with `Native -> "native" | `Extracted -> "extracted") );
+      ("crashes", crashes_config crashes);
+    ]
+  in
+  exit_on_fault obs ~cmd:"agreement" ~seed ~horizon ~config
+    (Check.Runner.guarded_run engine ~until:horizon);
   Printf.printf "consensus + leader election over the %s detector, n=%d\n"
     (match source with `Native -> "native heartbeat" | `Extracted -> "dining-extracted")
     n;
@@ -681,14 +702,7 @@ let run_agreement seed horizon crashes n source trace_out report =
         (not (Engine.is_live engine pid)) || c.Agreement.Consensus.decided () <> None)
       instances
   in
-  obs_finish obs ~cmd:"agreement" ~seed ~horizon
-    ~config:
-      [
-        ("n", Obs.Json.Int n);
-        ( "detector",
-          Obs.Json.Str (match source with `Native -> "native" | `Extracted -> "extracted") );
-        ("crashes", crashes_config crashes);
-      ]
+  obs_finish obs ~cmd:"agreement" ~seed ~horizon ~config
     ~checks:
       [
         Obs.Report.of_verdict "agreement" agreement;
@@ -712,7 +726,10 @@ let agreement_cmd =
       $ trace_out_t $ report_t)
   in
   Cmd.v
-    (Cmd.info "agreement" ~doc:"Consensus and leader election over ◇P (native or extracted)")
+    (Cmd.info "agreement"
+       ~doc:
+         "Consensus and leader election over ◇P (native or extracted). Exits 1 if a \
+          component raises.")
     term
 
 (* ------------------------------------------------------------------ *)

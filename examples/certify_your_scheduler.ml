@@ -29,12 +29,14 @@ let naive_token_scheduler : Core.Certify.candidate =
         let self = ctx.Context.self in
         let p, q = participants in
         let peer = if self = p then q else p in
-        let cell, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance) in
-        let phase () = Dining.Spec.Cell.phase cell in
+        let cell = Dining.Spec.Cell.create ctx ~instance in
+        let handle = Dining.Spec.Cell.handle cell in
         let have_token = ref (self = min p q) in
         let eat =
           Component.action "tok-eat"
-            ~guard:(fun () -> Types.phase_equal (phase ()) Types.Hungry && !have_token)
+            ~guard:(fun () ->
+              (match handle.Dining.Spec.phase with Types.Hungry -> true | _ -> false)
+              && !have_token)
             ~body:(fun () -> Dining.Spec.Cell.set cell Types.Eating)
         in
         let pass_on =
@@ -43,13 +45,15 @@ let naive_token_scheduler : Core.Certify.candidate =
           Component.action "tok-pass"
             ~guard:(fun () ->
               !have_token
-              && (Types.phase_equal (phase ()) Types.Thinking
-                 || Types.phase_equal (phase ()) Types.Exiting))
+              && match handle.Dining.Spec.phase with
+                 | Types.Thinking | Types.Exiting -> true
+                 | _ -> false)
             ~body:(fun () ->
               have_token := false;
               ctx.Context.send ~dst:peer ~tag:instance My_token;
-              if Types.phase_equal (phase ()) Types.Exiting then
-                Dining.Spec.Cell.set cell Types.Thinking)
+              match handle.Dining.Spec.phase with
+              | Types.Exiting -> Dining.Spec.Cell.set cell Types.Thinking
+              | _ -> ())
         in
         let on_receive ~src:_ msg =
           match msg with My_token -> have_token := true | _ -> ()

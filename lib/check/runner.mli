@@ -56,7 +56,9 @@ val guarded_run : Engine.t -> until:Types.time -> Obs.Report.check option
     is a failed [no_exception] check whose detail is
     ["t=<tick>: <exception>"]. Any other exception (a controller's own,
     [Stack_overflow], [Out_of_memory]) propagates. Every run of this
-    module goes through it, and so do [dinersim dining] and [extract]. *)
+    module goes through it, and so does every [dinersim] command that
+    builds and runs one engine ([dining], [extract], [vulnerability],
+    [wsn], [ctm], [agreement]). *)
 
 type plan
 (** One config's run, resolved: the registry's builder, the conflict

@@ -25,7 +25,8 @@ let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) () =
   let in_cs () =
     match cm with
     | None -> true
-    | Some h -> Types.phase_equal (h.Dining.Spec.phase ()) Types.Eating
+    | Some (h : Dining.Spec.handle) -> (
+        match h.Dining.Spec.phase with Types.Eating -> true | _ -> false)
   in
   let start_tx =
     Component.action "tx-start"
@@ -33,10 +34,9 @@ let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) () =
       ~body:(fun () ->
         match cm with
         | None -> send_read ()
-        | Some h ->
+        | Some h -> (
             state := Awaiting_cs;
-            if Types.phase_equal (h.Dining.Spec.phase ()) Types.Thinking then
-              h.Dining.Spec.hungry ())
+            match h.Dining.Spec.phase with Types.Thinking -> Dining.Spec.hungry h | _ -> ()))
   in
   let cs_granted =
     Component.action "tx-cs-granted"
@@ -71,8 +71,7 @@ let component (ctx : Context.t) ~store ?cm ?(compute_ticks = 4) () =
               stats.commit_times <- ctx.Context.now () :: stats.commit_times;
               state := Idle;
               match cm with
-              | Some h when Types.phase_equal (h.Dining.Spec.phase ()) Types.Eating ->
-                  h.Dining.Spec.exit_eating ()
+              | Some ({ Dining.Spec.phase = Types.Eating; _ } as h) -> Dining.Spec.exit_eating h
               | Some _ | None -> ()
             end
             else begin

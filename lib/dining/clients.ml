@@ -1,12 +1,10 @@
 open Dsim
 
-let phase_is h p = Types.phase_equal (h.Spec.phase ()) p
-
 let build (ctx : Context.t) ~handle ~eat_ticks ~think_ticks ~limit =
   let completed = ref 0 in
   let became_eating = ref (-1) in
   let became_thinking = ref 0 in
-  handle.Spec.set_on_transition (fun _ to_ ->
+  Spec.set_on_transition handle (fun _ to_ ->
       match to_ with
       | Types.Eating -> became_eating := ctx.Context.now ()
       | Types.Thinking -> became_thinking := ctx.Context.now ()
@@ -17,15 +15,16 @@ let build (ctx : Context.t) ~handle ~eat_ticks ~think_ticks ~limit =
     Component.action "client-hungry"
       ~guard:(fun () ->
         may_start ()
-        && phase_is handle Types.Thinking
+        && (match handle.Spec.phase with Types.Thinking -> true | _ -> false)
         && ctx.Context.now () - !became_thinking >= think_ticks)
-      ~body:(fun () -> handle.Spec.hungry ())
+      ~body:(fun () -> Spec.hungry handle)
   in
   let stop_eating =
     Component.action "client-exit"
       ~guard:(fun () ->
-        phase_is handle Types.Eating && ctx.Context.now () - !became_eating >= eat_ticks)
-      ~body:(fun () -> handle.Spec.exit_eating ())
+        (match handle.Spec.phase with Types.Eating -> true | _ -> false)
+        && ctx.Context.now () - !became_eating >= eat_ticks)
+      ~body:(fun () -> Spec.exit_eating handle)
   in
   ( Component.make ~name:("client:" ^ handle.Spec.instance)
       ~actions:[ get_hungry; stop_eating ] (),
@@ -40,7 +39,7 @@ let n_sessions ctx ~handle ~sessions ?(eat_ticks = 3) ?(think_ticks = 2) () =
 let glutton _ctx ~handle () =
   let get_hungry =
     Component.action "client-glutton"
-      ~guard:(fun () -> phase_is handle Types.Thinking)
-      ~body:(fun () -> handle.Spec.hungry ())
+      ~guard:(fun () -> match handle.Spec.phase with Types.Thinking -> true | _ -> false)
+      ~body:(fun () -> Spec.hungry handle)
   in
   Component.make ~name:("client:" ^ handle.Spec.instance) ~actions:[ get_hungry ] ()

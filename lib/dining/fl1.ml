@@ -21,16 +21,16 @@ let rec edge_to src = function
 
 let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let self = ctx.Context.self in
-  let cell, handle = Spec.Cell.handle (Spec.Cell.create ctx ~instance) in
-  let phase () = Spec.Cell.phase cell in
+  let cell = Spec.Cell.create ctx ~instance in
+  let handle = Spec.Cell.handle cell in
   let edges =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
            { peer; has_fork = self > peer; peer_req = no_ts; next_ask = 0 })
   in
   let suspected q = Types.Pidset.mem q (suspects ()) in
-  let eating () = Types.phase_equal (phase ()) Types.Eating in
-  let hungry () = Types.phase_equal (phase ()) Types.Hungry in
+  let eating () = match handle.Spec.phase with Types.Eating -> true | _ -> false in
+  let hungry () = match handle.Spec.phase with Types.Hungry -> true | _ -> false in
   let clock = ref 0 in
   let session = ref no_ts in
   let stamp_session =
@@ -90,7 +90,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   in
   let finish_exit =
     Component.action "fl-exit"
-      ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
+      ~guard:(fun () -> match handle.Spec.phase with Types.Exiting -> true | _ -> false)
       ~body:(fun () ->
         session := no_ts;
         List.iter (fun (e : edge_state) -> e.next_ask <- 0) edges;

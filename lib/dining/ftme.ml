@@ -27,8 +27,9 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
   if not (List.mem ctx.Context.self members) then
     invalid_arg "Ftme.component: self not a member";
   let self = ctx.Context.self in
-  let cell, handle = Spec.Cell.handle (Spec.Cell.create ctx ~instance) in
-  let phase () = Spec.Cell.phase cell in
+  let cell = Spec.Cell.create ctx ~instance in
+  let handle = Spec.Cell.handle cell in
+  let hungry () = match handle.Spec.phase with Types.Hungry -> true | _ -> false in
   let others = List.filter (fun q -> q <> self) members in
   let suspected q = Types.Pidset.mem q (suspects ()) in
   (* The believed server: the lowest member not currently suspected.
@@ -79,7 +80,7 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
   let send_request =
     Component.action "fx-request"
       ~guard:(fun () ->
-        Types.phase_equal (phase ()) Types.Hungry
+        hungry ()
         && (match !sent_to with Some s -> s <> believed_server () | None -> true))
       ~body:(fun () ->
         let srv = believed_server () in
@@ -89,7 +90,7 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
   in
   let finish_exit =
     Component.action "fx-exit"
-      ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
+      ~guard:(fun () -> match handle.Spec.phase with Types.Exiting -> true | _ -> false)
       ~body:(fun () ->
         sent_to := None;
         (match !current_grant with
@@ -135,7 +136,7 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
     Component.action "fx-serve"
       ~guard:(fun () ->
         !activated && (not !recovering) && !granted_to = None && Vec.length queue > 0
-        && (Vec.get queue 0 <> self || Types.phase_equal (phase ()) Types.Hungry))
+        && (Vec.get queue 0 <> self || hungry ()))
       ~body:(fun () ->
         let head = dequeue () in
         incr serial;
@@ -156,7 +157,7 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
            client will not resend while its believed server is unchanged. *)
         enqueue src
     | Fx_grant ((epoch, _) as id) ->
-        if epoch >= !max_epoch_seen && Types.phase_equal (phase ()) Types.Hungry then begin
+        if epoch >= !max_epoch_seen && hungry () then begin
           max_epoch_seen := epoch;
           current_grant := Some id;
           Spec.Cell.set cell Types.Eating
@@ -174,13 +175,11 @@ let component (ctx : Context.t) ~instance ~members ~suspects () =
     | Fx_recover epoch ->
         if epoch > !max_epoch_seen then max_epoch_seen := epoch;
         let in_cs =
-          if
-            Types.phase_equal (phase ()) Types.Eating
-            || Types.phase_equal (phase ()) Types.Exiting
-          then !current_grant
-          else None
+          match handle.Spec.phase with
+          | Types.Eating | Types.Exiting -> !current_grant
+          | _ -> None
         in
-        let waiting = Types.phase_equal (phase ()) Types.Hungry in
+        let waiting = hungry () in
         if waiting then sent_to := Some src;
         ctx.Context.send ~dst:src ~tag:instance (Fx_status { in_cs; waiting })
     | Fx_status { in_cs; waiting } ->

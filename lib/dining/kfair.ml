@@ -26,8 +26,9 @@ let rec neighbor_of src = function
 
 let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let self = ctx.Context.self in
-  let cell, handle = Spec.Cell.handle (Spec.Cell.create ctx ~instance) in
-  let phase () = Spec.Cell.phase cell in
+  let cell = Spec.Cell.create ctx ~instance in
+  let handle = Spec.Cell.handle cell in
+  let hungry () = match handle.Spec.phase with Types.Hungry -> true | _ -> false in
   let neighbors =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
@@ -39,9 +40,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   (* Priority: lexicographic (timestamp, pid) — a total order, so two
      conflicting requests never defer to each other. *)
   let my_priority_over ts peer =
-    !sent
-    && Types.phase_equal (phase ()) Types.Hungry
-    && Spec.precedes !req_ts self ts peer
+    !sent && hungry () && Spec.precedes !req_ts self ts peer
   in
   let ask nb =
     nb.granted <- false;
@@ -49,7 +48,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   in
   let request =
     Component.action "kf-request"
-      ~guard:(fun () -> Types.phase_equal (phase ()) Types.Hungry && not !sent)
+      ~guard:(fun () -> hungry () && not !sent)
       ~body:(fun () ->
         incr clock;
         req_ts := !clock;
@@ -63,8 +62,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
      our meal is granted right after we return to thinking. *)
   let pending nb =
     nb.latest_req > nb.granted_upto
-    && (not (Types.phase_equal (phase ()) Types.Eating))
-    && (not (Types.phase_equal (phase ()) Types.Exiting))
+    && (match handle.Spec.phase with Types.Eating | Types.Exiting -> false | _ -> true)
     && not (my_priority_over nb.latest_req nb.peer)
   in
   let grant nb =
@@ -82,14 +80,12 @@ let component (ctx : Context.t) ~instance ~graph ~suspects () =
   let eat =
     Component.action "kf-eat"
       ~guard:(fun () ->
-        Types.phase_equal (phase ()) Types.Hungry
-        && !sent
-        && List.for_all granted_or_suspected neighbors)
+        hungry () && !sent && List.for_all granted_or_suspected neighbors)
       ~body:(fun () -> Spec.Cell.set cell Types.Eating)
   in
   let finish_exit =
     Component.action "kf-exit"
-      ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
+      ~guard:(fun () -> match handle.Spec.phase with Types.Exiting -> true | _ -> false)
       ~body:(fun () ->
         sent := false;
         Spec.Cell.set cell Types.Thinking)

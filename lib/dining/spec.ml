@@ -1,7 +1,7 @@
 open Dsim
 
 (* The paper's Section-4 diner state machine: a single 4-cycle. Clients
-   drive Thinking->Hungry (hungry ()) and Eating->Exiting (exit_eating ());
+   drive Thinking->Hungry ([hungry]) and Eating->Exiting ([exit_eating]);
    algorithms drive Hungry->Eating and Exiting->Thinking. [Cell.set]
    refuses every other write. *)
 let next = function
@@ -17,42 +17,36 @@ let legal_transitions =
 
 let[@inline] precedes ts p ts' p' = ts < ts' || (ts = ts' && p < p')
 
+type observers = {
+  ctx : Context.t;
+  mutable callback : Types.phase -> Types.phase -> unit;
+  mutable entered : Trace.event array;
+      (* The [Transition] logged into each phase, reused on every later
+         entry: a phase has one predecessor, so a phase change costs the
+         trace only its entry. The array and each event are built on first
+         use, so a deployment that runs a few ticks (the model checker's)
+         builds nothing at creation and no event it does not log. *)
+}
+
 type handle = {
   instance : string;
   self : Types.pid;
-  phase : unit -> Types.phase;
-  hungry : unit -> unit;
-  exit_eating : unit -> unit;
-  set_on_transition : (Types.phase -> Types.phase -> unit) -> unit;
+  mutable phase : Types.phase;
+  observers : observers;
 }
 
 module Cell = struct
-  type t = {
-    ctx : Context.t;
-    instance : string;
-    mutable cur : Types.phase;
-    mutable callback : Types.phase -> Types.phase -> unit;
-    mutable entered : Trace.event array;
-        (* The [Transition] logged into each phase, reused on every later
-           entry: a phase has one predecessor, so a phase change costs the
-           trace only its entry. The array and each event are built on
-           first use, so a deployment that runs a few ticks (the model
-           checker's) builds nothing at creation and no event it does not
-           log. *)
-  }
+  type t = handle
 
   let unused = Trace.Crash { pid = -1 }
 
-  let create ctx ~instance =
+  let create (ctx : Context.t) ~instance =
     {
-      ctx;
       instance;
-      cur = Types.Thinking;
-      callback = (fun _ _ -> ());
-      entered = [||];
+      self = ctx.Context.self;
+      phase = Types.Thinking;
+      observers = { ctx; callback = (fun _ _ -> ()); entered = [||] };
     }
-
-  let phase t = t.cur
 
   let slot = function
     | Types.Thinking -> 0
@@ -61,54 +55,40 @@ module Cell = struct
     | Types.Exiting -> 3
 
   let transition t prev to_ =
-    if Array.length t.entered = 0 then t.entered <- [| unused; unused; unused; unused |];
+    let o = t.observers in
+    if Array.length o.entered = 0 then o.entered <- [| unused; unused; unused; unused |];
     let k = slot to_ in
-    match t.entered.(k) with
+    match o.entered.(k) with
     | Trace.Transition _ as ev -> ev
     | _ ->
-        let ev =
-          Trace.Transition
-            { instance = t.instance; pid = t.ctx.Context.self; from_ = prev; to_ }
-        in
-        t.entered.(k) <- ev;
+        let ev = Trace.Transition { instance = t.instance; pid = t.self; from_ = prev; to_ } in
+        o.entered.(k) <- ev;
         ev
 
   let set t to_ =
-    let prev = t.cur in
+    let prev = t.phase in
     if not (Types.phase_equal prev to_) then begin
       if not (legal_transition ~from_:prev ~to_) then
         invalid_arg
-          (Printf.sprintf "Dining %s p%d: phase %s -> %s is off the cycle" t.instance
-             t.ctx.Context.self (Types.phase_to_string prev) (Types.phase_to_string to_));
-      t.cur <- to_;
-      t.ctx.Context.log (transition t prev to_);
-      t.callback prev to_
+          (Printf.sprintf "Dining %s p%d: phase %s -> %s is off the cycle" t.instance t.self
+             (Types.phase_to_string prev) (Types.phase_to_string to_));
+      t.phase <- to_;
+      t.observers.ctx.Context.log (transition t prev to_);
+      t.observers.callback prev to_
     end
 
-  let handle t =
-    let h =
-      {
-        instance = t.instance;
-        self = t.ctx.Context.self;
-        phase = (fun () -> t.cur);
-        hungry =
-          (fun () ->
-            match t.cur with
-            | Types.Thinking -> set t Types.Hungry
-            | ph ->
-                invalid_arg
-                  (Printf.sprintf "Dining %s p%d: hungry() while %s" t.instance
-                     t.ctx.Context.self (Types.phase_to_string ph)));
-        exit_eating =
-          (fun () ->
-            match t.cur with
-            | Types.Eating -> set t Types.Exiting
-            | ph ->
-                invalid_arg
-                  (Printf.sprintf "Dining %s p%d: exit_eating() while %s" t.instance
-                     t.ctx.Context.self (Types.phase_to_string ph)));
-        set_on_transition = (fun f -> t.callback <- f);
-      }
-    in
-    (t, h)
+  let handle t = t
 end
+
+let misuse h call =
+  invalid_arg
+    (Printf.sprintf "Dining %s p%d: %s() while %s" h.instance h.self call
+       (Types.phase_to_string h.phase))
+
+let hungry h =
+  match h.phase with Types.Thinking -> Cell.set h Types.Hungry | _ -> misuse h "hungry"
+
+let exit_eating h =
+  match h.phase with Types.Eating -> Cell.set h Types.Exiting | _ -> misuse h "exit_eating"
+
+let set_on_transition h f = h.observers.callback <- f

@@ -21,26 +21,44 @@ val precedes : int -> Dsim.Types.pid -> int -> Dsim.Types.pid -> bool
     compares the integers directly, so a guard that evaluates it builds no
     pair and makes no polymorphic-compare call. *)
 
-type handle = {
+type observers
+(** Where a phase change goes: the process's trace and the client's
+    callback. Only {!Cell.set} reads it. *)
+
+type handle = private {
   instance : string;
   self : Dsim.Types.pid;
-  phase : unit -> Dsim.Types.phase;
-  hungry : unit -> unit;
-      (** Request the critical section. Only legal while [Thinking]. *)
-  exit_eating : unit -> unit;
-      (** Relinquish the critical section. Only legal while [Eating]. *)
-  set_on_transition : (Dsim.Types.phase -> Dsim.Types.phase -> unit) -> unit;
-      (** Register a callback fired after every phase transition. *)
+  mutable phase : Dsim.Types.phase;
+      (** The diner's current phase, written only by {!Cell.set}. Guards
+          and per-tick hooks read it as a field and test it with a
+          [match]: a read costs one load, where a call through a closure
+          or across modules (never inlined under the dev profile's
+          [-opaque]) costs a call. *)
+  observers : observers;
 }
+(** A diner's phase cell, read-only: the algorithm that built it writes
+    through {!Cell.set}, and its client moves it with {!hungry} and
+    {!exit_eating}. *)
 
-(** Mutable diner-phase cell used by algorithm implementations: transitions
-    are logged to the trace under the instance name and forwarded to the
-    client callback. *)
+val hungry : handle -> unit
+(** Request the critical section. Raises [Invalid_argument] unless
+    [Thinking]. *)
+
+val exit_eating : handle -> unit
+(** Relinquish the critical section. Raises [Invalid_argument] unless
+    [Eating]. *)
+
+val set_on_transition : handle -> (Dsim.Types.phase -> Dsim.Types.phase -> unit) -> unit
+(** Register the callback fired after every phase transition, replacing
+    the previous one. *)
+
+(** The write capability for a diner's phase, held by the algorithm that
+    schedules it: transitions are logged to the trace under the instance
+    name and forwarded to the client callback. *)
 module Cell : sig
   type t
 
   val create : Dsim.Context.t -> instance:string -> t
-  val phase : t -> Dsim.Types.phase
 
   val set : t -> Dsim.Types.phase -> unit
   (** [set t ph] moves the diner to [ph], logs the transition and fires the
@@ -49,8 +67,6 @@ module Cell : sig
       when [ph] is neither the current phase nor the one that follows it
       in the cycle; the phase and the trace are then left unchanged. *)
 
-  val handle : t -> t * handle
-  (** The cell together with the client-facing handle; [hungry] and
-      [exit_eating] check phase legality and raise [Invalid_argument] on
-      misuse. *)
+  val handle : t -> handle
+  (** The cell itself, as its clients and readers see it. *)
 end

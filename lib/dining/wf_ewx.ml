@@ -31,8 +31,8 @@ type debug = {
 
 let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_config) () =
   let self = ctx.Context.self in
-  let cell, handle = Spec.Cell.handle (Spec.Cell.create ctx ~instance) in
-  let phase () = Spec.Cell.phase cell in
+  let cell = Spec.Cell.create ctx ~instance in
+  let handle = Spec.Cell.handle cell in
   let edges =
     Graphs.Conflict_graph.neighbor_list graph self
     |> List.map (fun peer ->
@@ -40,8 +40,8 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
            { peer; has_fork = self > peer; peer_req = no_ts; next_ask = 0 })
   in
   let suspected q = config.suspicion_override && Types.Pidset.mem q (suspects ()) in
-  let eating () = Types.phase_equal (phase ()) Types.Eating in
-  let hungry () = Types.phase_equal (phase ()) Types.Hungry in
+  let eating () = match handle.Spec.phase with Types.Eating -> true | _ -> false in
+  let hungry () = match handle.Spec.phase with Types.Hungry -> true | _ -> false in
   (* Lamport clock and the timestamp of the current hungry session. Smaller
      (timestamp, pid) = higher priority; timestamps grow along message
      chains, so sessions that keep losing get ever-stronger claims:
@@ -110,7 +110,7 @@ let component (ctx : Context.t) ~instance ~graph ~suspects ?(config = default_co
   in
   let finish_exit =
     Component.action "din-exit"
-      ~guard:(fun () -> Types.phase_equal (phase ()) Types.Exiting)
+      ~guard:(fun () -> match handle.Spec.phase with Types.Exiting -> true | _ -> false)
       ~body:(fun () ->
         virtual_eat := false;
         session := no_ts;

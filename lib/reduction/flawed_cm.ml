@@ -36,10 +36,10 @@ let create ~engine ?(detector_name = "flawed-cm") ~dining ~watcher ~subject () =
     Component.action "cm-enter-forever"
       ~guard:(fun () ->
         (not !requested)
-        && Types.phase_equal (s_handle.Dining.Spec.phase ()) Types.Thinking)
+        && match s_handle.Dining.Spec.phase with Types.Thinking -> true | _ -> false)
       ~body:(fun () ->
         requested := true;
-        s_handle.Dining.Spec.hungry ())
+        Dining.Spec.hungry s_handle)
     (* ... and never exits: there is no exit action. *)
   in
   Engine.register engine subject
@@ -58,17 +58,17 @@ let create ~engine ?(detector_name = "flawed-cm") ~dining ~watcher ~subject () =
   let request_on_heartbeat =
     Component.action "cm-request"
       ~guard:(fun () ->
-        !heard && Types.phase_equal (w_handle.Dining.Spec.phase ()) Types.Thinking)
+        !heard && match w_handle.Dining.Spec.phase with Types.Thinking -> true | _ -> false)
       ~body:(fun () ->
         heard := false;
-        w_handle.Dining.Spec.hungry ())
+        Dining.Spec.hungry w_handle)
   in
   let exit_and_suspect =
     Component.action "cm-exit"
-      ~guard:(fun () -> Types.phase_equal (w_handle.Dining.Spec.phase ()) Types.Eating)
+      ~guard:(fun () -> match w_handle.Dining.Spec.phase with Types.Eating -> true | _ -> false)
       ~body:(fun () ->
         set_suspect true;
-        w_handle.Dining.Spec.exit_eating ())
+        Dining.Spec.exit_eating w_handle)
   in
   let on_receive ~src msg =
     match msg with

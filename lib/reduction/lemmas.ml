@@ -41,7 +41,8 @@ type online = {
   mutable l8_violations : int;
 }
 
-let phase_of (h : Dining.Spec.handle) = h.Dining.Spec.phase ()
+let eating (h : Dining.Spec.handle) =
+  match h.Dining.Spec.phase with Types.Eating -> true | _ -> false
 
 let install_online ~engine ~pair =
   let o =
@@ -56,10 +57,10 @@ let install_online ~engine ~pair =
       l8_violations = 0;
     }
   in
-  let s_phase i = phase_of pair.Pair.s_handles.(i) in
-  let w_phase i = phase_of pair.Pair.w_handles.(i) in
-  let subject_live () = Engine.is_live engine pair.Pair.subject in
-  let watcher_live () = Engine.is_live engine pair.Pair.watcher in
+  let subject = pair.Pair.subject and watcher = pair.Pair.watcher in
+  let threads = pair.Pair.subject_threads in
+  let s0 = pair.Pair.s_handles.(0) and s1 = pair.Pair.s_handles.(1) in
+  let w0 = pair.Pair.w_handles.(0) and w1 = pair.Pair.w_handles.(1) in
   (* Lemma 3's channels, counted by the engine: ping_i on its way to the
      witness, ack_i on its way back. *)
   let pings =
@@ -74,48 +75,48 @@ let install_online ~engine ~pair =
           | Messages.Ack j -> j = i
           | _ -> false))
   in
+  (* Lemmas 2, 3 and 4 on subject thread [i], whose diner is [s]. The
+     phases and flags are read as fields; the clock only for a message. *)
+  let check_subject i (s : Dining.Spec.handle) =
+    match s.Dining.Spec.phase with
+    | Types.Eating -> ()
+    | phase ->
+        let ping = threads.Subject.ping.(i) in
+        (* Lemma 2 *)
+        if (not ping) && Acc.count o.l2 then
+          Acc.keep o.l2
+            (Printf.sprintf "t=%d: s_%d not eating but ping_%d=false" (Engine.now engine) i i);
+        (* Lemma 4 *)
+        (match phase with
+        | Types.Hungry when threads.Subject.trigger <> i && Acc.count o.l4 ->
+            Acc.keep o.l4
+              (Printf.sprintf "t=%d: s_%d hungry but trigger<>%d" (Engine.now engine) i i)
+        | _ -> ());
+        (* Lemma 3: no ping_i/ack_i in transit when (not eating) /\ ping_i *)
+        if ping && Engine.is_live engine watcher then begin
+          let pings = pings.(i) () and acks = acks.(i) () in
+          if pings + acks > 0 && Acc.count o.l3 then
+            Acc.keep o.l3
+              (Printf.sprintf "t=%d: %d ping(s), %d ack(s) in transit on idle channel %d"
+                 (Engine.now engine) pings acks i)
+        end
+  in
   Engine.on_tick engine (fun () ->
-      let now = Engine.now engine in
-      if subject_live () then begin
-        for i = 0 to 1 do
-          let eating = Types.phase_equal (s_phase i) Types.Eating in
-          let ping = pair.Pair.subject_threads.Subject.ping_flag i in
-          (* Lemma 2 *)
-          if (not eating) && (not ping) && Acc.count o.l2 then
-            Acc.keep o.l2 (Printf.sprintf "t=%d: s_%d not eating but ping_%d=false" now i i);
-          (* Lemma 4 *)
-          if
-            Types.phase_equal (s_phase i) Types.Hungry
-            && pair.Pair.subject_threads.Subject.trigger () <> i
-            && Acc.count o.l4
-          then Acc.keep o.l4 (Printf.sprintf "t=%d: s_%d hungry but trigger<>%d" now i i);
-          (* Lemma 3: no ping_i/ack_i in transit when (not eating) /\ ping_i *)
-          if (not eating) && ping && watcher_live () then begin
-            let pings = pings.(i) () and acks = acks.(i) () in
-            if pings + acks > 0 && Acc.count o.l3 then
-              Acc.keep o.l3
-                (Printf.sprintf "t=%d: %d ping(s), %d ack(s) in transit on idle channel %d" now
-                   pings acks i)
-          end
-        done;
+      if Engine.is_live engine subject then begin
+        check_subject 0 s0;
+        check_subject 1 s1;
         (* Lemma 8 suffix invariant *)
-        if
-          not
-            (Types.phase_equal (s_phase 0) Types.Eating
-            || Types.phase_equal (s_phase 1) Types.Eating)
-        then begin
-          o.l8_last_violation <- now;
+        if not (eating s0 || eating s1) then begin
+          o.l8_last_violation <- Engine.now engine;
           o.l8_violations <- o.l8_violations + 1
         end
       end;
       (* Lemma 9 *)
-      if
-        watcher_live ()
-        && not
-             (Types.phase_equal (w_phase 0) Types.Thinking
-             || Types.phase_equal (w_phase 1) Types.Thinking)
-        && Acc.count o.l9
-      then Acc.keep o.l9 (Printf.sprintf "t=%d: no witness thinking" now));
+      match (w0.Dining.Spec.phase, w1.Dining.Spec.phase) with
+      | Types.Thinking, _ | _, Types.Thinking -> ()
+      | _ ->
+          if Engine.is_live engine watcher && Acc.count o.l9 then
+            Acc.keep o.l9 (Printf.sprintf "t=%d: no witness thinking" (Engine.now engine)));
   o
 
 let online_reports o =

@@ -37,12 +37,16 @@ val install_online : engine:Dsim.Engine.t -> pair:Pair.t -> online
     those are formatted); Lemma 8 records the last tick its invariant
     did not hold.
 
-    Per-tick cost is O(1) per pair: the hook reads phases, flags and, for
-    Lemma 3, four in-transit counts that the engine maintains
-    ({!Dsim.Engine.in_flight_counter}, registered here: ping_0/1 on the
-    witness tag, ack_0/1 on the subject tag) instead of scanning the
-    undelivered traffic. Installing before the run registers them in
-    O(1); installing mid-run seeds each with one scan. *)
+    Per-tick cost is O(1) per pair. The hook reads the pair's four
+    diner phases ({!Dining.Spec.handle.phase}) and the subject's
+    {!Subject.t.trigger} and {!Subject.t.ping} as fields, testing phases
+    with a [match]; it calls only {!Dsim.Engine.is_live} and, on an idle
+    armed channel (Lemma 3's premise), two of four in-transit counts
+    that the engine maintains ({!Dsim.Engine.in_flight_counter},
+    registered here: ping_0/1 on the witness tag, ack_0/1 on the subject
+    tag) instead of scanning the undelivered traffic; it reads the clock
+    only to record a violation. Installing before the run registers the
+    counts in O(1); installing mid-run seeds each with one scan. *)
 
 val online_reports : online -> report list
 (** Lemma 8's report is judged against the current engine time: its last

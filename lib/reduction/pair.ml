@@ -55,20 +55,20 @@ let create ~engine ?(detector_name = "extracted") ~dining ~watcher ~subject () =
   in
   let w_handles = Array.init 2 (make_instance wctx) in
   let s_handles = Array.init 2 (make_instance sctx) in
-  let witness =
+  let witness_comp, witness =
     Witness.create wctx ~tag:witness_tag ~subject_pid:subject ~subject_tag ~dx:w_handles
       ~detector_name ()
   in
-  Engine.register engine watcher witness.Witness.component;
-  let subject_threads =
+  Engine.register engine watcher witness_comp;
+  let subject_comp, subject_threads =
     Subject.create sctx ~tag:subject_tag ~witness_pid:watcher ~witness_tag ~dx:s_handles ()
   in
-  Engine.register engine subject subject_threads.Subject.component;
+  Engine.register engine subject subject_comp;
   {
     name;
     watcher;
     subject;
-    suspected = witness.Witness.suspected;
+    suspected = (fun () -> witness.Witness.suspect_q);
     witness;
     subject_threads;
     dx_instances;

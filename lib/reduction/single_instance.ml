@@ -31,19 +31,19 @@ let create ~engine ?(detector_name = "single-inst") ~dining ~watcher ~subject ()
          else Trace.Trust { detector = detector_name; owner = watcher; target = subject })
     end
   in
-  let w_phase () = w_handle.Dining.Spec.phase () in
   let w_hungry =
     Component.action "siw-hungry"
-      ~guard:(fun () -> Types.phase_equal (w_phase ()) Types.Thinking)
-      ~body:(fun () -> w_handle.Dining.Spec.hungry ())
+      ~guard:(fun () ->
+        match w_handle.Dining.Spec.phase with Types.Thinking -> true | _ -> false)
+      ~body:(fun () -> Dining.Spec.hungry w_handle)
   in
   let w_judge =
     Component.action "siw-judge"
-      ~guard:(fun () -> Types.phase_equal (w_phase ()) Types.Eating)
+      ~guard:(fun () -> match w_handle.Dining.Spec.phase with Types.Eating -> true | _ -> false)
       ~body:(fun () ->
         set_suspect (not !haveping);
         haveping := false;
-        w_handle.Dining.Spec.exit_eating ())
+        Dining.Spec.exit_eating w_handle)
   in
   let w_receive ~src msg =
     match msg with
@@ -57,26 +57,27 @@ let create ~engine ?(detector_name = "single-inst") ~dining ~watcher ~subject ()
   (* Subject: eat, ping, exit on ack, repeat. *)
   let pinged = ref false in
   let acked = ref false in
-  let s_phase () = s_handle.Dining.Spec.phase () in
+  let s_eating () = match s_handle.Dining.Spec.phase with Types.Eating -> true | _ -> false in
   let s_hungry =
     Component.action "sis-hungry"
-      ~guard:(fun () -> Types.phase_equal (s_phase ()) Types.Thinking)
+      ~guard:(fun () ->
+        match s_handle.Dining.Spec.phase with Types.Thinking -> true | _ -> false)
       ~body:(fun () ->
         pinged := false;
         acked := false;
-        s_handle.Dining.Spec.hungry ())
+        Dining.Spec.hungry s_handle)
   in
   let s_ping =
     Component.action "sis-ping"
-      ~guard:(fun () -> Types.phase_equal (s_phase ()) Types.Eating && not !pinged)
+      ~guard:(fun () -> s_eating () && not !pinged)
       ~body:(fun () ->
         pinged := true;
         sctx.Context.send ~dst:watcher ~tag:wtag (Messages.Ping 0))
   in
   let s_exit =
     Component.action "sis-exit"
-      ~guard:(fun () -> Types.phase_equal (s_phase ()) Types.Eating && !acked)
-      ~body:(fun () -> s_handle.Dining.Spec.exit_eating ())
+      ~guard:(fun () -> s_eating () && !acked)
+      ~body:(fun () -> Dining.Spec.exit_eating s_handle)
   in
   let s_receive ~src msg =
     match msg with

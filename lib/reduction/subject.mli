@@ -13,14 +13,17 @@
     For Lemma 5's bookkeeping the subject logs trace notes
     ["red-ping"]/["red-ack"] with [info = note_info.(i)]. *)
 
-type t = {
-  component : Dsim.Component.t;
-  trigger : unit -> int;
-  ping_flag : int -> bool;
+type t = private {
+  mutable trigger : int;  (** The paper's [trigger]: which subject is next to become hungry. *)
+  ping : bool array;
+      (** [ping.(i)] is the paper's [ping_i]: [s_i] may still ping in its
+          current session. Read it; only the subject threads write it. *)
   note_info : string array;
       (** [note_info.(i)] is [tag ^ ":" ^ i], the [info] of instance [i]'s
           ping and ack notes. *)
 }
+(** The subject threads' variables, read as fields: the Lemma monitors
+    read them on every tick. *)
 
 val create :
   Dsim.Context.t ->
@@ -29,4 +32,6 @@ val create :
   witness_tag:string ->
   dx:Dining.Spec.handle array ->
   unit ->
-  t
+  Dsim.Component.t * t
+(** [dx] are this process's handles in DX_0 and DX_1 (length 2). The
+    component runs both threads' actions; register it at [ctx.self]. *)

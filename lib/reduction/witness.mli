@@ -11,12 +11,15 @@
     the [suspect_q] output, mirroring the paper's "single stream of physical
     execution" with interleaved actions. *)
 
-type t = {
-  component : Dsim.Component.t;
-  suspected : unit -> bool;  (** Current value of [suspect_q]. *)
-  haveping : int -> bool;
-  switch : unit -> int;
+type t = private {
+  mutable switch : int;  (** Which witness thread is next to become hungry. *)
+  haveping : bool array;
+      (** [haveping.(i)] is the paper's [haveping_i]: a ping from [q.s_i]
+          arrived since [w_i]'s last meal. Read it; only the witness
+          threads write it. *)
+  mutable suspect_q : bool;  (** The extracted output: [p] suspects [q]. *)
 }
+(** The witness threads' variables, read as fields. *)
 
 val create :
   Dsim.Context.t ->
@@ -26,8 +29,9 @@ val create :
   dx:Dining.Spec.handle array ->
   detector_name:string ->
   unit ->
-  t
-(** [dx] are this process's handles in DX_0 and DX_1 (length 2). Suspicion
-    flips of [suspect_q] are logged under [detector_name] with
-    [owner = ctx.self], [target = subject_pid]. The output starts suspecting
-    (the paper initialises [suspect_q] to true). *)
+  Dsim.Component.t * t
+(** [dx] are this process's handles in DX_0 and DX_1 (length 2). The
+    component runs both threads' actions; register it at [ctx.self].
+    Suspicion flips of [suspect_q] are logged under [detector_name] with
+    [owner = ctx.self], [target = subject_pid]. The output starts
+    suspecting (the paper initialises [suspect_q] to true). *)

@@ -80,12 +80,13 @@ let setup ~engine ?(config = default_config) ~scheduler () =
   | All_on ->
       for pid = 0 to node_count - 1 do
         let ctx = Engine.ctx engine pid in
-        let cell, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance) in
+        let cell = Dining.Spec.Cell.create ctx ~instance in
+        let handle = Dining.Spec.Cell.handle cell in
         handles.(pid) <- Some handle;
         let turn_on =
           Component.action "wsn-always-on"
             ~guard:(fun () ->
-              Types.phase_equal (handle.Dining.Spec.phase ()) Types.Thinking)
+              match handle.Dining.Spec.phase with Types.Thinking -> true | _ -> false)
             ~body:(fun () ->
               Dining.Spec.Cell.set cell Types.Hungry;
               Dining.Spec.Cell.set cell Types.Eating)
@@ -97,7 +98,7 @@ let setup ~engine ?(config = default_config) ~scheduler () =
       for pid = 0 to node_count - 1 do
         if Engine.is_live engine pid then
           match handles.(pid) with
-          | Some h when Types.phase_equal (h.Dining.Spec.phase ()) Types.Eating ->
+          | Some { Dining.Spec.phase = Types.Eating; _ } ->
               t.energy.(pid) <- t.energy.(pid) - 1;
               if t.energy.(pid) <= 0 then Engine.crash_now engine pid
           | Some _ | None -> ()

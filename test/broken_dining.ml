@@ -51,10 +51,11 @@ let exit_hungry = "exit-hungry"
 let exit_hungry_builder engine ~graph ~instance ~eat_ticks =
   for pid = 0 to Graphs.Conflict_graph.n graph - 1 do
     let ctx = Engine.ctx engine pid in
-    let cell, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance) in
+    let cell = Dining.Spec.Cell.create ctx ~instance in
+    let handle = Dining.Spec.Cell.handle cell in
     let move name ~from_ ~to_ =
       Component.action name
-        ~guard:(fun () -> Types.phase_equal (Dining.Spec.Cell.phase cell) from_)
+        ~guard:(fun () -> Types.phase_equal handle.Dining.Spec.phase from_)
         ~body:(fun () -> Dining.Spec.Cell.set cell to_)
     in
     Engine.register engine pid

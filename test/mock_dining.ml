@@ -10,25 +10,24 @@ type t = {
   handle : Dining.Spec.handle;
   grant : unit -> unit;  (** hungry -> eating (test-controlled). *)
   finish_exit : unit -> unit;  (** exiting -> thinking (test-controlled). *)
-  phase : unit -> Types.phase;
 }
 
 (* The mock needs no component: the test mutates phases directly between
    engine steps, which models a dining layer scheduling at arbitrary
    instants. *)
 let create ctx ~instance =
-  let cell, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance) in
+  let cell = Dining.Spec.Cell.create ctx ~instance in
+  let handle = Dining.Spec.Cell.handle cell in
   {
     handle;
     grant =
       (fun () ->
-        assert (Types.phase_equal (Dining.Spec.Cell.phase cell) Types.Hungry);
+        assert (Types.phase_equal handle.Dining.Spec.phase Types.Hungry);
         Dining.Spec.Cell.set cell Types.Eating);
     finish_exit =
       (fun () ->
-        assert (Types.phase_equal (Dining.Spec.Cell.phase cell) Types.Exiting);
+        assert (Types.phase_equal handle.Dining.Spec.phase Types.Exiting);
         Dining.Spec.Cell.set cell Types.Thinking);
-    phase = (fun () -> Dining.Spec.Cell.phase cell);
   }
 
 (* Step the engine until [cond] holds or [max] ticks pass; returns success. *)

@@ -491,14 +491,14 @@ let test_fairness_index () =
 let test_cell_misuse_raises () =
   let engine = Engine.create ~seed:1L ~n:1 ~adversary:(Adversary.synchronous ()) () in
   let ctx = Engine.ctx engine 0 in
-  let _, handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance:"i") in
+  let handle = Dining.Spec.Cell.handle (Dining.Spec.Cell.create ctx ~instance:"i") in
   (try
-     handle.Dining.Spec.exit_eating ();
+     Dining.Spec.exit_eating handle;
      Alcotest.fail "exit while thinking accepted"
    with Invalid_argument _ -> ());
-  handle.Dining.Spec.hungry ();
+  Dining.Spec.hungry handle;
   (try
-     handle.Dining.Spec.hungry ();
+     Dining.Spec.hungry handle;
      Alcotest.fail "double hungry accepted"
    with Invalid_argument _ -> ())
 

@@ -203,11 +203,8 @@ let stray_ping_run ?(pings = 1) ~seed ~at () =
   let pair = Reduction.Pair.create ~engine ~dining ~watcher:0 ~subject:1 () in
   let injected = ref [] in
   let idle_and_armed i =
-    (not
-       (Types.phase_equal
-          (pair.Reduction.Pair.s_handles.(i).Dining.Spec.phase ())
-          Types.Eating))
-    && pair.Reduction.Pair.subject_threads.Reduction.Subject.ping_flag i
+    (not (Types.phase_equal pair.Reduction.Pair.s_handles.(i).Dining.Spec.phase Types.Eating))
+    && pair.Reduction.Pair.subject_threads.Reduction.Subject.ping.(i)
   in
   Engine.on_tick engine (fun () ->
       if List.length !injected < pings && Engine.now engine >= at then
@@ -263,6 +260,68 @@ let test_capped_violations () =
       "... (17 total)";
     ]
     (l3_report online).Reduction.Lemmas.violations
+
+(* Lemmas 2, 4, 8 and 9 fire: a pair over scripted diners (Mock_dining),
+   whose handles the test also drives outside Algorithms 1-2, the way a
+   broken reduction would. Each online report is pinned by its first
+   message and its total (L8 by its info). *)
+let test_online_lemmas_fire () =
+  let engine = Engine.create ~seed:1L ~n:2 ~adversary:(Adversary.synchronous ()) () in
+  let mocks = Hashtbl.create 4 in
+  let dining (ctx : Context.t) ~instance ~participants:_ =
+    let m = Mock_dining.create ctx ~instance in
+    Hashtbl.replace mocks (instance, ctx.Context.self) m;
+    (Component.make ~name:instance (), m.Mock_dining.handle)
+  in
+  let pair = Reduction.Pair.create ~engine ~dining ~watcher:0 ~subject:1 () in
+  let online = Reduction.Lemmas.install_online ~engine ~pair in
+  let mock pid i = Hashtbl.find mocks (pair.Reduction.Pair.dx_instances.(i), pid) in
+  let s i = pair.Reduction.Pair.s_handles.(i) and w i = pair.Reduction.Pair.w_handles.(i) in
+  let threads = pair.Reduction.Pair.subject_threads in
+  let run k = Engine.run engine ~until:(Engine.now engine + k) in
+  let reach label cond = check label true (Mock_dining.step_until engine ~max:200 cond) in
+  (* L9: both witnesses hungry, so W_h never runs. L4: s_1 hungry while
+     trigger = 0; S_h[0] makes s_0 hungry at the first step. *)
+  Dining.Spec.hungry (w 0);
+  Dining.Spec.hungry (w 1);
+  Dining.Spec.hungry (s 1);
+  run 12;
+  (* s_0 eats: S_p[0] spends ping_0 and the ack hands the trigger to s_1,
+     which ends L4. *)
+  (mock 1 0).Mock_dining.grant ();
+  reach "the ack flips trigger" (fun () -> threads.Reduction.Subject.trigger = 1);
+  (* L2: s_0 leaves with ping_0 spent, which S_x never does. *)
+  Dining.Spec.exit_eating (s 0);
+  run 15;
+  (* w_0 eats and W_x exits it; once it thinks again, L9 ends. *)
+  (mock 0 0).Mock_dining.grant ();
+  run 3;
+  (mock 0 0).Mock_dining.finish_exit ();
+  run 20;
+  (* A report's first message and its last line, which for a lemma
+     broken on more than ten ticks is its total. *)
+  let ends (r : Reduction.Lemmas.report) =
+    match r.Reduction.Lemmas.violations with
+    | [] -> r.Reduction.Lemmas.lemma ^ " ok"
+    | [ only ] -> r.Reduction.Lemmas.lemma ^ " | " ^ only
+    | first :: rest ->
+        String.concat " | " [ r.Reduction.Lemmas.lemma; first; List.nth rest (List.length rest - 1) ]
+  in
+  let reports = Reduction.Lemmas.online_reports online in
+  Alcotest.(check (list string))
+    "online reports"
+    [
+      "L2 | t=16: s_0 not eating but ping_0=false | ... (38 total)";
+      "L3 ok";
+      "L4 | t=1: s_1 hungry but trigger<>1 | ... (14 total)";
+      "L8 | suffix invariant still violated at t=53 (horizon 53)";
+      "L9 | t=1: no witness thinking | ... (33 total)";
+    ]
+    (List.map ends reports);
+  Alcotest.(check string)
+    "L8 info" "last-violation=53 total=50"
+    (List.find (fun r -> String.equal r.Reduction.Lemmas.lemma "L8") reports)
+      .Reduction.Lemmas.info
 
 (* ------------------------------------------------------------------ *)
 (* Post-hoc Lemmas 1, 5, 6, 7, 11 and 12: the checks over one phase index
@@ -424,7 +483,7 @@ let test_flawed_cm_subject_is_correct_and_eating () =
   let engine, cm = flawed_run ~horizon:10000 ~seed:43L in
   check "subject is live" true (Engine.is_live engine 0);
   check "subject is (still) eating" true
-    (Types.phase_equal (cm.Reduction.Flawed_cm.s_handle.Dining.Spec.phase ()) Types.Eating);
+    (Types.phase_equal cm.Reduction.Flawed_cm.s_handle.Dining.Spec.phase Types.Eating);
   (* ... and the watcher also eats: the box's exclusive suffix is void. *)
   check "watcher keeps eating" true
     (Dining.Monitor.eat_count (Engine.trace engine) ~instance:cm.Reduction.Flawed_cm.cm_instance
@@ -578,6 +637,8 @@ let () =
           Alcotest.test_case "L5/L12 sweeps match reference on random traces" `Quick
             test_sweeps_match_reference_random;
           Alcotest.test_case "capped violations keep the first ten" `Quick test_capped_violations;
+          Alcotest.test_case "L2, L4, L8 and L9 fire on a scripted pair" `Quick
+            test_online_lemmas_fire;
         ] );
       ( "black-box robustness",
         [
