@@ -1,15 +1,17 @@
 # Developer entry points. `make check` is the pre-merge gate: format
 # (when ocamlformat is installed), build, full test suite, the simlint
 # determinism gate, and 10k-tick end-to-end smokes of the extraction: over
-# the wf box, failing on any failed ◇P property or Lemma check and
-# checking that its run report is written and parses, and over the ftme
-# box with a crash, failing on any failed completeness, accuracy or
-# trusting-accuracy check; then a dining run with a crash, failing on a
-# failed wait-freedom or eventual-weak-exclusion check, and a run whose
-# --crash names no process, which must be rejected with exit status 2;
-# then the demos that drive dining handles from outside the dining
-# layer (vulnerability in both modes, wsn, ctm, agreement), each failing
-# when a component raises and each writing a report that must parse.
+# the wf box, failing on any failed ◇P property or Lemma check, checking
+# that its run report is written and parses, and rendering the JSONL
+# trace it streams (notes, suspicions and trusts as well as phase
+# changes) with `dinersim trace`; and over the ftme box with a crash,
+# failing on any failed completeness, accuracy or trusting-accuracy
+# check; then a dining run with a crash, failing on a failed wait-freedom
+# or eventual-weak-exclusion check, and a run whose --crash names no
+# process, which must be rejected with exit status 2; then the demos that
+# drive dining handles from outside the dining layer (vulnerability in
+# both modes, wsn, ctm, agreement), each failing when a component raises
+# and each writing a report that must parse.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -49,8 +51,11 @@ lint: build
 	dune exec tools/simlint/main.exe -- --root . --sarif _build/simlint.sarif $(if $(RULES),--only $(RULES))
 
 smoke: build
-	dune exec bin/dinersim.exe -- extract --horizon 10000 --lemmas --report /tmp/dinersim-smoke.json
+	dune exec bin/dinersim.exe -- extract --horizon 10000 --lemmas --report /tmp/dinersim-smoke.json \
+		--trace-out /tmp/dinersim-smoke.jsonl
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke.json
+	dune exec bin/dinersim.exe -- trace /tmp/dinersim-smoke.jsonl \
+		-o /tmp/dinersim-smoke.perfetto.json
 	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000
 	dune exec bin/dinersim.exe -- dining --algo kfair --topology ring:6 --crash 4@2000 --horizon 6000
 	dune exec bin/dinersim.exe -- dining --topology pair --crash 9@100; test $$? -eq 2

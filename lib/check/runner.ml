@@ -120,8 +120,8 @@ let pass (v : Detectors.Properties.verdict) = v.Detectors.Properties.holds
 let execute ?metrics p =
   let c = p.config in
   let engine = Engine.create ~seed:c.Config.seed ~n:p.n ~adversary:p.adversary () in
-  (* Instrumentation must be installed before components register so its
-     on_tick hook and trace subscriber see the whole run. *)
+  (* Instrumentation is installed before components register, so its
+     on_tick hook sees every tick and its fold every event of the run. *)
   let inst = Option.map (fun metrics -> Obs.Instrument.install ~metrics engine) metrics in
   p.builder engine ~graph:p.graph ~instance ~eat_ticks:c.Config.eat_ticks;
   List.iter
@@ -172,7 +172,7 @@ let run_traced ?drive ?metrics ~registry c =
      it after the run gives the bytes a collector subscribed from the
      start would. *)
   let cov = Obs.Coverage.create () in
-  Trace.iter trace (Obs.Coverage.observe cov);
+  Trace.iter trace (fun _ ev -> Obs.Coverage.observe cov ev);
   ( {
       checks;
       failed = failed checks;

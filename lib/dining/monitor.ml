@@ -49,14 +49,14 @@ module Index = struct
 
   let build trace ~instance =
     let counts = ref [||] and crash = ref [||] in
-    Trace.iter trace (fun (e : Trace.entry) ->
-        match e.Trace.ev with
+    Trace.iter trace (fun at ev ->
+        match ev with
         | Trace.Transition { instance = i; pid; _ } when pid >= 0 && String.equal i instance ->
             counts := grown !counts pid 0;
             !counts.(pid) <- !counts.(pid) + 1
         | Trace.Crash { pid } when pid >= 0 ->
             crash := grown !crash pid never;
-            if !crash.(pid) = never then !crash.(pid) <- e.Trace.at
+            if !crash.(pid) = never then !crash.(pid) <- at
         | _ -> ());
     let counts = !counts in
     let npids = Array.length counts in
@@ -66,17 +66,17 @@ module Index = struct
     done;
     let trans = Array.make off.(npids) 0 and first = Array.make npids thinking in
     let fill = Array.sub off 0 npids in
-    Trace.iter trace (fun (e : Trace.entry) ->
-        match e.Trace.ev with
+    Trace.iter trace (fun at ev ->
+        match ev with
         | Trace.Transition { instance = i; pid; from_; to_ }
           when pid >= 0 && String.equal i instance ->
             let k = fill.(pid) in
             (* The merge and the overtaking count need each diner's
                intervals in time order. *)
-            if k > off.(pid) && e.Trace.at < trans.(k - 1) asr 2 then
+            if k > off.(pid) && at < trans.(k - 1) asr 2 then
               invalid_arg "Dining.Monitor: a diner's transitions go back in time";
             if k = off.(pid) then first.(pid) <- code from_;
-            trans.(k) <- (e.Trace.at * 4) + code to_;
+            trans.(k) <- (at * 4) + code to_;
             fill.(pid) <- k + 1
         | _ -> ());
     { instance; off; trans; first; crash = !crash }

@@ -462,13 +462,16 @@ let rec route_from (p : proc) i ~src payload tag =
 (* Weak-fairness scan from the rotating cursor: run the first enabled
    action, advancing the cursor past it. Hoisted to top level so the hot
    step builds no [scan] closure (a local [let rec] capturing its
-   environment is reallocated per process step). *)
+   environment is reallocated per process step). The cursor is below [m]
+   (registration resets it to 0), so [cursor + k < 2m] wraps by one
+   compare-and-subtract rather than a division per guard. *)
 let rec scan_action (p : proc) acts m k =
   if k < m then begin
-    let idx = (p.cursor + k) mod m in
+    let i = p.cursor + k in
+    let idx = if i >= m then i - m else i in
     let a = acts.(idx) in
     if a.Component.guard () then begin
-      p.cursor <- (idx + 1) mod m;
+      p.cursor <- (if idx + 1 = m then 0 else idx + 1);
       a.Component.body ()
     end
     else scan_action p acts m (k + 1)

@@ -7,25 +7,36 @@ type event =
 
 type entry = { at : Types.time; ev : event }
 
-(* Retained entries live in fixed chunks of [chunk_size] under a spine:
-   entry [i] is [chunks.(i / chunk_size).(i mod chunk_size)]. An append
-   copies no entry; growth allocates one chunk, and now and then a spine
-   twice as long. *)
+(* Retained events live in fixed chunks of [chunk_size] under a spine,
+   as two columns: event [i] sits in slot [i mod chunk_size] of chunk
+   [i / chunk_size], its tick in [ticks] and the event itself in [evs].
+   An append writes the two slots and builds no entry; growth allocates
+   one chunk, and now and then a spine twice as long, and never copies an
+   event. *)
+type chunk = { ticks : int array; evs : event array }
+
 type t = {
-  mutable chunks : entry array array;
+  mutable chunks : chunk array;
   mutable len : int;
   retain : bool;
   mutable subs : (entry -> unit) list; (* registration order *)
 }
 
-let chunk_bits = 6
+(* 32 slots, a 69-word chunk: a model-checker schedule keeps about ten
+   events, and 64-slot chunks (133 words) raised perfbench mc's words
+   per process-tick from 53.04 to 55.32 (see DESIGN.md, "Chunked
+   trace", for what they did to extract's peak heap). *)
+let chunk_bits = 5
 let chunk_size = 1 lsl chunk_bits
 
-let dummy = { at = 0; ev = Crash { pid = -1 } }
+let dummy = Crash { pid = -1 }
+let no_chunk = { ticks = [||]; evs = [||] }
 
 (* The spine is allocated at the first retained append, so a
    [~retain:false] trace never holds one. *)
 let create ?(retain = true) () = { chunks = [||]; len = 0; retain; subs = [] }
+
+let retained t = t.retain
 
 let subscribe t f = t.subs <- t.subs @ [ f ]
 
@@ -35,47 +46,45 @@ let rec fan_out e = function
       f e;
       fan_out e rest
 
-(* A trace of at most one chunk (the model checker's 14-tick runs keep
-   about ten entries each) holds one chunk under a 2-slot spine. *)
-let push t e =
+(* A trace of at most one chunk holds it under a 2-slot spine. *)
+let push t at ev =
   let c = t.len lsr chunk_bits and i = t.len land (chunk_size - 1) in
   if i = 0 then begin
     if c = Array.length t.chunks then begin
-      let spine = Array.make (max 2 (2 * c)) [||] in
+      let spine = Array.make (max 2 (2 * c)) no_chunk in
       Array.blit t.chunks 0 spine 0 c;
       t.chunks <- spine
     end;
-    t.chunks.(c) <- Array.make chunk_size dummy
+    t.chunks.(c) <- { ticks = Array.make chunk_size 0; evs = Array.make chunk_size dummy }
   end;
-  t.chunks.(c).(i) <- e;
+  let chunk = t.chunks.(c) in
+  chunk.ticks.(i) <- at;
+  chunk.evs.(i) <- ev;
   t.len <- t.len + 1
 
-let[@inline] get t i = t.chunks.(i lsr chunk_bits).(i land (chunk_size - 1))
-
-(* One entry, built only when someone keeps or observes it, and shared by
-   the subscribers and the chunks. *)
+(* An entry is built only for the subscribers, once, and shared by them. *)
 let append t ~at ev =
-  match t.subs with
-  | [] ->
-      if t.retain then
-        push t { at; ev }
-  | subs ->
-      let e = { at; ev } in
-      fan_out e subs;
-      if t.retain then push t e
+  (match t.subs with [] -> () | subs -> fan_out { at; ev } subs);
+  if t.retain then push t at ev
 
 let length t = t.len
 
-(* Chunk by chunk: the checkers' passes over a long trace skip [get]'s
-   index arithmetic per entry. Entries appended by [f] are not visited. *)
-let iter t f =
-  let len = t.len in
-  for c = 0 to ((len + chunk_size - 1) lsr chunk_bits) - 1 do
-    let chunk = t.chunks.(c) in
-    for i = 0 to Int.min chunk_size (len - (c lsl chunk_bits)) - 1 do
-      f chunk.(i)
+(* Chunk by chunk from [from]: the checkers' passes over a long trace
+   skip the index arithmetic per event. Events appended by [f] are not
+   visited. *)
+let iter ?(from = 0) t f =
+  let len = t.len and from = Int.max 0 from in
+  for c = from lsr chunk_bits to ((len + chunk_size - 1) lsr chunk_bits) - 1 do
+    let { ticks; evs } = t.chunks.(c) in
+    let base = c lsl chunk_bits in
+    for i = Int.max 0 (from - base) to Int.min chunk_size (len - base) - 1 do
+      f ticks.(i) evs.(i)
     done
   done
+
+let get t i =
+  let { ticks; evs } = t.chunks.(i lsr chunk_bits) and k = i land (chunk_size - 1) in
+  { at = ticks.(k); ev = evs.(k) }
 
 let entries t =
   let acc = ref [] in
@@ -86,41 +95,43 @@ let entries t =
 
 let filter t p =
   let acc = ref [] in
-  iter t (fun e -> if p e then acc := e :: !acc);
+  iter t (fun at ev ->
+      let e = { at; ev } in
+      if p e then acc := e :: !acc);
   List.rev !acc
 
 let crash_times t =
   let m = ref Types.Pidmap.empty in
-  iter t (fun e ->
-      match e.ev with
-      | Crash { pid } when not (Types.Pidmap.mem pid !m) ->
-          m := Types.Pidmap.add pid e.at !m
-      | _ -> ());
+  iter t (fun at -> function
+    | Crash { pid } when not (Types.Pidmap.mem pid !m) -> m := Types.Pidmap.add pid at !m
+    | _ -> ());
   !m
 
 let suspicion_flips t ~detector ~owner ~target =
-  filter t (fun e ->
-      match e.ev with
-      | Suspect s -> String.equal s.detector detector && s.owner = owner && s.target = target
-      | Trust s -> String.equal s.detector detector && s.owner = owner && s.target = target
-      | _ -> false)
-  |> List.map (fun e ->
-         match e.ev with
-         | Suspect _ -> (e.at, true)
-         | Trust _ -> (e.at, false)
-         | _ -> assert false)
+  let acc = ref [] in
+  iter t (fun at -> function
+    | Suspect s when String.equal s.detector detector && s.owner = owner && s.target = target ->
+        acc := (at, true) :: !acc
+    | Trust s when String.equal s.detector detector && s.owner = owner && s.target = target ->
+        acc := (at, false) :: !acc
+    | _ -> ());
+  List.rev !acc
 
 let suspected_at t ~detector ~owner ~target ~at ~initially =
   let flips = suspicion_flips t ~detector ~owner ~target in
   List.fold_left (fun acc (ts, v) -> if ts <= at then v else acc) initially flips
 
 let notes ?pid ?label t =
-  filter t (fun e ->
-      match e.ev with
+  let acc = ref [] in
+  iter t (fun at ev ->
+      match ev with
       | Note n ->
-          (match pid with Some p -> p = n.pid | None -> true)
-          && (match label with Some l -> String.equal l n.label | None -> true)
-      | _ -> false)
+          if
+            (match pid with Some p -> p = n.pid | None -> true)
+            && match label with Some l -> String.equal l n.label | None -> true
+          then acc := { at; ev } :: !acc
+      | _ -> ());
+  List.rev !acc
 
 let pp_event fmt = function
   | Transition { instance; pid; from_; to_ } ->
@@ -159,23 +170,23 @@ let csv_field s =
     Buffer.contents b
   end
 
-let csv_row e =
+let csv_row at ev =
   let f = Printf.sprintf in
   let q = csv_field in
-  match e.ev with
+  match ev with
   | Transition { instance; pid; from_; to_ } ->
-      f "%d,transition,%s,%d,,%s->%s" e.at (q instance) pid (Types.phase_to_string from_)
+      f "%d,transition,%s,%d,,%s->%s" at (q instance) pid (Types.phase_to_string from_)
         (Types.phase_to_string to_)
-  | Suspect { detector; owner; target } -> f "%d,suspect,%s,%d,%d," e.at (q detector) owner target
-  | Trust { detector; owner; target } -> f "%d,trust,%s,%d,%d," e.at (q detector) owner target
-  | Crash { pid } -> f "%d,crash,,%d,," e.at pid
-  | Note { pid; label; info } -> f "%d,note,%s,%d,,%s" e.at (q label) pid (q info)
+  | Suspect { detector; owner; target } -> f "%d,suspect,%s,%d,%d," at (q detector) owner target
+  | Trust { detector; owner; target } -> f "%d,trust,%s,%d,%d," at (q detector) owner target
+  | Crash { pid } -> f "%d,crash,,%d,," at pid
+  | Note { pid; label; info } -> f "%d,note,%s,%d,,%s" at (q label) pid (q info)
 
 let to_csv t =
   let buf = Buffer.create (4096 + (t.len * 32)) in
   Buffer.add_string buf "at,kind,scope,actor,peer,detail\n";
-  iter t (fun e ->
-      Buffer.add_string buf (csv_row e);
+  iter t (fun at ev ->
+      Buffer.add_string buf (csv_row at ev);
       Buffer.add_char buf '\n');
   Buffer.contents buf
 

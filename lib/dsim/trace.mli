@@ -23,22 +23,31 @@ type event =
       (** Protocol-specific marker (e.g. ping sent, ack received). *)
 
 type entry = { at : Types.time; ev : event }
+(** An event with its tick, as subscribers, {!entries}, {!filter} and
+    {!notes} see it. The trace itself does not keep entries. *)
 
 type t
 
 val create : ?retain:bool -> unit -> t
-(** [retain] (default [true]): whether appended entries are stored in the
-    in-memory buffer. With [~retain:false] the trace only fans appends out
-    to subscribers — the memory-free streaming mode for very long runs
+(** [retain] (default [true]): whether appended events are stored in
+    memory. With [~retain:false] the trace only fans appends out to
+    subscribers, the memory-free streaming mode for very long runs
     (property checkers then run offline over an exported JSONL file).
-    Retained entries are stored in 64-entry chunks, the first allocated
-    at the first retained append, so a [~retain:false] trace never holds
-    one and an append never copies earlier entries. *)
+
+    Retained events are stored in 32-slot chunks of two columns, the
+    ticks in an [int array] and the events in an [event array], under
+    one spine. The first chunk is allocated at the first retained
+    append, so a [~retain:false] trace never holds one. An append writes
+    one slot of each column and never copies an earlier event. *)
+
+val retained : t -> bool
+(** Whether appended events are stored, so {!iter} can read them back. *)
 
 val append : t -> at:Types.time -> event -> unit
-(** Builds the entry only when it is retained or observed, once, and
-    shares it between the subscribers and the buffer; with
-    [~retain:false] and no subscriber an append allocates nothing. *)
+(** Builds an {!entry} only when there is a subscriber, once, and shares
+    it among the subscribers; a retained append stores the tick and the
+    event and builds nothing. With [~retain:false] and no subscriber an
+    append allocates nothing. *)
 
 val subscribe : t -> (entry -> unit) -> unit
 (** Register a streaming observer called synchronously on every append, in
@@ -46,11 +55,20 @@ val subscribe : t -> (entry -> unit) -> unit
     This is the attachment point for [Obs.Sink] trace sinks. *)
 
 val length : t -> int
+(** Number of retained events. *)
+
+val iter : ?from:int -> t -> (Types.time -> event -> unit) -> unit
+(** [iter ~from t f] calls [f at ev] on each retained event from index
+    [from] (default 0) on, in append order, without building an entry.
+    [Trace.length t] read before a stretch of appends is the [from] that
+    visits exactly them. Events appended by [f] are not visited. *)
+
 val entries : t -> entry list
 (** All entries in chronological (append) order. *)
 
-val iter : t -> (entry -> unit) -> unit
 val filter : t -> (entry -> bool) -> entry list
+(** The entries that satisfy the predicate, in append order; builds an
+    entry per event to test it. *)
 
 val crash_times : t -> Types.time Types.Pidmap.t
 (** First crash time of each crashed process. *)
@@ -69,6 +87,8 @@ val suspected_at :
     before any logged flip. *)
 
 val notes : ?pid:Types.pid -> ?label:string -> t -> entry list
+(** The matching notes as entries, in append order; builds an entry only
+    for a match. *)
 
 val dump : ?limit:int -> Format.formatter -> t -> unit
 

@@ -256,8 +256,7 @@ let set_bit bits idx =
 (* The edge is the hash of the previous site's 8 bytes then the current
    site's; its bucket is its low 62 bits modulo the width (the bits that
    survive Int64.to_int and [land max_int]). *)
-let observe c (e : Trace.entry) =
-  let ev = e.Trace.ev in
+let observe c ev =
   let t = find_track c (track_kind ev) (track_name ev) c.tracks in
   hash_site c ev;
   let cur_hi = c.hi and cur_lo = c.lo in
@@ -269,7 +268,7 @@ let observe c (e : Trace.entry) =
   t.prev_lo <- cur_lo
 
 let attach c tr =
-  Trace.iter tr (observe c);
-  Trace.subscribe tr (observe c)
+  Trace.iter tr (fun _ ev -> observe c ev);
+  Trace.subscribe tr (fun e -> observe c e.Trace.ev)
 
 let snapshot c = { width = c.cwidth; bits = Bytes.copy c.cbits }

@@ -64,12 +64,13 @@ type collector
 val create : ?width:int -> unit -> collector
 (** Fresh collector. Raises like {!empty}. *)
 
-val observe : collector -> Dsim.Trace.entry -> unit
+val observe : collector -> Dsim.Trace.event -> unit
 (** Hashes the bytes of the event's rendered site string without building
-    it; allocates nothing once the event's track has been seen. *)
+    it; allocates nothing once the event's track has been seen. The
+    signature does not depend on the event's tick. *)
 
 val attach : collector -> Dsim.Trace.t -> unit
-(** [iter] over already-recorded entries, then [subscribe] for the rest
+(** [iter] over already-recorded events, then [subscribe] for the rest
     of the run. *)
 
 val snapshot : collector -> t

@@ -25,6 +25,7 @@ type t = {
   metrics : Metrics.t;
   engine : Engine.t;
   t0 : float;
+  from : int; (* the trace's length at install: the first event folded *)
   mutable ticks : int;
   mutable elapsed : float option; (* set by finalize *)
   (* First-seen order; searched linearly by name (a run has a handful). *)
@@ -136,8 +137,7 @@ let on_transition st d ~pid ~from_ ~to_ ~at =
   end;
   d.last.(pid) <- at
 
-let on_event st (e : Trace.entry) =
-  match e.Trace.ev with
+let on_event st at = function
   | Trace.Suspect { detector; _ } ->
       let d = detector_of st detector st.detectors in
       Metrics.incr (detector_counter st d flips);
@@ -149,19 +149,25 @@ let on_event st (e : Trace.entry) =
   | Trace.Crash _ -> Metrics.incr (crashes st)
   | Trace.Transition { instance; pid; from_; to_ } ->
       let d = dining_of st instance st.dinings in
-      on_transition st d ~pid ~from_ ~to_ ~at:e.Trace.at;
+      on_transition st d ~pid ~from_ ~to_ ~at;
       if Types.phase_equal to_ Types.Eating then begin
         Metrics.incr (meals st d);
-        Window.observe (meals_window st d) ~at:e.Trace.at
+        Window.observe (meals_window st d) ~at
       end
   | Trace.Note _ -> ()
 
+(* On a retained trace [finalize] folds the events appended since
+   [install]: the events a subscriber would see, in its order, so the
+   same metrics, with no call per append. An unretained trace cannot be
+   read back, so it gets the subscriber. *)
 let install ~metrics engine =
+  let trace = Engine.trace engine in
   let st =
     {
       metrics;
       engine;
       t0 = Unix.gettimeofday ();
+      from = Trace.length trace;
       ticks = 0;
       elapsed = None;
       dinings = [];
@@ -172,22 +178,22 @@ let install ~metrics engine =
   let depth =
     Metrics.histogram metrics "engine.in_flight_depth" ~buckets:Metrics.depth_buckets
   in
-  let live = Metrics.gauge metrics "engine.live_procs" in
-  let ticks = Metrics.counter metrics "engine.ticks" in
-  Metrics.set live (Engine.n engine);
   Engine.on_tick engine (fun () ->
       st.ticks <- st.ticks + 1;
-      Metrics.incr ticks;
-      Metrics.observe depth (Engine.in_flight_total engine);
-      Metrics.set live (Engine.live_count engine));
-  Trace.subscribe (Engine.trace engine) (on_event st);
+      Metrics.observe depth (Engine.in_flight_total engine));
+  if not (Trace.retained trace) then
+    Trace.subscribe trace (fun e -> on_event st e.Trace.at e.Trace.ev);
   st
 
 let finalize st =
   match st.elapsed with
   | Some _ -> ()
   | None ->
+      let trace = Engine.trace st.engine in
+      if Trace.retained trace then Trace.iter ~from:st.from trace (on_event st);
       st.elapsed <- Some (Unix.gettimeofday () -. st.t0);
+      Metrics.incr ~by:st.ticks (Metrics.counter st.metrics "engine.ticks");
+      Metrics.set (Metrics.gauge st.metrics "engine.live_procs") (Engine.live_count st.engine);
       Metrics.set (Metrics.gauge st.metrics "engine.clock") (Engine.now st.engine);
       Metrics.set (Metrics.gauge st.metrics "engine.sent_total") (Engine.sent_total st.engine);
       Metrics.set

@@ -2,10 +2,10 @@
 
     {!install} wires a {!Metrics} registry to a live engine:
 
-    - an [on_tick] hook samples per-tick state: histogram
-      [engine.in_flight_depth] (undelivered packets after the tick), gauge
-      [engine.live_procs], counter [engine.ticks];
-    - a trace subscriber folds events as they happen: counters
+    - an [on_tick] hook samples the histogram [engine.in_flight_depth]
+      (undelivered messages after the tick), its one metric update per
+      tick;
+    - the events appended from [install] on are folded into counters
       [detector.<name>.flips], [detector.<name>.suspects],
       [detector.<name>.trusts], [engine.crashes],
       [dining.<instance>.meals], histogram
@@ -17,13 +17,23 @@
       [dining.<instance>.meals_per_window] ({!meals_window_width}-tick
       windows).
 
-    {!finalize} snapshots end-of-run totals: gauges [engine.clock],
-    [engine.sent_total], [engine.in_flight_final] and per-tag
-    [engine.sent.<tag>].
+    On a retained trace the fold runs at {!finalize}, over the events
+    from the trace's length at [install] on, and no trace subscriber is
+    registered, so an append costs Instrument nothing. An unretained
+    trace cannot be read back, so Instrument subscribes to it and folds
+    each event as it is appended. Both see the same events in the same
+    order and give the same metrics, but on a retained trace the event
+    metrics are complete only after {!finalize}, and events appended
+    after it are not counted.
+
+    {!finalize} also records counter [engine.ticks] (ticks run since
+    [install]) and end-of-run gauges [engine.live_procs],
+    [engine.clock], [engine.sent_total], [engine.in_flight_final] and
+    per-tag [engine.sent.<tag>].
 
     Each handle is resolved once, at the first event that creates its
     name, so the registry holds the same names as a lookup per event
-    would, and the subscriber builds no name or key per event.
+    would, and the fold builds no name or key per event.
 
     All of the above is deterministic in the engine seed. Wall-clock
     timing (elapsed seconds, ticks/sec) is measured too but deliberately
@@ -38,10 +48,13 @@ val meals_window_width : int
     throughput series. *)
 
 val install : metrics:Metrics.t -> Dsim.Engine.t -> t
-(** Install the hooks. Call before running the engine. *)
+(** Install the tick hook, and the trace subscriber on an unretained
+    trace. Events and ticks before [install] are not counted. *)
 
 val finalize : t -> unit
-(** Record end-of-run totals and stop the wall clock; idempotent. *)
+(** Fold the retained trace's events since [install], record end-of-run
+    totals and stop the wall clock; idempotent. Read the metrics after
+    it. *)
 
 val wall_json : t -> Json.t
 (** [{"elapsed_s":...,"ticks":...,"ticks_per_s":...}] — nondeterministic,

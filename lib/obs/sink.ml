@@ -125,7 +125,7 @@ let tee sinks =
   }
 
 let attach tr sink =
-  Trace.iter tr sink.emit;
+  Trace.iter tr (fun at ev -> sink.emit { Trace.at; ev });
   Trace.subscribe tr sink.emit
 
 let read_jsonl path =

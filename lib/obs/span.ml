@@ -18,8 +18,8 @@ type span = {
 (* The dining instances with a transition in [tr], sorted. *)
 let instances tr =
   let acc = ref [] in
-  Trace.iter tr (fun (e : Trace.entry) ->
-      match e.Trace.ev with
+  Trace.iter tr (fun _ ev ->
+      match ev with
       | Trace.Transition { instance; _ } ->
           if not (List.exists (String.equal instance) !acc) then acc := instance :: !acc
       | Trace.Suspect _ | Trace.Trust _ | Trace.Crash _ | Trace.Note _ -> ());
@@ -81,7 +81,7 @@ let chrome_of_trace ?horizon tr =
     | None ->
         (* Default: just past the last recorded event. *)
         let last = ref 0 in
-        Trace.iter tr (fun e -> if e.Trace.at > !last then last := e.Trace.at);
+        Trace.iter tr (fun at _ -> if at > !last then last := at);
         !last + 1
   in
   let spans = spans tr ~horizon in
@@ -98,28 +98,27 @@ let chrome_of_trace ?horizon tr =
     go 0 instances
   in
   let span_events = List.map (fun sp -> chrome_span_event ~tid:(tid_of sp.instance) sp) spans in
+  let instant at = function
+    | Trace.Suspect { detector; owner; target } ->
+        Some
+          (chrome_instant
+             ~name:(Printf.sprintf "suspect p%d" target)
+             ~cat:("detector," ^ detector) ~pid:owner at)
+    | Trace.Trust { detector; owner; target } ->
+        Some
+          (chrome_instant
+             ~name:(Printf.sprintf "trust p%d" target)
+             ~cat:("detector," ^ detector) ~pid:owner at)
+    | Trace.Crash { pid } -> Some (chrome_instant ~name:"crash" ~cat:"crash" ~pid at)
+    | Trace.Note { pid; label; info } ->
+        Some (chrome_instant ~name:label ~cat:"note" ~pid ~args:[ ("info", Json.Str info) ] at)
+    | Trace.Transition _ -> None
+  in
   let instant_events =
-    List.filter_map
-      (fun (e : Trace.entry) ->
-        match e.Trace.ev with
-        | Trace.Suspect { detector; owner; target } ->
-            Some
-              (chrome_instant
-                 ~name:(Printf.sprintf "suspect p%d" target)
-                 ~cat:("detector," ^ detector) ~pid:owner e.Trace.at)
-        | Trace.Trust { detector; owner; target } ->
-            Some
-              (chrome_instant
-                 ~name:(Printf.sprintf "trust p%d" target)
-                 ~cat:("detector," ^ detector) ~pid:owner e.Trace.at)
-        | Trace.Crash { pid } -> Some (chrome_instant ~name:"crash" ~cat:"crash" ~pid e.Trace.at)
-        | Trace.Note { pid; label; info } ->
-            Some
-              (chrome_instant ~name:label ~cat:"note" ~pid
-                 ~args:[ ("info", Json.Str info) ]
-                 e.Trace.at)
-        | Trace.Transition _ -> None)
-      (Trace.entries tr)
+    let acc = ref [] in
+    Trace.iter tr (fun at ev ->
+        match instant at ev with Some j -> acc := j :: !acc | None -> ());
+    List.rev !acc
   in
   let metadata =
     List.concat_map

@@ -27,9 +27,17 @@ let pair t ~watcher ~subject =
   | Some p -> p
   | None -> raise Not_found
 
+(* A query updates the set it returned last only where a pair's flag
+   disagrees with it, so a guard that polls an unchanged oracle
+   allocates nothing. A watcher has one pair per subject. *)
 let oracle t owner =
   let mine = List.filter (fun p -> p.Pair.watcher = owner) t.pairs in
+  let last = ref Types.Pidset.empty in
+  let update (p : Pair.t) =
+    let s = p.suspected () in
+    if s <> Types.Pidset.mem p.subject !last then
+      last := if s then Types.Pidset.add p.subject !last else Types.Pidset.remove p.subject !last
+  in
   Detectors.Oracle.make ~name:t.detector_name ~owner ~suspects:(fun () ->
-      List.fold_left
-        (fun acc p -> if p.Pair.suspected () then Types.Pidset.add p.Pair.subject acc else acc)
-        Types.Pidset.empty mine)
+      List.iter update mine;
+      !last)

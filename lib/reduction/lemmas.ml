@@ -155,8 +155,7 @@ let online_reports o =
    arrays. *)
 let subject_notes trace (pair : Pair.t) =
   let tags = pair.Pair.subject_threads.Subject.note_info in
-  let slot (e : Trace.entry) =
-    match e.ev with
+  let slot = function
     | Trace.Note n when n.pid = pair.Pair.subject ->
         let kind = match n.label with "red-ping" -> 0 | "red-ack" -> 1 | _ -> -1 in
         if kind < 0 then -1
@@ -166,15 +165,15 @@ let subject_notes trace (pair : Pair.t) =
     | _ -> -1
   in
   let counts = Array.make 4 0 in
-  Trace.iter trace (fun e ->
-      let k = slot e in
+  Trace.iter trace (fun _ ev ->
+      let k = slot ev in
       if k >= 0 then counts.(k) <- counts.(k) + 1);
   let times = Array.map (fun c -> Array.make c 0) counts in
   Array.fill counts 0 4 0;
-  Trace.iter trace (fun e ->
-      let k = slot e in
+  Trace.iter trace (fun at ev ->
+      let k = slot ev in
       if k >= 0 then begin
-        times.(k).(counts.(k)) <- e.at;
+        times.(k).(counts.(k)) <- at;
         counts.(k) <- counts.(k) + 1
       end);
   times

@@ -47,8 +47,8 @@ let spans trace ~horizon =
         lanes := l :: !lanes;
         l
   in
-  Trace.iter trace (fun (e : Trace.entry) ->
-      match e.Trace.ev with
+  Trace.iter trace (fun at ev ->
+      match ev with
       | Trace.Transition { instance; pid; from_; to_ } ->
           let lane = lane_of instance in
           reserve lane pid;
@@ -56,7 +56,7 @@ let spans trace ~horizon =
           let seen = lane.since.(pid) <> unseen in
           let phase = if seen then lane.phases.(pid) else from_ in
           let start = if seen then lane.since.(pid) else 0 in
-          let stop = e.Trace.at in
+          let stop = at in
           if stop > start then
             closed := { Obs.Span.instance; pid; phase; start; stop; closed = true } :: !closed;
           lane.phases.(pid) <- to_;

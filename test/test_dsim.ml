@@ -544,7 +544,7 @@ let test_trace_csv () =
   Alcotest.(check string) "suspect row" "5,suspect,d,0,1," (List.nth lines 2);
   Alcotest.(check string) "crash row" "9,crash,,1,," (List.nth lines 3)
 
-(* Entries past the first 64-entry chunk read back in append order
+(* Entries past the first 32-slot chunk read back in append order
    through every reader. *)
 let test_trace_chunks () =
   let tr = Trace.create () in
@@ -556,7 +556,7 @@ let test_trace_chunks () =
   check_int "length" len (Trace.length tr);
   Alcotest.(check (list int)) "entries" (List.init len Fun.id) (ats (Trace.entries tr));
   let seen = ref [] in
-  Trace.iter tr (fun e -> seen := e.Trace.at :: !seen);
+  Trace.iter tr (fun at _ -> seen := at :: !seen);
   Alcotest.(check (list int)) "iter" (List.init len Fun.id) (List.rev !seen);
   Alcotest.(check (list int))
     "filter" (List.init 5 (fun k -> 32 * k))
@@ -568,6 +568,87 @@ let test_trace_chunks () =
   let lines = String.split_on_char '\n' (String.trim dumped) in
   check_int "dump lines" 101 (List.length lines);
   Alcotest.(check string) "dump tail" "... (50 more)" (List.nth lines 100)
+
+(* [iter ~from] visits exactly the events from index [from] on, whether
+   [from] falls inside a chunk, on a chunk's first slot, on the last
+   event or past the end. *)
+let test_trace_iter_from () =
+  let tr = Trace.create () in
+  let len = 100 in
+  for i = 0 to len - 1 do
+    Trace.append tr ~at:(10 * i) (Trace.Crash { pid = i })
+  done;
+  List.iter
+    (fun from ->
+      let seen = ref [] in
+      Trace.iter ~from tr (fun at ev ->
+          match ev with
+          | Trace.Crash { pid } -> seen := (at, pid) :: !seen
+          | _ -> Alcotest.fail "not a crash");
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "from %d" from)
+        (List.init (max 0 (len - from)) (fun k -> (10 * (from + k), from + k)))
+        (List.rev !seen))
+    [ 0; 1; 31; 32; 33; 63; 64; 65; 99; 100; 150 ]
+
+(* The crash, suspicion and note queries agree with filters over the
+   entry list on a trace of 400 events, a dozen chunks: crashes (some
+   repeated), flips of two detectors over three processes and notes of
+   three labels, interleaved by a seeded draw. *)
+let test_trace_queries_reference () =
+  let tr = Trace.create () in
+  let rng = Prng.create 0x7ACEL in
+  let detectors = [| "a"; "b" |] and labels = [| "ping"; "ack"; "other" |] in
+  for at = 0 to 399 do
+    let pid = Prng.int rng ~bound:3 and peer = Prng.int rng ~bound:3 in
+    let ev =
+      match Prng.int rng ~bound:5 with
+      | 0 -> Trace.Crash { pid }
+      | 1 -> Trace.Suspect { detector = detectors.(Prng.int rng ~bound:2); owner = pid; target = peer }
+      | 2 -> Trace.Trust { detector = detectors.(Prng.int rng ~bound:2); owner = pid; target = peer }
+      | 3 ->
+          Trace.Note
+            { pid; label = labels.(Prng.int rng ~bound:3); info = string_of_int (Prng.int rng ~bound:4) }
+      | _ -> Trace.Transition { instance = "i"; pid; from_ = Types.Thinking; to_ = Types.Hungry }
+    in
+    Trace.append tr ~at ev
+  done;
+  check "several chunks" true (Trace.length tr > 10 * 32);
+  Alcotest.(check (list (pair int int)))
+    "crash_times"
+    (Types.Pidmap.bindings (Trace_reference.crash_times tr))
+    (Types.Pidmap.bindings (Trace.crash_times tr));
+  let pids = [ 0; 1; 2 ] in
+  Array.iter
+    (fun detector ->
+      List.iter
+        (fun owner ->
+          List.iter
+            (fun target ->
+              Alcotest.(check (list (pair int bool)))
+                (Printf.sprintf "flips %s p%d p%d" detector owner target)
+                (Trace_reference.suspicion_flips tr ~detector ~owner ~target)
+                (Trace.suspicion_flips tr ~detector ~owner ~target))
+            pids)
+        pids)
+    detectors;
+  let same name want got = check name true (want = got && want <> []) in
+  same "notes" (Trace_reference.notes tr) (Trace.notes tr);
+  List.iter
+    (fun pid ->
+      same (Printf.sprintf "notes p%d" pid) (Trace_reference.notes ~pid tr) (Trace.notes ~pid tr);
+      Array.iter
+        (fun label ->
+          same
+            (Printf.sprintf "notes p%d %s" pid label)
+            (Trace_reference.notes ~pid ~label tr)
+            (Trace.notes ~pid ~label tr))
+        labels)
+    pids;
+  Array.iter
+    (fun label ->
+      same ("notes " ^ label) (Trace_reference.notes ~label tr) (Trace.notes ~label tr))
+    labels
 
 let test_trace_csv_escaping () =
   (* RFC 4180: fields containing commas, quotes, or line breaks must be
@@ -733,6 +814,9 @@ let () =
           Alcotest.test_case "csv export" `Quick test_trace_csv;
           Alcotest.test_case "csv escaping" `Quick test_trace_csv_escaping;
           Alcotest.test_case "entries across chunks" `Quick test_trace_chunks;
+          Alcotest.test_case "iter from any index" `Quick test_trace_iter_from;
+          Alcotest.test_case "queries match the entry-list reference" `Quick
+            test_trace_queries_reference;
           Alcotest.test_case "handicap adversary" `Quick test_adversary_handicap;
           Alcotest.test_case "handicap backstop at factor near 0" `Quick
             test_adversary_handicap_backstop;

@@ -606,6 +606,15 @@ let test_observers_allocation () =
   Obs.Instrument.finalize inst;
   if extra >= 1.0 then
     Alcotest.failf "Instrument's subscriber allocates %.2f words per event" extra;
+  (* On a retained trace Instrument subscribes nothing, so an append
+     builds no entry: it costs what an append to a bare retained trace
+     does. *)
+  let kept = Alloc_probe.steady_words (append_events (Trace.create ())) in
+  let engine = Engine.create ~n:3 ~adversary:(Adversary.synchronous ()) () in
+  let inst = Obs.Instrument.install ~metrics:(Obs.Metrics.create ()) engine in
+  Alcotest.(check (float 0.0)) "Instrument adds no words to a retained append" kept
+    (Alloc_probe.steady_words (append_events (Engine.trace engine)));
+  Obs.Instrument.finalize inst;
   (* The exact digest behind Instrument's hunger latencies: 300 distinct
      values, so every compaction merges into runs it has already seen. *)
   let q = Obs.Quantile.create () in
@@ -664,6 +673,41 @@ let test_exact_quantiles_track_histogram () =
     Obs.Json.(int (get (get j "counters") "dining.dx.meals"))
     Obs.Json.(int (get series "total"));
   check "series peak positive" true Obs.Json.(int (get series "peak") > 0)
+
+(* Instrument folds a retained trace at [finalize] and subscribes to an
+   unretained one, which it cannot read back: on the same seeded run the
+   two give byte-identical metrics. Installed after the first 100 ticks,
+   the fold must skip the events appended before [install], as the
+   subscriber never saw them. *)
+let test_fold_equals_subscribe () =
+  let metrics ~retain_trace ~after =
+    let m = Obs.Metrics.create () in
+    let graph = Graphs.Conflict_graph.ring ~n:5 in
+    let engine =
+      Engine.create ~seed:23L ~retain_trace ~n:5 ~adversary:(Adversary.partial_sync ~gst:400 ()) ()
+    in
+    let suspects = Core.Scenario.evp_suspects engine ~n:5 ~windows:[] in
+    for pid = 0 to 4 do
+      let ctx = Engine.ctx engine pid in
+      let comp, handle, _ =
+        Dining.Wf_ewx.component ctx ~instance:"dx" ~graph ~suspects:(suspects pid) ()
+      in
+      Engine.register engine pid comp;
+      Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
+    done;
+    Engine.schedule_crash engine 4 ~at:1500;
+    Engine.run engine ~until:after;
+    let inst = Obs.Instrument.install ~metrics:m engine in
+    Engine.run engine ~until:4000;
+    Obs.Instrument.finalize inst;
+    Obs.Json.to_string (Obs.Metrics.to_json m)
+  in
+  let meals json = Obs.Json.(int (get (get (of_string json) "counters") "dining.dx.meals")) in
+  let whole = metrics ~retain_trace:true ~after:0 in
+  check_str "from the start: folded = subscribed" (metrics ~retain_trace:false ~after:0) whole;
+  let late = metrics ~retain_trace:true ~after:100 in
+  check_str "after 100 ticks: folded = subscribed" (metrics ~retain_trace:false ~after:100) late;
+  check "the late install misses the first meals" true (meals late < meals whole)
 
 (* Hunger latency comes from each diner's previous transition tick: a
    zero-length Hungry stay is a 0-tick sample, and a diner first seen at
@@ -798,6 +842,8 @@ let () =
         ] );
       ( "instrument",
         [
+          Alcotest.test_case "folding a retained trace equals subscribing" `Quick
+            test_fold_equals_subscribe;
           Alcotest.test_case "hunger latency from transition ticks" `Quick
             test_hunger_latency_from_transition_ticks;
           Alcotest.test_case "exact digest and series track the run" `Quick

@@ -36,3 +36,35 @@ let eating_intervals t ~instance ~pid ~horizon =
   phase_timeline t ~instance ~pid ~horizon
   |> List.filter_map (fun (a, b, ph) ->
          if Types.phase_equal ph Types.Eating then Some (a, b) else None)
+
+(* The crash, suspicion and note queries as filters over the entry list,
+   which the trace kept itself before it stored ticks and events in
+   columns. *)
+
+let crash_times t =
+  List.fold_left
+    (fun m (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Crash { pid } when not (Types.Pidmap.mem pid m) -> Types.Pidmap.add pid e.Trace.at m
+      | _ -> m)
+    Types.Pidmap.empty (Trace.entries t)
+
+let suspicion_flips t ~detector ~owner ~target =
+  let mine d o g = String.equal d detector && o = owner && g = target in
+  List.filter_map
+    (fun (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Suspect s when mine s.detector s.owner s.target -> Some (e.Trace.at, true)
+      | Trace.Trust s when mine s.detector s.owner s.target -> Some (e.Trace.at, false)
+      | _ -> None)
+    (Trace.entries t)
+
+let notes ?pid ?label t =
+  List.filter
+    (fun (e : Trace.entry) ->
+      match e.Trace.ev with
+      | Trace.Note n ->
+          (match pid with Some p -> p = n.pid | None -> true)
+          && (match label with Some l -> String.equal l n.label | None -> true)
+      | _ -> false)
+    (Trace.entries t)
