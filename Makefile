@@ -11,7 +11,10 @@
 # process, which must be rejected with exit status 2; then the demos that
 # drive dining handles from outside the dining layer (vulnerability in
 # both modes, wsn, ctm, agreement), each failing when a component raises
-# and each writing a report that must parse.
+# and each writing a report that must parse; then `certify` of the wf
+# box, whose report must parse, and of the hygienic box (the negative
+# control), which must exit 1. fuzz-smoke fuzzes the dining algorithms,
+# then the reduction (the extract-* targets).
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -71,16 +74,25 @@ smoke: build
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-ctm.json
 	dune exec bin/dinersim.exe -- agreement --report /tmp/dinersim-smoke-agreement.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-agreement.json
+	dune exec bin/dinersim.exe -- certify --box wf --report /tmp/dinersim-smoke-certify.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-certify.json
+	dune exec bin/dinersim.exe -- certify --box none > /dev/null; test $$? -eq 1
 
-# Bounded schedule-fuzzing campaign over the real algorithms (fixed root
-# seed, so the exact same configs every time; -j only changes wall-clock,
-# never the report body). Exits non-zero if any run violates a dining
-# property. The dinersim-campaign/1 report, coverage block included, is
-# uploaded as a CI artifact.
+# Bounded schedule-fuzzing campaigns (fixed root seed, so the exact same
+# configs every time; -j only changes wall-clock, never the report body):
+# 200 runs over the real dining algorithms, then 100 of the reduction over
+# the wf, kfair and ftme boxes, judged by Theorems 1-2, trusting accuracy
+# for ftme, and the Lemma 1-12 checks (about 3 s at -j 1). Exits non-zero
+# if any run violates a check. Both dinersim-campaign/1 reports, coverage
+# blocks included, are uploaded as CI artifacts.
 fuzz-smoke: build
 	dune exec bin/dinersim.exe -- fuzz --runs 200 --seed 0xF5EED --max-horizon 6000 \
 		-j $(J) --report /tmp/dinersim-fuzz-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke.json
+	dune exec bin/dinersim.exe -- fuzz --algos extract-wf,extract-kfair,extract-ftme \
+		--runs 100 --seed 0xF5EED --max-horizon 6000 -j $(J) \
+		--report /tmp/dinersim-fuzz-smoke-extract.json
+	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke-extract.json
 
 # Bounded exhaustive model check of a known-good instance, the one
 # perfbench's mc workload times: every one of the 59,049 schedules a
@@ -137,11 +149,13 @@ trace-smoke: build
 	test -s family-sync.perfetto.json && cd $(CURDIR) && \
 	find test | sort | diff $$dir/before - && rm -r $$dir
 
-# Replay the checked-in family artifacts through the CLI: every recorded
-# verdict must match. The broken-variant counterexample beside them names
-# a test-only algorithm, so `dune runtest` replays it.
+# Replay the checked-in family artifacts and the reduction's
+# extract-hygienic counterexample through the CLI: every recorded verdict
+# must match. The broken-variant counterexample beside them names a
+# test-only algorithm, so `dune runtest` replays it.
 replay-smoke: build
-	dune exec bin/dinersim.exe -- replay test/corpus/family-*.json
+	dune exec bin/dinersim.exe -- replay test/corpus/family-*.json \
+		test/corpus/extract-hygienic.json
 
 check: fmt build test lint smoke fuzz-smoke mc-smoke trace-smoke replay-smoke
 	@echo "check: OK"

@@ -263,60 +263,31 @@ let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out r
         pair.Reduction.Pair.subject (List.length flips)
         (if pair.Reduction.Pair.suspected () then "suspects" else "trusts"))
     run.Core.Scenario.extract.Reduction.Extract.pairs;
-  let show name verdict =
-    Format.printf "%-26s %a@." name Detectors.Properties.pp_verdict verdict
+  let checks = Check.Runner.extraction_checks ~trusting:(box = `Ftme) run in
+  let properties, lemma_checks =
+    List.partition
+      (fun (c : Obs.Report.check) -> not (String.starts_with ~prefix:"lemmas." c.Obs.Report.name))
+      checks
   in
-  let sc =
-    Detectors.Properties.strong_completeness trace ~detector:"extracted" ~n
-      ~initially_suspected:true
-  in
-  let esa =
-    Detectors.Properties.eventual_strong_accuracy trace ~detector:"extracted" ~n
-      ~initially_suspected:true
-  in
-  show "strong completeness:" sc;
-  show "eventual strong accuracy:" esa;
-  let ta_checks =
-    match box with
-    | `Ftme ->
-        let ta =
-          Detectors.Properties.trusting_accuracy trace ~detector:"extracted" ~n
-            ~initially_suspected:true
-        in
-        show "trusting accuracy:" ta;
-        [ Obs.Report.of_verdict "trusting_accuracy" ta ]
-    | `Wf -> []
-  in
-  let lemma_checks = ref [] in
+  List.iter
+    (fun (c : Obs.Report.check) ->
+      Printf.printf "%-26s %s\n"
+        (String.map (function '_' -> ' ' | ch -> ch) c.Obs.Report.name ^ ":")
+        (if c.Obs.Report.holds then "OK" else "VIOLATED: " ^ c.Obs.Report.detail))
+    properties;
   if lemmas then begin
     print_endline "lemma checks:";
-    List.iter
-      (fun (pair, online) ->
-        let reports =
-          Reduction.Lemmas.online_reports online
-          @ Reduction.Lemmas.trace_reports ~engine ~pair
-        in
-        let bad = List.filter (fun r -> not (Reduction.Lemmas.ok r)) reports in
-        lemma_checks :=
-          Obs.Report.check
-            ~detail:(String.concat "; " (List.map (fun r -> r.Reduction.Lemmas.lemma) bad))
-            ("lemmas." ^ pair.Reduction.Pair.name)
-            (bad = [])
-          :: !lemma_checks;
-        if bad = [] then Printf.printf "  pair %s: all lemmas OK\n" pair.Reduction.Pair.name
+    List.iter2
+      (fun (pair, online) (c : Obs.Report.check) ->
+        let name = pair.Reduction.Pair.name in
+        if c.Obs.Report.holds then Printf.printf "  pair %s: all lemmas OK\n" name
         else
-          List.iter
-            (fun r -> Format.printf "  pair %s: %a@." pair.Reduction.Pair.name
-                Reduction.Lemmas.pp_report r)
-            bad)
-      run.Core.Scenario.onlines
+          Reduction.Lemmas.online_reports online @ Reduction.Lemmas.trace_reports ~engine ~pair
+          |> List.iter (fun r ->
+                 if not (Reduction.Lemmas.ok r) then
+                   Format.printf "  pair %s: %a@." name Reduction.Lemmas.pp_report r))
+      run.Core.Scenario.onlines lemma_checks
   end;
-  let checks =
-    Obs.Report.of_verdict "strong_completeness" sc
-    :: Obs.Report.of_verdict "eventual_strong_accuracy" esa
-    :: ta_checks
-    @ List.rev !lemma_checks
-  in
   obs_finish obs ~cmd:"extract" ~seed ~horizon ~config ~checks;
   if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
@@ -736,47 +707,51 @@ let agreement_cmd =
 (* certify *)
 
 let run_certify box seeds horizon report_path =
-  let candidate =
-    match box with
-    | `Wf -> Core.Certify.wf_ewx_candidate
-    | `Kfair -> Core.Certify.kfair_candidate
-    | `Ftme -> Core.Certify.ftme_candidate
-    | `None -> Core.Certify.no_override_candidate
+  if seeds < 1 then reject "--seeds must be at least 1 (got %d)" seeds;
+  let name = if box = "none" then "hygienic" else box in
+  let runs =
+    Check.Runner.certify (List.assoc name Core.Scenario.boxes) ~seeds:(Core.Batch.seeds seeds)
+      ~horizon
   in
-  let report = Core.Certify.run ~seeds:(Core.Batch.seeds seeds) ~horizon candidate in
-  Format.printf "%a" Core.Certify.pp_report report;
+  let checks =
+    List.concat_map
+      (fun ((c : Check.Config.t), checks) ->
+        let run =
+          Printf.sprintf "%s seed=%s crashes=%d" c.Check.Config.algo
+            (Core.Cmdline.seed_to_string c.Check.Config.seed)
+            (List.length c.Check.Config.crashes)
+        in
+        List.map
+          (fun (ch : Obs.Report.check) ->
+            { ch with Obs.Report.name = run ^ ": " ^ ch.Obs.Report.name })
+          checks)
+      runs
+  in
+  let certified = List.for_all (fun (ch : Obs.Report.check) -> ch.Obs.Report.holds) checks in
+  Printf.printf "certification of the %s box (%d seeds, horizon %d, p1 crashes at %d):\n" name
+    seeds horizon (horizon / 4);
+  List.iter
+    (fun (ch : Obs.Report.check) ->
+      if ch.Obs.Report.holds then Printf.printf "  [pass] %s\n" ch.Obs.Report.name
+      else Printf.printf "  [FAIL] %s: %s\n" ch.Obs.Report.name ch.Obs.Report.detail)
+    checks;
+  Printf.printf "verdict: %s\n"
+    (if certified then "CERTIFIED — behaves as a WF-◇WX box; ◇P extracted" else "NOT certified");
   Option.iter
     (fun path ->
-      let j =
-        Obs.Report.make ~cmd:"certify" ~horizon
-          ~config:
-            [
-              ( "box",
-                Obs.Json.Str
-                  (match box with
-                  | `Wf -> "wf" | `Kfair -> "kfair" | `Ftme -> "ftme" | `None -> "none") );
-              ("candidate", Obs.Json.Str report.Core.Certify.candidate_name);
-              ("seeds", Obs.Json.Int seeds);
-            ]
-          ~checks:
-            (List.map
-               (fun (c : Core.Certify.check) ->
-                 Obs.Report.check ~detail:c.Core.Certify.detail c.Core.Certify.label
-                   c.Core.Certify.passed)
-               report.Core.Certify.checks)
-          ()
-      in
-      io_or_die "report" (fun () -> Obs.Json.write_file ~path j);
+      let config = [ ("box", Obs.Json.Str box); ("seeds", Obs.Json.Int seeds) ] in
+      io_or_die "report" (fun () ->
+          Obs.Json.write_file ~path (Obs.Report.make ~cmd:"certify" ~horizon ~config ~checks ()));
       Printf.printf "report written to %s\n" path)
     report_path;
-  if not report.Core.Certify.certified then exit 1
+  if not certified then exit 1
 
 let certify_cmd =
   let box_t =
-    let doc = "Candidate black box: wf | kfair | ftme | none (negative control)." in
+    let doc = "Candidate black box: wf | kfair | ftme | none (hygienic, the negative control)." in
     Arg.(
       value
-      & opt (enum [ ("wf", `Wf); ("kfair", `Kfair); ("ftme", `Ftme); ("none", `None) ]) `Wf
+      & opt (enum (List.map (fun b -> (b, b)) [ "wf"; "kfair"; "ftme"; "none" ])) "wf"
       & info [ "box" ] ~doc)
   in
   let seeds_t =
@@ -787,7 +762,11 @@ let certify_cmd =
   in
   Cmd.v
     (Cmd.info "certify"
-       ~doc:"Check that a dining implementation behaves as a WF-◇WX box and that ◇P is              extractable from it")
+       ~doc:
+         "Check that a dining box behaves as a WF-◇WX box and that the reduction extracts ◇P \
+          from it: per seed, the box's two diners with p1 crashing at horizon/4, judged by the \
+          dining checks, and the reduction over the box without and with that crash, judged \
+          by the extraction checks. Exits 1 when a check fails or a component raises.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -842,11 +821,11 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
     match algos with
     | [] -> List.map fst registry
     | l ->
+        let known = Check.Runner.target_names registry in
         List.iter
           (fun a ->
-            if not (List.mem_assoc a registry) then
-              reject "unknown algorithm %S (known: %s)" a
-                (String.concat ", " (List.map fst registry)))
+            if not (List.mem a known) then
+              reject "unknown algorithm %S (known: %s)" a (String.concat ", " known))
           l;
         l
   in
@@ -916,7 +895,11 @@ let fuzz_cmd =
     Arg.(value & opt (list string) [] & info [ "families" ] ~docv:"LIST" ~doc)
   in
   let algos_t =
-    let doc = "Algorithms to fuzz (comma-separated; default: every registered algorithm)." in
+    let doc =
+      "Targets to fuzz (comma-separated; default: every registered dining algorithm). The \
+       reduction targets extract-wf, extract-kfair, extract-ftme and extract-hygienic (the \
+       negative control) are accepted but not drawn by default."
+    in
     Arg.(value & opt (list string) [] & info [ "algos" ] ~docv:"LIST" ~doc)
   in
   let out_t =
@@ -949,7 +932,7 @@ let fuzz_cmd =
        ~doc:
          "Run a property-based schedule-fuzzing campaign (deterministic in --seed); on a \
           violation, shrink it to a minimal replayable artifact. Exits 1 if any run violated \
-          a dining property.")
+          a checked property.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -997,7 +980,8 @@ let replay_cmd =
        ~doc:
          "Re-execute fuzz-repro/1 artifacts bit-identically and verify the recorded property \
           verdicts, one line per file. Exits 2 if any file could not be loaded or run, else 1 \
-          on a verdict mismatch. Only the built-in algorithms are registered: the \
+          on a verdict mismatch. Only the built-in targets are registered, the dining \
+          algorithms and the extract-* reduction targets: the \
           test/corpus/broken-wf-dropfork.json counterexample names the test-only \
           $(b,wf-dropfork) variant and replays under the test registry (dune runtest).")
     term
@@ -1122,7 +1106,10 @@ let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_
     max_schedules split_depth jobs out report_path =
   let registry = Check.Runner.default_registry in
   if not (List.mem_assoc algo registry) then
-    reject "unknown algorithm %S (known: %s)" algo (String.concat ", " (List.map fst registry));
+    if List.mem algo (Check.Runner.target_names registry) then
+      reject "%s: check searches the dining algorithms only (see --algo)" algo
+    else
+      reject "unknown algorithm %S (known: %s)" algo (String.concat ", " (List.map fst registry));
   let topology =
     match Check.Config.topology_of_string topology with
     | Some t -> t
@@ -1199,7 +1186,12 @@ let check_cmd =
   let algo_t =
     Arg.(
       value & opt string "wf"
-      & info [ "algo" ] ~docv:"NAME" ~doc:"Dining algorithm to model-check.")
+      & info [ "algo" ] ~docv:"NAME"
+          ~doc:
+            "Dining algorithm to model-check. The extract-* reduction targets are refused: \
+             the partial-order reduction reads the config's conflict graph, which does not \
+             describe the reduction's all-pairs traffic, and Lemmas 7 and 11 read the short \
+             horizons a search can exhaust as violations.")
   in
   let topology_t =
     Arg.(

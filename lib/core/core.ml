@@ -16,10 +16,10 @@
     {- {!Wsn} — sensor-network duty-cycle scheduling.}
     {- {!Agreement} — consensus and stable leader election over ◇P (the
        problems the paper's introduction motivates ◇P with).}
-    {- {!Scenario} — one-call builders for the canonical experiments.}
+    {- {!Scenario} — one-call builders for the canonical experiments, and
+       the black boxes the reduction runs over.}
     {- {!Cmdline} — shared command-line conventions (seed parsing).}
-    {- {!Batch} — multi-seed sweeps and summary statistics.}
-    {- {!Certify} — certification harness for candidate dining boxes.}} *)
+    {- {!Batch} — multi-seed sweeps and summary statistics.}} *)
 
 module Dsim = Dsim
 module Graphs = Graphs
@@ -32,4 +32,3 @@ module Agreement = Agreement
 module Scenario = Scenario
 module Cmdline = Cmdline
 module Batch = Batch
-module Certify = Certify

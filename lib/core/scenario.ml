@@ -44,30 +44,25 @@ let wf_dining ?(seed = 1L) ?(adversary = Adversary.partial_sync ()) ?(instance =
   in
   { engine; graph; instance; handles }
 
-type extraction_run = {
-  engine : Engine.t;
-  extract : Reduction.Extract.t;
-  onlines : (Reduction.Pair.t * Reduction.Lemmas.online) list;
-}
+type box = Engine.t -> Reduction.Pair.dining_factory
 
-let monitors engine extract enabled =
-  if not enabled then []
-  else
-    List.map
-      (fun pair -> (pair, Reduction.Lemmas.install_online ~engine ~pair))
-      extract.Reduction.Extract.pairs
+let wf_box engine =
+  let n = Engine.n engine in
+  Reduction.Pair.wf_ewx_factory ~n ~suspects:(evp_suspects engine ~n ~windows:[])
 
-let wf_extraction ?(seed = 7L) ?(adversary = Adversary.partial_sync ~gst:500 ())
-    ?(windows = []) ?(with_lemma_monitors = true) ~n () =
-  let engine = Engine.create ~seed ~n ~adversary () in
-  let suspects = evp_suspects engine ~n ~windows in
-  let dining = Reduction.Pair.wf_ewx_factory ~n ~suspects in
-  let extract = Reduction.Extract.create ~engine ~dining ~members:(List.init n Fun.id) () in
-  { engine; extract; onlines = monitors engine extract with_lemma_monitors }
+let kfair_box engine =
+  let n = Engine.n engine in
+  let suspects = evp_suspects engine ~n ~windows:[] in
+  fun ctx ~instance ~participants ->
+    let p, q = participants in
+    let graph = Graphs.Conflict_graph.of_edges ~n [ (p, q) ] in
+    let c, h, _ =
+      Dining.Kfair.component ctx ~instance ~graph ~suspects:(suspects ctx.Context.self) ()
+    in
+    (c, h)
 
-let ftme_extraction ?(seed = 9L) ?(adversary = Adversary.async_uniform ())
-    ?(detection_delay = 25) ~n () =
-  let engine = Engine.create ~seed ~n ~adversary () in
+let trusting_ftme engine ~detection_delay =
+  let n = Engine.n engine in
   let fns = Array.make n (fun () -> Types.Pidset.empty) in
   for pid = 0 to n - 1 do
     let ctx = Engine.ctx engine pid in
@@ -77,9 +72,48 @@ let ftme_extraction ?(seed = 9L) ?(adversary = Adversary.async_uniform ())
     Engine.register engine pid comp;
     fns.(pid) <- (fun () -> oracle.Detectors.Oracle.suspects ())
   done;
-  let dining = Reduction.Pair.ftme_factory ~suspects:(fun pid -> fns.(pid)) in
-  let extract = Reduction.Extract.create ~engine ~dining ~members:(List.init n Fun.id) () in
-  { engine; extract; onlines = [] }
+  Reduction.Pair.ftme_factory ~suspects:(fun pid -> fns.(pid))
+
+let ftme_box engine = trusting_ftme engine ~detection_delay:25
+
+let hygienic_box engine ctx ~instance ~participants =
+  let p, q = participants in
+  let graph = Graphs.Conflict_graph.of_edges ~n:(Engine.n engine) [ (p, q) ] in
+  let comp, handle, _ = Dining.Hygienic.component ctx ~instance ~graph () in
+  (comp, handle)
+
+let boxes =
+  [ ("wf", wf_box); ("kfair", kfair_box); ("ftme", ftme_box); ("hygienic", hygienic_box) ]
+
+type extraction_run = {
+  engine : Engine.t;
+  extract : Reduction.Extract.t;
+  onlines : (Reduction.Pair.t * Reduction.Lemmas.online) list;
+}
+
+let extraction engine ~lemmas dining =
+  let extract =
+    Reduction.Extract.create ~engine ~dining ~members:(List.init (Engine.n engine) Fun.id) ()
+  in
+  let onlines =
+    if not lemmas then []
+    else
+      List.map
+        (fun pair -> (pair, Reduction.Lemmas.install_online ~engine ~pair))
+        extract.Reduction.Extract.pairs
+  in
+  { engine; extract; onlines }
+
+let wf_extraction ?(seed = 7L) ?(adversary = Adversary.partial_sync ~gst:500 ())
+    ?(windows = []) ?(with_lemma_monitors = true) ~n () =
+  let engine = Engine.create ~seed ~n ~adversary () in
+  extraction engine ~lemmas:with_lemma_monitors
+    (Reduction.Pair.wf_ewx_factory ~n ~suspects:(evp_suspects engine ~n ~windows))
+
+let ftme_extraction ?(seed = 9L) ?(adversary = Adversary.async_uniform ())
+    ?(detection_delay = 25) ~n () =
+  let engine = Engine.create ~seed ~n ~adversary () in
+  extraction engine ~lemmas:false (trusting_ftme engine ~detection_delay)
 
 let vulnerability ?(seed = 43L) ?(adversary = Adversary.partial_sync ~gst:500 ()) ~mode () =
   let n = 2 in

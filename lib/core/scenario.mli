@@ -35,12 +35,47 @@ val wf_dining :
   unit ->
   dining_run
 
+(** {1 Black boxes}
+
+    The reduction extracts ◇P from {e any} WF-◇WX dining solution, so the
+    box is a parameter. A box is called once per engine: it registers
+    whatever per-process modules it needs (failure detectors) and returns
+    the factory the reduction instantiates for each two-diner instance. *)
+
+type box = Engine.t -> Reduction.Pair.dining_factory
+
+val wf_box : box
+(** The WF-◇WX box of [12] over one heartbeat ◇P module per process. *)
+
+val kfair_box : box
+(** The eventually k-fair timestamped scheduler over heartbeat ◇P. *)
+
+val ftme_box : box
+(** Perpetual-WX FTME over a trusting ground-truth oracle (detection
+    delay 25): the reduction then extracts T (Section 9). *)
+
+val hygienic_box : box
+(** Hygienic dining with no failure detector, the negative control: a
+    crashed diner keeps its forks, so it is not wait-free, and the
+    reduction over it cannot detect that crash. *)
+
+val boxes : (string * box) list
+(** The four boxes by name: wf, kfair, ftme, hygienic. *)
+
+(** {1 The reduction} *)
+
 (** A full reduction deployment. *)
 type extraction_run = {
   engine : Engine.t;
   extract : Reduction.Extract.t;
   onlines : (Reduction.Pair.t * Reduction.Lemmas.online) list;
 }
+
+val extraction :
+  Engine.t -> lemmas:bool -> Reduction.Pair.dining_factory -> extraction_run
+(** Deploy the reduction on every process of the engine, over the
+    factory of a box already called on that engine, and with [lemmas]
+    the online Lemma monitors on every pair. *)
 
 val wf_extraction :
   ?seed:int64 ->

@@ -127,6 +127,76 @@ let test_real_algorithms_pass () =
   Alcotest.(check int) "no violations on the real algorithms" 0
     (List.length result.Check.Campaign.violations)
 
+(* The reduction's targets: the extraction over each correct box passes
+   a campaign, with crashes, under all four families. *)
+let test_extraction_targets_pass () =
+  let result =
+    Check.Campaign.run ~runs:30 ~max_horizon:4000
+      ~algos:[ "extract-wf"; "extract-kfair"; "extract-ftme" ]
+      ~registry:Check.Runner.default_registry ~root_seed:0xF5EEDL ()
+  in
+  Alcotest.(check int) "30 runs executed" 30 result.Check.Campaign.runs;
+  Alcotest.(check (list string)) "no violations on the reduction" []
+    (List.map
+       (fun (v : Check.Campaign.violation) -> Check.Config.describe v.Check.Campaign.config)
+       result.Check.Campaign.violations)
+
+let first_repro (result : Check.Campaign.t) =
+  match result.Check.Campaign.violations with
+  | { Check.Campaign.repro = Some r; _ } :: _ -> r
+  | _ -> Alcotest.fail "campaign produced no shrunk repro"
+
+(* The minimal counterexample of the extract-hygienic campaign below.
+   Pinned like pinned_broken_digest: regenerate the corpus (see header)
+   and update the constant when the generator, the shrinker, the engine
+   or the reduction change. *)
+let pinned_hygienic_digest = "2e358ff7e1f683a8d90a35ec8bfac8ed"
+
+(* The reduction over the hygienic box, the negative control: a crashed
+   diner keeps its forks, so no watcher can tell it from a slow one. The
+   root seed's first violation shrinks to a run on three processes
+   whose live pairs still eat, so the replays of its corpus artifact
+   (test_corpus_replays here, the differential corpus test in
+   test_monitor.ml, `make replay-smoke`) count meals on the pairs' DX
+   instances, where a crashed pair eats nothing. *)
+let hygienic_campaign ?on_run ~jobs () =
+  Check.Campaign.run ~runs:20 ~max_repros:1 ~max_horizon:3000 ~jobs ?on_run
+    ~algos:[ "extract-hygienic" ] ~registry:Check.Runner.default_registry ~root_seed:0xBADL ()
+
+let test_hygienic_extraction_fails_on_crashes () =
+  let crash_runs = ref 0 in
+  let on_run _ (c : Check.Config.t) (o : Check.Runner.outcome) =
+    if c.Check.Config.crashes = [] then
+      Alcotest.(check (list string)) ("a crash-free run passes: " ^ Check.Config.describe c) []
+        o.Check.Runner.failed
+    else begin
+      incr crash_runs;
+      Alcotest.(check bool)
+        ("a crash run fails strong completeness: " ^ Check.Config.describe c)
+        true
+        (List.mem "strong_completeness" o.Check.Runner.failed)
+    end
+  in
+  let result = hygienic_campaign ~on_run ~jobs:1 () in
+  Alcotest.(check int) "every crash run is a violation" !crash_runs
+    (List.length result.Check.Campaign.violations);
+  let r = first_repro result in
+  let failed = Check.Runner.failed r.Check.Repro.checks in
+  Alcotest.(check bool) "the shrunk repro records a violation" true (failed <> []);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("failed check is completeness or a lemma: " ^ name) true
+        (name = "strong_completeness" || String.starts_with ~prefix:"lemmas." name))
+    failed;
+  (match update_dir with
+  | Some dir ->
+      let path = Filename.concat dir "extract-hygienic.json" in
+      Check.Repro.save ~path r;
+      Printf.printf "corpus: wrote %s (digest %s)\n%!" path (Check.Repro.digest r)
+  | None -> ());
+  Alcotest.(check string) "minimal counterexample digest is pinned" pinned_hygienic_digest
+    (Check.Repro.digest r)
+
 (* The digest of the minimal counterexample that the broken-variant
    campaign shrinks to. Pinned: shrinking is deterministic, so this only
    changes when the generator, the shrinker, or the engine change —
@@ -136,11 +206,6 @@ let pinned_broken_digest = "b28c01c4190dd28c03fc4e47ee78799d"
 let broken_campaign () =
   Check.Campaign.run ~runs:200 ~max_repros:1 ~max_horizon:4000 ~algos:[ Broken_dining.algo ]
     ~registry:Broken_dining.registry ~root_seed:0xB40C0DEL ()
-
-let first_repro (result : Check.Campaign.t) =
-  match result.Check.Campaign.violations with
-  | { Check.Campaign.repro = Some r; _ } :: _ -> r
-  | _ -> Alcotest.fail "campaign produced no shrunk repro"
 
 let test_broken_variant_caught_and_shrunk () =
   let result = broken_campaign () in
@@ -300,15 +365,20 @@ let test_campaign_jobs_invariance () =
   (* The acceptance property of the parallel campaign: the summary's
      canonical body — verdicts, entries, shrunk digests, merged metrics —
      is byte-identical for every worker count. Runs over the broken
-     variant so the violation/shrink paths are exercised too. *)
+     variant and the reduction over the hygienic box, so the
+     violation/shrink paths are exercised on both kinds of target. *)
   let summary jobs =
-    let result =
+    let broken =
       Check.Campaign.run ~runs:60 ~max_repros:1 ~max_horizon:3000 ~jobs
         ~algos:[ Broken_dining.algo ] ~registry:Broken_dining.registry ~root_seed:0xB40C0DEL
         ()
     in
-    Obs.Json.to_string_pretty
-      (Obs.Report.strip_wall_clock (Check.Campaign.summary ~cmd:"fuzz" result))
+    List.map
+      (fun result ->
+        Obs.Json.to_string_pretty
+          (Obs.Report.strip_wall_clock (Check.Campaign.summary ~cmd:"fuzz" result)))
+      [ broken; hygienic_campaign ~jobs () ]
+    |> String.concat "\n"
   in
   let reference = summary 1 in
   List.iter
@@ -549,6 +619,9 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "real algorithms pass" `Slow test_real_algorithms_pass;
+          Alcotest.test_case "extraction targets pass" `Slow test_extraction_targets_pass;
+          Alcotest.test_case "extract-hygienic fails on crashes, shrunk" `Slow
+            test_hygienic_extraction_fails_on_crashes;
           Alcotest.test_case "broken variant caught, shrink deterministic" `Slow
             test_broken_variant_caught_and_shrunk;
           Alcotest.test_case "a raising diner is a shrunk verdict" `Quick

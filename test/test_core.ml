@@ -87,41 +87,39 @@ let test_vulnerability_modes_disagree () =
   check "ours converges to trust" false our_final
 
 (* ------------------------------------------------------------------ *)
-(* Certification harness *)
+(* Certification of a box (Check.Runner.certify) *)
 
-let certify c = Core.Certify.run ~seeds:[ 42L ] ~horizon:16000 c
+let certify box = Check.Runner.certify box ~seeds:[ 42L ] ~horizon:16000
+
+let failed_checks box =
+  List.concat_map (fun (_, checks) -> Check.Runner.failed checks) (certify box)
 
 let test_certify_wf_box () =
-  let r = certify Core.Certify.wf_ewx_candidate in
-  if not r.Core.Certify.certified then
-    List.iter
-      (fun (c : Core.Certify.check) ->
-        if not c.Core.Certify.passed then
-          Alcotest.failf "%s: %s" c.Core.Certify.label c.Core.Certify.detail)
-      r.Core.Certify.checks
+  List.iter
+    (fun ((c : Check.Config.t), checks) ->
+      List.iter
+        (fun (ch : Obs.Report.check) ->
+          if not ch.Obs.Report.holds then
+            Alcotest.failf "%s: %s: %s" (Check.Config.describe c) ch.Obs.Report.name
+              ch.Obs.Report.detail)
+        checks)
+    (certify Core.Scenario.wf_box)
 
 let test_certify_kfair_box () =
-  let r = certify Core.Certify.kfair_candidate in
-  check "kfair box certified" true r.Core.Certify.certified
+  check "kfair box certified" true (failed_checks Core.Scenario.kfair_box = [])
 
 let test_certify_ftme_box () =
-  let r = certify Core.Certify.ftme_candidate in
-  check "ftme box certified" true r.Core.Certify.certified
+  check "ftme box certified" true (failed_checks Core.Scenario.ftme_box = [])
 
 let test_certify_negative_control () =
-  let r = certify Core.Certify.no_override_candidate in
-  check "negative control rejected" false r.Core.Certify.certified;
+  let failed = failed_checks Core.Scenario.hygienic_box in
+  check "negative control rejected" false (failed = []);
   (* it must fail exactly on the liveness-derived checks *)
   List.iter
-    (fun (c : Core.Certify.check) ->
-      let is_liveness =
-        String.length c.Core.Certify.label > 0
-        && (String.sub c.Core.Certify.label 0 4 = "wait"
-           || String.sub c.Core.Certify.label 0 9 = "Theorem 1")
-      in
-      if not c.Core.Certify.passed then
-        check ("failure is liveness-related: " ^ c.Core.Certify.label) true is_liveness)
-    r.Core.Certify.checks
+    (fun name ->
+      check ("failure is liveness-related: " ^ name) true
+        (name = "wait_freedom" || name = "strong_completeness"))
+    failed
 
 (* Shared --seed parsing (Core.Cmdline): hex and decimal must be accepted
    uniformly by every dinersim subcommand and stress/sweep.exe. *)

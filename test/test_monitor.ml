@@ -147,6 +147,27 @@ let compare_runner ~ctx ?drive ~registry (c : Check.Config.t) =
   compare_horizons ~ctx trace ~instance ~graph ~horizon;
   outcome
 
+(* A reduction run (an [extract-<box>] config): the comparisons of
+   compare_horizons on each DX instance of every pair, and the runner's
+   meal count against the reference's over those instances. *)
+let compare_extraction ~ctx ?drive (c : Check.Config.t) =
+  let outcome, trace = Check.Runner.run_traced ?drive ~registry:Check.Runner.default_registry c in
+  let n = Check.Config.n_procs c and meals = ref 0 in
+  for w = 0 to n - 1 do
+    for s = 0 to n - 1 do
+      if w <> s then
+        for i = 0 to 1 do
+          let instance = Printf.sprintf "dx%d[%d>%d]" i w s in
+          let graph = Graphs.Conflict_graph.of_edges ~n [ (w, s) ] in
+          compare_horizons ~ctx:(ctx ^ " " ^ instance) trace ~instance ~graph
+            ~horizon:c.Check.Config.horizon;
+          meals := !meals + R.eat_count trace ~instance ~pid:w + R.eat_count trace ~instance ~pid:s
+        done
+    done
+  done;
+  same (ctx ^ ": runner meals") ~reference:(string_of_int !meals)
+    ~got:(string_of_int outcome.Check.Runner.meals)
+
 (* ------------------------------------------------------------------ *)
 (* Inputs *)
 
@@ -165,10 +186,11 @@ let test_corpus () =
   List.iter
     (fun path ->
       let r = Check.Repro.load ~path in
-      ignore
-        (compare_runner ~ctx:path
-           ~drive:(Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides)
-           ~registry:Broken_dining.registry r.Check.Repro.config))
+      let drive = Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides in
+      let c = r.Check.Repro.config in
+      if String.starts_with ~prefix:"extract-" c.Check.Config.algo then
+        compare_extraction ~ctx:path ~drive c
+      else ignore (compare_runner ~ctx:path ~drive ~registry:Broken_dining.registry c))
     files
 
 (* wf on a ◇P module that suspects every other process forever: the
