@@ -1,17 +1,17 @@
 # Developer entry points. `make check` is the pre-merge gate: format
-# (when ocamlformat is installed), build, full test suite, the simlint
-# determinism gate, and 10k-tick end-to-end smokes of the extraction: over
-# the wf box, failing on any failed ◇P property or Lemma check, checking
-# that its run report is written and parses, and rendering the JSONL
-# trace it streams (notes, suspicions and trusts as well as phase
-# changes) with `dinersim trace`; and over the ftme box with a crash,
-# failing on any failed completeness, accuracy or trusting-accuracy
-# check; then a dining run with a crash, failing on a failed wait-freedom
-# or eventual-weak-exclusion check, and a run whose --crash names no
-# process, which must be rejected with exit status 2; then the demos that
-# drive dining handles from outside the dining layer (vulnerability in
-# both modes, wsn, ctm, agreement), each failing when a component raises
-# and each writing a report that must parse; then `certify` of the wf
+# (when ocamlformat is installed), build, full test suite (the CLI's exit
+# contract included), the simlint determinism gate, and end-to-end smokes
+# of the six single-run subcommands, each of which exits 1 when a check
+# fails or a component raises: 10k-tick extractions over the wf box and,
+# with a crash, over the ftme box, both with the Lemma checks, the first
+# also checking that its run report is written and parses and rendering
+# the JSONL trace it streams (notes, suspicions and trusts as well as
+# phase changes) with `dinersim trace`; then a dining run with a crash,
+# and a run whose --crash names no process, which must be rejected with
+# exit status 2; then the demos that drive dining handles from outside
+# the dining layer (vulnerability in both modes, wsn, ctm, agreement),
+# each writing a report that must parse, where the flawed vulnerability
+# run is the negative control and must exit 1; then `certify` of the wf
 # box, whose report must parse, and of the hygienic box (the negative
 # control), which must exit 1. fuzz-smoke fuzzes the dining algorithms,
 # then the reduction (the extract-* targets).
@@ -59,11 +59,11 @@ smoke: build
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke.json
 	dune exec bin/dinersim.exe -- trace /tmp/dinersim-smoke.jsonl \
 		-o /tmp/dinersim-smoke.perfetto.json
-	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000
+	dune exec bin/dinersim.exe -- extract --box ftme -n 3 --crash 2@5000 --horizon 10000 --lemmas
 	dune exec bin/dinersim.exe -- dining --algo kfair --topology ring:6 --crash 4@2000 --horizon 6000
 	dune exec bin/dinersim.exe -- dining --topology pair --crash 9@100; test $$? -eq 2
 	dune exec bin/dinersim.exe -- vulnerability --mode flawed \
-		--report /tmp/dinersim-smoke-vulnerability-flawed.json
+		--report /tmp/dinersim-smoke-vulnerability-flawed.json > /dev/null; test $$? -eq 1
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-vulnerability-flawed.json
 	dune exec bin/dinersim.exe -- vulnerability --mode ours \
 		--report /tmp/dinersim-smoke-vulnerability-ours.json

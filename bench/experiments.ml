@@ -235,7 +235,10 @@ let v1 () =
   List.iter
     (fun horizon ->
       let count mode =
-        let engine, suspected = Core.Scenario.vulnerability ~mode () in
+        let engine =
+          Engine.create ~seed:43L ~n:2 ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
+        in
+        let suspected = Core.Scenario.vulnerability engine ~mode in
         Engine.run engine ~until:horizon;
         let det = match mode with `Flawed_cm -> "flawed-cm" | `Our_reduction -> "extracted" in
         let flips = Trace.suspicion_flips (Engine.trace engine) ~detector:det ~owner:1 ~target:0 in
@@ -485,43 +488,12 @@ let a2 () =
   Util.section "A2  Sections 2-3: contention manager boosts OF transactions to wait-free";
   let horizon = 12000 in
   let run with_cm =
-    let clients = 4 in
-    let n = clients + 1 in
-    let engine = Engine.create ~seed:707L ~n ~adversary:(Adversary.partial_sync ~gst:400 ()) () in
-    let store_comp, _ = Ctm.Store.component (Engine.ctx engine 0) () in
-    Engine.register engine 0 store_comp;
-    let client_pids = List.init clients (fun i -> i + 1) in
-    let graph =
-      Graphs.Conflict_graph.of_edges ~n
-        (List.concat_map
-           (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) client_pids)
-           client_pids)
+    let engine =
+      Engine.create ~seed:707L ~n:5 ~adversary:(Adversary.partial_sync ~gst:400 ()) ()
     in
-    let stats =
-      List.map
-        (fun pid ->
-          let ctx = Engine.ctx engine pid in
-          let cm =
-            if with_cm then begin
-              let fd, oracle = Detectors.Heartbeat.component ctx ~peers:client_pids () in
-              Engine.register engine pid fd;
-              let comp, handle, _ =
-                Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                  ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                  ()
-              in
-              Engine.register engine pid comp;
-              Some handle
-            end
-            else None
-          in
-          let comp, st = Ctm.Client.component ctx ~store:0 ?cm ~compute_ticks:6 () in
-          Engine.register engine pid comp;
-          st)
-        client_pids
-    in
+    let sys = Ctm.System.setup ~engine ~with_cm ~compute_ticks:6 () in
     Engine.run engine ~until:horizon;
-    stats
+    List.map snd sys.Ctm.System.clients
   in
   let summarize stats =
     let tot f = List.fold_left (fun acc st -> acc + f st) 0 stats in

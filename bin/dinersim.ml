@@ -6,7 +6,11 @@
      vulnerability  replay the Section 3 scenario ([8] vs this paper)
      wsn            duty-cycle scheduling demo
      ctm            contention-manager boost demo
+     agreement      consensus and leader election over ◇P
+     certify        check that a dining box behaves as a WF-◇WX box
+     report         validate and summarise a report
      fuzz           randomized schedule-fuzzing campaign with shrinking
+     check          bounded exhaustive model checking
      replay         re-execute fuzz-repro/1 artifacts and verify verdicts
      trace          render a run as a Perfetto-openable Chrome trace document
 
@@ -67,6 +71,8 @@ let adversary_t =
     & opt adversary_conv (Adversary.partial_sync ~gst:500 ())
     & info [ "adversary" ] ~docv:"KIND" ~doc)
 
+let pid_at (pid, at) = Printf.sprintf "%d@%d" pid at
+
 let crash_conv =
   let parse s =
     match String.split_on_char '@' s with
@@ -76,34 +82,26 @@ let crash_conv =
         | _ -> Error (`Msg "expected PID@TICK"))
     | _ -> Error (`Msg "expected PID@TICK")
   in
-  let print fmt (pid, at) = Format.fprintf fmt "%d@%d" pid at in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt c -> Format.pp_print_string fmt (pid_at c))
 
 let crashes_t =
   let doc = "Crash process $(i,PID) at tick $(i,TICK) (repeatable), e.g. --crash 2@5000." in
   Arg.(value & opt_all crash_conv [] & info [ "crash" ] ~docv:"PID@TICK" ~doc)
 
 let topology_conv =
+  let module G = Graphs.Conflict_graph in
+  let sized shape lo make n =
+    match int_of_string_opt n with
+    | Some n when n >= lo -> Ok (make ~n)
+    | _ -> Error (`Msg (Printf.sprintf "%s:<n> expects n >= %d" shape lo))
+  in
   let parse s =
-    let module G = Graphs.Conflict_graph in
     match String.split_on_char ':' s with
     | [ "pair" ] -> Ok (G.pair ())
-    | [ "ring"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 3 -> Ok (G.ring ~n)
-        | _ -> Error (`Msg "ring:<n> expects n >= 3"))
-    | [ "clique"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 2 -> Ok (G.clique ~n)
-        | _ -> Error (`Msg "clique:<n> expects n >= 2"))
-    | [ "star"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 2 -> Ok (G.star ~n)
-        | _ -> Error (`Msg "star:<n> expects n >= 2"))
-    | [ "path"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 2 -> Ok (G.path ~n)
-        | _ -> Error (`Msg "path:<n> expects n >= 2"))
+    | [ "ring"; n ] -> sized "ring" 3 G.ring n
+    | [ "clique"; n ] -> sized "clique" 2 G.clique n
+    | [ "star"; n ] -> sized "star" 2 G.star n
+    | [ "path"; n ] -> sized "path" 2 G.path n
     | [ "grid"; dims ] -> (
         match String.split_on_char 'x' dims with
         | [ r; c ] -> (
@@ -113,10 +111,7 @@ let topology_conv =
         | _ -> Error (`Msg "grid:<r>x<c>"))
     | _ -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
   in
-  let print fmt g =
-    Format.fprintf fmt "<graph n=%d edges=%d>" (Graphs.Conflict_graph.n g)
-      (List.length (Graphs.Conflict_graph.edges g))
-  in
+  let print fmt g = Format.fprintf fmt "<graph n=%d edges=%d>" (G.n g) (List.length (G.edges g)) in
   Arg.conv (parse, print)
 
 let topology_t =
@@ -132,17 +127,6 @@ let csv_t =
   let doc = "Export the full run trace as CSV to $(i,PATH)." in
   Arg.(value & opt (some string) None & info [ "trace-csv" ] ~docv:"PATH" ~doc)
 
-let maybe_csv engine = function
-  | Some path ->
-      Dsim.Trace.write_csv (Dsim.Engine.trace engine) ~path;
-      Printf.printf "trace written to %s\n" path
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Observability: --trace-out (streaming JSONL sink) and --report (JSON
-   run report). Install before the run so the sink sees every event and
-   the metrics hooks see every tick. *)
-
 let trace_out_t =
   let doc = "Stream the run trace to $(i,PATH) as JSONL (one event object per line)." in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH" ~doc)
@@ -151,145 +135,169 @@ let report_t =
   let doc = "Write a machine-readable JSON run report to $(i,PATH)." in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
 
-type obs = {
-  metrics : Obs.Metrics.t;
-  inst : Obs.Instrument.t;
-  sink : (string * Obs.Sink.t) option;
-  report_path : string option;
-}
+let at_least flag lo v = if v < lo then reject "%s must be at least %d (got %d)" flag lo v
 
 (* Fail file-open/write problems as a clean CLI error instead of an
    uncaught Sys_error traceback. *)
 let io_or_die what f = try f () with Sys_error msg -> reject "cannot write %s: %s" what msg
 
-let obs_install engine ~trace_out ~report =
-  let metrics = Obs.Metrics.create () in
-  let inst = Obs.Instrument.install ~metrics engine in
-  let sink =
-    Option.map
-      (fun path ->
-        let s = io_or_die "trace" (fun () -> Obs.Sink.jsonl_file path) in
-        Obs.Sink.attach (Engine.trace engine) s;
-        (path, s))
-      trace_out
-  in
-  { metrics; inst; sink; report_path = report }
-
-let obs_finish obs ~cmd ~seed ~horizon ~config ~checks =
-  Obs.Instrument.finalize obs.inst;
-  Option.iter
-    (fun (path, (s : Obs.Sink.t)) ->
-      s.Obs.Sink.close ();
-      Printf.printf "trace streamed to %s\n" path)
-    obs.sink;
+(* The one report writer of every subcommand that takes --report. *)
+let write_report path json =
   Option.iter
     (fun path ->
-      let j =
-        Obs.Report.make ~cmd ~seed ~horizon ~config ~metrics:obs.metrics ~checks
-          ~wall:(Obs.Instrument.wall_json obs.inst) ()
-      in
-      io_or_die "report" (fun () -> Obs.Json.write_file ~path j);
+      io_or_die "report" (fun () -> Obs.Json.write_file ~path (json ()));
       Printf.printf "report written to %s\n" path)
-    obs.report_path
+    path
 
-(* A run that a component's exception cut short (see
-   Check.Runner.guarded_run) is judged by that one failed check alone:
-   print it, write the report with it, exit 1. *)
-let exit_on_fault obs ~cmd ~seed ~horizon ~config = function
-  | None -> ()
-  | Some (check : Obs.Report.check) ->
-      Printf.printf "%s: VIOLATED: %s\n" check.Obs.Report.name check.Obs.Report.detail;
-      obs_finish obs ~cmd ~seed ~horizon ~config ~checks:[ check ];
-      exit 1
+(* ------------------------------------------------------------------ *)
+(* The single-run harness. extract, dining, vulnerability, wsn, ctm and
+   agreement each give a deployment on a fresh engine, which returns the
+   run's judge: it prints the run's summary and returns its checks.
+   run_single does every other step the same way for all six. *)
 
-let crashes_config crashes =
-  Obs.Json.Arr
-    (List.map (fun (pid, at) -> Obs.Json.Str (Printf.sprintf "%d@%d" pid at)) crashes)
+(* Their flags: [crashes] is [None] without --crash; [dump] and [csv] are
+   0 and [None] without --dump-trace and --trace-csv. *)
+type flags = {
+  seed : int64;
+  horizon : int;
+  crashes : (int * int) list option;
+  dump : int;
+  csv : string option;
+  trace_out : string option;
+  report : string option;
+}
 
-let apply_crashes engine crashes =
-  let n = Engine.n engine in
+let flags_t ?(crashes = false) ?(debug = false) horizon =
+  Term.(
+    const (fun seed horizon crashes dump csv trace_out report ->
+        { seed; horizon; crashes; dump; csv; trace_out; report })
+    $ seed_t $ horizon_t horizon
+    $ (if crashes then map Option.some crashes_t else const None)
+    $ (if debug then dump_trace_t else const 0)
+    $ (if debug then csv_t else const None)
+    $ trace_out_t $ report_t)
+
+(* Validate the horizon, create the engine, schedule the crashes, install
+   the instrumentation and the --trace-out sink before the deployment (so
+   they see every tick and event), run through Check.Runner.guarded_run,
+   then judge, or print the fault as the run's one failed check, write
+   --report with the checks, and exit 1 when one fails. *)
+let run_single ~cmd f ~n ~adversary ~config deploy =
+  at_least "--horizon" 1 f.horizon;
+  let engine =
+    try Engine.create ~seed:f.seed ~n ~adversary () with Invalid_argument msg -> reject "%s" msg
+  in
   List.iter
     (fun (pid, at) ->
       if pid < 0 || pid >= n then
         reject "--crash %d@%d: no such process (pids are 0..%d)" pid at (n - 1);
       Engine.schedule_crash engine pid ~at)
-    crashes
-
-let maybe_dump engine n =
-  if n > 0 then Trace.dump ~limit:n Format.std_formatter (Engine.trace engine)
+    (Option.value f.crashes ~default:[]);
+  let metrics = Obs.Metrics.create () in
+  let inst = Obs.Instrument.install ~metrics engine in
+  let trace = Engine.trace engine in
+  let sink =
+    Option.map
+      (fun path ->
+        let s = io_or_die "trace" (fun () -> Obs.Sink.jsonl_file path) in
+        Obs.Sink.attach trace s;
+        (path, s))
+      f.trace_out
+  in
+  let judge = deploy engine in
+  let fault = Check.Runner.guarded_run engine ~until:f.horizon in
+  if f.dump > 0 then Trace.dump ~limit:f.dump Format.std_formatter trace;
+  Option.iter
+    (fun path ->
+      io_or_die "trace CSV" (fun () -> Trace.write_csv trace ~path);
+      Printf.printf "trace written to %s\n" path)
+    f.csv;
+  let checks =
+    match fault with
+    | Some (c : Obs.Report.check) ->
+        Printf.printf "%s: VIOLATED: %s\n" c.Obs.Report.name c.Obs.Report.detail;
+        [ c ]
+    | None -> judge ()
+  in
+  Obs.Instrument.finalize inst;
+  Option.iter
+    (fun (path, (s : Obs.Sink.t)) ->
+      s.Obs.Sink.close ();
+      Printf.printf "trace streamed to %s\n" path)
+    sink;
+  let crashes =
+    Option.map (fun l -> ("crashes", Obs.Json.Arr (List.map (fun c -> Obs.Json.Str (pid_at c)) l)))
+      f.crashes
+  in
+  write_report f.report (fun () ->
+      Obs.Report.make ~cmd ~seed:f.seed ~horizon:f.horizon ~config:(config @ Option.to_list crashes)
+        ~metrics ~checks ~wall:(Obs.Instrument.wall_json inst) ());
+  if Check.Runner.failed checks <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* extract *)
 
-let run_extract seed horizon adversary crashes n box lemmas dump csv trace_out report =
-  if n < 2 then reject "-n must be at least 2 (got %d)" n;
-  let run =
+let run_extract f adversary n box lemmas =
+  at_least "-n" 2 n;
+  let name, title, make_box =
     match box with
-    | `Wf -> Core.Scenario.wf_extraction ~seed ~adversary ~with_lemma_monitors:lemmas ~n ()
-    | `Ftme -> Core.Scenario.ftme_extraction ~seed ~adversary ~n ()
+    | `Wf -> ("wf", "WF-◇WX", Core.Scenario.wf_box)
+    | `Ftme -> ("ftme", "perpetual-WX (FTME)", Core.Scenario.ftme_box)
   in
-  let engine = run.Core.Scenario.engine in
-  apply_crashes engine crashes;
-  let obs = obs_install engine ~trace_out ~report in
-  let config =
-    [
-      ("n", Obs.Json.Int n);
-      ("box", Obs.Json.Str (match box with `Wf -> "wf" | `Ftme -> "ftme"));
-      ("adversary", Obs.Json.Str adversary.Adversary.name);
-      ("lemmas", Obs.Json.Bool lemmas);
-      ("crashes", crashes_config crashes);
-    ]
-  in
-  let fault = Check.Runner.guarded_run engine ~until:horizon in
-  maybe_dump engine dump;
-  maybe_csv engine csv;
-  exit_on_fault obs ~cmd:"extract" ~seed ~horizon ~config fault;
-  let trace = Engine.trace engine in
-  Printf.printf "extraction over %s box, n=%d, adversary=%s, horizon=%d\n"
-    (match box with `Wf -> "WF-◇WX" | `Ftme -> "perpetual-WX (FTME)")
-    n adversary.Adversary.name horizon;
-  Printf.printf "crashed: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (pid, at) -> Printf.sprintf "p%d@%d" pid at)
-          (Types.Pidmap.bindings (Trace.crash_times trace))));
-  List.iter
-    (fun pair ->
-      let flips =
-        Trace.suspicion_flips trace ~detector:"extracted" ~owner:pair.Reduction.Pair.watcher
-          ~target:pair.Reduction.Pair.subject
-      in
-      Printf.printf "  p%d about p%d: %d flips, finally %s\n" pair.Reduction.Pair.watcher
-        pair.Reduction.Pair.subject (List.length flips)
-        (if pair.Reduction.Pair.suspected () then "suspects" else "trusts"))
-    run.Core.Scenario.extract.Reduction.Extract.pairs;
-  let checks = Check.Runner.extraction_checks ~trusting:(box = `Ftme) run in
-  let properties, lemma_checks =
-    List.partition
-      (fun (c : Obs.Report.check) -> not (String.starts_with ~prefix:"lemmas." c.Obs.Report.name))
-      checks
-  in
-  List.iter
-    (fun (c : Obs.Report.check) ->
-      Printf.printf "%-26s %s\n"
-        (String.map (function '_' -> ' ' | ch -> ch) c.Obs.Report.name ^ ":")
-        (if c.Obs.Report.holds then "OK" else "VIOLATED: " ^ c.Obs.Report.detail))
-    properties;
-  if lemmas then begin
-    print_endline "lemma checks:";
-    List.iter2
-      (fun (pair, online) (c : Obs.Report.check) ->
-        let name = pair.Reduction.Pair.name in
-        if c.Obs.Report.holds then Printf.printf "  pair %s: all lemmas OK\n" name
-        else
-          Reduction.Lemmas.online_reports online @ Reduction.Lemmas.trace_reports ~engine ~pair
-          |> List.iter (fun r ->
-                 if not (Reduction.Lemmas.ok r) then
-                   Format.printf "  pair %s: %a@." name Reduction.Lemmas.pp_report r))
-      run.Core.Scenario.onlines lemma_checks
-  end;
-  obs_finish obs ~cmd:"extract" ~seed ~horizon ~config ~checks;
-  if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
+  run_single ~cmd:"extract" f ~n ~adversary
+    ~config:
+      [
+        ("n", Obs.Json.Int n);
+        ("box", Obs.Json.Str name);
+        ("adversary", Obs.Json.Str adversary.Adversary.name);
+        ("lemmas", Obs.Json.Bool lemmas);
+      ]
+  @@ fun engine ->
+  (* The extract-<box> targets' deployment (Check.Runner.plan). *)
+  let run = Core.Scenario.extraction engine ~lemmas (make_box engine) in
+  fun () ->
+    let trace = Engine.trace engine in
+    Printf.printf "extraction over %s box, n=%d, adversary=%s, horizon=%d\n" title n
+      adversary.Adversary.name f.horizon;
+    let crashed = Types.Pidmap.bindings (Trace.crash_times trace) in
+    Printf.printf "crashed: %s\n" (String.concat ", " (List.map (fun c -> "p" ^ pid_at c) crashed));
+    List.iter
+      (fun pair ->
+        let flips =
+          Trace.suspicion_flips trace ~detector:"extracted" ~owner:pair.Reduction.Pair.watcher
+            ~target:pair.Reduction.Pair.subject
+        in
+        Printf.printf "  p%d about p%d: %d flips, finally %s\n" pair.Reduction.Pair.watcher
+          pair.Reduction.Pair.subject (List.length flips)
+          (if pair.Reduction.Pair.suspected () then "suspects" else "trusts"))
+      run.Core.Scenario.extract.Reduction.Extract.pairs;
+    let checks = Check.Runner.extraction_checks ~trusting:(box = `Ftme) run in
+    let properties, lemma_checks =
+      List.partition
+        (fun (c : Obs.Report.check) ->
+          not (String.starts_with ~prefix:"lemmas." c.Obs.Report.name))
+        checks
+    in
+    List.iter
+      (fun (c : Obs.Report.check) ->
+        Printf.printf "%-26s %s\n"
+          (String.map (function '_' -> ' ' | ch -> ch) c.Obs.Report.name ^ ":")
+          (if c.Obs.Report.holds then "OK" else "VIOLATED: " ^ c.Obs.Report.detail))
+      properties;
+    if lemmas then begin
+      print_endline "lemma checks:";
+      List.iter2
+        (fun (pair, online) (c : Obs.Report.check) ->
+          let name = pair.Reduction.Pair.name in
+          if c.Obs.Report.holds then Printf.printf "  pair %s: all lemmas OK\n" name
+          else
+            Reduction.Lemmas.online_reports online @ Reduction.Lemmas.trace_reports ~engine ~pair
+            |> List.iter (fun r ->
+                   if not (Reduction.Lemmas.ok r) then
+                     Format.printf "  pair %s: %a@." name Reduction.Lemmas.pp_report r))
+        run.Core.Scenario.onlines lemma_checks
+    end;
+    checks
 
 let extract_cmd =
   let n_t =
@@ -303,17 +311,14 @@ let extract_cmd =
   let lemmas_t =
     Arg.(value & flag & info [ "lemmas" ] ~doc:"Install and report the Lemma 1-12 monitors.")
   in
-  let term =
-    Term.(
-      const run_extract $ seed_t $ horizon_t 20000 $ adversary_t $ crashes_t $ n_t $ box_t
-      $ lemmas_t $ dump_trace_t $ csv_t $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "extract"
        ~doc:
          "Run the failure-detector extraction (the paper's reduction). Exits 1 if a detector \
           property or, with --lemmas, a lemma check fails, or if a component raises.")
-    term
+    Term.(
+      const run_extract $ flags_t ~crashes:true ~debug:true 20000 $ adversary_t $ n_t $ box_t
+      $ lemmas_t)
 
 (* ------------------------------------------------------------------ *)
 (* dining *)
@@ -323,59 +328,48 @@ let extract_cmd =
 let dining_algos =
   [ ("hygienic", "hygienic"); ("wf", "wf-◇wx"); ("kfair", "k-fair"); ("ftme", "ftme"); ("fl1", "fl1") ]
 
-let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trace_out report =
-  let n = Graphs.Conflict_graph.n graph in
-  let engine = Engine.create ~seed ~n ~adversary () in
-  apply_crashes engine crashes;
-  let obs = obs_install engine ~trace_out ~report in
+let run_dining f adversary graph algo eat_ticks =
+  let n = Graphs.Conflict_graph.n graph and horizon = f.horizon in
+  let edges = List.length (Graphs.Conflict_graph.edges graph) in
   let instance = "din" in
+  run_single ~cmd:"dining" f ~n ~adversary
+    ~config:
+      [
+        ("algo", Obs.Json.Str algo);
+        ("n", Obs.Json.Int n);
+        ("edges", Obs.Json.Int edges);
+        ("adversary", Obs.Json.Str adversary.Adversary.name);
+        ("eat_ticks", Obs.Json.Int eat_ticks);
+      ]
+  @@ fun engine ->
   (List.assoc algo Check.Runner.default_registry) engine ~graph ~instance ~eat_ticks;
-  let config =
-    [
-      ("algo", Obs.Json.Str algo);
-      ("n", Obs.Json.Int n);
-      ("edges", Obs.Json.Int (List.length (Graphs.Conflict_graph.edges graph)));
-      ("adversary", Obs.Json.Str adversary.Adversary.name);
-      ("eat_ticks", Obs.Json.Int eat_ticks);
-      ("crashes", crashes_config crashes);
-    ]
-  in
-  let fault = Check.Runner.guarded_run engine ~until:horizon in
-  maybe_dump engine dump;
-  maybe_csv engine csv;
-  exit_on_fault obs ~cmd:"dining" ~seed ~horizon ~config fault;
-  let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance in
-  Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
-    (List.assoc algo dining_algos) n
-    (List.length (Graphs.Conflict_graph.edges graph))
-    adversary.Adversary.name horizon;
-  for pid = 0 to n - 1 do
-    Printf.printf "  p%d: %d meals%s\n" pid
-      (Dining.Monitor.Index.eat_count ix ~pid)
-      (if Engine.is_live engine pid then "" else " (crashed)")
-  done;
-  let violations = Dining.Monitor.Index.exclusion_violations ix ~graph ~horizon in
-  Printf.printf "exclusion violations: %d%s\n" (List.length violations)
-    (match List.rev violations with
-    | v :: _ -> Printf.sprintf " (last at t=%d)" v.Dining.Monitor.at
-    | [] -> "");
-  let wf = Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 5) in
-  Format.printf "wait-freedom: %a@." Detectors.Properties.pp_verdict wf;
-  Printf.printf "max suffix overtaking (after t=%d): %d\n" (horizon / 2)
-    (Dining.Monitor.Index.max_overtaking ix ~graph ~after:(horizon / 2) ~horizon);
-  Printf.printf "crash locality: %s; fairness index: %.2f\n"
-    (match Dining.Monitor.Index.failure_locality ix ~graph ~horizon ~slack:(horizon / 5) with
-    | Some l -> string_of_int l
-    | None -> "unbounded")
-    (Dining.Monitor.Index.fairness_index ix ~pids:(List.init n Fun.id));
-  let wx =
-    Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:(horizon / 2)
-  in
-  let checks =
+  fun () ->
+    let ix = Dining.Monitor.Index.build (Engine.trace engine) ~instance in
+    Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
+      (List.assoc algo dining_algos) n edges adversary.Adversary.name horizon;
+    for pid = 0 to n - 1 do
+      Printf.printf "  p%d: %d meals%s\n" pid
+        (Dining.Monitor.Index.eat_count ix ~pid)
+        (if Engine.is_live engine pid then "" else " (crashed)")
+    done;
+    let violations = Dining.Monitor.Index.exclusion_violations ix ~graph ~horizon in
+    Printf.printf "exclusion violations: %d%s\n" (List.length violations)
+      (match List.rev violations with
+      | v :: _ -> Printf.sprintf " (last at t=%d)" v.Dining.Monitor.at
+      | [] -> "");
+    let wf = Dining.Monitor.Index.wait_freedom ix ~n ~horizon ~slack:(horizon / 5) in
+    Format.printf "wait-freedom: %a@." Detectors.Properties.pp_verdict wf;
+    Printf.printf "max suffix overtaking (after t=%d): %d\n" (horizon / 2)
+      (Dining.Monitor.Index.max_overtaking ix ~graph ~after:(horizon / 2) ~horizon);
+    Printf.printf "crash locality: %s; fairness index: %.2f\n"
+      (match Dining.Monitor.Index.failure_locality ix ~graph ~horizon ~slack:(horizon / 5) with
+      | Some l -> string_of_int l
+      | None -> "unbounded")
+      (Dining.Monitor.Index.fairness_index ix ~pids:(List.init n Fun.id));
+    let wx =
+      Dining.Monitor.Index.eventual_weak_exclusion ix ~graph ~horizon ~suffix_from:(horizon / 2)
+    in
     [ Obs.Report.of_verdict "wait_freedom" wf; Obs.Report.of_verdict "eventual_weak_exclusion" wx ]
-  in
-  obs_finish obs ~cmd:"dining" ~seed ~horizon ~config ~checks;
-  if not (List.for_all (fun (c : Obs.Report.check) -> c.Obs.Report.holds) checks) then exit 1
 
 let dining_cmd =
   let algo_t =
@@ -388,53 +382,45 @@ let dining_cmd =
   let eat_t =
     Arg.(value & opt int 3 & info [ "eat-ticks" ] ~docv:"TICKS" ~doc:"Length of a meal.")
   in
-  let term =
-    Term.(
-      const run_dining $ seed_t $ horizon_t 12000 $ adversary_t $ crashes_t $ topology_t
-      $ algo_t $ eat_t $ dump_trace_t $ csv_t $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "dining"
        ~doc:
          "Run a dining algorithm and check its specification. Exits 1 if wait-freedom or \
           eventual weak exclusion fails, or if a component raises.")
-    term
+    Term.(
+      const run_dining $ flags_t ~crashes:true ~debug:true 12000 $ adversary_t $ topology_t
+      $ algo_t $ eat_t)
 
 (* ------------------------------------------------------------------ *)
 (* vulnerability *)
 
-let run_vulnerability seed horizon mode trace_out report =
-  let engine, suspected = Core.Scenario.vulnerability ~seed ~mode () in
-  let obs = obs_install engine ~trace_out ~report in
-  let config =
-    [ ("mode", Obs.Json.Str (match mode with `Flawed_cm -> "flawed" | `Our_reduction -> "ours")) ]
-  in
-  exit_on_fault obs ~cmd:"vulnerability" ~seed ~horizon ~config
-    (Check.Runner.guarded_run engine ~until:horizon);
-  let det = match mode with `Flawed_cm -> "flawed-cm" | `Our_reduction -> "extracted" in
-  let flips = Trace.suspicion_flips (Engine.trace engine) ~detector:det ~owner:1 ~target:0 in
-  Printf.printf
-    "Section 3 scenario (%s): correct q=p0 eats forever from the noisy prefix\n"
-    (match mode with `Flawed_cm -> "construction of [8]" | `Our_reduction -> "this paper");
-  Printf.printf "suspicion flips about the correct q: %d\n" (List.length flips);
-  Printf.printf "final attitude: %s\n" (if suspected () then "suspects q" else "trusts q");
-  Printf.printf "verdict: %s\n"
-    (match mode with
-    | `Flawed_cm ->
-        "accuracy violated — p keeps eating (box's exclusive suffix is void) and keeps \
-         suspecting the correct q"
-    | `Our_reduction -> "converged — the hand-off keeps the subject's sessions overlapping");
-  let late = List.filter (fun (t, _) -> t > horizon - (horizon / 5)) flips in
-  obs_finish obs ~cmd:"vulnerability" ~seed ~horizon ~config
-    ~checks:
-      [
-        Obs.Report.check
-          ~detail:
-            (Printf.sprintf "%d flips total, %d in the last fifth" (List.length flips)
-               (List.length late))
-          "accuracy_converged" (late = []);
-        Obs.Report.check "finally_trusts_correct_q" (not (suspected ()));
-      ]
+let run_vulnerability f mode =
+  let flawed = mode = `Flawed_cm in
+  run_single ~cmd:"vulnerability" f ~n:2 ~adversary:(Adversary.partial_sync ~gst:500 ())
+    ~config:[ ("mode", Obs.Json.Str (if flawed then "flawed" else "ours")) ]
+  @@ fun engine ->
+  let suspected = Core.Scenario.vulnerability engine ~mode in
+  fun () ->
+    let det = if flawed then "flawed-cm" else "extracted" in
+    let flips = Trace.suspicion_flips (Engine.trace engine) ~detector:det ~owner:1 ~target:0 in
+    Printf.printf "Section 3 scenario (%s): correct q=p0 eats forever from the noisy prefix\n"
+      (if flawed then "construction of [8]" else "this paper");
+    Printf.printf "suspicion flips about the correct q: %d\n" (List.length flips);
+    Printf.printf "final attitude: %s\n" (if suspected () then "suspects q" else "trusts q");
+    Printf.printf "verdict: %s\n"
+      (if flawed then
+         "accuracy violated — p keeps eating (box's exclusive suffix is void) and keeps \
+          suspecting the correct q"
+       else "converged — the hand-off keeps the subject's sessions overlapping");
+    let late = List.filter (fun (t, _) -> t > f.horizon - (f.horizon / 5)) flips in
+    [
+      Obs.Report.check
+        ~detail:
+          (Printf.sprintf "%d flips total, %d in the last fifth" (List.length flips)
+             (List.length late))
+        "accuracy_converged" (late = []);
+      Obs.Report.check "finally_trusts_correct_q" (not (suspected ()));
+    ]
 
 let vulnerability_cmd =
   let mode_t =
@@ -444,18 +430,21 @@ let vulnerability_cmd =
       & opt (enum [ ("flawed", `Flawed_cm); ("ours", `Our_reduction) ]) `Flawed_cm
       & info [ "mode" ] ~doc)
   in
-  let term =
-    Term.(const run_vulnerability $ seed_t $ horizon_t 20000 $ mode_t $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "vulnerability"
-       ~doc:"Replay the Section 3 vulnerability scenario. Exits 1 if a component raises.")
-    term
+       ~doc:
+         "Replay the Section 3 vulnerability scenario. Exits 1 when a check fails, as it does \
+          for the flawed construction (the negative control), or when a component raises.")
+    Term.(const run_vulnerability $ flags_t 20000 $ mode_t)
 
 (* ------------------------------------------------------------------ *)
 (* wsn *)
 
-let run_wsn seed horizon scheduler areas nodes energy trace_out report =
+let run_wsn f scheduler areas nodes energy =
+  at_least "--areas" 1 areas;
+  at_least "--nodes" 1 nodes;
+  at_least "--energy" 1 energy;
+  let dining = scheduler = Wsn.Model.Dining and horizon = f.horizon in
   let config =
     {
       Wsn.Model.default_config with
@@ -464,44 +453,37 @@ let run_wsn seed horizon scheduler areas nodes energy trace_out report =
       initial_energy = energy;
     }
   in
-  let n = areas * nodes in
-  let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:300 ()) () in
-  let obs = obs_install engine ~trace_out ~report in
-  let model = Wsn.Model.setup ~engine ~config ~scheduler () in
-  let report_config =
-    [
-      ( "scheduler",
-        Obs.Json.Str
-          (match scheduler with Wsn.Model.Dining -> "dining" | Wsn.Model.All_on -> "all-on") );
-      ("areas", Obs.Json.Int areas);
-      ("nodes_per_area", Obs.Json.Int nodes);
-      ("initial_energy", Obs.Json.Int energy);
-    ]
-  in
-  exit_on_fault obs ~cmd:"wsn" ~seed ~horizon ~config:report_config
-    (Check.Runner.guarded_run engine ~until:horizon);
-  Printf.printf "WSN %dx%d, battery=%d, scheduler=%s\n" areas nodes energy
-    (match scheduler with Wsn.Model.Dining -> "wf-◇wx dining" | Wsn.Model.All_on -> "all-on");
-  (match Wsn.Model.lifetime model with
-  | Some t -> Printf.printf "network lifetime: %d ticks\n" t
-  | None -> Printf.printf "network alive at horizon (%d)\n" horizon);
-  List.iter
-    (fun s ->
-      if s.Wsn.Model.at mod (horizon / 10) < 50 then
-        Printf.printf "  t=%-6d covered=%d/%d redundant=%d alive=%d\n" s.Wsn.Model.at
-          s.Wsn.Model.covered areas s.Wsn.Model.redundant s.Wsn.Model.alive)
-    (Wsn.Model.coverage_series model ~sample_every:50 ~horizon);
-  let lifetime = Wsn.Model.lifetime model in
-  obs_finish obs ~cmd:"wsn" ~seed ~horizon ~config:report_config
-    ~checks:
+  run_single ~cmd:"wsn" f ~n:(areas * nodes) ~adversary:(Adversary.partial_sync ~gst:300 ())
+    ~config:
       [
-        Obs.Report.check
-          ~detail:
-            (match lifetime with
-            | Some t -> Printf.sprintf "network died at t=%d" t
-            | None -> "alive at horizon")
-          "network_alive_at_horizon" (lifetime = None);
+        ("scheduler", Obs.Json.Str (if dining then "dining" else "all-on"));
+        ("areas", Obs.Json.Int areas);
+        ("nodes_per_area", Obs.Json.Int nodes);
+        ("initial_energy", Obs.Json.Int energy);
       ]
+  @@ fun engine ->
+  let model = Wsn.Model.setup ~engine ~config ~scheduler () in
+  fun () ->
+    Printf.printf "WSN %dx%d, battery=%d, scheduler=%s\n" areas nodes energy
+      (if dining then "wf-◇wx dining" else "all-on");
+    let lifetime = Wsn.Model.lifetime model in
+    (match lifetime with
+    | Some t -> Printf.printf "network lifetime: %d ticks\n" t
+    | None -> Printf.printf "network alive at horizon (%d)\n" horizon);
+    List.iter
+      (fun s ->
+        if s.Wsn.Model.at mod max 1 (horizon / 10) < 50 then
+          Printf.printf "  t=%-6d covered=%d/%d redundant=%d alive=%d\n" s.Wsn.Model.at
+            s.Wsn.Model.covered areas s.Wsn.Model.redundant s.Wsn.Model.alive)
+      (Wsn.Model.coverage_series model ~sample_every:50 ~horizon);
+    (* Duty cycling at least doubles the lifetime of one battery, which is
+       what an all-on network lives. *)
+    let lived = Option.value lifetime ~default:horizon and bound = 2 * energy in
+    let state = if lifetime = None then "alive" else "died" in
+    [
+      Obs.Report.check "outlives_two_batteries" (lived > bound)
+        ~detail:(Printf.sprintf "%s at t=%d; two batteries last %d ticks" state lived bound);
+    ]
 
 let wsn_cmd =
   let scheduler_t =
@@ -514,124 +496,79 @@ let wsn_cmd =
   let areas_t = Arg.(value & opt int 3 & info [ "areas" ] ~doc:"Coverage areas.") in
   let nodes_t = Arg.(value & opt int 3 & info [ "nodes" ] ~doc:"Nodes per area.") in
   let energy_t = Arg.(value & opt int 600 & info [ "energy" ] ~doc:"Battery (duty ticks).") in
-  let term =
-    Term.(
-      const run_wsn $ seed_t $ horizon_t 9000 $ scheduler_t $ areas_t $ nodes_t $ energy_t
-      $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "wsn"
-       ~doc:"Sensor-network duty-cycle scheduling demo. Exits 1 if a component raises.")
-    term
+       ~doc:
+         "Sensor-network duty-cycle scheduling demo, checking that the network outlives two \
+          batteries (2 x --energy ticks). Exits 1 when a check fails, as it does for the \
+          all-on scheduler, or when a component raises.")
+    Term.(const run_wsn $ flags_t 9000 $ scheduler_t $ areas_t $ nodes_t $ energy_t)
 
 (* ------------------------------------------------------------------ *)
 (* ctm *)
 
-let run_ctm seed horizon clients with_cm trace_out report =
-  let n = clients + 1 in
-  let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:400 ()) () in
-  let obs = obs_install engine ~trace_out ~report in
-  let store_comp, store_stats = Ctm.Store.component (Engine.ctx engine 0) () in
-  Engine.register engine 0 store_comp;
-  let client_pids = List.init clients (fun i -> i + 1) in
-  let graph =
-    Graphs.Conflict_graph.of_edges ~n
-      (List.concat_map
-         (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) client_pids)
-         client_pids)
-  in
-  let stats =
-    List.map
-      (fun pid ->
-        let ctx = Engine.ctx engine pid in
-        let cm =
-          if with_cm then begin
-            let fd, oracle = Detectors.Heartbeat.component ctx ~peers:client_pids () in
-            Engine.register engine pid fd;
-            let comp, handle, _ =
-              Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                ()
-            in
-            Engine.register engine pid comp;
-            Some handle
-          end
-          else None
-        in
-        let comp, st = Ctm.Client.component ctx ~store:0 ?cm () in
-        Engine.register engine pid comp;
-        (pid, st))
-      client_pids
-  in
-  let config =
-    [ ("clients", Obs.Json.Int clients); ("contention_manager", Obs.Json.Bool with_cm) ]
-  in
-  exit_on_fault obs ~cmd:"ctm" ~seed ~horizon ~config
-    (Check.Runner.guarded_run engine ~until:horizon);
-  Printf.printf "%d transactional clients, %s, horizon=%d\n" clients
-    (if with_cm then "with contention manager" else "without contention manager")
-    horizon;
-  List.iter
-    (fun (pid, (st : Ctm.Client.stats)) ->
-      Printf.printf "  p%d: %d commits / %d aborts\n" pid st.Ctm.Client.commits
-        st.Ctm.Client.aborts)
-    stats;
-  Printf.printf "store: %d successful CAS, %d failed\n" store_stats.Ctm.Store.cas_ok
-    store_stats.Ctm.Store.cas_fail;
-  let min_commits =
-    List.fold_left
-      (fun acc (_, (st : Ctm.Client.stats)) -> min acc st.Ctm.Client.commits)
-      max_int stats
-  in
-  let commits =
-    List.fold_left (fun acc (_, (st : Ctm.Client.stats)) -> acc + st.Ctm.Client.commits) 0 stats
-  in
-  let aborts =
-    List.fold_left (fun acc (_, (st : Ctm.Client.stats)) -> acc + st.Ctm.Client.aborts) 0 stats
-  in
-  obs_finish obs ~cmd:"ctm" ~seed ~horizon ~config
-    ~checks:
-      [
-        Obs.Report.check
-          ~detail:(Printf.sprintf "%d commits / %d aborts" commits aborts)
-          "every_client_commits" (min_commits > 0);
-      ]
+let run_ctm f clients with_cm =
+  at_least "--clients" 1 clients;
+  run_single ~cmd:"ctm" f ~n:(clients + 1) ~adversary:(Adversary.partial_sync ~gst:400 ())
+    ~config:[ ("clients", Obs.Json.Int clients); ("contention_manager", Obs.Json.Bool with_cm) ]
+  @@ fun engine ->
+  let sys = Ctm.System.setup ~engine ~with_cm () in
+  fun () ->
+    let stats = List.map snd sys.Ctm.System.clients in
+    Printf.printf "%d transactional clients, %s, horizon=%d\n" clients
+      (if with_cm then "with contention manager" else "without contention manager")
+      f.horizon;
+    List.iter
+      (fun (pid, (st : Ctm.Client.stats)) ->
+        Printf.printf "  p%d: %d commits / %d aborts\n" pid st.Ctm.Client.commits
+          st.Ctm.Client.aborts)
+      sys.Ctm.System.clients;
+    Printf.printf "store: %d successful CAS, %d failed\n" sys.Ctm.System.store.Ctm.Store.cas_ok
+      sys.Ctm.System.store.Ctm.Store.cas_fail;
+    let sum field = List.fold_left (fun acc st -> acc + field st) 0 stats in
+    [
+      Obs.Report.check
+        ~detail:
+          (Printf.sprintf "%d commits / %d aborts"
+             (sum (fun st -> st.Ctm.Client.commits))
+             (sum (fun st -> st.Ctm.Client.aborts)))
+        "every_client_commits"
+        (List.for_all (fun (st : Ctm.Client.stats) -> st.Ctm.Client.commits > 0) stats);
+    ]
 
 let ctm_cmd =
   let clients_t = Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Number of clients.") in
   let cm_t = Arg.(value & flag & info [ "no-cm" ] ~doc:"Disable the contention manager.") in
-  let term =
-    Term.(
-      const (fun seed horizon clients no_cm trace_out report ->
-          run_ctm seed horizon clients (not no_cm) trace_out report)
-      $ seed_t $ horizon_t 12000 $ clients_t $ cm_t $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "ctm"
-       ~doc:"Contention-manager transaction boost demo. Exits 1 if a component raises.")
-    term
+       ~doc:
+         "Contention-manager transaction boost demo. Exits 1 when a check fails or a \
+          component raises.")
+    Term.(const (fun f clients no_cm -> run_ctm f clients (not no_cm)) $ flags_t 12000
+          $ clients_t $ cm_t)
 
 (* ------------------------------------------------------------------ *)
 (* agreement *)
 
-let run_agreement seed horizon crashes n source trace_out report =
-  if n < 2 then reject "-n must be at least 2 (got %d)" n;
-  let engine, suspects_of =
-    match source with
-    | `Extracted ->
-        let run = Core.Scenario.wf_extraction ~seed ~with_lemma_monitors:false ~n () in
-        ( run.Core.Scenario.engine,
-          fun pid ->
-            let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
-            fun () -> oracle.Detectors.Oracle.suspects () )
-    | `Native ->
-        let engine =
-          Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
-        in
-        (engine, Core.Scenario.evp_suspects engine ~n ~windows:[])
+let run_agreement f n source =
+  at_least "-n" 2 n;
+  let extracted = source = `Extracted in
+  run_single ~cmd:"agreement" f ~n ~adversary:(Adversary.partial_sync ~gst:500 ())
+    ~config:
+      [
+        ("n", Obs.Json.Int n);
+        ("detector", Obs.Json.Str (if extracted then "extracted" else "native"));
+      ]
+  @@ fun engine ->
+  let suspects_of =
+    if extracted then begin
+      let run = Core.Scenario.extraction engine ~lemmas:false (Core.Scenario.wf_box engine) in
+      fun pid ->
+        let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
+        fun () -> oracle.Detectors.Oracle.suspects ()
+    end
+    else Core.Scenario.evp_suspects engine ~n ~windows:[]
   in
-  apply_crashes engine crashes;
-  let obs = obs_install engine ~trace_out ~report in
   let members = List.init n Fun.id in
   let instances =
     List.map
@@ -645,40 +582,27 @@ let run_agreement seed horizon crashes n source trace_out report =
         (pid, c, l))
       members
   in
-  let config =
+  fun () ->
+    Printf.printf "consensus + leader election over the %s detector, n=%d\n"
+      (if extracted then "dining-extracted" else "native heartbeat")
+      n;
+    List.iter
+      (fun (pid, c, l) ->
+        if Engine.is_live engine pid then
+          Printf.printf "  p%d: decided=%s leader=p%d\n" pid
+            (match c.Agreement.Consensus.decided () with Some v -> string_of_int v | None -> "-")
+            (l.Agreement.Leader.leader ()))
+      instances;
+    let agreement = Agreement.Consensus.agreement (Engine.trace engine) in
+    Format.printf "agreement: %a@." Detectors.Properties.pp_verdict agreement;
     [
-      ("n", Obs.Json.Int n);
-      ( "detector",
-        Obs.Json.Str (match source with `Native -> "native" | `Extracted -> "extracted") );
-      ("crashes", crashes_config crashes);
+      Obs.Report.of_verdict "agreement" agreement;
+      Obs.Report.check "all_correct_decided"
+        (List.for_all
+           (fun (pid, c, _) ->
+             (not (Engine.is_live engine pid)) || c.Agreement.Consensus.decided () <> None)
+           instances);
     ]
-  in
-  exit_on_fault obs ~cmd:"agreement" ~seed ~horizon ~config
-    (Check.Runner.guarded_run engine ~until:horizon);
-  Printf.printf "consensus + leader election over the %s detector, n=%d\n"
-    (match source with `Native -> "native heartbeat" | `Extracted -> "dining-extracted")
-    n;
-  List.iter
-    (fun (pid, c, l) ->
-      if Engine.is_live engine pid then
-        Printf.printf "  p%d: decided=%s leader=p%d\n" pid
-          (match c.Agreement.Consensus.decided () with Some v -> string_of_int v | None -> "-")
-          (l.Agreement.Leader.leader ()))
-    instances;
-  let agreement = Agreement.Consensus.agreement (Engine.trace engine) in
-  Format.printf "agreement: %a@." Detectors.Properties.pp_verdict agreement;
-  let all_correct_decided =
-    List.for_all
-      (fun (pid, c, _) ->
-        (not (Engine.is_live engine pid)) || c.Agreement.Consensus.decided () <> None)
-      instances
-  in
-  obs_finish obs ~cmd:"agreement" ~seed ~horizon ~config
-    ~checks:
-      [
-        Obs.Report.of_verdict "agreement" agreement;
-        Obs.Report.check "all_correct_decided" all_correct_decided;
-      ]
 
 let agreement_cmd =
   let n_t =
@@ -691,23 +615,19 @@ let agreement_cmd =
       & opt (enum [ ("native", `Native); ("extracted", `Extracted) ]) `Extracted
       & info [ "detector" ] ~doc)
   in
-  let term =
-    Term.(
-      const run_agreement $ seed_t $ horizon_t 20000 $ crashes_t $ n_t $ source_t
-      $ trace_out_t $ report_t)
-  in
   Cmd.v
     (Cmd.info "agreement"
        ~doc:
-         "Consensus and leader election over ◇P (native or extracted). Exits 1 if a \
-          component raises.")
-    term
+         "Consensus and leader election over ◇P (native or extracted). Exits 1 when a check \
+          fails or a component raises.")
+    Term.(const run_agreement $ flags_t ~crashes:true 20000 $ n_t $ source_t)
 
 (* ------------------------------------------------------------------ *)
 (* certify *)
 
-let run_certify box seeds horizon report_path =
-  if seeds < 1 then reject "--seeds must be at least 1 (got %d)" seeds;
+let run_certify box seeds horizon report =
+  at_least "--seeds" 1 seeds;
+  at_least "--horizon" 1 horizon;
   let name = if box = "none" then "hygienic" else box in
   let runs =
     Check.Runner.certify (List.assoc name Core.Scenario.boxes) ~seeds:(Core.Batch.seeds seeds)
@@ -727,7 +647,7 @@ let run_certify box seeds horizon report_path =
           checks)
       runs
   in
-  let certified = List.for_all (fun (ch : Obs.Report.check) -> ch.Obs.Report.holds) checks in
+  let certified = Check.Runner.failed checks = [] in
   Printf.printf "certification of the %s box (%d seeds, horizon %d, p1 crashes at %d):\n" name
     seeds horizon (horizon / 4);
   List.iter
@@ -737,13 +657,9 @@ let run_certify box seeds horizon report_path =
     checks;
   Printf.printf "verdict: %s\n"
     (if certified then "CERTIFIED — behaves as a WF-◇WX box; ◇P extracted" else "NOT certified");
-  Option.iter
-    (fun path ->
+  write_report report (fun () ->
       let config = [ ("box", Obs.Json.Str box); ("seeds", Obs.Json.Int seeds) ] in
-      io_or_die "report" (fun () ->
-          Obs.Json.write_file ~path (Obs.Report.make ~cmd:"certify" ~horizon ~config ~checks ()));
-      Printf.printf "report written to %s\n" path)
-    report_path;
+      Obs.Report.make ~cmd:"certify" ~horizon ~config ~checks ());
   if not certified then exit 1
 
 let certify_cmd =
@@ -757,9 +673,6 @@ let certify_cmd =
   let seeds_t =
     Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds per check.")
   in
-  let term =
-    Term.(const run_certify $ box_t $ seeds_t $ horizon_t 20000 $ report_t)
-  in
   Cmd.v
     (Cmd.info "certify"
        ~doc:
@@ -767,7 +680,7 @@ let certify_cmd =
           from it: per seed, the box's two diners with p1 crashing at horizon/4, judged by the \
           dining checks, and the reduction over the box without and with that crash, judged \
           by the extraction checks. Exits 1 when a check fails or a component raises.")
-    term
+    Term.(const run_certify $ box_t $ seeds_t $ horizon_t 20000 $ report_t)
 
 (* ------------------------------------------------------------------ *)
 (* report — validate and summarise a run report *)
@@ -777,10 +690,7 @@ let run_report path =
   | `Run j -> Format.printf "%a" Obs.Report.pp_summary j
   | `Campaign j -> Format.printf "%a" Obs.Report.pp_campaign_summary j
   | `Mc j -> Format.printf "%a" Obs.Report.pp_mc_summary j
-  | exception Failure msg ->
-      prerr_endline msg;
-      exit 2
-  | exception Sys_error msg ->
+  | exception (Failure msg | Sys_error msg) ->
       prerr_endline msg;
       exit 2
 
@@ -802,6 +712,17 @@ let report_cmd =
 
 let ensure_dir path = if not (Sys.file_exists path) then Sys.mkdir path 0o755
 
+(* The one repro-artifact writer: save [r] as <dir>/<prefix><index>-<digest
+   prefix>.json, and return the path and the digest. *)
+let save_repro ~what ~dir ~prefix index r =
+  io_or_die (what ^ " directory") (fun () -> ensure_dir dir);
+  let digest = Check.Repro.digest r in
+  let path =
+    Filename.concat dir (Printf.sprintf "%s%04d-%s.json" prefix index (String.sub digest 0 12))
+  in
+  io_or_die (what ^ " artifact") (fun () -> Check.Repro.save ~path r);
+  (path, digest)
+
 let families_of_strings = function
   | [] -> Check.Config.all_families
   | l ->
@@ -812,9 +733,9 @@ let families_of_strings = function
           | None -> reject "unknown adversary family %S (sync|async|partial|bursty)" s)
         l
 
-let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus report_path =
-  if jobs < 1 then reject "--jobs must be at least 1 (got %d)" jobs;
-  if runs < 0 then reject "--runs must be at least 0 (got %d)" runs;
+let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus report =
+  at_least "--jobs" 1 jobs;
+  at_least "--runs" 0 runs;
   let registry = Check.Runner.default_registry in
   let families = families_of_strings families in
   let algos =
@@ -853,13 +774,8 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
     (fun (v : Check.Campaign.violation) ->
       match v.Check.Campaign.repro with
       | Some r ->
-          io_or_die "repro directory" (fun () -> ensure_dir out);
-          let digest = Check.Repro.digest r in
-          let path =
-            Filename.concat out
-              (Printf.sprintf "run%04d-%s.json" v.Check.Campaign.index (String.sub digest 0 12))
-          in
-          io_or_die "repro artifact" (fun () -> Check.Repro.save ~path r);
+          let index = v.Check.Campaign.index in
+          let path, digest = save_repro ~what:"repro" ~dir:out ~prefix:"run" index r in
           Printf.printf "  shrunk repro: %s\n    minimal: %s (digest %s)\n" path
             (Check.Config.describe r.Check.Repro.config)
             digest
@@ -868,12 +784,7 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
   Printf.printf "fuzz: %d runs, %d violations (root seed %s)\n" result.Check.Campaign.runs
     (List.length result.Check.Campaign.violations)
     (Core.Cmdline.seed_to_string seed);
-  Option.iter
-    (fun path ->
-      io_or_die "report" (fun () ->
-          Obs.Json.write_file ~path (Check.Campaign.summary ~total_s ~cmd:"fuzz" result));
-      Printf.printf "report written to %s\n" path)
-    report_path;
+  write_report report (fun () -> Check.Campaign.summary ~total_s ~cmd:"fuzz" result);
   if result.Check.Campaign.violations <> [] then exit 1
 
 let fuzz_cmd =
@@ -994,6 +905,10 @@ let run_trace input output horizon =
      bit-identical, so the rendered trace is the violating run's); any
      other whole-file JSON document has no trace inside; everything else
      is treated as a JSONL event stream from --trace-out. *)
+  let refuse msg =
+    Printf.eprintf "%s: %s\n" input msg;
+    exit 2
+  in
   let classified =
     match Obs.Json.read_file ~path:input with
     | j -> (
@@ -1015,13 +930,7 @@ let run_trace input output horizon =
           input s;
         exit 2
     | `Repro j -> (
-        let r =
-          match Check.Repro.of_json j with
-          | r -> r
-          | exception Failure msg ->
-              Printf.eprintf "%s: %s\n" input msg;
-              exit 2
-        in
+        let r = try Check.Repro.of_json j with Failure msg -> refuse msg in
         let drive =
           Adversary.replayer ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides
         in
@@ -1033,28 +942,18 @@ let run_trace input output horizon =
             ( trace,
               Some
                 (Option.value ~default:r.Check.Repro.config.Check.Config.horizon horizon) )
-        | exception Failure msg ->
-            Printf.eprintf "%s: %s\n" input msg;
-            exit 2)
+        | exception Failure msg -> refuse msg)
     | `Jsonl -> (
         match Obs.Sink.read_jsonl input with
         | trace -> (trace, horizon)
-        | exception Failure msg ->
-            Printf.eprintf "%s: %s\n" input msg;
-            exit 2)
+        | exception Failure msg -> refuse msg)
   in
   let output =
     match output with
     | Some p -> p
     | None -> Filename.remove_extension (Filename.basename input) ^ ".perfetto.json"
   in
-  let j =
-    match Obs.Span.chrome_of_trace ?horizon trace with
-    | j -> j
-    | exception Invalid_argument msg ->
-        Printf.eprintf "%s: %s\n" input msg;
-        exit 2
-  in
+  let j = try Obs.Span.chrome_of_trace ?horizon trace with Invalid_argument msg -> refuse msg in
   let events =
     match Obs.Json.find j "traceEvents" with Some (Obs.Json.Arr l) -> List.length l | _ -> 0
   in
@@ -1103,7 +1002,7 @@ let trace_cmd =
 (* check — bounded exhaustive model checking *)
 
 let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_grid no_por
-    max_schedules split_depth jobs out report_path =
+    max_schedules split_depth jobs out report =
   let registry = Check.Runner.default_registry in
   if not (List.mem_assoc algo registry) then
     if List.mem algo (Check.Runner.target_names registry) then
@@ -1115,10 +1014,11 @@ let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_
     | Some t -> t
     | None -> reject "bad topology %S (pair | ring:N | clique:N | star:N | path:N)" topology
   in
-  if delta < 1 || phi < 1 then reject "--delta and --phi must be at least 1";
-  if jobs < 1 then reject "--jobs must be at least 1 (got %d)" jobs;
-  if max_schedules < 1 then reject "--max-schedules must be at least 1 (got %d)" max_schedules;
-  if split_depth < 0 then reject "--split-depth must be at least 0 (got %d)" split_depth;
+  at_least "--delta" 1 delta;
+  at_least "--phi" 1 phi;
+  at_least "--jobs" 1 jobs;
+  at_least "--max-schedules" 1 max_schedules;
+  at_least "--split-depth" 0 split_depth;
   let base =
     {
       Check.Config.algo;
@@ -1158,14 +1058,10 @@ let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_
   let s = result.Mc.Explore.stats in
   List.iter
     (fun (v : Mc.Explore.violation) ->
-      io_or_die "counterexample directory" (fun () -> ensure_dir out);
-      let digest = Check.Repro.digest v.Mc.Explore.repro in
-      let path =
-        Filename.concat out
-          (Printf.sprintf "cex%04d-%s.json" v.Mc.Explore.schedule_index
-             (String.sub digest 0 12))
+      let path, digest =
+        save_repro ~what:"counterexample" ~dir:out ~prefix:"cex" v.Mc.Explore.schedule_index
+          v.Mc.Explore.repro
       in
-      io_or_die "counterexample artifact" (fun () -> Check.Repro.save ~path v.Mc.Explore.repro);
       Printf.printf "  counterexample: schedule %d of crash schedule %d -> %s (digest %s)\n"
         v.Mc.Explore.schedule_index v.Mc.Explore.crash_index path digest)
     result.Mc.Explore.violations;
@@ -1173,13 +1069,9 @@ let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_
     s.Mc.Explore.schedules s.Mc.Explore.crash_schedules s.Mc.Explore.pruned
     s.Mc.Explore.violation_count
     (if s.Mc.Explore.truncated then " [TRUNCATED: raise --max-schedules]" else "");
-  Option.iter
-    (fun path ->
+  write_report report (fun () ->
       let wall = Obs.Json.Obj [ ("total_s", Obs.Json.Float total_s) ] in
-      io_or_die "report" (fun () ->
-          Obs.Json.write_file ~path (Mc.Report.make ~config:mc ~result ~metrics ~wall ()));
-      Printf.printf "report written to %s\n" path)
-    report_path;
+      Mc.Report.make ~config:mc ~result ~metrics ~wall ());
   match result.Mc.Explore.violations with [] -> () | _ :: _ -> exit 1
 
 let check_cmd =

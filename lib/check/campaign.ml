@@ -99,7 +99,8 @@ let run ?(runs = 100) ?(max_repros = 3) ?(max_horizon = 6000) ?(families = Confi
         let repro =
           if !shrunk < max_repros then begin
             incr shrunk;
-            Some (Shrink.counterexample ~registry config)
+            let check = List.hd outcome.Runner.failed in
+            Some (Shrink.counterexample ~registry ~check config)
           end
           else None
         in

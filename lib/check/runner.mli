@@ -65,9 +65,12 @@ val guarded_run : Engine.t -> until:Types.time -> Obs.Report.check option
     is a failed [no_exception] check whose detail is
     ["t=<tick>: <exception>"]. Any other exception (a controller's own,
     [Stack_overflow], [Out_of_memory]) propagates. Every run of this
-    module goes through it, and so does every [dinersim] command that
-    builds and runs one engine ([dining], [extract], [vulnerability],
-    [wsn], [ctm], [agreement]). *)
+    module goes through it, and so does the one harness of the
+    [dinersim] commands that build and run one engine ([dining],
+    [extract], [vulnerability], [wsn], [ctm], [agreement]): each prints
+    the fault as [no_exception: VIOLATED: <detail>], writes its report
+    with that one check, and exits 1, as it does when any other check
+    fails. *)
 
 val extraction_checks : trusting:bool -> Core.Scenario.extraction_run -> Obs.Report.check list
 (** The verdicts of a finished reduction run, in order: Theorem 1

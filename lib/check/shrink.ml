@@ -1,7 +1,8 @@
 open Dsim
 
-(* Whether the run of [c], steered by [drive] when given, fails a check. *)
-let fails ?drive ~registry c = Runner.failed (Runner.judge (Runner.plan ?drive ~registry c)) <> []
+(* Whether the run of [c], steered by [drive] when given, fails [check]. *)
+let fails ?drive ~registry ~check c =
+  List.mem check (Runner.failed (Runner.judge (Runner.plan ?drive ~registry c)))
 
 (* Candidate configs must stay well-formed after a coarse simplification:
    shrinking the topology can orphan crash/handicap pids, and shrinking the
@@ -114,11 +115,11 @@ let candidates (c : Config.t) =
 let config_budget = 200
 let decision_budget = 150
 
-let config ~registry c0 =
+let config ~registry ~check c0 =
   let evals = ref 0 in
   let still_fails c =
     incr evals;
-    fails ~registry c
+    fails ~registry ~check c
   in
   let rec improve c =
     let rec try_cands = function
@@ -132,7 +133,7 @@ let config ~registry c0 =
   in
   improve c0
 
-let decisions ~registry (c : Config.t) =
+let decisions ~registry ~check (c : Config.t) =
   let drive, recorded = Adversary.recorder () in
   ignore (Runner.judge (Runner.plan ~drive ~registry c));
   let d = recorded () in
@@ -142,7 +143,7 @@ let decisions ~registry (c : Config.t) =
     let evals = ref 0 in
     let still_fails overrides =
       incr evals;
-      fails ~drive:(Adversary.replayer ~len ~overrides) ~registry c
+      fails ~drive:(Adversary.replayer ~len ~overrides) ~registry ~check c
     in
     let kept = Array.make len true in
     let to_overrides () =
@@ -182,8 +183,8 @@ let decisions ~registry (c : Config.t) =
     end
   end
 
-let counterexample ~registry c0 =
-  let c = config ~registry c0 in
-  let len, overrides = decisions ~registry c in
+let counterexample ~registry ~check c0 =
+  let c = config ~registry ~check c0 in
+  let len, overrides = decisions ~registry ~check c in
   let checks = Runner.judge (Runner.plan ~drive:(Adversary.replayer ~len ~overrides) ~registry c) in
   Repro.v ~config:c ~len ~overrides ~checks

@@ -115,16 +115,16 @@ let ftme_extraction ?(seed = 9L) ?(adversary = Adversary.async_uniform ())
   let engine = Engine.create ~seed ~n ~adversary () in
   extraction engine ~lemmas:false (trusting_ftme engine ~detection_delay)
 
-let vulnerability ?(seed = 43L) ?(adversary = Adversary.partial_sync ~gst:500 ()) ~mode () =
-  let n = 2 in
-  let engine = Engine.create ~seed ~n ~adversary () in
+let vulnerability engine ~mode =
+  let n = Engine.n engine in
+  if n <> 2 then invalid_arg "Scenario.vulnerability: the engine must have two processes";
   let windows = [ (0, [ { Detectors.Injected.from_ = 0; until = 300; target = 1 } ]) ] in
   let suspects = evp_suspects engine ~n ~windows in
   let dining = Reduction.Pair.wf_ewx_factory ~n ~suspects in
   match mode with
   | `Flawed_cm ->
       let cm = Reduction.Flawed_cm.create ~engine ~dining ~watcher:1 ~subject:0 () in
-      (engine, cm.Reduction.Flawed_cm.suspected)
+      cm.Reduction.Flawed_cm.suspected
   | `Our_reduction ->
       let pair = Reduction.Pair.create ~engine ~dining ~watcher:1 ~subject:0 () in
-      (engine, pair.Reduction.Pair.suspected)
+      pair.Reduction.Pair.suspected

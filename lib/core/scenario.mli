@@ -97,16 +97,12 @@ val ftme_extraction :
 (** T extraction from the perpetual-WX black box (trusting oracle
     underneath) — the Section 9 set-up. *)
 
-val vulnerability :
-  ?seed:int64 ->
-  ?adversary:Adversary.t ->
-  mode:[ `Flawed_cm | `Our_reduction ] ->
-  unit ->
-  Engine.t * (unit -> bool)
-(** The Section 3 scenario on two processes: the subject (p0, which holds
-    the edge's request token) falsely suspects the watcher (p1, which holds
-    the fork) until t = 300, enters its critical section on the
-    virtual fork during that prefix, and — as the [8] construction's
-    subject — never exits. Returns the engine and the extracted
+val vulnerability : Engine.t -> mode:[ `Flawed_cm | `Our_reduction ] -> unit -> bool
+(** The Section 3 scenario, deployed on a two-process engine: the subject
+    (p0, which holds the edge's request token) falsely suspects the
+    watcher (p1, which holds the fork) until t = 300, enters its critical
+    section on the virtual fork during that prefix, and — as the [8]
+    construction's subject — never exits. Returns the extracted
     "suspected?" output at the watcher. The flawed construction flips it
-    forever; [`Our_reduction] converges. *)
+    forever; [`Our_reduction] converges (under [partial_sync ~gst:500],
+    the set-up of [dinersim vulnerability]). *)

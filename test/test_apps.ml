@@ -12,59 +12,19 @@ let check = Alcotest.(check bool)
    clients. *)
 let ctm_run ?(seed = 51L) ?(adversary = Adversary.partial_sync ~gst:400 ()) ?(clients = 4)
     ?(compute_ticks = 6) ?(with_cm = true) ?(horizon = 10000) ?(crash = []) () =
-  let n = clients + 1 in
-  let engine = Engine.create ~seed ~n ~adversary () in
-  let store_ctx = Engine.ctx engine 0 in
-  let store_comp, store_stats = Ctm.Store.component store_ctx () in
-  Engine.register engine 0 store_comp;
-  let graph =
-    (* Clients form a clique; the store process is isolated. *)
-    Graphs.Conflict_graph.of_edges ~n
-      (List.concat_map
-         (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None)
-                     (List.init n Fun.id |> List.filter (fun x -> x > 0)))
-         (List.init n Fun.id |> List.filter (fun x -> x > 0)))
-  in
-  let stats =
-    Array.init n (fun pid ->
-        if pid = 0 then None
-        else begin
-          let ctx = Engine.ctx engine pid in
-          let cm =
-            if with_cm then begin
-              let fd, oracle =
-                Detectors.Heartbeat.component ctx ~peers:(List.init (n - 1) (fun i -> i + 1)) ()
-              in
-              Engine.register engine pid fd;
-              let comp, handle, _ =
-                Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                  ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                  ()
-              in
-              Engine.register engine pid comp;
-              Some handle
-            end
-            else None
-          in
-          let comp, st = Ctm.Client.component ctx ~store:0 ?cm ~compute_ticks () in
-          Engine.register engine pid comp;
-          Some st
-        end)
-  in
+  let engine = Engine.create ~seed ~n:(clients + 1) ~adversary () in
+  let sys = Ctm.System.setup ~engine ~with_cm ~compute_ticks () in
   List.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) crash;
   Engine.run engine ~until:horizon;
-  (engine, store_stats, stats)
+  (engine, sys.Ctm.System.store, sys.Ctm.System.clients)
 
-let total f stats =
-  Array.fold_left (fun acc -> function Some st -> acc + f st | None -> acc) 0 stats
+let total f stats = List.fold_left (fun acc (_, st) -> acc + f st) 0 stats
 
 let commits_before t stats =
-  Array.fold_left
-    (fun acc -> function
-      | Some (st : Ctm.Client.stats) ->
-          acc + List.length (List.filter (fun ct -> ct <= t) st.Ctm.Client.commit_times)
-      | None -> acc)
-    0 stats
+  total
+    (fun (st : Ctm.Client.stats) ->
+      List.length (List.filter (fun ct -> ct <= t) st.Ctm.Client.commit_times))
+    stats
 
 let test_ctm_contention_without_manager () =
   let _, store_stats, stats = ctm_run ~with_cm:false () in
@@ -88,26 +48,22 @@ let test_ctm_manager_boosts_to_waitfree () =
 
 let test_ctm_every_client_commits () =
   let _, _, stats = ctm_run ~with_cm:true ~horizon:12000 () in
-  Array.iteri
-    (fun pid -> function
-      | Some (st : Ctm.Client.stats) ->
-          check (Printf.sprintf "client %d commits" pid) true (st.Ctm.Client.commits > 5)
-      | None -> ())
+  List.iter
+    (fun (pid, (st : Ctm.Client.stats)) ->
+      check (Printf.sprintf "client %d commits" pid) true (st.Ctm.Client.commits > 5))
     stats
 
 let test_ctm_survives_client_crash () =
   (* A client dies (possibly inside its critical section); the manager's
      wait-freedom keeps the others committing. *)
   let _, _, stats = ctm_run ~with_cm:true ~horizon:12000 ~crash:[ (2, 2000) ] () in
-  Array.iteri
-    (fun pid -> function
-      | Some (st : Ctm.Client.stats) ->
-          if pid <> 2 then
-            check
-              (Printf.sprintf "client %d commits after the crash" pid)
-              true
-              (List.exists (fun t -> t > 6000) st.Ctm.Client.commit_times)
-      | None -> ())
+  List.iter
+    (fun (pid, (st : Ctm.Client.stats)) ->
+      if pid <> 2 then
+        check
+          (Printf.sprintf "client %d commits after the crash" pid)
+          true
+          (List.exists (fun t -> t > 6000) st.Ctm.Client.commit_times))
     stats
 
 let test_ctm_store_consistency () =

@@ -75,7 +75,10 @@ let test_scenario_oracle_aggregation () =
 
 let test_vulnerability_modes_disagree () =
   let run mode =
-    let engine, suspected = Core.Scenario.vulnerability ~mode () in
+    let engine =
+      Engine.create ~seed:43L ~n:2 ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
+    in
+    let suspected = Core.Scenario.vulnerability engine ~mode in
     Engine.run engine ~until:12000;
     let det = match mode with `Flawed_cm -> "flawed-cm" | `Our_reduction -> "extracted" in
     ( List.length (Trace.suspicion_flips (Engine.trace engine) ~detector:det ~owner:1 ~target:0),
