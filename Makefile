@@ -11,10 +11,11 @@
 # exit status 2; then the demos that drive dining handles from outside
 # the dining layer (vulnerability in both modes, wsn, ctm, agreement),
 # each writing a report that must parse, where the flawed vulnerability
-# run is the negative control and must exit 1; then `certify` of the wf
-# box, whose report must parse, and of the hygienic box (the negative
-# control), which must exit 1. fuzz-smoke fuzzes the dining algorithms,
-# then the reduction (the extract-* targets).
+# run is the negative control and must exit 1, as must ctm without its
+# contention manager (--no-cm), whose aborts outnumber its commits; then
+# `certify` of the wf box, whose report must parse, and of the hygienic
+# box (the negative control), which must exit 1. fuzz-smoke fuzzes the
+# dining algorithms, then the reduction (the extract-* targets).
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -72,6 +73,7 @@ smoke: build
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-wsn.json
 	dune exec bin/dinersim.exe -- ctm --report /tmp/dinersim-smoke-ctm.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-ctm.json
+	dune exec bin/dinersim.exe -- ctm --no-cm > /dev/null; test $$? -eq 1
 	dune exec bin/dinersim.exe -- agreement --report /tmp/dinersim-smoke-agreement.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-smoke-agreement.json
 	dune exec bin/dinersim.exe -- certify --box wf --report /tmp/dinersim-smoke-certify.json
@@ -80,9 +82,9 @@ smoke: build
 
 # Bounded schedule-fuzzing campaigns (fixed root seed, so the exact same
 # configs every time; -j only changes wall-clock, never the report body):
-# 200 runs over the real dining algorithms, then 100 of the reduction over
+# 200 runs over the real dining algorithms, then 200 of the reduction over
 # the wf, kfair and ftme boxes, judged by Theorems 1-2, trusting accuracy
-# for ftme, and the Lemma 1-12 checks (about 3 s at -j 1). Exits non-zero
+# for ftme, and the Lemma 1-12 checks (about 2.6 s at -j 1). Exits non-zero
 # if any run violates a check. Both dinersim-campaign/1 reports, coverage
 # blocks included, are uploaded as CI artifacts.
 fuzz-smoke: build
@@ -90,7 +92,7 @@ fuzz-smoke: build
 		-j $(J) --report /tmp/dinersim-fuzz-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke.json
 	dune exec bin/dinersim.exe -- fuzz --algos extract-wf,extract-kfair,extract-ftme \
-		--runs 100 --seed 0xF5EED --max-horizon 6000 -j $(J) \
+		--runs 200 --seed 0xF5EED --max-horizon 6000 -j $(J) \
 		--report /tmp/dinersim-fuzz-smoke-extract.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke-extract.json
 

@@ -64,7 +64,7 @@ let f1 () =
   let l12 =
     List.find
       (fun r -> r.Reduction.Lemmas.lemma = "L12")
-      (Reduction.Lemmas.trace_reports_on ~indexes ~engine ~pair)
+      (Reduction.Lemmas.trace_reports ~engine ~pair)
   in
   Printf.printf "  witness alternation (Lemma 12): %s   [%s]\n" l12.Reduction.Lemmas.info
     (Util.ok_fail (Reduction.Lemmas.ok l12))

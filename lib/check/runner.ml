@@ -91,9 +91,9 @@ let extraction_checks ~trusting (run : Core.Scenario.extraction_run) =
   let property name verdict =
     Obs.Report.of_verdict name (verdict trace ~detector:"extracted" ~n ~initially_suspected:true)
   in
-  let lemmas ((pair : Reduction.Pair.t), online) =
+  let lemmas ((pair : Reduction.Pair.t), online) posthoc =
     let bad =
-      Reduction.Lemmas.online_reports online @ Reduction.Lemmas.trace_reports ~engine ~pair
+      Reduction.Lemmas.online_reports online @ posthoc
       |> List.filter (fun r -> not (Reduction.Lemmas.ok r))
     in
     Obs.Report.check
@@ -107,7 +107,10 @@ let extraction_checks ~trusting (run : Core.Scenario.extraction_run) =
     if trusting then [ property "trusting_accuracy" Detectors.Properties.trusting_accuracy ]
     else []
   in
-  (sc :: esa :: ta) @ List.map lemmas run.Core.Scenario.onlines
+  let posthoc =
+    Reduction.Lemmas.trace_reports_all ~engine ~pairs:(List.map fst run.Core.Scenario.onlines)
+  in
+  (sc :: esa :: ta) @ List.map2 lemmas run.Core.Scenario.onlines posthoc
 
 (* What a config's algo names: a registry builder, or the reduction over
    one of Core.Scenario's boxes ([extract-<box>]). *)

@@ -1,13 +1,5 @@
 open Dsim
 
-type pair_stat = {
-  owner : Types.pid;
-  target : Types.pid;
-  flips : (Types.time * bool) list;  (** [(t, suspected?)] chronological. *)
-  final_suspected : bool;
-  false_suspicions : int;  (** Suspect events fired while the target was still live. *)
-}
-
 type verdict = {
   holds : bool;
   details : string list;
@@ -22,69 +14,76 @@ let pp_verdict fmt v =
 
 let verdict details = { holds = details = []; details }
 
-let crash_time trace pid = Types.Pidmap.find_opt pid (Trace.crash_times trace)
+let never = max_int (* crash time of a process that never crashes *)
 
-(* All ordered pairs (owner <> target) over pids [0..n-1].
-   [initially_suspected] is the detector's attitude before any logged flip
-   (the reduction's extracted detector starts suspecting; heartbeat ◇P
-   starts trusting). *)
-let pair_stats trace ~detector ~n ~initially_suspected =
-  let crash_times = Trace.crash_times trace in
-  let stats = ref [] in
-  for owner = n - 1 downto 0 do
-    for target = n - 1 downto 0 do
-      if owner <> target then begin
-        let flips = Trace.suspicion_flips trace ~detector ~owner ~target in
-        let final_suspected =
-          List.fold_left (fun _ (_, v) -> v) initially_suspected flips
-        in
-        let target_crash = Types.Pidmap.find_opt target crash_times in
-        let false_suspicions =
-          List.length
-            (List.filter
-               (fun (t, v) ->
-                 v && match target_crash with None -> true | Some tc -> t < tc)
-               flips)
-        in
-        stats := { owner; target; flips; final_suspected; false_suspicions } :: !stats
-      end
+type flips = {
+  n : int;
+  rows : (Types.time * bool) list array; (* [owner * n + target], chronological *)
+  crash : Types.time array; (* first crash per pid, [never] if none *)
+  suspected : bool array; (* per target: the object of some [Suspect], by any owner *)
+}
+
+let flips trace ~detector ~n =
+  let rows = Array.make (n * n) [] and crash = Array.make n never in
+  let suspected = Array.make n false in
+  let add owner target flip =
+    if owner >= 0 && owner < n && target >= 0 && target < n then
+      rows.((owner * n) + target) <- flip :: rows.((owner * n) + target)
+  in
+  Trace.iter trace (fun at -> function
+    | Trace.Suspect s when String.equal s.detector detector ->
+        if s.target >= 0 && s.target < n then suspected.(s.target) <- true;
+        add s.owner s.target (at, true)
+    | Trace.Trust s when String.equal s.detector detector -> add s.owner s.target (at, false)
+    | Trace.Crash { pid } when pid >= 0 && pid < n && crash.(pid) = never -> crash.(pid) <- at
+    | _ -> ());
+  { n; rows = Array.map List.rev rows; crash; suspected }
+
+let pair_flips g ~owner ~target =
+  if owner >= 0 && owner < g.n && target >= 0 && target < g.n then g.rows.((owner * g.n) + target)
+  else []
+
+let correct g pid = g.crash.(pid) = never
+
+(* Whether [target] was still live at [t]. *)
+let live_at g target t = t < g.crash.(target)
+
+(* [initially_suspected] is the detector's attitude before any logged
+   flip (the reduction's extracted detector starts suspecting; heartbeat
+   ◇P starts trusting). *)
+let final_suspected ~initially_suspected flips =
+  List.fold_left (fun _ (_, v) -> v) initially_suspected flips
+
+(* [f owner target flips] over all ordered pairs of distinct pids,
+   owner-major, both ascending; the non-empty results, concatenated. *)
+let over_pairs g f =
+  let acc = ref [] in
+  for owner = g.n - 1 downto 0 do
+    for target = g.n - 1 downto 0 do
+      if owner <> target then
+        match f owner target g.rows.((owner * g.n) + target) with
+        | [] -> ()
+        | details -> acc := details @ !acc
     done
   done;
-  !stats
-
-let correct_pids trace ~n =
-  let crashed = Trace.crash_times trace in
-  List.filter (fun p -> not (Types.Pidmap.mem p crashed)) (List.init n Fun.id)
+  !acc
 
 let strong_completeness trace ~detector ~n ~initially_suspected =
-  let correct = correct_pids trace ~n in
-  let crashed = Trace.crash_times trace in
-  let stats = pair_stats trace ~detector ~n ~initially_suspected in
-  let violations =
-    List.filter_map
-      (fun st ->
-        if List.mem st.owner correct && Types.Pidmap.mem st.target crashed
-           && not st.final_suspected
-        then
-          Some
-            (Printf.sprintf "p%d does not permanently suspect crashed p%d" st.owner st.target)
-        else None)
-      stats
-  in
-  verdict violations
+  let g = flips trace ~detector ~n in
+  verdict
+    (over_pairs g (fun owner target flips ->
+         if correct g owner && (not (correct g target))
+            && not (final_suspected ~initially_suspected flips)
+         then [ Printf.sprintf "p%d does not permanently suspect crashed p%d" owner target ]
+         else []))
 
 let eventual_strong_accuracy trace ~detector ~n ~initially_suspected =
-  let correct = correct_pids trace ~n in
-  let stats = pair_stats trace ~detector ~n ~initially_suspected in
-  let violations =
-    List.filter_map
-      (fun st ->
-        if List.mem st.owner correct && List.mem st.target correct && st.final_suspected
-        then Some (Printf.sprintf "correct p%d still suspects correct p%d" st.owner st.target)
-        else None)
-      stats
-  in
-  verdict violations
+  let g = flips trace ~detector ~n in
+  verdict
+    (over_pairs g (fun owner target flips ->
+         if correct g owner && correct g target && final_suspected ~initially_suspected flips
+         then [ Printf.sprintf "correct p%d still suspects correct p%d" owner target ]
+         else []))
 
 let eventually_perfect trace ~detector ~n ~initially_suspected =
   let c = strong_completeness trace ~detector ~n ~initially_suspected in
@@ -92,57 +91,39 @@ let eventually_perfect trace ~detector ~n ~initially_suspected =
   { holds = c.holds && a.holds; details = c.details @ a.details }
 
 let trusting_accuracy trace ~detector ~n ~initially_suspected =
-  let correct = correct_pids trace ~n in
-  let stats = pair_stats trace ~detector ~n ~initially_suspected in
-  let violations =
-    List.concat_map
-      (fun st ->
-        if not (List.mem st.owner correct) then []
-        else begin
-          let target_crash = crash_time trace st.target in
-          (* (b) no trust revocation of a live process *)
-          let rec scan trusted_before acc = function
-            | [] -> acc
-            | (t, v) :: rest ->
-                let acc =
-                  if v && trusted_before
-                     && (match target_crash with None -> true | Some tc -> t < tc)
-                  then
-                    Printf.sprintf "p%d revoked trust in live p%d at t=%d" st.owner st.target t
-                    :: acc
-                  else acc
-                in
-                scan (not v) acc rest
-          in
-          let revocations = scan (not initially_suspected) [] st.flips in
-          (* (a) correct targets end trusted *)
-          let untrusted =
-            if List.mem st.target correct && st.final_suspected then
-              [ Printf.sprintf "p%d never converged to trusting correct p%d" st.owner st.target ]
-            else []
-          in
-          revocations @ untrusted
-        end)
-      stats
-  in
-  verdict violations
+  let g = flips trace ~detector ~n in
+  verdict
+    (over_pairs g (fun owner target flips ->
+         if not (correct g owner) then []
+         else begin
+           (* (b) no trust revocation of a live process, newest first *)
+           let rec scan trusted_before acc = function
+             | [] -> acc
+             | (t, v) :: rest ->
+                 let acc =
+                   if v && trusted_before && live_at g target t then
+                     Printf.sprintf "p%d revoked trust in live p%d at t=%d" owner target t :: acc
+                   else acc
+                 in
+                 scan (not v) acc rest
+           in
+           let revocations = scan (not initially_suspected) [] flips in
+           (* (a) correct targets end trusted *)
+           if correct g target && final_suspected ~initially_suspected flips then
+             revocations
+             @ [ Printf.sprintf "p%d never converged to trusting correct p%d" owner target ]
+           else revocations
+         end))
 
 let perpetual_weak_accuracy trace ~detector ~n =
-  let correct = correct_pids trace ~n in
-  let never_suspected target =
-    Trace.filter trace (fun e ->
-        match e.Trace.ev with
-        | Trace.Suspect s -> String.equal s.detector detector && s.target = target
-        | _ -> false)
-    = []
-  in
-  if List.exists never_suspected correct then verdict []
+  let g = flips trace ~detector ~n in
+  if List.exists (fun p -> correct g p && not g.suspected.(p)) (List.init n Fun.id) then
+    verdict []
   else verdict [ "every correct process was suspected at least once" ]
 
 let detection_time trace ~detector ~owner ~target ~initially_suspected =
   let flips = Trace.suspicion_flips trace ~detector ~owner ~target in
-  let final = List.fold_left (fun _ (_, v) -> v) initially_suspected flips in
-  if not final then None
+  if not (final_suspected ~initially_suspected flips) then None
   else
     let rec last_true_onset acc = function
       | [] -> acc
@@ -153,31 +134,31 @@ let detection_time trace ~detector ~owner ~target ~initially_suspected =
     | Some t -> Some t
     | None -> Some 0 (* initially suspected, never flipped *)
 
+(* Both a wrongful suspicion and its later revocation count as "the
+   detector had not yet converged". *)
 let accuracy_convergence_time trace ~detector ~n =
-  let crash_times = Trace.crash_times trace in
-  let correct = correct_pids trace ~n in
+  let g = flips trace ~detector ~n in
   let latest = ref 0 in
-  List.iter
-    (fun owner ->
-      List.iter
-        (fun target ->
-          if owner <> target then
-            let flips = Trace.suspicion_flips trace ~detector ~owner ~target in
-            List.iter
-              (fun (t, v) ->
-                let target_live_at t =
-                  match Types.Pidmap.find_opt target crash_times with
-                  | None -> true
-                  | Some tc -> t < tc
-                in
-                (* Both the wrongful suspicion and its later revocation count
-                   as "the detector had not yet converged". *)
-                if target_live_at t && (v || t > !latest) then latest := max !latest t)
-              flips)
-        (List.init n Fun.id))
-    correct;
+  for owner = 0 to n - 1 do
+    if correct g owner then
+      for target = 0 to n - 1 do
+        if owner <> target then
+          List.iter
+            (fun (t, _) -> if live_at g target t && t > !latest then latest := t)
+            g.rows.((owner * n) + target)
+      done
+  done;
   !latest
 
 let total_false_suspicions trace ~detector ~n =
-  pair_stats trace ~detector ~n ~initially_suspected:false
-  |> List.fold_left (fun acc st -> acc + st.false_suspicions) 0
+  let g = flips trace ~detector ~n in
+  let total = ref 0 in
+  for owner = 0 to n - 1 do
+    for target = 0 to n - 1 do
+      if owner <> target then
+        List.iter
+          (fun (t, v) -> if v && live_at g target t then incr total)
+          g.rows.((owner * n) + target)
+    done
+  done;
+  !total

@@ -14,7 +14,13 @@
     property: checkers therefore test the property {e at the horizon} (e.g.
     "the last flip on a correct pair happened, and it was a Trust"), and
     additionally report convergence statistics so that experiments can show
-    the times are stable well before the horizon. *)
+    the times are stable well before the horizon.
+
+    Every checker over all pairs reads the detector's {!flips}, built in
+    one pass over the trace, so it costs O(E + n{^ 2}) for a trace of E
+    events; {!detection_time} asks about one pair and reads
+    {!Dsim.Trace.suspicion_flips}. Only pids in [\[0, n)] are owners,
+    targets and correct processes. *)
 
 type verdict = {
   holds : bool;
@@ -22,6 +28,19 @@ type verdict = {
 }
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+type flips
+(** One detector's suspicion flips grouped by owner and target, and each
+    process's first crash, over the pids of [\[0, n)]. *)
+
+val flips : Dsim.Trace.t -> detector:string -> n:int -> flips
+(** One pass over the trace. Flips whose owner or target lies outside
+    [\[0, n)] are dropped, and so are crashes of such pids. *)
+
+val pair_flips :
+  flips -> owner:Dsim.Types.pid -> target:Dsim.Types.pid -> (Dsim.Types.time * bool) list
+(** {!Dsim.Trace.suspicion_flips} of the pair, chronological; [[]] for a
+    pid outside [\[0, n)]. *)
 
 val strong_completeness :
   Dsim.Trace.t -> detector:string -> n:int -> initially_suspected:bool -> verdict
@@ -42,7 +61,8 @@ val trusting_accuracy :
 val perpetual_weak_accuracy :
   Dsim.Trace.t -> detector:string -> n:int -> verdict
 (** S's accuracy: some correct process is never suspected by any process
-    (checked as: a correct pid exists with zero Suspect events against it). *)
+    (checked as: a correct pid exists with zero Suspect events against it,
+    from any owner, in [\[0, n)] or not). *)
 
 val detection_time :
   Dsim.Trace.t -> detector:string -> owner:Dsim.Types.pid -> target:Dsim.Types.pid ->

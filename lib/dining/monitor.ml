@@ -6,6 +6,8 @@ type violation = {
   q : Types.pid;
 }
 
+let is_segment ~(since : Types.time) ~at = at > since
+
 module Index = struct
   (* One instance's transitions regrouped by diner.
 
@@ -88,10 +90,9 @@ module Index = struct
   let crashed ix pid = crash_time ix pid <> never
 
   (* A cursor over diner [pid]'s phase history: after [next] returns
-     true, [a, b) is the next segment and [ph] its phase. A transition at
-     [t] ends the current segment when [t] is past its start, and the
-     last segment runs to the horizon when it starts before it. The
-     diner holds [initial] from tick 0 to its first transition. *)
+     true, [a, b) is the next segment and [ph] its phase, by
+     [is_segment]. The diner holds [initial] from tick 0 to its first
+     transition. *)
   type segments = {
     ix : t;
     horizon : Types.time;
@@ -124,7 +125,7 @@ module Index = struct
       s.k <- s.k + 1;
       s.phase <- x land 3;
       s.since <- x asr 2;
-      if s.since > start then begin
+      if is_segment ~since:start ~at:s.since then begin
         s.a <- start;
         s.b <- s.since;
         s.ph <- ph;
@@ -132,7 +133,7 @@ module Index = struct
       end
       else next s
     end
-    else if s.k = s.stop && s.since < s.horizon then begin
+    else if s.k = s.stop && is_segment ~since:s.since ~at:s.horizon then begin
       s.k <- s.stop + 1;
       s.a <- s.since;
       s.b <- s.horizon;

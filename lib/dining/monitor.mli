@@ -17,13 +17,24 @@
     Every check reads one {e phase index} of the instance ({!Index}): its
     transitions regrouped by diner into flat int rows, plus each diner's
     first crash, built in two linear passes over the trace. The index is
-    the one phase history of a run: the checks here, the lemma checks of
-    [Reduction.Lemmas], the span view of [Obs.Span] and the WSN coverage
-    series all read it, so a caller builds it once per instance and runs
-    every check on it. Each check is linear in the trace (◇WX adds a sort
-    of the violations it reports). Diners are non-negative pids, and each
-    diner's transitions must be appended in time order, as the engine
-    appends them ([Invalid_argument] otherwise). *)
+    the one phase history of a run: the checks here, the span view of
+    [Obs.Span] and the WSN coverage series all read it, so a caller
+    builds it once per instance and runs every check on it; the lemma
+    fold of [Reduction.Lemmas], which reads every pair instance in one
+    pass, cuts its segments by the same rule, {!is_segment}. Each check
+    is linear in the trace (◇WX adds a sort of the violations it
+    reports). Diners are non-negative pids, and each diner's transitions
+    must be appended in time order, as the engine appends them
+    ([Invalid_argument] otherwise). *)
+
+val is_segment : since:Dsim.Types.time -> at:Dsim.Types.time -> bool
+(** The one segment rule of a diner's phase history, which {!Index}'s
+    segments and the lemma fold of [Reduction.Lemmas] both follow. A
+    diner stays in the phase it enters at [since] until its next
+    transition, at [at]; that stay is the segment [\[since, at)] when
+    [at] is past [since], so a stay entered and left within one tick has
+    no segment. The last stay runs to the horizon, as [\[since,
+    horizon)], when [is_segment ~since ~at:horizon]. *)
 
 type violation = {
   at : Dsim.Types.time;  (** Instant both neighbors were eating and live. *)
@@ -43,11 +54,9 @@ module Index : sig
     t -> pid:Dsim.Types.pid -> horizon:Dsim.Types.time ->
     (Dsim.Types.time -> Dsim.Types.time -> Dsim.Types.phase -> unit) -> unit
   (** [f a b phase] for each piecewise-constant stay [\[a, b)] of the
-      diner, in time order. Diners start [Thinking] at 0; a transition at
-      [t] ends the current segment when [t] is past its start (a stay
-      entered and left within one tick has no segment); the last segment
-      runs to [horizon] when it starts before it. Transitions at or past
-      [horizon] still close their segments. *)
+      diner, in time order, cut by {!is_segment}. Diners start
+      [Thinking] at 0. Transitions at or past [horizon] still close their
+      segments. *)
 
   val iter_spans :
     t -> horizon:Dsim.Types.time ->

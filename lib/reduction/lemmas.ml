@@ -147,154 +147,254 @@ let online_reports o =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Post-hoc schedule lemmas *)
+(* Post-hoc schedule lemmas: one fold over the trace *)
 
-(* The subject's red-ping and red-ack times in each instance, in trace
-   (hence time) order: slot [2 * i] holds instance [i]'s pings and slot
-   [2 * i + 1] its acks. One pass counts them and a second fills the
-   arrays. *)
-let subject_notes trace (pair : Pair.t) =
-  let tags = pair.Pair.subject_threads.Subject.note_info in
-  let slot = function
-    | Trace.Note n when n.pid = pair.Pair.subject ->
-        let kind = match n.label with "red-ping" -> 0 | "red-ack" -> 1 | _ -> -1 in
-        if kind < 0 then -1
-        else if String.equal n.info tags.(0) then kind
-        else if String.equal n.info tags.(1) then 2 + kind
-        else -1
-    | _ -> -1
-  in
-  let counts = Array.make 4 0 in
-  Trace.iter trace (fun _ ev ->
-      let k = slot ev in
-      if k >= 0 then counts.(k) <- counts.(k) + 1);
-  let times = Array.map (fun c -> Array.make c 0) counts in
-  Array.fill counts 0 4 0;
-  Trace.iter trace (fun at ev ->
-      let k = slot ev in
-      if k >= 0 then begin
-        times.(k).(counts.(k)) <- at;
-        counts.(k) <- counts.(k) + 1
-      end);
-  times
+(* What the fold keeps of one DX instance of a pair. Lemmas 5 and 12
+   count events in windows between ticks, and the events of one tick may
+   come in any order, so each count is kept in two parts: [_before], at
+   ticks before the pair's current tick, and [_now], at it. A window that
+   needs a count through a tick (acks in (a, b], the other witness's eats
+   through a) is settled once the pair's events move past that tick, or
+   at the end of the trace. *)
+type dx = {
+  (* The subject's stay: its phase, the tick it began, the pings before
+     that tick and, once the pair moved past it, the acks through it. *)
+  mutable phase : Types.phase;
+  mutable since : Types.time;
+  mutable pings_open : int;
+  mutable acks_open : int;
+  (* A completed eating session [session_a, session_b) waiting for the
+     acks of tick [session_b] ([-1]: none), with its pings and the acks
+     through its start. *)
+  mutable session_a : Types.time;
+  mutable session_b : Types.time;
+  mutable session_pings : int;
+  mutable session_acks : int;
+  mutable pings_before : int;
+  mutable pings_now : int;
+  mutable acks_before : int;
+  mutable acks_now : int;
+  mutable subject_eats : int;
+  (* The witness's eats, its last eating start ([-1]: none) and, once
+     the pair moved past that start, the other witness's eats through it. *)
+  mutable eats_before : int;
+  mutable eats_now : int;
+  mutable last_start : Types.time;
+  mutable other_through : int;
+  (* Violations, newest first. *)
+  mutable l1 : string list;
+  mutable l5 : string list;
+  mutable l6 : string list;
+  mutable l12 : string list;
+}
 
-(* One pass over a sorted array of times, counting those inside a series
-   of windows: [before c x] and [through c x] skip the times < x (resp.
-   <= x) and return how many have been skipped so far, so a window's
-   count is the difference of two reads at its ends. Reads must not move
-   back in time, which holds for windows taken in time order that do not
-   overlap (Lemma 5's sessions) or only touch (Lemma 12's gaps between
-   eats); a sweep is then O(times + windows) instead of a filter per
-   window. *)
-type sweep = { times : int array; mutable passed : int }
+type fold = {
+  pair : Pair.t;
+  horizon : Types.time;
+  slack : Types.time;
+  both_correct : bool;
+  watcher_correct : bool;
+  mutable tick : Types.time; (* of the pair's latest event *)
+  dx : dx array;
+}
 
-let sweep times = { times; passed = 0 }
+let fresh_dx () =
+  {
+    phase = Types.Thinking;
+    since = 0;
+    pings_open = 0;
+    acks_open = 0;
+    session_a = 0;
+    session_b = -1;
+    session_pings = 0;
+    session_acks = 0;
+    pings_before = 0;
+    pings_now = 0;
+    acks_before = 0;
+    acks_now = 0;
+    subject_eats = 0;
+    eats_before = 0;
+    eats_now = 0;
+    last_start = -1;
+    other_through = 0;
+    l1 = [];
+    l5 = [];
+    l6 = [];
+    l12 = [];
+  }
 
-let before c x =
-  while c.passed < Array.length c.times && c.times.(c.passed) < x do
-    c.passed <- c.passed + 1
-  done;
-  c.passed
+(* Lemma 5 on the waiting session of [s_i], [acks] being the acks through
+   its end: one ping in [a, b) and one ack in (a, b]. *)
+let settle_session i x ~acks =
+  if x.session_b >= 0 then begin
+    let a = x.session_a and b = x.session_b in
+    if x.session_pings <> 1 then
+      x.l5 <- Printf.sprintf "s_%d session [%d,%d): %d pings" i a b x.session_pings :: x.l5;
+    let na = acks - x.session_acks in
+    if na <> 1 then x.l5 <- Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: x.l5;
+    x.session_b <- -1
+  end
 
-(* Times are ints, so [t <= x] is [t < x + 1]. *)
-let through c x = before c (x + 1)
-
-let trace_reports_on ~indexes:ix ~engine ~pair =
-  let trace = Engine.trace engine in
-  let horizon = Engine.now engine in
-  let slack = max 1000 (horizon / 5) in
-  let both_correct =
-    Engine.is_live engine pair.Pair.watcher && Engine.is_live engine pair.Pair.subject
-  in
-  let watcher_correct = Engine.is_live engine pair.Pair.watcher in
-  (* Lemma 5: one ping and one ack per completed subject eating session. *)
-  let l5_violations = ref [] in
-  if both_correct then begin
-    let notes = subject_notes trace pair in
+(* The pair's events reach tick [at]: when that is past the current tick,
+   settle what waited for the end of it, then count from [at]. *)
+let advance f ~at =
+  if at < f.tick then invalid_arg "Reduction.Lemmas: a pair's events go back in time";
+  if at > f.tick then begin
+    let t = f.tick and x0 = f.dx.(0) and x1 = f.dx.(1) in
+    if x0.last_start = t then x0.other_through <- x1.eats_before + x1.eats_now;
+    if x1.last_start = t then x1.other_through <- x0.eats_before + x0.eats_now;
     for i = 0 to 1 do
-      let pings = sweep notes.(2 * i) and acks = sweep notes.((2 * i) + 1) in
-      Dining.Monitor.Index.iter_segments ix.(i) ~pid:pair.Pair.subject ~horizon (fun a b ph ->
-          if Types.phase_equal ph Types.Eating && b < horizon - slack then begin
-            (* pings in [a, b), acks in (a, b] *)
-            let np0 = before pings a in
-            let np = before pings b - np0 in
-            let na0 = through acks a in
-            let na = through acks b - na0 in
-            if np <> 1 then
-              l5_violations :=
-                Printf.sprintf "s_%d session [%d,%d): %d pings" i a b np :: !l5_violations;
-            if na <> 1 then
-              l5_violations :=
-                Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations
-          end)
-    done
+      let x = f.dx.(i) in
+      let acks = x.acks_before + x.acks_now in
+      settle_session i x ~acks;
+      if x.since = t then x.acks_open <- acks;
+      x.pings_before <- x.pings_before + x.pings_now;
+      x.pings_now <- 0;
+      x.acks_before <- acks;
+      x.acks_now <- 0;
+      x.eats_before <- x.eats_before + x.eats_now;
+      x.eats_now <- 0
+    done;
+    f.tick <- at
+  end
+
+(* The subject's stay in DX_i ends at [b] as the segment [since, b):
+   Lemma 5's session when it is a completed eating one, Lemma 1's or 6's
+   violation when it reaches the horizon from before [horizon - slack].
+   All three are judged only when both processes are correct. *)
+let segment f i x ~b =
+  let a = x.since and h = f.horizon - f.slack in
+  if f.both_correct then
+    match x.phase with
+    | Types.Eating when b < h ->
+        x.session_a <- a;
+        x.session_b <- b;
+        x.session_pings <- x.pings_before - x.pings_open;
+        x.session_acks <- x.acks_open
+    | Types.Eating when b >= f.horizon && a < h ->
+        x.l6 <- Printf.sprintf "s_%d eating since t=%d never exits" i a :: x.l6
+    | Types.Hungry when b >= f.horizon && a < h ->
+        x.l1 <- Printf.sprintf "s_%d hungry since t=%d unserved" i a :: x.l1
+    | _ -> ()
+
+let subject_moves f i ~at to_ =
+  let x = f.dx.(i) in
+  if Dining.Monitor.is_segment ~since:x.since ~at then segment f i x ~b:at;
+  x.phase <- to_;
+  x.since <- at;
+  x.pings_open <- x.pings_before;
+  match to_ with Types.Eating -> x.subject_eats <- x.subject_eats + 1 | _ -> ()
+
+(* Lemma 12 at an eating start of w_i at [at]: w_{1-i} ate once in
+   (a, at), [a] being w_i's previous start. *)
+let witness_eats f i ~at =
+  let x = f.dx.(i) and other = f.dx.(1 - i) in
+  if f.watcher_correct && x.last_start >= 0 then begin
+    let a = x.last_start in
+    let c = if at > a then other.eats_before - x.other_through else 0 in
+    if c <> 1 then
+      x.l12 <-
+        Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a at c (1 - i) :: x.l12
   end;
-  (* Lemmas 7 and 11: threads eat repeatedly. *)
-  let counts pid = List.map (fun i -> Dining.Monitor.Index.eat_count ix.(i) ~pid) [ 0; 1 ] in
-  let s_counts = counts pair.Pair.subject and w_counts = counts pair.Pair.watcher in
-  let show counts = String.concat "/" (List.map string_of_int counts) in
+  x.last_start <- at;
+  x.eats_now <- x.eats_now + 1
+
+let finish f =
+  for i = 0 to 1 do
+    let x = f.dx.(i) in
+    settle_session i x ~acks:(x.acks_before + x.acks_now);
+    if Dining.Monitor.is_segment ~since:x.since ~at:f.horizon then segment f i x ~b:f.horizon
+  done;
+  let x0 = f.dx.(0) and x1 = f.dx.(1) in
+  let both l = List.rev_append (l x0) (List.rev (l x1)) in
+  let s0 = x0.subject_eats and s1 = x1.subject_eats in
+  let w0 = x0.eats_before + x0.eats_now and w1 = x1.eats_before + x1.eats_now in
   let l7 =
     {
       lemma = "L7";
       violations =
-        (if both_correct && List.exists (fun c -> c < 2) s_counts then
-           [ Printf.sprintf "subjects ate only %s times" (show s_counts) ]
+        (if f.both_correct && (s0 < 2 || s1 < 2) then
+           [ Printf.sprintf "subjects ate only %d/%d times" s0 s1 ]
          else []);
-      info = Printf.sprintf "subject eats: %s" (show s_counts);
+      info = Printf.sprintf "subject eats: %d/%d" s0 s1;
     }
   in
   let l11 =
     {
       lemma = "L11";
       violations =
-        (if watcher_correct && List.exists (fun c -> c < 2) w_counts then
-           [ Printf.sprintf "witnesses ate only %s times" (show w_counts) ]
+        (if f.watcher_correct && (w0 < 2 || w1 < 2) then
+           [ Printf.sprintf "witnesses ate only %d/%d times" w0 w1 ]
          else []);
-      info = Printf.sprintf "witness eats: %s" (show w_counts);
+      info = Printf.sprintf "witness eats: %d/%d" w0 w1;
     }
   in
-  (* Lemma 12: between consecutive eats of w_i, w_{1-i} eats exactly once. *)
-  let l12_violations = ref [] in
-  if watcher_correct then
-    for i = 0 to 1 do
-      let starts = Dining.Monitor.Index.eating_starts ix.(i) ~pid:pair.Pair.watcher in
-      let others = sweep (Dining.Monitor.Index.eating_starts ix.(1 - i) ~pid:pair.Pair.watcher) in
-      for k = 1 to Array.length starts - 1 do
-        let a = starts.(k - 1) and b = starts.(k) in
-        (* w_{1-i} eats in (a, b) *)
-        let c0 = through others a in
-        let c = before others b - c0 in
-        if c <> 1 then
-          l12_violations :=
-            Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)
-            :: !l12_violations
-      done
-    done;
-  (* Lemma 1 (wait-freedom of the subjects) and Lemma 6 (finite eating),
-     judged only when both processes are correct. *)
-  let l1_violations = ref [] in
-  let l6_violations = ref [] in
-  if both_correct then
-    for i = 0 to 1 do
-      Dining.Monitor.Index.iter_segments ix.(i) ~pid:pair.Pair.subject ~horizon (fun a b ph ->
-          if Types.phase_equal ph Types.Hungry && b >= horizon && a < horizon - slack then
-            l1_violations := Printf.sprintf "s_%d hungry since t=%d unserved" i a :: !l1_violations;
-          if Types.phase_equal ph Types.Eating && b >= horizon && a < horizon - slack then
-            l6_violations := Printf.sprintf "s_%d eating since t=%d never exits" i a :: !l6_violations)
-    done;
   [
-    { lemma = "L1"; violations = List.rev !l1_violations; info = "hungry subjects eat" };
-    { lemma = "L5"; violations = List.rev !l5_violations; info = "one ping/ack per session" };
-    { lemma = "L6"; violations = List.rev !l6_violations; info = "finite subject eating" };
+    { lemma = "L1"; violations = both (fun x -> x.l1); info = "hungry subjects eat" };
+    { lemma = "L5"; violations = both (fun x -> x.l5); info = "one ping/ack per session" };
+    { lemma = "L6"; violations = both (fun x -> x.l6); info = "finite subject eating" };
     l7;
     l11;
-    { lemma = "L12"; violations = List.rev !l12_violations; info = "witness alternation" };
+    { lemma = "L12"; violations = both (fun x -> x.l12); info = "witness alternation" };
   ]
 
-let trace_reports ~engine ~pair =
-  let indexes =
-    Array.map
-      (fun instance -> Dining.Monitor.Index.build (Engine.trace engine) ~instance)
-      pair.Pair.dx_instances
+let trace_reports_all ~engine ~pairs =
+  let horizon = Engine.now engine in
+  let slack = max 1000 (horizon / 5) in
+  let folds =
+    List.map
+      (fun (pair : Pair.t) ->
+        {
+          pair;
+          horizon;
+          slack;
+          both_correct = Engine.is_live engine pair.watcher && Engine.is_live engine pair.subject;
+          watcher_correct = Engine.is_live engine pair.watcher;
+          tick = 0;
+          dx = [| fresh_dx (); fresh_dx () |];
+        })
+      pairs
   in
-  trace_reports_on ~indexes ~engine ~pair
+  (* Each pair instance by its name and by the info of its subject's notes. *)
+  let instances = Hashtbl.create (4 * List.length pairs) in
+  let notes = Hashtbl.create (4 * List.length pairs) in
+  let add names key v =
+    if Hashtbl.mem names key then invalid_arg "Reduction.Lemmas: two pairs share an instance";
+    Hashtbl.add names key v
+  in
+  List.iter
+    (fun f ->
+      for i = 0 to 1 do
+        add instances f.pair.Pair.dx_instances.(i) (f, i);
+        add notes f.pair.Pair.subject_threads.Subject.note_info.(i) (f, i)
+      done)
+    folds;
+  Trace.iter (Engine.trace engine) (fun at ev ->
+      match ev with
+      | Trace.Transition { instance; pid; to_; _ } -> (
+          match Hashtbl.find instances instance with
+          | f, i ->
+              if pid = f.pair.Pair.subject then begin
+                advance f ~at;
+                subject_moves f i ~at to_
+              end
+              else if pid = f.pair.Pair.watcher then begin
+                advance f ~at;
+                match to_ with Types.Eating -> witness_eats f i ~at | _ -> ()
+              end
+          | exception Not_found -> ())
+      | Trace.Note { pid; label; info } ->
+          let ping = String.equal label "red-ping" in
+          if ping || String.equal label "red-ack" then begin
+            match Hashtbl.find notes info with
+            | f, i when pid = f.pair.Pair.subject ->
+                advance f ~at;
+                let x = f.dx.(i) in
+                if ping then x.pings_now <- x.pings_now + 1 else x.acks_now <- x.acks_now + 1
+            | _ -> ()
+            | exception Not_found -> ()
+          end
+      | _ -> ());
+  List.map finish folds
+
+let trace_reports ~engine ~pair = List.hd (trace_reports_all ~engine ~pairs:[ pair ])

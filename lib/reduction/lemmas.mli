@@ -55,17 +55,23 @@ val online_reports : online -> report list
 val trace_reports : engine:Dsim.Engine.t -> pair:Pair.t -> report list
 (** Post-hoc schedule lemmas (5, 7, 11, 12) plus liveness of the subjects'
     hungry phases (Lemma 1) and finiteness of their eating sessions
-    (Lemma 6). Sessions still open near the horizon are ignored.
+    (Lemma 6), reported as L1, L5, L6, L7, L11 and L12. Sessions still
+    open near the horizon are ignored. This is {!trace_reports_all} over
+    [[pair]]. *)
 
-    Cost: one {!Dining.Monitor.Index} per dining instance of the pair
-    (two linear passes over the trace each) and two passes for Lemma 5's
-    notes, matched against the subject's {!Subject.t.note_info}; every
-    lemma then reads segments, eating starts and meal counts off the two
-    indexes. Lemmas 5 and 12 count notes and eats per window in one sweep
-    over each sorted time array, so the whole check is linear in the
-    trace. *)
+val trace_reports_all : engine:Dsim.Engine.t -> pairs:Pair.t list -> report list list
+(** {!trace_reports} of each pair, in order, from one fold over the trace.
 
-val trace_reports_on :
-  indexes:Dining.Monitor.Index.t array -> engine:Dsim.Engine.t -> pair:Pair.t -> report list
-(** {!trace_reports} on indexes of [pair.dx_instances] (in that order)
-    that the caller has already built from the engine's trace. *)
+    Cost: one pass over the trace and O(1) state per pair instance, so
+    O(E + pairs) for a trace of E events and no array per event. A
+    table from each pair's DX instance names and note infos
+    ({!Subject.t.note_info}) leads each transition or note to its
+    instance in one lookup. The fold keeps the subject's open stay,
+    which it closes into segments by {!Dining.Monitor.is_segment}, the
+    note and eat counts of Lemmas 5 and 12, and the witness's last
+    eating start. Their windows (pings in [\[a, b)], acks in
+    [(a, b\]], the other witness's eats in [(a, b)]) are settled by
+    tick, not by trace position, so the events of one tick may come in
+    any order. A pair's events must come in tick order, as the engine
+    appends them; the fold raises [Invalid_argument] on one that goes
+    back in time, and on two pairs that share an instance. *)

@@ -2,9 +2,9 @@
    were first written: every lemma filters the whole trace through the
    per-diner queries of trace_reference.ml, and Lemmas 5 and 12 run a
    [List.filter] over a whole list for every window, so
-   O(sessions x events). Kept as the oracle for the checks that read one
-   phase index per dining instance and sweep each time array once;
-   test_reduction.ml demands identical reports from both. *)
+   O(sessions x events). Kept as the oracle for the fold that reads the
+   trace once for every pair; test_reduction.ml demands identical reports
+   from both. *)
 
 open Dsim
 

@@ -119,6 +119,27 @@ let test_extraction () =
   if words >= 1.65 then
     Alcotest.failf "extraction: %.3f words per process-tick (bound 1.65)" words
 
+(* The post-hoc lemma reports of every pair of an n = 3 extraction read
+   the trace in one fold with O(1) state per pair instance, so their
+   words do not grow with the trace: at horizon 20,000 they take what
+   they take at 10,000, give or take a report's digits. Building two
+   phase indexes and two note arrays per pair, as the checks did
+   before the fold, took 22k words more at 20,000. *)
+let test_lemma_fold () =
+  let run = Core.Scenario.wf_extraction ~n:3 () in
+  let engine = run.Core.Scenario.engine in
+  let pairs = List.map fst run.Core.Scenario.onlines in
+  let words_at horizon =
+    Engine.run engine ~until:horizon;
+    Alloc_probe.words_of (fun () ->
+        ignore (Sys.opaque_identity (Reduction.Lemmas.trace_reports_all ~engine ~pairs)))
+  in
+  let short = words_at 10_000 in
+  let long = words_at 20_000 in
+  if long -. short > 16.0 then
+    Alcotest.failf "lemma fold: %.0f words at 20,000 against %.0f at 10,000 (bound +16)" long
+      short
+
 (* Steady-state words per message sent, over runs of [ticks] and
    [2 * ticks] ticks after [ticks] warm-up ticks, as [per_proc_tick]. *)
 let per_message ~ticks engine =
@@ -405,6 +426,8 @@ let () =
           Alcotest.test_case "a retained append costs under 2.3 words" `Quick
             test_retained_append;
           Alcotest.test_case "extraction under 1.65 words/process-tick" `Quick test_extraction;
+          Alcotest.test_case "the post-hoc lemma fold allocates nothing per event" `Quick
+            test_lemma_fold;
         ] );
       ( "mc",
         [

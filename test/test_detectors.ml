@@ -161,6 +161,85 @@ let test_perpetual_weak_accuracy_violation_detected () =
   let v = Detectors.Properties.perpetual_weak_accuracy tr ~detector:"d" ~n:2 in
   check "violation caught" false v.Detectors.Properties.holds
 
+(* Random traces of two detectors, each owner's flips on each target
+   out of order with the others, crashes (some repeated) and pids
+   outside [0, n) as owners, targets and crashed processes: every
+   checker reads one grouping of the flips, and must give the verdicts,
+   details in order, and times of the per-pair filters of
+   properties_reference.ml. *)
+let test_properties_match_reference () =
+  let module P = Detectors.Properties in
+  let module R = Properties_reference in
+  let violations = ref 0 in
+  for case = 0 to 59 do
+    let rng = Prng.create (Int64.of_int (7300 + case)) in
+    let n = Prng.int_in rng ~lo:2 ~hi:5 in
+    let tr = Trace.create () in
+    (* Mostly in-range pids, with [-1] and [n] now and then. *)
+    let pid () =
+      if Prng.chance rng ~p:0.1 then Prng.pick rng [| -1; n |] else Prng.int rng ~bound:n
+    in
+    for at = 0 to Prng.int_in rng ~lo:20 ~hi:400 do
+      if Prng.chance rng ~p:0.6 then begin
+        let detector = if Prng.bool rng then "d" else "e" and owner = pid () and target = pid () in
+        Trace.append tr ~at
+          (if Prng.bool rng then Trace.Suspect { detector; owner; target }
+           else Trace.Trust { detector; owner; target })
+      end;
+      if Prng.chance rng ~p:0.01 then Trace.append tr ~at (Trace.Crash { pid = pid () });
+      if Prng.chance rng ~p:0.05 then
+        Trace.append tr ~at (Trace.Note { pid = pid (); label = "l"; info = "x" })
+    done;
+    let label name = Printf.sprintf "case %d (n=%d) %s" case n name in
+    let same name (want : R.verdict) (got : P.verdict) =
+      if not got.P.holds then incr violations;
+      Alcotest.(check (pair bool (list string)))
+        (label name) (want.R.holds, want.R.details) (got.P.holds, got.P.details)
+    in
+    List.iter
+      (fun detector ->
+        let grouped = P.flips tr ~detector ~n in
+        for owner = 0 to n - 1 do
+          for target = 0 to n - 1 do
+            Alcotest.(check (list (pair int bool)))
+              (label (Printf.sprintf "%s flips p%d about p%d" detector owner target))
+              (Trace_reference.suspicion_flips tr ~detector ~owner ~target)
+              (P.pair_flips grouped ~owner ~target)
+          done
+        done;
+        List.iter
+          (fun initially_suspected ->
+            let name check =
+              Printf.sprintf "%s %s initially %b" detector check initially_suspected
+            in
+            same (name "completeness")
+              (R.strong_completeness tr ~detector ~n ~initially_suspected)
+              (P.strong_completeness tr ~detector ~n ~initially_suspected);
+            same (name "accuracy")
+              (R.eventual_strong_accuracy tr ~detector ~n ~initially_suspected)
+              (P.eventual_strong_accuracy tr ~detector ~n ~initially_suspected);
+            same (name "◇P")
+              (R.eventually_perfect tr ~detector ~n ~initially_suspected)
+              (P.eventually_perfect tr ~detector ~n ~initially_suspected);
+            same (name "trusting accuracy")
+              (R.trusting_accuracy tr ~detector ~n ~initially_suspected)
+              (P.trusting_accuracy tr ~detector ~n ~initially_suspected))
+          [ true; false ];
+        same (detector ^ " weak accuracy")
+          (R.perpetual_weak_accuracy tr ~detector ~n)
+          (P.perpetual_weak_accuracy tr ~detector ~n);
+        Alcotest.(check int)
+          (label (detector ^ " convergence time"))
+          (R.accuracy_convergence_time tr ~detector ~n)
+          (P.accuracy_convergence_time tr ~detector ~n);
+        Alcotest.(check int)
+          (label (detector ^ " false suspicions"))
+          (R.total_false_suspicions tr ~detector ~n)
+          (P.total_false_suspicions tr ~detector ~n))
+      [ "d"; "e" ]
+  done;
+  check "random traces violate the checkers" true (!violations > 300)
+
 (* ------------------------------------------------------------------ *)
 (* Ping-pong ◇P and differential testing against heartbeat *)
 
@@ -347,5 +426,7 @@ let () =
           Alcotest.test_case "detection time" `Quick test_properties_detection_time;
           Alcotest.test_case "perpetual weak accuracy violation" `Quick
             test_perpetual_weak_accuracy_violation_detected;
+          Alcotest.test_case "checkers match the per-pair reference on random traces" `Quick
+            test_properties_match_reference;
         ] );
     ]

@@ -324,9 +324,8 @@ let test_online_lemmas_fire () =
       .Reduction.Lemmas.info
 
 (* ------------------------------------------------------------------ *)
-(* Post-hoc Lemmas 1, 5, 6, 7, 11 and 12: the checks over one phase index
-   per instance against the trace-filtering reference in
-   lemmas_reference.ml, report for report *)
+(* Post-hoc Lemmas 1, 5, 6, 7, 11 and 12: the one-pass fold against the
+   trace-filtering reference in lemmas_reference.ml, report for report *)
 
 let render (r : Reduction.Lemmas.report) =
   String.concat "\n"
@@ -365,65 +364,113 @@ let test_sweeps_match_reference_runs () =
 
 (* Random traces dense in violations and in ties: transitions and notes
    land on the same tick, on session boundaries and on each other, which
-   real runs rarely do. The pair only supplies names; the trace and clock
-   are a bare engine's. *)
+   real runs rarely do, and the events of one tick come in random order,
+   notes before transitions as often as after. The pairs only supply
+   names; the trace and clock are a bare engine's. *)
+let random_trace rng ~horizon ~crashed pairs =
+  let engine = Engine.create ~n:4 ~adversary:(Adversary.synchronous ()) () in
+  List.iter (Engine.crash_now engine) crashed;
+  Engine.run engine ~until:horizon;
+  let events = ref [] in
+  let add at ev = events := (at, Prng.int rng ~bound:1_000_000, ev) :: !events in
+  let gaps = [| 0; 0; 1; 1; 2; 3; 7; 20; 60 |] in
+  let cycle = [| Types.Thinking; Types.Hungry; Types.Eating; Types.Exiting |] in
+  List.iter
+    (fun (pair : Reduction.Pair.t) ->
+      let note pid label i at =
+        add at
+          (Trace.Note
+             { pid; label; info = Printf.sprintf "%s:%d" pair.Reduction.Pair.subject_tag i })
+      in
+      let diner pid i =
+        let at = ref (Prng.int rng ~bound:30) and k = ref 0 in
+        while !at < horizon - 1 do
+          let from_ = cycle.(!k mod 4) and to_ = cycle.((!k + 1) mod 4) in
+          add !at
+            (Trace.Transition
+               { instance = pair.Reduction.Pair.dx_instances.(i); pid; from_; to_ });
+          if pid = pair.Reduction.Pair.subject then begin
+            if Types.phase_equal to_ Types.Eating && Prng.bool rng then note pid "red-ping" i !at;
+            if Types.phase_equal from_ Types.Eating && Prng.bool rng then note pid "red-ack" i !at
+          end;
+          incr k;
+          at := !at + Prng.pick rng gaps
+        done
+      in
+      List.iter
+        (fun pid ->
+          diner pid 0;
+          diner pid 1)
+        [ pair.Reduction.Pair.subject; pair.Reduction.Pair.watcher ];
+      for at = 0 to horizon - 1 do
+        List.iter
+          (fun (label, i) ->
+            if Prng.chance rng ~p:0.02 then note pair.Reduction.Pair.subject label i at)
+          [ ("red-ping", 0); ("red-ping", 1); ("red-ack", 0); ("red-ack", 1) ]
+      done)
+    pairs;
+  (* By tick, and within a tick by a random key. *)
+  List.sort (fun (a, x, _) (b, y, _) -> compare (a, x) (b, y)) !events
+  |> List.iter (fun (at, _, ev) -> Trace.append (Engine.trace engine) ~at ev);
+  engine
+
 let test_sweeps_match_reference_random () =
-  let names_engine = Engine.create ~n:2 ~adversary:(Adversary.synchronous ()) () in
-  let pair =
+  let names_engine = Engine.create ~n:4 ~adversary:(Adversary.synchronous ()) () in
+  let pair watcher subject =
     Reduction.Pair.create ~engine:names_engine
       ~dining:(Reduction.Pair.ftme_factory ~suspects:(fun _ () -> Types.Pidset.empty))
-      ~watcher:0 ~subject:1 ()
+      ~watcher ~subject ()
   in
+  let p01 = pair 0 1 and p10 = pair 1 0 and p23 = pair 2 3 and p02 = pair 0 2 in
   let violations = ref 0 in
+  let count (r : Reduction.Lemmas.report) =
+    if List.mem r.Reduction.Lemmas.lemma [ "L5"; "L12" ] then
+      violations := !violations + List.length r.Reduction.Lemmas.violations
+  in
   for case = 0 to 39 do
     let rng = Prng.create (Int64.of_int (4100 + case)) in
     let horizon = Prng.int_in rng ~lo:1500 ~hi:8000 in
-    let engine = Engine.create ~n:2 ~adversary:(Adversary.synchronous ()) () in
-    Engine.run engine ~until:horizon;
-    let events = ref [] in
-    let add at ev = events := (at, ev) :: !events in
-    let gaps = [| 0; 0; 1; 1; 2; 3; 7; 20; 60 |] in
-    let cycle = [| Types.Thinking; Types.Hungry; Types.Eating; Types.Exiting |] in
-    let note pid label i at =
-      add at
-        (Trace.Note
-           { pid; label; info = Printf.sprintf "%s:%d" pair.Reduction.Pair.subject_tag i })
-    in
-    let diner pid i =
-      let at = ref (Prng.int rng ~bound:30) and k = ref 0 in
-      while !at < horizon - 1 do
-        let from_ = cycle.(!k mod 4) and to_ = cycle.((!k + 1) mod 4) in
-        add !at
-          (Trace.Transition { instance = pair.Reduction.Pair.dx_instances.(i); pid; from_; to_ });
-        if pid = pair.Reduction.Pair.subject then begin
-          if Types.phase_equal to_ Types.Eating && Prng.bool rng then note pid "red-ping" i !at;
-          if Types.phase_equal from_ Types.Eating && Prng.bool rng then note pid "red-ack" i !at
-        end;
-        incr k;
-        at := !at + Prng.pick rng gaps
-      done
-    in
-    List.iter
-      (fun pid ->
-        diner pid 0;
-        diner pid 1)
-      [ pair.Reduction.Pair.subject; pair.Reduction.Pair.watcher ];
-    for at = 0 to horizon - 1 do
-      List.iter
-        (fun (label, i) ->
-          if Prng.chance rng ~p:0.02 then note pair.Reduction.Pair.subject label i at)
-        [ ("red-ping", 0); ("red-ping", 1); ("red-ack", 0); ("red-ack", 1) ]
-    done;
-    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
-    |> List.iter (fun (at, ev) -> Trace.append (Engine.trace engine) ~at ev);
-    same_reports (Printf.sprintf "random trace %d" case) ~engine ~pair;
-    List.iter
-      (fun (r : Reduction.Lemmas.report) ->
-        if List.mem r.Reduction.Lemmas.lemma [ "L5"; "L12" ] then
-          violations := !violations + List.length r.Reduction.Lemmas.violations)
-      (Reduction.Lemmas.trace_reports ~engine ~pair)
+    let engine = random_trace rng ~horizon ~crashed:[] [ p01 ] in
+    same_reports (Printf.sprintf "random trace %d" case) ~engine ~pair:p01;
+    List.iter count (Reduction.Lemmas.trace_reports ~engine ~pair:p01)
   done;
-  check "random traces violate L5/L12" true (!violations > 100)
+  check "random traces violate L5/L12" true (!violations > 100);
+  (* Three or four pairs interleaved in one trace, some of their
+     processes crashed, judged in one fold. *)
+  for case = 0 to 19 do
+    let rng = Prng.create (Int64.of_int (4200 + case)) in
+    let horizon = Prng.int_in rng ~lo:1500 ~hi:5000 in
+    let pairs = if case mod 2 = 0 then [ p01; p10; p23 ] else [ p01; p10; p23; p02 ] in
+    let crashed = List.filter (fun _ -> Prng.chance rng ~p:0.2) [ 0; 1; 2; 3 ] in
+    let engine = random_trace rng ~horizon ~crashed pairs in
+    List.iter2
+      (fun (pair : Reduction.Pair.t) reports ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "random trace %d of %d pairs, pair %s" case (List.length pairs)
+             pair.Reduction.Pair.name)
+          (List.map render (Lemmas_reference.trace_reports ~engine ~pair))
+          (List.map render reports))
+      pairs
+      (Reduction.Lemmas.trace_reports_all ~engine ~pairs)
+  done;
+  (* A diner whose transitions go back in time, as Dining.Monitor.Index
+     refuses. *)
+  let engine = Engine.create ~n:4 ~adversary:(Adversary.synchronous ()) () in
+  Engine.run engine ~until:100;
+  List.iter
+    (fun at ->
+      Trace.append (Engine.trace engine) ~at
+        (Trace.Transition
+           {
+             instance = p01.Reduction.Pair.dx_instances.(0);
+             pid = 1;
+             from_ = Types.Thinking;
+             to_ = Types.Hungry;
+           }))
+    [ 20; 10 ];
+  Alcotest.check_raises "transitions back in time"
+    (Invalid_argument "Reduction.Lemmas: a pair's events go back in time") (fun () ->
+      ignore (Reduction.Lemmas.trace_reports ~engine ~pair:p01))
 
 (* ------------------------------------------------------------------ *)
 (* Robustness of the reduction to early oracle mistakes in the black box *)
