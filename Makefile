@@ -15,7 +15,9 @@
 # contention manager (--no-cm), whose aborts outnumber its commits; then
 # `certify` of the wf box, whose report must parse, and of the hygienic
 # box (the negative control), which must exit 1. fuzz-smoke fuzzes the
-# dining algorithms, then the reduction (the extract-* targets).
+# dining algorithms, then the reduction (the extract-* targets), and fails
+# when the reduction's campaign report is more than twice the size of the
+# dining one.
 
 .PHONY: all build test fmt lint check smoke fuzz-smoke mc-smoke \
 	bench-smoke bench-scale bench-diff trace-smoke replay-smoke clean
@@ -85,8 +87,11 @@ smoke: build
 # 200 runs over the real dining algorithms, then 200 of the reduction over
 # the wf, kfair and ftme boxes, judged by Theorems 1-2, trusting accuracy
 # for ftme, and the Lemma 1-12 checks (about 2.6 s at -j 1). Exits non-zero
-# if any run violates a check. Both dinersim-campaign/1 reports, coverage
-# blocks included, are uploaded as CI artifacts.
+# if any run violates a check, or if the reduction's report is more than
+# twice the size of the dining one: Obs.Instrument keys metrics by instance
+# family, so the reduction's 2n(n-1) dining instances must not grow its
+# report. Both dinersim-campaign/1 reports, coverage blocks included, are
+# uploaded as CI artifacts.
 fuzz-smoke: build
 	dune exec bin/dinersim.exe -- fuzz --runs 200 --seed 0xF5EED --max-horizon 6000 \
 		-j $(J) --report /tmp/dinersim-fuzz-smoke.json
@@ -95,6 +100,11 @@ fuzz-smoke: build
 		--runs 200 --seed 0xF5EED --max-horizon 6000 -j $(J) \
 		--report /tmp/dinersim-fuzz-smoke-extract.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-fuzz-smoke-extract.json
+	@d=$$(wc -c < /tmp/dinersim-fuzz-smoke.json); \
+	e=$$(wc -c < /tmp/dinersim-fuzz-smoke-extract.json); \
+	echo "fuzz-smoke reports: dining $$d bytes, reduction $$e bytes"; \
+	test $$e -le $$((2 * $$d)) || \
+		{ echo "fuzz-smoke: the reduction's report is over twice the dining one's"; exit 1; }
 
 # Bounded exhaustive model check of a known-good instance, the one
 # perfbench's mc workload times: every one of the 59,049 schedules a

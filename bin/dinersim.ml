@@ -179,7 +179,7 @@ let flags_t ?(crashes = false) ?(debug = false) horizon =
 
 (* Validate the horizon, create the engine, schedule the crashes, install
    the instrumentation and the --trace-out sink before the deployment (so
-   they see every tick and event), run through Check.Runner.guarded_run,
+   they see every event), run through Check.Runner.guarded_run,
    then judge, or print the fault as the run's one failed check, write
    --report with the checks, and exit 1 when one fails. *)
 let run_single ~cmd f ~n ~adversary ~config deploy =

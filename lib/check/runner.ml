@@ -178,7 +178,7 @@ let execute ?metrics ~meals p =
   let c = p.config in
   let engine = Engine.create ~seed:c.Config.seed ~n:p.n ~adversary:p.adversary () in
   (* Instrumentation is installed before components register, so its
-     on_tick hook sees every tick and its fold every event of the run. *)
+     fold sees every event of the run and its tick count starts at 0. *)
   let inst = Option.map (fun metrics -> Obs.Instrument.install ~metrics engine) metrics in
   match p.target with
   | Dining builder ->

@@ -1,16 +1,21 @@
 open Dsim
 
-(* The metric handles of one dining instance and of one detector. Each is
-   resolved at the first event that creates its name, exactly when the
-   name-per-event lookup this replaces would have created it, so the
-   registry ends up with the same names and values. *)
+(* The metric handles a family of dining instances shares. Each is
+   resolved at the first event that creates its name, exactly when a
+   name-per-event lookup would have created it, so the registry ends up
+   with the same names and values. *)
+type family = {
+  family : string;
+  mutable meals : Metrics.counter option;
+  mutable hunger : Quantile.t option;
+}
+
+(* One dining instance: its diners' own transition ticks, its family's
+   handles. *)
 type dining = {
   instance : string;
+  fam : family;
   mutable last : Types.time array; (* per pid, the tick of its last transition; 0 before one *)
-  mutable meals : Metrics.counter option;
-  mutable meals_window : Window.t option;
-  mutable hunger : Metrics.histogram option;
-  mutable hunger_exact : Quantile.t option;
 }
 
 (* [counters.(i)] is [detector.<name><detector_suffixes.(i)>]. *)
@@ -25,25 +30,33 @@ type t = {
   metrics : Metrics.t;
   engine : Engine.t;
   t0 : float;
+  clock0 : Types.time; (* the engine's clock at install *)
   from : int; (* the trace's length at install: the first event folded *)
-  mutable ticks : int;
+  mutable ticks : int; (* set by finalize *)
   mutable elapsed : float option; (* set by finalize *)
-  (* First-seen order; searched linearly by name (a run has a handful). *)
+  (* First-seen order; searched linearly by name. *)
   mutable dinings : dining list;
+  mutable families : family list;
   mutable detectors : detector list;
   mutable crashes : Metrics.counter option;
 }
 
-let meals_window_width = 1000
+let family_of name =
+  match String.index_opt name '[' with Some i -> String.sub name 0 i | None -> name
+
+let rec family_in st family = function
+  | f :: rest -> if String.equal f.family family then f else family_in st family rest
+  | [] ->
+      let f = { family; meals = None; hunger = None } in
+      st.families <- f :: st.families;
+      f
 
 (* Each lookup below builds its record or name once per instance or
    detector: the hot callers find the cached handle. *)
 let rec dining_of st instance = function
   | d :: rest -> if String.equal d.instance instance then d else dining_of st instance rest
   | [] ->
-      let d =
-        { instance; last = [||]; meals = None; meals_window = None; hunger = None; hunger_exact = None }
-      in
+      let d = { instance; fam = family_in st (family_of instance) st.families; last = [||] } in
       st.dinings <- d :: st.dinings;
       d
 
@@ -53,9 +66,6 @@ let rec detector_of st detector = function
       let d = { detector; counters = Array.make (Array.length detector_suffixes) None } in
       st.detectors <- d :: st.detectors;
       d
-
-let dining_name d suffix =
-  "dining." ^ d.instance ^ suffix
 
 (* Resolve-once accessors: a name and its [Some] are built with the
    handle. *)
@@ -77,41 +87,20 @@ let crashes st =
       st.crashes <- Some c;
       c
 
-let meals st d =
-  match d.meals with
+let meals st f =
+  match f.meals with
   | Some c -> c
   | None ->
-      let c = Metrics.counter st.metrics (dining_name d ".meals") in
-      d.meals <- Some c;
+      let c = Metrics.counter st.metrics ("dining." ^ f.family ^ ".meals") in
+      f.meals <- Some c;
       c
 
-let meals_window st d =
-  match d.meals_window with
-  | Some w -> w
-  | None ->
-      let w =
-        Metrics.series st.metrics (dining_name d ".meals_per_window") ~width:meals_window_width
-      in
-      d.meals_window <- Some w;
-      w
-
-let hunger st d =
-  match d.hunger with
-  | Some h -> h
-  | None ->
-      let h =
-        Metrics.histogram st.metrics (dining_name d ".hunger_latency")
-          ~buckets:Metrics.latency_buckets
-      in
-      d.hunger <- Some h;
-      h
-
-let hunger_exact st d =
-  match d.hunger_exact with
+let hunger st f =
+  match f.hunger with
   | Some q -> q
   | None ->
-      let q = Metrics.quantile st.metrics (dining_name d ".hunger_latency_exact") in
-      d.hunger_exact <- Some q;
+      let q = Metrics.quantile st.metrics ("dining." ^ f.family ^ ".hunger_latency") in
+      f.hunger <- Some q;
       q
 
 (* Makes room for [pid] in [d.last]; runs O(log pid) times per instance. *)
@@ -124,17 +113,13 @@ let reserve d pid =
   end
 
 (* Hunger latency: on Hungry -> Eating, the ticks since the diner's
-   previous transition (its entry into Hungry), from 0 when the diner is
-   first seen there; a 0-tick hunger session is still a sample.
-   Dual-recorded as the bucketed [hunger_latency] histogram (cheap
-   cross-run aggregation) and the exact [hunger_latency_exact] quantile
-   digest (true p99/p999). *)
+   previous transition in its own instance (its entry into Hungry), from
+   0 when the diner is first seen there; a 0-tick hunger session is
+   still a sample. *)
 let on_transition st d ~pid ~from_ ~to_ ~at =
   reserve d pid;
-  if Types.phase_equal from_ Types.Hungry && Types.phase_equal to_ Types.Eating then begin
-    Metrics.observe (hunger st d) (at - d.last.(pid));
-    Quantile.add (hunger_exact st d) (at - d.last.(pid))
-  end;
+  if Types.phase_equal from_ Types.Hungry && Types.phase_equal to_ Types.Eating then
+    Quantile.add (hunger st d.fam) (at - d.last.(pid));
   d.last.(pid) <- at
 
 let on_event st at = function
@@ -150,10 +135,7 @@ let on_event st at = function
   | Trace.Transition { instance; pid; from_; to_ } ->
       let d = dining_of st instance st.dinings in
       on_transition st d ~pid ~from_ ~to_ ~at;
-      if Types.phase_equal to_ Types.Eating then begin
-        Metrics.incr (meals st d);
-        Window.observe (meals_window st d) ~at
-      end
+      if Types.phase_equal to_ Types.Eating then Metrics.incr (meals st d.fam)
   | Trace.Note _ -> ()
 
 (* On a retained trace [finalize] folds the events appended since
@@ -167,23 +149,27 @@ let install ~metrics engine =
       metrics;
       engine;
       t0 = Unix.gettimeofday ();
+      clock0 = Engine.now engine;
       from = Trace.length trace;
       ticks = 0;
       elapsed = None;
       dinings = [];
+      families = [];
       detectors = [];
       crashes = None;
     }
   in
-  let depth =
-    Metrics.histogram metrics "engine.in_flight_depth" ~buckets:Metrics.depth_buckets
-  in
-  Engine.on_tick engine (fun () ->
-      st.ticks <- st.ticks + 1;
-      Metrics.observe depth (Engine.in_flight_total engine));
   if not (Trace.retained trace) then
     Trace.subscribe trace (fun e -> on_event st e.Trace.at e.Trace.ev);
   st
+
+(* Messages sent, summed per tag family. *)
+let sent_by_family engine =
+  List.fold_left
+    (fun acc (tag, n) ->
+      let f = family_of tag in
+      (f, n + Option.value ~default:0 (List.assoc_opt f acc)) :: List.remove_assoc f acc)
+    [] (Engine.sent_by_tag engine)
 
 let finalize st =
   match st.elapsed with
@@ -192,6 +178,7 @@ let finalize st =
       let trace = Engine.trace st.engine in
       if Trace.retained trace then Trace.iter ~from:st.from trace (on_event st);
       st.elapsed <- Some (Unix.gettimeofday () -. st.t0);
+      st.ticks <- Engine.now st.engine - st.clock0;
       Metrics.incr ~by:st.ticks (Metrics.counter st.metrics "engine.ticks");
       Metrics.set (Metrics.gauge st.metrics "engine.live_procs") (Engine.live_count st.engine);
       Metrics.set (Metrics.gauge st.metrics "engine.clock") (Engine.now st.engine);
@@ -200,8 +187,8 @@ let finalize st =
         (Metrics.gauge st.metrics "engine.in_flight_final")
         (Engine.in_flight_total st.engine);
       List.iter
-        (fun (tag, n) -> Metrics.set (Metrics.gauge st.metrics ("engine.sent." ^ tag)) n)
-        (Engine.sent_by_tag st.engine)
+        (fun (f, n) -> Metrics.set (Metrics.gauge st.metrics ("engine.sent." ^ f)) n)
+        (sent_by_family st.engine)
 
 (* This module is the one sanctioned wall-clock reader (simlint D001):
    other layers that need elapsed-seconds measurements for a report's

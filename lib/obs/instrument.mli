@@ -1,21 +1,26 @@
 (** Standard engine instrumentation.
 
-    {!install} wires a {!Metrics} registry to a live engine:
+    {!install} wires a {!Metrics} registry to a live engine. It registers
+    no tick hook. The events appended from [install] on are folded into
+    counters [detector.<name>.flips], [detector.<name>.suspects],
+    [detector.<name>.trusts], [engine.crashes] and
+    [dining.<family>.meals], and the exact-quantile digest
+    [dining.<family>.hunger_latency]: on each Hungry→Eating transition,
+    the ticks since the diner's previous transition in its own instance,
+    or since tick 0 for a diner first seen there (one sample per
+    completed hunger session, 0-tick sessions included).
 
-    - an [on_tick] hook samples the histogram [engine.in_flight_depth]
-      (undelivered messages after the tick), its one metric update per
-      tick;
-    - the events appended from [install] on are folded into counters
-      [detector.<name>.flips], [detector.<name>.suspects],
-      [detector.<name>.trusts], [engine.crashes],
-      [dining.<instance>.meals], histogram
-      [dining.<instance>.hunger_latency] plus the exact-quantile digest
-      [dining.<instance>.hunger_latency_exact] (on each Hungry→Eating
-      transition, the ticks since the diner's previous transition, or
-      since tick 0 for a diner first seen there: one sample per completed
-      hunger session, 0-tick sessions included), and the throughput series
-      [dining.<instance>.meals_per_window] ({!meals_window_width}-tick
-      windows).
+    {b Families.} A dining instance's or a message tag's {e family} is
+    the part of its name before its first opening bracket, or the whole
+    name when it has none. The reduction's pair [p>q] names its instances
+    [dx0[p>q]] and [dx1[p>q]] and its witness and subject tags [w[p>q]]
+    and [s[p>q]], so they fall in families [dx0], [dx1], [w] and [s];
+    [Flawed_cm] ([cm], [cw], [cs]) and [Single_instance] ([si], [siw],
+    [sis]) name theirs the same way, and ["dx"] is its own family.
+    Dining metrics and the sent gauges are keyed by family, so a
+    report's metric names do not grow with the number of instances.
+    Each instance keeps its own diners' last transition ticks; the
+    instances of a family share one digest and one meals counter.
 
     On a retained trace the fold runs at {!finalize}, over the events
     from the trace's length at [install] on, and no trace subscriber is
@@ -26,14 +31,16 @@
     metrics are complete only after {!finalize}, and events appended
     after it are not counted.
 
-    {!finalize} also records counter [engine.ticks] (ticks run since
-    [install]) and end-of-run gauges [engine.live_procs],
-    [engine.clock], [engine.sent_total], [engine.in_flight_final] and
-    per-tag [engine.sent.<tag>].
+    {!finalize} also records counter [engine.ticks] (the clock at
+    [finalize] minus the clock at [install]) and end-of-run gauges
+    [engine.live_procs], [engine.clock], [engine.sent_total],
+    [engine.in_flight_final] and, per tag family, [engine.sent.<family>]
+    (the messages sent under that family's tags, summed).
 
     Each handle is resolved once, at the first event that creates its
-    name, so the registry holds the same names as a lookup per event
-    would, and the fold builds no name or key per event.
+    name, and an instance's family when its record is first made, so
+    the registry holds the same names as a lookup per event would, and
+    the fold builds no name or key per event.
 
     All of the above is deterministic in the engine seed. Wall-clock
     timing (elapsed seconds, ticks/sec) is measured too but deliberately
@@ -43,13 +50,9 @@
 
 type t
 
-val meals_window_width : int
-(** Window width (ticks) of the [dining.<instance>.meals_per_window]
-    throughput series. *)
-
 val install : metrics:Metrics.t -> Dsim.Engine.t -> t
-(** Install the tick hook, and the trace subscriber on an unretained
-    trace. Events and ticks before [install] are not counted. *)
+(** Record the clock, and subscribe to an unretained trace. Events and
+    ticks before [install] are not counted. *)
 
 val finalize : t -> unit
 (** Fold the retained trace's events since [install], record end-of-run

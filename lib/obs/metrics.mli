@@ -1,18 +1,17 @@
-(** Metrics registry: named counters, gauges and fixed-bucket histograms.
+(** Metrics registry: named counters, gauges and exact-quantile digests.
 
     Everything here is driven by simulation events, so for a fixed seed the
     snapshot is bit-for-bit reproducible; wall-clock quantities are kept
     out of the registry on purpose (see {!Instrument.wall_json}).
 
     Units convention, used by every instrumented name in this repo:
-    counters count events, gauges are instantaneous quantities, histogram
+    counters count events, gauges are instantaneous quantities, digest
     samples are in global-clock {e ticks} unless the name says otherwise. *)
 
 type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
@@ -27,46 +26,18 @@ val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
-val histogram : t -> string -> buckets:int list -> histogram
-(** [buckets] are strictly increasing inclusive upper bounds; one implicit
-    overflow bucket is added. Get-or-create: re-requesting an existing
-    histogram ignores [buckets]. *)
-
-val observe : histogram -> int -> unit
-
 val quantile : t -> string -> Quantile.t
-(** Get-or-create an exact-quantile digest (see {!Quantile}). By
-    convention, exact digests shadowing a histogram use the histogram's
-    name with an [_exact] suffix (the name itself must be distinct — the
-    kind-clash rule applies). *)
-
-val series : t -> string -> width:int -> Window.t
-(** Get-or-create a per-tick-window series (see {!Window}). Get-or-create:
-    re-requesting an existing series ignores [width], mirroring histogram
-    [buckets]. *)
+(** Get-or-create an exact-quantile digest (see {!Quantile}). *)
 
 val merge : into:t -> t -> unit
-(** [merge ~into src] folds [src] into [into]: counters add, histograms add
-    bucket-wise (raises [Invalid_argument] if bucket bounds differ),
-    quantile digests take the multiset union, series add window-wise
-    (raises [Invalid_argument] if widths differ), and
-    gauges take the source value (last merge wins). Merging several
-    registries in a canonical order — campaign drivers merge per-run
-    registries in run-index order — therefore yields a canonical result
-    independent of which worker produced which registry. Raises
-    [Invalid_argument] when a name is registered with different kinds on
-    the two sides. [src] is not modified. *)
-
-val latency_buckets : int list
-(** Default tick-latency bucket bounds: 1, 3, 10, ... 30000. *)
-
-val depth_buckets : int list
-(** Default queue-depth bucket bounds: 0, 1, 2, 4, ... 1024. *)
+(** [merge ~into src] folds [src] into [into]: counters add, digests take
+    the multiset union, and gauges take the source value (last merge
+    wins). Merging several registries in a canonical order — campaign
+    drivers merge per-run registries in run-index order — therefore
+    yields a canonical result independent of which worker produced which
+    registry. Raises [Invalid_argument] when a name is registered with
+    different kinds on the two sides. [src] is not modified. *)
 
 val to_json : t -> Json.t
 (** Deterministic snapshot: [{"counters":{...},"gauges":{...},
-    "histograms":{name -> {"buckets":[{"le":b,"count":n}...,
-    {"le":"inf","count":n}],"count":N,"sum":S,"min":m,"max":M}},
-    "quantiles":{name -> Quantile.to_json},"series":{name ->
-    Window.to_json}}] with all names sorted. Empty histograms have
-    [min]/[max] null. *)
+    "quantiles":{name -> Quantile.to_json}}] with all names sorted. *)

@@ -1,8 +1,8 @@
 (** Exact quantile digest over integer samples.
 
-    Unlike the fixed-bucket {!Metrics} histograms (whose quantiles are
-    only known up to a bucket bound), this digest reports {e exact}
-    nearest-rank quantiles: the internal representation is a sorted
+    The digest reports {e exact} nearest-rank quantiles, where a
+    bucketed histogram knows them only up to a bucket bound: the
+    internal representation is a sorted
     run-length encoding (distinct values and their counts, in two int
     arrays) plus a small pending buffer of raw samples, compacted
     deterministically whenever the buffer fills. A steady-state {!add}

@@ -29,7 +29,7 @@ let make ~cmd ?seed ?horizon ?(config = []) ?metrics ?(checks = []) ?wall () =
     [
       ("schema", Json.Str schema_version);
       ("cmd", Json.Str cmd);
-      ("seed", match seed with Some s -> Json.Int (Int64.to_int s) | None -> Json.Null);
+      ("seed", match seed with Some s -> Json.Str (Printf.sprintf "0x%Lx" s) | None -> Json.Null);
       ("horizon", match horizon with Some h -> Json.Int h | None -> Json.Null);
       ("config", Json.Obj config);
       ("checks", Json.Arr (List.map check_json checks));
@@ -155,92 +155,44 @@ let strip_wall_clock = function
   | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "wall_clock") fields)
   | j -> j
 
-(* Latency-digest lines for the human summaries: approximate quantiles
-   reconstructed from histogram bucket counts (bounded by the bucket's
-   inclusive upper bound, hence "<="), plus the exact digests when the
-   report carries them. *)
+(* Latency-digest lines for the human summaries: one per non-empty
+   exact digest. *)
 let pp_metrics_latencies fmt j =
-  match Json.find j "metrics" with
-  | None -> ()
-  | Some m ->
-      (match Json.find m "histograms" with
-      | Some (Json.Obj hists) ->
-          List.iter
-            (fun (name, h) ->
-              let count = match Json.find h "count" with Some (Json.Int n) -> n | _ -> 0 in
-              if count > 0 then begin
-                let buckets =
-                  match Json.find h "buckets" with
-                  | Some (Json.Arr bs) ->
-                      List.map
-                        (fun b ->
-                          let le = Json.find b "le" in
-                          let c =
-                            match Json.find b "count" with Some (Json.Int c) -> c | _ -> 0
-                          in
-                          (le, c))
-                        bs
-                  | _ -> []
-                in
-                let last_finite =
-                  List.fold_left
-                    (fun acc (le, _) -> match le with Some (Json.Int b) -> Some b | _ -> acc)
-                    None buckets
-                in
-                let approx q =
-                  let rank = max 1 (int_of_float (ceil (q *. float_of_int count))) in
-                  let rec go acc = function
-                    | [] -> "?"
-                    | (le, c) :: rest ->
-                        if acc + c >= rank then
-                          match le with
-                          | Some (Json.Int b) -> Printf.sprintf "<=%d" b
-                          | _ -> (
-                              (* overflow bucket *)
-                              match last_finite with
-                              | Some b -> Printf.sprintf ">%d" b
-                              | None -> "?")
-                        else go (acc + c) rest
-                  in
-                  go 0 buckets
-                in
-                Format.fprintf fmt "  %s: n=%d p50%s p99%s (bucket bounds)@." name count
-                  (approx 0.5) (approx 0.99)
-              end)
-            hists
-      | _ -> ());
-      (match Json.find m "quantiles" with
-      | Some (Json.Obj qs) ->
-          List.iter
-            (fun (name, q) ->
-              let int k = match Json.find q k with Some (Json.Int n) -> Some n | _ -> None in
-              match int "count" with
-              | Some n when n > 0 ->
-                  let s k = match int k with Some v -> string_of_int v | None -> "-" in
-                  Format.fprintf fmt "  %s: n=%d p50=%s p90=%s p99=%s p999=%s (exact)@." name n
-                    (s "p50") (s "p90") (s "p99") (s "p999")
-              | _ -> ())
-            qs
-      | _ -> ())
+  match Option.bind (Json.find j "metrics") (fun m -> Json.find m "quantiles") with
+  | Some (Json.Obj qs) ->
+      List.iter
+        (fun (name, q) ->
+          let int k = match Json.find q k with Some (Json.Int n) -> Some n | _ -> None in
+          match int "count" with
+          | Some n when n > 0 ->
+              let s k = match int k with Some v -> string_of_int v | None -> "-" in
+              Format.fprintf fmt "  %s: n=%d p50=%s p90=%s p99=%s p999=%s (exact)@." name n
+                (s "p50") (s "p90") (s "p99") (s "p999")
+          | _ -> ())
+        qs
+  | _ -> ()
 
 let pp_summary fmt j =
   let field k = match Json.find j k with Some v -> v | None -> Json.Null in
   Format.fprintf fmt "report: cmd=%s seed=%s horizon=%s@."
     (match field "cmd" with Json.Str s -> s | _ -> "?")
-    (match field "seed" with Json.Int n -> string_of_int n | _ -> "-")
+    (match field "seed" with Json.Str s -> s | Json.Int n -> string_of_int n | _ -> "-")
     (match field "horizon" with Json.Int n -> string_of_int n | _ -> "-");
   (match field "checks" with
   | Json.Arr [] -> Format.fprintf fmt "  (no checks)@."
   | Json.Arr checks ->
+      let holds c = match Json.find c "holds" with Some (Json.Bool b) -> b | _ -> false in
+      (* Failed checks first, so a failure is the first line under the
+         header however many checks hold. *)
+      let failed, held = List.partition (fun c -> not (holds c)) checks in
       List.iter
         (fun c ->
           let name = match Json.find c "name" with Some (Json.Str s) -> s | _ -> "?" in
-          let holds = match Json.find c "holds" with Some (Json.Bool b) -> b | _ -> false in
           let detail = match Json.find c "detail" with Some (Json.Str s) -> s | _ -> "" in
           Format.fprintf fmt "  %-34s %s%s@." name
-            (if holds then "ok" else "FAIL")
+            (if holds c then "ok" else "FAIL")
             (if detail = "" then "" else " — " ^ detail))
-        checks
+        (failed @ held)
   | _ -> ());
   pp_metrics_latencies fmt j;
   Format.fprintf fmt "  all checks: %s@." (if passed j then "ok" else "FAIL")

@@ -6,7 +6,7 @@
     {
       "schema":  "dinersim-report/1",
       "cmd":     "dining",               // subcommand / experiment name
-      "seed":    7,                      // null when not seed-driven
+      "seed":    "0x7",                  // hex; null when not seed-driven
       "horizon": 12000,                  // null when open-ended
       "config":  { ... },                // free-form, flat, deterministic
       "checks":  [ {"name":..., "holds":..., "detail":...} ],
@@ -17,7 +17,8 @@
 
     Everything except ["wall_clock"] is deterministic in the seed, so two
     reports from identical runs are byte-identical once that one key is
-    dropped ({!strip_wall_clock}). *)
+    dropped ({!strip_wall_clock}). The seed is written as ["0x%Lx"], all
+    64 bits of it, the form [--seed] parses. *)
 
 val schema_version : string
 
@@ -53,9 +54,9 @@ val strip_wall_clock : Json.t -> Json.t
     compare reports across runs. *)
 
 val pp_summary : Format.formatter -> Json.t -> unit
-(** Short human rendering: cmd, seed, pass/fail per check, and a latency
-    digest per non-empty metrics histogram (approximate p50/p99 bucket
-    bounds) and exact-quantile entry (true p50/p90/p99/p999). *)
+(** Short human rendering: cmd, seed, pass/fail per check (failed checks
+    first, otherwise in report order), and the true p50/p90/p99/p999 of
+    each non-empty exact-quantile digest. *)
 
 (** {1 Campaign summaries}
 

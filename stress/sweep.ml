@@ -73,9 +73,9 @@ let run_config algo deploy (gspec, adv, ncrash, seed) =
   let graph = graph_of seed gspec in
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary:(adversary_of adv) () in
-  (* Per-config registry, installed before components register so the
-     hooks see the whole run; merged in grid order after the parallel
-     phase, like the campaign driver. *)
+  (* Per-config registry, installed before components register so its
+     fold sees every event of the run; merged in grid order after the
+     parallel phase, like the campaign driver. *)
   let metrics = Obs.Metrics.create () in
   let inst = Obs.Instrument.install ~metrics engine in
   (* eat_ticks 3: the greedy client's default meal. *)

@@ -527,7 +527,7 @@ let test_corpus_coverage_digest_pinned () =
    coverage block, so both trace observers are pinned byte for byte.
    Changes only with the engine, the algorithms, the trace vocabulary, the
    metric set or the coverage hash. *)
-let pinned_campaign_summary_digest = "746c22cb8d5aaecc71175c1b8e849931"
+let pinned_campaign_summary_digest = "3fb50bedc9ff1dd85f12d530ae676906"
 
 let test_campaign_summary_digest_pinned () =
   let result =

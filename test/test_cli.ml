@@ -100,6 +100,49 @@ let test_ftme_extraction_judges_lemmas () =
     ]
     (names checks)
 
+(* A reduction's report does not grow with n: its 2n(n-1) dining
+   instances are keyed by family, so no metric name carries a pair, and
+   the n = 16 report and its summary stay small. *)
+let test_extraction_report_stays_small () =
+  List.iter
+    (fun n ->
+      let what = Printf.sprintf "extract -n %d" n in
+      let path = Filename.temp_file "dinersim-cli" ".json" in
+      let status, _, err =
+        dinersim [ "extract"; "-n"; string_of_int n; "--horizon"; "5000"; "--report"; path ]
+      in
+      Alcotest.(check int) (what ^ ": exit status, stderr " ^ err) 0 status;
+      let bytes = String.length (read path) in
+      let metrics =
+        match Obs.Report.read_any ~path with
+        | `Run j -> Obs.Json.get j "metrics"
+        | `Campaign _ | `Mc _ -> Alcotest.failf "%s: not a run report" what
+      in
+      let _, summary, _ = dinersim [ "report"; path ] in
+      Sys.remove path;
+      (match metrics with
+      | Obs.Json.Obj kinds ->
+          List.iter
+            (fun (_, kind) ->
+              match kind with
+              | Obs.Json.Obj fields ->
+                  List.iter
+                    (fun (name, _) ->
+                      if String.contains name '[' then
+                        Alcotest.failf "%s: metric %s names an instance" what name)
+                    fields
+              | _ -> Alcotest.failf "%s: malformed metrics" what)
+            kinds
+      | _ -> Alcotest.failf "%s: malformed metrics" what);
+      if n = 16 then begin
+        let lines = List.length (String.split_on_char '\n' summary) - 1 in
+        Alcotest.(check bool) (Printf.sprintf "%s: report of %d bytes under 16 KB" what bytes) true
+          (bytes < 16 * 1024);
+        Alcotest.(check bool) (Printf.sprintf "%s: summary of %d lines under 20" what lines) true
+          (lines < 20)
+      end)
+    [ 2; 16 ]
+
 let test_out_of_range_input () =
   List.iter
     (fun args ->
@@ -142,5 +185,7 @@ let () =
           Alcotest.test_case "ftme extraction judges the lemmas" `Quick
             test_ftme_extraction_judges_lemmas;
           Alcotest.test_case "out-of-range input exits 2" `Quick test_out_of_range_input;
+          Alcotest.test_case "extraction report does not grow with n" `Quick
+            test_extraction_report_stays_small;
         ] );
     ]

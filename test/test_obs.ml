@@ -161,18 +161,20 @@ let test_metrics_registry () =
      ignore (Obs.Metrics.gauge m "c");
      Alcotest.fail "kind clash accepted"
    with Invalid_argument _ -> ());
-  let h = Obs.Metrics.histogram m "h" ~buckets:[ 10; 100 ] in
-  List.iter (Obs.Metrics.observe h) [ 0; 10; 11; 1000 ];
+  let q = Obs.Metrics.quantile m "q" in
+  List.iter (Obs.Quantile.add q) [ 0; 10; 11; 1000 ];
+  check "digest is get-or-create" true (Obs.Metrics.quantile m "q" == q);
   let j = Obs.Metrics.to_json m in
-  let hist = Obs.Json.(get (get j "histograms") "h") in
-  check_int "count" 4 Obs.Json.(int (get hist "count"));
-  check_int "sum" 1021 Obs.Json.(int (get hist "sum"));
-  check_int "min" 0 Obs.Json.(int (get hist "min"));
-  check_int "max" 1000 Obs.Json.(int (get hist "max"));
-  let counts =
-    List.map (fun b -> Obs.Json.(int (get b "count"))) Obs.Json.(arr (get hist "buckets"))
-  in
-  Alcotest.(check (list int)) "bucket placement" [ 2; 1; 1 ] counts
+  (match j with
+  | Obs.Json.Obj kinds ->
+      Alcotest.(check (list string)) "three kinds" [ "counters"; "gauges"; "quantiles" ]
+        (List.map fst kinds)
+  | _ -> Alcotest.fail "snapshot is not an object");
+  let digest = Obs.Json.(get (get j "quantiles") "q") in
+  check_int "count" 4 Obs.Json.(int (get digest "count"));
+  check_int "sum" 1021 Obs.Json.(int (get digest "sum"));
+  check_int "min" 0 Obs.Json.(int (get digest "min"));
+  check_int "max" 1000 Obs.Json.(int (get digest "max"))
 
 let test_metrics_determinism () =
   let snapshot () =
@@ -206,34 +208,34 @@ let test_metrics_determinism () =
   let gauges = Obs.Json.get j "gauges" in
   check_int "live procs final" 4 Obs.Json.(int (get gauges "engine.live_procs"));
   check "sent total recorded" true Obs.Json.(int (get gauges "engine.sent_total") > 0);
-  let hist = Obs.Json.(get (get j "histograms") "dining.dx.hunger_latency") in
-  check "hunger sessions observed" true Obs.Json.(int (get hist "count") > 0)
+  let digest = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency") in
+  check "hunger sessions observed" true Obs.Json.(int (get digest "count") > 0)
 
 let test_metrics_merge_edge_cases () =
-  (* Empty histograms on both sides: min/max must stay null after the
+  (* Empty digests on both sides: min/max must stay null after the
      merge, not collapse to 0. *)
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
-  ignore (Obs.Metrics.histogram a "h" ~buckets:[ 10; 100 ]);
-  ignore (Obs.Metrics.histogram b "h" ~buckets:[ 10; 100 ]);
+  ignore (Obs.Metrics.quantile a "h");
+  ignore (Obs.Metrics.quantile b "h");
   Obs.Metrics.merge ~into:a b;
-  let hist_of m = Obs.Json.(get (get (Obs.Metrics.to_json m) "histograms") "h") in
-  let ja = hist_of a in
+  let digest_of m = Obs.Json.(get (get (Obs.Metrics.to_json m) "quantiles") "h") in
+  let ja = digest_of a in
   check "empty+empty min stays null" true (Obs.Json.get ja "min" = Obs.Json.Null);
   check "empty+empty max stays null" true (Obs.Json.get ja "max" = Obs.Json.Null);
   check_int "empty+empty count" 0 Obs.Json.(int (get ja "count"));
   (* An empty source merged into a populated destination must not disturb
      the destination's extrema. *)
-  Obs.Metrics.observe (Obs.Metrics.histogram a "h" ~buckets:[ 10; 100 ]) 42;
+  Obs.Quantile.add (Obs.Metrics.quantile a "h") 42;
   Obs.Metrics.merge ~into:a b;
-  let ja = hist_of a in
+  let ja = digest_of a in
   check_int "min survives empty-source merge" 42 Obs.Json.(int (get ja "min"));
   check_int "max survives empty-source merge" 42 Obs.Json.(int (get ja "max"));
   (* ... and a populated source merged into an empty destination adopts
      the source's extrema rather than min-ing against a phantom 0. *)
   let c = Obs.Metrics.create () in
-  ignore (Obs.Metrics.histogram c "h" ~buckets:[ 10; 100 ]);
+  ignore (Obs.Metrics.quantile c "h");
   Obs.Metrics.merge ~into:c a;
-  let jc = hist_of c in
+  let jc = digest_of c in
   check_int "empty-destination adopts min" 42 Obs.Json.(int (get jc "min"));
   check_int "empty-destination adopts max" 42 Obs.Json.(int (get jc "max"));
   (* Gauges: the source value wins, so merge order matters (which is why
@@ -249,29 +251,13 @@ let test_metrics_merge_edge_cases () =
   Obs.Metrics.merge ~into:g2 g3;
   check_int "reverse order gives the other answer" 1
     (Obs.Metrics.gauge_value (Obs.Metrics.gauge g2 "g"));
-  (* Mismatched histogram buckets are a hard error, not a silent resample. *)
-  let m1 = Obs.Metrics.create () and m2 = Obs.Metrics.create () in
-  ignore (Obs.Metrics.histogram m1 "h" ~buckets:[ 1; 2 ]);
-  ignore (Obs.Metrics.histogram m2 "h" ~buckets:[ 1; 3 ]);
-  (try
-     Obs.Metrics.merge ~into:m1 m2;
-     Alcotest.fail "mismatched buckets accepted"
-   with Invalid_argument _ -> ());
   (* Kind clashes across registries are rejected like same-registry ones. *)
   let k1 = Obs.Metrics.create () and k2 = Obs.Metrics.create () in
   ignore (Obs.Metrics.counter k1 "x");
   ignore (Obs.Metrics.gauge k2 "x");
-  (try
-     Obs.Metrics.merge ~into:k1 k2;
-     Alcotest.fail "cross-registry kind clash accepted"
-   with Invalid_argument _ -> ());
-  (* Mismatched series widths are rejected too. *)
-  let s1 = Obs.Metrics.create () and s2 = Obs.Metrics.create () in
-  ignore (Obs.Metrics.series s1 "s" ~width:100);
-  ignore (Obs.Metrics.series s2 "s" ~width:200);
   try
-    Obs.Metrics.merge ~into:s1 s2;
-    Alcotest.fail "mismatched series widths accepted"
+    Obs.Metrics.merge ~into:k1 k2;
+    Alcotest.fail "cross-registry kind clash accepted"
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -355,41 +341,6 @@ let test_quantile_merge_is_multiset_union () =
   check_int "merged count" 1000 (Obs.Quantile.count a);
   check_int "merged sum" (Obs.Quantile.sum all) (Obs.Quantile.sum a);
   check_int "source sample content unchanged" 500 (Obs.Quantile.count b)
-
-(* ------------------------------------------------------------------ *)
-(* Windowed series *)
-
-let test_window_series () =
-  (try
-     ignore (Obs.Window.create ~width:0);
-     Alcotest.fail "width 0 accepted"
-   with Invalid_argument _ -> ());
-  let w = Obs.Window.create ~width:100 in
-  check_int "width" 100 (Obs.Window.width w);
-  Obs.Window.observe w ~at:0;
-  Obs.Window.observe w ~at:99;
-  Obs.Window.observe ~by:3 w ~at:250;
-  check_int "total" 5 (Obs.Window.total w);
-  check_int "peak" 3 (Obs.Window.peak w);
-  Alcotest.(check (list int)) "per-window counts" [ 2; 0; 3 ] (Array.to_list (Obs.Window.counts w));
-  (try
-     Obs.Window.observe w ~at:(-1);
-     Alcotest.fail "negative timestamp accepted"
-   with Invalid_argument _ -> ());
-  let v = Obs.Window.create ~width:100 in
-  Obs.Window.observe v ~at:120;
-  Obs.Window.merge ~into:w v;
-  Alcotest.(check (list int)) "merge adds window-wise" [ 2; 1; 3 ]
-    (Array.to_list (Obs.Window.counts w));
-  check_int "source unchanged" 1 (Obs.Window.total v);
-  let j = Obs.Window.to_json w in
-  check_int "json total" 6 Obs.Json.(int (get j "total"));
-  check_int "json peak" 3 Obs.Json.(int (get j "peak"));
-  let bad = Obs.Window.create ~width:50 in
-  try
-    Obs.Window.merge ~into:w bad;
-    Alcotest.fail "width mismatch accepted"
-  with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -550,23 +501,31 @@ let test_coverage_signatures () =
 (* ------------------------------------------------------------------ *)
 (* Observer allocation *)
 
-(* Every kind of event, at one tick so that no per-tick series grows.
-   Four transitions per diner close one hunger span. *)
+(* The dining metric names of one snapshot kind. *)
+let dining_names m kind =
+  match Obs.Json.get (Obs.Metrics.to_json m) kind with
+  | Obs.Json.Obj fields ->
+      List.filter (fun n -> String.starts_with ~prefix:"dining." n) (List.map fst fields)
+  | _ -> Alcotest.fail "snapshot kind is not an object"
+
+(* Every kind of event, at one tick, with bracketed names as the
+   reduction's pairs give them: two instances of one family, a detector
+   and a note label. Four transitions per diner close one hunger span. *)
 let events =
-  let tr pid from_ to_ = Trace.Transition { instance = "dx"; pid; from_; to_ } in
+  let tr instance pid from_ to_ = Trace.Transition { instance; pid; from_; to_ } in
   [|
-    tr 0 Types.Thinking Types.Hungry;
-    tr 0 Types.Hungry Types.Eating;
-    Trace.Suspect { detector = "hb"; owner = 0; target = 1 };
-    tr 1 Types.Thinking Types.Hungry;
-    tr 0 Types.Eating Types.Exiting;
-    Trace.Trust { detector = "hb"; owner = 0; target = 1 };
-    tr 0 Types.Exiting Types.Thinking;
+    tr "dx0[0>1]" 0 Types.Thinking Types.Hungry;
+    tr "dx0[0>1]" 0 Types.Hungry Types.Eating;
+    Trace.Suspect { detector = "hb[0>1]"; owner = 0; target = 1 };
+    tr "dx0[1>0]" 1 Types.Thinking Types.Hungry;
+    tr "dx0[0>1]" 0 Types.Eating Types.Exiting;
+    Trace.Trust { detector = "hb[0>1]"; owner = 0; target = 1 };
+    tr "dx0[0>1]" 0 Types.Exiting Types.Thinking;
     Trace.Crash { pid = 2 };
-    tr 1 Types.Hungry Types.Eating;
-    Trace.Note { pid = 1; label = "ping"; info = "x" };
-    tr 1 Types.Eating Types.Exiting;
-    tr 1 Types.Exiting Types.Thinking;
+    tr "dx0[1>0]" 1 Types.Hungry Types.Eating;
+    Trace.Note { pid = 1; label = "w[0>1]"; info = "x" };
+    tr "dx0[1>0]" 1 Types.Eating Types.Exiting;
+    tr "dx0[1>0]" 1 Types.Exiting Types.Thinking;
   |]
 
 let append_events tr n =
@@ -599,13 +558,18 @@ let test_observers_allocation () =
     Engine.create ~retain_trace:false ~n:3 ~adversary:(Adversary.synchronous ()) ()
   in
   Trace.subscribe (Engine.trace engine) ignore;
-  let inst = Obs.Instrument.install ~metrics:(Obs.Metrics.create ()) engine in
+  let m = Obs.Metrics.create () in
+  let inst = Obs.Instrument.install ~metrics:m engine in
   let extra =
     Alloc_probe.steady_words ~n:20_000 (append_events (Engine.trace engine)) -. entry_words
   in
   Obs.Instrument.finalize inst;
   if extra >= 1.0 then
     Alcotest.failf "Instrument's subscriber allocates %.2f words per event" extra;
+  Alcotest.(check (list string)) "both instances feed their family's digest"
+    [ "dining.dx0.hunger_latency" ] (dining_names m "quantiles");
+  Alcotest.(check (list string)) "and its meals counter" [ "dining.dx0.meals" ]
+    (dining_names m "counters");
   (* On a retained trace Instrument subscribes nothing, so an append
      builds no entry: it costs what an append to a bare retained trace
      does. *)
@@ -627,9 +591,9 @@ let test_observers_allocation () =
   if per_add >= 1.0 then Alcotest.failf "Quantile.add allocates %.2f words per sample" per_add
 
 (* ------------------------------------------------------------------ *)
-(* Instrumented run: histogram / exact-digest / series agreement *)
+(* Instrumented runs *)
 
-let test_exact_quantiles_track_histogram () =
+let test_hunger_digest_tracks_run () =
   let m = Obs.Metrics.create () in
   let graph = Graphs.Conflict_graph.ring ~n:5 in
   let engine =
@@ -649,30 +613,17 @@ let test_exact_quantiles_track_histogram () =
   Engine.run engine ~until:4000;
   Obs.Instrument.finalize inst;
   let j = Obs.Metrics.to_json m in
-  (* The bucketed histogram and the exact digest watch the same span-close
-     stream, so they must agree on every shared statistic. *)
-  let hist = Obs.Json.(get (get j "histograms") "dining.dx.hunger_latency") in
-  let exact = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency_exact") in
+  let exact = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency") in
   check "hunger sessions observed" true Obs.Json.(int (get exact "count") > 0);
-  List.iter
-    (fun field ->
-      check_int ("histogram and digest agree on " ^ field)
-        Obs.Json.(int (get hist field))
-        Obs.Json.(int (get exact field)))
-    [ "count"; "sum"; "min"; "max" ];
+  (* Eating is entered only from Hungry, so every meal closes one hunger
+     session: one sample per meal. *)
+  check_int "one sample per meal"
+    Obs.Json.(int (get (get j "counters") "dining.dx.meals"))
+    Obs.Json.(int (get exact "count"));
   (* The exact p99 is a real sample: within the digest's [min, max]. *)
   let p99 = Obs.Json.(int (get exact "p99")) in
   check "p99 within extrema" true
-    (p99 >= Obs.Json.(int (get exact "min")) && p99 <= Obs.Json.(int (get exact "max")));
-  (* The meals series counts exactly the Eating transitions the meals
-     counter counts, windowed by the documented width. *)
-  let series = Obs.Json.(get (get j "series") "dining.dx.meals_per_window") in
-  check_int "series width is the documented constant" Obs.Instrument.meals_window_width
-    Obs.Json.(int (get series "width"));
-  check_int "series total = meals counter"
-    Obs.Json.(int (get (get j "counters") "dining.dx.meals"))
-    Obs.Json.(int (get series "total"));
-  check "series peak positive" true Obs.Json.(int (get series "peak") > 0)
+    (p99 >= Obs.Json.(int (get exact "min")) && p99 <= Obs.Json.(int (get exact "max")))
 
 (* Instrument folds a retained trace at [finalize] and subscribes to an
    unretained one, which it cannot read back: on the same seeded run the
@@ -723,14 +674,43 @@ let test_hunger_latency_from_transition_ticks () =
     synthetic_stream;
   Obs.Instrument.finalize inst;
   let j = Obs.Metrics.to_json m in
-  let exact = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency_exact") in
+  let exact = Obs.Json.(get (get j "quantiles") "dining.dx.hunger_latency") in
   check_int "one sample per Hungry -> Eating" 2 Obs.Json.(int (get exact "count"));
   check_int "the zero-length stay is a 0 sample" 0 Obs.Json.(int (get exact "min"));
   check_int "pid 1, first seen at Hungry -> Eating at 10, waited 10" 10
     Obs.Json.(int (get exact "max"));
-  check_int "nothing else" 10 Obs.Json.(int (get exact "sum"));
-  let hist = Obs.Json.(get (get j "histograms") "dining.dx.hunger_latency") in
-  check_int "the histogram sees the same samples" 2 Obs.Json.(int (get hist "count"))
+  check_int "nothing else" 10 Obs.Json.(int (get exact "sum"))
+
+(* The instances of a family share its metrics: [a[0]] and [a[1]] feed
+   one [dining.a.hunger_latency] digest and one [dining.a.meals]
+   counter, while each diner's latency runs from its own instance's last
+   transition. *)
+let test_family_shares_metrics () =
+  let m = Obs.Metrics.create () in
+  let engine = Engine.create ~n:2 ~adversary:(Adversary.synchronous ()) () in
+  let inst = Obs.Instrument.install ~metrics:m engine in
+  List.iter
+    (fun (e : Trace.entry) -> Trace.append (Engine.trace engine) ~at:e.Trace.at e.Trace.ev)
+    [
+      transition 5 "a[0]" 0 Types.Thinking Types.Hungry;
+      transition 7 "a[1]" 0 Types.Thinking Types.Hungry;
+      (* 9 - 5: pid 0's last transition in a[0], not the later one in a[1] *)
+      transition 9 "a[0]" 0 Types.Hungry Types.Eating;
+      (* 20 - 7: pid 0's last transition in a[1], not the later one in a[0] *)
+      transition 20 "a[1]" 0 Types.Hungry Types.Eating;
+      (* pid 1, first seen in a[1] at Hungry -> Eating: hungry since 0 *)
+      transition 21 "a[1]" 1 Types.Hungry Types.Eating;
+    ];
+  Obs.Instrument.finalize inst;
+  Alcotest.(check (list string)) "one digest" [ "dining.a.hunger_latency" ]
+    (dining_names m "quantiles");
+  Alcotest.(check (list string)) "one meals counter" [ "dining.a.meals" ]
+    (dining_names m "counters");
+  Alcotest.(check (list (pair int int))) "both instances' samples, each from its own instance"
+    [ (4, 1); (13, 1); (21, 1) ]
+    (Obs.Quantile.runs (Obs.Metrics.quantile m "dining.a.hunger_latency"));
+  check_int "the meals of both instances" 3
+    (Obs.Metrics.counter_value (Obs.Metrics.counter m "dining.a.meals"))
 
 (* ------------------------------------------------------------------ *)
 (* Reports *)
@@ -763,12 +743,49 @@ let test_report_schema_roundtrip () =
       check "write/read identity" true (j = j');
       check_str "schema tag" Obs.Report.schema_version Obs.Json.(str (get j' "schema"));
       check_str "cmd" "dining" Obs.Json.(str (get j' "cmd"));
-      check_int "seed" 7 Obs.Json.(int (get j' "seed"));
+      check_str "seed" "0x7" Obs.Json.(str (get j' "seed"));
       check "one failing check => not passed" false (Obs.Report.passed j');
       check "wall_clock stripped" true
         (Obs.Json.find (Obs.Report.strip_wall_clock j') "wall_clock" = None);
       check "metrics embedded" true
         Obs.Json.(int (get (get (get j' "metrics") "counters") "events") = 1))
+
+(* The seed is written in full: a seed past 2^62 read back from a report
+   and parsed as --seed parses it is the seed the run had. *)
+let test_report_seed_roundtrip () =
+  let seed = 0x4000000000000005L in
+  let j = Obs.Report.make ~cmd:"dining" ~seed () in
+  let recorded = Obs.Json.(str (get (of_string (to_string j)) "seed")) in
+  check_str "recorded in hex" "0x4000000000000005" recorded;
+  check "parses back to the run's seed" true (Core.Cmdline.parse_seed recorded = Ok seed);
+  check "the summary prints it" true
+    (String.starts_with ~prefix:"report: cmd=dining seed=0x4000000000000005 "
+       (Format.asprintf "%a" Obs.Report.pp_summary j))
+
+(* A failed check is the first line under the header, wherever the
+   report lists it; the others keep their order. *)
+let test_summary_failed_first () =
+  let j =
+    Obs.Report.make ~cmd:"extract" ~seed:7L ~horizon:100
+      ~checks:
+        [
+          Obs.Report.check "a" true;
+          Obs.Report.check ~detail:"L8" "b" false;
+          Obs.Report.check "c" true;
+        ]
+      ()
+  in
+  check_str "failed first, then report order"
+    (String.concat "\n"
+       [
+         "report: cmd=extract seed=0x7 horizon=100";
+         "  b                                  FAIL — L8";
+         "  a                                  ok";
+         "  c                                  ok";
+         "  all checks: FAIL";
+         "";
+       ])
+    (Format.asprintf "%a" Obs.Report.pp_summary j)
 
 let test_report_rejects_invalid () =
   let path = Filename.temp_file "obs_bad" ".json" in
@@ -826,7 +843,6 @@ let () =
           Alcotest.test_case "merge is multiset union" `Quick
             test_quantile_merge_is_multiset_union;
         ] );
-      ( "window", [ Alcotest.test_case "series semantics" `Quick test_window_series ] );
       ( "span",
         [
           Alcotest.test_case "fold of a synthetic stream" `Quick test_span_fold;
@@ -846,12 +862,16 @@ let () =
             test_fold_equals_subscribe;
           Alcotest.test_case "hunger latency from transition ticks" `Quick
             test_hunger_latency_from_transition_ticks;
-          Alcotest.test_case "exact digest and series track the run" `Quick
-            test_exact_quantiles_track_histogram;
+          Alcotest.test_case "hunger digest tracks the run" `Quick test_hunger_digest_tracks_run;
+          Alcotest.test_case "instances of a family share its metrics" `Quick
+            test_family_shares_metrics;
         ] );
       ( "report",
         [
           Alcotest.test_case "schema roundtrip" `Quick test_report_schema_roundtrip;
           Alcotest.test_case "rejects invalid" `Quick test_report_rejects_invalid;
+          Alcotest.test_case "seed keeps all 64 bits" `Quick test_report_seed_roundtrip;
+          Alcotest.test_case "summary prints failed checks first" `Quick
+            test_summary_failed_first;
         ] );
     ]
